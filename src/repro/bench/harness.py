@@ -30,7 +30,13 @@ from ..wal.records import LogRecordType
 from ..obs.metrics import BUCKET_BOUNDS
 from ..workloads.tenancy import MultiTenantWorkload, TenantAccess
 from ..workloads.tpcc import PageAccess, TpccWorkload
-from ..workloads.ycsb import COLUMN_SIZE, TUPLE_SIZE, YcsbWorkload
+from ..workloads.ycsb import (
+    COLUMN_SIZE,
+    TUPLE_SIZE,
+    TUPLES_PER_PAGE,
+    OpKind,
+    YcsbWorkload,
+)
 
 #: Placeholder images used when charging log-record sizes; the content
 #: is irrelevant to the cost model, only the length matters.
@@ -250,11 +256,12 @@ class WorkloadRunner:
 
     def run_ycsb_op(self, workload: YcsbWorkload) -> bool:
         """Execute one YCSB operation; returns True when it was a write."""
-        op = workload.next_op()
-        page_id = workload.page_of(op.key)
-        offset = workload.offset_of(op.key, op.column)
-        nbytes = COLUMN_SIZE if op.is_write else TUPLE_SIZE
-        return self._exec_op(page_id, offset, nbytes, op.is_write)
+        kind, key, column = workload.next_op()
+        is_write = kind is OpKind.UPDATE
+        # YcsbWorkload.page_of / offset_of / access_bytes, spelled out.
+        offset = (key % TUPLES_PER_PAGE) * TUPLE_SIZE + 4 + column * COLUMN_SIZE
+        return self._exec_op(key // TUPLES_PER_PAGE, offset,
+                             COLUMN_SIZE if is_write else TUPLE_SIZE, is_write)
 
     def run_access(self, access: PageAccess) -> bool:
         """Execute one pre-generated page access (TPC-C / traces).

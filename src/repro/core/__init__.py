@@ -27,7 +27,6 @@ from .buffer_manager import (
     BufferPool,
 )
 from .descriptors import SharedPageDescriptor, TierPageDescriptor
-from .devio import device_read, device_write
 from .events import BufferEvent, EventBus, EventType, StatsProjector
 from .fine_grained import FineGrainedOps
 from .flush_engine import FlushEngine
@@ -96,8 +95,6 @@ __all__ = [
     "TierChain",
     "TierNode",
     "TierPageDescriptor",
-    "device_read",
-    "device_write",
     "inclusivity_ratio",
     "make_hymem",
     "recommended_queue_size",

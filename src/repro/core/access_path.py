@@ -25,13 +25,13 @@ via :meth:`bind`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..hardware.cost_model import StorageHierarchy
+from ..hardware.simclock import CostAccumulator, checked_fp
 from ..hardware.specs import Tier
 from ..pages.page import Page, PageId
 from .descriptors import SharedPageDescriptor, TierPageDescriptor
-from .devio import device_read, device_write
 from .events import EventBus, EventType
 from .mapping_table import MappingTable
 from .migration import Edge, MigrationEngine, MigrationOp
@@ -42,8 +42,7 @@ from .tier_chain import TierChain, TierNode
 __all__ = ["AccessPath", "AccessResult"]
 
 
-@dataclass(frozen=True)
-class AccessResult:
+class AccessResult(NamedTuple):
     """Outcome of one buffer-manager read or write."""
 
     page_id: PageId
@@ -70,6 +69,15 @@ class AccessPath:
         self.config = config
         self.events = events
         self._emit = events.publish
+        self._cost = hierarchy.cost
+        #: The per-request lookup cost, quantised once.
+        self._lookup_fp = checked_fp(hierarchy.cpu_costs.lookup_ns)
+        top = chain.top
+        #: The top node when hits on it are served in DRAM-like memory
+        #: (volatile, index 0); a full page found there needs no walk.
+        self._volatile_top = (
+            top if top is not None and not top.persistent else None
+        )
         #: Bound by :meth:`bind`: installs reserve frames through the
         #: space manager; partial layouts are served by fine-grained ops.
         self.space = None
@@ -89,32 +97,45 @@ class AccessPath:
                is_write: bool, tenant_id: int = 0) -> AccessResult:
         """The generic chain walk shared by ``read`` and ``write``.
 
-        Top-down hit scan; on a non-top hit, one promotion draw per edge
-        climbs the page toward the top (§3.1/§3.2).  A full miss goes to
+        Top-down hit scan.  A hit on a volatile top node holding the
+        full page — what every workload is mostly made of — is served
+        where it is found: nothing can climb, no line can be missing.
+        On a non-top hit, one promotion draw per edge climbs the page
+        toward the top (§3.1/§3.2).  A full miss goes to
         :meth:`fetch_from_ssd`.
         """
-        hierarchy = self.hierarchy
-        hierarchy.begin_op()
+        cost = self._cost
+        emit = self._emit
+        cost.begin_cpu_batch()  # StorageHierarchy.begin_op
         try:
-            hierarchy.charge_cpu(hierarchy.cpu_costs.lookup_ns)
+            cost.charge_fp(CostAccumulator.CPU, self._lookup_fp)
             # Set the bus tenant register before the OP event so every
             # subscriber sees the op attributed to the right tenant.
             self.events.tenant_id = tenant_id
-            self._emit(EventType.OP_WRITE if is_write else EventType.OP_READ,
-                       page_id)
+            emit(EventType.OP_WRITE if is_write else EventType.OP_READ,
+                 page_id)
             shared = self.table.get_or_create(page_id)
-            # Atomic attribute read; ``set_policy`` replaces the whole
-            # object, so skipping the slot's lock is race-free here.
-            policy = self.policy_slot.current
-
-            promote_op = (
-                MigrationOp.PROMOTE_WRITE if is_write else MigrationOp.PROMOTE_READ
-            )
             for node in self.chain.nodes:
                 descriptor = node.pool.get(page_id)
                 if descriptor is None:
                     continue
-                self._emit(EventType.HIT, page_id, tier=node.tier)
+                tier = node.tier
+                emit(EventType.HIT, page_id, tier)
+                if node is self._volatile_top \
+                        and isinstance(descriptor.content, Page):
+                    if is_write:
+                        descriptor.dirty = True
+                        node.write(page_id, nbytes)
+                    else:
+                        node.read(page_id, nbytes)
+                    return AccessResult(page_id, tier, True)
+                # Atomic attribute read; ``set_policy`` replaces the
+                # whole object, so skipping the slot's lock is race-free.
+                policy = self.policy_slot.current
+                promote_op = (
+                    MigrationOp.PROMOTE_WRITE if is_write
+                    else MigrationOp.PROMOTE_READ
+                )
                 node, descriptor = self.climb(
                     shared, node, descriptor, promote_op, offset, nbytes, policy
                 )
@@ -125,7 +146,7 @@ class AccessPath:
             bypassed = tier not in (Tier.DRAM, Tier.SSD)
             return AccessResult(page_id, tier, hit=False, bypassed_dram=bypassed)
         finally:
-            hierarchy.end_op()
+            cost.end_cpu_batch()  # StorageHierarchy.end_op
 
     def climb(self, shared: SharedPageDescriptor, node: TierNode,
               descriptor: TierPageDescriptor, promote_op: MigrationOp,
@@ -159,16 +180,15 @@ class AccessPath:
         """Operate on a lower-tier copy in place — the DRAM bypass (§3.1,
         §3.2): the CPU works on the tier-resident data directly, with a
         persist barrier when the tier is durable."""
-        device = node.device
         page_id = descriptor.page_id
         if is_write:
-            device_write(device, page_id, nbytes)
+            node.write(page_id, nbytes)
             if node.persistent:
-                device.persist_barrier()
+                node.device.persist_barrier()
             descriptor.mark_dirty()
             self._emit(EventType.DIRECT_WRITE, page_id, tier=node.tier)
         else:
-            device_read(device, page_id, nbytes)
+            node.read(page_id, nbytes)
             self._emit(EventType.DIRECT_READ, page_id, tier=node.tier)
 
     # ------------------------------------------------------------------
@@ -230,8 +250,8 @@ class AccessPath:
             shared.attach(descriptor)
         # Page installs land at random frame locations: NVM pays its
         # random-write bandwidth (6 GB/s on Optane), DRAM does not care.
-        device_write(node.device, content.page_id, self.hierarchy.page_size,
-                     sequential=node.install_sequential)
+        node.write(content.page_id, self.hierarchy.page_size,
+                   sequential=node.install_sequential)
         if node.persistent:
             node.device.persist_barrier()
         self._emit(EventType.INSTALL, content.page_id, tier=node.tier,
@@ -264,16 +284,15 @@ class AccessPath:
                 descriptor = self.fine.install_fine_grained(shared, lower_content,
                                                             offset, nbytes)
             else:
-                device_read(lower.device, shared.page_id,
-                            self.hierarchy.page_size)
+                lower.read(shared.page_id, self.hierarchy.page_size)
                 self._cpu(costs.copy_ns(self.hierarchy.page_size))
                 descriptor = self.space.insert_with_space(
                     upper.tier, lower_content.clone(), self.hierarchy.page_size,
                     protect=shared.page_id,
                 )
                 shared.attach(descriptor)
-                device_write(upper.device, shared.page_id,
-                             self.hierarchy.page_size, sequential=True)
+                upper.write(shared.page_id, self.hierarchy.page_size,
+                            sequential=True)
             self._emit(EventType.MIGRATE_UP, shared.page_id, tier=upper.tier,
                        src=lower.tier)
             return descriptor

@@ -21,6 +21,7 @@ hand-rolled context manager.
 
 from __future__ import annotations
 
+import operator
 import threading
 from typing import Union
 
@@ -33,9 +34,10 @@ from ..pages.page import Page, PageId
 #: cache-line-grained page, or a mini page.
 FrameContent = Union[Page, CacheLinePage, MiniPage]
 
-#: Canonical (top-down) latch acquisition order, preventing deadlock
-#: between concurrent migrations along different paths of the same page.
-_TIER_ORDER = {tier: tier.rank for tier in TIER_ORDER}
+#: ``Tier.rank`` is the canonical (top-down) latch acquisition order,
+#: preventing deadlock between concurrent migrations along different
+#: paths of the same page.
+_rank_of = operator.attrgetter("rank")
 
 #: The bottom (store) tier holds no buffer copy.
 _STORE_TIER = TIER_ORDER[-1]
@@ -141,10 +143,15 @@ class SharedPageDescriptor:
     def latch(self, tier: Tier):
         return self._latches[tier.rank]
 
-    def latched(self, *tiers: Tier) -> _LatchGuard:
-        """Acquire the latches for ``tiers`` in canonical (top-down) order."""
-        ordered = sorted(set(tiers), key=_TIER_ORDER.__getitem__)
-        return _LatchGuard(tuple(self._latches[t.rank] for t in ordered))
+    def latched(self, *tiers: Tier):
+        """A ``with`` guard holding the latches of ``tiers``, acquired in
+        canonical (top-down) order."""
+        latches = self._latches
+        if len(tiers) == 1:
+            # One latch needs no ordering; the RLock is its own guard.
+            return latches[tiers[0].rank]
+        ranks = sorted(set(map(_rank_of, tiers)))
+        return _LatchGuard(tuple(map(latches.__getitem__, ranks)))
 
     # ------------------------------------------------------------------
     # Tier copies

@@ -1,40 +1,34 @@
-"""Device I/O dispatch shared by every core component.
+"""The resilience boundary under every device transfer.
 
-Simulated devices come in two flavours: the plain
-:class:`~repro.hardware.device.Device` (charges bandwidth/latency for a
-transfer of ``nbytes``) and the
-:class:`~repro.hardware.memory_mode.MemoryModeDevice` (§2.2's
-DRAM-cache-over-NVM, which additionally needs the *page identity* to
-model its direct-mapped cache).  The access path, space manager, and
-flush engine all perform device transfers, so the dispatch lives here
-once instead of as free functions inside each component.
-
-This module is also the system's resilience boundary.  When a device
-(typically a :class:`~repro.faults.injector.FaultyDevice`) raises a
-transient :class:`~repro.faults.plan.DeviceIOError`, the transfer is
-re-issued with bounded exponential backoff; each backoff interval is
-charged to the issuing worker as CPU stall through the device's cost
-accumulator, so retries cost simulated time exactly like any other
-stall.  When the attempt budget is exhausted the typed
+When a device (typically a
+:class:`~repro.faults.injector.FaultyDevice`) raises a transient
+:class:`~repro.faults.plan.DeviceIOError`, the transfer is re-issued
+with bounded exponential backoff; each backoff interval is charged to
+the issuing worker as CPU stall through the device's cost accumulator,
+so retries cost simulated time exactly like any other stall.  When the
+attempt budget is exhausted the typed
 :class:`~repro.faults.plan.DeviceGaveUpError` surfaces to the caller.
 Without injection the retry wrapper is a single ``try`` around the
 direct call — the fault-free hot path pays one exception-handler setup
 and nothing else.
+
+Page transfers of the buffer tiers go through
+:meth:`TierNode.read <repro.core.tier_chain.TierNode.read>` /
+:meth:`~repro.core.tier_chain.TierNode.write`, which issue the first
+attempt themselves and hand a failed one to the loops here; the SSD
+store and the WAL call :func:`read_with_retry` /
+:func:`write_with_retry` directly.
 """
 
 from __future__ import annotations
 
 from ..faults.plan import DeviceGaveUpError, DeviceIOError
 from ..hardware.device import Device
-from ..hardware.memory_mode import MemoryModeDevice
 from ..hardware.simclock import CostAccumulator
-from ..pages.page import PageId
 
 __all__ = [
     "BACKOFF_BASE_NS",
     "MAX_ATTEMPTS",
-    "device_read",
-    "device_write",
     "read_with_retry",
     "write_with_retry",
 ]
@@ -45,10 +39,16 @@ MAX_ATTEMPTS = 4
 BACKOFF_BASE_NS = 2_000.0
 
 
-def read_with_retry(device: Device, nbytes: int,
-                    sequential: bool = False) -> float:
-    """Issue a read, absorbing transient faults with charged backoff."""
+def read_with_retry(device: Device, nbytes: int, sequential: bool = False,
+                    failed: DeviceIOError | None = None) -> float:
+    """Issue a read, absorbing transient faults with charged backoff.
+
+    ``failed`` is the error of a first attempt the caller already
+    issued itself; the loop then resumes at the first backoff.
+    """
     attempt = 1
+    if failed is not None:
+        attempt = _backoff_or_give_up(device, failed, attempt)
     while True:
         try:
             return device.read(nbytes, sequential)
@@ -56,10 +56,13 @@ def read_with_retry(device: Device, nbytes: int,
             attempt = _backoff_or_give_up(device, exc, attempt)
 
 
-def write_with_retry(device: Device, nbytes: int,
-                     sequential: bool = False) -> float:
-    """Issue a write, absorbing transient faults with charged backoff."""
+def write_with_retry(device: Device, nbytes: int, sequential: bool = False,
+                     failed: DeviceIOError | None = None) -> float:
+    """Issue a write, absorbing transient faults with charged backoff
+    (``failed`` as for :func:`read_with_retry`)."""
     attempt = 1
+    if failed is not None:
+        attempt = _backoff_or_give_up(device, failed, attempt)
     while True:
         try:
             return device.write(nbytes, sequential)
@@ -78,21 +81,3 @@ def _backoff_or_give_up(device, exc: DeviceIOError, attempt: int) -> int:
     if note_retry is not None:
         note_retry()
     return attempt + 1
-
-
-def device_read(device: Device | MemoryModeDevice, page_id: PageId, nbytes: int,
-                sequential: bool = False) -> None:
-    """Read dispatch that lets memory-mode devices see page identity."""
-    if isinstance(device, MemoryModeDevice):
-        device.read_page(page_id, nbytes, sequential)
-    else:
-        read_with_retry(device, nbytes, sequential)
-
-
-def device_write(device: Device | MemoryModeDevice, page_id: PageId, nbytes: int,
-                 sequential: bool = False) -> None:
-    """Write dispatch that lets memory-mode devices see page identity."""
-    if isinstance(device, MemoryModeDevice):
-        device.write_page(page_id, nbytes, sequential)
-    else:
-        write_with_retry(device, nbytes, sequential)

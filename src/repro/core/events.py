@@ -13,19 +13,25 @@ flushes, fine-grained loads — and every consumer subscribes to the same
 * the bench-side :class:`~repro.bench.event_trace.EventTraceRecorder`
   aggregates per-edge traffic for any chain depth.
 
-The bus sits on the hottest path, so emission is engineered around two
-invariants:
+The bus sits on the hottest path, so emission is engineered around
+three invariants:
 
-* :meth:`EventBus.emit` is a plain loop over an immutable handler tuple
-  (no locking on the read side; subscription changes swap the tuple
-  atomically under a mutation lock),
+* dispatch is *typed*: the bus keeps one immutable subscriber tuple per
+  :class:`EventType`, built when subscriptions change from each
+  subscriber's optional ``event_interest`` (a set of event types;
+  absent means all of them), so an event is only ever offered to the
+  subscribers that asked for its type — the inclusivity tracker wants
+  two of the fifteen,
+* :meth:`EventBus.publish` and :meth:`EventBus.emit` are plain loops
+  over the current tuple (no locking on the read side; subscription
+  changes swap the tuples atomically under a mutation lock),
 * :meth:`EventBus.publish` skips :class:`BufferEvent` construction
   entirely whenever every subscriber implements the ``apply_event``
   fast-path protocol — the default subscribers (the stats projector and
-  the inclusivity tracker) do, so the steady-state emission cost is a
-  couple of positional calls with no object allocation.  The first
-  subscriber without ``apply_event`` (e.g. a test's ``list.append``)
-  transparently restores the build-one-event-and-fan-out behaviour.
+  the inclusivity tracker) do, so the steady-state emission cost is one
+  positional call with no object allocation.  The first subscriber
+  without ``apply_event`` (e.g. a test's ``list.append``) transparently
+  restores the build-one-event-and-fan-out behaviour.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ import enum
 import threading
 from typing import Callable
 
-from ..hardware.specs import Tier
+from ..hardware.specs import TIER_ORDER, Tier
 from ..pages.page import PageId
 
 
@@ -70,6 +76,16 @@ class EventType(enum.Enum):
     FINE_GRAINED_LOAD = "fine_grained_load"
     #: A mini page overflowed and was promoted to a full cache-line page.
     MINI_PAGE_PROMOTION = "mini_page_promotion"
+
+    #: Dense position of the member, a plain int set below: the bus
+    #: indexes its per-type subscriber tuples with it (hashing an enum
+    #: member is a Python-level call).
+    index: int
+
+
+for _index, _etype in enumerate(EventType):
+    _etype.index = _index
+del _index, _etype
 
 
 class BufferEvent:
@@ -157,21 +173,32 @@ class OpBatchSummary:
 class EventBus:
     """A minimal synchronous publish/subscribe hub.
 
-    Subscription changes rebuild an immutable handler tuple under a
-    mutation lock (concurrent ``threading`` workers may attach and
-    detach observers mid-run), so :meth:`emit` and :meth:`publish` —
-    called many times per buffer operation — stay plain lock-free
-    iterations over the current tuple.
+    Subscription changes rebuild the immutable per-type subscriber
+    tuples under a mutation lock (concurrent ``threading`` workers may
+    attach and detach observers mid-run), so :meth:`emit` and
+    :meth:`publish` — called several times per buffer operation — stay
+    plain lock-free iterations over the current tuple.
+
+    A subscriber may declare ``event_interest``, a collection of the
+    :class:`EventType` members it wants; it is then never offered any
+    other event, on the fast path or the slow one.  Without the
+    attribute (bare callables, the metrics hub, tracers) it is offered
+    every event.
     """
 
-    __slots__ = ("_handlers", "_fast_appliers", "_batch_appliers", "_mutate_lock",
-                 "tenant_id")
+    __slots__ = ("_handlers", "_typed_handlers", "_typed_appliers",
+                 "_batch_appliers", "_mutate_lock", "tenant_id")
 
     def __init__(self) -> None:
         self._handlers: tuple[EventHandler, ...] = ()
-        #: Bound ``apply_event`` methods of every handler, or ``None``
-        #: when at least one handler only accepts built events.
-        self._fast_appliers: tuple[Callable, ...] | None = ()
+        #: Per ``EventType.index``: the handlers offered that type.
+        self._typed_handlers: tuple[tuple[EventHandler, ...], ...] = \
+            ((),) * len(EventType)
+        #: Per ``EventType.index``: the bound ``apply_event`` methods of
+        #: those handlers — or ``None`` for the whole table when at
+        #: least one handler only accepts built events.
+        self._typed_appliers: tuple[tuple[Callable, ...], ...] | None = \
+            self._typed_handlers
         #: Bound ``apply_op_batch`` methods of every handler, or ``None``
         #: when at least one handler cannot consume batch summaries —
         #: the batch access path then falls back to per-op execution.
@@ -217,7 +244,7 @@ class EventBus:
     @property
     def fast_path_active(self) -> bool:
         """True while every subscriber supports positional fast dispatch."""
-        return self._fast_appliers is not None
+        return self._typed_appliers is not None
 
     @property
     def batch_path_active(self) -> bool:
@@ -231,32 +258,42 @@ class EventBus:
         return self._batch_appliers is not None
 
     def _rebuild(self, handlers: tuple[EventHandler, ...]) -> None:
-        """Swap in a new handler tuple and recompute the fast paths."""
-        appliers = []
-        batch_appliers = []
+        """Swap in a new handler set and recompute the dispatch tables."""
+        every_type = range(len(EventType))
+        typed_handlers: list[list] = [[] for _ in every_type]
+        typed_appliers: list[list] | None = [[] for _ in every_type]
+        batch_appliers: list | None = []
         for handler in handlers:
+            interest = getattr(handler, "event_interest", None)
+            wanted = (every_type if interest is None
+                      else {etype.index for etype in interest})
             apply = getattr(handler, "apply_event", None)
             if apply is None:
-                self._batch_appliers = None
-                self._fast_appliers = None
-                self._handlers = handlers
-                return
-            appliers.append(apply)
+                typed_appliers = batch_appliers = None
+            for index in wanted:
+                typed_handlers[index].append(handler)
+                if typed_appliers is not None:
+                    typed_appliers[index].append(apply)
             apply_batch = getattr(handler, "apply_op_batch", None)
             if apply_batch is None:
                 batch_appliers = None
             elif batch_appliers is not None:
                 batch_appliers.append(apply_batch)
-        # Publish the appliers before the handler tuple so a concurrent
-        # publish() never pairs new appliers with missing handlers.
         self._batch_appliers = (
             tuple(batch_appliers) if batch_appliers is not None else None
         )
-        self._fast_appliers = tuple(appliers)
+        # Handlers before appliers: a concurrent publish() that sees the
+        # applier table go to None must already find the handler that
+        # caused it.
+        self._typed_handlers = tuple(map(tuple, typed_handlers))
+        self._typed_appliers = (
+            tuple(map(tuple, typed_appliers))
+            if typed_appliers is not None else None
+        )
         self._handlers = handlers
 
     def emit(self, event: BufferEvent) -> None:
-        for handler in self._handlers:
+        for handler in self._typed_handlers[event.type.index]:
             handler(event)
 
     def publish(self, type: EventType, page_id: PageId,
@@ -265,18 +302,21 @@ class EventBus:
         """Emit one event, materialising it only when a subscriber needs it.
 
         This is the hot-path entry the tier chain uses: when every
-        subscriber implements ``apply_event`` the notification is a few
-        positional calls and no :class:`BufferEvent` is constructed.
+        subscriber implements ``apply_event`` the notification is one
+        positional call per interested subscriber and no
+        :class:`BufferEvent` is constructed.
         """
-        appliers = self._fast_appliers
+        appliers = self._typed_appliers
         if appliers is not None:
-            for apply in appliers:
+            for apply in appliers[type.index]:
                 apply(type, page_id, tier, src, dirty)
             return
-        event = BufferEvent(type, page_id, tier, src, dirty,
-                            tenant_id=self.tenant_id)
-        for handler in self._handlers:
-            handler(event)
+        handlers = self._typed_handlers[type.index]
+        if handlers:
+            event = BufferEvent(type, page_id, tier, src, dirty,
+                                tenant_id=self.tenant_id)
+            for handler in handlers:
+                handler(event)
 
     def publish_op_batch(self, summary: OpBatchSummary) -> None:
         """Fan one batch summary out to every subscriber.
@@ -312,10 +352,17 @@ class StatsProjector:
         #: Resolved per event so that ``reset_stats()`` (which swaps in a
         #: fresh BufferStats) needs no re-subscription.
         self._owner = owner
-        self.hits_by_tier: dict[Tier, int] = {}
+        #: Hits per tier, indexed by ``Tier.rank``.
+        self._hits = [0] * len(TIER_ORDER)
+
+    @property
+    def hits_by_tier(self) -> dict[Tier, int]:
+        """Hit counts of every tier hit since the last reset."""
+        return {tier: hits for tier, hits in zip(TIER_ORDER, self._hits)
+                if hits}
 
     def reset(self) -> None:
-        self.hits_by_tier.clear()
+        self._hits = [0] * len(TIER_ORDER)
 
     # ------------------------------------------------------------------
     def __call__(self, event: BufferEvent) -> None:
@@ -332,7 +379,7 @@ class StatsProjector:
         count = summary.count
         tier = summary.tier
         stats.reads += count
-        self.hits_by_tier[tier] = self.hits_by_tier.get(tier, 0) + count
+        self._hits[tier.rank] += count
         if tier is Tier.DRAM:
             stats.dram_hits += count
         elif tier is Tier.NVM:
@@ -351,7 +398,7 @@ class StatsProjector:
         elif etype is EventType.OP_WRITE:
             stats.writes += 1
         elif etype is EventType.HIT:
-            self.hits_by_tier[tier] = self.hits_by_tier.get(tier, 0) + 1
+            self._hits[tier.rank] += 1
             if tier is Tier.DRAM:
                 stats.dram_hits += 1
             else:

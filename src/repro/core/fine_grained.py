@@ -30,7 +30,6 @@ from ..pages.cacheline_page import CacheLinePage
 from ..pages.mini_page import MINI_PAGE_BYTES, MINI_PAGE_SLOTS, MiniPage, MiniPageOverflow
 from ..pages.page import Page
 from .descriptors import SharedPageDescriptor, TierPageDescriptor
-from .devio import device_read, device_write
 from .events import EventBus, EventType
 from .tier_chain import TierChain, TierNode
 
@@ -94,11 +93,10 @@ class FineGrainedOps:
     def _finish_resident_access(self, node: TierNode,
                                 descriptor: TierPageDescriptor,
                                 nbytes: int, is_write: bool) -> None:
-        device = node.device
         if is_write:
-            device_write(device, descriptor.page_id, nbytes)
+            node.write(descriptor.page_id, nbytes)
         else:
-            device_read(device, descriptor.page_id, nbytes)
+            node.read(descriptor.page_id, nbytes)
 
     def serve_cacheline_access(self, content: CacheLinePage, offset: int,
                                nbytes: int, is_write: bool) -> None:

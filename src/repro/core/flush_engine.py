@@ -34,7 +34,7 @@ from ..pages.cacheline_page import CacheLinePage
 from ..pages.mini_page import MiniPage
 from ..pages.page import Page, PageId
 from .descriptors import SharedPageDescriptor, TierPageDescriptor
-from .devio import device_read, device_write, read_with_retry
+from .devio import read_with_retry
 from .events import EventBus, EventType
 from .mapping_table import MappingTable
 from .migration import Edge, MigrationEngine, MigrationOp
@@ -132,11 +132,11 @@ class FlushEngine:
                 elif persist_desc is not None and isinstance(persist_desc.content, Page):
                     # A live persistent copy makes the page durable with
                     # one NVM page write — far cheaper than the SSD path.
-                    device_read(top.device, descriptor.page_id,
-                                self.hierarchy.page_size, sequential=True)
+                    top.read(descriptor.page_id, self.hierarchy.page_size,
+                             sequential=True)
                     persist_desc.content.copy_from(content)
-                    device_write(persist_node.device, descriptor.page_id,
-                                 self.hierarchy.page_size)
+                    persist_node.write(descriptor.page_id,
+                                       self.hierarchy.page_size)
                     persist_node.device.persist_barrier()
                     persist_desc.mark_dirty()
                 elif self.flush_admits_to_nvm(descriptor.page_id):
@@ -144,22 +144,22 @@ class FlushEngine:
                     # HyMem's admission queue) chooses its destination —
                     # installing the page in NVM persists it without the
                     # SSD write (§3.4's path ⑤ applied to checkpoints).
-                    device_read(top.device, descriptor.page_id,
-                                self.hierarchy.page_size, sequential=True)
+                    top.read(descriptor.page_id, self.hierarchy.page_size,
+                             sequential=True)
                     persist_desc = self.space.insert_with_space(
                         persist_node.tier, content.clone(),
                         self.hierarchy.page_size, protect=descriptor.page_id,
                     )
                     shared.attach(persist_desc)
                     persist_desc.mark_dirty()
-                    device_write(persist_node.device, descriptor.page_id,
-                                 self.hierarchy.page_size)
+                    persist_node.write(descriptor.page_id,
+                                       self.hierarchy.page_size)
                     persist_node.device.persist_barrier()
                     self._emit(EventType.MIGRATE_DOWN, descriptor.page_id,
                                tier=persist_node.tier, src=top.tier, dirty=True)
                 else:
-                    device_read(top.device, descriptor.page_id,
-                                self.hierarchy.page_size, sequential=True)
+                    top.read(descriptor.page_id, self.hierarchy.page_size,
+                             sequential=True)
                     self.store.write_page(content, sequential=True)
                 descriptor.clear_dirty()
                 flushed += 1
@@ -214,10 +214,9 @@ class FlushEngine:
             return
         if dirty_lines:
             self.wal_barrier(content)
-            nvm_device = self.hierarchy.device(Tier.NVM)
-            nbytes = dirty_lines * CACHE_LINE_SIZE
-            device_write(nvm_device, descriptor.page_id, nbytes)
-            nvm_device.persist_barrier()
+            nvm = self.chain.node(Tier.NVM)
+            nvm.write(descriptor.page_id, dirty_lines * CACHE_LINE_SIZE)
+            nvm.device.persist_barrier()
             nvm_desc = shared.copy_on(Tier.NVM)
             if nvm_desc is not None:
                 nvm_desc.mark_dirty()

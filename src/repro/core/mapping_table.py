@@ -39,9 +39,15 @@ class MappingTable:
 
     def get_or_create(self, page_id: PageId) -> SharedPageDescriptor:
         """Atomically look up or insert the descriptor for ``page_id``."""
-        index = self._shard(page_id)
+        index = hash(page_id) % self._num_shards
+        shard = self._shards[index]
+        # Probe before locking: ``dict.get`` is atomic under the GIL and
+        # entries are never replaced, only removed — and a removal could
+        # equally land the instant the shard lock was released.
+        descriptor = shard.get(page_id)
+        if descriptor is not None:
+            return descriptor
         with self._locks[index]:
-            shard = self._shards[index]
             descriptor = shard.get(page_id)
             if descriptor is None:
                 descriptor = SharedPageDescriptor(page_id)

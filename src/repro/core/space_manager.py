@@ -32,7 +32,7 @@ from ..pages.cacheline_page import CacheLinePage
 from ..pages.mini_page import MiniPage
 from ..pages.page import Page, PageId
 from .descriptors import FrameContent, SharedPageDescriptor, TierPageDescriptor
-from .devio import device_write, read_with_retry
+from .devio import read_with_retry
 from .events import EventBus, EventType
 from .mapping_table import MappingTable
 from .migration import Edge, MigrationEngine, MigrationOp
@@ -346,7 +346,7 @@ class SpaceManager:
             self._cpu(self.hierarchy.cpu_costs.copy_ns(self.hierarchy.page_size))
             if lower_desc is not None:
                 lower_desc.content.copy_from(content)
-                device_write(lower.device, page_id, self.hierarchy.page_size)
+                lower.write(page_id, self.hierarchy.page_size)
                 if lower.persistent:
                     lower.device.persist_barrier()
                 if descriptor.dirty:
@@ -359,7 +359,7 @@ class SpaceManager:
                     protect=page_id,
                 )
                 shared.attach(lower_desc)
-                device_write(lower.device, page_id, self.hierarchy.page_size)
+                lower.write(page_id, self.hierarchy.page_size)
                 if lower.persistent:
                     lower.device.persist_barrier()
                 if descriptor.dirty:

@@ -138,6 +138,9 @@ class InclusivityTracker:
     measures.
     """
 
+    #: The only events the bus needs to offer this subscriber.
+    event_interest = frozenset({EventType.MIGRATE_UP, EventType.MIGRATE_DOWN})
+
     def __init__(self) -> None:
         self._samples: list[InclusivitySample] = []
         self._lock = threading.Lock()

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import threading
 
+from ..faults.plan import DeviceIOError
 from ..hardware.cost_model import StorageHierarchy
 from ..hardware.device import Device
 from ..hardware.memory_mode import MemoryModeDevice
@@ -22,6 +23,7 @@ from ..hardware.specs import BUFFER_TIER_ORDER, Tier
 from ..pages.page import PageId
 from ..replacement import make_replacer
 from .descriptors import TierPageDescriptor
+from .devio import read_with_retry, write_with_retry
 
 
 class BufferFullError(RuntimeError):
@@ -170,7 +172,8 @@ class BufferPool:
 class TierNode:
     """One buffer tier of the chain: pool + device + per-tier facts."""
 
-    __slots__ = ("tier", "pool", "device", "persistent", "index")
+    __slots__ = ("tier", "pool", "device", "persistent", "index",
+                 "_page_tagged")
 
     def __init__(self, tier: Tier, pool: BufferPool,
                  device: Device | MemoryModeDevice, index: int = 0) -> None:
@@ -182,6 +185,43 @@ class TierNode:
         self.persistent = tier.is_persistent
         #: Position in the chain (0 is the top/fastest node).
         self.index = index
+        #: §2.2's DRAM-cache-over-NVM device needs the *page identity*
+        #: of a transfer to model its direct-mapped cache.
+        self._page_tagged = isinstance(device, MemoryModeDevice)
+
+    # ------------------------------------------------------------------
+    # Page transfers on this tier's device
+    # ------------------------------------------------------------------
+    def read(self, page_id: PageId, nbytes: int,
+             sequential: bool = False) -> None:
+        """Charge a read of ``nbytes`` of ``page_id`` on this tier.
+
+        The one device dispatch every core component shares: a
+        memory-mode device is told which page is touched; a plain (or
+        fault-injecting) device is issued the transfer, and a transient
+        :class:`~repro.faults.plan.DeviceIOError` resumes the bounded,
+        charged backoff loop of :mod:`repro.core.devio`.
+        """
+        device = self.device
+        if self._page_tagged:
+            device.read_page(page_id, nbytes, sequential)
+            return
+        try:
+            device.read(nbytes, sequential)
+        except DeviceIOError as exc:
+            read_with_retry(device, nbytes, sequential, failed=exc)
+
+    def write(self, page_id: PageId, nbytes: int,
+              sequential: bool = False) -> None:
+        """Charge a write of ``nbytes`` of ``page_id``; see :meth:`read`."""
+        device = self.device
+        if self._page_tagged:
+            device.write_page(page_id, nbytes, sequential)
+            return
+        try:
+            device.write(nbytes, sequential)
+        except DeviceIOError as exc:
+            write_with_retry(device, nbytes, sequential, failed=exc)
 
     @property
     def install_sequential(self) -> bool:

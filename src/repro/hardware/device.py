@@ -16,8 +16,13 @@ import threading
 from dataclasses import dataclass
 
 from ..np_compat import np
-from .simclock import FP_SCALE, CostAccumulator, to_fp
+from .simclock import FP_SCALE, CostAccumulator, checked_fp, to_fp
 from .specs import DeviceSpec, Tier
+
+
+#: Shapes one device memoises a charge plan for; further ones are
+#: derived per access, as every access used to be.
+_MAX_PLANS = 256
 
 
 @dataclass
@@ -84,6 +89,14 @@ class Device:
         self._seq_write_ns_per_byte = 1e9 / spec.seq_write_bw
         self._rand_write_ns_per_byte = 1e9 / spec.rand_write_bw
         self._is_ssd = spec.tier is Tier.SSD
+        barrier_ns = spec.persist_barrier_ns
+        self._barrier_fp = checked_fp(barrier_ns) if barrier_ns else None
+        #: ``(nbytes, sequential) -> (media bytes, transfer_fp,
+        #: latency_fp, service_ns)``: the cost of an access depends on
+        #: its shape only, so it is derived and quantised once per shape
+        #: (:meth:`_plan`) and charged as integers ever after.
+        self._read_plans: dict[tuple[int, bool], tuple] = {}
+        self._write_plans: dict[tuple[int, bool], tuple] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -103,6 +116,38 @@ class Device:
     # ------------------------------------------------------------------
     # Access costing
     # ------------------------------------------------------------------
+    def _plan(self, nbytes: int, sequential: bool, is_write: bool) -> tuple:
+        """Derive, validate and memoise the charge plan of one shape.
+
+        The float steps are the ones every access used to repeat —
+        ``media * ns_per_byte`` then quantise, latency quantised on its
+        own — so the integers charged are the same to the last unit.
+        ``latency_fp`` is ``None`` where no worker stall is charged at
+        all (a write to byte-addressable memory).
+        """
+        gran = self._gran
+        media = ((nbytes + gran - 1) // gran) * gran if nbytes > 0 else 0
+        latency = self._seq_read_lat if sequential else self._rand_read_lat
+        if is_write:
+            plans = self._write_plans
+            transfer = media * (self._seq_write_ns_per_byte if sequential
+                                else self._rand_write_ns_per_byte)
+            if not self._is_ssd:
+                # Only block devices pay their access latency on writes.
+                latency = 0.0
+            latency_fp = checked_fp(latency) if latency else None
+        else:
+            plans = self._read_plans
+            transfer = media * (self._seq_read_ns_per_byte if sequential
+                                else self._rand_read_ns_per_byte)
+            latency_fp = checked_fp(latency)
+        plan = (media, checked_fp(transfer), latency_fp, latency + transfer)
+        # Page, tuple, column and line-multiple sizes repeat; summed log
+        # sizes need not, so the memo stops growing at a fixed size.
+        if len(plans) < _MAX_PLANS:
+            plans[(nbytes, sequential)] = plan
+        return plan
+
     def read(self, nbytes: int, sequential: bool = False) -> float:
         """Charge a read of ``nbytes`` and return its service time (ns).
 
@@ -110,44 +155,36 @@ class Device:
         concurrent workers overlap it — so it is charged to the divisible
         CPU/worker resource; only the media transfer occupies the device.
         """
-        gran = self._gran
-        media = ((nbytes + gran - 1) // gran) * gran if nbytes > 0 else 0
-        if sequential:
-            latency = self._seq_read_lat
-            transfer = media * self._seq_read_ns_per_byte
-        else:
-            latency = self._rand_read_lat
-            transfer = media * self._rand_read_ns_per_byte
+        plan = self._read_plans.get((nbytes, sequential))
+        if plan is None:
+            plan = self._plan(nbytes, sequential, False)
+        media, transfer_fp, latency_fp, service_ns = plan
         counters = self.counters
         with self._lock:
             counters.read_ops += 1
             counters.read_bytes += nbytes
             counters.media_read_bytes += media
-        self.cost.charge(self._key, transfer, media)
-        self.cost.charge(CostAccumulator.CPU, latency)
-        return latency + transfer
+        cost = self.cost
+        cost.charge_fp(self._key, transfer_fp, media)
+        cost.charge_fp(CostAccumulator.CPU, latency_fp)
+        return service_ns
 
     def write(self, nbytes: int, sequential: bool = False) -> float:
         """Charge a write of ``nbytes`` and return its service time (ns)."""
-        gran = self._gran
-        media = ((nbytes + gran - 1) // gran) * gran if nbytes > 0 else 0
-        if sequential:
-            transfer = media * self._seq_write_ns_per_byte
-        else:
-            transfer = media * self._rand_write_ns_per_byte
-        latency = 0.0
-        if self._is_ssd:
-            # Block devices pay their access latency on writes as well.
-            latency = self._seq_read_lat if sequential else self._rand_read_lat
+        plan = self._write_plans.get((nbytes, sequential))
+        if plan is None:
+            plan = self._plan(nbytes, sequential, True)
+        media, transfer_fp, latency_fp, service_ns = plan
         counters = self.counters
         with self._lock:
             counters.write_ops += 1
             counters.write_bytes += nbytes
             counters.media_write_bytes += media
-        self.cost.charge(self._key, transfer, media)
-        if latency:
-            self.cost.charge(CostAccumulator.CPU, latency)
-        return latency + transfer
+        cost = self.cost
+        cost.charge_fp(self._key, transfer_fp, media)
+        if latency_fp is not None:
+            cost.charge_fp(CostAccumulator.CPU, latency_fp)
+        return service_ns
 
     # ------------------------------------------------------------------
     # Columnar (batched) access costing
@@ -241,12 +278,11 @@ class Device:
         The barrier stalls the issuing worker, not the device, so it is
         charged as worker time.
         """
-        service = self.spec.persist_barrier_ns
         with self._lock:
             self.counters.persist_barriers += 1
-        if service:
-            self.cost.charge(CostAccumulator.CPU, service)
-        return service
+        if self._barrier_fp is not None:
+            self.cost.charge_fp(CostAccumulator.CPU, self._barrier_fp)
+        return self.spec.persist_barrier_ns
 
     # ------------------------------------------------------------------
     def snapshot_counters(self) -> DeviceCounters:

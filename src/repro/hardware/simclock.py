@@ -45,6 +45,20 @@ def to_fp(service_ns: float) -> int:
     return round(service_ns * FP_SCALE)
 
 
+def checked_fp(service_ns: float) -> int:
+    """:func:`to_fp` for a charge: a negative service time is an error.
+
+    Charges are validated where their float cost is quantised —
+    :meth:`CostAccumulator.charge`, or once per shape when a device or
+    the access path pre-quantises a cost it will charge many times —
+    so :meth:`CostAccumulator.charge_fp` can take the integer as is.
+    """
+    if service_ns < 0:
+        raise ValueError("service time must be non-negative")
+    # to_fp() spelled out: this sits under every float charge.
+    return round(service_ns * FP_SCALE)
+
+
 def to_fp_array(service_ns_array):
     """Vectorised :func:`to_fp` over a numpy array (int64 result)."""
     return np.rint(
@@ -181,14 +195,15 @@ class _CpuBatch(threading.local):
     """Per-thread deferred CPU demand for one logical operation.
 
     ``threading.local`` keeps concurrent workers' pending charges apart
-    without any locking; ``__init__`` runs once per thread.  Charges are
-    quantised on entry and kept as fixed-point integers, so committing
-    them in any order lands on the unbatched totals exactly.
+    without any locking; ``__init__`` runs once per thread.  Charges
+    arrive quantised and are summed as fixed-point integers, so the one
+    commit lands on the unbatched totals exactly.
     """
 
     def __init__(self) -> None:
         self.depth = 0
-        self.pending: list[int] = []
+        self.pending_fp = 0
+        self.pending_ops = 0
 
 
 class CostAccumulator:
@@ -204,7 +219,7 @@ class CostAccumulator:
     :meth:`begin_cpu_batch` / :meth:`end_cpu_batch` pair lets the caller
     coalesce them into a single locked charge per operation: while a
     batch is open on the current thread, CPU charges accumulate in a
-    thread-local pending list and commit when the outermost batch
+    thread-local pending sum and commit when the outermost batch
     closes.  All tallies are fixed-point integers, so batched and
     per-op charge orders reduce to identical totals by construction.
     """
@@ -230,35 +245,39 @@ class CostAccumulator:
         batch.depth -= 1
         if batch.depth <= 0:
             batch.depth = 0
-            pending = batch.pending
-            if pending:
-                batch.pending = []
-                total_fp = 0
-                for service_fp in pending:
-                    total_fp += service_fp
+            operations = batch.pending_ops
+            if operations:
+                total_fp = batch.pending_fp
+                batch.pending_fp = 0
+                batch.pending_ops = 0
                 with self._lock:
                     usage = self._usage.get(self.CPU)
                     if usage is None:
                         usage = ResourceUsage()
                         self._usage[self.CPU] = usage
-                    usage.charge_fp(total_fp, operations=len(pending))
+                    usage.busy_fp += total_fp
+                    usage.operations += operations
                     self._total_fp += total_fp
 
     def charge(self, resource: str, service_ns: float, nbytes: int = 0) -> None:
         """Charge ``service_ns`` of busy time against ``resource``."""
-        if service_ns < 0:
-            raise ValueError("service time must be non-negative")
+        self.charge_fp(resource, checked_fp(service_ns), nbytes)
+
+    def charge_fp(self, resource: str, service_fp: int, nbytes: int = 0) -> None:
+        """Charge one operation's already-quantised (:func:`checked_fp`)
+        service time — the entry every per-op charge goes through."""
         if resource == self.CPU:
             batch = self._cpu_batch
             if batch.depth:
-                if self.CPU not in self._usage:
+                if resource not in self._usage:
                     # Reserve the slot now: makespan_ns sums resources in
                     # dict insertion order, so the cpu slot must appear
                     # where an unbatched run would have created it.
-                    self.reserve(self.CPU)
-                batch.pending.append(to_fp(service_ns))
+                    self.reserve(resource)
+                batch.pending_fp += service_fp
+                batch.pending_ops += 1
                 return
-        self._commit_fp(resource, to_fp(service_ns), 1, nbytes)
+        self._commit_fp(resource, service_fp, 1, nbytes)
 
     def reserve(self, resource: str) -> None:
         """Ensure ``resource`` has a slot without charging anything.
@@ -289,9 +308,7 @@ class CostAccumulator:
             total_fp = 0
             count = 0
             for service_ns in service_ns_array:
-                if service_ns < 0:
-                    raise ValueError("service time must be non-negative")
-                total_fp += to_fp(service_ns)
+                total_fp += checked_fp(service_ns)
                 count += 1
         nbytes = 0
         if nbytes_array is not None:
@@ -318,7 +335,11 @@ class CostAccumulator:
             if usage is None:
                 usage = ResourceUsage()
                 self._usage[resource] = usage
-            usage.charge_fp(service_fp, nbytes, operations)
+            # ResourceUsage.charge_fp spelled out: one frame fewer
+            # under every charge.
+            usage.busy_fp += service_fp
+            usage.operations += operations
+            usage.bytes_moved += nbytes
             self._total_fp += service_fp
 
     @property
@@ -358,7 +379,9 @@ class CostAccumulator:
         # Resets happen between operations, so no batch should be open;
         # dropping the calling thread's pending charges keeps a stray
         # mid-batch reset from leaking pre-reset demand past it.
-        self._cpu_batch.pending.clear()
+        batch = self._cpu_batch
+        batch.pending_fp = 0
+        batch.pending_ops = 0
         with self._lock:
             self._usage.clear()
             self._total_fp = 0

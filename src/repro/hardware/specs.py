@@ -49,24 +49,25 @@ class Tier(enum.Enum):
     NVM = "nvm"
     SSD = "ssd"
 
-    def __lt__(self, other: "Tier") -> bool:
-        return _TIER_RANK[self] < _TIER_RANK[other]
+    #: Position in the top-down tier ordering (0 is fastest).  A plain
+    #: int set per member below: rank-indexed lists stand in for
+    #: ``Tier``-keyed dicts on the hot paths, and hashing an enum member
+    #: is a Python-level call.
+    rank: int
 
-    @property
-    def rank(self) -> int:
-        """Position in the top-down tier ordering (0 is fastest)."""
-        return _TIER_RANK[self]
+    def __lt__(self, other: "Tier") -> bool:
+        return self.rank < other.rank
 
     @property
     def is_persistent(self) -> bool:
         return self not in (Tier.DRAM, Tier.CXL)
 
 
-#: Canonical top-down ordering of every known tier.
-_TIER_RANK = {Tier.DRAM: 0, Tier.CXL: 1, Tier.NVM: 2, Tier.SSD: 3}
-
 #: All tiers, fastest first.
 TIER_ORDER: tuple[Tier, ...] = (Tier.DRAM, Tier.CXL, Tier.NVM, Tier.SSD)
+for _rank, _tier in enumerate(TIER_ORDER):
+    _tier.rank = _rank
+del _rank, _tier
 
 #: Tiers that may carry a buffer pool (everything above the SSD store).
 BUFFER_TIER_ORDER: tuple[Tier, ...] = (Tier.DRAM, Tier.CXL, Tier.NVM)

@@ -34,7 +34,11 @@ class ConcurrentBitmap:
 
     def set(self, index: int) -> bool:
         """Set a bit; return the previous value."""
-        word, mask = self._locate(index)
+        # _locate() spelled out: every buffer hit sets a reference bit.
+        if not 0 <= index < self._size:
+            raise IndexError(f"bit {index} out of range [0, {self._size})")
+        word = index // self._WORD_BITS
+        mask = 1 << (index % self._WORD_BITS)
         with self._lock:
             previous = bool(self._words[word] & mask)
             self._words[word] |= mask

@@ -45,7 +45,9 @@ class ClockReplacer(ReplacementPolicy):
         self._ref_bits.clear(frame)
 
     def record_access(self, frame: int) -> None:
-        self._check(frame)
+        # _check() spelled out: every buffer hit lands here.
+        if not 0 <= frame < self.capacity:
+            raise IndexError(f"frame {frame} out of range [0, {self.capacity})")
         self._ref_bits.set(frame)
 
     def record_access_batch(self, frames) -> None:

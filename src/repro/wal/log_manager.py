@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from ..core.devio import write_with_retry
 from ..hardware.cost_model import StorageHierarchy
 from ..hardware.specs import Tier
-from .records import LogRecord, LogRecordType
+from .records import LogRecord, LogRecordType, record_checksum
 
 
 @dataclass
@@ -117,8 +117,9 @@ class LogManager:
                after: bytes | None = None, undo_next_lsn: int = -1) -> LogRecord:
         """Build and append one record; returns it (with its LSN)."""
         with self._lock:
+            lsn = self._next_lsn
             record = LogRecord(
-                lsn=self._next_lsn,
+                lsn=lsn,
                 record_type=record_type,
                 txn_id=txn_id,
                 page_id=page_id,
@@ -127,7 +128,11 @@ class LogManager:
                 before=before,
                 after=after,
                 undo_next_lsn=undo_next_lsn,
-            ).with_checksum()
+                checksum=record_checksum(
+                    lsn, record_type, txn_id, page_id, slot, prev_lsn,
+                    before, after, undo_next_lsn,
+                ),
+            )
             self._next_lsn += 1
             self.stats.records_appended += 1
             self.stats.bytes_appended += record.size_bytes()

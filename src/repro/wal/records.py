@@ -30,6 +30,31 @@ class LogRecordType(enum.Enum):
     CHECKPOINT_END = "checkpoint_end"
 
 
+def record_checksum(lsn: int, record_type: LogRecordType, txn_id: int,
+                    page_id: int, slot: int, prev_lsn: int,
+                    before: bytes | None, after: bytes | None,
+                    undo_next_lsn: int) -> int:
+    """CRC32 over a canonical encoding of a record's payload fields.
+
+    Takes the fields, not a record, so the append path can checksum
+    first and construct the frozen :class:`LogRecord` once.
+    """
+    header = (
+        f"{lsn}|{record_type.value}|{txn_id}|{page_id}|{slot}|{prev_lsn}|"
+        f"{undo_next_lsn}|"
+    ).encode("ascii")
+    crc = zlib.crc32(header)
+    # Length-prefix each image so (b"ab", b"") and (b"a", b"b")
+    # cannot collide, and None stays distinct from b"".
+    for image in (before, after):
+        if image is None:
+            crc = zlib.crc32(b"-", crc)
+        else:
+            crc = zlib.crc32(f"{len(image)}:".encode("ascii"), crc)
+            crc = zlib.crc32(image, crc)
+    return crc & 0xFFFFFFFF
+
+
 @dataclass(frozen=True)
 class LogRecord:
     """One immutable WAL entry."""
@@ -44,8 +69,8 @@ class LogRecord:
     after: bytes | None = None
     #: For CLRs: the next record of this txn still to be undone.
     undo_next_lsn: int = -1
-    #: CRC32 over the payload fields; 0 means "not checksummed" (a
-    #: record built outside :meth:`with_checksum` — legacy/test paths).
+    #: CRC32 over the payload fields (:func:`record_checksum`); 0 means
+    #: "not checksummed" (a record built directly — legacy/test paths).
     checksum: int = 0
 
     # ------------------------------------------------------------------
@@ -53,21 +78,10 @@ class LogRecord:
     # ------------------------------------------------------------------
     def compute_checksum(self) -> int:
         """CRC32 over a canonical encoding of every payload field."""
-        header = (
-            f"{self.lsn}|{self.record_type.value}|{self.txn_id}|"
-            f"{self.page_id}|{self.slot}|{self.prev_lsn}|"
-            f"{self.undo_next_lsn}|"
-        ).encode("ascii")
-        crc = zlib.crc32(header)
-        # Length-prefix each image so (b"ab", b"") and (b"a", b"b")
-        # cannot collide, and None stays distinct from b"".
-        for image in (self.before, self.after):
-            if image is None:
-                crc = zlib.crc32(b"-", crc)
-            else:
-                crc = zlib.crc32(f"{len(image)}:".encode("ascii"), crc)
-                crc = zlib.crc32(image, crc)
-        return crc & 0xFFFFFFFF
+        return record_checksum(
+            self.lsn, self.record_type, self.txn_id, self.page_id, self.slot,
+            self.prev_lsn, self.before, self.after, self.undo_next_lsn,
+        )
 
     def with_checksum(self) -> "LogRecord":
         """A copy of this record carrying its computed checksum."""

@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from ..hardware.specs import PAGE_SIZE
 from ..np_compat import np
@@ -36,8 +36,7 @@ class OpKind(enum.Enum):
     UPDATE = "update"
 
 
-@dataclass(frozen=True)
-class Operation:
+class Operation(NamedTuple):
     """One logical YCSB operation."""
 
     kind: OpKind

@@ -1,0 +1,74 @@
+"""Frame budget of the op every workload is mostly made of: a DRAM hit.
+
+Spitfire's premise (§3, §5.1) is that a buffered access is nearly free
+and only migrations cost.  In an interpreter the fixed cost of an op is
+the number of Python frames under it, so this test counts them —
+``sys.setprofile`` ``"call"`` events, which are exact and repeat to the
+unit — over primed top-tier hits and holds them to a budget.  A change
+that re-grows the tower under ``BufferManager.read``/``write`` fails
+here, deterministically, long before a wall-clock benchmark notices.
+"""
+
+from __future__ import annotations
+
+import sys
+
+import pytest
+from conftest import make_bm
+
+from repro.core.policy import SPITFIRE_LAZY
+from repro.hardware.specs import Tier
+from repro.workloads.ycsb import COLUMN_SIZE, TUPLE_SIZE
+
+#: Python-level calls one DRAM hit may make, ``read``/``write`` included
+#: (40 / 39 before the hit was served where it is found).
+BUDGET = 20
+OPS = 1_000
+
+
+def python_calls(fn) -> int:
+    """Python-level function calls made while ``fn`` runs."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+@pytest.fixture
+def primed():
+    """A DRAM+NVM manager with 64 pages primed into DRAM."""
+    bm = make_bm(dram_gb=2.0, nvm_gb=4.0, policy=SPITFIRE_LAZY,
+                 pages_per_gb=64)
+    pages = list(range(64))
+    bm.allocate_pages(pages)
+    for page in pages:
+        assert bm.prime_page(Tier.DRAM, page)
+    return bm, pages
+
+
+@pytest.mark.parametrize("is_write", [False, True], ids=["read", "write"])
+def test_dram_hit_stays_within_frame_budget(primed, is_write):
+    bm, pages = primed
+    access = bm.write if is_write else bm.read
+    nbytes = COLUMN_SIZE if is_write else TUPLE_SIZE
+    access(pages[0], 0, nbytes)  # the charge plan of this shape exists
+
+    def run():
+        for index in range(OPS):
+            access(pages[index % len(pages)], 4, nbytes)
+
+    calls = python_calls(run) - 1  # ``run`` itself
+    stats = bm.stats
+    assert stats.dram_hits == OPS + 1 and stats.ssd_fetches == 0
+    assert calls / OPS <= BUDGET, (
+        f"{calls / OPS:.1f} Python-level calls per DRAM hit, budget {BUDGET}"
+    )

@@ -190,6 +190,89 @@ class TestEventBus:
         assert applier.calls == [EventType.MISS]
         assert len(events) == 1 and events[0].type is EventType.MISS
 
+    def test_typed_dispatch_offers_each_subscriber_what_it_saw_before(self):
+        """Three subscriber styles over one seeded run, with the slow one
+        joining and leaving mid-run.
+
+        A subscriber without ``event_interest`` is offered every event; one
+        with it exactly the events of those types, in order, whether the bus
+        is on its fast path or not; one without ``apply_event`` every event
+        published while it is subscribed.  The projections the default
+        subscribers keep — ``BufferStats``, per-tier hits, the inclusivity
+        tracker's migration tallies — are what the full stream says.
+        """
+        import random
+
+        class Everything:
+            def __init__(self):
+                self.seen = []
+
+            def apply_event(self, etype, page_id, tier, src, dirty):
+                self.seen.append((etype, page_id, tier, src, dirty))
+
+            def __call__(self, event):
+                self.apply_event(event.type, event.page_id, event.tier,
+                                 event.src, event.dirty)
+
+        class Interested(Everything):
+            event_interest = frozenset({EventType.HIT, EventType.MIGRATE_UP,
+                                        EventType.EVICT})
+
+        bm = make_bm(dram_gb=1.0, nvm_gb=2.0, policy=SPITFIRE_EAGER)
+        bus = bm.events
+        everything = bus.subscribe(Everything())
+        interested = bus.subscribe(Interested())
+        slow: list[BufferEvent] = []
+        pages = [bm.allocate_page() for _ in range(24)]
+        rng = random.Random(5)
+        joined = left = None
+        for index in range(600):
+            if index == 200:
+                joined = len(everything.seen)
+                handle = bus.subscribe(slow.append)
+                assert not bus.fast_path_active
+            elif index == 400:
+                left = len(everything.seen)
+                bus.unsubscribe(handle)
+                assert bus.fast_path_active
+            page = pages[rng.randrange(len(pages))]
+            if rng.random() < 0.4:
+                bm.write(page, 0, 64)
+            else:
+                bm.read(page)
+
+        full = everything.seen
+        assert interested.seen == [
+            event for event in full if event[0] in Interested.event_interest
+        ]
+        assert [(e.type, e.page_id, e.tier, e.src, e.dirty) for e in slow] \
+            == full[joined:left]
+        assert 0 < joined < left < len(full)
+
+        def count(etype, **match):
+            return sum(
+                1 for kind, _page, tier, src, _dirty in full
+                if kind is etype
+                and all({"tier": tier, "src": src}[k] is v
+                        for k, v in match.items())
+            )
+
+        stats = bm.stats
+        assert stats.reads == count(EventType.OP_READ)
+        assert stats.writes == count(EventType.OP_WRITE)
+        assert stats.reads + stats.writes == 600
+        assert stats.dram_hits == count(EventType.HIT, tier=Tier.DRAM)
+        assert stats.nvm_hits == count(EventType.HIT, tier=Tier.NVM)
+        assert stats.ssd_fetches == count(EventType.MISS)
+        assert stats.dram_evictions == count(EventType.EVICT, tier=Tier.DRAM)
+        assert stats.nvm_to_dram == count(EventType.MIGRATE_UP)
+        assert bm._stats_projector.hits_by_tier == {
+            Tier.DRAM: stats.dram_hits, Tier.NVM: stats.nvm_hits,
+        }
+        assert bm.inclusivity.migrations_up == count(EventType.MIGRATE_UP) > 0
+        assert bm.inclusivity.migrations_down \
+            == count(EventType.MIGRATE_DOWN) > 0
+
     def test_concurrent_subscribe_during_publish(self):
         """subscribe/unsubscribe from other threads must never corrupt
         the handler list or crash a concurrent publish."""
