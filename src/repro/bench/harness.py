@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 from ..core.buffer_manager import BufferManager
 from ..core.stats import BufferStats
+from ..hardware.simclock import CostAccumulator, checked_fp
 from ..hardware.specs import Tier
 from ..obs.decisions import DecisionRecorder
 from ..obs.hub import DEFAULT_EPOCH_NS, MetricsHub
@@ -206,6 +207,8 @@ class WorkloadRunner:
         self.bm = bm
         self.config = config or RunConfig()
         self.hierarchy = bm.hierarchy
+        #: The per-update logging CPU cost, quantised once.
+        self._logging_fp = checked_fp(self.hierarchy.cpu_costs.logging_ns)
         self.log: LogManager | None = None
         self.checkpointer: Checkpointer | None = None
         if self.config.with_wal:
@@ -227,15 +230,16 @@ class WorkloadRunner:
     # Operation execution
     # ------------------------------------------------------------------
     def _charge_update_wal(self, page_id: int) -> None:
-        if self.log is not None:
-            self.hierarchy.charge_cpu(self.hierarchy.cpu_costs.logging_ns)
-            self.log.append(
-                LogRecordType.UPDATE, txn_id=1, page_id=page_id,
-                before=_UPDATE_BEFORE, after=_UPDATE_AFTER,
-            )
-            self.log.commit(txn_id=1)
+        log = self.log
+        if log is not None:
+            self.hierarchy.cost.charge_fp(CostAccumulator.CPU,
+                                          self._logging_fp)
+            # One UPDATE (txn 1, no slot, no prev LSN) and its COMMIT.
+            log.append(LogRecordType.UPDATE, 1, page_id, -1, -1,
+                       _UPDATE_BEFORE, _UPDATE_AFTER)
+            log.commit(1)
         if self.checkpointer is not None:
-            self.checkpointer.note_operation(is_write=True)
+            self.checkpointer.note_operation(True)
 
     def _exec_op(self, page_id: int, offset: int, nbytes: int,
                  is_write: bool, tenant_id: int = 0) -> bool:

@@ -34,7 +34,7 @@ from ..pages.page import Page, PageId
 from .descriptors import SharedPageDescriptor, TierPageDescriptor
 from .events import EventBus, EventType
 from .mapping_table import MappingTable
-from .migration import Edge, MigrationEngine, MigrationOp
+from .migration import MigrationEngine, MigrationOp
 from .policy import MigrationPolicy, PolicySlot
 from .ssd_store import SsdStore
 from .tier_chain import TierChain, TierNode
@@ -70,8 +70,13 @@ class AccessPath:
         self.events = events
         self._emit = events.publish
         self._cost = hierarchy.cost
-        #: The per-request lookup cost, quantised once.
-        self._lookup_fp = checked_fp(hierarchy.cpu_costs.lookup_ns)
+        #: The CPU costs this path charges, quantised once: the
+        #: per-request lookup, and a full-page upward migration's
+        #: latching overhead and copy.
+        costs = hierarchy.cpu_costs
+        self._lookup_fp = checked_fp(costs.lookup_ns)
+        self._migration_fp = checked_fp(costs.migration_ns)
+        self._page_copy_fp = checked_fp(costs.copy_ns(hierarchy.page_size))
         top = chain.top
         #: The top node when hits on it are served in DRAM-like memory
         #: (volatile, index 0); a full page found there needs no walk.
@@ -86,9 +91,6 @@ class AccessPath:
     def bind(self, space, fine) -> None:
         self.space = space
         self.fine = fine
-
-    def _cpu(self, service_ns: float) -> None:
-        self.hierarchy.charge_cpu(service_ns)
 
     # ------------------------------------------------------------------
     # The generic chain walk
@@ -155,8 +157,8 @@ class AccessPath:
         """Chained one-edge promotion draws from ``node`` toward the top."""
         while node.index > 0:
             upper = self.chain.upper_of(node)
-            edge = Edge(node.tier, upper.tier)
-            if not self.engine.decide(edge, promote_op, shared.page_id, policy):
+            if not self.engine.decide(node.promote_edge, promote_op,
+                                      shared.page_id, policy):
                 break
             descriptor = self.migrate_up(shared, descriptor, node, upper,
                                          offset, nbytes)
@@ -212,8 +214,8 @@ class AccessPath:
             if node.index == 0:
                 landed = node
                 break
-            edge = Edge(Tier.SSD, node.tier)
-            if self.engine.decide(edge, MigrationOp.FETCH_ADMIT, page_id, policy):
+            if self.engine.decide(node.fetch_edge, MigrationOp.FETCH_ADMIT,
+                                  page_id, policy):
                 landed = node
                 break
         if landed is None:
@@ -265,7 +267,6 @@ class AccessPath:
                    lower_desc: TierPageDescriptor, lower: TierNode,
                    upper: TierNode, offset: int,
                    nbytes: int) -> TierPageDescriptor:
-        costs = self.hierarchy.cpu_costs
         existing = upper.pool.get(shared.page_id)
         if existing is not None:
             return existing
@@ -276,7 +277,8 @@ class AccessPath:
             existing = shared.copy_on(upper.tier)
             if existing is not None:
                 return existing
-            self._cpu(costs.migration_ns)
+            cost = self._cost
+            cost.charge_fp(CostAccumulator.CPU, self._migration_fp)
             lower_content = lower_desc.content
             if not isinstance(lower_content, Page):  # pragma: no cover - defensive
                 raise RuntimeError("lower-tier frames always hold full pages")
@@ -285,7 +287,7 @@ class AccessPath:
                                                             offset, nbytes)
             else:
                 lower.read(shared.page_id, self.hierarchy.page_size)
-                self._cpu(costs.copy_ns(self.hierarchy.page_size))
+                cost.charge_fp(CostAccumulator.CPU, self._page_copy_fp)
                 descriptor = self.space.insert_with_space(
                     upper.tier, lower_content.clone(), self.hierarchy.page_size,
                     protect=shared.page_id,

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from ..hardware.cost_model import StorageHierarchy
 from ..hardware.device import Device
+from ..hardware.simclock import CostAccumulator, checked_fp
 from ..hardware.specs import CACHE_LINE_SIZE, Tier
 from ..pages.cacheline_page import CacheLinePage
 from ..pages.mini_page import MINI_PAGE_BYTES, MINI_PAGE_SLOTS, MiniPage, MiniPageOverflow
@@ -34,6 +35,10 @@ from .events import EventBus, EventType
 from .tier_chain import TierChain, TierNode
 
 __all__ = ["FineGrainedOps"]
+
+#: Load sizes whose charges are memoised; further ones are derived per
+#: load.  Loads are whole loading units, so a run sees a few dozen.
+_MAX_LOAD_PLANS = 256
 
 
 class FineGrainedOps:
@@ -45,6 +50,16 @@ class FineGrainedOps:
         self.hierarchy = hierarchy
         self.config = config
         self._emit = events.publish
+        self._cost = hierarchy.cost
+        #: The fixed CPU costs of partial layouts, quantised once.
+        costs = hierarchy.cpu_costs
+        self._slot_fp = checked_fp(costs.minipage_slot_ns)
+        self._bookkeeping_fp = checked_fp(costs.cacheline_bookkeeping_ns)
+        self._migration_fp = checked_fp(costs.migration_ns)
+        #: ``useful_bytes -> (media bytes, units, transfer_fp,
+        #: latency_fp, copy_fp)``: what a fine-grained load charges
+        #: depends on its size only (:meth:`_load_plan`).
+        self._load_plans: dict[int, tuple] = {}
         #: Bound by :meth:`bind`; evictions triggered by layout growth
         #: (mini-page promotion, install) go through the space manager.
         self.space = None
@@ -52,19 +67,15 @@ class FineGrainedOps:
     def bind(self, space) -> None:
         self.space = space
 
-    def _cpu(self, service_ns: float) -> None:
-        self.hierarchy.charge_cpu(service_ns)
-
     # ------------------------------------------------------------------
     # Serving accesses on top-tier copies (handles fine-grained layouts)
     # ------------------------------------------------------------------
     def serve_resident_access(self, node: TierNode, shared: SharedPageDescriptor,
                               descriptor: TierPageDescriptor, offset: int,
                               nbytes: int, is_write: bool) -> None:
-        costs = self.hierarchy.cpu_costs
         content = descriptor.content
         if isinstance(content, MiniPage):
-            self._cpu(costs.minipage_slot_ns)
+            self._cost.charge_fp(CostAccumulator.CPU, self._slot_fp)
             lines = self.lines_for(offset, nbytes)
             try:
                 missing = content.ensure_lines(lines)
@@ -100,8 +111,7 @@ class FineGrainedOps:
 
     def serve_cacheline_access(self, content: CacheLinePage, offset: int,
                                nbytes: int, is_write: bool) -> None:
-        costs = self.hierarchy.cpu_costs
-        self._cpu(costs.cacheline_bookkeeping_ns)
+        self._cost.charge_fp(CostAccumulator.CPU, self._bookkeeping_fp)
         first_line = min(offset // CACHE_LINE_SIZE, content.num_lines - 1)
         nlines = max(1, (offset + nbytes - 1) // CACHE_LINE_SIZE - first_line + 1)
         # Accesses that would run off the page end (e.g. a tuple read at
@@ -131,22 +141,44 @@ class FineGrainedOps:
         block) is paid in full — that asymmetry is exactly what makes
         64 B loading units lose on Optane (Fig. 11).
         """
+        plan = self._load_plans.get(useful_bytes)
+        if plan is None:
+            plan = self._load_plan(useful_bytes)
+        media_bytes, units, transfer_fp, latency_fp, copy_fp = plan
+        # The devices are looked up per load, not memoised, so a fault
+        # wrapper installed on the hierarchy stays in the path.
+        devices = self.hierarchy.devices
+        device = devices[Tier.NVM]
+        device.cost.charge_fp(device.resource_key, transfer_fp, media_bytes)
+        cost = self._cost
+        cost.charge_fp(CostAccumulator.CPU, latency_fp)
+        if isinstance(device, Device):
+            counters = device.counters
+            counters.read_ops += units
+            counters.read_bytes += useful_bytes
+            counters.media_read_bytes += media_bytes
+        # The loaded lines land in the DRAM copy via a CPU copy.
+        devices[Tier.DRAM].write(useful_bytes)
+        cost.charge_fp(CostAccumulator.CPU, copy_fp)
+        self._emit(EventType.FINE_GRAINED_LOAD, -1, tier=Tier.NVM)
+
+    def _load_plan(self, useful_bytes: int) -> tuple:
+        """Derive, validate and memoise the charges of one load size:
+        the float steps every load used to repeat, quantised once."""
         unit = self.config.loading_unit
         media_bytes = unit.media_bytes(useful_bytes)
-        device = self.hierarchy.device(Tier.NVM)
-        units = unit.units_for_bytes(useful_bytes)
-        spec = device.spec
+        spec = self.hierarchy.device(Tier.NVM).spec
         transfer = media_bytes / spec.rand_read_bw * 1e9
-        device.cost.charge(device.resource_key, transfer, media_bytes)
-        self._cpu(spec.rand_read_latency_ns)
-        if isinstance(device, Device):
-            device.counters.read_ops += units
-            device.counters.read_bytes += useful_bytes
-            device.counters.media_read_bytes += media_bytes
-        # The loaded lines land in the DRAM copy via a CPU copy.
-        self.hierarchy.device(Tier.DRAM).write(useful_bytes)
-        self._cpu(self.hierarchy.cpu_costs.copy_ns(useful_bytes))
-        self._emit(EventType.FINE_GRAINED_LOAD, -1, tier=Tier.NVM)
+        plan = (
+            media_bytes,
+            unit.units_for_bytes(useful_bytes),
+            checked_fp(transfer),
+            checked_fp(spec.rand_read_latency_ns),
+            checked_fp(self.hierarchy.cpu_costs.copy_ns(useful_bytes)),
+        )
+        if len(self._load_plans) < _MAX_LOAD_PLANS:
+            self._load_plans[useful_bytes] = plan
+        return plan
 
     def lines_for(self, offset: int, nbytes: int) -> list[int]:
         max_line = self.hierarchy.page_size // CACHE_LINE_SIZE - 1
@@ -177,7 +209,7 @@ class FineGrainedOps:
         descriptor.dirty = was_dirty
         self._emit(EventType.MINI_PAGE_PROMOTION, descriptor.page_id,
                    tier=Tier.DRAM)
-        self._cpu(self.hierarchy.cpu_costs.migration_ns)
+        self._cost.charge_fp(CostAccumulator.CPU, self._migration_fp)
         return descriptor
 
     def promote_to_full_residency(self, descriptor: TierPageDescriptor) -> Page:

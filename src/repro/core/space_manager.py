@@ -26,7 +26,10 @@ components are mutually recursive through the eviction path.
 
 from __future__ import annotations
 
+import time
+
 from ..hardware.cost_model import StorageHierarchy
+from ..hardware.simclock import CostAccumulator, checked_fp
 from ..hardware.specs import Tier
 from ..pages.cacheline_page import CacheLinePage
 from ..pages.mini_page import MiniPage
@@ -35,7 +38,7 @@ from .descriptors import FrameContent, SharedPageDescriptor, TierPageDescriptor
 from .devio import read_with_retry
 from .events import EventBus, EventType
 from .mapping_table import MappingTable
-from .migration import Edge, MigrationEngine, MigrationOp
+from .migration import MigrationEngine, MigrationOp
 from .ssd_store import SsdStore
 from .tenancy import QuotaMode
 from .tier_chain import BufferFullError, TierChain, TierNode
@@ -47,6 +50,14 @@ __all__ = ["SpaceManager"]
 #: preference is best-effort fairness, hard quotas are enforced by
 #: :meth:`SpaceManager._enforce_hard_quota` instead.
 _PREFERRED_VICTIM_PROBES = 8
+
+#: Victim probes that may come back empty (every frame pinned, or
+#: claimed by a concurrent evictor) before a reservation gives up, and
+#: the pause after the first of them; it doubles after each, ~13 ms in
+#: all.  The pause is what lets a concurrent evictor finish: a probe
+#: repeated without giving up the GIL finds what the last one found.
+_EMPTY_VICTIM_PROBES = 8
+_EMPTY_PROBE_PAUSE_S = 50e-6
 
 
 class SpaceManager:
@@ -61,6 +72,12 @@ class SpaceManager:
         self.engine = engine
         self.store = store
         self._emit = events.publish
+        self._cost = hierarchy.cost
+        #: The CPU costs of an eviction decision and of copying a page
+        #: one edge down, quantised once.
+        costs = hierarchy.cpu_costs
+        self._eviction_fp = checked_fp(costs.eviction_ns)
+        self._page_copy_fp = checked_fp(costs.copy_ns(hierarchy.page_size))
         #: Bound by :meth:`bind`: partial layouts are written back via
         #: the flush engine and made self-contained via fine-grained ops.
         self.fine = None
@@ -72,9 +89,6 @@ class SpaceManager:
     def bind(self, fine, flush) -> None:
         self.fine = fine
         self.flush = flush
-
-    def _cpu(self, service_ns: float) -> None:
-        self.hierarchy.charge_cpu(service_ns)
 
     # ------------------------------------------------------------------
     # Space reservation
@@ -105,12 +119,14 @@ class SpaceManager:
                 victim = pool.pick_victim()
             if victim is None:
                 # Every frame is pinned or claimed by a concurrent
-                # evictor; retry briefly before giving up.
+                # evictor: let those run, then look again (the loop
+                # condition first — one of them may have freed a frame).
                 misses += 1
-                if misses > 8:
+                if misses > _EMPTY_VICTIM_PROBES:
                     raise BufferFullError(
                         f"all {tier.name} frames are pinned; cannot evict"
                     )
+                time.sleep(_EMPTY_PROBE_PAUSE_S * (1 << (misses - 1)))
                 continue
             misses = 0
             if protect is not None and victim.page_id == protect:
@@ -237,8 +253,7 @@ class SpaceManager:
         as a victim cache — and are dropped otherwise (§3.3: the SSD copy
         is still valid).
         """
-        costs = self.hierarchy.cpu_costs
-        self._cpu(costs.eviction_ns)
+        self._cost.charge_fp(CostAccumulator.CPU, self._eviction_fp)
         page_id = descriptor.page_id
         shared = self.table.get(page_id)
         if shared is None:  # pragma: no cover - defensive
@@ -277,7 +292,7 @@ class SpaceManager:
             # store or a persistent lower buffer tier).
             self.flush.wal_barrier(content)
             admitted = lower is not None and self.engine.decide(
-                Edge(node.tier, lower.tier), MigrationOp.EVICT_ADMIT, page_id
+                node.evict_edge, MigrationOp.EVICT_ADMIT, page_id
             )
             if admitted:
                 self.admit_eviction_to_lower(shared, descriptor, content,
@@ -321,7 +336,7 @@ class SpaceManager:
                 lower is not None
                 and shared.copy_on(lower.tier) is None
                 and self.engine.decide(
-                    Edge(node.tier, lower.tier), MigrationOp.EVICT_ADMIT, page_id
+                    node.evict_edge, MigrationOp.EVICT_ADMIT, page_id
                 )
             )
             if admitted:
@@ -343,7 +358,7 @@ class SpaceManager:
             lower_desc = shared.copy_on(lower.tier)
             read_with_retry(node.device, self.hierarchy.page_size,
                             sequential=True)
-            self._cpu(self.hierarchy.cpu_costs.copy_ns(self.hierarchy.page_size))
+            self._cost.charge_fp(CostAccumulator.CPU, self._page_copy_fp)
             if lower_desc is not None:
                 lower_desc.content.copy_from(content)
                 lower.write(page_id, self.hierarchy.page_size)

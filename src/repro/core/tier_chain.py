@@ -24,6 +24,7 @@ from ..pages.page import PageId
 from ..replacement import make_replacer
 from .descriptors import TierPageDescriptor
 from .devio import read_with_retry, write_with_retry
+from .migration import Edge
 
 
 class BufferFullError(RuntimeError):
@@ -103,7 +104,12 @@ class BufferPool:
             self._by_page[content.page_id] = descriptor
             self._entry_bytes[frame] = entry_bytes
             self.used_bytes += entry_bytes
-        self.replacer.insert(frame)
+            # Under the pool lock, like every change of which frames the
+            # replacer tracks: a ``remove`` of the frame's previous
+            # occupant, still on its way to the replacer, would
+            # otherwise untrack this one — an occupied frame no sweep
+            # can ever evict again.
+            self.replacer.insert(frame)
         return descriptor
 
     def remove(self, descriptor: TierPageDescriptor) -> None:
@@ -117,7 +123,7 @@ class BufferPool:
             del self._by_page[descriptor.page_id]
             self.used_bytes -= self._entry_bytes.pop(frame)
             self._free.append(frame)
-        self.replacer.remove(frame)
+            self.replacer.remove(frame)
 
     def resize_entry(self, descriptor: TierPageDescriptor, new_bytes: int) -> None:
         """Adjust occupancy when a mini page is promoted to a full page."""
@@ -141,14 +147,13 @@ class BufferPool:
                 return None
             with self.lock:
                 descriptor = self._frames[frame]
-                if descriptor is not None and not descriptor.pinned \
-                        and not descriptor.claimed:
+                if descriptor is None:
+                    self.replacer.remove(frame)
+                    continue
+                if not descriptor.pinned and not descriptor.claimed:
                     descriptor.claimed = True
                     return descriptor
-            if descriptor is None:
-                self.replacer.remove(frame)
-            else:
-                self.replacer.record_access(frame)
+            self.replacer.record_access(frame)
         return None
 
     def unclaim(self, descriptor: TierPageDescriptor) -> None:
@@ -173,7 +178,7 @@ class TierNode:
     """One buffer tier of the chain: pool + device + per-tier facts."""
 
     __slots__ = ("tier", "pool", "device", "persistent", "index",
-                 "_page_tagged")
+                 "fetch_edge", "promote_edge", "evict_edge", "_page_tagged")
 
     def __init__(self, tier: Tier, pool: BufferPool,
                  device: Device | MemoryModeDevice, index: int = 0) -> None:
@@ -185,6 +190,14 @@ class TierNode:
         self.persistent = tier.is_persistent
         #: Position in the chain (0 is the top/fastest node).
         self.index = index
+        #: The edges a migration decision about this node names, built
+        #: once per chain position (:class:`TierChain` fills in the two
+        #: that depend on the neighbours): an SSD fetch admitted here, a
+        #: promotion into the node above, an eviction into the node
+        #: below (``None`` at the top / bottom).
+        self.fetch_edge = Edge(Tier.SSD, tier)
+        self.promote_edge: Edge | None = None
+        self.evict_edge: Edge | None = None
         #: §2.2's DRAM-cache-over-NVM device needs the *page identity*
         #: of a transfer to model its direct-mapped cache.
         self._page_tagged = isinstance(device, MemoryModeDevice)
@@ -252,6 +265,10 @@ class TierChain:
         ordered = tuple(sorted(nodes, key=lambda n: n.tier.rank))
         for index, node in enumerate(ordered):
             node.index = index
+            if index:
+                upper = ordered[index - 1]
+                node.promote_edge = Edge(node.tier, upper.tier)
+                upper.evict_edge = Edge(upper.tier, node.tier)
         self.nodes: tuple[TierNode, ...] = ordered
         self._by_tier = {node.tier: node for node in ordered}
         if len(self._by_tier) != len(ordered):

@@ -8,6 +8,16 @@ latch; when a structural modification (split) is required they fall
 back to a pessimistic top-down descent that splits full nodes eagerly,
 so a split never has to propagate upward while holding child locks.
 
+An optimistic reader can observe a node *mid-modification* — ``keys``
+already grown or split, ``children``/``values`` not yet — and index
+past the end of the shorter list.  In the C++ original that is a stale
+but harmless load the validation that follows rejects; in Python it is
+an ``IndexError`` raised *before* the validation.  Every unvalidated
+section therefore validates when it catches an ``IndexError``: a moved
+version restarts like any failed validation (and is counted in
+``restarts``), a stable one re-raises, because then the tree itself is
+broken.
+
 Keys must be mutually comparable; values are arbitrary objects (the
 storage engine stores record identifiers).
 """
@@ -84,25 +94,41 @@ class BPlusTree:
                 self.restarts += 1
         raise RuntimeError("B+Tree lookup livelocked")
 
-    def _get_once(self, key: Any, default: Any) -> Any:
+    def _descend(self, key: Any) -> tuple[_LeafNode, int]:
+        """Optimistic descent to the leaf covering ``key``.
+
+        Returns the leaf and the version its (still unvalidated) read
+        started at; the caller validates or upgrades against it.
+        """
         root_version = self._root_latch.read_lock_or_restart()
         node = self._root
         self._root_latch.check_or_restart(root_version)
         version = node.latch.read_lock_or_restart()
         while not node.is_leaf:
             inner: _InnerNode = node  # type: ignore[assignment]
-            child = inner.child_for(key)
+            try:
+                child = inner.child_for(key)
+            except IndexError:
+                node.latch.check_or_restart(version)  # torn read: restart
+                raise
             # Lock coupling: validate the parent *after* reading the child
             # pointer, then move the "read lock" to the child.
             child_version = child.latch.read_lock_or_restart()
             node.latch.check_or_restart(version)
             node, version = child, child_version
-        leaf: _LeafNode = node  # type: ignore[assignment]
-        index = bisect.bisect_left(leaf.keys, key)
-        if index < len(leaf.keys) and leaf.keys[index] == key:
-            value = leaf.values[index]
-        else:
-            value = default
+        return node, version  # type: ignore[return-value]
+
+    def _get_once(self, key: Any, default: Any) -> Any:
+        leaf, version = self._descend(key)
+        try:
+            index = bisect.bisect_left(leaf.keys, key)
+            if index < len(leaf.keys) and leaf.keys[index] == key:
+                value = leaf.values[index]
+            else:
+                value = default
+        except IndexError:
+            leaf.latch.check_or_restart(version)  # torn read: restart
+            raise
         leaf.latch.check_or_restart(version)
         return value
 
@@ -131,17 +157,7 @@ class BPlusTree:
         raise RuntimeError("B+Tree insert livelocked")
 
     def _insert_optimistic(self, key: Any, value: Any) -> bool:
-        root_version = self._root_latch.read_lock_or_restart()
-        node = self._root
-        self._root_latch.check_or_restart(root_version)
-        version = node.latch.read_lock_or_restart()
-        while not node.is_leaf:
-            inner: _InnerNode = node  # type: ignore[assignment]
-            child = inner.child_for(key)
-            child_version = child.latch.read_lock_or_restart()
-            node.latch.check_or_restart(version)
-            node, version = child, child_version
-        leaf: _LeafNode = node  # type: ignore[assignment]
+        leaf, version = self._descend(key)
         if len(leaf.keys) >= self.fanout:
             # Needs a split; take the pessimistic path.
             raise OlcRestart
@@ -253,17 +269,7 @@ class BPlusTree:
         raise RuntimeError("B+Tree delete livelocked")
 
     def _delete_once(self, key: Any) -> bool:
-        root_version = self._root_latch.read_lock_or_restart()
-        node = self._root
-        self._root_latch.check_or_restart(root_version)
-        version = node.latch.read_lock_or_restart()
-        while not node.is_leaf:
-            inner: _InnerNode = node  # type: ignore[assignment]
-            child = inner.child_for(key)
-            child_version = child.latch.read_lock_or_restart()
-            node.latch.check_or_restart(version)
-            node, version = child, child_version
-        leaf: _LeafNode = node  # type: ignore[assignment]
+        leaf, version = self._descend(key)
         leaf.latch.upgrade_to_write_lock_or_restart(version)
         try:
             index = bisect.bisect_left(leaf.keys, key)
@@ -295,26 +301,21 @@ class BPlusTree:
 
     def _range_once(self, low: Any, high: Any) -> list[tuple[Any, Any]]:
         results: list[tuple[Any, Any]] = []
-        root_version = self._root_latch.read_lock_or_restart()
-        node = self._root
-        self._root_latch.check_or_restart(root_version)
-        version = node.latch.read_lock_or_restart()
-        while not node.is_leaf:
-            inner: _InnerNode = node  # type: ignore[assignment]
-            child = inner.child_for(low)
-            child_version = child.latch.read_lock_or_restart()
-            node.latch.check_or_restart(version)
-            node, version = child, child_version
-        leaf: _LeafNode | None = node  # type: ignore[assignment]
+        leaf: _LeafNode | None
+        leaf, version = self._descend(low)
         while leaf is not None:
-            start = bisect.bisect_left(leaf.keys, low)
             chunk: list[tuple[Any, Any]] = []
             done = False
-            for i in range(start, len(leaf.keys)):
-                if leaf.keys[i] > high:
-                    done = True
-                    break
-                chunk.append((leaf.keys[i], leaf.values[i]))
+            try:
+                start = bisect.bisect_left(leaf.keys, low)
+                for i in range(start, len(leaf.keys)):
+                    if leaf.keys[i] > high:
+                        done = True
+                        break
+                    chunk.append((leaf.keys[i], leaf.values[i]))
+            except IndexError:
+                leaf.latch.check_or_restart(version)  # torn read: restart
+                raise
             next_leaf = leaf.next_leaf
             leaf.latch.check_or_restart(version)
             results.extend(chunk)

@@ -22,9 +22,10 @@ import threading
 from dataclasses import dataclass
 
 from ..core.devio import write_with_retry
+from ..faults.plan import DeviceIOError
 from ..hardware.cost_model import StorageHierarchy
 from ..hardware.specs import Tier
-from .records import LogRecord, LogRecordType, record_checksum
+from .records import LogRecord, LogRecordType, record_checksum, record_size
 
 
 @dataclass
@@ -67,6 +68,15 @@ class LogManager:
         self.nvm_buffer_bytes = nvm_buffer_bytes
         self.group_commit_size = group_commit_size
         self.stats = LogStats()
+        #: The NVM log-buffer device (``None``: group commit instead)
+        #: and the device the group-commit batch is staged on (``None``
+        #: for a DRAM-less hierarchy).  Resolved once — a log sees the
+        #: devices its hierarchy has when it is built, which is
+        #: ``inject_faults``' wrap-before-construct contract.
+        self._nvm = (
+            None if hierarchy.memory_mode else hierarchy.devices.get(Tier.NVM)
+        )
+        self._dram = hierarchy.devices.get(Tier.DRAM)
         self._lock = threading.Lock()
         self._next_lsn = 1
         #: Records already durable (on NVM or flushed to SSD).
@@ -78,6 +88,7 @@ class LogManager:
         #: Volatile group-commit batch (DRAM-SSD mode only).
         self._pending_group: list[LogRecord] = []
         self._pending_bytes = 0
+        self._pending_commits = 0
         #: Observer called (inside the append lock) with each record
         #: just after it is staged/persisted.  Used by the crash-point
         #: enumerator to mark WAL-append boundaries; must not re-enter
@@ -90,7 +101,7 @@ class LogManager:
     # ------------------------------------------------------------------
     @property
     def uses_nvm(self) -> bool:
-        return self.hierarchy.has_tier(Tier.NVM) and not self.hierarchy.memory_mode
+        return self._nvm is not None
 
     @property
     def next_lsn(self) -> int:
@@ -116,44 +127,39 @@ class LogManager:
                slot: int = -1, prev_lsn: int = -1, before: bytes | None = None,
                after: bytes | None = None, undo_next_lsn: int = -1) -> LogRecord:
         """Build and append one record; returns it (with its LSN)."""
+        size = record_size(before, after)
         with self._lock:
             lsn = self._next_lsn
             record = LogRecord(
-                lsn=lsn,
-                record_type=record_type,
-                txn_id=txn_id,
-                page_id=page_id,
-                slot=slot,
-                prev_lsn=prev_lsn,
-                before=before,
-                after=after,
-                undo_next_lsn=undo_next_lsn,
-                checksum=record_checksum(
+                lsn, record_type, txn_id, page_id, slot, prev_lsn, before,
+                after, undo_next_lsn,
+                record_checksum(
                     lsn, record_type, txn_id, page_id, slot, prev_lsn,
                     before, after, undo_next_lsn,
                 ),
             )
-            self._next_lsn += 1
-            self.stats.records_appended += 1
-            self.stats.bytes_appended += record.size_bytes()
-            if self.uses_nvm:
-                self._append_nvm(record)
+            self._next_lsn = lsn + 1
+            stats = self.stats
+            stats.records_appended += 1
+            stats.bytes_appended += size
+            device = self._nvm
+            if device is not None:
+                # Persist the record in the NVM log buffer (§3.2's
+                # direct path): one small sequential write + barrier.
+                try:
+                    device.write(size, True)
+                except DeviceIOError as exc:
+                    write_with_retry(device, size, True, failed=exc)
+                device.persist_barrier()
+                self._nvm_buffer.append(record)
+                self._nvm_buffer_used += size
+                if self._nvm_buffer_used >= self.nvm_buffer_bytes:
+                    self._drain_nvm_buffer()
             else:
-                self._append_grouped(record)
+                self._append_grouped(record, size)
             if self.on_append is not None:
                 self.on_append(record)
             return record
-
-    def _append_nvm(self, record: LogRecord) -> None:
-        """Persist the record in the NVM log buffer (§3.2's direct path)."""
-        device = self.hierarchy.device(Tier.NVM)
-        size = record.size_bytes()
-        write_with_retry(device, size, sequential=True)
-        device.persist_barrier()
-        self._nvm_buffer.append(record)
-        self._nvm_buffer_used += size
-        if self._nvm_buffer_used >= self.nvm_buffer_bytes:
-            self._drain_nvm_buffer()
 
     def _drain_nvm_buffer(self) -> None:
         """Asynchronously append the NVM buffer to the SSD log file."""
@@ -166,13 +172,14 @@ class LogManager:
         self._nvm_buffer_used = 0
         self.stats.nvm_buffer_drains += 1
 
-    def _append_grouped(self, record: LogRecord) -> None:
+    def _append_grouped(self, record: LogRecord, size: int) -> None:
         """Stage the record in the volatile DRAM group-commit batch."""
-        if self.hierarchy.has_tier(Tier.DRAM):
-            write_with_retry(self.hierarchy.device(Tier.DRAM),
-                             record.size_bytes())
+        if self._dram is not None:
+            write_with_retry(self._dram, size)
         self._pending_group.append(record)
-        self._pending_bytes += record.size_bytes()
+        self._pending_bytes += size
+        if record.record_type is LogRecordType.COMMIT:
+            self._pending_commits += 1
 
     # ------------------------------------------------------------------
     # Commit durability
@@ -185,14 +192,10 @@ class LogManager:
         group is flushed once it reaches ``group_commit_size`` commits
         (amortising one SSD write over the group, §3.2).
         """
-        record = self.append(LogRecordType.COMMIT, txn_id, prev_lsn=prev_lsn)
-        if not self.uses_nvm:
+        record = self.append(LogRecordType.COMMIT, txn_id, -1, -1, prev_lsn)
+        if self._nvm is None:
             with self._lock:
-                group_commits = sum(
-                    1 for r in self._pending_group
-                    if r.record_type is LogRecordType.COMMIT
-                )
-                if group_commits >= self.group_commit_size:
+                if self._pending_commits >= self.group_commit_size:
                     self._flush_group()
         return record
 
@@ -204,6 +207,7 @@ class LogManager:
         self._durable.extend(self._pending_group)
         self._pending_group.clear()
         self._pending_bytes = 0
+        self._pending_commits = 0
         self.stats.group_commits += 1
 
     def flush(self) -> None:
@@ -251,6 +255,7 @@ class LogManager:
             lost = len(self._pending_group)
             self._pending_group.clear()
             self._pending_bytes = 0
+            self._pending_commits = 0
             return lost
 
     def _durable_tail(self) -> tuple[list[LogRecord], int] | None:

@@ -29,6 +29,17 @@ class LogRecordType(enum.Enum):
     CHECKPOINT_BEGIN = "checkpoint_begin"
     CHECKPOINT_END = "checkpoint_end"
 
+    #: ``value`` as ASCII bytes — the type's spelling inside the
+    #: checksummed encoding.  A plain attribute set per member below:
+    #: ``.value`` is two Python-level calls, and this sits under every
+    #: appended record.
+    tag: bytes
+
+
+for _member in LogRecordType:
+    _member.tag = _member.value.encode("ascii")
+del _member
+
 
 def record_checksum(lsn: int, record_type: LogRecordType, txn_id: int,
                     page_id: int, slot: int, prev_lsn: int,
@@ -37,22 +48,29 @@ def record_checksum(lsn: int, record_type: LogRecordType, txn_id: int,
     """CRC32 over a canonical encoding of a record's payload fields.
 
     Takes the fields, not a record, so the append path can checksum
-    first and construct the frozen :class:`LogRecord` once.
+    first and construct the frozen :class:`LogRecord` once.  The
+    encoding is built as one buffer and checksummed in one call:
+    ``lsn|type|txn|page|slot|prev|undo_next|`` in decimal, then each
+    image length-prefixed (``<len>:<bytes>``) so (b"ab", b"") and
+    (b"a", b"b") cannot collide, ``-`` for an absent image so ``None``
+    stays distinct from ``b""``.
     """
-    header = (
-        f"{lsn}|{record_type.value}|{txn_id}|{page_id}|{slot}|{prev_lsn}|"
-        f"{undo_next_lsn}|"
-    ).encode("ascii")
-    crc = zlib.crc32(header)
-    # Length-prefix each image so (b"ab", b"") and (b"a", b"b")
-    # cannot collide, and None stays distinct from b"".
-    for image in (before, after):
-        if image is None:
-            crc = zlib.crc32(b"-", crc)
-        else:
-            crc = zlib.crc32(f"{len(image)}:".encode("ascii"), crc)
-            crc = zlib.crc32(image, crc)
-    return crc & 0xFFFFFFFF
+    return zlib.crc32(b"%d|%b|%d|%d|%d|%d|%d|%b%b" % (
+        lsn, record_type.tag, txn_id, page_id, slot, prev_lsn, undo_next_lsn,
+        b"-" if before is None else b"%d:%b" % (len(before), before),
+        b"-" if after is None else b"%d:%b" % (len(after), after),
+    ))
+
+
+def record_size(before: bytes | None, after: bytes | None) -> int:
+    """Estimated on-media size of a record carrying these images
+    (from the fields, like :func:`record_checksum`)."""
+    size = LOG_RECORD_HEADER_BYTES
+    if before is not None:
+        size += len(before)
+    if after is not None:
+        size += len(after)
+    return size
 
 
 @dataclass(frozen=True)
@@ -72,6 +90,21 @@ class LogRecord:
     #: CRC32 over the payload fields (:func:`record_checksum`); 0 means
     #: "not checksummed" (a record built directly — legacy/test paths).
     checksum: int = 0
+
+    def __init__(self, lsn: int, record_type: LogRecordType, txn_id: int,
+                 page_id: int = -1, slot: int = -1, prev_lsn: int = -1,
+                 before: bytes | None = None, after: bytes | None = None,
+                 undo_next_lsn: int = -1, checksum: int = 0) -> None:
+        # The generated ``__init__`` of a frozen dataclass pays one
+        # ``object.__setattr__`` per field; the ten fields go in as one
+        # store.  ``__setattr__``/``__delattr__`` still raise, and
+        # ``dataclasses.replace`` still constructs through here.
+        object.__setattr__(self, "__dict__", {
+            "lsn": lsn, "record_type": record_type, "txn_id": txn_id,
+            "page_id": page_id, "slot": slot, "prev_lsn": prev_lsn,
+            "before": before, "after": after,
+            "undo_next_lsn": undo_next_lsn, "checksum": checksum,
+        })
 
     # ------------------------------------------------------------------
     # Checksumming — the header field reserved above is now live.
@@ -99,12 +132,7 @@ class LogRecord:
         return self.checksum == self.compute_checksum()
 
     def size_bytes(self) -> int:
-        size = LOG_RECORD_HEADER_BYTES
-        if self.before is not None:
-            size += len(self.before)
-        if self.after is not None:
-            size += len(self.after)
-        return size
+        return record_size(self.before, self.after)
 
     @property
     def is_redoable(self) -> bool:

@@ -15,6 +15,7 @@ Each transaction expands into a sequence of page accesses
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from typing import Iterator
@@ -51,6 +52,10 @@ TABLE_FRACTIONS = {
     "district": 0.004,
     "warehouse": 0.003,
 }
+
+#: Database shapes whose priming ranking is kept: a figure's cells share
+#: one or two, the database-size sweep (Fig. 15) cycles through ten.
+_POPULARITY_SHAPES = 16
 
 #: Standard transaction mix.
 TXN_MIX = (
@@ -323,17 +328,13 @@ class TpccWorkload:
         """Pages ranked hottest-first, estimated from a sibling generator.
 
         ``samples`` counts transactions, each of which expands to many
-        page accesses.  Used for warm-start buffer priming.
+        page accesses.  Used for warm-start buffer priming.  The
+        sibling's seed is fixed, so the ranking depends on the
+        database's shape alone and is computed once per shape
+        (:func:`_ranked_pages`); the returned list is the caller's own.
         """
-        sibling = TpccWorkload(self.db_gigabytes, self.scale, seed=987_654)
-        counts: dict[int, int] = {}
-        for _ in range(samples):
-            for access in sibling.next_transaction():
-                counts[access.page_id] = counts.get(access.page_id, 0) + 1
-        ranked = sorted(counts, key=counts.get, reverse=True)
-        seen = set(ranked)
-        ranked.extend(p for p in range(self.num_pages) if p not in seen)
-        return ranked
+        return list(_ranked_pages(self.db_gigabytes, self.scale, samples,
+                                  self.num_pages))
 
     # ------------------------------------------------------------------
     def accesses(self, num_transactions: int) -> Iterator[PageAccess]:
@@ -345,3 +346,18 @@ class TpccWorkload:
     def write_fraction_estimate(self) -> float:
         """Rough fraction of accesses that are writes (for sanity tests)."""
         return 0.4
+
+
+@functools.lru_cache(maxsize=_POPULARITY_SHAPES)
+def _ranked_pages(db_gigabytes: float, scale: SimulationScale, samples: int,
+                  num_pages: int) -> tuple[int, ...]:
+    """The ranking behind :meth:`TpccWorkload.page_popularity`."""
+    sibling = TpccWorkload(db_gigabytes, scale, seed=987_654)
+    counts: dict[int, int] = {}
+    for _ in range(samples):
+        for access in sibling.next_transaction():
+            counts[access.page_id] = counts.get(access.page_id, 0) + 1
+    ranked = sorted(counts, key=counts.get, reverse=True)
+    seen = set(ranked)
+    ranked.extend(p for p in range(num_pages) if p not in seen)
+    return tuple(ranked)

@@ -13,11 +13,18 @@ same pages — matching YCSB's ScrambledZipfianGenerator.
 
 from __future__ import annotations
 
+import functools
 import random
 
 
+@functools.lru_cache(maxsize=64)
 def zeta(n: int, theta: float) -> float:
-    """Finite zeta sum ``sum_{i=1..n} 1/i^theta``."""
+    """Finite zeta sum ``sum_{i=1..n} 1/i^theta``.
+
+    O(n), and a pure function that every generator over the same key
+    space repeats — the workload and its popularity sampler, cell after
+    cell — so the last few sums are kept.
+    """
     if n <= 0:
         raise ValueError("n must be positive")
     return sum(1.0 / i**theta for i in range(1, n + 1))

@@ -198,6 +198,119 @@ class TestConcurrency:
         tree.check_invariants()
 
 
+class _Key:
+    """An int key whose comparisons first run a one-shot hook.
+
+    The hook stands in for a writer thread that is scheduled at exactly
+    that point of an optimistic read — the interleaving a threaded test
+    hits once in hundreds of runs, made deterministic.
+    """
+
+    #: ``{"lt" | "gt" | "eq": callable}``; a hook is removed as it fires.
+    hooks: dict = {}
+
+    def __init__(self, k: int) -> None:
+        self.k = k
+
+    @classmethod
+    def _fire(cls, op: str) -> None:
+        hook = cls.hooks.pop(op, None)
+        if hook is not None:
+            hook()
+
+    def __lt__(self, other):
+        self._fire("lt")
+        return self.k < other.k
+
+    def __gt__(self, other):
+        self._fire("gt")
+        return self.k > other.k
+
+    def __eq__(self, other):
+        self._fire("eq")
+        return self.k == other.k
+
+    def __ge__(self, other):  # check_invariants only
+        return self.k >= other.k
+
+    def __hash__(self):
+        return hash(self.k)
+
+
+class TestTornReads:
+    """An optimistic reader that indexes a node mid-split must restart,
+    not raise ``IndexError`` (benign in C++ OLC, fatal in Python)."""
+
+    @pytest.fixture(autouse=True)
+    def _no_stale_hooks(self):
+        _Key.hooks.clear()
+        yield
+        _Key.hooks.clear()
+
+    @staticmethod
+    def deep_tree() -> BPlusTree:
+        tree = BPlusTree(fanout=4)
+        for i in range(40):
+            tree.insert(_Key(i), i)
+        assert tree.depth() >= 2
+        return tree
+
+    @pytest.mark.parametrize("op", ["get", "insert", "delete", "range"])
+    def test_inner_node_split_under_the_descent(self, op):
+        tree = self.deep_tree()
+
+        def split_root():
+            # What a concurrent pessimistic insert does while this
+            # reader sits between ``bisect`` and ``children[index]``:
+            # keys and children of the old root are cut in half.
+            with tree._structure_lock:
+                tree._split_root()
+
+        _Key.hooks["lt"] = split_root
+        if op == "get":
+            assert tree.get(_Key(39)) == 39
+        elif op == "insert":
+            assert tree.insert(_Key(39), "new") is False
+            assert tree.get(_Key(39)) == "new"
+        elif op == "delete":
+            assert tree.delete(_Key(39)) is True
+            assert tree.get(_Key(39)) is None
+        else:
+            assert [v for _, v in tree.range(_Key(38), _Key(39))] == [38, 39]
+        assert not _Key.hooks  # the split did happen mid-descent
+        assert tree.restarts >= 1
+        tree.check_invariants()
+
+    def test_leaf_split_between_key_match_and_value_read(self):
+        tree = BPlusTree(fanout=4)
+        for i in range(4):
+            tree.insert(_Key(i), i)  # one full leaf: the next insert splits
+        _Key.hooks["eq"] = lambda: tree.insert(_Key(4), 4)
+        # keys[3] matches, the leaf splits, values[3] is gone.
+        assert tree.get(_Key(3)) == 3
+        assert not _Key.hooks
+        assert tree.restarts >= 1
+        tree.check_invariants()
+
+    def test_leaf_split_under_a_range_scan(self):
+        tree = BPlusTree(fanout=4)
+        for i in range(4):
+            tree.insert(_Key(i), i)
+        _Key.hooks["gt"] = lambda: tree.insert(_Key(4), 4)
+        assert [v for _, v in tree.range(_Key(0), _Key(9))] == [0, 1, 2, 3, 4]
+        assert not _Key.hooks
+        assert tree.restarts >= 1
+
+    def test_index_error_on_a_stable_node_is_not_swallowed(self):
+        tree = BPlusTree(fanout=4)
+        for i in range(3):
+            tree.insert(i, i)
+        tree._root.values.pop()  # a broken tree, no writer involved
+        with pytest.raises(IndexError):
+            tree.get(2)
+        assert tree.restarts == 0
+
+
 class TestAgainstDictModel:
     @settings(max_examples=50, deadline=None)
     @given(st.lists(

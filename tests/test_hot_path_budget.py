@@ -1,12 +1,15 @@
-"""Frame budget of the op every workload is mostly made of: a DRAM hit.
+"""Frame budgets of what every workload is mostly made of: a DRAM hit,
+and the log records of a write.
 
 Spitfire's premise (§3, §5.1) is that a buffered access is nearly free
-and only migrations cost.  In an interpreter the fixed cost of an op is
-the number of Python frames under it, so this test counts them —
-``sys.setprofile`` ``"call"`` events, which are exact and repeat to the
-unit — over primed top-tier hits and holds them to a budget.  A change
-that re-grows the tower under ``BufferManager.read``/``write`` fails
-here, deterministically, long before a wall-clock benchmark notices.
+and only migrations cost; §5.2's, that with an NVM log buffer a commit
+is one small NVM write and a barrier.  In an interpreter the fixed cost
+of an op is the number of Python frames under it, so these tests count
+them — ``sys.setprofile`` ``"call"`` events, which are exact and repeat
+to the unit — and hold them to a budget.  A change that re-grows the
+tower under ``BufferManager.read``/``write`` or ``LogManager.append``
+fails here, deterministically, long before a wall-clock benchmark
+notices.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import sys
 import pytest
 from conftest import make_bm
 
+from repro.bench.harness import RunConfig, WorkloadRunner
 from repro.core.policy import SPITFIRE_LAZY
 from repro.hardware.specs import Tier
 from repro.workloads.ycsb import COLUMN_SIZE, TUPLE_SIZE
@@ -23,6 +27,12 @@ from repro.workloads.ycsb import COLUMN_SIZE, TUPLE_SIZE
 #: Python-level calls one DRAM hit may make, ``read``/``write`` included
 #: (40 / 39 before the hit was served where it is found).
 BUDGET = 20
+#: ... and the WAL bookkeeping of one write on a DRAM+NVM hierarchy —
+#: the logging CPU charge, an UPDATE and its COMMIT, each persisted by
+#: one NVM write and one barrier — ``_charge_update_wal`` included (50
+#: before a log resolved its device, sized, checksummed and built a
+#: record once each; 24 when this budget was set).
+WAL_BUDGET = 30
 OPS = 1_000
 
 
@@ -71,4 +81,24 @@ def test_dram_hit_stays_within_frame_budget(primed, is_write):
     assert stats.dram_hits == OPS + 1 and stats.ssd_fetches == 0
     assert calls / OPS <= BUDGET, (
         f"{calls / OPS:.1f} Python-level calls per DRAM hit, budget {BUDGET}"
+    )
+
+
+def test_logged_write_stays_within_frame_budget():
+    bm = make_bm(dram_gb=2.0, nvm_gb=4.0, policy=SPITFIRE_LAZY,
+                 pages_per_gb=64)
+    # No checkpointer: a checkpoint is a flush loop, not a logged write.
+    runner = WorkloadRunner(bm, RunConfig(checkpoint_interval_ops=None))
+    runner._charge_update_wal(0)  # the charge plans of both sizes exist
+
+    def run():
+        for index in range(OPS):
+            runner._charge_update_wal(index % 64)
+
+    calls = python_calls(run) - 1  # ``run`` itself
+    log = runner.log
+    assert log.uses_nvm and log.stats.records_appended == 2 * (OPS + 1)
+    assert calls / OPS <= WAL_BUDGET, (
+        f"{calls / OPS:.1f} Python-level calls per logged write, "
+        f"budget {WAL_BUDGET}"
     )

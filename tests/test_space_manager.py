@@ -7,13 +7,19 @@ self-containment dance when an NVM eviction pulls the backing page out
 from under a partial DRAM layout.
 """
 
+import random
+import sys
+import threading
+
 import pytest
 
 from conftest import make_bm, make_core
 
+from repro.core import space_manager
 from repro.core.buffer_manager import BufferFullError, BufferManagerConfig
 from repro.core.policy import DRAM_SSD_POLICY, SPITFIRE_EAGER, MigrationPolicy
 from repro.core.space_manager import SpaceManager
+from repro.faults.invariants import check_mapping_consistency
 from repro.hardware.specs import PAGE_SIZE, Tier
 from repro.pages.cacheline_page import CacheLinePage
 from repro.pages.mini_page import MiniPage
@@ -59,6 +65,92 @@ class TestAllFramesPinned:
             bm.fetch_page(bm.allocate_page())
         with pytest.raises(BufferFullError, match="pinned"):
             bm.space.ensure_space(Tier.DRAM, PAGE_SIZE)
+
+
+    def test_raises_after_the_same_replacer_probes_and_a_bounded_wait(
+            self, monkeypatch):
+        # CLOCK state is simulated state: backing off between empty
+        # probes must not change how many there are (9 victim searches
+        # of 2 * 4 + 2 sweeps each, as before the back-off existed).
+        bm = make_bm(dram_gb=1.0, nvm_gb=0.0, policy=DRAM_SSD_POLICY)
+        for _ in range(4):
+            bm.fetch_page(bm.allocate_page())
+        replacer = bm.chain.node(Tier.DRAM).pool.replacer
+        probes = []
+        victim = replacer.victim
+        monkeypatch.setattr(replacer, "victim",
+                            lambda: probes.append(1) or victim())
+        pauses = []
+        monkeypatch.setattr(space_manager.time, "sleep", pauses.append)
+        with pytest.raises(BufferFullError, match="pinned"):
+            bm.space.ensure_space(Tier.DRAM, PAGE_SIZE)
+        assert len(probes) == 90
+        assert len(pauses) == 8 and pauses == sorted(pauses)
+        assert sum(pauses) < 0.05
+
+
+class TestConcurrentReservation:
+    def test_claim_released_during_a_pause_is_found(self, monkeypatch):
+        # Every frame is claimed by a "concurrent evictor"; it lets go
+        # of one while this reservation pauses.  Spinning through the
+        # probes without a pause (and so without yielding the GIL) used
+        # to give up with "all DRAM frames are pinned".
+        bm = make_bm(dram_gb=1.0, nvm_gb=0.0, policy=DRAM_SSD_POLICY)
+        for _ in range(4):
+            bm.read(bm.allocate_page())
+        pool = bm.chain.node(Tier.DRAM).pool
+        claimed = [pool.pick_victim() for _ in range(4)]
+        assert None not in claimed and pool.pick_victim() is None
+
+        def evictor_finishes(_seconds):
+            if len(claimed) == 4:
+                pool.unclaim(claimed.pop())
+
+        monkeypatch.setattr(space_manager.time, "sleep", evictor_finishes)
+        bm.space.ensure_space(Tier.DRAM, PAGE_SIZE)
+        assert len(pool) == 3
+        for descriptor in claimed:
+            pool.unclaim(descriptor)
+
+    def test_threaded_reservations_keep_every_frame_tracked(self):
+        # More threads than cores, switching every few bytecodes, all
+        # missing into 16 DRAM / 32 NVM frames.  A frame freed by one
+        # thread and refilled by another before the first had told the
+        # replacer used to end up occupied but untracked — unevictable —
+        # until no frame was left and a read failed with "all DRAM
+        # frames are pinned".
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for round_ in range(4):
+                bm = make_bm(dram_gb=2.0, nvm_gb=4.0, policy=SPITFIRE_EAGER,
+                             pages_per_gb=8)
+                pages = [bm.allocate_page() for _ in range(64)]
+                errors: list[BaseException] = []
+
+                def worker(index):
+                    rng = random.Random(100 * round_ + index)
+                    try:
+                        for _ in range(200):
+                            bm.read(pages[rng.randrange(len(pages))], 0, 256)
+                    except BaseException as exc:  # surfaced below
+                        errors.append(exc)
+
+                threads = [threading.Thread(target=worker, args=(i,),
+                                            daemon=True) for i in range(6)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert not errors, f"worker raised: {errors[:3]}"
+                assert bm.stats.reads == 6 * 200
+                check_mapping_consistency(bm).raise_if_failed()
+                for node in bm.chain:
+                    assert len(node.pool.replacer) == len(node.pool), \
+                        f"{node.tier.name}: occupied frames left the replacer"
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestCleanVictimCache:

@@ -5,7 +5,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.hardware.specs import PAGE_SIZE, SimulationScale
+from repro.hardware.specs import DEFAULT_SCALE, PAGE_SIZE, SimulationScale
+from repro.workloads import tpcc, ycsb
+from repro.workloads.tenancy import MultiTenantWorkload, TenantSpec
 from repro.workloads.tpcc import GB_PER_WAREHOUSE, PageAccess, TpccWorkload
 from repro.workloads.trace import Trace
 from repro.workloads.ycsb import (
@@ -204,6 +206,114 @@ class TestTpcc:
 
 def vars_of(access: PageAccess) -> tuple:
     return (access.page_id, access.offset, access.nbytes, access.is_write)
+
+
+class TestSetUpMemo:
+    """``page_popularity`` and ``zeta`` are pure functions of a
+    workload's shape, computed once per shape per process."""
+
+    @pytest.fixture(autouse=True)
+    def cold_caches(self):
+        for cached in (ycsb._ranked_pages, tpcc._ranked_pages, zeta):
+            cached.cache_clear()
+
+    @pytest.mark.parametrize("skew", [0.0, 0.5])
+    def test_ycsb_equals_the_unmemoised_ranking(self, skew):
+        workload = YcsbWorkload(640, skew=skew, seed=3)
+        reference = list(ycsb._ranked_pages.__wrapped__(
+            640, skew, 2000, workload.num_pages))
+        assert workload.page_popularity(samples=2000) == reference  # miss
+        assert workload.page_popularity(samples=2000) == reference  # hit
+        # Another stream over the same table shares the entry.
+        assert YcsbWorkload(640, mix=YCSB_RO, skew=skew, seed=9) \
+            .page_popularity(samples=2000) == reference
+        info = ycsb._ranked_pages.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
+    def test_tpcc_equals_the_unmemoised_ranking(self):
+        workload = TpccWorkload(5.0, SCALE, seed=4)
+        reference = list(tpcc._ranked_pages.__wrapped__(
+            5.0, SCALE, 150, workload.num_pages))
+        assert workload.page_popularity(samples=150) == reference
+        assert workload.page_popularity(samples=150) == reference
+        assert TpccWorkload(5.0, SCALE, seed=8) \
+            .page_popularity(samples=150) == reference
+        info = tpcc._ranked_pages.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
+    def test_tenant_mix_cold_equals_warm(self):
+        def mix():
+            return MultiTenantWorkload(
+                (TenantSpec(name="a", mix="YCSB-BA", skew=0.9,
+                            db_gigabytes=1.0, seed=7),
+                 TenantSpec(name="b", kind="tpcc", db_gigabytes=2.0,
+                            weight=2.0, seed=11)),
+                DEFAULT_SCALE, seed=1)
+
+        cold = mix().page_popularity()
+        assert ycsb._ranked_pages.cache_info().misses == 1
+        assert tpcc._ranked_pages.cache_info().misses == 1
+        warm = mix().page_popularity()
+        assert ycsb._ranked_pages.cache_info().hits == 1
+        assert tpcc._ranked_pages.cache_info().hits == 1
+        assert warm == cold
+
+    def test_mutating_a_result_does_not_poison_the_next(self):
+        for workload in (YcsbWorkload(320, skew=0.5),
+                         TpccWorkload(5.0, SCALE)):
+            first = workload.page_popularity(samples=100)
+            kept = list(first)
+            first.reverse()
+            del first[10:]
+            second = workload.page_popularity(samples=100)
+            assert second == kept and second is not first
+
+    def test_everything_the_ranking_depends_on_is_in_the_key(self):
+        base = YcsbWorkload(320, skew=0.5).page_popularity(samples=500)
+        assert YcsbWorkload(320, skew=0.5).page_popularity(samples=600) \
+            != base
+        assert YcsbWorkload(320, skew=0.6).page_popularity(samples=500) \
+            != base
+        assert len(YcsbWorkload(480, skew=0.5).page_popularity(samples=500)) \
+            == 30
+        assert ycsb._ranked_pages.cache_info().misses == 4
+
+        small = TpccWorkload(5.0, SCALE).page_popularity(samples=100)
+        assert TpccWorkload(5.0, SCALE).page_popularity(samples=120) != small
+        assert TpccWorkload(6.0, SCALE).page_popularity(samples=100) != small
+        assert TpccWorkload(5.0, SimulationScale(pages_per_gb=32)) \
+            .page_popularity(samples=100) != small
+        assert tpcc._ranked_pages.cache_info().misses == 4
+
+    def test_tpcc_ranking_follows_the_growing_database(self):
+        workload = TpccWorkload(5.0, SCALE, seed=2)
+        workload.page_popularity(samples=50)
+        for _ in range(200):  # inserts allocate new pages
+            workload.next_transaction()
+        assert workload.num_pages > workload.initial_pages
+        ranked = workload.page_popularity(samples=50)
+        assert set(range(workload.num_pages)) <= set(ranked)
+        assert ranked == list(tpcc._ranked_pages.__wrapped__(
+            5.0, SCALE, 50, workload.num_pages))
+        assert tpcc._ranked_pages.cache_info().misses == 2
+
+    def test_caches_are_bounded(self):
+        for cached in (ycsb._ranked_pages, tpcc._ranked_pages, zeta):
+            assert cached.cache_info().maxsize is not None
+        maxsize = ycsb._ranked_pages.cache_info().maxsize
+        for tuples in range(16, 16 * (maxsize + 5), 16):
+            YcsbWorkload(tuples, skew=0.0).page_popularity(samples=10)
+        assert ycsb._ranked_pages.cache_info().currsize == maxsize
+
+    def test_zeta_memo(self):
+        assert zeta(5000, 0.3) == zeta.__wrapped__(5000, 0.3)
+        ZipfianGenerator(5000, 0.3, seed=1)
+        ZipfianGenerator(5000, 0.3, seed=2)
+        info = zeta.cache_info()
+        assert info.misses == 2  # zeta(5000, .3) and zeta(2, .3), once each
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                zeta(0, 0.3)
 
 
 class TestTrace:
