@@ -9,64 +9,56 @@ does (``ExperimentResult.save_json``), and compares the bytes against
 the archived JSON.  CI runs it on every push, so bit-identity is a
 pipeline property rather than a by-hand claim.
 
-``--with-metrics`` regenerates with a
-:class:`~repro.obs.hub.MetricsHub` attached to every executor cell:
-the figure JSON must still match byte-for-byte, proving observability
-is side-effect-free on the measured system.
+Every ``--with-*`` flag sets fields of the one
+:class:`~repro.bench.harness.RunOptions` value the regeneration runs
+under (:func:`~repro.bench.executor.run_options`); byte-identity under
+each is that plane's core contract:
 
-``--with-faults-disabled`` regenerates with a **no-op**
-:class:`~repro.faults.plan.FaultPlan` installed in every cell — each
-device is wrapped in a pure-delegation
-:class:`~repro.faults.injector.FaultyDevice`.  Byte-identity here
-proves the fault-injection layer costs nothing when disabled: the
-wrappers perturb neither the cost model nor the measured figures.
+``--with-metrics``
+    ``collect_metrics``: a :class:`~repro.obs.hub.MetricsHub` on every
+    executor cell — observability is side-effect-free.
+``--with-faults-disabled``
+    ``fault_plan=FaultPlan.none()``: every device wrapped in a
+    pure-delegation :class:`~repro.faults.injector.FaultyDevice` — the
+    injection layer costs nothing when disabled.
+``--with-batching``
+    ``batch_size=1024``: every cell through the columnar batch path —
+    batching changes wall-clock time and nothing else.
+``--with-tenancy``
+    ``track_tenants``: every buffer manager built with
+    ``TenancyConfig.single()``, every op tagged tenant 0 through the
+    per-tenant admission and metrics machinery — tenant plumbing at
+    the default tenant is free.
+``--with-telemetry``
+    ``telemetry`` + ``trace_decisions=0.05`` + ``collect_metrics``: a
+    streaming worker-progress channel (manager-queue backed, drained
+    by a background aggregator), decision tracing in every cell, and a
+    live Prometheus endpoint (:class:`~repro.obs.server.MetricsServer`)
+    scraped by a background thread *while the figures regenerate* —
+    watching a run live changes nothing about its results.
 
-``--with-batching`` regenerates with every cell driven through the
-columnar batch path at batch size 1024
-(:func:`~repro.bench.executor.batch_execution`).  Byte-identity here is
-the batch path's core contract: batched execution changes wall-clock
-time and nothing else.  The flags compose — ``--with-batching
---with-metrics --with-faults-disabled`` proves the contract holds with
-observers attached and fault wrappers installed.
-
-``--with-tenancy`` regenerates with tenant tagging enabled in every
-cell (:func:`~repro.bench.executor.tenant_tagging`): each buffer
-manager is built with ``TenancyConfig.single()``, every op runs
-tagged as tenant 0 through the per-tenant admission and metrics
-machinery, and the result carries a per-tenant breakdown.  Byte-
-identity here is the multi-tenant refactor's core contract: tenant
-plumbing at the default tenant is free.
-
-``--with-telemetry`` regenerates with the **entire live telemetry
-plane** attached: a streaming worker-progress channel (manager-queue
-backed, drained by a background aggregator), decision tracing in every
-cell (``decision_tracing(0.05)``), and a live Prometheus scrape
-endpoint (:class:`~repro.obs.server.MetricsServer`) hit by a
-background scraper thread *while the figures regenerate* — which is
-why this flag implies ``--with-metrics``.  Byte-identity here is the
-telemetry plane's core contract: watching a run live changes nothing
-about its results.  The gate also asserts at least one mid-run scrape
-actually succeeded, so it cannot pass vacuously.
+The flags compose, and a composed run cannot pass vacuously: whenever
+metrics are collected, every plane that is switched on must have left
+its trace on the results **as computed where the cells ran** (the
+metrics sink) — a non-empty sink, fault-wrapper series, a tenant-0
+breakdown, a decision trace, at least one vectorised batch run — and
+the telemetry plane must have delivered progress events and at least
+one successful mid-run scrape.
 
 ``--prewarm-pool`` creates and warms the persistent worker pool
-*before* any of the scopes above are entered.  This is the adversarial
-ordering for context propagation: the workers are forked first, so
-none of the scopes can reach them by inheritance — only the explicit
-per-submission :class:`~repro.bench.executor.ExecContext` can carry
-them.  Byte-identity under ``--prewarm-pool --jobs 4`` with all three
-scopes composed is the proof that the persistent pool does not leak or
-drop execution context.
+*before* any option is set.  This is the adversarial ordering for
+option transport: the workers are forked first, so nothing can reach
+them by inheritance — only the ``RunOptions`` value every submission
+carries.  Byte-identity plus the liveness checks under ``--prewarm-pool
+--jobs 4`` with every plane composed is the proof that the persistent
+pool neither leaks nor drops run options.
 
 Usage::
 
     python benchmarks/check_golden_figures.py            # fig6 + fig7
-    python benchmarks/check_golden_figures.py fig6 --jobs 4 --with-metrics
-    python benchmarks/check_golden_figures.py --with-faults-disabled
-    python benchmarks/check_golden_figures.py --with-batching
-    python benchmarks/check_golden_figures.py --with-tenancy
-    python benchmarks/check_golden_figures.py --with-telemetry --jobs 4
+    python benchmarks/check_golden_figures.py fig6 fig7 fig8 recovery --jobs 4
     python benchmarks/check_golden_figures.py --jobs 4 --prewarm-pool \
-        --with-metrics --with-batching --with-faults-disabled \
+        --with-metrics --with-faults-disabled --with-batching \
         --with-tenancy --with-telemetry
 """
 
@@ -74,13 +66,19 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import sys
 import tempfile
+import threading
 import time
+from dataclasses import replace
 from pathlib import Path
 
-from repro.bench.executor import metrics_collection
+from repro.bench.executor import metrics_collection, run_options
 from repro.bench.experiments import REGISTRY
+from repro.bench.harness import RunOptions
+from repro.cli import options_from_args
+from repro.faults.plan import FaultPlan
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -89,74 +87,41 @@ RESULTS_DIR = Path(__file__).parent / "results"
 #: write-backs) across four workloads and two worker counts each.
 DEFAULT_EXPERIMENTS = ("fig6", "fig7")
 
-
 #: Batch size ``--with-batching`` drives cells at; large enough that a
 #: measurement window spans only a handful of batches.
 BATCHING_BATCH_SIZE = 1024
 
+#: Page fraction ``--with-telemetry`` samples decision spans at.
+TELEMETRY_TRACE_FRACTION = 0.05
 
-def check(experiment_id: str, jobs: int, with_metrics: bool = False,
-          with_faults_disabled: bool = False,
-          with_batching: bool = False,
-          with_tenancy: bool = False,
-          with_telemetry: bool = False) -> bool:
+
+def check(experiment_id: str, jobs: int, options: RunOptions) -> bool:
     golden = RESULTS_DIR / f"{experiment_id}.json"
     if not golden.exists():
         print(f"FAIL {experiment_id}: no archived result at {golden}")
         return False
     started = time.time()
-    # The live scrape endpoint serves the merged metrics sink, so the
-    # telemetry leg needs per-cell collection on.
-    with_metrics = with_metrics or with_telemetry
-    scope = metrics_collection() if with_metrics else contextlib.nullcontext([])
-    fault_scope = contextlib.nullcontext()
-    if with_faults_disabled:
-        from repro.bench.executor import fault_plan_injection
-        from repro.faults.plan import FaultPlan
-
-        fault_scope = fault_plan_injection(FaultPlan.none())
-    batch_scope = contextlib.nullcontext()
-    if with_batching:
-        from repro.bench.executor import batch_execution
-
-        batch_scope = batch_execution(BATCHING_BATCH_SIZE)
-    tenancy_scope = contextlib.nullcontext()
-    if with_tenancy:
-        from repro.bench.executor import tenant_tagging
-
-        tenancy_scope = tenant_tagging()
-    scrapes = {"ok": 0, "fail": 0}
+    watch = None
     with contextlib.ExitStack() as stack:
-        sink = stack.enter_context(scope)
-        stack.enter_context(fault_scope)
-        stack.enter_context(batch_scope)
-        stack.enter_context(tenancy_scope)
-        if with_telemetry:
-            _attach_telemetry_plane(stack, sink, scrapes)
+        stack.enter_context(run_options(options))
+        sink = (stack.enter_context(metrics_collection())
+                if options.collect_metrics else [])
+        if options.telemetry is not None:
+            watch = _watch_run(stack, options.telemetry, sink)
         result = REGISTRY[experiment_id](quick=True, jobs=jobs)
-    if with_telemetry and scrapes["ok"] == 0:
-        print(f"FAIL {experiment_id}: live metrics endpoint was never "
-              f"scraped successfully ({scrapes['fail']} failed attempts) "
-              f"— the telemetry leg would pass vacuously")
+    attached, dead = _planes(options, [result for _, result in sink], watch)
+    if dead:
+        print(f"FAIL {experiment_id}: the run would pass vacuously — "
+              + "; ".join(dead))
         return False
     with tempfile.TemporaryDirectory() as tmp:
         fresh = result.save_json(tmp)
         fresh_bytes = fresh.read_bytes()
     golden_bytes = golden.read_bytes()
     elapsed = time.time() - started
-    mode = f", metrics attached to {len(sink)} cells" if with_metrics else ""
-    if with_faults_disabled:
-        mode += ", no-op fault wrappers installed"
-    if with_batching:
-        mode += f", batched at {BATCHING_BATCH_SIZE}"
-    if with_tenancy:
-        mode += ", tenant tagging on"
-    if with_telemetry:
-        mode += (f", live telemetry on, {scrapes['ok']} mid-run "
-                 f"scrape(s)")
     if fresh_bytes == golden_bytes:
         print(f"OK   {experiment_id}: byte-identical to {golden} "
-              f"({len(golden_bytes)} bytes, {elapsed:.1f}s{mode})")
+              f"({len(golden_bytes)} bytes, {elapsed:.1f}s{attached})")
         return True
     print(f"FAIL {experiment_id}: output differs from {golden} "
           f"({elapsed:.1f}s)")
@@ -164,29 +129,69 @@ def check(experiment_id: str, jobs: int, with_metrics: bool = False,
     return False
 
 
-def _attach_telemetry_plane(stack: contextlib.ExitStack, sink: list,
-                            scrapes: dict) -> None:
-    """Attach every telemetry observer the gate must prove harmless.
+def _planes(options: RunOptions, results: list, watch) -> tuple[str, list[str]]:
+    """What ``options`` attached (for the OK line), and every plane of
+    it that left no trace of being live.
 
-    Streaming progress channel (drained by a silent aggregator),
-    decision tracing in every cell, and a live Prometheus endpoint
-    polled by a background scraper thread for the duration of the
-    regeneration.  Everything tears down via ``stack``.
+    Liveness is read off ``results`` — the metrics sink, i.e. the
+    results as computed where the cells ran, pool workers included — so
+    a plane is only checkable while metrics are collected; without a
+    sink, byte-identity alone is gated.
     """
-    import io
-    import threading
+    def has_series(result, name: str) -> bool:
+        return any(entry["name"] == name
+                   for entry in result.metrics["registry"].values())
 
-    from repro.bench.executor import decision_tracing, telemetry_channel
-    from repro.bench.telemetry import ProgressAggregator, open_channel
+    attached, dead = [], []
+    if options.collect_metrics:
+        attached.append(f"metrics attached to {len(results)} cells")
+        if not results:
+            dead.append("metrics: the sink is empty (no executor cell ran "
+                        "under collection)")
+    if options.fault_plan is not None:
+        attached.append("no-op fault wrappers installed")
+        if not all(has_series(r, "faults_injected_total") for r in results):
+            dead.append("faults: a cell ran on unwrapped devices")
+    if options.batch_size > 1:
+        runs = sum(r.batch_runs for r in results)
+        attached.append(f"batched at {options.batch_size} "
+                        f"({runs} vectorised runs)")
+        if results and not runs:
+            dead.append("batching: no run was vectorised")
+    if options.track_tenants:
+        attached.append("tenant tagging on")
+        if not all(set(r.tenant_breakdown or ()) == {0} for r in results):
+            dead.append("tenancy: a cell carries no tenant-0 breakdown")
+    if options.trace_decisions and not all(r.decision_trace for r in results):
+        dead.append("decision tracing: a cell carries no decision trace")
+    if watch is not None:
+        aggregator, scrapes = watch
+        events = aggregator.summary()["events_seen"]
+        attached.append(f"live telemetry on, {events} event(s), "
+                        f"{scrapes['ok']} mid-run scrape(s)")
+        if not events:
+            dead.append("telemetry: no progress event was delivered")
+        if not scrapes["ok"]:
+            dead.append(f"telemetry: the live endpoint was never scraped "
+                        f"successfully ({scrapes['fail']} failed attempts)")
+    return "".join(f", {note}" for note in attached), dead
+
+
+def _watch_run(stack: contextlib.ExitStack, channel, sink: list):
+    """Drain ``channel`` and scrape a live endpoint while the run lasts.
+
+    A silent aggregator drains the progress channel and a background
+    thread polls a live Prometheus endpoint over the growing ``sink``.
+    Everything tears down via ``stack``; returns the aggregator and the
+    scrape counts for the liveness checks.
+    """
+    from repro.bench.telemetry import ProgressAggregator
     from repro.obs.export import merge_snapshots, prometheus_text
     from repro.obs.server import MetricsServer
 
-    channel = open_channel()
     aggregator = ProgressAggregator(channel, stream=io.StringIO()).start()
-    stack.callback(channel.close)
     stack.callback(aggregator.stop, False)
-    stack.enter_context(telemetry_channel(channel))
-    stack.enter_context(decision_tracing(0.05))
+    scrapes = {"ok": 0, "fail": 0}
 
     def provider() -> str:
         return prometheus_text(
@@ -213,6 +218,7 @@ def _attach_telemetry_plane(stack: contextlib.ExitStack, sink: list,
         thread.join(timeout=5.0)
 
     stack.callback(join_scraper)
+    return aggregator, scrapes
 
 
 def _explain(golden_bytes: bytes, fresh_bytes: bytes) -> None:
@@ -240,33 +246,36 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
                         help="worker processes per experiment (results are "
                              "identical at any job count)")
-    parser.add_argument("--with-metrics", action="store_true",
-                        help="attach a MetricsHub to every cell while "
-                             "regenerating; the JSON must stay byte-identical")
-    parser.add_argument("--with-faults-disabled", action="store_true",
+    # Each flag's ``dest`` names the RunOptions field it sets, which is
+    # how ``options_from_args`` finds it.  Under every one of them the
+    # JSON must stay byte-identical.
+    parser.add_argument("--with-metrics", dest="collect_metrics",
+                        action="store_true",
+                        help="attach a MetricsHub to every cell")
+    parser.add_argument("--with-faults-disabled", dest="fault_plan",
+                        action="store_const", const=FaultPlan.none(),
                         help="install a no-op FaultPlan (pure-delegation "
-                             "device wrappers) in every cell; the JSON must "
-                             "stay byte-identical")
-    parser.add_argument("--with-batching", action="store_true",
+                             "device wrappers) in every cell")
+    parser.add_argument("--with-batching", dest="batch_size",
+                        action="store_const", const=BATCHING_BATCH_SIZE,
+                        default=1,
                         help="drive every cell through the columnar batch "
-                             f"path at batch size {BATCHING_BATCH_SIZE}; the "
-                             "JSON must stay byte-identical")
-    parser.add_argument("--with-tenancy", action="store_true",
+                             f"path at batch size {BATCHING_BATCH_SIZE}")
+    parser.add_argument("--with-tenancy", dest="track_tenants",
+                        action="store_true",
                         help="enable tenant tagging (single-tenant "
-                             "TenancyConfig, every op tagged tenant 0) in "
-                             "every cell; the JSON must stay byte-identical")
+                             "TenancyConfig, every op tagged tenant 0)")
     parser.add_argument("--with-telemetry", action="store_true",
                         help="attach the live telemetry plane (streaming "
                              "progress channel, decision tracing, HTTP "
                              "scrape endpoint polled mid-run; implies "
-                             "--with-metrics); the JSON must stay "
-                             "byte-identical and >= 1 scrape must succeed")
+                             "--with-metrics); progress events must arrive "
+                             "and >= 1 scrape must succeed")
     parser.add_argument("--prewarm-pool", action="store_true",
                         help="fork and warm the persistent worker pool "
-                             "BEFORE entering any --with-* scope, so context "
-                             "can only reach workers through the explicit "
-                             "per-submission ExecContext (never fork "
-                             "inheritance)")
+                             "BEFORE any run option is set, so options can "
+                             "only reach workers inside each submission "
+                             "(never by fork inheritance)")
     args = parser.parse_args(argv)
 
     unknown = [e for e in args.experiments if e not in REGISTRY]
@@ -278,14 +287,20 @@ def main(argv: list[str] | None = None) -> int:
         warmed = warm_pool(args.jobs)
         info = pool_info()
         print(f"prewarmed pool: {info} (warmed={warmed})")
-    failures = [
-        e for e in args.experiments
-        if not check(e, args.jobs, with_metrics=args.with_metrics,
-                     with_faults_disabled=args.with_faults_disabled,
-                     with_batching=args.with_batching,
-                     with_tenancy=args.with_tenancy,
-                     with_telemetry=args.with_telemetry)
-    ]
+    options = options_from_args(parser, args)
+    with contextlib.ExitStack() as stack:
+        if args.with_telemetry:
+            from repro.bench.telemetry import open_channel
+
+            channel = open_channel()
+            stack.callback(channel.close)
+            # The live scrape endpoint serves the merged metrics sink,
+            # so the telemetry plane needs per-cell collection on.
+            options = replace(options, collect_metrics=True,
+                              trace_decisions=TELEMETRY_TRACE_FRACTION,
+                              telemetry=channel)
+        failures = [e for e in args.experiments
+                    if not check(e, args.jobs, options)]
     return 1 if failures else 0
 
 

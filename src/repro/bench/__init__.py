@@ -3,25 +3,28 @@
 from .event_trace import EventTraceRecorder
 from .executor import (
     RunSession,
-    metrics_collected,
+    current_options,
     metrics_collection,
+    run_options,
     run_session,
     shutdown_pool,
     warm_pool,
 )
-from .harness import RunConfig, RunResult, WorkloadRunner
+from .harness import RunConfig, RunOptions, RunResult, WorkloadRunner
 from .reporting import ExperimentResult, Series
 
 __all__ = [
     "EventTraceRecorder",
     "ExperimentResult",
     "RunConfig",
+    "RunOptions",
     "RunResult",
     "RunSession",
     "Series",
     "WorkloadRunner",
-    "metrics_collected",
+    "current_options",
     "metrics_collection",
+    "run_options",
     "run_session",
     "shutdown_pool",
     "warm_pool",

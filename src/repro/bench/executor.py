@@ -20,12 +20,14 @@ Design rules:
 * work is submitted as **contiguous chunks** sized from each cell's
   :class:`Effort` (longest-expected-first), which amortises pickling
   and IPC over many small tasks while keeping load balanced;
-* execution scopes (:func:`metrics_collection`, :func:`batch_execution`,
-  :func:`fault_plan_injection`, :func:`tenant_tagging`) travel as an
-  explicit per-submission
-  :class:`ExecContext` value captured at submit time and installed
-  around the work inside the worker — a persistent pool outlives any
-  scope, so nothing may rely on workers inheriting parent state;
+* what a run attaches to its cells — metrics hub, batch path, fault
+  plan, tenant tagging, telemetry channel, decision tracing — is one
+  :class:`~repro.bench.harness.RunOptions` value: :func:`run_options`
+  scopes an override, :func:`run_cell` reads :func:`current_options`
+  once, and every submission carries the submitter's value into the
+  worker, which installs it around the chunk — a persistent pool
+  outlives any scope, so nothing may rely on workers inheriting parent
+  state;
 * a failing cell raises :class:`CellExecutionError` naming the cell's
   full spec, and never hangs the pool (remaining chunks are cancelled);
 * when worker processes cannot be spawned at all (restricted sandboxes,
@@ -59,7 +61,7 @@ from ..hardware.specs import DEFAULT_SCALE, SimulationScale
 from ..workloads.tenancy import MultiTenantWorkload, TenantSpec
 from ..workloads.tpcc import TpccWorkload
 from ..workloads.ycsb import MIXES, YcsbWorkload
-from .harness import RunConfig, RunResult, WorkloadRunner
+from .harness import RunConfig, RunOptions, RunResult, WorkloadRunner
 
 #: 16 KB pages of 1 KB tuples — the YCSB layout every figure uses.
 TUPLES_PER_PAGE = 16
@@ -113,10 +115,10 @@ class Cell:
     """One grid point: everything needed to reproduce one measurement.
 
     All fields are plain values or frozen dataclasses, so cells pickle
-    cleanly into worker processes.  The defaults mirror the historical
-    ``common.build_bm`` + ``common.run_ycsb``/``run_tpcc`` call chain
-    exactly — that equivalence is what keeps parallel figure output
-    byte-identical to serial output.
+    cleanly into worker processes.  A cell says *what* is measured;
+    what the run attaches to it (metrics, batching, faults, tenant
+    tagging, telemetry, decision tracing) is the ambient
+    :class:`~repro.bench.harness.RunOptions`, never a cell field.
     """
 
     label: str
@@ -133,32 +135,17 @@ class Cell:
     extra_worker_counts: tuple[int, ...] = (16,)
     with_wal: bool = True
     trace_events: bool = False
-    #: Attach a MetricsHub over this cell's measurement window.  Also
-    #: forced on for every cell while :func:`metrics_collection` is
-    #: active (the CLI's ``--metrics-out`` path).
-    collect_metrics: bool = False
-    #: Operations per batch through the columnar batch path (1 = the
-    #: legacy per-op loop).  Overridden for every cell while
-    #: :func:`batch_execution` is active.
-    batch_size: int = 1
     #: Tenant population for a multi-tenant cell.  Non-empty routes the
     #: cell through :meth:`WorkloadRunner.measure_tenants` over an
     #: interleaved :class:`~repro.workloads.tenancy.MultiTenantWorkload`
-    #: (``workload.seed`` seeds the interleaver); empty keeps the
-    #: single-stream path.  TenantSpec is frozen, so cells stay
-    #: picklable.
+    #: (``workload.seed`` seeds the interleaver) with per-tenant
+    #: tracking on; empty keeps the single-stream path.  TenantSpec is
+    #: frozen, so cells stay picklable.
     tenants: tuple[TenantSpec, ...] = ()
     #: Quota mode for multi-tenant cells: "none", "hard", or "soft".
     quota_mode: str = "none"
     #: Per-tenant buffer-share fractions (empty = equal shares).
     shares: tuple[float, ...] = ()
-    #: Project tenant-labelled metrics and attach a per-tenant breakdown
-    #: to the result.  Also forced on for every cell while
-    #: :func:`tenant_tagging` is active.
-    track_tenants: bool = False
-    #: Page fraction for decision-span sampling (0 = off); the ambient
-    #: :func:`decision_tracing` scope overrides it for every cell.
-    trace_decisions: float = 0.0
 
     def __post_init__(self) -> None:
         if self.quota_mode not in ("none", "hard", "soft"):
@@ -174,7 +161,7 @@ class Cell:
     def ycsb(cls, label: str, shape: HierarchyShape, policy: MigrationPolicy,
              mix: str, db_gb: float, *, skew: float = 0.3,
              workload_seed: int = 3, **kwargs) -> "Cell":
-        """A YCSB grid point (mirrors ``common.run_ycsb`` defaults)."""
+        """A YCSB grid point."""
         spec = WorkloadSpec(kind="ycsb", db_gb=db_gb, mix=mix, skew=skew,
                             seed=workload_seed)
         return cls(label=label, shape=shape, policy=policy, workload=spec,
@@ -183,7 +170,7 @@ class Cell:
     @classmethod
     def tpcc(cls, label: str, shape: HierarchyShape, policy: MigrationPolicy,
              db_gb: float, *, workload_seed: int = 3, **kwargs) -> "Cell":
-        """A TPC-C grid point (mirrors ``common.run_tpcc`` defaults)."""
+        """A TPC-C grid point."""
         spec = WorkloadSpec(kind="tpcc", db_gb=db_gb, seed=workload_seed)
         return cls(label=label, shape=shape, policy=policy, workload=spec,
                    **kwargs)
@@ -200,8 +187,8 @@ class Cell:
         ``interleave_seed`` seeds the weighted stream interleaver (it
         rides in ``workload.seed``).  The ``workload`` field carries the
         lead tenant's profile purely for display — execution resolves
-        the full tenant population.  Per-tenant tracking defaults on so
-        results carry breakdowns.
+        the full tenant population, and results carry per-tenant
+        breakdowns.
         """
         tenants = tuple(tenants)
         if not tenants:
@@ -212,7 +199,6 @@ class Cell:
             mix=lead.mix if lead.kind == "ycsb" else None,
             skew=lead.skew, seed=interleave_seed,
         )
-        kwargs.setdefault("track_tenants", True)
         return cls(label=label, shape=shape, policy=policy, workload=spec,
                    tenants=tenants, quota_mode=quota_mode,
                    shares=tuple(shares), **kwargs)
@@ -248,120 +234,63 @@ class CellExecutionError(RuntimeError):
 
 
 # ----------------------------------------------------------------------
-# Execution scopes and their transport: ExecContext
+# Run options: one value, one scope, one transport
 # ----------------------------------------------------------------------
-# The session scopes (metrics collection, batch execution, fault
-# injection, tenant tagging) used to travel into pool workers as
-# environment variables,
-# relying on workers inheriting the parent's environment at fork time.
-# A *persistent* pool breaks that scheme: workers fork once, so a scope
-# entered after the pool exists would silently not apply inside it.
-# Instead the ambient scope state lives in context variables (also
-# making scopes thread-safe for the CLI's suite session, where several
-# figure drivers run concurrently), and every submission captures it
-# into an explicit ExecContext value that the worker installs around
-# the chunk it executes.
+# The current RunOptions lives in a context variable (so scopes are
+# thread-safe for the CLI's suite session, where several figure drivers
+# run concurrently).  A *persistent* pool forks once, so a scope entered
+# after the pool exists cannot reach workers by inheritance: every
+# submission carries the submitter's value and the worker installs it
+# around the chunk it executes.
 
-_metrics_on_var: contextvars.ContextVar[bool] = contextvars.ContextVar(
-    "repro_metrics_on", default=False)
+_options_var: contextvars.ContextVar[RunOptions] = contextvars.ContextVar(
+    "repro_run_options", default=RunOptions())
 _metrics_sink_var: contextvars.ContextVar[list | None] = contextvars.ContextVar(
     "repro_metrics_sink", default=None)
-_batch_size_var: contextvars.ContextVar[int | None] = contextvars.ContextVar(
-    "repro_batch_size", default=None)
-_fault_plan_var: contextvars.ContextVar[bytes | None] = contextvars.ContextVar(
-    "repro_fault_plan", default=None)
-_tenancy_on_var: contextvars.ContextVar[bool] = contextvars.ContextVar(
-    "repro_tenancy_on", default=False)
-_telemetry_var: contextvars.ContextVar[object | None] = contextvars.ContextVar(
-    "repro_telemetry", default=None)
-_decision_fraction_var: contextvars.ContextVar[float | None] = \
-    contextvars.ContextVar("repro_decision_fraction", default=None)
 
 
-@dataclass(frozen=True)
-class ExecContext:
-    """Ambient execution scopes, captured at submit time.
+def current_options() -> RunOptions:
+    """The :class:`RunOptions` in force for the calling thread."""
+    return _options_var.get()
 
-    Plain picklable values: the fault plan rides pre-pickled (it is
-    pickled once per scope entry, not once per task).  ``install()``
-    makes the context ambient — inside a worker, around a whole chunk.
+
+@contextlib.contextmanager
+def run_options(base: RunOptions | None = None, **overrides):
+    """Run every cell (and chaos case) in this scope under new options.
+
+    Installs ``replace(base, **overrides)`` — ``base`` defaulting to
+    the current value, so a nested scope wins for the fields it names
+    and inherits the rest — and restores the previous value on exit.
+    Invalid values are rejected by :class:`RunOptions` before anything
+    is installed.
     """
-
-    collect_metrics: bool = False
-    batch_size: int | None = None
-    fault_plan_payload: bytes | None = None
-    tenant_tagging: bool = False
-    #: Ambient :class:`~repro.bench.telemetry.TelemetryChannel`, or None.
-    #: Manager-queue-backed channels pickle (the proxy crosses process
-    #: boundaries); the in-process fallback degrades to a no-op emitter
-    #: inside workers.  Compared by identity in ``is_default`` — the
-    #: default context carries None.
-    telemetry: object | None = None
-    #: Page fraction for decision-span sampling, or None (tracing off).
-    decision_fraction: float | None = None
-
-    @property
-    def is_default(self) -> bool:
-        return self == _DEFAULT_CONTEXT
-
-    @contextlib.contextmanager
-    def install(self):
-        tokens = (
-            _metrics_on_var.set(self.collect_metrics),
-            _batch_size_var.set(self.batch_size),
-            _fault_plan_var.set(self.fault_plan_payload),
-            _tenancy_on_var.set(self.tenant_tagging),
-            _telemetry_var.set(self.telemetry),
-            _decision_fraction_var.set(self.decision_fraction),
-        )
-        try:
-            yield self
-        finally:
-            _decision_fraction_var.reset(tokens[5])
-            _telemetry_var.reset(tokens[4])
-            _tenancy_on_var.reset(tokens[3])
-            _fault_plan_var.reset(tokens[2])
-            _batch_size_var.reset(tokens[1])
-            _metrics_on_var.reset(tokens[0])
-
-
-_DEFAULT_CONTEXT = ExecContext()
-
-
-def current_context() -> ExecContext:
-    """The ambient execution scopes of the calling thread."""
-    return ExecContext(
-        collect_metrics=_metrics_on_var.get(),
-        batch_size=_batch_size_var.get(),
-        fault_plan_payload=_fault_plan_var.get(),
-        tenant_tagging=_tenancy_on_var.get(),
-        telemetry=_telemetry_var.get(),
-        decision_fraction=_decision_fraction_var.get(),
-    )
-
-
-def metrics_collected() -> bool:
-    """Whether session-wide metrics collection is currently on."""
-    return _metrics_on_var.get()
+    options = replace(_options_var.get() if base is None else base,
+                      **overrides)
+    token = _options_var.set(options)
+    try:
+        yield options
+    finally:
+        _options_var.reset(token)
 
 
 @contextlib.contextmanager
 def metrics_collection():
     """Collect a MetricsHub snapshot from every cell run in this scope.
 
-    Yields the sink list; after the scope, it holds one
-    ``(cell label, RunResult)`` pair per executed cell in submission
-    order regardless of the ``jobs`` value, so merging the snapshots in
-    list order gives byte-identical exports at any parallelism.
+    ``run_options(collect_metrics=True)`` plus the one piece of state a
+    scope owns on the submitting side: yields the sink list, which
+    after the scope holds one ``(cell label, RunResult)`` pair per
+    executed cell in submission order regardless of the ``jobs`` value,
+    so merging the snapshots in list order gives byte-identical exports
+    at any parallelism.
     """
     sink: list[tuple[str, RunResult]] = []
-    on_token = _metrics_on_var.set(True)
-    sink_token = _metrics_sink_var.set(sink)
+    token = _metrics_sink_var.set(sink)
     try:
-        yield sink
+        with run_options(collect_metrics=True):
+            yield sink
     finally:
-        _metrics_sink_var.reset(sink_token)
-        _metrics_on_var.reset(on_token)
+        _metrics_sink_var.reset(token)
 
 
 def _record_results(cells, results) -> None:
@@ -372,127 +301,6 @@ def _record_results(cells, results) -> None:
     for cell, result in zip(cells, results):
         if result.metrics is not None:
             sink.append((cell.label, result))
-
-
-def active_batch_size() -> int | None:
-    """The scoped batch-size override, or None."""
-    return _batch_size_var.get()
-
-
-@contextlib.contextmanager
-def batch_execution(batch_size: int):
-    """Run every cell in this scope through the batch path.
-
-    The batch path is byte-identical to the per-op loop by construction,
-    so wrapping a figure run in ``batch_execution(1024)`` changes only
-    wall-clock time — ``check_golden_figures.py --with-batching`` uses
-    exactly this to enforce that contract.
-    """
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
-    token = _batch_size_var.set(batch_size)
-    try:
-        yield batch_size
-    finally:
-        _batch_size_var.reset(token)
-
-
-def tenant_tagging_active() -> bool:
-    """Whether session-wide tenant tagging is currently on."""
-    return _tenancy_on_var.get()
-
-
-@contextlib.contextmanager
-def tenant_tagging():
-    """Run every cell in this scope with tenant plumbing enabled.
-
-    Single-stream cells get ``TenancyConfig.single()`` — every op is
-    tagged tenant 0, per-tenant admission/metrics machinery is live,
-    and behaviour is byte-identical to the untagged path by
-    construction.  ``check_golden_figures.py --with-tenancy`` wraps the
-    figure suite in exactly this scope to enforce that contract.
-    """
-    token = _tenancy_on_var.set(True)
-    try:
-        yield
-    finally:
-        _tenancy_on_var.reset(token)
-
-
-def active_fault_plan():
-    """The FaultPlan installed by the ambient scope, or None."""
-    payload = _fault_plan_var.get()
-    if payload is None:
-        return None
-    return pickle.loads(payload)
-
-
-@contextlib.contextmanager
-def fault_plan_injection(plan):
-    """Install ``plan`` under every cell run in this scope.
-
-    Each :func:`run_cell` wraps its hierarchy's devices with
-    :func:`~repro.faults.injector.inject_faults` before building the
-    buffer manager.  A no-op plan yields pure-delegation wrappers — the
-    golden-figure gate uses exactly this to prove figure JSON stays
-    byte-identical with the injection layer installed.
-    """
-    token = _fault_plan_var.set(pickle.dumps(plan))
-    try:
-        yield plan
-    finally:
-        _fault_plan_var.reset(token)
-
-
-def active_telemetry():
-    """The ambient TelemetryChannel, or None."""
-    return _telemetry_var.get()
-
-
-@contextlib.contextmanager
-def telemetry_channel(channel):
-    """Stream live progress from every cell run in this scope.
-
-    ``channel`` is a :class:`~repro.bench.telemetry.TelemetryChannel`;
-    each :func:`run_cell` emits cell start/progress/end events through
-    it, and the chaos matrix emits per-case events.  The channel is
-    strictly out-of-band: it carries wall-clock progress only, never
-    touches result payloads, and a dead transport degrades to silent
-    no-ops — so figure JSON stays byte-identical with the channel
-    attached at any ``--jobs`` (``check_golden_figures.py
-    --with-telemetry`` enforces exactly this).
-    """
-    token = _telemetry_var.set(channel)
-    try:
-        yield channel
-    finally:
-        _telemetry_var.reset(token)
-
-
-def active_decision_fraction() -> float | None:
-    """The ambient decision-span sampling fraction, or None."""
-    return _decision_fraction_var.get()
-
-
-@contextlib.contextmanager
-def decision_tracing(fraction: float = 1.0):
-    """Attach a DecisionRecorder to every cell run in this scope.
-
-    Each cell's measurement window gets a
-    :class:`~repro.obs.decisions.DecisionRecorder` recording every
-    migration/admission/eviction decision (spans sampled at
-    ``fraction`` by deterministic page-id hash); results carry the
-    trace in ``RunResult.decision_trace``.  The recorder is read-only
-    on the decision path by contract, so tracing cannot perturb RNG
-    draws or admission-queue state — figure output stays byte-identical.
-    """
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError("fraction must be in (0, 1]")
-    token = _decision_fraction_var.set(fraction)
-    try:
-        yield fraction
-    finally:
-        _decision_fraction_var.reset(token)
 
 
 # ----------------------------------------------------------------------
@@ -660,15 +468,15 @@ def _as_picklable(exc: BaseException) -> BaseException:
         return RuntimeError(f"{type(exc).__name__}: {exc}")
 
 
-def _exec_chunk(runner, items: tuple, ctx: ExecContext) -> list:
-    """Worker-side entry: run one contiguous chunk under ``ctx``.
+def _exec_chunk(runner, items: tuple, options: RunOptions) -> list:
+    """Worker-side entry: run one contiguous chunk under ``options``.
 
     Returns one ``(ok, payload)`` pair per item.  After the first
     failure the rest of the chunk is skipped — the parent raises at the
     first failing index, so later outcomes would be discarded anyway.
     """
     out: list[tuple[bool, object]] = []
-    with ctx.install():
+    with run_options(options):
         for position, item in enumerate(items):
             try:
                 out.append((True, runner(item)))
@@ -734,8 +542,8 @@ def _execute(items: list, runner, jobs: int, weigh) -> list:
 
     The one submission engine behind :func:`run_cells` and
     :func:`run_tasks`: serial in-process for ``jobs<=1`` (or a single
-    item), otherwise chunked over the persistent pool with the ambient
-    :class:`ExecContext` attached to every chunk.  Pool-level failures
+    item), otherwise chunked over the persistent pool with the current
+    :class:`RunOptions` attached to every chunk.  Pool-level failures
     (cannot spawn, workers died wholesale) degrade to a serial rerun —
     identical output, because items are self-contained and
     deterministic.  The first failing item (in submission order) raises
@@ -749,7 +557,7 @@ def _execute(items: list, runner, jobs: int, weigh) -> list:
     if pool is None:
         _note_session(items=n, fallbacks=1)
         return _execute_serial(items, runner)
-    ctx = current_context()
+    options = current_options()
     spans = _plan_chunks([weigh(item) for item in items], jobs)
 
     global _pool_busy
@@ -760,7 +568,7 @@ def _execute(items: list, runner, jobs: int, weigh) -> list:
         try:
             for start, stop in spans:
                 futures.append((start, stop, pool.submit(
-                    _exec_chunk, runner, tuple(items[start:stop]), ctx)))
+                    _exec_chunk, runner, tuple(items[start:stop]), options)))
         except (BrokenProcessPool, RuntimeError):
             # RuntimeError: another thread observed the break first and
             # the executor refuses new futures mid-shutdown.
@@ -879,29 +687,28 @@ def run_session(jobs: int):
 def run_cell(cell: Cell) -> RunResult:
     """Build and measure one cell from scratch (runs inside workers too).
 
-    Scope state (metrics / batch size / fault plan) is read from the
-    ambient context — in a worker, that is the :class:`ExecContext`
-    the chunk arrived with.
+    What the run attaches is read once from :func:`current_options` —
+    in a worker, that is the value the chunk arrived with.
     """
+    options = current_options()
     hierarchy = StorageHierarchy(cell.shape, cell.scale,
                                  memory_mode=cell.memory_mode)
-    plan = active_fault_plan()
-    if plan is not None:
+    if options.fault_plan is not None:
         # Devices must be wrapped before the BM captures references.
         from ..faults.injector import inject_faults
 
-        inject_faults(hierarchy, plan)
+        inject_faults(hierarchy, options.fault_plan)
     config = cell.bm_config
     if config is None:
         config = BufferManagerConfig(seed=cell.seed)
     spec = cell.workload
-    tagging = cell.track_tenants or tenant_tagging_active()
 
     multi = None
     if cell.tenants:
         # The tenant page layout (stride with growth headroom) is owned
         # by the workload; the core's TenancyConfig is derived from it.
         multi = MultiTenantWorkload(cell.tenants, cell.scale, seed=spec.seed)
+        options = replace(options, track_tenants=True)
         if config.tenancy is None:
             config = replace(config, tenancy=TenancyConfig(
                 num_tenants=multi.num_tenants,
@@ -912,21 +719,19 @@ def run_cell(cell: Cell) -> RunResult:
                     t.policy_preset for t in cell.tenants
                 ),
             ))
-    elif tagging and config.tenancy is None:
+    elif options.track_tenants and config.tenancy is None:
         config = replace(config, tenancy=TenancyConfig.single())
 
     bm = BufferManager(hierarchy, cell.policy, config)
-    channel = active_telemetry()
-    progress = None
+    channel = options.telemetry
+    live = {}
     if channel is not None:
         channel.emit(
             "cell_start", cell=cell.label,
             expected_ops=cell.effort.warmup_ops + cell.effort.measure_ops,
         )
-        progress = channel.progress_callback(cell.label)
-    fraction = active_decision_fraction()
-    if fraction is None:
-        fraction = cell.trace_decisions
+        live = dict(progress=channel.progress_callback(cell.label),
+                    progress_every_ops=channel.every_ops)
     runner = WorkloadRunner(
         bm,
         RunConfig(
@@ -935,13 +740,8 @@ def run_cell(cell: Cell) -> RunResult:
             workers=cell.workers,
             with_wal=cell.with_wal,
             trace_events=cell.trace_events,
-            collect_metrics=cell.collect_metrics or metrics_collected(),
-            batch_size=active_batch_size() or cell.batch_size,
-            track_tenants=tagging,
-            progress=progress,
-            progress_every_ops=(channel.every_ops if channel is not None
-                                else RunConfig.progress_every_ops),
-            trace_decisions=fraction,
+            options=options,
+            **live,
         ),
     )
     try:

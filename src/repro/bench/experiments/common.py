@@ -13,8 +13,6 @@ from ...core.policy import MigrationPolicy
 from ...hardware.cost_model import StorageHierarchy
 from ...hardware.pricing import HierarchyShape
 from ...hardware.specs import DEFAULT_SCALE, SimulationScale
-from ...workloads.tpcc import TpccWorkload
-from ...workloads.ycsb import YcsbMix, YcsbWorkload
 from ..executor import (  # noqa: F401  (re-exported for callers/tests)
     FULL,
     QUICK,
@@ -26,7 +24,6 @@ from ..executor import (  # noqa: F401  (re-exported for callers/tests)
     run_session,
     run_tasks,
 )
-from ..harness import RunConfig, RunResult, WorkloadRunner
 
 #: Coarser scale for the large-database experiments (Figs. 5, 14, 15)
 #: so that 300 GB-class configurations stay fast.
@@ -46,58 +43,6 @@ def build_bm(
     if bm_config is None:
         bm_config = BufferManagerConfig(seed=seed)
     return BufferManager(hierarchy, policy, bm_config)
-
-
-def run_ycsb(
-    bm: BufferManager,
-    mix: YcsbMix,
-    db_gb: float,
-    scale: SimulationScale = DEFAULT_SCALE,
-    skew: float = 0.3,
-    eff: Effort = QUICK,
-    workers: int = 1,
-    extra_worker_counts: tuple[int, ...] = (16,),
-    with_wal: bool = True,
-    seed: int = 3,
-) -> RunResult:
-    """One measured YCSB run on a prepared buffer manager."""
-    tuples_per_page = 16  # 16 KB pages of 1 KB tuples
-    num_tuples = scale.pages(db_gb) * tuples_per_page
-    workload = YcsbWorkload(num_tuples=num_tuples, mix=mix, skew=skew, seed=seed)
-    runner = WorkloadRunner(
-        bm,
-        RunConfig(
-            warmup_ops=eff.warmup_ops,
-            measure_ops=eff.measure_ops,
-            workers=workers,
-            with_wal=with_wal,
-        ),
-    )
-    return runner.measure_ycsb(workload, extra_worker_counts=extra_worker_counts)
-
-
-def run_tpcc(
-    bm: BufferManager,
-    db_gb: float,
-    scale: SimulationScale = DEFAULT_SCALE,
-    eff: Effort = QUICK,
-    workers: int = 1,
-    extra_worker_counts: tuple[int, ...] = (16,),
-    with_wal: bool = True,
-    seed: int = 3,
-) -> RunResult:
-    """One measured TPC-C run on a prepared buffer manager."""
-    workload = TpccWorkload(db_gigabytes=db_gb, scale=scale, seed=seed)
-    runner = WorkloadRunner(
-        bm,
-        RunConfig(
-            warmup_ops=eff.warmup_ops,
-            measure_ops=eff.measure_ops,
-            workers=workers,
-            with_wal=with_wal,
-        ),
-    )
-    return runner.measure_tpcc(workload, extra_worker_counts=extra_worker_counts)
 
 
 #: The probability levels swept by the policy experiments (Figs. 6-9).

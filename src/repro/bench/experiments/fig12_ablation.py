@@ -15,43 +15,20 @@ optimizations.
 from __future__ import annotations
 
 from ...core.buffer_manager import BufferManagerConfig
-from ...core.hymem import make_hymem
-from ...core.policy import SPITFIRE_EAGER, SPITFIRE_LAZY, MigrationPolicy
-from ...hardware.cost_model import StorageHierarchy
+from ...core.policy import HYMEM_POLICY, SPITFIRE_EAGER, SPITFIRE_LAZY
 from ...pages.granularity import OPTANE_LOADING_UNIT
-from ...workloads.ycsb import YCSB_RO
 from ..reporting import ExperimentResult
-from .common import HYMEM_DB_GB, HYMEM_SHAPE, effort, run_tpcc, run_ycsb
+from .common import HYMEM_DB_GB, HYMEM_SHAPE, Cell, CellBatch, effort
 
-POLICIES = ("HyMem", "Spf-Eager", "Spf-Lazy")
+#: Table 3's rows; the HyMem row is what ``core.hymem.make_hymem`` builds.
+POLICIES = {"HyMem": HYMEM_POLICY, "Spf-Eager": SPITFIRE_EAGER,
+            "Spf-Lazy": SPITFIRE_LAZY}
 VARIANTS = ("none", "+fine-grained", "+mini-page")
+WORKLOADS = ("YCSB-RO", "TPC-C")
 WORKERS = 16
 
 
-def _build(policy_name: str, variant: str):
-    fine = variant != "none"
-    mini = variant == "+mini-page"
-    if policy_name == "HyMem":
-        hierarchy = StorageHierarchy(HYMEM_SHAPE)
-        return make_hymem(
-            hierarchy, fine_grained=fine, mini_pages=mini,
-            loading_unit=OPTANE_LOADING_UNIT,
-        )
-    policy: MigrationPolicy = (
-        SPITFIRE_EAGER if policy_name == "Spf-Eager" else SPITFIRE_LAZY
-    )
-    hierarchy = StorageHierarchy(HYMEM_SHAPE)
-    config = BufferManagerConfig(
-        fine_grained=fine, mini_pages=mini,
-        loading_unit=OPTANE_LOADING_UNIT,
-    )
-    from ...core.buffer_manager import BufferManager
-
-    return BufferManager(hierarchy, policy, config)
-
-
 def run(quick: bool = True, jobs: int = 1) -> ExperimentResult:
-    del jobs  # variants share one trace; runs are inherently serial
     eff = effort(quick)
     result = ExperimentResult(
         "fig12", "Ablation of HyMem's Optimizations Across Policies"
@@ -60,19 +37,34 @@ def run(quick: bool = True, jobs: int = 1) -> ExperimentResult:
         dram_gb=HYMEM_SHAPE.dram_gb, nvm_gb=HYMEM_SHAPE.nvm_gb,
         db_gb=HYMEM_DB_GB, loading_unit=256, workers=WORKERS,
     )
-    for workload in ("YCSB-RO", "TPC-C"):
+    batch = CellBatch()
+    for workload in WORKLOADS:
+        for policy_name, policy in POLICIES.items():
+            for variant in VARIANTS:
+                label = f"{workload}/{policy_name}/{variant}"
+                common = dict(
+                    effort=eff, workers=WORKERS, extra_worker_counts=(),
+                    bm_config=BufferManagerConfig(
+                        fine_grained=variant != "none",
+                        mini_pages=variant == "+mini-page",
+                        loading_unit=OPTANE_LOADING_UNIT,
+                    ),
+                )
+                if workload == "TPC-C":
+                    cell = Cell.tpcc(label, HYMEM_SHAPE, policy, HYMEM_DB_GB,
+                                     **common)
+                else:
+                    cell = Cell.ycsb(label, HYMEM_SHAPE, policy, workload,
+                                     HYMEM_DB_GB, **common)
+                batch.add((workload, policy_name, variant), cell)
+    runs = batch.run(jobs)
+    for workload in WORKLOADS:
         for policy_name in POLICIES:
             series = result.new_series(f"{workload}/{policy_name}")
             for variant in VARIANTS:
-                bm = _build(policy_name, variant)
-                if workload == "TPC-C":
-                    res = run_tpcc(bm, HYMEM_DB_GB, eff=eff, workers=WORKERS,
-                                   extra_worker_counts=())
-                else:
-                    res = run_ycsb(bm, YCSB_RO, HYMEM_DB_GB, eff=eff,
-                                   workers=WORKERS, extra_worker_counts=())
-                series.add(variant, res.throughput)
-    for workload in ("YCSB-RO", "TPC-C"):
+                series.add(variant,
+                           runs[(workload, policy_name, variant)].throughput)
+    for workload in WORKLOADS:
         lazy_base = result.series[f"{workload}/Spf-Lazy"].y_at("none")
         best_other = max(
             result.series[f"{workload}/{p}"].y_at("+mini-page")

@@ -16,6 +16,7 @@ can be derived from the same run).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from ..core.buffer_manager import BufferManager
 from ..core.stats import BufferStats
@@ -39,10 +40,57 @@ from ..workloads.ycsb import (
     YcsbWorkload,
 )
 
+if TYPE_CHECKING:
+    from ..faults.plan import FaultPlan
+    from .telemetry import TelemetryChannel
+
 #: Placeholder images used when charging log-record sizes; the content
 #: is irrelevant to the cost model, only the length matters.
 _UPDATE_BEFORE = bytes(COLUMN_SIZE)
 _UPDATE_AFTER = bytes(COLUMN_SIZE)
+
+
+@dataclass(frozen=True)
+class RunOptions:
+    """What a run may attach to a cell, beyond the measurement protocol.
+
+    One frozen, picklable value: the executor keeps the current one in a
+    context variable (:func:`~repro.bench.executor.run_options` scopes
+    an override), ships it to pool workers with every chunk, and hands
+    it to the harness as :attr:`RunConfig.options`.  Every attachment
+    is side-effect-free on the simulation by contract — figure JSON is
+    byte-identical under any combination of them.
+    """
+
+    #: Attach a :class:`~repro.obs.hub.MetricsHub` over the measurement
+    #: window; the run result then carries a metrics snapshot.
+    collect_metrics: bool = False
+    #: Operations per batch through the columnar
+    #: :class:`~repro.core.batch_path.BatchAccessPath`, byte-identical
+    #: to the per-op loop by construction; ``1`` runs that loop.
+    batch_size: int = 1
+    #: A :class:`~repro.faults.plan.FaultPlan` whose device wrappers
+    #: :func:`~repro.bench.executor.run_cell` installs before building
+    #: the buffer manager (pure delegation for a no-op plan), or None.
+    fault_plan: FaultPlan | None = None
+    #: Build single-stream cells with ``TenancyConfig.single()`` and
+    #: project tenant-labelled series (a hub attaches even without
+    #: ``collect_metrics``); the result carries a per-tenant breakdown.
+    track_tenants: bool = False
+    #: A :class:`~repro.bench.telemetry.TelemetryChannel` streaming cell
+    #: and chaos-case progress out-of-band, or None.  Manager-backed
+    #: channels pickle; the in-process fallback is a no-op in workers.
+    telemetry: TelemetryChannel | None = None
+    #: Fraction of pages whose migration/admission/eviction decisions a
+    #: :class:`~repro.obs.decisions.DecisionRecorder` records as full
+    #: spans (0 = off; decision *counters* are complete whenever on).
+    trace_decisions: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if not 0.0 <= self.trace_decisions <= 1.0:
+            raise ValueError("trace_decisions must be in [0, 1]")
 
 
 @dataclass
@@ -65,23 +113,14 @@ class RunConfig:
     #: Record a per-edge event trace over the measurement window
     #: (:class:`~repro.bench.event_trace.EventTraceRecorder`).
     trace_events: bool = False
-    #: Attach a :class:`~repro.obs.hub.MetricsHub` over the measurement
-    #: window; the run result then carries a metrics snapshot.
-    collect_metrics: bool = False
     #: Sim-time between the hub's occupancy/dirty-ratio gauge samples.
     metrics_epoch_ns: float = DEFAULT_EPOCH_NS
     #: Fraction of pages traced by the page-lifecycle tracer (0 = off).
     trace_page_fraction: float = 0.0
-    #: Operations executed per batch through the columnar batch path.
-    #: ``1`` (the default) runs the legacy per-op loop; ``N > 1`` drives
-    #: :class:`~repro.core.batch_path.BatchAccessPath`, which is
-    #: byte-identical to the per-op loop by construction (stats, costs,
-    #: metrics, and figure JSON all match).
-    batch_size: int = 1
-    #: Project tenant-labelled metrics series over the measurement
-    #: window (implies a hub attaches even without ``collect_metrics``);
-    #: the run result then carries a per-tenant breakdown.
-    track_tenants: bool = False
+    #: What the run attaches: metrics hub, batch path, tenant tagging,
+    #: decision tracing (``fault_plan`` and ``telemetry`` are consumed
+    #: by the executor, which owns device construction and cell labels).
+    options: RunOptions = RunOptions()
     #: Optional live-progress hook ``progress(phase, done, total)``,
     #: called every ``progress_every_ops`` operations during warm-up and
     #: measurement (phases ``"warmup"`` / ``"measure"``).  Strictly
@@ -91,11 +130,6 @@ class RunConfig:
     #: Operations between progress calls (per-op loops; batched loops
     #: report once per chunk, which is coarser).
     progress_every_ops: int = 2_000
-    #: Fraction of pages whose migration/admission/eviction decisions
-    #: are recorded as full spans by a
-    #: :class:`~repro.obs.decisions.DecisionRecorder` (0 = tracing off;
-    #: decision *counters* are complete whenever tracing is on).
-    trace_decisions: float = 0.0
 
 
 @dataclass
@@ -116,7 +150,7 @@ class RunResult:
     #: Per-edge event counts (only when ``RunConfig.trace_events``).
     event_trace: dict[str, int] | None = None
     #: MetricsHub snapshot — registry state plus epoch gauge series
-    #: (only when ``RunConfig.collect_metrics``).
+    #: (only when ``RunOptions.collect_metrics``).
     metrics: dict | None = None
     #: Page-lifecycle spans keyed by page id (only when
     #: ``RunConfig.trace_page_fraction`` > 0).
@@ -126,11 +160,16 @@ class RunResult:
     #: device channel plus CPU) — the saturation model's inputs.
     resource_usage: dict[str, dict] | None = None
     #: Per-tenant op counts and latency quantiles, keyed by tenant id
-    #: (only when ``RunConfig.track_tenants``).
+    #: (only when ``RunOptions.track_tenants``).
     tenant_breakdown: dict[int, dict] | None = None
     #: Sampled decision spans plus a per-policy digest (only when
-    #: ``RunConfig.trace_decisions`` > 0).
+    #: ``RunOptions.trace_decisions`` > 0).
     decision_trace: dict | None = None
+    #: Runs of top-tier read hits the batch path executed vectorised
+    #: over the measurement window (0 on the per-op loop, and whenever
+    #: an observer or device forces the per-op fallback) — the one
+    #: field batching may change.
+    batch_runs: int = 0
 
     @property
     def throughput_kops(self) -> float:
@@ -295,7 +334,7 @@ class WorkloadRunner:
         return self.run_access(access)
 
     # ------------------------------------------------------------------
-    # Batched operation execution (RunConfig.batch_size > 1)
+    # Batched operation execution (RunOptions.batch_size > 1)
     # ------------------------------------------------------------------
     def run_ycsb_batch(self, workload: YcsbWorkload, count: int) -> int:
         """Execute ``count`` YCSB operations through the batch path.
@@ -440,7 +479,7 @@ class WorkloadRunner:
         Same protocol as the single-stream entry points — allocate,
         prime (merged popularity ranking), warm up, measure — with each
         op tagged by its tenant.  Combine with
-        ``RunConfig.track_tenants`` to get per-tenant breakdowns on the
+        ``RunOptions.track_tenants`` to get per-tenant breakdowns on the
         result.
         """
         self.bm.allocate_pages(workload.initial_page_ids())
@@ -527,7 +566,8 @@ class WorkloadRunner:
                  extra_worker_counts: tuple[int, ...],
                  batch_step=None) -> RunResult:
         config = self.config
-        batch_size = max(1, config.batch_size)
+        options = config.options
+        batch_size = options.batch_size
         use_batch = batch_step is not None and batch_size > 1
         progress = config.progress
         progress_every = max(1, config.progress_every_ops)
@@ -553,6 +593,7 @@ class WorkloadRunner:
         # "we warm up the system until the buffer pool is full").
         self.hierarchy.reset_accounting()
         self.bm.reset_stats()
+        fast_runs_before = self.bm.batch_path.fast_runs
         # Measurement-window observers are detached in the ``finally``
         # below even when the workload raises: a leaked subscription
         # would double-count every later measurement on this bus (and a
@@ -564,16 +605,16 @@ class WorkloadRunner:
         try:
             if config.trace_events:
                 trace = EventTraceRecorder().attach(self.bm)
-            if config.collect_metrics or config.track_tenants:
+            if options.collect_metrics or options.track_tenants:
                 hub = MetricsHub(epoch_ns=config.metrics_epoch_ns,
-                                 track_tenants=config.track_tenants)
+                                 track_tenants=options.track_tenants)
                 hub.attach(self.bm)
             if config.trace_page_fraction > 0:
                 tracer = PageLifecycleTracer(config.trace_page_fraction)
                 tracer.attach(self.bm)
-            if config.trace_decisions > 0:
+            if options.trace_decisions > 0:
                 decisions = DecisionRecorder(
-                    config.trace_decisions).attach(self.bm)
+                    options.trace_decisions).attach(self.bm)
                 if hub is not None:
                     # Merged once into the hub registry at finalize, the
                     # same one-shot contract as the fault-source merge.
@@ -638,7 +679,7 @@ class WorkloadRunner:
             makespan_ns=makespan,
             throughput_by_workers=by_workers,
             event_trace=trace.report() if trace is not None else None,
-            metrics=metrics_snapshot if config.collect_metrics else None,
+            metrics=metrics_snapshot if options.collect_metrics else None,
             page_traces=tracer.snapshot() if tracer is not None else None,
             resource_usage={
                 key: usage.as_dict()
@@ -646,9 +687,10 @@ class WorkloadRunner:
             },
             tenant_breakdown=(
                 tenant_breakdown(metrics_snapshot)
-                if config.track_tenants else None
+                if options.track_tenants else None
             ),
             decision_trace=(
                 decisions.report() if decisions is not None else None
             ),
+            batch_runs=self.bm.batch_path.fast_runs - fast_runs_before,
         )

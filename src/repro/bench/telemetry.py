@@ -7,9 +7,10 @@ This module adds a **strictly out-of-band** side channel:
 
 * a :class:`TelemetryChannel` wraps a ``multiprocessing.Manager``
   queue proxy — unlike a plain ``multiprocessing.Queue``, a manager
-  proxy pickles, so it can ride inside the executor's per-submission
-  :class:`~repro.bench.executor.ExecContext` into pool workers that
-  were forked long before the channel existed;
+  proxy pickles, so it can ride as the ``telemetry`` field of the
+  :class:`~repro.bench.harness.RunOptions` every executor submission
+  carries, into pool workers that were forked long before the channel
+  existed;
 * workers emit small dict events — cell started (with the expected op
   count), periodic progress (phase, ops done of expected), cell
   finished, chaos case started/finished — via fire-and-forget
@@ -42,7 +43,8 @@ class TelemetryChannel:
     """A picklable, fire-and-forget event channel into the session.
 
     Built by :func:`open_channel` in the session process; travels into
-    workers via :class:`~repro.bench.executor.ExecContext`.  ``emit``
+    workers as :attr:`RunOptions.telemetry
+    <repro.bench.harness.RunOptions.telemetry>`.  ``emit``
     never raises and never blocks the measured workload: any transport
     failure (manager gone, queue full, interpreter shutdown) drops the
     event silently — telemetry is advisory by design.

@@ -60,6 +60,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import contextvars
+import dataclasses
 import json
 import sys
 import time
@@ -85,17 +86,9 @@ def main(argv: list[str] | None = None) -> int:
         prog="repro-experiments",
         description="Reproduce the Spitfire (SIGMOD '21) evaluation.",
     )
-    parser.add_argument("experiments", nargs="*",
-                        help="experiment ids (e.g. fig6 table2)")
-    parser.add_argument("--all", action="store_true",
-                        help="run every experiment in paper order")
+    _add_suite_arguments(parser)
     parser.add_argument("--list", action="store_true",
                         help="list available experiment ids")
-    parser.add_argument("--full", action="store_true",
-                        help="full effort (longer runs, more points)")
-    parser.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
-                        help="worker processes per experiment (default: 1; "
-                             "results are identical at any job count)")
     parser.add_argument("--out", metavar="DIR",
                         help="directory for JSON result files (plus a "
                              "run_summary.json digest for the report "
@@ -104,7 +97,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="collect per-cell metrics and write Prometheus "
                              "text exposition to PATH (and a JSONL snapshot "
                              "stream to PATH with a .jsonl suffix)")
-    _add_telemetry_arguments(parser)
     parser.add_argument("--decision-trace-out", metavar="PATH",
                         help="write the sampled decision spans as JSONL to "
                              "PATH (implies per-cell collection; needs "
@@ -117,18 +109,16 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     chosen = _resolve_chosen(parser, args)
-    _validate_trace_fraction(parser, args)
+    options = options_from_args(parser, args)
 
     from .bench import executor
 
     collect = bool(args.metrics_out or args.decision_trace_out)
     aggregator = None
     with contextlib.ExitStack() as stack:
+        stack.enter_context(executor.run_options(options))
         if args.live:
-            aggregator = _attach_live(stack, executor)
-        if args.trace_decisions:
-            stack.enter_context(
-                executor.decision_tracing(args.trace_decisions))
+            aggregator = _attach_live(stack)
         sink, records = _run_experiments(chosen, args, collect=collect)
     if args.metrics_out:
         _export_metrics(args.metrics_out, sink)
@@ -153,37 +143,65 @@ def _resolve_chosen(parser, args) -> list[str]:
     return chosen
 
 
-def _add_telemetry_arguments(parser) -> None:
+def _add_suite_arguments(parser) -> None:
+    """What to run and what to attach: ``main`` and ``serve-metrics``."""
+    parser.add_argument("experiments", nargs="*",
+                        help="experiment ids (e.g. fig6 table2)")
+    parser.add_argument("--all", action="store_true",
+                        help="run every experiment in paper order")
+    parser.add_argument("--full", action="store_true",
+                        help="full effort (longer runs, more points)")
+    parser.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
+                        help="worker processes per experiment (default: 1; "
+                             "results are identical at any job count)")
     parser.add_argument("--live", action="store_true",
                         help="stream worker progress (cells, phase, ops/s, "
                              "ETA) to stderr while the run executes")
-    parser.add_argument("--trace-decisions", type=float, default=None,
+    parser.add_argument("--trace-decisions", type=float, default=0.0,
                         metavar="FRAC",
                         help="record migration/admission/eviction decision "
                              "spans for a hash-sampled page fraction "
-                             "(0 < FRAC <= 1; result JSON is unchanged)")
+                             "(0 <= FRAC <= 1, 0 = off; result JSON is "
+                             "unchanged)")
 
 
-def _validate_trace_fraction(parser, args) -> None:
-    fraction = args.trace_decisions
-    if fraction is not None and not 0.0 < fraction <= 1.0:
-        parser.error("--trace-decisions must be in (0, 1]")
+def options_from_args(parser, args):
+    """The :class:`RunOptions` the parsed flags ask for.
+
+    Every parsed attribute named after a ``RunOptions`` field sets it
+    (``check_golden_figures.py`` gives its ``--with-*`` flags such
+    ``dest`` names and builds its value here too); a value
+    ``RunOptions`` rejects is a usage error.  ``--live`` names a
+    resource with a lifetime, not a value: see :func:`_attach_live`.
+    """
+    from .bench.harness import RunOptions
+
+    chosen = {
+        field.name: getattr(args, field.name)
+        for field in dataclasses.fields(RunOptions)
+        if hasattr(args, field.name)
+    }
+    try:
+        return RunOptions(**chosen)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
-def _attach_live(stack: contextlib.ExitStack, executor):
+def _attach_live(stack: contextlib.ExitStack):
     """Enter a live-telemetry scope on ``stack``; returns the aggregator."""
+    from .bench.executor import run_options
     from .bench.telemetry import ProgressAggregator, open_channel
 
     channel = open_channel()
     aggregator = ProgressAggregator(channel).start()
     stack.callback(channel.close)
     stack.callback(aggregator.stop)
-    stack.enter_context(executor.telemetry_channel(channel))
+    stack.enter_context(run_options(telemetry=channel))
     return aggregator
 
 
 def _run_experiments(chosen: list[str], args,
-                     collect: bool | None = None) -> tuple[list, list]:
+                     collect: bool) -> tuple[list, list]:
     """Run the selected experiments.
 
     Returns ``(sink, records)``: the merged metrics sink (``(label,
@@ -204,17 +222,12 @@ def _run_experiments(chosen: list[str], args,
     """
     from .bench import executor
 
-    if collect is None:
-        collect = bool(args.metrics_out)
     quick = not args.full
 
     def drive(experiment_id: str):
         started = time.time()
-        if collect:
-            with executor.metrics_collection() as sink:
-                result = REGISTRY[experiment_id](quick=quick, jobs=args.jobs)
-        else:
-            sink = []
+        with (executor.metrics_collection() if collect
+              else contextlib.nullcontext([])) as sink:
             result = REGISTRY[experiment_id](quick=quick, jobs=args.jobs)
         record = {
             "experiment_id": experiment_id,
@@ -343,7 +356,7 @@ def chaos_main(argv: list[str]) -> int:
     # chunked tasks (the report stays byte-identical at any --jobs).
     with contextlib.ExitStack() as stack:
         if args.live:
-            _attach_live(stack, executor)
+            _attach_live(stack)
         stack.enter_context(executor.run_session(jobs=args.jobs))
         report = run_crash_matrix(
             policies=tuple(args.policies),
@@ -454,13 +467,7 @@ def serve_metrics_main(argv: list[str]) -> int:
         description="Run experiments while serving the Prometheus "
                     "exporter over HTTP, scrapable live mid-run.",
     )
-    parser.add_argument("experiments", nargs="*",
-                        help="experiment ids (e.g. fig6 table2)")
-    parser.add_argument("--all", action="store_true",
-                        help="run every experiment in paper order")
-    parser.add_argument("--full", action="store_true",
-                        help="full effort (longer runs, more points)")
-    parser.add_argument("--jobs", "-j", type=int, default=1, metavar="N")
+    _add_suite_arguments(parser)
     parser.add_argument("--host", default="127.0.0.1",
                         help="bind address (default: 127.0.0.1)")
     parser.add_argument("--port", type=int, default=0,
@@ -470,17 +477,17 @@ def serve_metrics_main(argv: list[str]) -> int:
     parser.add_argument("--metrics-out", metavar="PATH",
                         help="also write the final export to PATH and "
                              "assert the last scrape equals it exactly")
-    _add_telemetry_arguments(parser)
     args = parser.parse_args(argv)
 
     chosen = _resolve_chosen(parser, args)
-    _validate_trace_fraction(parser, args)
+    options = options_from_args(parser, args)
 
     from .bench import executor
     from .obs.export import merge_snapshots, prometheus_text
     from .obs.server import MetricsServer
 
     with contextlib.ExitStack() as stack:
+        stack.enter_context(executor.run_options(options))
         # One suite-wide metrics scope: the pool appends each finished
         # cell to this sink, so the provider renders a growing registry.
         sink = stack.enter_context(executor.metrics_collection())
@@ -493,10 +500,7 @@ def serve_metrics_main(argv: list[str]) -> int:
             MetricsServer(provider, host=args.host, port=args.port))
         print(f"   serving live metrics at {server.url}")
         if args.live:
-            _attach_live(stack, executor)
-        if args.trace_decisions:
-            stack.enter_context(
-                executor.decision_tracing(args.trace_decisions))
+            _attach_live(stack)
         _run_experiments(chosen, args, collect=False)
         final_scrape = server.scrape()
         served = server.requests_served
@@ -633,6 +637,15 @@ def serve_bench_main(argv: list[str]) -> int:
     across runs and ``--jobs`` values).  ``--overload`` runs the
     bounded-p99-versus-unbounded-queueing comparison instead.
     """
+    from .serve.bench import (
+        OVERLOAD_FACTOR,
+        ServeBenchConfig,
+        run_overload_experiment,
+        run_serve_bench,
+    )
+    from .serve.admission import AdmissionConfig
+    from .serve.slo import render_slo_report, slo_report_json
+
     parser = argparse.ArgumentParser(
         prog="repro-experiments serve-bench",
         description="Measure serving SLOs (latency quantiles, shed "
@@ -658,18 +671,11 @@ def serve_bench_main(argv: list[str]) -> int:
                         help="disable shedding (unbounded queueing)")
     parser.add_argument("--overload", action="store_true",
                         help="run the overload comparison (admission on "
-                             "vs off at 30x the arrival rate)")
+                             f"vs off at {OVERLOAD_FACTOR:g}x the arrival "
+                             "rate)")
     parser.add_argument("--out", metavar="PATH",
                         help="write the SLO report JSON to PATH")
     args = parser.parse_args(argv)
-
-    from .serve.bench import (
-        ServeBenchConfig,
-        run_overload_experiment,
-        run_serve_bench,
-    )
-    from .serve.admission import AdmissionConfig
-    from .serve.slo import render_slo_report, slo_report_json
 
     config = ServeBenchConfig(
         seed=args.seed,
@@ -688,7 +694,7 @@ def serve_bench_main(argv: list[str]) -> int:
         summary = result["summary"]
         on = result["legs"]["admission_on"]["totals"]
         print(f"serve-bench overload: {on['arrivals']} arrivals at "
-              f"{config.rate_ops_per_s * 30:,.0f} ops/s  "
+              f"{config.rate_ops_per_s * OVERLOAD_FACTOR:,.0f} ops/s  "
               f"[{time.time() - started:.1f}s]")
         print(f"   admission on : shed={summary['shed_rate_on']:.1%}  "
               f"p99={summary['p99_on_ns']:,.0f}ns")

@@ -56,6 +56,10 @@ class BatchAccessPath:
         self.hierarchy = hierarchy
         self.events = events
         self.config = config
+        #: Runs executed vectorised since construction (one per
+        #: published :class:`OpBatchSummary`); 0 means every batch so
+        #: far fell back to the per-op path.
+        self.fast_runs = 0
 
     # ------------------------------------------------------------------
     # Fast-path eligibility
@@ -181,6 +185,7 @@ class BatchAccessPath:
         replacement pass, two batched charges, and one bus summary.
         """
         m = len(ids)
+        self.fast_runs += 1
         cost: CostAccumulator = self.hierarchy.cost
         lookup_fp = to_fp(self.hierarchy.cpu_costs.lookup_ns)
         base_fp = cost.total_fp

@@ -322,9 +322,9 @@ class CrashCase:
 
 def run_crash_case(case: CrashCase) -> dict:
     """Replay one case: crash, recover, check invariants.  Picklable."""
-    from ..bench.executor import active_telemetry
+    from ..bench.executor import current_options
 
-    channel = active_telemetry()
+    channel = current_options().telemetry
     if channel is not None:
         channel.emit("case_start", case=case.case_id)
     engine, handle = build_case_engine(case.policy, case.config,

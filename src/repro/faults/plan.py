@@ -23,10 +23,9 @@ actually fails:
   tail / last page write when it crashes the system.
 
 Plans are plain frozen dataclasses over tuples and ints, so they pickle
-cleanly into executor worker processes — the
-:func:`~repro.bench.executor.fault_plan_injection` scope carries the
-pickled plan to every worker inside each submission's
-:class:`~repro.bench.executor.ExecContext`.
+cleanly into executor worker processes — as the ``fault_plan`` field of
+the :class:`~repro.bench.harness.RunOptions` value every submission
+carries (``run_options(fault_plan=plan)``).
 """
 
 from __future__ import annotations

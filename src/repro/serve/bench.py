@@ -35,6 +35,7 @@ from ..hardware.specs import DEFAULT_SCALE
 from ..workloads.tenancy import TenantSpec
 from .admission import AdmissionConfig, AdmissionController, Overloaded
 from .loadgen import LoadSchedule, LoadSpec, build_schedule
+from .server import execute_op
 from .slo import LatencySample, build_slo_report
 
 __all__ = [
@@ -149,11 +150,16 @@ def simulate_serving(
 ) -> tuple[list[LatencySample], list[tuple[str, str, str]], float]:
     """Serve one schedule through the virtual-time single dispatcher.
 
-    Returns ``(samples, sheds, makespan_s)``.  The model mirrors the
-    live server exactly: one serial dispatcher, admission decided at
+    Returns ``(samples, sheds, makespan_s)``.  The model is the live
+    server's: one serial dispatcher running the same
+    :func:`~repro.serve.server.execute_op`, admission decided at
     arrival time, a request's queue slot held until it finishes.
     Completions are retired before each arrival's admission check —
     FIFO service means the in-flight deque is finish-ordered for free.
+    One thing the twin has that the wire does not: a schedule's think
+    time, which the protocol has no field for — on a think-free
+    schedule replayed in order the two agree op for op
+    (``tests/test_serve_server.py`` holds them to it).
     """
     hierarchy = bm.hierarchy
     in_flight: deque[tuple[float, int]] = deque()
@@ -173,18 +179,9 @@ def simulate_serving(
             continue
         start_ns = max(now_ns, server_free_ns)
         before_ns = hierarchy.cost.total_ns
-        if not bm.page_exists(arrival.page_id):
-            # TPC-C insert regions grow during the run — same
-            # allocate-on-first-touch the batch harness uses.
-            bm.allocate_page(arrival.page_id)
-        if arrival.kind == "write":
-            bm.write(arrival.page_id, arrival.offset, arrival.nbytes,
-                     arrival.tenant_id)
-        else:
-            bm.read(arrival.page_id, arrival.offset, arrival.nbytes,
-                    arrival.tenant_id)
-        if arrival.think_ns:
-            hierarchy.charge_cpu(arrival.think_ns)
+        execute_op(bm, arrival.kind == "write", arrival.page_id,
+                   arrival.offset, arrival.nbytes, arrival.tenant_id,
+                   arrival.think_ns)
         service_ns = hierarchy.cost.total_ns - before_ns
         finish_ns = start_ns + service_ns
         server_free_ns = finish_ns

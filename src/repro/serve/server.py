@@ -54,12 +54,32 @@ from . import protocol
 from .admission import AdmissionConfig, AdmissionController, Overloaded, OverloadReason
 from .slo import LatencySample, build_slo_report
 
-__all__ = ["ServeConfig", "SpitfireServer"]
+__all__ = ["ServeConfig", "SpitfireServer", "execute_op"]
 
 #: Longest ``txn`` op list one dispatch slot may hold.
 MAX_TXN_OPS = 128
 #: Longest ``read_batch`` a single request may carry.
 MAX_BATCH_PAGES = 4096
+
+
+def execute_op(bm: BufferManager, is_write: bool, page_id: int, offset: int,
+               nbytes: int, tenant_id: int, think_ns: float = 0.0) -> None:
+    """Serve one read or write — the live dispatcher and the twin
+    (:func:`repro.serve.bench.simulate_serving`) both run exactly this.
+
+    Pages are allocated on first touch (TPC-C insert regions grow, live
+    clients may name any page of their range); ``think_ns`` is charged
+    as CPU service after the access.  The wire protocol has no think
+    field, so the live server always passes 0.
+    """
+    if not bm.page_exists(page_id):
+        bm.allocate_page(page_id)
+    if is_write:
+        bm.write(page_id, offset, nbytes, tenant_id)
+    else:
+        bm.read(page_id, offset, nbytes, tenant_id)
+    if think_ns:
+        bm.hierarchy.charge_cpu(think_ns)
 
 
 @dataclass(frozen=True)
@@ -327,20 +347,16 @@ class SpitfireServer:
     # ------------------------------------------------------------------
     # Data-op closures (run inside the dispatcher, serially)
     # ------------------------------------------------------------------
-    def _ensure_page(self, page_id: int) -> None:
-        if not self.bm.page_exists(page_id):
-            self.bm.allocate_page(page_id)
-
     def _closure_for(self, op: str, message: dict, tenant_id: int):
+        bm = self.bm
         if op in ("read", "write"):
             page_id = _int_field(message, "page_id")
             offset = _int_field(message, "offset", default=0)
             nbytes = _int_field(message, "nbytes", default=64, minimum=1)
-            method = self.bm.read if op == "read" else self.bm.write
+            is_write = op == "write"
 
             def data_op():
-                self._ensure_page(page_id)
-                method(page_id, offset, nbytes, tenant_id)
+                execute_op(bm, is_write, page_id, offset, nbytes, tenant_id)
                 return {}
 
             return data_op
@@ -354,8 +370,9 @@ class SpitfireServer:
 
             def batch_op():
                 for page_id in page_ids:
-                    self._ensure_page(page_id)
-                self.bm.read_batch(page_ids, offsets, nbytes, tenant_id)
+                    if not bm.page_exists(page_id):
+                        bm.allocate_page(page_id)
+                bm.read_batch(page_ids, offsets, nbytes, tenant_id)
                 return {"pages": len(page_ids)}
 
             return batch_op
@@ -372,7 +389,7 @@ class SpitfireServer:
                     raise protocol.ProtocolError(
                         "txn ops need kind read|write")
                 steps.append((
-                    sub["kind"],
+                    sub["kind"] == "write",
                     _int_field(sub, "page_id"),
                     _int_field(sub, "offset", default=0),
                     _int_field(sub, "nbytes", default=64, minimum=1),
@@ -381,12 +398,9 @@ class SpitfireServer:
             def txn_op():
                 # All steps execute inside one dispatch slot: no other
                 # session's op interleaves with this transaction.
-                for kind, page_id, offset, nbytes in steps:
-                    self._ensure_page(page_id)
-                    if kind == "read":
-                        self.bm.read(page_id, offset, nbytes, tenant_id)
-                    else:
-                        self.bm.write(page_id, offset, nbytes, tenant_id)
+                for is_write, page_id, offset, nbytes in steps:
+                    execute_op(bm, is_write, page_id, offset, nbytes,
+                               tenant_id)
                 return {"ops": len(steps)}
 
             return txn_op

@@ -1,6 +1,6 @@
 """The columnar batch path's byte-identity contract.
 
-``RunConfig(batch_size=N)`` drives the exact operation stream of the
+``RunOptions(batch_size=N)`` drives the exact operation stream of the
 per-op loop through :class:`~repro.core.batch_path.BatchAccessPath`,
 which vectorizes contiguous top-tier read hits and falls back to the
 per-op :class:`~repro.core.access_path.AccessPath` for everything else.
@@ -22,14 +22,7 @@ import functools
 
 import pytest
 
-from repro.bench.executor import (
-    Cell,
-    Effort,
-    active_batch_size,
-    batch_execution,
-    fault_plan_injection,
-    run_cell,
-)
+from repro.bench.executor import Cell, Effort, run_cell, run_options
 from repro.core.buffer_manager import BufferManager, BufferManagerConfig
 from repro.core.policy import SPITFIRE_EAGER, SPITFIRE_LAZY
 from repro.faults.plan import FaultPlan
@@ -77,6 +70,12 @@ def _fingerprint(result) -> dict:
     }
 
 
+def _measured(cell: Cell, **options) -> dict:
+    """Fingerprint of ``cell`` run with metrics attached under ``options``."""
+    with run_options(collect_metrics=True, **options):
+        return _fingerprint(run_cell(cell))
+
+
 def _ycsb_cell(mix: str, **kwargs) -> Cell:
     return Cell.ycsb(f"batch-eq/{mix}", SHAPE, SPITFIRE_LAZY, mix, 10.0,
                      effort=TINY, extra_worker_counts=(), **kwargs)
@@ -85,44 +84,34 @@ def _ycsb_cell(mix: str, **kwargs) -> Cell:
 @functools.lru_cache(maxsize=None)
 def _ycsb_baseline(mix: str) -> str:
     """Per-op fingerprint, rendered comparable and cached across params."""
-    return repr(_fingerprint(run_cell(_ycsb_cell(mix, collect_metrics=True))))
+    return repr(_measured(_ycsb_cell(mix)))
 
 
 class TestRunEquivalence:
     @pytest.mark.parametrize("mix", sorted(MIXES))
     @pytest.mark.parametrize("batch_size", BATCH_SIZES)
     def test_ycsb_batched_equals_per_op(self, mix, batch_size):
-        with batch_execution(batch_size):
-            batched = run_cell(_ycsb_cell(mix, collect_metrics=True))
-        assert repr(_fingerprint(batched)) == _ycsb_baseline(mix)
+        batched = _measured(_ycsb_cell(mix), batch_size=batch_size)
+        assert repr(batched) == _ycsb_baseline(mix)
 
     def test_tpcc_batched_equals_per_op(self):
         cell = Cell.tpcc("batch-eq/tpcc", SHAPE, SPITFIRE_LAZY, 10.0,
-                         effort=TINY, extra_worker_counts=(),
-                         collect_metrics=True)
-        baseline = _fingerprint(run_cell(cell))
-        with batch_execution(1024):
-            batched = _fingerprint(run_cell(cell))
-        assert batched == baseline
+                         effort=TINY, extra_worker_counts=())
+        assert _measured(cell, batch_size=1024) == _measured(cell)
 
     def test_sampling_boundaries_mid_batch(self):
         """Batches larger than the sampling interval split correctly."""
         cell = Cell.ycsb("batch-eq/crossing", SHAPE, SPITFIRE_LAZY,
                          "YCSB-BA", 10.0, effort=CROSSING,
-                         extra_worker_counts=(), collect_metrics=True)
-        baseline = _fingerprint(run_cell(cell))
-        with batch_execution(1024):
-            batched = _fingerprint(run_cell(cell))
-        assert batched == baseline
+                         extra_worker_counts=())
+        assert _measured(cell, batch_size=1024) == _measured(cell)
 
     def test_equivalence_with_noop_fault_wrappers(self):
         """The contract holds with FaultyDevice wrappers installed."""
-        cell = _ycsb_cell("YCSB-BA", collect_metrics=True)
-        with fault_plan_injection(FaultPlan.none()):
-            baseline = _fingerprint(run_cell(cell))
-            with batch_execution(64):
-                batched = _fingerprint(run_cell(cell))
-        assert batched == baseline
+        cell = _ycsb_cell("YCSB-BA")
+        plan = FaultPlan.none()
+        assert _measured(cell, fault_plan=plan, batch_size=64) == \
+            _measured(cell, fault_plan=plan)
 
     def test_eager_policy_and_event_trace(self):
         """A migration-heavy policy exercises the slow-path fallback."""
@@ -130,22 +119,20 @@ class TestRunEquivalence:
                          10.0, effort=TINY, extra_worker_counts=(),
                          trace_events=True)
         baseline = _fingerprint(run_cell(cell))
-        with batch_execution(64):
+        with run_options(batch_size=64):
             batched = _fingerprint(run_cell(cell))
         assert batched == baseline
 
-    def test_batch_size_env_scope(self):
-        assert active_batch_size() is None
-        with batch_execution(64):
-            assert active_batch_size() == 64
-            with batch_execution(7):
-                assert active_batch_size() == 7
-            assert active_batch_size() == 64
-        assert active_batch_size() is None
+    def test_only_batch_runs_tells_a_batched_run_apart(self):
+        """The one result field batching may change: vectorised runs."""
+        cell = _ycsb_cell("YCSB-RO")
+        assert run_cell(cell).batch_runs == 0
+        with run_options(batch_size=64):
+            assert run_cell(cell).batch_runs > 0
 
     def test_batch_size_must_be_positive(self):
         with pytest.raises(ValueError):
-            with batch_execution(0):
+            with run_options(batch_size=0):
                 pass
 
 

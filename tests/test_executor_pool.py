@@ -1,13 +1,14 @@
-"""The persistent worker pool: reuse, context transport, fallback.
+"""The persistent worker pool: reuse, run-option transport, fallback.
 
-PR 7's executor rework replaced per-batch pools with one session-scoped
-persistent pool and moved scope transport from inherited environment
-variables to an explicit per-submission :class:`ExecContext`.  These
-tests pin the new machinery down:
+One session-scoped persistent pool serves every batch, and what a run
+attaches to its cells travels as one :class:`RunOptions` value inside
+each submission.  These tests pin the machinery down:
 
 * the pool survives across batches (same generation, warm reuse);
-* scopes entered *after* the pool exists still reach workers — the
-  adversarial ordering that fork-inheritance transport gets wrong;
+* the ``run_options`` scope: default, nesting, restore, validation;
+* options set *after* the pool exists still reach workers — every
+  field of them — the adversarial ordering that fork-inheritance
+  transport gets wrong;
 * wholesale worker death degrades to a serial rerun with identical
   results, and the next parallel batch gets a fresh pool;
 * the chunk planner covers every item contiguously and submits the
@@ -16,7 +17,13 @@ tests pin the new machinery down:
 
 from __future__ import annotations
 
+import contextvars
+import dataclasses
+import functools
+import io
 import os
+import threading
+from multiprocessing.managers import BaseProxy
 
 import pytest
 
@@ -25,21 +32,19 @@ from repro.bench.executor import (
     Cell,
     CellBatch,
     Effort,
-    ExecContext,
+    _exec_chunk,
     _plan_chunks,
-    active_batch_size,
-    active_fault_plan,
-    batch_execution,
-    current_context,
-    fault_plan_injection,
-    metrics_collected,
+    current_options,
     metrics_collection,
     pool_info,
     run_cells,
+    run_options,
     run_session,
     run_tasks,
     warm_pool,
 )
+from repro.bench.harness import RunOptions
+from repro.bench.telemetry import ProgressAggregator, open_channel
 from repro.core.policy import SPITFIRE_LAZY
 from repro.faults.plan import FaultPlan
 from repro.hardware.pricing import HierarchyShape
@@ -123,20 +128,206 @@ class TestPoolPersistence:
         assert session.batches == 0
 
 
+class TestRunOptionsScope:
+    def test_default_outside_any_scope(self):
+        assert current_options() == RunOptions()
+        assert RunOptions() == RunOptions(
+            collect_metrics=False, batch_size=1, fault_plan=None,
+            track_tenants=False, telemetry=None, trace_decisions=0.0)
+
+    def test_scope_sets_and_restores_every_named_field(self):
+        plan = FaultPlan.seeded(7, read_error_rate=0.01)
+        with run_options(collect_metrics=True, batch_size=64,
+                         fault_plan=plan) as options:
+            assert current_options() is options
+            assert options == RunOptions(collect_metrics=True,
+                                         batch_size=64, fault_plan=plan)
+        assert current_options() == RunOptions()
+
+    def test_nested_scope_wins_for_the_fields_it_names(self):
+        with run_options(batch_size=64, track_tenants=True) as outer:
+            with run_options(batch_size=7, trace_decisions=0.5):
+                assert current_options() == RunOptions(
+                    batch_size=7, track_tenants=True, trace_decisions=0.5)
+            assert current_options() is outer
+        assert current_options() == RunOptions()
+
+    def test_restored_after_an_exception(self):
+        with pytest.raises(RuntimeError):
+            with run_options(track_tenants=True):
+                raise RuntimeError("escape")
+        assert current_options() == RunOptions()
+
+    @pytest.mark.parametrize("bad", [
+        dict(batch_size=0), dict(batch_size=-3),
+        dict(trace_decisions=-0.1), dict(trace_decisions=1.5),
+    ])
+    def test_invalid_values_rejected_however_built(self, bad):
+        with pytest.raises(ValueError):
+            RunOptions(**bad)
+        with pytest.raises(ValueError):
+            dataclasses.replace(RunOptions(), **bad)
+        with pytest.raises(ValueError):
+            with run_options(**bad):
+                pass
+        assert current_options() == RunOptions()
+
+    def test_unknown_option_rejected(self):
+        with pytest.raises(TypeError):
+            with run_options(batch=64):
+                pass
+
+    def test_driver_threads_keep_separate_sinks(self):
+        """The CLI's suite session: each driver thread runs in a copy of
+        the submitting context, so per-driver metrics sinks never mix
+        while options set before the session are inherited."""
+        sinks = {}
+
+        def drive(name: str) -> None:
+            with metrics_collection() as sink:
+                run_cells([tiny_cell(name)], jobs=1)
+            sinks[name] = (sink, current_options())
+
+        with run_options(trace_decisions=0.25):
+            threads = [
+                threading.Thread(
+                    target=contextvars.copy_context().run,
+                    args=(drive, name))
+                for name in ("left", "right")
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        for name in ("left", "right"):
+            sink, after = sinks[name]
+            assert [label for label, _ in sink] == [name]
+            assert sink[0][1].decision_trace is not None
+            assert after == RunOptions(trace_decisions=0.25)
+
+
+def _series_names(result) -> set[str]:
+    return {entry["name"] for entry in result.metrics["registry"].values()}
+
+
+#: One entry per RunOptions field: a non-default value (a factory, so
+#: resources are built inside the test) and a check that the option took
+#: effect on a result — ``check(result, baseline)`` with ``baseline`` the
+#: same cell run under default options.
+FIELD_CASES = {
+    "collect_metrics": (
+        lambda: True,
+        lambda result, baseline: result.metrics is not None
+        and baseline.metrics is None),
+    "batch_size": (
+        lambda: 64,
+        lambda result, baseline: result.batch_runs > 0
+        and baseline.batch_runs == 0
+        and result.stats == baseline.stats
+        and result.resource_usage == baseline.resource_usage),
+    "fault_plan": (
+        lambda: FaultPlan.seeded(7, device_keys=("dram", "nvm", "ssd"),
+                                 spike_rate=0.05),
+        lambda result, baseline: result.stats == baseline.stats
+        and result.makespan_ns > baseline.makespan_ns),
+    "track_tenants": (
+        lambda: True,
+        lambda result, baseline: set(result.tenant_breakdown) == {0}
+        and baseline.tenant_breakdown is None),
+    "telemetry": (
+        open_channel,
+        lambda result, baseline: result.throughput == baseline.throughput),
+    "trace_decisions": (
+        lambda: 1.0,
+        lambda result, baseline: result.decision_trace is not None
+        and baseline.decision_trace is None),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _default_run():
+    """Four cells and their results under default options."""
+    cells = tuple(tiny_cell(f"opt{i}") for i in range(4))
+    return cells, run_cells(cells, jobs=1)
+
+
+def _run_batch(cells, jobs: int, name: str, value):
+    """Run ``cells`` with option ``name`` set to ``value``.
+
+    Returns the results and, for the telemetry option, the number of
+    events the channel delivered — ``stop()`` drains up to its own
+    sentinel, so the count is exact once it returns.
+    """
+    aggregator = None
+    if name == "telemetry":
+        aggregator = ProgressAggregator(value, stream=io.StringIO()).start()
+    try:
+        with run_options(**{name: value}):
+            results = run_cells(cells, jobs=jobs)
+    finally:
+        if aggregator is not None:
+            aggregator.stop(final_line=False)
+    events = aggregator.summary()["events_seen"] if aggregator else None
+    return results, events
+
+
 class TestContextAfterPool:
+    def test_every_field_has_a_case(self):
+        assert set(FIELD_CASES) == \
+            {field.name for field in dataclasses.fields(RunOptions)}
+
+    def test_install_round_trips_into_ambient_state(self):
+        """The worker-side entry installs exactly the value it is handed
+        around its chunk, whatever the worker's own ambient state."""
+        shipped = RunOptions(collect_metrics=True, batch_size=32)
+        with run_options(track_tenants=True):
+            outcomes = _exec_chunk(lambda _: current_options(), (0, 1),
+                                   shipped)
+            assert current_options() == RunOptions(track_tenants=True)
+        assert outcomes == [(True, shipped), (True, shipped)]
+
+    @pool_required
+    @pytest.mark.parametrize(
+        "name", [field.name for field in dataclasses.fields(RunOptions)])
+    def test_field_set_after_pool_reaches_workers(self, name):
+        """The adversarial ordering, one field at a time: fork the
+        workers first, THEN set the option.  Only the value each
+        submission carries can bring it to the workers; what they
+        compute must show the option's effect and equal the serial
+        run."""
+        assert warm_pool(2)
+        make_value, took_effect = FIELD_CASES[name]
+        cells, baseline = _default_run()
+        value = make_value()
+        try:
+            if name == "telemetry" and not isinstance(value.queue, BaseProxy):
+                pytest.skip("no multiprocessing.Manager here: worker "
+                            "events cannot cross processes")
+            serial, serial_events = _run_batch(cells, 1, name, value)
+            pooled, pooled_events = _run_batch(cells, 2, name, value)
+        finally:
+            if name == "telemetry":
+                value.close()
+        for result, reference in zip(pooled, baseline):
+            assert took_effect(result, reference)
+        # RunResult compares field by field: every simulated number,
+        # snapshot, breakdown and trace equals the serial run's.
+        assert pooled == serial
+        assert pooled_events == serial_events
+        assert pooled_events is None or pooled_events >= 3 * len(cells)
+
     @pool_required
     def test_scopes_entered_after_pool_reach_workers(self):
-        """The adversarial ordering: fork the workers first, THEN enter
-        metrics + batching + no-op-fault scopes.  Only the explicit
-        per-submission ExecContext can carry the scopes now, and the
-        parallel run must stay byte-identical to the serial one."""
+        """The same ordering with planes composed — metrics + batching
+        + no-op fault wrappers — down to the exported bytes."""
         assert warm_pool(4)
         cells = [tiny_cell(f"ctx{i}") for i in range(4)]
 
         def collect(jobs: int):
             with metrics_collection() as sink, \
-                    batch_execution(1024), \
-                    fault_plan_injection(FaultPlan.none()):
+                    run_options(batch_size=1024,
+                                fault_plan=FaultPlan.none()):
                 results = run_cells(cells, jobs=jobs)
             lines = [
                 line
@@ -154,32 +345,8 @@ class TestContextAfterPool:
         assert serial_labels == parallel_labels == \
                [c.label for c in cells]
         assert serial_lines == parallel_lines
-
-    def test_current_context_captures_all_scopes(self):
-        assert current_context() == ExecContext()
-        with metrics_collection(), batch_execution(64), \
-                fault_plan_injection(FaultPlan.none()):
-            ctx = current_context()
-        assert ctx.collect_metrics
-        assert ctx.batch_size == 64
-        assert ctx.fault_plan_payload is not None
-        assert not ctx.is_default
-        assert current_context() == ExecContext()
-
-    def test_install_round_trips_into_ambient_state(self):
-        ctx = ExecContext(collect_metrics=True, batch_size=32)
-        assert not metrics_collected()
-        with ctx.install():
-            assert metrics_collected()
-            assert active_batch_size() == 32
-            assert active_fault_plan() is None
-        assert not metrics_collected()
-        assert active_batch_size() is None
-
-    def test_fault_plan_pickled_once_per_scope(self):
-        plan = FaultPlan.seeded(7, read_error_rate=0.01)
-        with fault_plan_injection(plan):
-            assert active_fault_plan() == plan
+        assert all("faults_injected_total" in _series_names(r)
+                   and r.batch_runs > 0 for r in parallel_res)
 
 
 class TestWorkerCrashFallback:

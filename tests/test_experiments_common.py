@@ -7,15 +7,15 @@ from repro.bench.experiments.common import (
     POLICY_SHAPE,
     QUICK,
     SWEEP_PROBS,
+    Cell,
+    Effort,
     build_bm,
     effort,
-    run_tpcc,
-    run_ycsb,
 )
+from repro.bench.executor import run_cell
 from repro.core.policy import NVM_SSD_POLICY, SPITFIRE_LAZY
 from repro.hardware.pricing import HierarchyShape
 from repro.hardware.specs import SimulationScale
-from repro.workloads.ycsb import YCSB_RO
 
 TINY = SimulationScale(pages_per_gb=4)
 
@@ -58,20 +58,18 @@ class TestBuilders:
         assert bm.hierarchy.memory_mode
 
     def test_run_ycsb_end_to_end(self):
-        from repro.bench.experiments.common import Effort
-
-        bm = build_bm(HierarchyShape(1, 4, 100), SPITFIRE_LAZY, scale=TINY)
-        result = run_ycsb(bm, YCSB_RO, db_gb=8.0, scale=TINY,
-                          eff=Effort(warmup_ops=100, measure_ops=200),
-                          extra_worker_counts=(16,))
+        cell = Cell.ycsb("ycsb", HierarchyShape(1, 4, 100), SPITFIRE_LAZY,
+                         "YCSB-RO", 8.0, scale=TINY,
+                         effort=Effort(warmup_ops=100, measure_ops=200),
+                         extra_worker_counts=(16,))
+        result = run_cell(cell)
         assert result.operations == 200
         assert 16 in result.throughput_by_workers
 
     def test_run_tpcc_end_to_end(self):
-        from repro.bench.experiments.common import Effort
-
-        bm = build_bm(HierarchyShape(1, 4, 100), SPITFIRE_LAZY, scale=TINY)
-        result = run_tpcc(bm, db_gb=4.0, scale=TINY,
-                          eff=Effort(warmup_ops=100, measure_ops=200))
+        cell = Cell.tpcc("tpcc", HierarchyShape(1, 4, 100), SPITFIRE_LAZY,
+                         4.0, scale=TINY,
+                         effort=Effort(warmup_ops=100, measure_ops=200))
+        result = run_cell(cell)
         assert result.operations == 200
         assert result.throughput > 0

@@ -9,11 +9,11 @@ from conftest import make_bm
 from repro.bench.executor import (
     Cell,
     Effort,
-    metrics_collected,
+    current_options,
     metrics_collection,
     run_cells,
 )
-from repro.bench.harness import RunConfig, WorkloadRunner
+from repro.bench.harness import RunConfig, RunOptions, WorkloadRunner
 from repro.bench.reporting import ExperimentResult
 from repro.core.buffer_manager import BufferManager
 from repro.core.policy import SPITFIRE_EAGER, SPITFIRE_LAZY
@@ -33,10 +33,13 @@ SHAPE = HierarchyShape(dram_gb=2.0, nvm_gb=8.0, ssd_gb=100.0)
 TINY = Effort(warmup_ops=300, measure_ops=600)
 
 
-def make_runner(**config_kwargs) -> WorkloadRunner:
+def make_runner(collect_metrics: bool = False,
+                **config_kwargs) -> WorkloadRunner:
     hierarchy = StorageHierarchy(SHAPE, SCALE)
     bm = BufferManager(hierarchy, SPITFIRE_EAGER)
-    config = RunConfig(warmup_ops=200, measure_ops=400, **config_kwargs)
+    config = RunConfig(warmup_ops=200, measure_ops=400,
+                       options=RunOptions(collect_metrics=collect_metrics),
+                       **config_kwargs)
     return WorkloadRunner(bm, config)
 
 
@@ -160,10 +163,10 @@ class TestExecutorDeterminism:
         assert serial == parallel
 
     def test_collection_scope_restores_environment(self):
-        assert not metrics_collected()
+        assert not current_options().collect_metrics
         with metrics_collection():
-            assert metrics_collected()
-        assert not metrics_collected()
+            assert current_options().collect_metrics
+        assert not current_options().collect_metrics
 
 
 class TestCliMetricsOut:

@@ -3,17 +3,29 @@
 These tests run a real :class:`~repro.serve.server.SpitfireServer` on a
 loopback socket inside ``asyncio.run`` — wall-clock, so they assert
 behaviour (responses, invariants, drain ordering), never exact bytes;
-the byte-deterministic contracts live in ``test_serve_bench.py``.
+the byte-deterministic contracts live in ``test_serve_bench.py``.  The
+one exception is simulated cost, which the wall clock cannot touch:
+:class:`TestLiveMatchesTwin` holds the live server to the virtual-time
+twin op for op.
 """
 
 import asyncio
+from collections import Counter
 
+from repro.bench.harness import tenant_breakdown
 from repro.faults.plan import FaultPlan
+from repro.obs.hub import MetricsHub
 from repro.serve import protocol
-from repro.serve.admission import AdmissionConfig
-from repro.serve.bench import default_tenants
+from repro.serve.admission import AdmissionConfig, AdmissionController
+from repro.serve.bench import (
+    ServeBenchConfig,
+    _build_bm,
+    default_tenants,
+    simulate_serving,
+)
 from repro.serve.loadgen import LoadSpec, build_schedule, drive_server
 from repro.serve.server import ServeConfig, SpitfireServer
+from repro.workloads.tenancy import TenantSpec
 
 
 def run(coro):
@@ -250,6 +262,89 @@ class TestLoadgenDrive:
             assert summary["served"] == len(schedule.arrivals)
 
         run(scenario())
+
+
+class TestLiveMatchesTwin:
+    """``serve-bench`` stands in for the live server in every pinned
+    SLO number, on the promise that both execute an op the same way.
+    On a think-free schedule (the wire protocol carries no think time)
+    replayed strictly in schedule order the promise is exact: every
+    reply's simulated cost is the twin's service time, the two buffer
+    managers end in the same state, and a tenant-tracking hub on each
+    saw the same ops from the same tenants."""
+
+    #: A skewed read/write tenant plus a TPC-C tenant, whose insert
+    #: regions grow past the loaded database (allocate-on-first-touch),
+    #: over buffers small enough to miss, migrate and evict.
+    TENANTS = (
+        TenantSpec(name="kv", kind="ycsb", mix="YCSB-BA", skew=0.7,
+                   db_gigabytes=1.0, weight=2.0, seed=3),
+        TenantSpec(name="oltp", kind="tpcc", db_gigabytes=1.0, seed=4),
+    )
+
+    def test_in_order_replay_agrees_op_for_op(self):
+        bench = ServeBenchConfig(
+            seed=5, total_ops=600, policy="Spitfire-Lazy",
+            dram_gb=0.25, nvm_gb=1.0, ssd_gb=8.0, tenants=self.TENANTS,
+            admission=AdmissionConfig(enabled=False))
+        schedule = build_schedule(LoadSpec(
+            tenants=self.TENANTS, total_ops=bench.total_ops,
+            seed=bench.seed))
+        assert not any(a.think_ns for a in schedule.arrivals)
+        # Not vacuous: some op is the first touch of an unallocated page.
+        loaded = set(schedule.initial_page_ids())
+        assert any(a.page_id not in loaded for a in schedule.arrivals)
+        twin_bm = _build_bm(bench, schedule)
+        twin_hub = MetricsHub(track_tenants=True).attach(twin_bm)
+        samples, sheds, _ = simulate_serving(
+            schedule, twin_bm, AdmissionController(bench.admission))
+        twin_hub.detach()
+        assert not sheds
+
+        async def scenario():
+            server = SpitfireServer(ServeConfig(
+                policy=bench.policy, dram_gb=bench.dram_gb,
+                nvm_gb=bench.nvm_gb, ssd_gb=bench.ssd_gb,
+                num_tenants=len(self.TENANTS),
+                page_stride=schedule.page_stride, seed=bench.seed,
+                admission=bench.admission))
+            # The twin starts from a loaded database and clean
+            # accounting; so must the live plane.
+            server.bm.allocate_pages(schedule.initial_page_ids())
+            server.hierarchy.reset_accounting()
+            server.bm.reset_stats()
+            hub = MetricsHub(track_tenants=True).attach(server.bm)
+            await server.start()
+            try:
+                sessions = [await Client.connect(server, tenant=tenant)
+                            for tenant in range(len(self.TENANTS))]
+                sim_ns = []
+                for arrival in schedule.arrivals:
+                    reply = await sessions[arrival.tenant_id].call(
+                        arrival.kind, page_id=arrival.page_id,
+                        offset=arrival.offset, nbytes=arrival.nbytes)
+                    assert reply["ok"], reply
+                    sim_ns.append(reply["sim_ns"])
+                for session in sessions:
+                    await session.close()
+                # Before shutdown: its final flush is not part of the
+                # schedule.
+                hub.detach()
+                return sim_ns, server.bm.stats.snapshot(), hub.snapshot()
+            finally:
+                await server.shutdown()
+
+        live_sim_ns, live_stats, live_metrics = run(scenario())
+        assert live_sim_ns == [round(s.service_ns, 3) for s in samples]
+        assert live_stats == twin_bm.stats.snapshot()
+        assert live_stats.ssd_fetches > 0 and live_stats.dram_evictions > 0
+        assert live_metrics == twin_hub.snapshot()
+        ops_by_tenant = {
+            tenant: record["ops"] for tenant, record
+            in tenant_breakdown(live_metrics).items()
+        }
+        assert ops_by_tenant == dict(
+            Counter(a.tenant_id for a in schedule.arrivals))
 
 
 class TestDrain:

@@ -10,12 +10,7 @@ totals, and the executor/experiment surface.
 
 import pytest
 
-from repro.bench.executor import (
-    Cell,
-    Effort,
-    run_cells,
-    tenant_tagging,
-)
+from repro.bench.executor import Cell, Effort, run_cells, run_options
 from repro.core.buffer_manager import BufferManager, BufferManagerConfig
 from repro.core.policy import POLICY_PRESETS, SPITFIRE_EAGER, SPITFIRE_LAZY
 from repro.core.tenancy import (
@@ -348,7 +343,7 @@ class TestSingleTenantIdentity:
                          "YCSB-BA", 2.0, effort=SMALL_EFFORT,
                          extra_worker_counts=())
         baseline = run_cells([cell])[0]
-        with tenant_tagging():
+        with run_options(track_tenants=True):
             tagged = run_cells([cell])[0]
         assert baseline.throughput == tagged.throughput
         assert baseline.stats == tagged.stats
@@ -401,10 +396,10 @@ class TestMetricsReconciliation:
         cell = Cell.ycsb(
             f"recon/{mix}/b{batch_size}", SMALL_SHAPE, SPITFIRE_LAZY,
             mix, 2.0, effort=SMALL_EFFORT, extra_worker_counts=(),
-            collect_metrics=True, track_tenants=True,
-            batch_size=batch_size,
         )
-        result = run_cells([cell])[0]
+        with run_options(collect_metrics=True, track_tenants=True,
+                         batch_size=batch_size):
+            result = run_cells([cell])[0]
         (global_buckets, global_sum), (tenant_buckets, tenant_sum) = \
             reconcile(result)
         assert tenant_buckets == global_buckets
@@ -417,13 +412,14 @@ class TestMetricsReconciliation:
             Cell.ycsb(
                 f"recon-par/{mix}/b{batch_size}", SMALL_SHAPE,
                 SPITFIRE_LAZY, mix, 2.0, effort=SMALL_EFFORT,
-                extra_worker_counts=(), collect_metrics=True,
-                track_tenants=True, batch_size=batch_size,
+                extra_worker_counts=(),
             )
             for mix in sorted(MIXES)
         ]
-        serial = run_cells(cells, jobs=1)
-        parallel = run_cells(cells, jobs=4)
+        with run_options(collect_metrics=True, track_tenants=True,
+                         batch_size=batch_size):
+            serial = run_cells(cells, jobs=1)
+            parallel = run_cells(cells, jobs=4)
         for left, right in zip(serial, parallel):
             assert left.throughput == right.throughput
             assert left.tenant_breakdown == right.tenant_breakdown
@@ -435,8 +431,9 @@ class TestMetricsReconciliation:
     def test_untracked_runs_have_no_tenant_series(self):
         cell = Cell.ycsb("no-tenants", SMALL_SHAPE, SPITFIRE_LAZY,
                          "YCSB-BA", 2.0, effort=SMALL_EFFORT,
-                         extra_worker_counts=(), collect_metrics=True)
-        result = run_cells([cell])[0]
+                         extra_worker_counts=())
+        with run_options(collect_metrics=True):
+            result = run_cells([cell])[0]
         assert not series_by_name(result.metrics, "tenant_ops_total")
         assert not series_by_name(result.metrics, "tenant_op_latency_ns")
 
