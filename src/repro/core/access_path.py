@@ -118,10 +118,14 @@ class AccessPath:
                  page_id)
             shared = self.table.get_or_create(page_id)
             for node in self.chain.nodes:
-                descriptor = node.pool.get(page_id)
+                tier = node.tier
+                # ``shared.copy_on(tier)``, spelled out: every access
+                # reads this pointer, lock-free (a hit that acts on more
+                # than the flat case below revalidates under the latch).
+                descriptor = shared._copies[tier.rank]
                 if descriptor is None:
                     continue
-                tier = node.tier
+                node.pool.replacer.record_access(descriptor.frame_index)
                 emit(EventType.HIT, page_id, tier)
                 if node is self._volatile_top \
                         and isinstance(descriptor.content, Page):
@@ -246,10 +250,8 @@ class AccessPath:
                            src=Tier.SSD)
                 return existing
             descriptor = self.space.insert_with_space(
-                node.tier, content, self.hierarchy.page_size,
-                protect=content.page_id,
+                node.tier, shared, content, self.hierarchy.page_size
             )
-            shared.attach(descriptor)
         # Page installs land at random frame locations: NVM pays its
         # random-write bandwidth (6 GB/s on Optane), DRAM does not care.
         node.write(content.page_id, self.hierarchy.page_size,
@@ -267,8 +269,9 @@ class AccessPath:
                    lower_desc: TierPageDescriptor, lower: TierNode,
                    upper: TierNode, offset: int,
                    nbytes: int) -> TierPageDescriptor:
-        existing = upper.pool.get(shared.page_id)
+        existing = shared.copy_on(upper.tier)
         if existing is not None:
+            upper.pool.replacer.record_access(existing.frame_index)
             return existing
         with shared.latched(upper.tier, lower.tier):
             # §5.2: wait for readers of the lower copy so the upper copy
@@ -289,10 +292,9 @@ class AccessPath:
                 lower.read(shared.page_id, self.hierarchy.page_size)
                 cost.charge_fp(CostAccumulator.CPU, self._page_copy_fp)
                 descriptor = self.space.insert_with_space(
-                    upper.tier, lower_content.clone(), self.hierarchy.page_size,
-                    protect=shared.page_id,
+                    upper.tier, shared, lower_content.clone(),
+                    self.hierarchy.page_size,
                 )
-                shared.attach(descriptor)
                 upper.write(shared.page_id, self.hierarchy.page_size,
                             sequential=True)
             self._emit(EventType.MIGRATE_UP, shared.page_id, tier=upper.tier,

@@ -1,8 +1,7 @@
 """Columnar batch execution over the access path.
 
 :class:`BatchAccessPath` executes a whole array of operations at once
-by partitioning it into *outcome classes* with bulk mapping-table /
-pool probes:
+by partitioning it into *outcome classes* with mapping-table probes:
 
 * the **fast class** — reads that hit the top tier on a plain full
   page — is executed as vectorized array operations: one replacement
@@ -114,62 +113,29 @@ class BatchAccessPath:
             for i in range(n):
                 access(page_ids[i], offsets[i], nbytes, False, tenant_id)
             return
-        probe = top.pool.probe
+        lookup = self.access_path.table.get
+        tier = top.tier
         i = 0
         while i < n:
-            descriptor = probe(page_ids[i])
-            if descriptor is None or not isinstance(descriptor.content, Page):
-                access(page_ids[i], offsets[i], nbytes, False, tenant_id)
-                i += 1
-                continue
-            frames = [descriptor.frame_index]
-            run_start = i
-            j = i + 1
+            # The maximal run of top-tier full-page hits starting at i,
+            # looked up without touching the replacement state: the
+            # touches are replayed in op order by the run itself.
+            frames = []
+            j = i
             while j < n:
-                descriptor = probe(page_ids[j])
+                shared = lookup(page_ids[j])
+                descriptor = shared.copy_on(tier) if shared is not None else None
                 if descriptor is None or not isinstance(descriptor.content, Page):
                     break
                 frames.append(descriptor.frame_index)
                 j += 1
-            self._run_fast_reads(top, page_ids[run_start:j], frames, nbytes,
-                                 tenant_id)
-            i = j
-
-    def execute(self, page_ids, offsets, sizes, is_writes,
-                tenant_id: int = 0) -> None:
-        """Execute a mixed batch in op order.
-
-        Writes and non-uniform slow ops go through the per-op path one
-        by one; maximal runs of reads execute through
-        :meth:`read_batch`'s vectorized scan.  ``sizes`` may be a scalar
-        or a per-op sequence.
-        """
-        if np is not None and isinstance(page_ids, np.ndarray):
-            page_ids = page_ids.tolist()
-        if np is not None and isinstance(offsets, np.ndarray):
-            offsets = offsets.tolist()
-        scalar_size = not hasattr(sizes, "__len__")
-        if np is not None and isinstance(sizes, np.ndarray):
-            sizes = sizes.tolist()
-        if np is not None and isinstance(is_writes, np.ndarray):
-            is_writes = is_writes.tolist()
-        access = self.access_path.access
-        n = len(page_ids)
-        i = 0
-        while i < n:
-            if is_writes[i]:
-                size = sizes if scalar_size else sizes[i]
-                access(page_ids[i], offsets[i], size, True, tenant_id)
+            if frames:
+                self._run_fast_reads(top, page_ids[i:j], frames, nbytes,
+                                     tenant_id)
+                i = j
+            else:
+                access(page_ids[i], offsets[i], nbytes, False, tenant_id)
                 i += 1
-                continue
-            j = i + 1
-            size = sizes if scalar_size else sizes[i]
-            while j < n and not is_writes[j] and (
-                scalar_size or sizes[j] == size
-            ):
-                j += 1
-            self.read_batch(page_ids[i:j], offsets[i:j], size, tenant_id)
-            i = j
 
     # ------------------------------------------------------------------
     # Vectorized execution of one fast run

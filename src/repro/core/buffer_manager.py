@@ -42,7 +42,6 @@ import random
 from dataclasses import dataclass
 
 from ..hardware.cost_model import StorageHierarchy
-from ..hardware.device import Device
 from ..hardware.memory_mode import MemoryModeDevice
 from ..hardware.specs import CACHE_LINE_SIZE, Tier
 from ..pages.granularity import OPTANE_LOADING_UNIT, LoadingUnit
@@ -90,8 +89,6 @@ class BufferManagerConfig:
     admission_queue_size: int | None = None
     #: RNG seed for the policy's Bernoulli draws.
     seed: int = 42
-    #: Shard count of the mapping table.
-    mapping_shards: int = 64
     #: Multi-tenant layout and quota policy; None (the default) runs the
     #: classic single-tenant paths with no tenancy machinery built.
     tenancy: TenancyConfig | None = None
@@ -129,7 +126,7 @@ class BufferManager:
         self.config = config or BufferManagerConfig()
         self.policy_slot = PolicySlot(policy)
         self.rng = random.Random(self.config.seed)
-        self.table = MappingTable(self.config.mapping_shards)
+        self.table = MappingTable()
         self.store = SsdStore(hierarchy.device(Tier.SSD), hierarchy.page_size)
         self.stats = BufferStats()
         self.events = EventBus()
@@ -227,9 +224,6 @@ class BufferManager:
     def wal_guard(self, guard) -> None:
         self.flush_engine.wal_guard = guard
 
-    def _device(self, tier: Tier) -> Device | MemoryModeDevice:
-        return self.hierarchy.device(tier)
-
     # ------------------------------------------------------------------
     # Page lifecycle
     # ------------------------------------------------------------------
@@ -270,8 +264,7 @@ class BufferManager:
         if durable is None:
             return False
         with shared.latched(tier):
-            descriptor = node.pool.insert(durable.clone(), self.hierarchy.page_size)
-            shared.attach(descriptor)
+            node.pool.insert(shared, durable.clone(), self.hierarchy.page_size)
         return True
 
     # ------------------------------------------------------------------
@@ -318,9 +311,11 @@ class BufferManager:
                 "fetch_page requires full-page layouts (fine_grained=False)"
             )
         result = self.write(page_id) if for_write else self.read(page_id)
-        descriptor = self._pool_get(result.served_tier, page_id)
+        tier = result.served_tier
+        descriptor = self.table.get_or_create(page_id).copy_on(tier)
         if descriptor is None:  # pragma: no cover - defensive
             raise RuntimeError(f"page {page_id} vanished after access")
+        self.pools[tier].replacer.record_access(descriptor.frame_index)
         descriptor.pin()
         if for_write:
             descriptor.mark_dirty()
@@ -390,10 +385,3 @@ class BufferManager:
         """Rebuild the mapping table from persistent buffers; see
         :meth:`~repro.core.flush_engine.FlushEngine.recover_mapping_table`."""
         return self.flush_engine.recover_mapping_table()
-
-    # ------------------------------------------------------------------
-    # Internal helpers
-    # ------------------------------------------------------------------
-    def _pool_get(self, tier: Tier, page_id: PageId) -> TierPageDescriptor | None:
-        node = self.chain.get(tier)
-        return node.pool.get(page_id) if node is not None else None

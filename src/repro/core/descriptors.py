@@ -48,16 +48,19 @@ class TierPageDescriptor:
 
     Holds the paper's three fields: user (pin) count, dirty bit, and the
     pointer to the frame content on that device, plus the frame index the
-    buffer pool assigned.
+    buffer pool assigned and the bytes the entry occupies there (a mini
+    page takes ~1 KB of its pool, not a full frame).
     """
 
-    __slots__ = ("tier", "frame_index", "content", "dirty", "pin_count",
-                 "claimed", "_lock")
+    __slots__ = ("tier", "frame_index", "content", "entry_bytes", "dirty",
+                 "pin_count", "claimed", "_lock")
 
-    def __init__(self, tier: Tier, frame_index: int, content: FrameContent) -> None:
+    def __init__(self, tier: Tier, frame_index: int, content: FrameContent,
+                 entry_bytes: int) -> None:
         self.tier = tier
         self.frame_index = frame_index
         self.content = content
+        self.entry_bytes = entry_bytes
         self.dirty = False
         self.pin_count = 0
         #: Set (under the pool lock) by the evictor that picked this
@@ -120,6 +123,13 @@ class _LatchGuard:
 class SharedPageDescriptor:
     """The mapping-table entry for one logical page.
 
+    Its per-tier pointers are the only page → copy map there is: a
+    buffer pool knows its frames, not which page sits in them, so every
+    residency question is ``table.get(page).copy_on(tier)``.  The
+    pointers change only inside :meth:`BufferPool.insert
+    <repro.core.tier_chain.BufferPool.insert>` and ``remove``, together
+    with the frame, under the tier latch the caller holds.
+
     Latches are reentrant so that a code path that already holds a tier
     latch (e.g. an eviction that cascades) does not deadlock on itself.
     """
@@ -157,6 +167,12 @@ class SharedPageDescriptor:
     # Tier copies
     # ------------------------------------------------------------------
     def copy_on(self, tier: Tier) -> TierPageDescriptor | None:
+        """The copy of this page buffered on ``tier``, if any.
+
+        A lock-free read (one list load under the GIL): the copy may be
+        evicted the instant it is returned, so callers that act on it
+        revalidate under the tier latch, or pin it.
+        """
         return self._copies[tier.rank]
 
     def attach(self, descriptor: TierPageDescriptor) -> None:
@@ -175,16 +191,6 @@ class SharedPageDescriptor:
             raise RuntimeError(f"page {self.page_id} has no copy on {tier.name}")
         self._copies[tier.rank] = None
         return descriptor
-
-    # Legacy accessors for the paper's fixed three-tier layout (Fig. 4
-    # names the fields dram_pd / nvm_pd).
-    @property
-    def dram_pd(self) -> TierPageDescriptor | None:
-        return self._copies[Tier.DRAM.rank]
-
-    @property
-    def nvm_pd(self) -> TierPageDescriptor | None:
-        return self._copies[Tier.NVM.rank]
 
     @property
     def resident_tiers(self) -> tuple[Tier, ...]:

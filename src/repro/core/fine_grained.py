@@ -263,7 +263,5 @@ class FineGrainedOps:
             loaded = content.load_lines(first, last - first)
         if loaded:
             self.charge_fine_grained_load(loaded * CACHE_LINE_SIZE)
-        descriptor = self.space.insert_with_space(Tier.DRAM, content, entry_bytes,
-                                                  protect=shared.page_id)
-        shared.attach(descriptor)
-        return descriptor
+        return self.space.insert_with_space(Tier.DRAM, shared, content,
+                                            entry_bytes)

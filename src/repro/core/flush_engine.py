@@ -147,10 +147,9 @@ class FlushEngine:
                     top.read(descriptor.page_id, self.hierarchy.page_size,
                              sequential=True)
                     persist_desc = self.space.insert_with_space(
-                        persist_node.tier, content.clone(),
-                        self.hierarchy.page_size, protect=descriptor.page_id,
+                        persist_node.tier, shared, content.clone(),
+                        self.hierarchy.page_size,
                     )
-                    shared.attach(persist_desc)
                     persist_desc.mark_dirty()
                     persist_node.write(descriptor.page_id,
                                        self.hierarchy.page_size)
@@ -233,7 +232,7 @@ class FlushEngine:
         """
         for node in self.chain.volatile_nodes:
             for descriptor in node.pool.descriptors():
-                node.pool.remove(descriptor)
+                node.pool.remove(self.table.get(descriptor.page_id), descriptor)
         self.table.clear()
 
     def recover_mapping_table(self) -> int:

@@ -1,99 +1,79 @@
 """Unified DRAM-resident mapping table (§5.1, Fig. 4).
 
-Maps logical page identifiers to shared page descriptors for *both* the
-DRAM and NVM buffers.  The paper uses TBB's concurrent hash map; this
-implementation shards the key space over independently locked dicts,
-which gives the same semantics (atomic get-or-create / remove per key)
-with contention limited to one shard.
+Maps logical page identifiers to shared page descriptors for *every*
+buffer tier; the descriptor's per-tier pointers are the only page →
+copy map in the buffer manager.  The paper uses TBB's concurrent hash
+map; here one dict with one mutation lock gives the same semantics
+(atomic get-or-create / remove per key): under the GIL a ``dict.get``
+is already atomic, so readers never lock and only the rare mutations
+serialise.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Callable, Iterator
+from typing import Iterator
 
 from ..pages.page import PageId
 from .descriptors import SharedPageDescriptor
 
 
 class MappingTable:
-    """A sharded concurrent map from page id to shared descriptor."""
+    """A concurrent map from page id to shared descriptor.
 
-    def __init__(self, num_shards: int = 64) -> None:
-        if num_shards <= 0:
-            raise ValueError("num_shards must be positive")
-        self._num_shards = num_shards
-        self._shards: list[dict[PageId, SharedPageDescriptor]] = [
-            {} for _ in range(num_shards)
-        ]
-        self._locks = [threading.Lock() for _ in range(num_shards)]
+    Entries are deliberately *not* dropped when a page loses its last
+    buffered copy: removing one while another thread still holds the
+    shared descriptor would let :meth:`get_or_create` mint a second
+    descriptor for the same page, and the per-page latches would no
+    longer serialise its migrations.  The table is bounded by the pages
+    ever touched (the database size); a crash clears it and recovery
+    rebuilds it from the persistent frames.
+    """
 
-    def _shard(self, page_id: PageId) -> int:
-        return hash(page_id) % self._num_shards
+    def __init__(self) -> None:
+        self._entries: dict[PageId, SharedPageDescriptor] = {}
+        self._lock = threading.Lock()
+        #: ``get(page_id)``: the page's descriptor, or ``None``.  The
+        #: dict's own bound method — lock-free (``dict.get`` is atomic
+        #: under the GIL, and a lock would promise nothing more: the
+        #: entry could be removed the instant it was released) and no
+        #: Python frame on the eviction and batch-scan paths.
+        self.get = self._entries.get
 
     # ------------------------------------------------------------------
-    def get(self, page_id: PageId) -> SharedPageDescriptor | None:
-        index = self._shard(page_id)
-        with self._locks[index]:
-            return self._shards[index].get(page_id)
-
     def get_or_create(self, page_id: PageId) -> SharedPageDescriptor:
         """Atomically look up or insert the descriptor for ``page_id``."""
-        index = hash(page_id) % self._num_shards
-        shard = self._shards[index]
-        # Probe before locking: ``dict.get`` is atomic under the GIL and
-        # entries are never replaced, only removed — and a removal could
-        # equally land the instant the shard lock was released.
-        descriptor = shard.get(page_id)
+        entries = self._entries
+        # Probe before locking: entries are never replaced, only
+        # removed, so a descriptor found here is the page's only one.
+        descriptor = entries.get(page_id)
         if descriptor is not None:
             return descriptor
-        with self._locks[index]:
-            descriptor = shard.get(page_id)
+        with self._lock:
+            descriptor = entries.get(page_id)
             if descriptor is None:
                 descriptor = SharedPageDescriptor(page_id)
-                shard[page_id] = descriptor
+                entries[page_id] = descriptor
             return descriptor
 
     def remove(self, page_id: PageId) -> SharedPageDescriptor | None:
         """Drop the descriptor for ``page_id`` if present."""
-        index = self._shard(page_id)
-        with self._locks[index]:
-            return self._shards[index].pop(page_id, None)
-
-    def remove_if(
-        self,
-        page_id: PageId,
-        predicate: Callable[[SharedPageDescriptor], bool],
-    ) -> bool:
-        """Atomically remove the entry when ``predicate`` holds.
-
-        Used to garbage-collect descriptors whose page no longer has a
-        copy on any buffered tier without racing a concurrent re-admit.
-        """
-        index = self._shard(page_id)
-        with self._locks[index]:
-            shard = self._shards[index]
-            descriptor = shard.get(page_id)
-            if descriptor is not None and predicate(descriptor):
-                del shard[page_id]
-                return True
-            return False
+        with self._lock:
+            return self._entries.pop(page_id, None)
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return sum(len(shard) for shard in self._shards)
+        return len(self._entries)
 
     def __contains__(self, page_id: PageId) -> bool:
-        return self.get(page_id) is not None
+        return page_id in self._entries
 
     def __iter__(self) -> Iterator[SharedPageDescriptor]:
         """Iterate over a snapshot of all descriptors (stats/recovery)."""
-        for index in range(self._num_shards):
-            with self._locks[index]:
-                snapshot = list(self._shards[index].values())
-            yield from snapshot
+        with self._lock:
+            snapshot = list(self._entries.values())
+        return iter(snapshot)
 
     def clear(self) -> None:
-        for index in range(self._num_shards):
-            with self._locks[index]:
-                self._shards[index].clear()
+        with self._lock:
+            self._entries.clear()

@@ -135,15 +135,17 @@ class SpaceManager:
                 continue
             self.evict_from_node(node, victim)
 
-    def insert_with_space(self, tier: Tier, content: FrameContent,
-                          entry_bytes: int,
-                          protect: PageId | None = None) -> TierPageDescriptor:
-        """Reserve space and insert, retrying lost races for free frames."""
+    def insert_with_space(self, tier: Tier, shared: SharedPageDescriptor,
+                          content: FrameContent,
+                          entry_bytes: int) -> TierPageDescriptor:
+        """Reserve space and install ``shared``'s page on ``tier``,
+        retrying lost races for free frames.  The page's own copies are
+        protected from the evictions this may trigger."""
         pool = self.chain.node(tier).pool
         for _ in range(64):
-            self.ensure_space(tier, entry_bytes, protect=protect)
+            self.ensure_space(tier, entry_bytes, protect=shared.page_id)
             try:
-                return pool.insert(content, entry_bytes)
+                return pool.insert(shared, content, entry_bytes)
             except BufferFullError:
                 continue
         raise BufferFullError(  # pragma: no cover - defensive
@@ -257,7 +259,7 @@ class SpaceManager:
         page_id = descriptor.page_id
         shared = self.table.get(page_id)
         if shared is None:  # pragma: no cover - defensive
-            node.pool.remove(descriptor)
+            node.pool.remove(None, descriptor)
             return
         self._emit(EventType.EVICT, page_id, tier=node.tier,
                    dirty=descriptor.dirty)
@@ -279,9 +281,7 @@ class SpaceManager:
                 # Partial layout over a live NVM page: write dirty lines back.
                 with shared.latched(node.tier, Tier.NVM):
                     self.flush.writeback_lines_to_nvm(shared, descriptor)
-                    node.pool.remove(descriptor)
-                    shared.detach(node.tier)
-                self.gc_descriptor(shared)
+                    node.pool.remove(shared, descriptor)
                 return
             content = self.fine.promote_to_full_residency(descriptor)
 
@@ -316,15 +316,14 @@ class SpaceManager:
                         self.store.write_page(content)
                     self._emit(EventType.WRITE_BACK, page_id, tier=Tier.SSD,
                                src=node.tier, dirty=True)
-                    node.pool.remove(descriptor)
-                    shared.detach(node.tier)
+                    node.pool.remove(shared, descriptor)
                     if stale_tier is not None:
                         stale_desc = shared.copy_on(stale_tier)
                         if stale_desc is not None:
                             self._emit(EventType.CLEAN_DROP, page_id,
                                        tier=stale_tier)
-                            self.chain.node(stale_tier).pool.remove(stale_desc)
-                            shared.detach(stale_tier)
+                            self.chain.node(stale_tier).pool.remove(
+                                shared, stale_desc)
         else:
             # Clean pages need no write-back (the SSD copy is valid,
             # §3.3), but they are still *considered* for admission below:
@@ -345,9 +344,7 @@ class SpaceManager:
             else:
                 with shared.latched(node.tier):
                     self._emit(EventType.CLEAN_DROP, page_id, tier=node.tier)
-                    node.pool.remove(descriptor)
-                    shared.detach(node.tier)
-        self.gc_descriptor(shared)
+                    node.pool.remove(shared, descriptor)
 
     def admit_eviction_to_lower(self, shared: SharedPageDescriptor,
                                 descriptor: TierPageDescriptor, content: Page,
@@ -367,13 +364,11 @@ class SpaceManager:
                 if descriptor.dirty:
                     lower_desc.mark_dirty()
             else:
-                node.pool.remove(descriptor)
-                shared.detach(node.tier)
+                node.pool.remove(shared, descriptor)
                 lower_desc = self.insert_with_space(
-                    lower.tier, content.clone(), self.hierarchy.page_size,
-                    protect=page_id,
+                    lower.tier, shared, content.clone(),
+                    self.hierarchy.page_size,
                 )
-                shared.attach(lower_desc)
                 lower.write(page_id, self.hierarchy.page_size)
                 if lower.persistent:
                     lower.device.persist_barrier()
@@ -383,18 +378,6 @@ class SpaceManager:
                            src=node.tier, dirty=descriptor.dirty)
                 return
             # The lower copy already existed: just drop the upper frame.
-            node.pool.remove(descriptor)
-            shared.detach(node.tier)
+            node.pool.remove(shared, descriptor)
             self._emit(EventType.MIGRATE_DOWN, page_id, tier=lower.tier,
                        src=node.tier, dirty=descriptor.dirty)
-
-    def gc_descriptor(self, shared: SharedPageDescriptor) -> None:
-        """Mapping entries are deliberately *not* garbage collected.
-
-        Removing an entry while another thread still holds the shared
-        descriptor would let ``get_or_create`` mint a second descriptor
-        for the same page, and the per-page latches would no longer
-        serialise migrations.  The table is bounded by the number of
-        pages ever touched (the database size), so retention is cheap;
-        ``simulate_crash``/``recover_mapping_table`` still rebuild it.
-        """

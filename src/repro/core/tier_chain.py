@@ -22,7 +22,7 @@ from ..hardware.memory_mode import MemoryModeDevice
 from ..hardware.specs import BUFFER_TIER_ORDER, Tier
 from ..pages.page import PageId
 from ..replacement import make_replacer
-from .descriptors import TierPageDescriptor
+from .descriptors import SharedPageDescriptor, TierPageDescriptor
 from .devio import read_with_retry, write_with_retry
 from .migration import Edge
 
@@ -33,6 +33,13 @@ class BufferFullError(RuntimeError):
 
 class BufferPool:
     """One tier's frame pool: frames, occupancy accounting, replacer.
+
+    A pool keeps what only it can know — which frames are occupied and
+    by which descriptor, the free list, byte occupancy, the replacement
+    state.  Which *page* a tier holds is the mapping table's to say
+    (``table.get(page).copy_on(tier)``): :meth:`insert` and
+    :meth:`remove` change a frame and the shared descriptor's pointer
+    to it in one operation, so the two can never be seen to disagree.
 
     Capacity is tracked in bytes so that mini pages (which occupy ~1 KB
     instead of 16 KB) genuinely increase how many pages fit — the whole
@@ -50,59 +57,39 @@ class BufferPool:
         self.capacity_bytes = capacity_bytes
         self.max_entries = capacity_bytes // min_entry_bytes
         self.replacer = make_replacer(replacement, self.max_entries)
-        self._frames: list[TierPageDescriptor | None] = [None] * self.max_entries
+        #: Occupied frames, ``frame index -> descriptor``, oldest install
+        #: first: the order every frame scan (checkpoint flush, crash
+        #: drop, recovery) visits them in.
+        self._frames: dict[int, TierPageDescriptor] = {}
         self._free = list(range(self.max_entries - 1, -1, -1))
-        self._by_page: dict[PageId, TierPageDescriptor] = {}
-        self._entry_bytes: dict[int, int] = {}
         self.used_bytes = 0
         self.lock = threading.RLock()
 
     # ------------------------------------------------------------------
-    def get(self, page_id: PageId) -> TierPageDescriptor | None:
-        # Lock-free lookup: dict.get is atomic under the GIL, and the
-        # locked variant offered no stronger guarantee — the descriptor
-        # could always be evicted the instant the lock was released.
-        # Callers already revalidate under the per-page latch.
-        descriptor = self._by_page.get(page_id)
-        if descriptor is not None:
-            self.replacer.record_access(descriptor.frame_index)
-        return descriptor
-
-    def probe(self, page_id: PageId) -> TierPageDescriptor | None:
-        """Lock-free lookup without touching the replacement state.
-
-        The batch path classifies a whole run of operations with probes
-        before executing them; replacement-state touches are then
-        replayed in op order so CLOCK/LRU bookkeeping matches a per-op
-        run exactly.
-        """
-        return self._by_page.get(page_id)
-
-    def peek(self, page_id: PageId) -> TierPageDescriptor | None:
-        """Lookup without touching the replacement state."""
-        with self.lock:
-            return self._by_page.get(page_id)
-
     def needs_space(self, incoming_bytes: int) -> bool:
         with self.lock:
             if not self._free:
                 return True
             return self.used_bytes + incoming_bytes > self.capacity_bytes
 
-    def insert(self, content, entry_bytes: int) -> TierPageDescriptor:
-        """Install content into a free frame (caller ensured space)."""
+    def insert(self, shared: SharedPageDescriptor, content,
+               entry_bytes: int) -> TierPageDescriptor:
+        """Install ``content`` into a free frame and point ``shared`` at it.
+
+        The caller ensured space and holds the page's latch for this
+        tier; frame and pointer are set together under the pool lock.
+        """
         with self.lock:
-            if content.page_id in self._by_page:
-                raise RuntimeError(
-                    f"page {content.page_id} already resident on {self.tier.name}"
-                )
             if not self._free:
                 raise BufferFullError(f"{self.tier.name} pool has no free frame")
-            frame = self._free.pop()
-            descriptor = TierPageDescriptor(self.tier, frame, content)
+            frame = self._free[-1]
+            descriptor = TierPageDescriptor(self.tier, frame, content,
+                                            entry_bytes)
+            # Raises — nothing has changed yet — when the page already
+            # has a copy on this tier.
+            shared.attach(descriptor)
+            self._free.pop()
             self._frames[frame] = descriptor
-            self._by_page[content.page_id] = descriptor
-            self._entry_bytes[frame] = entry_bytes
             self.used_bytes += entry_bytes
             # Under the pool lock, like every change of which frames the
             # replacer tracks: a ``remove`` of the frame's previous
@@ -112,25 +99,32 @@ class BufferPool:
             self.replacer.insert(frame)
         return descriptor
 
-    def remove(self, descriptor: TierPageDescriptor) -> None:
+    def remove(self, shared: SharedPageDescriptor | None,
+               descriptor: TierPageDescriptor) -> None:
+        """Free ``descriptor``'s frame and clear ``shared``'s pointer to it.
+
+        The counterpart of :meth:`insert`, under the same latch.
+        ``shared`` is ``None`` only for a persistent frame a crash left
+        without a mapping-table entry (recovery has not re-mapped it).
+        """
         with self.lock:
             frame = descriptor.frame_index
-            if self._frames[frame] is not descriptor:
+            if self._frames.get(frame) is not descriptor:
                 raise RuntimeError(
                     f"descriptor for page {descriptor.page_id} is stale"
                 )
-            self._frames[frame] = None
-            del self._by_page[descriptor.page_id]
-            self.used_bytes -= self._entry_bytes.pop(frame)
+            del self._frames[frame]
+            if shared is not None:
+                shared.detach(self.tier)
+            self.used_bytes -= descriptor.entry_bytes
             self._free.append(frame)
             self.replacer.remove(frame)
 
     def resize_entry(self, descriptor: TierPageDescriptor, new_bytes: int) -> None:
         """Adjust occupancy when a mini page is promoted to a full page."""
         with self.lock:
-            frame = descriptor.frame_index
-            self.used_bytes += new_bytes - self._entry_bytes[frame]
-            self._entry_bytes[frame] = new_bytes
+            self.used_bytes += new_bytes - descriptor.entry_bytes
+            descriptor.entry_bytes = new_bytes
 
     def pick_victim(self) -> TierPageDescriptor | None:
         """Atomically claim an unpinned victim.
@@ -146,7 +140,7 @@ class BufferPool:
             if frame is None:
                 return None
             with self.lock:
-                descriptor = self._frames[frame]
+                descriptor = self._frames.get(frame)
                 if descriptor is None:
                     self.replacer.remove(frame)
                     continue
@@ -161,17 +155,19 @@ class BufferPool:
         with self.lock:
             descriptor.claimed = False
 
+    def descriptors(self) -> list[TierPageDescriptor]:
+        """A snapshot of the occupied frames' descriptors."""
+        with self.lock:
+            return list(self._frames.values())
+
     def resident_page_ids(self) -> set[PageId]:
         with self.lock:
-            return set(self._by_page)
-
-    def descriptors(self) -> list[TierPageDescriptor]:
-        with self.lock:
-            return list(self._by_page.values())
+            return {descriptor.content.page_id
+                    for descriptor in self._frames.values()}
 
     def __len__(self) -> int:
         with self.lock:
-            return len(self._by_page)
+            return len(self._frames)
 
 
 class TierNode:

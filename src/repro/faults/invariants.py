@@ -149,22 +149,26 @@ def check_durable_state(engine, table_name: str, ops, durable_lsn: int,
 
 def check_mapping_consistency(bm, report: InvariantReport | None = None,
                               ) -> InvariantReport:
-    """Mapping table vs. tier contents vs. SSD store, both directions."""
+    """Mapping-table pointers vs. pool frames vs. SSD store, both
+    directions.  Read-only: frames are scanned and pointers followed,
+    so a sweep leaves every replacer exactly as it found it."""
     report = report if report is not None else InvariantReport()
     report.checks_run.append("mapping_table_consistent")
+    framed = {
+        node.tier: {d.frame_index: d for d in node.pool.descriptors()}
+        for node in bm.chain
+    }
     for shared in bm.table:
         for tier in shared.resident_tiers:
             descriptor = shared.copy_on(tier)
-            node = bm.chain.get(tier)
-            if node is None:
+            if tier not in framed:
                 report.add(
                     "mapping_table_consistent",
                     f"page {shared.page_id} maps a copy on {tier.name}, "
                     f"but the chain has no such tier",
                 )
                 continue
-            pooled = node.pool.get(shared.page_id)
-            if pooled is not descriptor:
+            if framed[tier].get(descriptor.frame_index) is not descriptor:
                 report.add(
                     "mapping_table_consistent",
                     f"page {shared.page_id} on {tier.name}: mapping-table "
@@ -182,14 +186,14 @@ def check_mapping_consistency(bm, report: InvariantReport | None = None,
                 f"page {shared.page_id} is buffered but absent from the "
                 f"SSD store",
             )
-    for node in bm.chain:
-        for page_id in node.pool.resident_page_ids():
-            shared = bm.table.get(page_id)
-            if shared is None or shared.copy_on(node.tier) is None:
+    for tier, frames in framed.items():
+        for descriptor in frames.values():
+            shared = bm.table.get(descriptor.page_id)
+            if shared is None or shared.copy_on(tier) is not descriptor:
                 report.add(
                     "mapping_table_consistent",
-                    f"page {page_id} resident on {node.tier.name} has no "
-                    f"mapping-table entry for that tier",
+                    f"page {descriptor.page_id} resident on {tier.name} has "
+                    f"no mapping-table entry for that tier",
                 )
     return report
 

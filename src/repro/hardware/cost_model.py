@@ -160,26 +160,6 @@ class StorageHierarchy:
         """Columnar CPU charge: one reduction over per-op demands."""
         self.cost.charge_batch(CostAccumulator.CPU, service_ns_array)
 
-    def charge_device_batch(
-        self,
-        tier: Tier,
-        nbytes,
-        count: int | None = None,
-        is_write: bool = False,
-        sequential: bool = False,
-    ):
-        """Per-device charge vector for a batch of uniform or sized accesses.
-
-        Delegates to the device's :meth:`~repro.hardware.device.Device.read_batch`
-        / :meth:`~repro.hardware.device.Device.write_batch`; returns the
-        ``(transfer_fp, latency_fp)`` charge vector so callers can
-        reconstruct per-op latencies without re-deriving device constants.
-        """
-        device = self.device(tier)
-        if is_write:
-            return device.write_batch(nbytes, count=count, sequential=sequential)
-        return device.read_batch(nbytes, count=count, sequential=sequential)
-
     def begin_op(self) -> None:
         """Start one logical operation: CPU charges batch until
         :meth:`end_op`, collapsing the per-probe accumulator traffic

@@ -84,7 +84,7 @@ def make_core(
         SimulationScale(pages_per_gb=pages_per_gb),
     )
     chain = TierChain.build(hierarchy, config.replacement)
-    table = MappingTable(config.mapping_shards)
+    table = MappingTable()
     store = SsdStore(hierarchy.device(Tier.SSD), hierarchy.page_size)
     events = EventBus()
     slot = PolicySlot(policy)

@@ -58,7 +58,7 @@ class TestMissPath:
         core = make_core(policy=MigrationPolicy(0.0, 0.0, 1.0, 1.0))
         page = core.store.allocate().page_id
         core.access.access(page, 0, 64, is_write=True)
-        descriptor = core.chain.node(Tier.NVM).pool.get(page)
+        descriptor = core.table.get(page).copy_on(Tier.NVM)
         assert descriptor.dirty
 
 

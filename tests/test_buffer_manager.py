@@ -107,7 +107,7 @@ class TestWritePaths:
     def test_write_dirties_dram_copy(self, eager_bm):
         page = eager_bm.allocate_page()
         eager_bm.write(page, 0, 100)
-        descriptor = eager_bm.pools[Tier.DRAM].peek(page)
+        descriptor = eager_bm.table.get(page).copy_on(Tier.DRAM)
         assert descriptor is not None and descriptor.dirty
 
     def test_nvm_in_place_write_persists(self):
@@ -117,7 +117,7 @@ class TestWritePaths:
         barriers_before = bm.hierarchy.device(Tier.NVM).snapshot_counters().persist_barriers
         result = bm.write(page, 0, 100)
         assert result.served_tier is Tier.NVM
-        nvm_desc = bm.pools[Tier.NVM].peek(page)
+        nvm_desc = bm.table.get(page).copy_on(Tier.NVM)
         assert nvm_desc.dirty
         counters = bm.hierarchy.device(Tier.NVM).snapshot_counters()
         assert counters.persist_barriers == barriers_before + 1
@@ -238,7 +238,7 @@ class TestFlushing:
         page = bm.allocate_page()
         bm.write(page, 0, 64)
         assert bm.flush_dirty_dram() == 1
-        descriptor = bm.pools[Tier.DRAM].peek(page)
+        descriptor = bm.table.get(page).copy_on(Tier.DRAM)
         assert not descriptor.dirty
         assert bm.stats.dirty_page_flushes == 1
 
@@ -250,7 +250,7 @@ class TestFlushing:
         bm.flush_dirty_dram()
         ssd_writes_after = bm.hierarchy.device(Tier.SSD).snapshot_counters().write_ops
         assert ssd_writes_after == ssd_writes_before  # persisted via NVM
-        assert bm.pools[Tier.NVM].peek(page).dirty
+        assert bm.table.get(page).copy_on(Tier.NVM).dirty
 
     def test_flush_skips_nvm_dirty_pages(self):
         """Dirty NVM pages are persistent; no flushing needed (§5.2)."""
@@ -339,7 +339,7 @@ class TestPriming:
     def test_prime_page_installs_clean_copy(self, eager_bm):
         page = eager_bm.allocate_page()
         assert eager_bm.prime_page(Tier.NVM, page)
-        descriptor = eager_bm.pools[Tier.NVM].peek(page)
+        descriptor = eager_bm.table.get(page).copy_on(Tier.NVM)
         assert descriptor is not None and not descriptor.dirty
 
     def test_prime_respects_capacity(self):

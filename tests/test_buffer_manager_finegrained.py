@@ -38,7 +38,7 @@ class TestCacheLinePages:
         bm = fine_bm()
         page = bm.allocate_page()
         bm.read(page, offset=0, nbytes=CACHE_LINE_SIZE)
-        descriptor = bm.pools[Tier.DRAM].peek(page)
+        descriptor = bm.table.get(page).copy_on(Tier.DRAM)
         assert isinstance(descriptor.content, CacheLinePage)
         # Only the accessed loading unit is resident, not the whole page.
         assert 0 < descriptor.content.resident_count < 256
@@ -47,9 +47,9 @@ class TestCacheLinePages:
         bm = fine_bm()
         page = bm.allocate_page()
         bm.read(page, offset=0, nbytes=CACHE_LINE_SIZE)
-        resident_before = bm.pools[Tier.DRAM].peek(page).content.resident_count
+        resident_before = bm.table.get(page).copy_on(Tier.DRAM).content.resident_count
         bm.read(page, offset=8192, nbytes=CACHE_LINE_SIZE)
-        resident_after = bm.pools[Tier.DRAM].peek(page).content.resident_count
+        resident_after = bm.table.get(page).copy_on(Tier.DRAM).content.resident_count
         assert resident_after > resident_before
         assert bm.stats.fine_grained_loads >= 2
 
@@ -65,7 +65,7 @@ class TestCacheLinePages:
         bm = fine_bm()
         page = bm.allocate_page()
         bm.write(page, offset=0, nbytes=CACHE_LINE_SIZE)
-        descriptor = bm.pools[Tier.DRAM].peek(page)
+        descriptor = bm.table.get(page).copy_on(Tier.DRAM)
         assert descriptor.dirty
         assert descriptor.content.dirty_count >= 1
 
@@ -84,14 +84,14 @@ class TestCacheLinePages:
         # Only the dirtied loading unit moves, not the 16 KB page.
         assert 0 < nvm_written < PAGE_SIZE
         # The backing NVM copy is now newer than the SSD copy.
-        assert bm.pools[Tier.NVM].peek(page).dirty
+        assert bm.table.get(page).copy_on(Tier.NVM).dirty
 
     def test_granularity_controls_lines_per_load(self):
         for granularity, expected_lines in ((64, 1), (512, 8)):
             bm = fine_bm(granularity=granularity)
             page = bm.allocate_page()
             bm.read(page, offset=0, nbytes=1)
-            descriptor = bm.pools[Tier.DRAM].peek(page)
+            descriptor = bm.table.get(page).copy_on(Tier.DRAM)
             assert descriptor.content.resident_count == expected_lines
 
 
@@ -100,7 +100,7 @@ class TestMiniPages:
         bm = fine_bm(mini_pages=True)
         page = bm.allocate_page()
         bm.read(page, offset=0, nbytes=CACHE_LINE_SIZE)
-        descriptor = bm.pools[Tier.DRAM].peek(page)
+        descriptor = bm.table.get(page).copy_on(Tier.DRAM)
         assert isinstance(descriptor.content, MiniPage)
 
     def test_mini_page_occupies_less_dram(self):
@@ -115,7 +115,7 @@ class TestMiniPages:
         # Touch 17 distinct lines: one more than the mini page holds.
         for line in range(17):
             bm.read(page, offset=line * CACHE_LINE_SIZE, nbytes=1)
-        descriptor = bm.pools[Tier.DRAM].peek(page)
+        descriptor = bm.table.get(page).copy_on(Tier.DRAM)
         assert isinstance(descriptor.content, CacheLinePage)
         assert bm.stats.mini_page_promotions == 1
 
@@ -125,7 +125,7 @@ class TestMiniPages:
         bm.write(page, offset=0, nbytes=1)
         for line in range(1, 17):
             bm.read(page, offset=line * CACHE_LINE_SIZE, nbytes=1)
-        descriptor = bm.pools[Tier.DRAM].peek(page)
+        descriptor = bm.table.get(page).copy_on(Tier.DRAM)
         assert descriptor.dirty
         assert descriptor.content.dirty_count >= 1
 
@@ -148,7 +148,7 @@ class TestNvmEvictionWithPartialDramCopies:
         filler_policy_reads = [bm.allocate_page() for _ in range(6)]
         for filler in filler_policy_reads:
             bm.read(filler, offset=0, nbytes=CACHE_LINE_SIZE)
-        descriptor = bm.pools[Tier.DRAM].peek(page)
+        descriptor = bm.table.get(page).copy_on(Tier.DRAM)
         if descriptor is not None and page not in bm.resident_pages(Tier.NVM):
             # The DRAM copy must now be self-contained.
             content = descriptor.content

@@ -55,7 +55,7 @@ class TestCheckpointEffects:
         assert flushed == 3
         assert checkpointer.pages_flushed == 3
         for page in pages:
-            descriptor = bm.pools[Tier.DRAM].peek(page)
+            descriptor = bm.table.get(page).copy_on(Tier.DRAM)
             assert descriptor is None or not descriptor.dirty
 
     def test_writes_begin_end_records(self):
@@ -107,4 +107,4 @@ class TestCheckpointEffects:
         page = bm.allocate_page()
         bm.write(page, 0, 64)  # dirty on NVM
         assert checkpointer.checkpoint() == 0
-        assert bm.pools[Tier.NVM].peek(page).dirty  # still dirty, still durable
+        assert bm.table.get(page).copy_on(Tier.NVM).dirty  # still dirty, still durable

@@ -34,13 +34,16 @@ def run_threads(worker, count=4):
 def check_pool_invariants(bm):
     for tier, pool in bm.pools.items():
         with pool.lock:
-            by_page = dict(pool._by_page)
+            framed = list(pool._frames.items())
             used = pool.used_bytes
-        # Every resident page's shared descriptor points back at it.
-        for page_id, descriptor in by_page.items():
-            shared = bm.table.get(page_id)
-            assert shared is not None, f"missing table entry for {page_id}"
+        # Every occupied frame's shared descriptor points back at it.
+        for frame, descriptor in framed:
+            assert descriptor.frame_index == frame
+            shared = bm.table.get(descriptor.page_id)
+            assert shared is not None, \
+                f"missing table entry for {descriptor.page_id}"
             assert shared.copy_on(tier) is descriptor
+        assert used == sum(d.entry_bytes for _, d in framed)
         assert used <= pool.capacity_bytes
 
 

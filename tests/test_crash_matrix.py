@@ -26,6 +26,7 @@ from repro.faults.crashpoints import (
 from repro.faults.invariants import (
     CommittedOp,
     InvariantReport,
+    check_mapping_consistency,
     expected_durable_state,
 )
 from repro.faults.plan import TailFault
@@ -138,6 +139,34 @@ class TestInvariants:
             {"invariant": "demo_check", "detail": "broken"}]
         with pytest.raises(AssertionError, match="demo_check"):
             report.raise_if_failed()
+
+    @pytest.mark.parametrize("replacement", ["clock", "lru"])
+    def test_mapping_sweep_leaves_replacement_state_alone(self, replacement):
+        # The sweep used to look pages up with a call that counted as an
+        # access, so a served ``crash`` op or a chaos case handed the
+        # next operation a pool with every reference bit set.
+        hierarchy = StorageHierarchy(
+            HierarchyShape(1.0, 2.0, 100.0), SimulationScale(pages_per_gb=4)
+        )
+        bm = BufferManager(hierarchy, SPITFIRE_EAGER,
+                           BufferManagerConfig(seed=1, replacement=replacement))
+        for page_id in range(24):
+            bm.allocate_page(page_id)
+        for step in range(150):  # hits, misses and DRAM sweeps
+            bm.read((step * step) % 24, 0, 64)
+
+        def state(replacer):
+            if replacement == "lru":
+                return list(replacer._order)
+            return (replacer._hand,
+                    [replacer._ref_bits.test(frame)
+                     for frame in range(replacer.capacity)])
+
+        before = [state(node.pool.replacer) for node in bm.chain]
+        if replacement == "clock":  # a touch must have something to set
+            assert any(False in bits for _, bits in before)
+        check_mapping_consistency(bm).raise_if_failed()
+        assert [state(node.pool.replacer) for node in bm.chain] == before
 
     def test_case_engine_shapes_follow_policy(self):
         engine, handle = build_case_engine("DRAM_SSD", REDUCED)

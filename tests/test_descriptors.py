@@ -6,12 +6,12 @@ import time
 import pytest
 
 from repro.core.descriptors import SharedPageDescriptor, TierPageDescriptor
-from repro.hardware.specs import Tier
+from repro.hardware.specs import PAGE_SIZE, Tier
 from repro.pages.page import Page
 
 
 def tier_desc(tier: Tier = Tier.DRAM, page_id: int = 1) -> TierPageDescriptor:
-    return TierPageDescriptor(tier, 0, Page(page_id))
+    return TierPageDescriptor(tier, 0, Page(page_id), PAGE_SIZE)
 
 
 class TestTierDescriptor:

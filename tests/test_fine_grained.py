@@ -36,7 +36,7 @@ class TestCacheLineServing:
         core = make_fine_core()
         page = core.store.allocate().page_id
         core.access.access(page, 0, 64, is_write=False)
-        descriptor = core.chain.node(Tier.DRAM).pool.get(page)
+        descriptor = core.table.get(page).copy_on(Tier.DRAM)
         content = descriptor.content
         assert isinstance(content, CacheLinePage)
         assert 0 < content.resident_count < content.num_lines
@@ -71,7 +71,7 @@ class TestMiniPages:
         core = make_fine_core(mini_pages=True)
         page = core.store.allocate().page_id
         core.access.access(page, 0, 64, is_write=False)
-        descriptor = core.chain.node(Tier.DRAM).pool.get(page)
+        descriptor = core.table.get(page).copy_on(Tier.DRAM)
         assert isinstance(descriptor.content, MiniPage)
 
     def test_overflow_promotes_to_cacheline_page(self):
@@ -84,7 +84,7 @@ class TestMiniPages:
         page = core.store.allocate().page_id
         core.access.access(page, 0, 64, is_write=False)
         node = core.chain.node(Tier.DRAM)
-        descriptor = node.pool.get(page)
+        descriptor = core.table.get(page).copy_on(Tier.DRAM)
         # Touch more distinct lines than the mini page has slots.
         wide = (MINI_PAGE_SLOTS + 2) * CACHE_LINE_SIZE
         core.fine.serve_resident_access(node, core.table.get(page),
@@ -98,7 +98,7 @@ class TestMiniPages:
         core = make_fine_core(mini_pages=True)
         page = core.store.allocate().page_id
         core.access.access(page, 0, 64, is_write=False)
-        descriptor = core.chain.node(Tier.DRAM).pool.get(page)
+        descriptor = core.table.get(page).copy_on(Tier.DRAM)
         content = core.fine.promote_to_full_residency(descriptor)
         assert isinstance(content, Page)
         assert descriptor.content is content

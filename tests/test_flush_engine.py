@@ -24,9 +24,9 @@ class TestIndependentConstruction:
     def test_flush_clears_dirty_bit(self):
         core = make_core()
         page = dirty_page(core)
-        assert core.chain.node(Tier.DRAM).pool.get(page).dirty
+        assert core.table.get(page).copy_on(Tier.DRAM).dirty
         assert core.flush.flush_dirty_dram() == 1
-        assert not core.chain.node(Tier.DRAM).pool.get(page).dirty
+        assert not core.table.get(page).copy_on(Tier.DRAM).dirty
 
     def test_flush_limit_bounds_the_batch(self):
         core = make_core()
@@ -46,7 +46,7 @@ class TestFlushDestinations:
         writes_before = ssd.snapshot_counters().write_bytes
         assert core.flush.flush_dirty_dram() == 1
         assert ssd.snapshot_counters().write_bytes == writes_before
-        nvm_desc = core.chain.node(Tier.NVM).pool.get(page)
+        nvm_desc = core.table.get(page).copy_on(Tier.NVM)
         assert nvm_desc is not None and nvm_desc.dirty
 
     def test_flush_admission_installs_into_nvm(self):
@@ -57,10 +57,10 @@ class TestFlushDestinations:
         events = []
         core.events.subscribe(events.append)
         page = dirty_page(core)
-        assert core.chain.node(Tier.NVM).pool.get(page) is None
+        assert core.table.get(page).copy_on(Tier.NVM) is None
         assert core.flush.flush_admits_to_nvm(page)
         assert core.flush.flush_dirty_dram() == 1
-        nvm_desc = core.chain.node(Tier.NVM).pool.get(page)
+        nvm_desc = core.table.get(page).copy_on(Tier.NVM)
         assert nvm_desc is not None and nvm_desc.dirty
         kinds = [e.type for e in events]
         assert EventType.MIGRATE_DOWN in kinds and EventType.FLUSH in kinds
@@ -74,14 +74,14 @@ class TestFlushDestinations:
         assert not core.flush.flush_admits_to_nvm(page)
         assert core.flush.flush_dirty_dram() == 1
         assert ssd.snapshot_counters().write_bytes > writes_before
-        assert core.chain.node(Tier.NVM).pool.get(page) is None
+        assert core.table.get(page).copy_on(Tier.NVM) is None
 
     def test_flush_all_drains_dirty_nvm_pages(self):
         # D=0 serves writes directly on the NVM copy; flush_all is the
         # shutdown path that pushes those down to SSD too.
         core = make_core(policy=MigrationPolicy(0.0, 0.0, 1.0, 1.0))
         page = dirty_page(core)
-        nvm_desc = core.chain.node(Tier.NVM).pool.get(page)
+        nvm_desc = core.table.get(page).copy_on(Tier.NVM)
         assert nvm_desc.dirty
         ssd = core.hierarchy.device(Tier.SSD)
         writes_before = ssd.snapshot_counters().write_bytes
@@ -95,21 +95,21 @@ class TestPartialLayoutWriteback:
         config = BufferManagerConfig(fine_grained=True)
         core = make_core(policy=SPITFIRE_EAGER, config=config)
         page = dirty_page(core)
-        dram_desc = core.chain.node(Tier.DRAM).pool.get(page)
+        dram_desc = core.table.get(page).copy_on(Tier.DRAM)
         assert dram_desc.dirty and dram_desc.content.dirty_count > 0
         shared = core.table.get(page)
         core.flush.writeback_lines_to_nvm(shared, dram_desc)
         assert not dram_desc.dirty
         assert dram_desc.content.dirty_count == 0
         # The backing NVM copy absorbed the lines and is dirty now.
-        assert core.chain.node(Tier.NVM).pool.get(page).dirty
+        assert core.table.get(page).copy_on(Tier.NVM).dirty
 
     def test_checkpoint_flush_uses_line_writeback(self):
         config = BufferManagerConfig(fine_grained=True)
         core = make_core(policy=SPITFIRE_EAGER, config=config)
         page = dirty_page(core)
         assert core.flush.flush_dirty_dram() == 1
-        dram_desc = core.chain.node(Tier.DRAM).pool.get(page)
+        dram_desc = core.table.get(page).copy_on(Tier.DRAM)
         assert not dram_desc.dirty and dram_desc.content.dirty_count == 0
 
 

@@ -1,11 +1,8 @@
-"""Sharded concurrent mapping table."""
+"""The concurrent mapping table: one dict, one mutation lock."""
 
 import threading
 
 from repro.core.mapping_table import MappingTable
-from repro.core.descriptors import TierPageDescriptor
-from repro.hardware.specs import Tier
-from repro.pages.page import Page
 
 
 class TestBasics:
@@ -34,7 +31,7 @@ class TestBasics:
         assert table.remove(1) is None
 
     def test_iteration_snapshot(self):
-        table = MappingTable(num_shards=4)
+        table = MappingTable()
         for page_id in range(10):
             table.get_or_create(page_id)
         seen = {d.page_id for d in table}
@@ -47,34 +44,9 @@ class TestBasics:
         assert len(table) == 0
 
 
-class TestRemoveIf:
-    def test_removes_when_predicate_holds(self):
-        table = MappingTable()
-        table.get_or_create(1)
-        assert table.remove_if(1, lambda d: True)
-        assert 1 not in table
-
-    def test_keeps_when_predicate_fails(self):
-        table = MappingTable()
-        table.get_or_create(1)
-        assert not table.remove_if(1, lambda d: False)
-        assert 1 in table
-
-    def test_missing_key(self):
-        assert not MappingTable().remove_if(1, lambda d: True)
-
-    def test_gc_predicate_respects_buffered_copies(self):
-        table = MappingTable()
-        shared = table.get_or_create(1)
-        shared.attach(TierPageDescriptor(Tier.NVM, 0, Page(1)))
-        assert not table.remove_if(1, lambda d: not d.buffered)
-        shared.detach(Tier.NVM)
-        assert table.remove_if(1, lambda d: not d.buffered)
-
-
 class TestConcurrency:
     def test_concurrent_get_or_create_single_instance(self):
-        table = MappingTable(num_shards=8)
+        table = MappingTable()
         results: list = []
         barrier = threading.Barrier(8)
 

@@ -5,7 +5,8 @@ reads, writes, flushes, policy changes, and crash/recover cycles, and
 checks structural invariants after every step:
 
 * pool occupancy never exceeds capacity;
-* shared descriptors and pool membership agree;
+* frames and shared-descriptor pointers agree, both directions, and
+  the replacer tracks exactly the occupied frames;
 * a committed (flushed) write is never silently lost;
 * content read back always matches the model's expectation.
 """
@@ -109,13 +110,18 @@ class BufferManagerMachine(RuleBasedStateMachine):
 
     @invariant()
     def descriptors_consistent(self):
+        """One residency map: a frame holds a descriptor iff the page's
+        shared descriptor points at it, and the replacer tracks exactly
+        the occupied frames."""
+        table = self.bm.table
         for tier, pool in self.bm.pools.items():
-            for page_id in pool.resident_page_ids():
-                shared = self.bm.table.get(page_id)
-                assert shared is not None
-                descriptor = shared.copy_on(tier)
-                assert descriptor is not None
-                assert descriptor.page_id == page_id
+            framed = pool.descriptors()
+            for descriptor in framed:
+                assert pool._frames[descriptor.frame_index] is descriptor
+                assert table.get(descriptor.page_id).copy_on(tier) is descriptor
+            pointed = {shared.copy_on(tier) for shared in table} - {None}
+            assert pointed == set(framed)
+            assert len(pool.replacer) == len(pool)
 
     @invariant()
     def no_stray_pins(self):

@@ -87,7 +87,7 @@ class TestRedo:
         record = log.append(LogRecordType.UPDATE, txn_id=1, page_id=page,
                             slot=0, after=b"nvm-version")
         log.append(LogRecordType.BEGIN, txn_id=1)
-        nvm_desc = bm.pools[Tier.NVM].peek(page)
+        nvm_desc = bm.table.get(page).copy_on(Tier.NVM)
         nvm_desc.content.write_record(0, b"nvm-version", lsn=record.lsn)
         log.commit(txn_id=1)
         bm.simulate_crash()

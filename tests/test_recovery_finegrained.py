@@ -43,8 +43,8 @@ class TestPartialResidencySetup:
     def test_dram_partial_over_nvm_full(self):
         bm = fine_bm()
         touch(bm, 0)
-        dram = bm.pools[Tier.DRAM].peek(0)
-        nvm = bm.pools[Tier.NVM].peek(0)
+        dram = bm.table.get(0).copy_on(Tier.DRAM)
+        nvm = bm.table.get(0).copy_on(Tier.NVM)
         assert isinstance(dram.content, CacheLinePage)
         assert not dram.content.fully_resident
         assert isinstance(nvm.content, Page)
@@ -67,11 +67,11 @@ class TestCrash:
         — its NVM backing stays clean (the SSD copy is authoritative)."""
         bm = fine_bm()
         touch(bm, 0, is_write=True)
-        assert bm.pools[Tier.DRAM].peek(0).dirty
-        assert not bm.pools[Tier.NVM].peek(0).dirty
+        assert bm.table.get(0).copy_on(Tier.DRAM).dirty
+        assert not bm.table.get(0).copy_on(Tier.NVM).dirty
         bm.simulate_crash()
         bm.recover_mapping_table()
-        assert not bm.pools[Tier.NVM].peek(0).dirty
+        assert not bm.table.get(0).copy_on(Tier.NVM).dirty
 
     def test_flushed_dirty_lines_survive(self):
         """flush_dirty_dram persists partial layouts' dirty lines into
@@ -80,16 +80,16 @@ class TestCrash:
         touch(bm, 0, is_write=True)
         flushed = bm.flush_dirty_dram()
         assert flushed == 1
-        assert not bm.pools[Tier.DRAM].peek(0).dirty
-        assert bm.pools[Tier.NVM].peek(0).dirty
+        assert not bm.table.get(0).copy_on(Tier.DRAM).dirty
+        assert bm.table.get(0).copy_on(Tier.NVM).dirty
         bm.simulate_crash()
         recovered = bm.recover_mapping_table()
         assert recovered == 1
         # The recovered NVM frame still carries its dirty flag, so a
         # shutdown flush pushes it to SSD.
-        assert bm.pools[Tier.NVM].peek(0).dirty
+        assert bm.table.get(0).copy_on(Tier.NVM).dirty
         assert bm.flush_all() == 1
-        assert not bm.pools[Tier.NVM].peek(0).dirty
+        assert not bm.table.get(0).copy_on(Tier.NVM).dirty
 
 
 class TestRecovery:
@@ -127,17 +127,17 @@ class TestRecovery:
         assert bm.stats.ssd_fetches == fetches_before
         # The promotion re-creates a *partial* DRAM view over the
         # recovered NVM page, exactly as on the pre-crash path.
-        dram = bm.pools[Tier.DRAM].peek(0)
+        dram = bm.table.get(0).copy_on(Tier.DRAM)
         assert isinstance(dram.content, CacheLinePage)
         assert not dram.content.fully_resident
 
     def test_mini_page_views_recover_the_same_way(self):
         bm = fine_bm(mini_pages=True)
         touch(bm, 0, is_write=True)
-        assert isinstance(bm.pools[Tier.DRAM].peek(0).content, MiniPage)
+        assert isinstance(bm.table.get(0).copy_on(Tier.DRAM).content, MiniPage)
         bm.flush_dirty_dram()
         bm.simulate_crash()
         assert bm.recover_mapping_table() == 1
         result = bm.read(0, offset=0, nbytes=CACHE_LINE_SIZE)
         assert result.hit
-        assert isinstance(bm.pools[Tier.DRAM].peek(0).content, MiniPage)
+        assert isinstance(bm.table.get(0).copy_on(Tier.DRAM).content, MiniPage)

@@ -35,7 +35,7 @@ class TestIndependentConstruction:
         core.access.access(page, 0, 64, is_write=False)
         node = core.chain.node(Tier.DRAM)
         assert len(node.pool) == 1
-        victim = node.pool.get(page)
+        victim = core.table.get(page).copy_on(Tier.DRAM)
         core.space.evict_from_node(node, victim)
         assert len(node.pool) == 0
 
@@ -169,7 +169,7 @@ class TestCleanVictimCache:
         assert evicted and evicted <= bm.resident_pages(Tier.NVM)
         # Victim-cache copies of clean pages stay clean.
         for page in evicted:
-            assert not bm._pool_get(Tier.NVM, page).dirty
+            assert not bm.table.get(page).copy_on(Tier.NVM).dirty
 
     def test_clean_eviction_dropped_when_lower_copy_exists(self):
         # Eager everything: fetches land in NVM and climb to DRAM, so a
@@ -201,8 +201,8 @@ class TestNvmEvictionSelfContainment:
         page = bm.allocate_page()
         # Eager fetch lands in NVM, then climbs into a partial DRAM view.
         bm.read(page, 0, 64)
-        dram_desc = bm._pool_get(Tier.DRAM, page)
-        nvm_desc = bm._pool_get(Tier.NVM, page)
+        dram_desc = bm.table.get(page).copy_on(Tier.DRAM)
+        nvm_desc = bm.table.get(page).copy_on(Tier.NVM)
         assert isinstance(dram_desc.content, MiniPage if mini_pages
                           else CacheLinePage)
         assert nvm_desc is not None
@@ -215,7 +215,6 @@ class TestNvmEvictionSelfContainment:
         bm.space.evict_from_node(bm.chain.node(Tier.NVM), nvm_desc)
         # The NVM copy is gone; the DRAM copy is now a self-contained
         # full page, with the missing lines loaded before the eviction.
-        assert bm._pool_get(Tier.NVM, page) is None
         assert bm.table.get(page).copy_on(Tier.NVM) is None
         assert isinstance(dram_desc.content, Page)
         assert bm.stats.fine_grained_loads > loads_before

@@ -73,24 +73,19 @@ class TestChainLookups:
         page = eager_bm.allocate_page()
         eager_bm.read(page)
         # Eager policy leaves copies on both tiers.
-        assert eager_bm._pool_get(Tier.DRAM, page) is not None
-        assert eager_bm._pool_get(Tier.NVM, page) is not None
-        assert eager_bm._pool_get(Tier.DRAM, page).tier is Tier.DRAM
-        assert eager_bm._pool_get(Tier.NVM, page).tier is Tier.NVM
+        shared = eager_bm.table.get(page)
+        assert shared.copy_on(Tier.DRAM).tier is Tier.DRAM
+        assert shared.copy_on(Tier.NVM).tier is Tier.NVM
 
     def test_pool_get_absent_tier_is_none(self):
         bm = make_bm(nvm_gb=0.0, policy=DRAM_SSD_POLICY)
         page = bm.allocate_page()
         bm.read(page)
-        assert bm._pool_get(Tier.NVM, page) is None
-        assert bm._pool_get(Tier.DRAM, page) is not None
+        assert bm.table.get(page).copy_on(Tier.NVM) is None
+        assert bm.table.get(page).copy_on(Tier.DRAM) is not None
 
     def test_pool_get_unknown_page_is_none(self, eager_bm):
-        assert eager_bm._pool_get(Tier.DRAM, 12345) is None
-
-    def test_device_matches_hierarchy(self, eager_bm):
-        for tier in (Tier.DRAM, Tier.NVM, Tier.SSD):
-            assert eager_bm._device(tier) is eager_bm.hierarchy.device(tier)
+        assert eager_bm.table.get(12345) is None
 
     def test_pools_view_backed_by_chain(self, eager_bm):
         for tier, pool in eager_bm.pools.items():
@@ -342,9 +337,8 @@ class TestFourTier:
         bm.read(page)
         # Drop the DRAM copy so the next access hits CXL.
         dram = bm.chain.node(Tier.DRAM)
-        descriptor = dram.pool.get(page)
-        dram.pool.remove(descriptor)
-        bm.table.get(page).detach(Tier.DRAM)
+        shared = bm.table.get(page)
+        dram.pool.remove(shared, shared.copy_on(Tier.DRAM))
         before = dict(bm._stats_projector.hits_by_tier)
         result = bm.read(page)
         assert result.hit
