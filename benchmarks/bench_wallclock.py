@@ -38,7 +38,7 @@ The measurements, written to ``BENCH_repro.json`` next to this script
   ``--repeats`` pairs against the one ``--overhead-budget``.  Each row
   also asserts — structurally, not by timing — that its plane was
   really attached: detaching the hub leaves the bus exactly as it was
-  (same subscriber count, allocation-free fast path intact); the
+  (same subscriber count, the hub no longer subscribed); the
   tagged result carries a tenant-0 breakdown; the telemetry result
   carries a decision trace and progress events flowed.
 
@@ -97,7 +97,7 @@ from repro.bench.executor import (
     run_session,
 )
 from repro.bench.harness import RunOptions
-from repro.bench.telemetry import ProgressAggregator, open_channel
+from repro.bench.telemetry import live_telemetry
 from repro.np_compat import HAVE_NUMPY, np
 from repro.core.buffer_manager import BufferManager, BufferManagerConfig
 from repro.core.policy import SPITFIRE_LAZY
@@ -235,19 +235,16 @@ def check_metrics(result) -> tuple[dict, list[str]]:
     hierarchy = StorageHierarchy(SHAPE)
     bm = BufferManager(hierarchy, SPITFIRE_LAZY, BufferManagerConfig(seed=42))
     baseline_subscribers = bm.events.num_subscribers
-    baseline_fast = bm.events.fast_path_active
     hub = MetricsHub().attach(bm)
-    if not bm.events.fast_path_active:
-        violations.append("attached MetricsHub knocked the bus off its "
-                          "allocation-free fast path")
+    if not bm.events.is_subscribed(hub):
+        violations.append("attached MetricsHub is not on the bus")
     hub.detach()
-    if bm.events.num_subscribers != baseline_subscribers:
+    if bm.events.num_subscribers != baseline_subscribers \
+            or bm.events.is_subscribed(hub):
         violations.append(
             f"detached bus kept {bm.events.num_subscribers} subscribers "
             f"(baseline {baseline_subscribers}) — subscription leak"
         )
-    if bm.events.fast_path_active != baseline_fast:
-        violations.append("detach did not restore the bus fast path")
     return {"detach_restores_bus": not violations}, violations
 
 
@@ -294,27 +291,22 @@ def write_cell_metrics(metrics_out: str) -> None:
 def time_plane_overheads(overhead_budget: float,
                          repeats: int) -> tuple[dict, list[str]]:
     """Every plane's overhead row, keyed ``cell_with_<plane>``."""
-    channel = open_channel()
-    aggregator = ProgressAggregator(channel, stream=io.StringIO()).start()
     metered = RunOptions(collect_metrics=True)
-    rows = (
-        ("metrics", RunOptions(), metered, check_metrics),
-        ("tenancy", metered, replace(metered, track_tenants=True),
-         check_tenancy),
-        ("telemetry", RunOptions(),
-         RunOptions(telemetry=channel, trace_decisions=0.05),
-         lambda result: check_telemetry(result, aggregator)),
-    )
     report: dict = {}
     violations: list[str] = []
-    try:
+    with live_telemetry(stream=io.StringIO()) as (channel, aggregator):
+        rows = (
+            ("metrics", RunOptions(), metered, check_metrics),
+            ("tenancy", metered, replace(metered, track_tenants=True),
+             check_tenancy),
+            ("telemetry", RunOptions(),
+             RunOptions(telemetry=channel, trace_decisions=0.05),
+             lambda result: check_telemetry(result, aggregator)),
+        )
         for name, baseline, attached, check in rows:
             report[f"cell_with_{name}"], failed = time_cell_overhead(
                 name, baseline, attached, check, overhead_budget, repeats)
             violations.extend(failed)
-    finally:
-        aggregator.stop(final_line=False)
-        channel.close()
     return report, violations
 
 

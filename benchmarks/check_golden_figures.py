@@ -30,20 +30,23 @@ each is that plane's core contract:
     per-tenant admission and metrics machinery — tenant plumbing at
     the default tenant is free.
 ``--with-telemetry``
-    ``telemetry`` + ``trace_decisions=0.05`` + ``collect_metrics``: a
-    streaming worker-progress channel (manager-queue backed, drained
-    by a background aggregator), decision tracing in every cell, and a
-    live Prometheus endpoint (:class:`~repro.obs.server.MetricsServer`)
-    scraped by a background thread *while the figures regenerate* —
-    watching a run live changes nothing about its results.
+    ``telemetry`` + ``collect_metrics`` + all three tracers
+    (``trace_decisions=0.05``, ``trace_pages=0.05``, ``trace_events``):
+    a streaming worker-progress channel (manager-queue backed, drained
+    by a background aggregator), every measurement-window observer the
+    harness can attach — hub, decision recorder, page-lifecycle tracer,
+    event-trace recorder — on every cell, and a live Prometheus
+    endpoint (:class:`~repro.obs.server.MetricsServer`) scraped by a
+    background thread *while the figures regenerate* — watching a run
+    live changes nothing about its results.
 
 The flags compose, and a composed run cannot pass vacuously: whenever
 metrics are collected, every plane that is switched on must have left
 its trace on the results **as computed where the cells ran** (the
 metrics sink) — a non-empty sink, fault-wrapper series, a tenant-0
-breakdown, a decision trace, at least one vectorised batch run — and
-the telemetry plane must have delivered progress events and at least
-one successful mid-run scrape.
+breakdown, a decision, page and event trace, at least one vectorised
+batch run — and the telemetry plane must have delivered progress
+events and at least one successful mid-run scrape.
 
 ``--prewarm-pool`` creates and warms the persistent worker pool
 *before* any option is set.  This is the adversarial ordering for
@@ -77,6 +80,7 @@ from pathlib import Path
 from repro.bench.executor import metrics_collection, run_options
 from repro.bench.experiments import REGISTRY
 from repro.bench.harness import RunOptions
+from repro.bench.telemetry import live_telemetry
 from repro.cli import options_from_args
 from repro.faults.plan import FaultPlan
 
@@ -91,11 +95,13 @@ DEFAULT_EXPERIMENTS = ("fig6", "fig7")
 #: measurement window spans only a handful of batches.
 BATCHING_BATCH_SIZE = 1024
 
-#: Page fraction ``--with-telemetry`` samples decision spans at.
+#: Page fraction ``--with-telemetry`` samples decision and lifecycle
+#: spans at.
 TELEMETRY_TRACE_FRACTION = 0.05
 
 
-def check(experiment_id: str, jobs: int, options: RunOptions) -> bool:
+def check(experiment_id: str, jobs: int, options: RunOptions,
+          live: bool = False) -> bool:
     golden = RESULTS_DIR / f"{experiment_id}.json"
     if not golden.exists():
         print(f"FAIL {experiment_id}: no archived result at {golden}")
@@ -103,11 +109,15 @@ def check(experiment_id: str, jobs: int, options: RunOptions) -> bool:
     started = time.time()
     watch = None
     with contextlib.ExitStack() as stack:
+        if live:
+            channel, aggregator = stack.enter_context(
+                live_telemetry(stream=io.StringIO()))
+            options = replace(options, telemetry=channel)
         stack.enter_context(run_options(options))
         sink = (stack.enter_context(metrics_collection())
                 if options.collect_metrics else [])
-        if options.telemetry is not None:
-            watch = _watch_run(stack, options.telemetry, sink)
+        if live:
+            watch = aggregator, _scrape_run(stack, sink)
         result = REGISTRY[experiment_id](quick=True, jobs=jobs)
     attached, dead = _planes(options, [result for _, result in sink], watch)
     if dead:
@@ -164,6 +174,10 @@ def _planes(options: RunOptions, results: list, watch) -> tuple[str, list[str]]:
             dead.append("tenancy: a cell carries no tenant-0 breakdown")
     if options.trace_decisions and not all(r.decision_trace for r in results):
         dead.append("decision tracing: a cell carries no decision trace")
+    if options.trace_pages and not all(r.page_traces for r in results):
+        dead.append("page tracing: a cell carries no lifecycle trace")
+    if options.trace_events and not all(r.event_trace for r in results):
+        dead.append("event tracing: a cell carries no event trace")
     if watch is not None:
         aggregator, scrapes = watch
         events = aggregator.summary()["events_seen"]
@@ -177,20 +191,16 @@ def _planes(options: RunOptions, results: list, watch) -> tuple[str, list[str]]:
     return "".join(f", {note}" for note in attached), dead
 
 
-def _watch_run(stack: contextlib.ExitStack, channel, sink: list):
-    """Drain ``channel`` and scrape a live endpoint while the run lasts.
+def _scrape_run(stack: contextlib.ExitStack, sink: list) -> dict:
+    """Scrape a live endpoint while the run lasts.
 
-    A silent aggregator drains the progress channel and a background
-    thread polls a live Prometheus endpoint over the growing ``sink``.
-    Everything tears down via ``stack``; returns the aggregator and the
+    A background thread polls a live Prometheus endpoint over the
+    growing ``sink``.  Everything tears down via ``stack``; returns the
     scrape counts for the liveness checks.
     """
-    from repro.bench.telemetry import ProgressAggregator
     from repro.obs.export import merge_snapshots, prometheus_text
     from repro.obs.server import MetricsServer
 
-    aggregator = ProgressAggregator(channel, stream=io.StringIO()).start()
-    stack.callback(aggregator.stop, False)
     scrapes = {"ok": 0, "fail": 0}
 
     def provider() -> str:
@@ -218,7 +228,7 @@ def _watch_run(stack: contextlib.ExitStack, channel, sink: list):
         thread.join(timeout=5.0)
 
     stack.callback(join_scraper)
-    return aggregator, scrapes
+    return scrapes
 
 
 def _explain(golden_bytes: bytes, fresh_bytes: bytes) -> None:
@@ -267,10 +277,10 @@ def main(argv: list[str] | None = None) -> int:
                              "TenancyConfig, every op tagged tenant 0)")
     parser.add_argument("--with-telemetry", action="store_true",
                         help="attach the live telemetry plane (streaming "
-                             "progress channel, decision tracing, HTTP "
-                             "scrape endpoint polled mid-run; implies "
-                             "--with-metrics); progress events must arrive "
-                             "and >= 1 scrape must succeed")
+                             "progress channel, decision/page/event "
+                             "tracing, HTTP scrape endpoint polled mid-run; "
+                             "implies --with-metrics); progress events must "
+                             "arrive and >= 1 scrape must succeed")
     parser.add_argument("--prewarm-pool", action="store_true",
                         help="fork and warm the persistent worker pool "
                              "BEFORE any run option is set, so options can "
@@ -288,19 +298,16 @@ def main(argv: list[str] | None = None) -> int:
         info = pool_info()
         print(f"prewarmed pool: {info} (warmed={warmed})")
     options = options_from_args(parser, args)
-    with contextlib.ExitStack() as stack:
-        if args.with_telemetry:
-            from repro.bench.telemetry import open_channel
-
-            channel = open_channel()
-            stack.callback(channel.close)
-            # The live scrape endpoint serves the merged metrics sink,
-            # so the telemetry plane needs per-cell collection on.
-            options = replace(options, collect_metrics=True,
-                              trace_decisions=TELEMETRY_TRACE_FRACTION,
-                              telemetry=channel)
-        failures = [e for e in args.experiments
-                    if not check(e, args.jobs, options)]
+    if args.with_telemetry:
+        # The live scrape endpoint serves the merged metrics sink, so
+        # the telemetry plane needs per-cell collection on; with the
+        # three tracers every measurement-window observer is attached.
+        options = replace(options, collect_metrics=True,
+                          trace_decisions=TELEMETRY_TRACE_FRACTION,
+                          trace_pages=TELEMETRY_TRACE_FRACTION,
+                          trace_events=True)
+    failures = [e for e in args.experiments
+                if not check(e, args.jobs, options, live=args.with_telemetry)]
     return 1 if failures else 0
 
 

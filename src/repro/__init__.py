@@ -20,7 +20,6 @@ Quick start::
 
 from .core import (
     AccessResult,
-    BufferEvent,
     BufferManager,
     BufferManagerConfig,
     BufferStats,
@@ -59,7 +58,6 @@ __all__ = [
     "AccessResult",
     "AdaptiveController",
     "AnnealingSchedule",
-    "BufferEvent",
     "BufferManager",
     "BufferManagerConfig",
     "BufferStats",

@@ -11,18 +11,6 @@ counter fields.
 
 from __future__ import annotations
 
-from ..core.events import BufferEvent
-
-
-def _event_key(event: BufferEvent) -> str:
-    src = event.src.name if event.src is not None else None
-    tier = event.tier.name if event.tier is not None else None
-    if src is not None and tier is not None and src != tier:
-        return f"{event.type.value}:{src}->{tier}"
-    if tier is not None:
-        return f"{event.type.value}@{tier}"
-    return event.type.value
-
 
 class EventTraceRecorder:
     """Aggregates buffer events into ``{edge-label: count}``.
@@ -42,10 +30,6 @@ class EventTraceRecorder:
         self._bus = None
 
     # ------------------------------------------------------------------
-    def __call__(self, event: BufferEvent) -> None:
-        self.apply_event(event.type, event.page_id, event.tier, event.src,
-                         event.dirty)
-
     def apply_op_batch(self, summary) -> None:
         """Bus batch path: bulk-add the counts of a fast-path run.
 
@@ -63,8 +47,7 @@ class EventTraceRecorder:
             counts[direct_key] = counts.get(direct_key, 0) + count
 
     def apply_event(self, etype, page_id, tier, src, dirty) -> None:
-        """Bus fast path: aggregate straight from the event fields, so an
-        attached recorder keeps the bus on its no-allocation path."""
+        """Count one event under its edge label."""
         src_name = src.name if src is not None else None
         tier_name = tier.name if tier is not None else None
         if src_name is not None and tier_name is not None and src_name != tier_name:

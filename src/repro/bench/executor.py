@@ -21,7 +21,7 @@ Design rules:
   :class:`Effort` (longest-expected-first), which amortises pickling
   and IPC over many small tasks while keeping load balanced;
 * what a run attaches to its cells — metrics hub, batch path, fault
-  plan, tenant tagging, telemetry channel, decision tracing — is one
+  plan, tenant tagging, telemetry channel, the three tracers — is one
   :class:`~repro.bench.harness.RunOptions` value: :func:`run_options`
   scopes an override, :func:`run_cell` reads :func:`current_options`
   once, and every submission carries the submitter's value into the
@@ -117,7 +117,7 @@ class Cell:
     All fields are plain values or frozen dataclasses, so cells pickle
     cleanly into worker processes.  A cell says *what* is measured;
     what the run attaches to it (metrics, batching, faults, tenant
-    tagging, telemetry, decision tracing) is the ambient
+    tagging, telemetry, event/page/decision tracing) is the ambient
     :class:`~repro.bench.harness.RunOptions`, never a cell field.
     """
 
@@ -134,7 +134,6 @@ class Cell:
     workers: int = 1
     extra_worker_counts: tuple[int, ...] = (16,)
     with_wal: bool = True
-    trace_events: bool = False
     #: Tenant population for a multi-tenant cell.  Non-empty routes the
     #: cell through :meth:`WorkloadRunner.measure_tenants` over an
     #: interleaved :class:`~repro.workloads.tenancy.MultiTenantWorkload`
@@ -739,7 +738,6 @@ def run_cell(cell: Cell) -> RunResult:
             measure_ops=cell.effort.measure_ops,
             workers=cell.workers,
             with_wal=cell.with_wal,
-            trace_events=cell.trace_events,
             options=options,
             **live,
         ),

@@ -15,6 +15,7 @@ can be derived from the same run).
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -85,6 +86,12 @@ class RunOptions:
     #: :class:`~repro.obs.decisions.DecisionRecorder` records as full
     #: spans (0 = off; decision *counters* are complete whenever on).
     trace_decisions: float = 0.0
+    #: Record a per-edge event trace over the measurement window
+    #: (:class:`~repro.bench.event_trace.EventTraceRecorder`).
+    trace_events: bool = False
+    #: Fraction of pages whose lifecycle a
+    #: :class:`~repro.obs.tracer.PageLifecycleTracer` records (0 = off).
+    trace_pages: float = 0.0
 
     def __post_init__(self) -> None:
         if self.batch_size < 1:
@@ -110,16 +117,12 @@ class RunConfig:
     checkpoint_interval_ops: int | None = 2_000
     #: Operations between inclusivity samples.
     inclusivity_sample_every: int = 2_000
-    #: Record a per-edge event trace over the measurement window
-    #: (:class:`~repro.bench.event_trace.EventTraceRecorder`).
-    trace_events: bool = False
     #: Sim-time between the hub's occupancy/dirty-ratio gauge samples.
     metrics_epoch_ns: float = DEFAULT_EPOCH_NS
-    #: Fraction of pages traced by the page-lifecycle tracer (0 = off).
-    trace_page_fraction: float = 0.0
     #: What the run attaches: metrics hub, batch path, tenant tagging,
-    #: decision tracing (``fault_plan`` and ``telemetry`` are consumed
-    #: by the executor, which owns device construction and cell labels).
+    #: event, page and decision tracing (``fault_plan`` and
+    #: ``telemetry`` are consumed by the executor, which owns device
+    #: construction and cell labels).
     options: RunOptions = RunOptions()
     #: Optional live-progress hook ``progress(phase, done, total)``,
     #: called every ``progress_every_ops`` operations during warm-up and
@@ -147,13 +150,13 @@ class RunResult:
     makespan_ns: float
     #: Throughput recomputed for other worker counts from the same run.
     throughput_by_workers: dict[int, float] = field(default_factory=dict)
-    #: Per-edge event counts (only when ``RunConfig.trace_events``).
+    #: Per-edge event counts (only when ``RunOptions.trace_events``).
     event_trace: dict[str, int] | None = None
     #: MetricsHub snapshot — registry state plus epoch gauge series
     #: (only when ``RunOptions.collect_metrics``).
     metrics: dict | None = None
     #: Page-lifecycle spans keyed by page id (only when
-    #: ``RunConfig.trace_page_fraction`` > 0).
+    #: ``RunOptions.trace_pages`` > 0).
     page_traces: dict | None = None
     #: Per-resource :class:`~repro.hardware.simclock.ResourceUsage` of
     #: the measurement window (busy_ns / operations / bytes_moved per
@@ -534,7 +537,9 @@ class WorkloadRunner:
         """Measure a recorded access trace (wraps around when short).
 
         Replaying one trace through several buffer managers gives an
-        exactly-matched comparison — the Fig. 12 ablation methodology.
+        exactly-matched comparison.  No figure uses it — Fig. 12 runs
+        through ``run_cell`` like the rest, and
+        ``examples/hymem_comparison.py`` replays its trace by hand.
         """
         if not len(trace):
             raise ValueError("cannot measure an empty trace")
@@ -561,6 +566,30 @@ class WorkloadRunner:
                 [next(iterator) for _ in range(count)]
             ),
         )
+
+    def _window_observers(self) -> dict[str, object]:
+        """The measurement window's bus observers, built from
+        ``RunOptions`` and keyed by the ``RunResult`` field each one
+        fills, in attach order."""
+        options = self.config.options
+        observers: dict[str, object] = {}
+        hub = None
+        if options.trace_events:
+            observers["event_trace"] = EventTraceRecorder()
+        if options.collect_metrics or options.track_tenants:
+            hub = observers["metrics"] = MetricsHub(
+                epoch_ns=self.config.metrics_epoch_ns,
+                track_tenants=options.track_tenants)
+        if options.trace_pages > 0:
+            observers["page_traces"] = PageLifecycleTracer(options.trace_pages)
+        if options.trace_decisions > 0:
+            decisions = observers["decision_trace"] = DecisionRecorder(
+                options.trace_decisions)
+            if hub is not None:
+                # Merged once into the hub registry at finalize, the
+                # same one-shot contract as the fault-source merge.
+                hub.decision_source = decisions
+        return observers
 
     def _measure(self, step, label: str,
                  extra_worker_counts: tuple[int, ...],
@@ -594,31 +623,19 @@ class WorkloadRunner:
         self.hierarchy.reset_accounting()
         self.bm.reset_stats()
         fast_runs_before = self.bm.batch_path.fast_runs
-        # Measurement-window observers are detached in the ``finally``
-        # below even when the workload raises: a leaked subscription
-        # would double-count every later measurement on this bus (and a
-        # slow-path subscriber would silently disable the bus fast path).
-        trace = None
-        hub = None
-        tracer = None
-        decisions = None
-        try:
-            if config.trace_events:
-                trace = EventTraceRecorder().attach(self.bm)
-            if options.collect_metrics or options.track_tenants:
-                hub = MetricsHub(epoch_ns=config.metrics_epoch_ns,
-                                 track_tenants=options.track_tenants)
-                hub.attach(self.bm)
-            if config.trace_page_fraction > 0:
-                tracer = PageLifecycleTracer(config.trace_page_fraction)
-                tracer.attach(self.bm)
-            if options.trace_decisions > 0:
-                decisions = DecisionRecorder(
-                    options.trace_decisions).attach(self.bm)
-                if hub is not None:
-                    # Merged once into the hub registry at finalize, the
-                    # same one-shot contract as the fault-source merge.
-                    hub.decision_source = decisions
+        observers = self._window_observers()
+        with contextlib.ExitStack() as stack:
+            # Every observer is detached even when the workload, or an
+            # earlier detach, raises: a leaked subscription would
+            # double-count every later measurement on this bus.  Detach
+            # is registered ahead of attach (it is a no-op on an observer
+            # that never attached) and in reverse, so the stack unwinds
+            # in attach order: the hub finalises before the decision
+            # recorder it merges from lets go.
+            for observer in reversed(observers.values()):
+                stack.callback(observer.detach)
+            for observer in observers.values():
+                observer.attach(self.bm)
 
             sample_every = max(1, config.inclusivity_sample_every)
             if use_batch:
@@ -652,15 +669,10 @@ class WorkloadRunner:
                              config.measure_ops)
             if self.bm.inclusivity.num_samples == 0:
                 self.bm.sample_inclusivity()
-        finally:
-            if trace is not None:
-                trace.detach()
-            if hub is not None:
-                hub.detach()  # flushes the in-flight op first
-            if decisions is not None:
-                decisions.detach()
-            if tracer is not None:
-                tracer.detach()
+        trace = observers.get("event_trace")
+        hub = observers.get("metrics")
+        tracer = observers.get("page_traces")
+        decisions = observers.get("decision_trace")
         operations = config.measure_ops
         makespan = self.hierarchy.cost.makespan_ns(config.workers)
         throughput = self.hierarchy.throughput(operations, config.workers)

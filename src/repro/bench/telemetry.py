@@ -29,6 +29,7 @@ stays byte-identical with the channel attached at any ``--jobs``
 
 from __future__ import annotations
 
+import contextlib
 import queue as queue_mod
 import sys
 import threading
@@ -328,3 +329,23 @@ class ProgressAggregator:
             "cases_done": cases_done,
             "cases_total": cases_total,
         }
+
+
+@contextlib.contextmanager
+def live_telemetry(stream=None):
+    """Open a channel and drain it for the scope's lifetime.
+
+    Yields ``(channel, aggregator)`` with the aggregator already
+    draining (rendering to ``stream``, default stderr).  On exit — an
+    exception included — the aggregator stops first, which wipes the
+    status line and prints its summary, and only then does the channel
+    shut its manager down.  Callers scope
+    ``run_options(telemetry=channel)`` inside.
+    """
+    channel = open_channel()
+    aggregator = ProgressAggregator(channel, stream=stream).start()
+    try:
+        yield channel, aggregator
+    finally:
+        aggregator.stop()
+        channel.close()

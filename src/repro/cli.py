@@ -190,12 +190,9 @@ def options_from_args(parser, args):
 def _attach_live(stack: contextlib.ExitStack):
     """Enter a live-telemetry scope on ``stack``; returns the aggregator."""
     from .bench.executor import run_options
-    from .bench.telemetry import ProgressAggregator, open_channel
+    from .bench.telemetry import live_telemetry
 
-    channel = open_channel()
-    aggregator = ProgressAggregator(channel).start()
-    stack.callback(channel.close)
-    stack.callback(aggregator.stop)
+    channel, aggregator = stack.enter_context(live_telemetry())
     stack.enter_context(run_options(telemetry=channel))
     return aggregator
 

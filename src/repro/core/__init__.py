@@ -27,7 +27,7 @@ from .buffer_manager import (
     BufferPool,
 )
 from .descriptors import SharedPageDescriptor, TierPageDescriptor
-from .events import BufferEvent, EventBus, EventType, StatsProjector
+from .events import EventBus, EventType, StatsProjector
 from .fine_grained import FineGrainedOps
 from .flush_engine import FlushEngine
 from .hymem import make_hymem
@@ -59,7 +59,6 @@ __all__ = [
     "expected_dram_fraction",
     "promotion_half_life",
     "promotion_probability",
-    "BufferEvent",
     "BufferFullError",
     "BufferManager",
     "BufferManagerConfig",

@@ -108,7 +108,7 @@ class AccessPath:
         """
         cost = self._cost
         emit = self._emit
-        cost.begin_cpu_batch()  # StorageHierarchy.begin_op
+        cost.begin_cpu_batch()
         try:
             cost.charge_fp(CostAccumulator.CPU, self._lookup_fp)
             # Set the bus tenant register before the OP event so every
@@ -152,7 +152,7 @@ class AccessPath:
             bypassed = tier not in (Tier.DRAM, Tier.SSD)
             return AccessResult(page_id, tier, hit=False, bypassed_dram=bypassed)
         finally:
-            cost.end_cpu_batch()  # StorageHierarchy.end_op
+            cost.end_cpu_batch()
 
     def climb(self, shared: SharedPageDescriptor, node: TierNode,
               descriptor: TierPageDescriptor, promote_op: MigrationOp,

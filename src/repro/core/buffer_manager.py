@@ -9,9 +9,9 @@ four-component core plus the three layers PR 1 extracted:
 * a :class:`~repro.core.migration.MigrationEngine` that owns every
   probabilistic admission/bypass/write-back decision of §3's
   ``<D_r, D_w, N_r, N_w>`` policy tuple (and HyMem's admission queue),
-* an :class:`~repro.core.events.EventBus` publishing typed
-  :class:`~repro.core.events.BufferEvent` records for every hit, miss,
-  install, migration, eviction, write-back, and flush,
+* an :class:`~repro.core.events.EventBus` publishing one typed event
+  (an :class:`~repro.core.events.EventType` and four fields) for every
+  hit, miss, install, migration, eviction, write-back, and flush,
 * the :class:`~repro.core.access_path.AccessPath` — the read/write
   chain walk (§3.1–§3.4): hit scan, promotion climbs, SSD fetches,
   installs, and upward migrations,

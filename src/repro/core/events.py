@@ -1,7 +1,7 @@
 """Typed buffer-manager events and the instrumentation bus.
 
-The tier chain emits one :class:`BufferEvent` per notable action — hits,
-misses, installs, migrations up/down the chain, evictions, write-backs,
+The tier chain publishes one event per notable action — hits, misses,
+installs, migrations up/down the chain, evictions, write-backs,
 flushes, fine-grained loads — and every consumer subscribes to the same
 :class:`EventBus`:
 
@@ -13,30 +13,25 @@ flushes, fine-grained loads — and every consumer subscribes to the same
 * the bench-side :class:`~repro.bench.event_trace.EventTraceRecorder`
   aggregates per-edge traffic for any chain depth.
 
-The bus sits on the hottest path, so emission is engineered around
-three invariants:
+An event is five positional fields — ``(type, page_id, tier, src,
+dirty)`` — and a subscriber is an object with
+``apply_event(etype, page_id, tier, src, dirty)``; there is no event
+object and no other way to be called.  The bus sits on the hottest
+path, so delivery is engineered around two invariants:
 
-* dispatch is *typed*: the bus keeps one immutable subscriber tuple per
-  :class:`EventType`, built when subscriptions change from each
-  subscriber's optional ``event_interest`` (a set of event types;
-  absent means all of them), so an event is only ever offered to the
-  subscribers that asked for its type — the inclusivity tracker wants
-  two of the fifteen,
-* :meth:`EventBus.publish` and :meth:`EventBus.emit` are plain loops
-  over the current tuple (no locking on the read side; subscription
-  changes swap the tuples atomically under a mutation lock),
-* :meth:`EventBus.publish` skips :class:`BufferEvent` construction
-  entirely whenever every subscriber implements the ``apply_event``
-  fast-path protocol — the default subscribers (the stats projector and
-  the inclusivity tracker) do, so the steady-state emission cost is one
-  positional call with no object allocation.  The first subscriber
-  without ``apply_event`` (e.g. a test's ``list.append``) transparently
-  restores the build-one-event-and-fan-out behaviour.
+* dispatch is *typed*: the bus keeps one immutable tuple of bound
+  ``apply_event`` methods per :class:`EventType`, built when
+  subscriptions change from each subscriber's optional
+  ``event_interest`` (a set of event types; absent means all of them),
+  so an event is only ever offered to the subscribers that asked for
+  its type — the inclusivity tracker wants two of the fifteen,
+* :meth:`EventBus.publish` is one plain loop over the current tuple (no
+  locking on the read side, no allocation; subscription changes swap
+  the tuples atomically under a mutation lock).
 """
 
 from __future__ import annotations
 
-import contextlib
 import enum
 import threading
 from typing import Callable
@@ -86,41 +81,6 @@ class EventType(enum.Enum):
 for _index, _etype in enumerate(EventType):
     _etype.index = _index
 del _index, _etype
-
-
-class BufferEvent:
-    """One instrumentation record emitted by the tier chain."""
-
-    __slots__ = ("type", "page_id", "tier", "src", "dirty", "tenant_id")
-
-    def __init__(
-        self,
-        type: EventType,
-        page_id: PageId,
-        tier: Tier | None = None,
-        src: Tier | None = None,
-        dirty: bool = False,
-        tenant_id: int = 0,
-    ) -> None:
-        self.type = type
-        self.page_id = page_id
-        #: The tier the event happened on (destination for migrations).
-        self.tier = tier
-        #: Source tier for migrations / write-backs.
-        self.src = src
-        self.dirty = dirty
-        #: Tenant whose operation produced the event (0 for the default
-        #: single-tenant stream); copied from the bus's tenant register
-        #: at construction so slow-path subscribers see attribution too.
-        self.tenant_id = tenant_id
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        src = f", src={self.src.name}" if self.src is not None else ""
-        tier = f", tier={self.tier.name}" if self.tier is not None else ""
-        return f"BufferEvent({self.type.value}, page={self.page_id}{tier}{src})"
-
-
-EventHandler = Callable[[BufferEvent], None]
 
 
 class OpBatchSummary:
@@ -173,35 +133,34 @@ class OpBatchSummary:
 class EventBus:
     """A minimal synchronous publish/subscribe hub.
 
-    Subscription changes rebuild the immutable per-type subscriber
-    tuples under a mutation lock (concurrent ``threading`` workers may
-    attach and detach observers mid-run), so :meth:`emit` and
-    :meth:`publish` — called several times per buffer operation — stay
-    plain lock-free iterations over the current tuple.
+    A subscriber is an object with ``apply_event(etype, page_id, tier,
+    src, dirty)``.  It may declare ``event_interest``, a collection of
+    the :class:`EventType` members it wants — it is then never offered
+    any other event; without the attribute it is offered every event —
+    and ``apply_op_batch(summary)`` to consume the batch access path's
+    run summaries.  Anything else (a bare callable, ``list.append``) is
+    rejected by :meth:`subscribe` with :class:`TypeError`.
 
-    A subscriber may declare ``event_interest``, a collection of the
-    :class:`EventType` members it wants; it is then never offered any
-    other event, on the fast path or the slow one.  Without the
-    attribute (bare callables, the metrics hub, tracers) it is offered
-    every event.
+    Subscription changes rebuild the immutable dispatch tuples under a
+    mutation lock (concurrent ``threading`` workers may attach and
+    detach observers mid-run), so :meth:`publish` — called several times
+    per buffer operation — stays a plain lock-free iteration over the
+    current tuple.
     """
 
-    __slots__ = ("_handlers", "_typed_handlers", "_typed_appliers",
-                 "_batch_appliers", "_mutate_lock", "tenant_id")
+    __slots__ = ("_subscribers", "_appliers", "_batch_appliers",
+                 "_mutate_lock", "tenant_id")
 
     def __init__(self) -> None:
-        self._handlers: tuple[EventHandler, ...] = ()
-        #: Per ``EventType.index``: the handlers offered that type.
-        self._typed_handlers: tuple[tuple[EventHandler, ...], ...] = \
-            ((),) * len(EventType)
+        self._subscribers: tuple = ()
         #: Per ``EventType.index``: the bound ``apply_event`` methods of
-        #: those handlers — or ``None`` for the whole table when at
-        #: least one handler only accepts built events.
-        self._typed_appliers: tuple[tuple[Callable, ...], ...] | None = \
-            self._typed_handlers
-        #: Bound ``apply_op_batch`` methods of every handler, or ``None``
-        #: when at least one handler cannot consume batch summaries —
-        #: the batch access path then falls back to per-op execution.
+        #: the subscribers offered that type.
+        self._appliers: tuple[tuple[Callable, ...], ...] = \
+            ((),) * len(EventType)
+        #: Bound ``apply_op_batch`` methods of every subscriber, or
+        #: ``None`` when at least one subscriber cannot consume batch
+        #: summaries — the batch access path then falls back to per-op
+        #: execution.
         self._batch_appliers: tuple[Callable, ...] | None = ()
         self._mutate_lock = threading.Lock()
         #: The *tenant register*: the tenant id of the operation currently
@@ -211,40 +170,29 @@ class EventBus:
         #: existing subscriber keeps working unchanged.
         self.tenant_id: int = 0
 
-    def subscribe(self, handler: EventHandler) -> EventHandler:
-        """Register ``handler`` and return it (for later unsubscribe)."""
-        with self._mutate_lock:
-            self._rebuild(self._handlers + (handler,))
-        return handler
+    def subscribe(self, subscriber):
+        """Register ``subscriber`` and return it (for later unsubscribe).
 
-    def unsubscribe(self, handler: EventHandler) -> None:
+        Raises :class:`TypeError`, leaving the bus unchanged, when it
+        has no ``apply_event``.
+        """
+        if not callable(getattr(subscriber, "apply_event", None)):
+            raise TypeError(
+                f"{subscriber!r} has no apply_event(etype, page_id, tier, "
+                "src, dirty): the bus delivers events positionally only"
+            )
+        with self._mutate_lock:
+            self._rebuild(self._subscribers + (subscriber,))
+        return subscriber
+
+    def unsubscribe(self, subscriber) -> None:
         with self._mutate_lock:
             self._rebuild(
-                tuple(h for h in self._handlers if h is not handler)
+                tuple(s for s in self._subscribers if s is not subscriber)
             )
 
-    @contextlib.contextmanager
-    def subscription(self, handler: EventHandler):
-        """Scoped subscription: the handler is removed on exit, even when
-        the body raises.  Measurement-window observers (trace recorders,
-        metrics hubs) use this so an aborted run can never leak a
-        subscriber into later runs — a leak both double-counts and, for
-        handlers without ``apply_event``, silently knocks the bus off
-        its allocation-free fast path.
-        """
-        self.subscribe(handler)
-        try:
-            yield handler
-        finally:
-            self.unsubscribe(handler)
-
-    def is_subscribed(self, handler: EventHandler) -> bool:
-        return any(h is handler for h in self._handlers)
-
-    @property
-    def fast_path_active(self) -> bool:
-        """True while every subscriber supports positional fast dispatch."""
-        return self._typed_appliers is not None
+    def is_subscribed(self, subscriber) -> bool:
+        return any(s is subscriber for s in self._subscribers)
 
     @property
     def batch_path_active(self) -> bool:
@@ -252,29 +200,23 @@ class EventBus:
 
         The batch access path checks this before vectorising a run; any
         subscriber without ``apply_op_batch`` (an adaptive controller, a
-        test's bare callable) transparently forces per-op execution so
-        no observer ever misses events.
+        crash-point probe) transparently forces per-op execution so no
+        observer ever misses events.
         """
         return self._batch_appliers is not None
 
-    def _rebuild(self, handlers: tuple[EventHandler, ...]) -> None:
-        """Swap in a new handler set and recompute the dispatch tables."""
+    def _rebuild(self, subscribers: tuple) -> None:
+        """Swap in a new subscriber set and recompute the dispatch tables."""
         every_type = range(len(EventType))
-        typed_handlers: list[list] = [[] for _ in every_type]
-        typed_appliers: list[list] | None = [[] for _ in every_type]
+        appliers: list[list] = [[] for _ in every_type]
         batch_appliers: list | None = []
-        for handler in handlers:
-            interest = getattr(handler, "event_interest", None)
+        for subscriber in subscribers:
+            interest = getattr(subscriber, "event_interest", None)
             wanted = (every_type if interest is None
                       else {etype.index for etype in interest})
-            apply = getattr(handler, "apply_event", None)
-            if apply is None:
-                typed_appliers = batch_appliers = None
             for index in wanted:
-                typed_handlers[index].append(handler)
-                if typed_appliers is not None:
-                    typed_appliers[index].append(apply)
-            apply_batch = getattr(handler, "apply_op_batch", None)
+                appliers[index].append(subscriber.apply_event)
+            apply_batch = getattr(subscriber, "apply_op_batch", None)
             if apply_batch is None:
                 batch_appliers = None
             elif batch_appliers is not None:
@@ -282,41 +224,19 @@ class EventBus:
         self._batch_appliers = (
             tuple(batch_appliers) if batch_appliers is not None else None
         )
-        # Handlers before appliers: a concurrent publish() that sees the
-        # applier table go to None must already find the handler that
-        # caused it.
-        self._typed_handlers = tuple(map(tuple, typed_handlers))
-        self._typed_appliers = (
-            tuple(map(tuple, typed_appliers))
-            if typed_appliers is not None else None
-        )
-        self._handlers = handlers
-
-    def emit(self, event: BufferEvent) -> None:
-        for handler in self._typed_handlers[event.type.index]:
-            handler(event)
+        self._appliers = tuple(map(tuple, appliers))
+        self._subscribers = subscribers
 
     def publish(self, type: EventType, page_id: PageId,
                 tier: Tier | None = None, src: Tier | None = None,
                 dirty: bool = False) -> None:
-        """Emit one event, materialising it only when a subscriber needs it.
+        """Offer one event to every subscriber interested in its type.
 
-        This is the hot-path entry the tier chain uses: when every
-        subscriber implements ``apply_event`` the notification is one
-        positional call per interested subscriber and no
-        :class:`BufferEvent` is constructed.
+        This is the hot-path entry the tier chain uses: one positional
+        call per interested subscriber, nothing allocated.
         """
-        appliers = self._typed_appliers
-        if appliers is not None:
-            for apply in appliers[type.index]:
-                apply(type, page_id, tier, src, dirty)
-            return
-        handlers = self._typed_handlers[type.index]
-        if handlers:
-            event = BufferEvent(type, page_id, tier, src, dirty,
-                                tenant_id=self.tenant_id)
-            for handler in handlers:
-                handler(event)
+        for apply in self._appliers[type.index]:
+            apply(type, page_id, tier, src, dirty)
 
     def publish_op_batch(self, summary: OpBatchSummary) -> None:
         """Fan one batch summary out to every subscriber.
@@ -334,7 +254,7 @@ class EventBus:
 
     @property
     def num_subscribers(self) -> int:
-        return len(self._handlers)
+        return len(self._subscribers)
 
 
 class StatsProjector:
@@ -365,10 +285,6 @@ class StatsProjector:
         self._hits = [0] * len(TIER_ORDER)
 
     # ------------------------------------------------------------------
-    def __call__(self, event: BufferEvent) -> None:
-        self.apply_event(event.type, event.page_id, event.tier, event.src,
-                         event.dirty)
-
     def apply_op_batch(self, summary: OpBatchSummary) -> None:
         """Batched projection of a run of top-tier read hits.
 
@@ -390,8 +306,7 @@ class StatsProjector:
     def apply_event(self, etype: EventType, page_id: PageId,
                     tier: Tier | None, src: Tier | None,
                     dirty: bool) -> None:
-        """Fast-path projection: same logic as :meth:`__call__`, fed the
-        event fields positionally so the bus can skip building events."""
+        """Project one event, its fields fed positionally by the bus."""
         stats = self._owner.stats
         if etype is EventType.OP_READ:
             stats.reads += 1

@@ -93,15 +93,14 @@ class FlushEngine:
             return 0
         persist_node = self.chain.first_persistent_below(top)
         latch_tiers = self.chain.tiers + (Tier.SSD,)
-        flushed = 0
-        self.hierarchy.begin_op()
+        cost = self.hierarchy.cost
+        cost.begin_cpu_batch()
         try:
-            flushed = self._flush_dirty_dram_batch(
+            return self._flush_dirty_dram_batch(
                 top, persist_node, latch_tiers, limit
             )
         finally:
-            self.hierarchy.end_op()
-        return flushed
+            cost.end_cpu_batch()
 
     def _flush_dirty_dram_batch(self, top: TierNode,
                                 persist_node: TierNode | None,

@@ -152,19 +152,11 @@ class InclusivityTracker:
         bus.subscribe(self)
         return self
 
-    def __call__(self, event) -> None:
-        self.apply_event(event.type, event.page_id, event.tier, event.src,
-                         event.dirty)
-
-    # Kept as an alias: callers historically subscribed ``observe_event``.
-    def observe_event(self, event) -> None:
-        self(event)
-
     def apply_op_batch(self, summary) -> None:
-        """Bus batch path: fast-path runs contain no migrations."""
+        """Bus batch path: runs of top-tier hits contain no migrations."""
 
     def apply_event(self, etype, page_id, tier, src, dirty) -> None:
-        """Bus fast path: count migrations without building an event."""
+        """Count one migration (the bus offers nothing else)."""
         if etype is EventType.MIGRATE_UP:
             with self._lock:
                 self.migrations_up += 1

@@ -91,13 +91,16 @@ class Boundary:
 class BoundaryProbe:
     """Counts boundary crossings; optionally crashes at one of them.
 
-    Subscribes to the buffer manager's event bus (implementing the
-    ``apply_event`` fast-path protocol, so the bus stays allocation-free)
-    and to the log manager's ``on_append`` observer.  When ``armed``,
+    Subscribes to the buffer manager's event bus (for the
+    :data:`BOUNDARY_EVENTS` only, its ``event_interest``) and to the log
+    manager's ``on_append`` observer.  When ``armed``,
     reaching the armed boundary raises :class:`SimulatedCrash`, which
     unwinds through the engine without aborting the in-flight
     transaction — power loss, not rollback.
     """
+
+    #: The only events the bus needs to offer this subscriber.
+    event_interest = frozenset(BOUNDARY_EVENTS)
 
     def __init__(self, armed: Boundary | None = None) -> None:
         self.armed = armed
@@ -132,14 +135,8 @@ class BoundaryProbe:
     def _note_append(self, record) -> None:
         self._hit(WAL_APPEND)
 
-    def __call__(self, event) -> None:
-        self.apply_event(event.type, event.page_id, event.tier, event.src,
-                         event.dirty)
-
     def apply_event(self, etype, page_id, tier, src, dirty) -> None:
-        kind = BOUNDARY_EVENTS.get(etype)
-        if kind is not None:
-            self._hit(kind)
+        self._hit(BOUNDARY_EVENTS[etype])
 
     # -- results ---------------------------------------------------------
     def boundaries(self) -> list[Boundary]:

@@ -160,18 +160,6 @@ class StorageHierarchy:
         """Columnar CPU charge: one reduction over per-op demands."""
         self.cost.charge_batch(CostAccumulator.CPU, service_ns_array)
 
-    def begin_op(self) -> None:
-        """Start one logical operation: CPU charges batch until
-        :meth:`end_op`, collapsing the per-probe accumulator traffic
-        (lookup cost, device access latencies, migration bookkeeping)
-        into a single charge.  Nesting is safe; the outermost pair wins.
-        """
-        self.cost.begin_cpu_batch()
-
-    def end_op(self) -> None:
-        """Commit the batched CPU demand of the current operation."""
-        self.cost.end_cpu_batch()
-
     def dollar_cost(self) -> float:
         return hierarchy_cost(self.shape, self.specs)
 

@@ -66,11 +66,6 @@ def to_fp_array(service_ns_array):
     ).astype(np.int64)
 
 
-def fp_to_ns(fp: int) -> float:
-    """Fixed-point units back to (float) nanoseconds."""
-    return fp / FP_SCALE
-
-
 class SimClock:
     """A monotonically advancing simulated clock in nanoseconds.
 

@@ -16,9 +16,9 @@ A :class:`DecisionRecorder` taps two sources at once:
   from the engine's RNG and never mutates the queue, so attaching it
   cannot perturb the decision stream (the golden-figure gate proves
   this byte-for-byte);
-* the event bus, via the allocation-free ``apply_event`` protocol, for
-  ``EVICT`` events — capturing the victim class (dirty vs clean) and
-  the tenant the bus register names at that moment.
+* the event bus, with ``EVICT`` as its whole ``event_interest`` —
+  capturing the victim class (dirty vs clean) and the tenant the bus
+  register names at that moment.
 
 Every decision lands in the recorder's own
 :class:`~repro.obs.metrics.MetricsRegistry` (complete per-policy
@@ -77,6 +77,9 @@ class DecisionRecorder:
     tracer: the same pages are sampled on every run and in every worker
     process, which keeps parallel runs byte-identical to serial ones.
     """
+
+    #: The only event the bus needs to offer this subscriber.
+    event_interest = frozenset({EventType.EVICT})
 
     def __init__(self, fraction: float = 1.0,
                  max_spans: int = 4096,
@@ -182,17 +185,11 @@ class DecisionRecorder:
     # ------------------------------------------------------------------
     # Bus protocol (eviction victims)
     # ------------------------------------------------------------------
-    def __call__(self, event) -> None:
-        self.apply_event(event.type, event.page_id, event.tier, event.src,
-                         event.dirty)
-
     def apply_op_batch(self, summary) -> None:
         """Bus batch path: no-op — batched hits decide nothing."""
 
     def apply_event(self, etype, page_id, tier, src, dirty) -> None:
-        """Bus fast path: one identity test, evictions only."""
-        if etype is not EventType.EVICT:
-            return
+        """Record one eviction victim (the bus offers nothing else)."""
         victim_class = "dirty" if dirty else "clean"
         tier_label = tier.name if tier is not None else "?"
         key = (tier_label, victim_class)

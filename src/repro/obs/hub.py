@@ -19,9 +19,9 @@ projects the event stream onto a :class:`~repro.obs.metrics.MetricsRegistry`:
   :class:`~repro.hardware.simclock.SimClock` to the boundary, so the
   clock tracks observable sim progress.
 
-The hub implements the bus's ``apply_event`` fast-path protocol, so the
-bus stays on its allocation-free emission path while a hub is attached;
-:meth:`detach` restores the exact pre-attach subscriber set.  Under
+The hub is an ordinary ``apply_event`` subscriber offered every event;
+:meth:`detach` restores the exact pre-attach subscriber set, even when
+finalizing raises.  Under
 concurrent ``threading`` workers the histogram *counts* stay exact (one
 observation per op event, by construction); outcome attribution of an
 individual latency sample may be approximate across interleaved ops.
@@ -178,9 +178,13 @@ class MetricsHub:
         """Finalize pending state and restore the pre-attach bus."""
         if self._bus is None:
             return
-        self.finalize()
-        self._bus.unsubscribe(self)
-        self._bus = None
+        try:
+            self.finalize()
+        finally:
+            # A raising source merge must not leave the hub subscribed:
+            # it would double-count every later window on this bus.
+            self._bus.unsubscribe(self)
+            self._bus = None
 
     def finalize(self) -> None:
         """Flush the in-flight op and take a closing gauge sample."""
@@ -228,10 +232,6 @@ class MetricsHub:
     # ------------------------------------------------------------------
     # Bus protocol
     # ------------------------------------------------------------------
-    def __call__(self, event) -> None:
-        self.apply_event(event.type, event.page_id, event.tier, event.src,
-                         event.dirty)
-
     def apply_op_batch(self, summary) -> None:
         """Batched projection of a run of top-tier read hits.
 
@@ -285,7 +285,7 @@ class MetricsHub:
                 idx = nxt if nxt > idx else idx + 1
 
     def apply_event(self, etype, page_id, tier, src, dirty) -> None:
-        """Fast-path projection; fields arrive positionally from the bus."""
+        """Project one event; fields arrive positionally from the bus."""
         if etype is EventType.OP_READ or etype is EventType.OP_WRITE:
             now = self._cost.total_ns
             start = self._op_start

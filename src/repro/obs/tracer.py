@@ -13,10 +13,9 @@ Query :meth:`~PageLifecycleTracer.journey` for one page's span list, or
 
     page 17: install@NVM +0ns -> migrate_up NVM->DRAM +12.4us -> ...
 
-Like every observability subscriber, the tracer implements the bus's
-``apply_event`` protocol, so attaching it keeps the bus allocation-free;
-non-lifecycle events (hits, direct serves) fall through after one
-set-membership test.
+The tracer declares :data:`LIFECYCLE_EVENTS` as its ``event_interest``,
+so the bus never offers it anything else — hits and direct serves, most
+of the stream, cost it nothing.
 """
 
 from __future__ import annotations
@@ -75,6 +74,9 @@ class TraceSpan:
 class PageLifecycleTracer:
     """Records lifecycle spans for a sampled fraction of pages."""
 
+    #: The only events the bus needs to offer this subscriber.
+    event_interest = LIFECYCLE_EVENTS
+
     def __init__(self, fraction: float = 0.01,
                  max_spans_per_page: int = 256) -> None:
         if not 0.0 <= fraction <= 1.0:
@@ -112,17 +114,11 @@ class PageLifecycleTracer:
             self._bus = None
 
     # ------------------------------------------------------------------
-    def __call__(self, event) -> None:
-        self.apply_event(event.type, event.page_id, event.tier, event.src,
-                         event.dirty)
-
     def apply_op_batch(self, summary) -> None:
         """Bus batch path: no-op — hits are not lifecycle events."""
 
     def apply_event(self, etype, page_id, tier, src, dirty) -> None:
-        """Bus fast path: one set test, then the sampling hash."""
-        if etype not in LIFECYCLE_EVENTS:
-            return
+        """Record one lifecycle event if its page is in the sample."""
         if ((page_id * _HASH_MULT) & _HASH_MASK) >= self._threshold:
             return
         span = TraceSpan(

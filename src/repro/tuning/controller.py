@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core.buffer_manager import BufferManager
-from ..core.events import BufferEvent, EventType
+from ..core.events import EventType
 from ..core.policy import MigrationPolicy
 from .annealing import AnnealingSchedule, PolicyAnnealer
 
@@ -35,24 +35,18 @@ class EpochRecord:
 
 
 class _OpCounter:
-    """Bus observer that tallies operations for the controller.
-
-    Implements the bus's ``apply_event`` fast path so an attached
-    controller does not force event materialisation on every emission.
-    """
+    """Bus observer that tallies operations for the controller."""
 
     __slots__ = ("_controller",)
+
+    #: The only events the bus needs to offer this subscriber.
+    event_interest = frozenset({EventType.OP_READ, EventType.OP_WRITE})
 
     def __init__(self, controller: "AdaptiveController") -> None:
         self._controller = controller
 
-    def __call__(self, event: BufferEvent) -> None:
-        self.apply_event(event.type, event.page_id, event.tier, event.src,
-                         event.dirty)
-
     def apply_event(self, etype, page_id, tier, src, dirty) -> None:
-        if etype is EventType.OP_READ or etype is EventType.OP_WRITE:
-            self._controller._ops_seen += 1
+        self._controller._ops_seen += 1
 
 
 class AdaptiveController:
@@ -82,10 +76,6 @@ class AdaptiveController:
         self._ops_seen = 0
         self._observer = _OpCounter(self)
         buffer_manager.events.subscribe(self._observer)
-
-    def _observe_event(self, event: BufferEvent) -> None:
-        if event.type is EventType.OP_READ or event.type is EventType.OP_WRITE:
-            self._ops_seen += 1
 
     def detach(self) -> None:
         """Stop observing the buffer manager's event bus."""

@@ -1,9 +1,10 @@
 """Access-trace recording and replay.
 
 A trace is a flat sequence of page accesses.  Traces make experiments
-repeatable across buffer managers (the Fig. 12 ablation runs the exact
-same access stream through HyMem and both Spitfire policies) and allow
-captured workloads to be replayed offline.
+repeatable across buffer managers (``examples/hymem_comparison.py``
+replays one recorded stream through HyMem and Spitfire-Lazy; the
+figures, Fig. 12 included, run seeded generators through ``run_cell``
+instead) and allow captured workloads to be replayed offline.
 """
 
 from __future__ import annotations

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import random
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import pytest
 
 from repro.core.access_path import AccessPath
 from repro.core.buffer_manager import BufferManager, BufferManagerConfig
-from repro.core.events import EventBus
+from repro.core.events import EventBus, EventType
 from repro.core.fine_grained import FineGrainedOps
 from repro.core.flush_engine import FlushEngine
 from repro.core.mapping_table import MappingTable
@@ -29,6 +30,26 @@ from repro.hardware.specs import SimulationScale, Tier
 
 #: A tiny scale so pools hold single-digit page counts.
 TINY_SCALE = SimulationScale(pages_per_gb=4)
+
+
+class RecordedEvent(NamedTuple):
+    type: EventType
+    page_id: int
+    tier: Tier | None
+    src: Tier | None
+    dirty: bool
+
+
+class EventRecorder:
+    """Bus subscriber keeping every event it is offered, in order."""
+
+    def __init__(self, event_interest=None) -> None:
+        self.events: list[RecordedEvent] = []
+        if event_interest is not None:
+            self.event_interest = frozenset(event_interest)
+
+    def apply_event(self, etype, page_id, tier, src, dirty) -> None:
+        self.events.append(RecordedEvent(etype, page_id, tier, src, dirty))
 
 
 @pytest.fixture

@@ -1,6 +1,6 @@
 """AccessPath: the chain walk, constructed independently of the facade."""
 
-from conftest import make_core
+from conftest import EventRecorder, make_core
 
 from repro.core.access_path import AccessPath, AccessResult
 from repro.core.events import EventType
@@ -9,9 +9,7 @@ from repro.hardware.specs import Tier
 
 
 def collect_events(core):
-    events = []
-    core.events.subscribe(events.append)
-    return events
+    return core.events.subscribe(EventRecorder()).events
 
 
 class TestIndependentConstruction:

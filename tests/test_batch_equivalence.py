@@ -116,11 +116,12 @@ class TestRunEquivalence:
     def test_eager_policy_and_event_trace(self):
         """A migration-heavy policy exercises the slow-path fallback."""
         cell = Cell.ycsb("batch-eq/eager", SHAPE, SPITFIRE_EAGER, "YCSB-BA",
-                         10.0, effort=TINY, extra_worker_counts=(),
-                         trace_events=True)
-        baseline = _fingerprint(run_cell(cell))
-        with run_options(batch_size=64):
-            batched = _fingerprint(run_cell(cell))
+                         10.0, effort=TINY, extra_worker_counts=())
+        with run_options(trace_events=True):
+            baseline = _fingerprint(run_cell(cell))
+            with run_options(batch_size=64):
+                batched = _fingerprint(run_cell(cell))
+        assert baseline["event_trace"]
         assert batched == baseline
 
     def test_only_batch_runs_tells_a_batched_run_apart(self):

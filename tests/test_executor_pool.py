@@ -242,6 +242,14 @@ FIELD_CASES = {
         lambda: 1.0,
         lambda result, baseline: result.decision_trace is not None
         and baseline.decision_trace is None),
+    "trace_events": (
+        lambda: True,
+        lambda result, baseline: bool(result.event_trace)
+        and baseline.event_trace is None),
+    "trace_pages": (
+        lambda: 1.0,
+        lambda result, baseline: bool(result.page_traces["pages"])
+        and baseline.page_traces is None),
 }
 
 

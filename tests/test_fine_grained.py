@@ -1,6 +1,6 @@
 """FineGrainedOps: cache-line/mini-page serving, constructed standalone."""
 
-from conftest import make_core
+from conftest import EventRecorder, make_core
 
 from repro.core.buffer_manager import BufferManagerConfig
 from repro.core.events import EventType
@@ -43,11 +43,8 @@ class TestCacheLineServing:
 
     def test_later_access_loads_missing_lines(self):
         core = make_fine_core()
-        loads = []
-        core.events.subscribe(
-            lambda e: loads.append(e) if e.type is EventType.FINE_GRAINED_LOAD
-            else None
-        )
+        loads = core.events.subscribe(
+            EventRecorder({EventType.FINE_GRAINED_LOAD})).events
         page = core.store.allocate().page_id
         core.access.access(page, 0, 64, is_write=False)
         first = len(loads)
@@ -76,11 +73,8 @@ class TestMiniPages:
 
     def test_overflow_promotes_to_cacheline_page(self):
         core = make_fine_core(mini_pages=True)
-        promotions = []
-        core.events.subscribe(
-            lambda e: promotions.append(e)
-            if e.type is EventType.MINI_PAGE_PROMOTION else None
-        )
+        promotions = core.events.subscribe(
+            EventRecorder({EventType.MINI_PAGE_PROMOTION})).events
         page = core.store.allocate().page_id
         core.access.access(page, 0, 64, is_write=False)
         node = core.chain.node(Tier.DRAM)

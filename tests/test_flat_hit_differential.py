@@ -64,7 +64,7 @@ def old_route(hierarchy, is_write: bool, nbytes: int) -> None:
     """What a top-tier hit charged before: the lookup, then the retry
     wrapper around the device call, inside the op's CPU batch."""
     device = hierarchy.device(Tier.DRAM)
-    hierarchy.begin_op()
+    hierarchy.cost.begin_cpu_batch()
     try:
         hierarchy.charge_cpu(hierarchy.cpu_costs.lookup_ns)
         if is_write:
@@ -72,7 +72,7 @@ def old_route(hierarchy, is_write: bool, nbytes: int) -> None:
         else:
             read_with_retry(device, nbytes)
     finally:
-        hierarchy.end_op()
+        hierarchy.cost.end_cpu_batch()
 
 
 def flat_route(hierarchy, is_write: bool, nbytes: int) -> None:

@@ -1,6 +1,6 @@
 """FlushEngine: checkpoint flushing, write-back, crash/recovery (§5.2)."""
 
-from conftest import make_core
+from conftest import EventRecorder, make_core
 
 from repro.core.buffer_manager import BufferManagerConfig
 from repro.core.events import EventType
@@ -54,8 +54,7 @@ class TestFlushDestinations:
         # the flush is a downward write migration and admits into NVM
         # (§3.4's path 5 applied to checkpoints) instead of writing SSD.
         core = make_core(policy=MigrationPolicy(1.0, 1.0, 0.0, 1.0))
-        events = []
-        core.events.subscribe(events.append)
+        events = core.events.subscribe(EventRecorder()).events
         page = dirty_page(core)
         assert core.table.get(page).copy_on(Tier.NVM) is None
         assert core.flush.flush_admits_to_nvm(page)

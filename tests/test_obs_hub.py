@@ -157,13 +157,12 @@ class TestLifecycle:
     def test_detach_restores_bus_exactly(self):
         bm = make_bm(policy=SPITFIRE_EAGER)
         baseline = bm.events.num_subscribers
-        fast = bm.events.fast_path_active
         hub = attached_hub(bm)
         assert bm.events.num_subscribers == baseline + 1
-        assert bm.events.fast_path_active  # hub keeps the fast path
+        assert bm.events.is_subscribed(hub)
         hub.detach()
         assert bm.events.num_subscribers == baseline
-        assert bm.events.fast_path_active == fast
+        assert not bm.events.is_subscribed(hub)
 
     def test_double_attach_rejected(self):
         import pytest

@@ -127,7 +127,7 @@ class TestTracing:
         baseline = bm.events.num_subscribers
         tracer = PageLifecycleTracer(1.0).attach(bm)
         assert bm.events.num_subscribers == baseline + 1
-        assert bm.events.fast_path_active  # tracer keeps the fast path
+        assert bm.events.is_subscribed(tracer)
         tracer.detach()
         tracer.detach()  # idempotent
         assert bm.events.num_subscribers == baseline

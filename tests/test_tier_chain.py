@@ -10,12 +10,13 @@ through the public API and driven end-to-end by YCSB.
 
 from __future__ import annotations
 
-from conftest import make_bm
+import pytest
+from conftest import EventRecorder, make_bm
 
 from repro.bench.event_trace import EventTraceRecorder
-from repro.bench.harness import RunConfig, WorkloadRunner
+from repro.bench.harness import RunConfig, RunOptions, WorkloadRunner
 from repro.core.buffer_manager import BufferManager
-from repro.core.events import BufferEvent, EventBus, EventType
+from repro.core.events import EventBus, EventType
 from repro.core.policy import DRAM_SSD_POLICY, SPITFIRE_EAGER, SPITFIRE_LAZY
 from repro.core.tier_chain import TierChain
 from repro.hardware.cost_model import StorageHierarchy
@@ -120,8 +121,7 @@ class TestResetStatsDevices:
 
 class TestEventBus:
     def test_miss_emits_miss_and_install(self, eager_bm):
-        seen: list[BufferEvent] = []
-        eager_bm.events.subscribe(seen.append)
+        seen = eager_bm.events.subscribe(EventRecorder()).events
         page = eager_bm.allocate_page()
         eager_bm.read(page)
         kinds = [event.type for event in seen]
@@ -131,8 +131,8 @@ class TestEventBus:
         assert miss.page_id == page
 
     def test_unsubscribe_stops_delivery(self, eager_bm):
-        seen: list[BufferEvent] = []
-        handler = eager_bm.events.subscribe(seen.append)
+        handler = eager_bm.events.subscribe(EventRecorder())
+        seen = handler.events
         page = eager_bm.allocate_page()
         eager_bm.read(page)
         count = len(seen)
@@ -141,107 +141,74 @@ class TestEventBus:
         eager_bm.read(page)
         assert len(seen) == count
 
-    def test_fast_path_skips_event_objects(self):
-        """Handlers exposing ``apply_event`` receive raw fields and no
-        BufferEvent is ever constructed."""
+    def test_publish_delivers_the_five_fields_positionally(self):
+        """``apply_event`` receives exactly what ``publish`` was given,
+        absent fields as their defaults."""
         bus = EventBus()
-
-        class FastApplier:
-            def __init__(self):
-                self.calls = []
-
-            def apply_event(self, etype, page_id, tier, src, dirty):
-                self.calls.append((etype, page_id, tier, src, dirty))
-
-            def __call__(self, event):  # pragma: no cover - must not run
-                raise AssertionError("slow path used despite fast applier")
-
-        applier = FastApplier()
-        bus.subscribe(applier)
+        recorder = bus.subscribe(EventRecorder())
         bus.publish(EventType.HIT, 7, tier=Tier.DRAM)
-        assert applier.calls == [(EventType.HIT, 7, Tier.DRAM, None, False)]
+        bus.publish(EventType.WRITE_BACK, 3, Tier.SSD, Tier.NVM, True)
+        assert recorder.events == [
+            (EventType.HIT, 7, Tier.DRAM, None, False),
+            (EventType.WRITE_BACK, 3, Tier.SSD, Tier.NVM, True),
+        ]
 
-    def test_plain_handler_disables_fast_path(self):
-        """One event-object subscriber forces BufferEvent construction
-        for everyone — and both handler styles still see every event."""
+    def test_subscriber_without_apply_event_is_rejected(self):
+        """A plain callable is an error at ``subscribe``, not a silent
+        second delivery format — and the bus is unchanged afterwards."""
         bus = EventBus()
-
-        class FastApplier:
-            def __init__(self):
-                self.calls = []
-
-            def apply_event(self, etype, page_id, tier, src, dirty):
-                self.calls.append(etype)
-
-            def __call__(self, event):
-                self.apply_event(event.type, event.page_id, event.tier,
-                                 event.src, event.dirty)
-
-        applier = FastApplier()
-        events: list[BufferEvent] = []
-        bus.subscribe(applier)
-        bus.subscribe(events.append)
+        recorder = bus.subscribe(EventRecorder())
+        events: list = []
+        for foreign in (events.append, lambda event: None, object()):
+            with pytest.raises(TypeError, match="apply_event"):
+                bus.subscribe(foreign)
+            assert not bus.is_subscribed(foreign)
+        assert bus.num_subscribers == 1
         bus.publish(EventType.MISS, 3)
-        assert applier.calls == [EventType.MISS]
-        assert len(events) == 1 and events[0].type is EventType.MISS
+        assert recorder.events == [(EventType.MISS, 3, None, None, False)]
+        assert events == []
 
     def test_typed_dispatch_offers_each_subscriber_what_it_saw_before(self):
-        """Three subscriber styles over one seeded run, with the slow one
-        joining and leaving mid-run.
+        """Three subscribers over one seeded run, one of them joining and
+        leaving mid-run.
 
         A subscriber without ``event_interest`` is offered every event; one
-        with it exactly the events of those types, in order, whether the bus
-        is on its fast path or not; one without ``apply_event`` every event
-        published while it is subscribed.  The projections the default
-        subscribers keep — ``BufferStats``, per-tier hits, the inclusivity
-        tracker's migration tallies — are what the full stream says.
+        with it exactly the events of those types, in order; one that joins
+        late every event published while it is subscribed.  The projections
+        the default subscribers keep — ``BufferStats``, per-tier hits, the
+        inclusivity tracker's migration tallies — are what the full stream
+        says.
         """
         import random
 
-        class Everything:
-            def __init__(self):
-                self.seen = []
-
-            def apply_event(self, etype, page_id, tier, src, dirty):
-                self.seen.append((etype, page_id, tier, src, dirty))
-
-            def __call__(self, event):
-                self.apply_event(event.type, event.page_id, event.tier,
-                                 event.src, event.dirty)
-
-        class Interested(Everything):
-            event_interest = frozenset({EventType.HIT, EventType.MIGRATE_UP,
-                                        EventType.EVICT})
-
+        interest = frozenset({EventType.HIT, EventType.MIGRATE_UP,
+                              EventType.EVICT})
         bm = make_bm(dram_gb=1.0, nvm_gb=2.0, policy=SPITFIRE_EAGER)
         bus = bm.events
-        everything = bus.subscribe(Everything())
-        interested = bus.subscribe(Interested())
-        slow: list[BufferEvent] = []
+        everything = bus.subscribe(EventRecorder())
+        interested = bus.subscribe(EventRecorder(interest))
+        late = EventRecorder()
         pages = [bm.allocate_page() for _ in range(24)]
         rng = random.Random(5)
         joined = left = None
         for index in range(600):
             if index == 200:
-                joined = len(everything.seen)
-                handle = bus.subscribe(slow.append)
-                assert not bus.fast_path_active
+                joined = len(everything.events)
+                bus.subscribe(late)
             elif index == 400:
-                left = len(everything.seen)
-                bus.unsubscribe(handle)
-                assert bus.fast_path_active
+                left = len(everything.events)
+                bus.unsubscribe(late)
             page = pages[rng.randrange(len(pages))]
             if rng.random() < 0.4:
                 bm.write(page, 0, 64)
             else:
                 bm.read(page)
 
-        full = everything.seen
-        assert interested.seen == [
-            event for event in full if event[0] in Interested.event_interest
+        full = everything.events
+        assert interested.events == [
+            event for event in full if event.type in interest
         ]
-        assert [(e.type, e.page_id, e.tier, e.src, e.dirty) for e in slow] \
-            == full[joined:left]
+        assert late.events == full[joined:left]
         assert 0 < joined < left < len(full)
 
         def count(etype, **match):
@@ -280,7 +247,7 @@ class TestEventBus:
         def churn():
             try:
                 while not stop.is_set():
-                    handle = bus.subscribe(lambda event: None)
+                    handle = bus.subscribe(EventRecorder())
                     bus.unsubscribe(handle)
             except BaseException as exc:  # pragma: no cover
                 errors.append(exc)
@@ -348,7 +315,8 @@ class TestFourTier:
     def test_ycsb_end_to_end(self):
         bm = make_four_tier_bm()
         runner = WorkloadRunner(bm, RunConfig(
-            warmup_ops=300, measure_ops=600, trace_events=True,
+            warmup_ops=300, measure_ops=600,
+            options=RunOptions(trace_events=True),
         ))
         workload = YcsbWorkload(2_000, mix=YCSB_BA, seed=7)
         result = runner.measure_ycsb(workload, label="4-tier YCSB-BA")
