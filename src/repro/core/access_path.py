@@ -49,8 +49,14 @@ class AccessResult(NamedTuple):
     served_tier: Tier
     #: True when the page was already buffered (no SSD fetch).
     hit: bool
-    #: True when the access was served on NVM without a DRAM migration.
+    #: True when the access was served in place below the volatile top
+    #: (:meth:`AccessPath.serve_direct`, the DRAM bypass).
     bypassed_dram: bool = False
+
+
+#: Builds an :class:`AccessResult` from its four fields without the
+#: named tuple's Python-level ``__new__``: every access returns one.
+_result = tuple.__new__
 
 
 class AccessPath:
@@ -134,7 +140,7 @@ class AccessPath:
                         node.write(page_id, nbytes)
                     else:
                         node.read(page_id, nbytes)
-                    return AccessResult(page_id, tier, True)
+                    return _result(AccessResult, (page_id, tier, True, False))
                 # Atomic attribute read; ``set_policy`` replaces the
                 # whole object, so skipping the slot's lock is race-free.
                 policy = self.policy_slot.current
@@ -148,9 +154,8 @@ class AccessPath:
                 return self.serve(node, shared, descriptor, offset, nbytes,
                                   is_write, hit=True)
 
-            tier = self.fetch_from_ssd(shared, page_id, offset, nbytes, is_write)
-            bypassed = tier not in (Tier.DRAM, Tier.SSD)
-            return AccessResult(page_id, tier, hit=False, bypassed_dram=bypassed)
+            return self.fetch_from_ssd(shared, page_id, offset, nbytes,
+                                       is_write)
         finally:
             cost.end_cpu_batch()
 
@@ -176,10 +181,10 @@ class AccessPath:
         if node.index == 0 and not node.persistent:
             self.fine.serve_resident_access(node, shared, descriptor, offset,
                                             nbytes, is_write)
-            return AccessResult(shared.page_id, node.tier, hit=hit)
+            return _result(AccessResult, (shared.page_id, node.tier, hit,
+                                          False))
         self.serve_direct(node, descriptor, nbytes, is_write)
-        return AccessResult(shared.page_id, node.tier, hit=hit,
-                            bypassed_dram=True)
+        return _result(AccessResult, (shared.page_id, node.tier, hit, True))
 
     def serve_direct(self, node: TierNode, descriptor: TierPageDescriptor,
                      nbytes: int, is_write: bool) -> None:
@@ -201,13 +206,15 @@ class AccessPath:
     # SSD miss path
     # ------------------------------------------------------------------
     def fetch_from_ssd(self, shared: SharedPageDescriptor, page_id: PageId,
-                       offset: int, nbytes: int, is_write: bool) -> Tier:
+                       offset: int, nbytes: int,
+                       is_write: bool) -> AccessResult:
         """Bottom-up fetch admission over the chain (§3.3).
 
         Each non-top node draws its fetch-admission knob, slowest first;
         the first admit wins.  The top node is the unconditional fallback
         — a fetch must land somewhere.  After the install, promotion
-        draws may carry the page further up (§3.4's path ③+①).
+        draws may carry the page further up (§3.4's path ③+①).  Returns
+        the access's result, as :meth:`serve` built it.
         """
         self._emit(EventType.MISS, page_id, tier=Tier.SSD)
         policy = self.policy_slot.current
@@ -226,7 +233,7 @@ class AccessPath:
             # Degenerate bufferless configuration: operate straight on SSD.
             if is_write:
                 self.store.write_page(durable)
-            return Tier.SSD
+            return _result(AccessResult, (page_id, Tier.SSD, False, False))
 
         descriptor = self.install(landed, shared, durable.clone())
         promote_op = (
@@ -236,7 +243,7 @@ class AccessPath:
             shared, landed, descriptor, promote_op, offset, nbytes, policy
         )
         return self.serve(landed, shared, descriptor, offset, nbytes,
-                          is_write, hit=False).served_tier
+                          is_write, hit=False)
 
     def install(self, node: TierNode, shared: SharedPageDescriptor,
                 content: Page) -> TierPageDescriptor:
@@ -250,7 +257,7 @@ class AccessPath:
                            src=Tier.SSD)
                 return existing
             descriptor = self.space.insert_with_space(
-                node.tier, shared, content, self.hierarchy.page_size
+                node, shared, content, self.hierarchy.page_size
             )
         # Page installs land at random frame locations: NVM pays its
         # random-write bandwidth (6 GB/s on Optane), DRAM does not care.
@@ -292,7 +299,7 @@ class AccessPath:
                 lower.read(shared.page_id, self.hierarchy.page_size)
                 cost.charge_fp(CostAccumulator.CPU, self._page_copy_fp)
                 descriptor = self.space.insert_with_space(
-                    upper.tier, shared, lower_content.clone(),
+                    upper, shared, lower_content.clone(),
                     self.hierarchy.page_size,
                 )
                 upper.write(shared.page_id, self.hierarchy.page_size,

@@ -50,7 +50,7 @@ from ..pages.page import PageId
 from .access_path import AccessPath, AccessResult
 from .admission import AdmissionQueue, recommended_queue_size
 from .batch_path import BatchAccessPath
-from .descriptors import TierPageDescriptor
+from .descriptors import TierPageDescriptor, notify_unpin
 from .events import EventBus, StatsProjector
 from .fine_grained import FineGrainedOps
 from .flush_engine import FlushEngine
@@ -323,9 +323,9 @@ class BufferManager:
 
     def release_page(self, descriptor: TierPageDescriptor) -> None:
         descriptor.unpin()
-        shared = self.table.get(descriptor.page_id)
-        if shared is not None:
-            shared.notify_unpin()
+        # The one notifier of the unpin condition (§5.2): a migration
+        # waiting for this page's readers re-checks its copy.
+        notify_unpin()
 
     # ------------------------------------------------------------------
     # Flushing / checkpointing support

@@ -16,13 +16,18 @@ via :meth:`SharedPageDescriptor.wait_for_unpinned`.
 
 These objects sit on the hottest path of the buffer manager, so they
 avoid dicts and contextlib in favour of slots, rank-indexed lists, and a
-hand-rolled context manager.
+hand-rolled context manager.  A shared descriptor is built for every
+page ever touched, so it holds only C-constructed latches; the unpin
+wait shares one condition across pages.
 """
 
 from __future__ import annotations
 
 import operator
 import threading
+import time
+from _thread import RLock
+from itertools import starmap
 from typing import Union
 
 from ..hardware.specs import TIER_ORDER, Tier
@@ -42,6 +47,26 @@ _rank_of = operator.attrgetter("rank")
 #: The bottom (store) tier holds no buffer copy.
 _STORE_TIER = TIER_ORDER[-1]
 
+#: One empty argument tuple per tier: ``starmap(RLock, _PER_TIER)``
+#: builds a descriptor's latches without a Python frame.
+_PER_TIER = ((),) * len(TIER_ORDER)
+
+#: The one condition every unpin wakes (§5.2's migration wait).  A
+#: wake-up is only a hint — each waiter re-checks its own page's copy —
+#: so sharing it across pages is safe; unpins are rare (engine-level
+#: pinned access only) and a page needs no condition of its own.
+_UNPIN = threading.Condition()
+
+#: Longest single sleep of :meth:`SharedPageDescriptor.wait_for_unpinned`
+#: between re-checks, so a waiter never depends on being notified.
+_UNPIN_POLL_S = 0.05
+
+
+def notify_unpin() -> None:
+    """Wake every unpin waiter; each re-checks its own page."""
+    with _UNPIN:
+        _UNPIN.notify_all()
+
 
 class TierPageDescriptor:
     """Metadata for one tier's copy of a page (Fig. 4's dram_pd/nvm_pd).
@@ -53,11 +78,14 @@ class TierPageDescriptor:
     """
 
     __slots__ = ("tier", "frame_index", "content", "entry_bytes", "dirty",
-                 "pin_count", "claimed", "_lock")
+                 "pin_count", "claimed", "page_id", "_lock")
 
     def __init__(self, tier: Tier, frame_index: int, content: FrameContent,
                  entry_bytes: int) -> None:
         self.tier = tier
+        #: The page this copy is of: fixed for the descriptor's life
+        #: (a layout change replaces ``content`` with the same page's).
+        self.page_id: PageId = content.page_id
         self.frame_index = frame_index
         self.content = content
         self.entry_bytes = entry_bytes
@@ -84,10 +112,6 @@ class TierPageDescriptor:
     @property
     def pinned(self) -> bool:
         return self.pin_count > 0
-
-    @property
-    def page_id(self) -> PageId:
-        return self.content.page_id
 
     def mark_dirty(self) -> None:
         self.dirty = True
@@ -134,18 +158,12 @@ class SharedPageDescriptor:
     latch (e.g. an eviction that cascades) does not deadlock on itself.
     """
 
-    __slots__ = (
-        "page_id",
-        "_latches",
-        "_copies",
-        "_unpin_cv",
-    )
+    __slots__ = ("page_id", "_latches", "_copies")
 
     def __init__(self, page_id: PageId) -> None:
         self.page_id = page_id
-        self._latches = tuple(threading.RLock() for _ in TIER_ORDER)
+        self._latches = tuple(starmap(RLock, _PER_TIER))
         self._copies: list[TierPageDescriptor | None] = [None] * len(TIER_ORDER)
-        self._unpin_cv = threading.Condition()
 
     # ------------------------------------------------------------------
     # Latching
@@ -205,22 +223,26 @@ class SharedPageDescriptor:
     # ------------------------------------------------------------------
     # Unpin waiting (the NVM→DRAM migration protocol, §5.2)
     # ------------------------------------------------------------------
-    def notify_unpin(self) -> None:
-        with self._unpin_cv:
-            self._unpin_cv.notify_all()
-
     def wait_for_unpinned(self, tier: Tier, timeout: float = 5.0) -> None:
-        """Block until the ``tier`` copy has no users (or it vanished)."""
+        """Block until the ``tier`` copy has no users (or it vanished).
+
+        Woken by :func:`notify_unpin` — for any page, so every wake-up
+        re-checks this page's copy — and re-checks at least every
+        ``_UNPIN_POLL_S`` regardless.
+        """
         descriptor = self.copy_on(tier)
         if descriptor is None or not descriptor.pinned:
             return
-        deadline_waits = max(1, int(timeout / 0.05))
-        with self._unpin_cv:
-            for _ in range(deadline_waits):
+        deadline = time.monotonic() + timeout
+        with _UNPIN:
+            while True:
                 descriptor = self.copy_on(tier)
                 if descriptor is None or not descriptor.pinned:
                     return
-                self._unpin_cv.wait(timeout=0.05)
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    break
+                _UNPIN.wait(min(remaining, _UNPIN_POLL_S))
         raise TimeoutError(
             f"page {self.page_id} on {tier.name} stayed pinned for {timeout}s"
         )

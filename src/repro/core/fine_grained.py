@@ -192,7 +192,7 @@ class FineGrainedOps:
     def promote_mini_page(self, shared: SharedPageDescriptor,
                           descriptor: TierPageDescriptor) -> TierPageDescriptor:
         """Transparently promote an overflowing mini page (§2.1)."""
-        pool = self.chain.node(Tier.DRAM).pool
+        dram = self.chain.node(Tier.DRAM)
         mini: MiniPage = descriptor.content  # type: ignore[assignment]
         promoted = CacheLinePage(mini.nvm_page, self.hierarchy.page_size)
         resident = mini.resident_lines()
@@ -203,8 +203,8 @@ class FineGrainedOps:
         was_dirty = descriptor.dirty
         # A promotion grows the entry from ~1 KB to a full frame; make room.
         extra = self.hierarchy.page_size - MINI_PAGE_BYTES
-        self.space.ensure_space(Tier.DRAM, extra, protect=descriptor.page_id)
-        pool.resize_entry(descriptor, self.hierarchy.page_size)
+        self.space.ensure_space(dram, extra, protect=descriptor.page_id)
+        dram.pool.resize_entry(descriptor, self.hierarchy.page_size)
         descriptor.content = promoted
         descriptor.dirty = was_dirty
         self._emit(EventType.MINI_PAGE_PROMOTION, descriptor.page_id,
@@ -263,5 +263,5 @@ class FineGrainedOps:
             loaded = content.load_lines(first, last - first)
         if loaded:
             self.charge_fine_grained_load(loaded * CACHE_LINE_SIZE)
-        return self.space.insert_with_space(Tier.DRAM, shared, content,
-                                            entry_bytes)
+        return self.space.insert_with_space(self.chain.node(Tier.DRAM),
+                                            shared, content, entry_bytes)

@@ -146,7 +146,7 @@ class FlushEngine:
                     top.read(descriptor.page_id, self.hierarchy.page_size,
                              sequential=True)
                     persist_desc = self.space.insert_with_space(
-                        persist_node.tier, shared, content.clone(),
+                        persist_node, shared, content.clone(),
                         self.hierarchy.page_size,
                     )
                     persist_desc.mark_dirty()

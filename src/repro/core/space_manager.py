@@ -93,9 +93,10 @@ class SpaceManager:
     # ------------------------------------------------------------------
     # Space reservation
     # ------------------------------------------------------------------
-    def ensure_space(self, tier: Tier, incoming_bytes: int,
+    def ensure_space(self, node: TierNode, incoming_bytes: int,
                      protect: PageId | None = None) -> None:
-        node = self.chain.node(tier)
+        """Evict from ``node`` until ``incoming_bytes`` fit in its pool,
+        never choosing ``protect``'s copy as the victim."""
         pool = node.pool
         tenancy = self.tenancy
         enforcing = tenancy is not None and tenancy.enforcing
@@ -111,7 +112,7 @@ class SpaceManager:
             guard -= 1
             if guard < 0:  # pragma: no cover - defensive
                 raise BufferFullError(
-                    f"unable to reclaim {incoming_bytes} B on {tier.name}"
+                    f"unable to reclaim {incoming_bytes} B on {node.tier.name}"
                 )
             if enforcing:
                 victim = self._pick_preferred_victim(node, pool)
@@ -124,7 +125,7 @@ class SpaceManager:
                 misses += 1
                 if misses > _EMPTY_VICTIM_PROBES:
                     raise BufferFullError(
-                        f"all {tier.name} frames are pinned; cannot evict"
+                        f"all {node.tier.name} frames are pinned; cannot evict"
                     )
                 time.sleep(_EMPTY_PROBE_PAUSE_S * (1 << (misses - 1)))
                 continue
@@ -135,21 +136,22 @@ class SpaceManager:
                 continue
             self.evict_from_node(node, victim)
 
-    def insert_with_space(self, tier: Tier, shared: SharedPageDescriptor,
+    def insert_with_space(self, node: TierNode, shared: SharedPageDescriptor,
                           content: FrameContent,
                           entry_bytes: int) -> TierPageDescriptor:
-        """Reserve space and install ``shared``'s page on ``tier``,
+        """Reserve space and install ``shared``'s page on ``node``,
         retrying lost races for free frames.  The page's own copies are
         protected from the evictions this may trigger."""
-        pool = self.chain.node(tier).pool
+        pool = node.pool
         for _ in range(64):
-            self.ensure_space(tier, entry_bytes, protect=shared.page_id)
+            self.ensure_space(node, entry_bytes, protect=shared.page_id)
             try:
                 return pool.insert(shared, content, entry_bytes)
             except BufferFullError:
                 continue
         raise BufferFullError(  # pragma: no cover - defensive
-            f"could not secure a {tier.name} frame for page {content.page_id}"
+            f"could not secure a {node.tier.name} frame for page "
+            f"{content.page_id}"
         )
 
     # ------------------------------------------------------------------
@@ -322,8 +324,7 @@ class SpaceManager:
                         if stale_desc is not None:
                             self._emit(EventType.CLEAN_DROP, page_id,
                                        tier=stale_tier)
-                            self.chain.node(stale_tier).pool.remove(
-                                shared, stale_desc)
+                            lower.pool.remove(shared, stale_desc)
         else:
             # Clean pages need no write-back (the SSD copy is valid,
             # §3.3), but they are still *considered* for admission below:
@@ -366,7 +367,7 @@ class SpaceManager:
             else:
                 node.pool.remove(shared, descriptor)
                 lower_desc = self.insert_with_space(
-                    lower.tier, shared, content.clone(),
+                    lower, shared, content.clone(),
                     self.hierarchy.page_size,
                 )
                 lower.write(page_id, self.hierarchy.page_size)

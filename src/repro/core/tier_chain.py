@@ -144,7 +144,9 @@ class BufferPool:
                 if descriptor is None:
                     self.replacer.remove(frame)
                     continue
-                if not descriptor.pinned and not descriptor.claimed:
+                # ``descriptor.pinned``, spelled out: every eviction
+                # probe lands here.
+                if descriptor.pin_count <= 0 and not descriptor.claimed:
                     descriptor.claimed = True
                     return descriptor
             self.replacer.record_access(frame)

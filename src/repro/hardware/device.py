@@ -154,6 +154,7 @@ class Device:
         The idle access latency is time the *issuing worker* waits —
         concurrent workers overlap it — so it is charged to the divisible
         CPU/worker resource; only the media transfer occupies the device.
+        Both go through one :meth:`CostAccumulator.charge_transfer_fp`.
         """
         plan = self._read_plans.get((nbytes, sequential))
         if plan is None:
@@ -164,9 +165,7 @@ class Device:
             counters.read_ops += 1
             counters.read_bytes += nbytes
             counters.media_read_bytes += media
-        cost = self.cost
-        cost.charge_fp(self._key, transfer_fp, media)
-        cost.charge_fp(CostAccumulator.CPU, latency_fp)
+        self.cost.charge_transfer_fp(self._key, transfer_fp, media, latency_fp)
         return service_ns
 
     def write(self, nbytes: int, sequential: bool = False) -> float:
@@ -180,10 +179,7 @@ class Device:
             counters.write_ops += 1
             counters.write_bytes += nbytes
             counters.media_write_bytes += media
-        cost = self.cost
-        cost.charge_fp(self._key, transfer_fp, media)
-        if latency_fp is not None:
-            cost.charge_fp(CostAccumulator.CPU, latency_fp)
+        self.cost.charge_transfer_fp(self._key, transfer_fp, media, latency_fp)
         return service_ns
 
     # ------------------------------------------------------------------

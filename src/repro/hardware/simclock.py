@@ -274,6 +274,44 @@ class CostAccumulator:
                 return
         self._commit_fp(resource, service_fp, 1, nbytes)
 
+    def charge_transfer_fp(self, resource: str, transfer_fp: int, nbytes: int,
+                           latency_fp: int | None) -> None:
+        """Charge one device access: ``charge_fp(resource, transfer_fp,
+        nbytes)`` then ``charge_fp(CPU, latency_fp)``, in one call.
+
+        The transfer occupies the device; ``latency_fp`` is the issuing
+        worker's stall (``None`` where none is charged at all).  Both
+        land in the same order and at the same moment as the two calls
+        would — the device slot commits first, the stall joins the open
+        CPU batch or commits right after — so every total, operation
+        count and slot order is the same to the unit.
+        """
+        usage_of = self._usage
+        with self._lock:
+            usage = usage_of.get(resource)
+            if usage is None:
+                usage = ResourceUsage()
+                usage_of[resource] = usage
+            # _commit_fp spelled out, then charge_fp's CPU branch.
+            usage.busy_fp += transfer_fp
+            usage.operations += 1
+            usage.bytes_moved += nbytes
+            self._total_fp += transfer_fp
+            if latency_fp is None:
+                return
+            usage = usage_of.get(self.CPU)
+            if usage is None:
+                usage = ResourceUsage()
+                usage_of[self.CPU] = usage
+            batch = self._cpu_batch
+            if not batch.depth:
+                usage.busy_fp += latency_fp
+                usage.operations += 1
+                self._total_fp += latency_fp
+                return
+        batch.pending_fp += latency_fp
+        batch.pending_ops += 1
+
     def reserve(self, resource: str) -> None:
         """Ensure ``resource`` has a slot without charging anything.
 

@@ -76,9 +76,20 @@ class Page:
             self.lsn = lsn
 
     def clone(self) -> "Page":
-        """An independent deep copy (used when installing on a new tier)."""
-        fresh = Page(self.page_id, self.size)
-        fresh.copy_from(self)
+        """An independent deep copy (used when installing on a new tier).
+
+        Every SSD fetch and page migration makes one, so it fills a bare
+        object under one lock scope instead of going through
+        ``__init__`` (whose checks this page already passed) and
+        :meth:`copy_from`.
+        """
+        fresh = object.__new__(Page)
+        fresh.page_id = self.page_id
+        fresh.size = self.size
+        with self._lock:
+            fresh.records = dict(self.records)
+            fresh.lsn = self.lsn
+        fresh._lock = threading.Lock()
         return fresh
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

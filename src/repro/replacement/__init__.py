@@ -1,7 +1,6 @@
 """Cache replacement policies: CLOCK (the paper's choice), LRU, FIFO."""
 
 from .base import ReplacementPolicy
-from .bitmap import ConcurrentBitmap
 from .clock import ClockReplacer
 from .fifo import FifoReplacer
 from .lru import LruReplacer
@@ -27,7 +26,6 @@ def make_replacer(name: str, capacity: int) -> ReplacementPolicy:
 
 __all__ = [
     "ClockReplacer",
-    "ConcurrentBitmap",
     "FifoReplacer",
     "LruReplacer",
     "POLICIES",

@@ -158,13 +158,11 @@ class TestInvariants:
         def state(replacer):
             if replacement == "lru":
                 return list(replacer._order)
-            return (replacer._hand,
-                    [replacer._ref_bits.test(frame)
-                     for frame in range(replacer.capacity)])
+            return replacer._hand, bytes(replacer._ref_bits)
 
         before = [state(node.pool.replacer) for node in bm.chain]
         if replacement == "clock":  # a touch must have something to set
-            assert any(False in bits for _, bits in before)
+            assert any(0 in bits for _, bits in before)
         check_mapping_consistency(bm).raise_if_failed()
         assert [state(node.pool.replacer) for node in bm.chain] == before
 

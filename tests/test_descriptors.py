@@ -5,7 +5,11 @@ import time
 
 import pytest
 
-from repro.core.descriptors import SharedPageDescriptor, TierPageDescriptor
+from repro.core.descriptors import (
+    SharedPageDescriptor,
+    TierPageDescriptor,
+    notify_unpin,
+)
 from repro.hardware.specs import PAGE_SIZE, Tier
 from repro.pages.page import Page
 
@@ -152,7 +156,7 @@ class TestUnpinWaiting:
         def release_later():
             time.sleep(0.05)
             nvm.unpin()
-            shared.notify_unpin()
+            notify_unpin()
 
         t = threading.Thread(target=release_later)
         t.start()
@@ -167,3 +171,40 @@ class TestUnpinWaiting:
         nvm.pin()
         with pytest.raises(TimeoutError):
             shared.wait_for_unpinned(Tier.NVM, timeout=0.15)
+
+    def test_wakeup_for_another_page_does_not_end_the_wait(self):
+        # One condition serves every page: a wake-up is a hint, and the
+        # waiter keeps waiting while its own copy stays pinned.
+        shared = SharedPageDescriptor(1)
+        nvm = tier_desc(Tier.NVM)
+        shared.attach(nvm)
+        nvm.pin()
+        stop = threading.Event()
+
+        def notify_other_pages():
+            while not stop.is_set():
+                notify_unpin()
+                time.sleep(0.001)
+
+        t = threading.Thread(target=notify_other_pages)
+        t.start()
+        start = time.monotonic()
+        try:
+            with pytest.raises(TimeoutError):
+                shared.wait_for_unpinned(Tier.NVM, timeout=0.15)
+        finally:
+            stop.set()
+            t.join()
+        assert time.monotonic() - start >= 0.15
+        assert nvm.pinned
+
+    def test_unpin_without_notify_is_seen_by_the_next_recheck(self):
+        shared = SharedPageDescriptor(1)
+        nvm = tier_desc(Tier.NVM)
+        shared.attach(nvm)
+        nvm.pin()
+        t = threading.Timer(0.02, nvm.unpin)
+        t.start()
+        shared.wait_for_unpinned(Tier.NVM, timeout=2.0)
+        t.join()
+        assert not nvm.pinned

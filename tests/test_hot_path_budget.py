@@ -1,5 +1,6 @@
 """Frame budgets of what every workload is mostly made of: a DRAM hit,
-an SSD miss with its eviction, and the log records of a write.
+an SSD miss with its eviction, the log records of a write — and the
+mapping-table entry every page touched for the first time builds.
 
 Spitfire's premise (§3, §5.1) is that a buffered access is nearly free
 and only migrations cost; §5.2's, that with an NVM log buffer a commit
@@ -9,35 +10,51 @@ them — ``sys.setprofile`` ``"call"`` events, which are exact and repeat
 to the unit — and hold them to a budget.  A change that re-grows the
 tower under ``BufferManager.read``/``write`` or ``LogManager.append``
 fails here, deterministically, long before a wall-clock benchmark
-notices.
+notices.  A new entry is also held to the bytes it keeps alive
+(``tracemalloc``, exact for a fixed interpreter).
 """
 
 from __future__ import annotations
 
+import gc
 import sys
+import tracemalloc
 
 import pytest
 from conftest import make_bm
 
 from repro.bench.harness import RunConfig, WorkloadRunner
+from repro.core.mapping_table import MappingTable
 from repro.core.policy import DRAM_SSD_POLICY, SPITFIRE_LAZY
 from repro.hardware.specs import Tier
 from repro.workloads.ycsb import COLUMN_SIZE, TUPLE_SIZE
 
 #: Python-level calls one DRAM hit makes, ``read``/``write`` included
 #: (40 / 39 before the hit was served where it is found; 19 while the
-#: lookup went through a per-pool page dict).
-BUDGET = 18
+#: lookup went through a per-pool page dict; 18 while a reference bit
+#: took a lock, a device charged transfer and stall in two calls and
+#: the result was built by the named tuple's ``__new__``; 14 now).
+BUDGET = 15
 #: ... and one SSD miss on a full DRAM-SSD chain: the fetch, one CLOCK
-#: sweep, the clean victim dropped, the install (83.6 measured — the
-#: sweep length varies by a frame — 88.6 with the per-pool page dicts).
-MISS_BUDGET = 84
+#: sweep, the clean victim dropped, the install (54.1 measured — the
+#: sweep length varies by a frame — 88.6 with the per-pool page dicts;
+#: 83.6 with a locked bitmap, two charges per device access, reservations
+#: by tier, ``page_id`` a property and ``Page.clone`` through
+#: ``__init__`` + ``copy_from``).
+MISS_BUDGET = 58
 #: ... and the WAL bookkeeping of one write on a DRAM+NVM hierarchy —
 #: the logging CPU charge, an UPDATE and its COMMIT, each persisted by
 #: one NVM write and one barrier — ``_charge_update_wal`` included (50
 #: before a log resolved its device, sized, checksummed and built a
 #: record once each; 24 when this budget was set).
 WAL_BUDGET = 30
+#: ... and one new mapping-table entry, ``get_or_create`` of a page not
+#: seen before: Python-level calls and bytes it keeps alive (13 calls
+#: and 2,020 B while each entry built four ``threading.RLock`` wrappers
+#: through a generator and a ``threading.Condition`` of its own; 2 calls
+#: and ~660 B with C-constructed latches and one shared condition).
+ENTRY_CALL_BUDGET = 2
+ENTRY_BYTE_BUDGET = 800
 OPS = 1_000
 
 
@@ -50,11 +67,16 @@ def python_calls(fn) -> int:
         if event == "call":
             calls += 1
 
+    # A collection inside ``fn`` would run finalizers left over from
+    # earlier tests — their calls are not ``fn``'s.
+    gc.collect()
+    gc.disable()
     sys.setprofile(count)
     try:
         fn()
     finally:
         sys.setprofile(None)
+        gc.enable()
     return calls
 
 
@@ -131,4 +153,36 @@ def test_logged_write_stays_within_frame_budget():
     assert calls / OPS <= WAL_BUDGET, (
         f"{calls / OPS:.1f} Python-level calls per logged write, "
         f"budget {WAL_BUDGET}"
+    )
+
+
+def test_new_mapping_entry_stays_within_call_and_byte_budget():
+    table = MappingTable()
+    table.get_or_create(0)  # the table's first insert is not an entry's
+
+    def run():
+        for page in range(1, OPS + 1):
+            table.get_or_create(page)
+
+    calls = python_calls(run) - 1  # ``run`` itself
+    assert len(table) == OPS + 1
+    assert calls / OPS <= ENTRY_CALL_BUDGET, (
+        f"{calls / OPS:.1f} Python-level calls per new entry, "
+        f"budget {ENTRY_CALL_BUDGET}"
+    )
+
+    table = MappingTable()
+    pages = range(OPS)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for page in pages:
+            table.get_or_create(page)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(table) == OPS
+    assert retained / OPS <= ENTRY_BYTE_BUDGET, (
+        f"{retained / OPS:.0f} B retained per new entry, "
+        f"budget {ENTRY_BYTE_BUDGET}"
     )

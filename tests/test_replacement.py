@@ -1,66 +1,15 @@
-"""Replacement policies: concurrent bitmap, CLOCK, LRU, FIFO."""
-
-import threading
+"""Replacement policies: CLOCK, LRU, FIFO."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.replacement import (
     ClockReplacer,
-    ConcurrentBitmap,
     FifoReplacer,
     LruReplacer,
     POLICIES,
     make_replacer,
 )
-
-
-class TestConcurrentBitmap:
-    def test_set_and_test(self):
-        bitmap = ConcurrentBitmap(128)
-        assert not bitmap.set(5)
-        assert bitmap.test(5)
-        assert bitmap.set(5)  # already set
-
-    def test_clear(self):
-        bitmap = ConcurrentBitmap(128)
-        bitmap.set(70)
-        assert bitmap.clear(70)
-        assert not bitmap.test(70)
-        assert not bitmap.clear(70)
-
-    def test_count_and_clear_all(self):
-        bitmap = ConcurrentBitmap(200)
-        for i in (0, 63, 64, 199):
-            bitmap.set(i)
-        assert bitmap.count() == 4
-        bitmap.clear_all()
-        assert bitmap.count() == 0
-
-    def test_bounds(self):
-        bitmap = ConcurrentBitmap(8)
-        with pytest.raises(IndexError):
-            bitmap.set(8)
-        with pytest.raises(IndexError):
-            bitmap.test(-1)
-
-    def test_invalid_size(self):
-        with pytest.raises(ValueError):
-            ConcurrentBitmap(0)
-
-    def test_concurrent_sets(self):
-        bitmap = ConcurrentBitmap(1024)
-
-        def worker(start):
-            for i in range(start, 1024, 4):
-                bitmap.set(i)
-
-        threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert bitmap.count() == 1024
 
 
 class TestClock:
@@ -120,6 +69,30 @@ class TestClock:
         clock = ClockReplacer(4)
         with pytest.raises(IndexError):
             clock.insert(4)
+        # A bytearray would index a negative frame from its end.
+        with pytest.raises(IndexError):
+            clock.record_access(-1)
+
+    def test_victim_when_hits_re_set_every_bit_behind_the_hand(self):
+        """Concurrent hits can re-set each bit the moment the hand clears
+        it, for as many sweeps as it makes.  After two sweeps the hand
+        takes the next present frame whatever its bit, instead of
+        raising: any tracked frame is a valid candidate (the pool still
+        checks pin and claim)."""
+
+        class RehitBits(bytearray):
+            """Every store a set: a hit lands right after each clear."""
+
+            def __setitem__(self, index, value):
+                super().__setitem__(index, 1)
+
+        clock = ClockReplacer(4)
+        for frame in (0, 2, 3):
+            clock.insert(frame)
+        clock._ref_bits = RehitBits(clock._ref_bits)
+        assert clock.victim() == 0
+        assert clock._hand == 1
+        assert clock.victim() == 2  # frame 1 is not tracked
 
 
 class TestLru:

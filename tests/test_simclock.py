@@ -87,6 +87,37 @@ class TestCostAccumulator:
         cost.reset()
         assert cost.usage("cpu").busy_ns == 0.0
 
+    @pytest.mark.parametrize("batched", [False, True], ids=["unbatched", "batched"])
+    def test_transfer_charge_lands_like_its_two_charges(self, batched):
+        """One ``charge_transfer_fp`` is ``charge_fp`` on the device then
+        ``charge_fp`` on the CPU: same tallies, same slot order, the same
+        ``total_fp`` seen mid-op, the same pending CPU batch."""
+        accesses = [("ssd", 700, 4096, 90), ("dram", 5, 64, None),
+                    ("nvm", 40, 256, 0), ("ssd", 700, 4096, 90)]
+
+        def states(charge):
+            cost = CostAccumulator()
+            seen = []
+            if batched:
+                cost.begin_cpu_batch()
+            for access in accesses:
+                charge(cost, *access)
+                seen.append((list(cost.snapshot().items()), cost.total_fp))
+            if batched:
+                cost.end_cpu_batch()
+            seen.append((list(cost.snapshot().items()), cost.total_fp))
+            return seen
+
+        def two_calls(cost, resource, transfer_fp, nbytes, latency_fp):
+            cost.charge_fp(resource, transfer_fp, nbytes)
+            if latency_fp is not None:
+                cost.charge_fp(CostAccumulator.CPU, latency_fp)
+
+        def one_call(cost, *access):
+            cost.charge_transfer_fp(*access)
+
+        assert states(one_call) == states(two_calls)
+
 
 class TestMakespan:
     def test_cpu_divides_across_workers(self):

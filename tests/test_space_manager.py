@@ -41,7 +41,7 @@ class TestIndependentConstruction:
 
     def test_ensure_space_noop_when_room(self):
         core = make_core()
-        core.space.ensure_space(Tier.DRAM, PAGE_SIZE)
+        core.space.ensure_space(core.chain.node(Tier.DRAM), PAGE_SIZE)
         assert len(core.chain.node(Tier.DRAM).pool) == 0
 
 
@@ -64,7 +64,7 @@ class TestAllFramesPinned:
         for _ in range(4):
             bm.fetch_page(bm.allocate_page())
         with pytest.raises(BufferFullError, match="pinned"):
-            bm.space.ensure_space(Tier.DRAM, PAGE_SIZE)
+            bm.space.ensure_space(bm.chain.node(Tier.DRAM), PAGE_SIZE)
 
 
     def test_raises_after_the_same_replacer_probes_and_a_bounded_wait(
@@ -83,7 +83,7 @@ class TestAllFramesPinned:
         pauses = []
         monkeypatch.setattr(space_manager.time, "sleep", pauses.append)
         with pytest.raises(BufferFullError, match="pinned"):
-            bm.space.ensure_space(Tier.DRAM, PAGE_SIZE)
+            bm.space.ensure_space(bm.chain.node(Tier.DRAM), PAGE_SIZE)
         assert len(probes) == 90
         assert len(pauses) == 8 and pauses == sorted(pauses)
         assert sum(pauses) < 0.05
@@ -107,7 +107,7 @@ class TestConcurrentReservation:
                 pool.unclaim(claimed.pop())
 
         monkeypatch.setattr(space_manager.time, "sleep", evictor_finishes)
-        bm.space.ensure_space(Tier.DRAM, PAGE_SIZE)
+        bm.space.ensure_space(bm.chain.node(Tier.DRAM), PAGE_SIZE)
         assert len(pool) == 3
         for descriptor in claimed:
             pool.unclaim(descriptor)
