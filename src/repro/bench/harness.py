@@ -532,41 +532,6 @@ class WorkloadRunner:
         while True:
             yield from workload.next_transaction()
 
-    def measure_trace(self, trace, label: str = "trace",
-                      extra_worker_counts: tuple[int, ...] = ()) -> RunResult:
-        """Measure a recorded access trace (wraps around when short).
-
-        Replaying one trace through several buffer managers gives an
-        exactly-matched comparison.  No figure uses it — Fig. 12 runs
-        through ``run_cell`` like the rest, and
-        ``examples/hymem_comparison.py`` replays its trace by hand.
-        """
-        if not len(trace):
-            raise ValueError("cannot measure an empty trace")
-        self.allocate_database(trace.num_pages)
-        if self.config.prime_buffers:
-            heat: dict[int, int] = {}
-            for access in trace:
-                heat[access.page_id] = heat.get(access.page_id, 0) + 1
-            self._prime(sorted(heat, key=heat.get, reverse=True))
-        accesses = list(trace)
-
-        def stream():
-            index = 0
-            while True:
-                yield accesses[index % len(accesses)]
-                index += 1
-
-        iterator = stream()
-        return self._measure(
-            step=lambda: self.run_access(next(iterator)),
-            label=label,
-            extra_worker_counts=extra_worker_counts,
-            batch_step=lambda count: self.run_access_batch(
-                [next(iterator) for _ in range(count)]
-            ),
-        )
-
     def _window_observers(self) -> dict[str, object]:
         """The measurement window's bus observers, built from
         ``RunOptions`` and keyed by the ``RunResult`` field each one

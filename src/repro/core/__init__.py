@@ -27,7 +27,7 @@ from .buffer_manager import (
     BufferPool,
 )
 from .descriptors import SharedPageDescriptor, TierPageDescriptor
-from .events import EventBus, EventType, StatsProjector
+from .events import EventBus, EventType
 from .fine_grained import FineGrainedOps
 from .flush_engine import FlushEngine
 from .hymem import make_hymem
@@ -87,7 +87,6 @@ __all__ = [
     "SharedPageDescriptor",
     "SpaceManager",
     "SsdStore",
-    "StatsProjector",
     "TenancyConfig",
     "TenancyControl",
     "TenantRegistry",

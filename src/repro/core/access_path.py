@@ -120,8 +120,13 @@ class AccessPath:
             # Set the bus tenant register before the OP event so every
             # subscriber sees the op attributed to the right tenant.
             self.events.tenant_id = tenant_id
-            emit(EventType.OP_WRITE if is_write else EventType.OP_READ,
-                 page_id)
+            stats = self.chain.stats
+            if is_write:
+                stats.writes += 1
+                emit(EventType.OP_WRITE, page_id)
+            else:
+                stats.reads += 1
+                emit(EventType.OP_READ, page_id)
             shared = self.table.get_or_create(page_id)
             for node in self.chain.nodes:
                 tier = node.tier
@@ -132,6 +137,12 @@ class AccessPath:
                 if descriptor is None:
                     continue
                 node.pool.replacer.record_access(descriptor.frame_index)
+                # The paper's hit columns name DRAM and NVM only; a CXL
+                # hit is an observer's (``hit@CXL``) to count.
+                if tier is Tier.DRAM:
+                    stats.dram_hits += 1
+                elif tier is Tier.NVM:
+                    stats.nvm_hits += 1
                 emit(EventType.HIT, page_id, tier)
                 if node is self._volatile_top \
                         and isinstance(descriptor.content, Page):
@@ -192,14 +203,19 @@ class AccessPath:
         §3.2): the CPU works on the tier-resident data directly, with a
         persist barrier when the tier is durable."""
         page_id = descriptor.page_id
+        nvm = node.tier is Tier.NVM
         if is_write:
             node.write(page_id, nbytes)
             if node.persistent:
                 node.device.persist_barrier()
             descriptor.mark_dirty()
+            if nvm:
+                self.chain.stats.nvm_direct_writes += 1
             self._emit(EventType.DIRECT_WRITE, page_id, tier=node.tier)
         else:
             node.read(page_id, nbytes)
+            if nvm:
+                self.chain.stats.nvm_direct_reads += 1
             self._emit(EventType.DIRECT_READ, page_id, tier=node.tier)
 
     # ------------------------------------------------------------------
@@ -216,6 +232,7 @@ class AccessPath:
         draws may carry the page further up (§3.4's path ③+①).  Returns
         the access's result, as :meth:`serve` built it.
         """
+        self.chain.stats.ssd_fetches += 1
         self._emit(EventType.MISS, page_id, tier=Tier.SSD)
         policy = self.policy_slot.current
         durable = self.store.read_page(page_id)  # charges the SSD read
@@ -248,25 +265,29 @@ class AccessPath:
     def install(self, node: TierNode, shared: SharedPageDescriptor,
                 content: Page) -> TierPageDescriptor:
         """Place a full page copy into a node's pool, evicting as needed."""
-        with shared.latched(node.tier):
-            existing = shared.copy_on(node.tier)
-            if existing is not None:
-                # A concurrent miss on the same page installed it first;
-                # this fetch still counts as an install toward the tier.
-                self._emit(EventType.INSTALL, content.page_id, tier=node.tier,
-                           src=Tier.SSD)
-                return existing
-            descriptor = self.space.insert_with_space(
-                node, shared, content, self.hierarchy.page_size
-            )
-        # Page installs land at random frame locations: NVM pays its
-        # random-write bandwidth (6 GB/s on Optane), DRAM does not care.
-        node.write(content.page_id, self.hierarchy.page_size,
-                   sequential=node.install_sequential)
-        if node.persistent:
-            node.device.persist_barrier()
-        self._emit(EventType.INSTALL, content.page_id, tier=node.tier,
-                   src=Tier.SSD)
+        tier = node.tier
+        with shared.latched(tier):
+            descriptor = shared.copy_on(tier)
+            installed = descriptor is None
+            if installed:
+                descriptor = self.space.insert_with_space(
+                    node, shared, content, self.hierarchy.page_size
+                )
+        if installed:
+            # Page installs land at random frame locations: NVM pays its
+            # random-write bandwidth (6 GB/s on Optane), DRAM does not care.
+            node.write(content.page_id, self.hierarchy.page_size,
+                       sequential=node.install_sequential)
+            if node.persistent:
+                node.device.persist_barrier()
+        # Either way the fetch counts as an install toward the tier — a
+        # concurrent miss on the same page may have installed it first.
+        stats = self.chain.stats
+        if tier is Tier.DRAM:
+            stats.ssd_to_dram += 1
+        elif tier is Tier.NVM:
+            stats.ssd_to_nvm += 1
+        self._emit(EventType.INSTALL, content.page_id, tier=tier, src=Tier.SSD)
         return descriptor
 
     # ------------------------------------------------------------------
@@ -304,6 +325,8 @@ class AccessPath:
                 )
                 upper.write(shared.page_id, self.hierarchy.page_size,
                             sequential=True)
+            if upper.tier is Tier.DRAM and lower.tier is Tier.NVM:
+                self.chain.stats.nvm_to_dram += 1
             self._emit(EventType.MIGRATE_UP, shared.page_id, tier=upper.tier,
                        src=lower.tier)
             return descriptor

@@ -36,6 +36,7 @@ batch entry points are then simply loops over the per-op path.
 from __future__ import annotations
 
 from ..hardware.simclock import CostAccumulator, to_fp
+from ..hardware.specs import Tier
 from ..np_compat import np
 from ..pages.page import Page
 from .access_path import AccessPath
@@ -162,6 +163,15 @@ class BatchAccessPath:
         transfer_fp, latency_fp = top.device.read_batch(nbytes, count=m)
         cost.charge_batch_fp(CostAccumulator.CPU, lookup_fp * m, m)
         per_op_fp = transfer_fp + (lookup_fp + latency_fp)
+        # What ``m`` per-op OP_READ → HIT [→ DIRECT_READ] sequences count.
+        stats = self.chain.stats
+        stats.reads += m
+        if top.tier is Tier.DRAM:
+            stats.dram_hits += m
+        elif top.tier is Tier.NVM:
+            # A persistent top serves its hits in place.
+            stats.nvm_hits += m
+            stats.nvm_direct_reads += m
         # Keep the bus tenant register consistent with the summary, so a
         # slow op following this run attributes trailing events correctly.
         self.events.tenant_id = tenant_id

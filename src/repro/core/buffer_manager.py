@@ -11,7 +11,12 @@ four-component core plus the three layers PR 1 extracted:
   ``<D_r, D_w, N_r, N_w>`` policy tuple (and HyMem's admission queue),
 * an :class:`~repro.core.events.EventBus` publishing one typed event
   (an :class:`~repro.core.events.EventType` and four fields) for every
-  hit, miss, install, migration, eviction, write-back, and flush,
+  hit, miss, install, migration, eviction, write-back, and flush — to
+  observers only (metrics hub, tracers, recorders, the adaptive
+  controller, crash probes); a bare manager has none, because the
+  components below count the paper's
+  :class:`~repro.core.stats.BufferStats` themselves, through the
+  chain's shared ``stats``,
 * the :class:`~repro.core.access_path.AccessPath` — the read/write
   chain walk (§3.1–§3.4): hit scan, promotion climbs, SSD fetches,
   installs, and upward migrations,
@@ -51,7 +56,7 @@ from .access_path import AccessPath, AccessResult
 from .admission import AdmissionQueue, recommended_queue_size
 from .batch_path import BatchAccessPath
 from .descriptors import TierPageDescriptor, notify_unpin
-from .events import EventBus, StatsProjector
+from .events import EventBus
 from .fine_grained import FineGrainedOps
 from .flush_engine import FlushEngine
 from .mapping_table import MappingTable
@@ -128,12 +133,10 @@ class BufferManager:
         self.rng = random.Random(self.config.seed)
         self.table = MappingTable()
         self.store = SsdStore(hierarchy.device(Tier.SSD), hierarchy.page_size)
-        self.stats = BufferStats()
+        #: Observers only: the core counts its own statistics, so a bare
+        #: manager leaves this bus without a subscriber.
         self.events = EventBus()
-        self._stats_projector = StatsProjector(self)
-        self.events.subscribe(self._stats_projector)
         self.inclusivity = InclusivityTracker()
-        self.inclusivity.attach(self.events)
 
         top_entry = MINI_PAGE_BYTES if self.config.mini_pages else None
         self.chain = TierChain.build(
@@ -362,14 +365,19 @@ class BufferManager:
             return device.snapshot_counters().media_write_bytes / 1e9
         return device.write_volume_gb()
 
+    @property
+    def stats(self) -> BufferStats:
+        """The paper's counters, as the core components increment them."""
+        return self.chain.stats
+
     def reset_stats(self) -> None:
-        """Zero every measurement surface: the stats counters, the
-        inclusivity samples, the event projections, and the per-device
-        transfer/write-volume counters (so e.g. :meth:`nvm_write_volume_gb`
-        restarts from zero alongside the hit counters)."""
-        self.stats = BufferStats()
+        """Zero every measurement surface: the stats counters (a fresh
+        :class:`BufferStats`; one taken before keeps its counts), the
+        inclusivity samples, and the per-device transfer/write-volume
+        counters (so e.g. :meth:`nvm_write_volume_gb` restarts from zero
+        alongside the hit counters)."""
+        self.chain.stats = BufferStats()
         self.inclusivity.reset()
-        self._stats_projector.reset()
         for device in self.hierarchy.devices.values():
             device.reset_counters()
 

@@ -1,17 +1,21 @@
-"""Typed buffer-manager events and the instrumentation bus.
+"""Typed buffer-manager events and the observation bus.
 
 The tier chain publishes one event per notable action — hits, misses,
 installs, migrations up/down the chain, evictions, write-backs,
-flushes, fine-grained loads — and every consumer subscribes to the same
-:class:`EventBus`:
+flushes, fine-grained loads — on an :class:`EventBus`.  The bus is an
+observation port: the paper's own counters
+(:class:`~repro.core.stats.BufferStats`) are incremented by the core
+where each action happens, so a bare buffer manager has no subscriber
+at all.  What attaches is an observer:
 
-* :class:`StatsProjector` projects events onto the legacy
-  :class:`~repro.core.stats.BufferStats` counters (so the Table-2 /
-  Fig-6..15 reporting pipeline is unchanged),
-* the :class:`~repro.tuning.controller.AdaptiveController` counts epoch
-  operations by subscription instead of polling ``stats.operations``,
-* the bench-side :class:`~repro.bench.event_trace.EventTraceRecorder`
-  aggregates per-edge traffic for any chain depth.
+* the :class:`~repro.obs.hub.MetricsHub` and the page-lifecycle and
+  decision tracers of :mod:`repro.obs`,
+* the bench-side :class:`~repro.bench.event_trace.EventTraceRecorder`,
+  which aggregates per-edge traffic for any chain depth (a CXL hit is
+  visible there as ``hit@CXL``),
+* the :class:`~repro.tuning.controller.AdaptiveController`, which counts
+  epoch operations by subscription,
+* the crash-point probes of :mod:`repro.faults.crashpoints`.
 
 An event is five positional fields — ``(type, page_id, tier, src,
 dirty)`` — and a subscriber is an object with
@@ -24,7 +28,7 @@ path, so delivery is engineered around two invariants:
   subscriptions change from each subscriber's optional
   ``event_interest`` (a set of event types; absent means all of them),
   so an event is only ever offered to the subscribers that asked for
-  its type — the inclusivity tracker wants two of the fifteen,
+  its type — the decision recorder wants one of the fifteen,
 * :meth:`EventBus.publish` is one plain loop over the current tuple (no
   locking on the read side, no allocation; subscription changes swap
   the tuples atomically under a mutation lock).
@@ -36,7 +40,7 @@ import enum
 import threading
 from typing import Callable
 
-from ..hardware.specs import TIER_ORDER, Tier
+from ..hardware.specs import Tier
 from ..pages.page import PageId
 
 
@@ -255,106 +259,3 @@ class EventBus:
     @property
     def num_subscribers(self) -> int:
         return len(self._subscribers)
-
-
-class StatsProjector:
-    """Projects chain events onto the legacy :class:`BufferStats` counters.
-
-    The paper's counters name DRAM and NVM explicitly (``dram_hits``,
-    ``ssd_to_nvm``, ...), so the projection maps tier-generic events onto
-    those fields for the tiers they name and additionally keeps generic
-    per-tier tallies (``hits_by_tier``) that cover chains of any depth —
-    a CXL hit is visible there even though no legacy field names it.
-    """
-
-    def __init__(self, owner) -> None:
-        #: The buffer manager whose ``stats`` object receives the counts.
-        #: Resolved per event so that ``reset_stats()`` (which swaps in a
-        #: fresh BufferStats) needs no re-subscription.
-        self._owner = owner
-        #: Hits per tier, indexed by ``Tier.rank``.
-        self._hits = [0] * len(TIER_ORDER)
-
-    @property
-    def hits_by_tier(self) -> dict[Tier, int]:
-        """Hit counts of every tier hit since the last reset."""
-        return {tier: hits for tier, hits in zip(TIER_ORDER, self._hits)
-                if hits}
-
-    def reset(self) -> None:
-        self._hits = [0] * len(TIER_ORDER)
-
-    # ------------------------------------------------------------------
-    def apply_op_batch(self, summary: OpBatchSummary) -> None:
-        """Batched projection of a run of top-tier read hits.
-
-        Equivalent to ``summary.count`` repetitions of the per-op event
-        sequence OP_READ → HIT(tier) [→ DIRECT_READ(tier)].
-        """
-        stats = self._owner.stats
-        count = summary.count
-        tier = summary.tier
-        stats.reads += count
-        self._hits[tier.rank] += count
-        if tier is Tier.DRAM:
-            stats.dram_hits += count
-        elif tier is Tier.NVM:
-            stats.nvm_hits += count
-        if summary.direct and tier is Tier.NVM:
-            stats.nvm_direct_reads += count
-
-    def apply_event(self, etype: EventType, page_id: PageId,
-                    tier: Tier | None, src: Tier | None,
-                    dirty: bool) -> None:
-        """Project one event, its fields fed positionally by the bus."""
-        stats = self._owner.stats
-        if etype is EventType.OP_READ:
-            stats.reads += 1
-        elif etype is EventType.OP_WRITE:
-            stats.writes += 1
-        elif etype is EventType.HIT:
-            self._hits[tier.rank] += 1
-            if tier is Tier.DRAM:
-                stats.dram_hits += 1
-            else:
-                # Any non-top hit counts toward the paper's NVM-hit
-                # column only when it is genuinely the NVM tier.
-                if tier is Tier.NVM:
-                    stats.nvm_hits += 1
-        elif etype is EventType.MISS:
-            stats.ssd_fetches += 1
-        elif etype is EventType.INSTALL:
-            if tier is Tier.DRAM:
-                stats.ssd_to_dram += 1
-            elif tier is Tier.NVM:
-                stats.ssd_to_nvm += 1
-        elif etype is EventType.MIGRATE_UP:
-            if src is Tier.NVM and tier is Tier.DRAM:
-                stats.nvm_to_dram += 1
-        elif etype is EventType.MIGRATE_DOWN:
-            if src is Tier.DRAM and tier is Tier.NVM:
-                stats.dram_to_nvm += 1
-        elif etype is EventType.EVICT:
-            if tier is Tier.DRAM:
-                stats.dram_evictions += 1
-            elif tier is Tier.NVM:
-                stats.nvm_evictions += 1
-        elif etype is EventType.WRITE_BACK:
-            if src is Tier.DRAM:
-                stats.dram_to_ssd += 1
-            elif src is Tier.NVM:
-                stats.nvm_to_ssd += 1
-        elif etype is EventType.CLEAN_DROP:
-            stats.clean_drops += 1
-        elif etype is EventType.FLUSH:
-            stats.dirty_page_flushes += 1
-        elif etype is EventType.DIRECT_READ:
-            if tier is Tier.NVM:
-                stats.nvm_direct_reads += 1
-        elif etype is EventType.DIRECT_WRITE:
-            if tier is Tier.NVM:
-                stats.nvm_direct_writes += 1
-        elif etype is EventType.FINE_GRAINED_LOAD:
-            stats.fine_grained_loads += 1
-        elif etype is EventType.MINI_PAGE_PROMOTION:
-            stats.mini_page_promotions += 1

@@ -29,7 +29,7 @@ from ..hardware.simclock import CostAccumulator, checked_fp
 from ..hardware.specs import CACHE_LINE_SIZE, Tier
 from ..pages.cacheline_page import CacheLinePage
 from ..pages.mini_page import MINI_PAGE_BYTES, MINI_PAGE_SLOTS, MiniPage, MiniPageOverflow
-from ..pages.page import Page
+from ..pages.page import Page, PageId
 from .descriptors import SharedPageDescriptor, TierPageDescriptor
 from .events import EventBus, EventType
 from .tier_chain import TierChain, TierNode
@@ -87,7 +87,8 @@ class FineGrainedOps:
                 self._finish_resident_access(node, descriptor, nbytes, is_write)
                 return
             if missing:
-                self.charge_fine_grained_load(missing * CACHE_LINE_SIZE)
+                self.charge_fine_grained_load(descriptor.page_id,
+                                              missing * CACHE_LINE_SIZE)
             if is_write:
                 for line in lines:
                     content.mark_dirty(line)
@@ -128,12 +129,14 @@ class FineGrainedOps:
             )
             newly = content.load_lines(unit_first, unit_last - unit_first)
             if newly:
-                self.charge_fine_grained_load(newly * CACHE_LINE_SIZE)
+                self.charge_fine_grained_load(content.page_id,
+                                              newly * CACHE_LINE_SIZE)
         if is_write:
             content.mark_dirty(first_line, nlines)
 
-    def charge_fine_grained_load(self, useful_bytes: int) -> None:
-        """Charge an NVM read for a fine-grained load, with amplification.
+    def charge_fine_grained_load(self, page_id: PageId,
+                                 useful_bytes: int) -> None:
+        """Charge an NVM read of ``page_id``'s lines, with amplification.
 
         The loading-unit transfers of one load are issued back to back,
         so the device latency is paid once per load operation while the
@@ -160,7 +163,8 @@ class FineGrainedOps:
         # The loaded lines land in the DRAM copy via a CPU copy.
         devices[Tier.DRAM].write(useful_bytes)
         cost.charge_fp(CostAccumulator.CPU, copy_fp)
-        self._emit(EventType.FINE_GRAINED_LOAD, -1, tier=Tier.NVM)
+        self.chain.stats.fine_grained_loads += 1
+        self._emit(EventType.FINE_GRAINED_LOAD, page_id, tier=Tier.NVM)
 
     def _load_plan(self, useful_bytes: int) -> tuple:
         """Derive, validate and memoise the charges of one load size:
@@ -207,6 +211,7 @@ class FineGrainedOps:
         dram.pool.resize_entry(descriptor, self.hierarchy.page_size)
         descriptor.content = promoted
         descriptor.dirty = was_dirty
+        self.chain.stats.mini_page_promotions += 1
         self._emit(EventType.MINI_PAGE_PROMOTION, descriptor.page_id,
                    tier=Tier.DRAM)
         self._cost.charge_fp(CostAccumulator.CPU, self._migration_fp)
@@ -231,7 +236,7 @@ class FineGrainedOps:
         else:
             return content
         if missing_bytes > 0:
-            self.charge_fine_grained_load(missing_bytes)
+            self.charge_fine_grained_load(descriptor.page_id, missing_bytes)
         full = backing.clone()
         if descriptor.tier is Tier.DRAM and isinstance(content, MiniPage):
             self.chain.node(Tier.DRAM).pool.resize_entry(
@@ -262,6 +267,7 @@ class FineGrainedOps:
             )
             loaded = content.load_lines(first, last - first)
         if loaded:
-            self.charge_fine_grained_load(loaded * CACHE_LINE_SIZE)
+            self.charge_fine_grained_load(shared.page_id,
+                                          loaded * CACHE_LINE_SIZE)
         return self.space.insert_with_space(self.chain.node(Tier.DRAM),
                                             shared, content, entry_bytes)

@@ -153,6 +153,8 @@ class FlushEngine:
                     persist_node.write(descriptor.page_id,
                                        self.hierarchy.page_size)
                     persist_node.device.persist_barrier()
+                    if top.tier is Tier.DRAM and persist_node.tier is Tier.NVM:
+                        self.chain.stats.dram_to_nvm += 1
                     self._emit(EventType.MIGRATE_DOWN, descriptor.page_id,
                                tier=persist_node.tier, src=top.tier, dirty=True)
                 else:
@@ -161,6 +163,7 @@ class FlushEngine:
                     self.store.write_page(content, sequential=True)
                 descriptor.clear_dirty()
                 flushed += 1
+                self.chain.stats.dirty_page_flushes += 1
                 self._emit(EventType.FLUSH, descriptor.page_id, tier=top.tier)
         return flushed
 

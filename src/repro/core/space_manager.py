@@ -263,6 +263,11 @@ class SpaceManager:
         if shared is None:  # pragma: no cover - defensive
             node.pool.remove(None, descriptor)
             return
+        stats = self.chain.stats
+        if node.tier is Tier.DRAM:
+            stats.dram_evictions += 1
+        elif node.tier is Tier.NVM:
+            stats.nvm_evictions += 1
         self._emit(EventType.EVICT, page_id, tier=node.tier,
                    dirty=descriptor.dirty)
         content = descriptor.content
@@ -316,12 +321,18 @@ class SpaceManager:
                         read_with_retry(node.device, self.hierarchy.page_size,
                                         sequential=not node.persistent)
                         self.store.write_page(content)
+                    stats = self.chain.stats
+                    if node.tier is Tier.DRAM:
+                        stats.dram_to_ssd += 1
+                    elif node.tier is Tier.NVM:
+                        stats.nvm_to_ssd += 1
                     self._emit(EventType.WRITE_BACK, page_id, tier=Tier.SSD,
                                src=node.tier, dirty=True)
                     node.pool.remove(shared, descriptor)
                     if stale_tier is not None:
                         stale_desc = shared.copy_on(stale_tier)
                         if stale_desc is not None:
+                            self.chain.stats.clean_drops += 1
                             self._emit(EventType.CLEAN_DROP, page_id,
                                        tier=stale_tier)
                             lower.pool.remove(shared, stale_desc)
@@ -344,6 +355,7 @@ class SpaceManager:
                                              node, lower)
             else:
                 with shared.latched(node.tier):
+                    self.chain.stats.clean_drops += 1
                     self._emit(EventType.CLEAN_DROP, page_id, tier=node.tier)
                     node.pool.remove(shared, descriptor)
 
@@ -364,6 +376,8 @@ class SpaceManager:
                     lower.device.persist_barrier()
                 if descriptor.dirty:
                     lower_desc.mark_dirty()
+                # The lower copy already existed: just drop the upper frame.
+                node.pool.remove(shared, descriptor)
             else:
                 node.pool.remove(shared, descriptor)
                 lower_desc = self.insert_with_space(
@@ -375,10 +389,7 @@ class SpaceManager:
                     lower.device.persist_barrier()
                 if descriptor.dirty:
                     lower_desc.mark_dirty()
-                self._emit(EventType.MIGRATE_DOWN, page_id, tier=lower.tier,
-                           src=node.tier, dirty=descriptor.dirty)
-                return
-            # The lower copy already existed: just drop the upper frame.
-            node.pool.remove(shared, descriptor)
+            if node.tier is Tier.DRAM and lower.tier is Tier.NVM:
+                self.chain.stats.dram_to_nvm += 1
             self._emit(EventType.MIGRATE_DOWN, page_id, tier=lower.tier,
                        src=node.tier, dirty=descriptor.dirty)

@@ -15,12 +15,14 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, fields
 
-from .events import EventType
-
 
 @dataclass
 class BufferStats:
-    """Counters accumulated by one buffer manager instance."""
+    """Counters accumulated by one buffer manager instance.
+
+    The core components increment them inline, beside the event they
+    publish for the same action, through the shared ``TierChain.stats``.
+    """
 
     reads: int = 0
     writes: int = 0
@@ -44,9 +46,6 @@ class BufferStats:
     dirty_page_flushes: int = 0
     mini_page_promotions: int = 0
     fine_grained_loads: int = 0
-
-    def record(self, counter: str, amount: int = 1) -> None:
-        setattr(self, counter, getattr(self, counter) + amount)
 
     @property
     def operations(self) -> int:
@@ -132,37 +131,13 @@ class InclusivityTracker:
 
     Table 2 of the paper reports steady-state inclusivity; sampling every
     N operations and averaging avoids a misleading single end-of-run
-    observation.  When attached to the buffer manager's event bus the
-    tracker also tallies the up/down migrations between samples, which is
-    the traffic that creates (and destroys) the duplication the ratio
-    measures.
+    observation.  The migrations that create (and destroy) the
+    duplication are :class:`BufferStats`'s per-path counters.
     """
-
-    #: The only events the bus needs to offer this subscriber.
-    event_interest = frozenset({EventType.MIGRATE_UP, EventType.MIGRATE_DOWN})
 
     def __init__(self) -> None:
         self._samples: list[InclusivitySample] = []
         self._lock = threading.Lock()
-        self.migrations_up = 0
-        self.migrations_down = 0
-
-    def attach(self, bus) -> "InclusivityTracker":
-        """Subscribe to a :class:`~repro.core.events.EventBus`."""
-        bus.subscribe(self)
-        return self
-
-    def apply_op_batch(self, summary) -> None:
-        """Bus batch path: runs of top-tier hits contain no migrations."""
-
-    def apply_event(self, etype, page_id, tier, src, dirty) -> None:
-        """Count one migration (the bus offers nothing else)."""
-        if etype is EventType.MIGRATE_UP:
-            with self._lock:
-                self.migrations_up += 1
-        elif etype is EventType.MIGRATE_DOWN:
-            with self._lock:
-                self.migrations_down += 1
 
     def sample(self, dram_pages: set[int], nvm_pages: set[int]) -> InclusivitySample:
         observation = InclusivitySample(
@@ -188,5 +163,3 @@ class InclusivityTracker:
     def reset(self) -> None:
         with self._lock:
             self._samples.clear()
-            self.migrations_up = 0
-            self.migrations_down = 0

@@ -25,6 +25,7 @@ from ..replacement import make_replacer
 from .descriptors import SharedPageDescriptor, TierPageDescriptor
 from .devio import read_with_retry, write_with_retry
 from .migration import Edge
+from .stats import BufferStats
 
 
 class BufferFullError(RuntimeError):
@@ -255,11 +256,19 @@ class TierChain:
     The chain is the single source of truth for tier topology: which
     buffer tiers exist, their order, and which are persistent.  Lookups
     are O(1) via a rank-indexed table.
+
+    It also carries :attr:`stats`, the paper's counters, which every
+    component walking the chain increments where the counted action
+    happens.
     """
 
-    __slots__ = ("nodes", "_by_tier")
+    __slots__ = ("nodes", "_by_tier", "stats")
 
     def __init__(self, nodes: tuple[TierNode, ...] | list[TierNode]) -> None:
+        #: The current :class:`~repro.core.stats.BufferStats`, read at
+        #: each counting site: ``BufferManager.reset_stats`` swaps in a
+        #: fresh one, and a reference taken before keeps its counts.
+        self.stats = BufferStats()
         ordered = tuple(sorted(nodes, key=lambda n: n.tier.rank))
         for index, node in enumerate(ordered):
             node.index = index

@@ -1,5 +1,7 @@
 """FineGrainedOps: cache-line/mini-page serving, constructed standalone."""
 
+import random
+
 from conftest import EventRecorder, make_core
 
 from repro.core.buffer_manager import BufferManagerConfig
@@ -52,11 +54,30 @@ class TestCacheLineServing:
         core.access.access(page, 8192, 64, is_write=False)
         assert len(loads) > first
 
+    def test_every_load_names_the_loaded_page(self):
+        """A load event carries the page whose lines it loaded, like
+        every other event's ``page_id`` — never a placeholder."""
+        core = make_fine_core(mini_pages=True)
+        loads = core.events.subscribe(
+            EventRecorder({EventType.FINE_GRAINED_LOAD})).events
+        pages = [core.store.allocate().page_id for _ in range(12)]
+        rng = random.Random(3)
+        accessed = set()
+        for _ in range(400):
+            page = pages[rng.randrange(len(pages))]
+            accessed.add(page)
+            core.access.access(page, rng.randrange(PAGE_SIZE - 256),
+                               rng.choice((64, 256, 1024)),
+                               is_write=rng.random() < 0.3)
+        assert len(loads) > 50
+        assert {event.page_id for event in loads} <= accessed
+        assert all(event.page_id != -1 for event in loads)
+
     def test_charge_fine_grained_load_amplifies_to_media_blocks(self):
         core = make_fine_core()
         device = core.hierarchy.device(Tier.NVM)
         before = device.snapshot_counters()
-        core.fine.charge_fine_grained_load(64)
+        core.fine.charge_fine_grained_load(0, 64)
         after = device.snapshot_counters()
         assert after.read_bytes - before.read_bytes == 64
         # Optane reads are amplified to its 256 B media granularity.

@@ -178,8 +178,13 @@ def run_stream(bm: BufferManager, seed: int = 11) -> None:
 def simulated_state(bm: BufferManager) -> dict:
     """Everything simulated the run leaves behind, JSON-able."""
     cost = bm.hierarchy.cost
+    stats = bm.stats
+    # Per-tier hits and the up/down migration tallies, as a bus
+    # subscriber kept them at the parent commit: on these chains (no
+    # CXL) they are the paper's DRAM/NVM counters.
+    hits = {Tier.DRAM: stats.dram_hits, Tier.NVM: stats.nvm_hits}
     return {
-        "stats": bm.stats.as_dict(),
+        "stats": stats.as_dict(),
         "resource_usage": {key: [usage.busy_fp, usage.operations,
                                  usage.bytes_moved]
                            for key, usage in cost.snapshot().items()},
@@ -187,10 +192,9 @@ def simulated_state(bm: BufferManager) -> dict:
         "makespan_ns": repr(cost.makespan_ns(1)),
         "counters": {tier.value: vars(device.snapshot_counters())
                      for tier, device in bm.hierarchy.devices.items()},
-        "hits_by_tier": {tier.value: hits for tier, hits
-                         in bm._stats_projector.hits_by_tier.items()},
-        "migrations": [bm.inclusivity.migrations_up,
-                       bm.inclusivity.migrations_down],
+        "hits_by_tier": {tier.value: count for tier, count in hits.items()
+                         if count},
+        "migrations": [stats.nvm_to_dram, stats.dram_to_nvm],
         "resident": {tier.value: sorted(bm.resident_pages(tier))
                      for tier in bm.chain.tiers},
     }

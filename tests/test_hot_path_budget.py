@@ -27,21 +27,24 @@ from repro.bench.harness import RunConfig, WorkloadRunner
 from repro.core.mapping_table import MappingTable
 from repro.core.policy import DRAM_SSD_POLICY, SPITFIRE_LAZY
 from repro.hardware.specs import Tier
-from repro.workloads.ycsb import COLUMN_SIZE, TUPLE_SIZE
+from repro.workloads.ycsb import COLUMN_SIZE, TUPLE_SIZE, YCSB_BA, YcsbWorkload
 
 #: Python-level calls one DRAM hit makes, ``read``/``write`` included
 #: (40 / 39 before the hit was served where it is found; 19 while the
 #: lookup went through a per-pool page dict; 18 while a reference bit
 #: took a lock, a device charged transfer and stall in two calls and
-#: the result was built by the named tuple's ``__new__``; 14 now).
-BUDGET = 15
+#: the result was built by the named tuple's ``__new__``; 14 while a bus
+#: subscriber projected the OP_READ and HIT events onto ``BufferStats``;
+#: 12 now).
+BUDGET = 13
 #: ... and one SSD miss on a full DRAM-SSD chain: the fetch, one CLOCK
-#: sweep, the clean victim dropped, the install (54.1 measured — the
+#: sweep, the clean victim dropped, the install (49.1 measured — the
 #: sweep length varies by a frame — 88.6 with the per-pool page dicts;
 #: 83.6 with a locked bitmap, two charges per device access, reservations
 #: by tier, ``page_id`` a property and ``Page.clone`` through
-#: ``__init__`` + ``copy_from``).
-MISS_BUDGET = 58
+#: ``__init__`` + ``copy_from``; 54.1 while a bus subscriber projected
+#: the op's five events onto ``BufferStats``).
+MISS_BUDGET = 53
 #: ... and the WAL bookkeeping of one write on a DRAM+NVM hierarchy —
 #: the logging CPU charge, an UPDATE and its COMMIT, each persisted by
 #: one NVM write and one barrier — ``_charge_update_wal`` included (50
@@ -109,6 +112,21 @@ def test_dram_hit_stays_within_frame_budget(primed, is_write):
     assert calls / OPS <= BUDGET, (
         f"{calls / OPS:.1f} Python-level calls per DRAM hit, budget {BUDGET}"
     )
+
+
+def test_bare_manager_bus_is_empty():
+    """The core counts its own statistics: nothing subscribes to a bare
+    manager's bus, before a measured run or after it and a reset."""
+    bm = make_bm(dram_gb=2.0, nvm_gb=4.0, policy=SPITFIRE_LAZY,
+                 pages_per_gb=16)
+    assert bm.events.num_subscribers == 0
+    runner = WorkloadRunner(bm, RunConfig(warmup_ops=200, measure_ops=400,
+                                          checkpoint_interval_ops=100))
+    result = runner.measure_ycsb(YcsbWorkload(2_000, mix=YCSB_BA, seed=3))
+    assert result.stats.reads + result.stats.writes == 400
+    bm.reset_stats()
+    assert bm.events.num_subscribers == 0
+    assert bm.stats.operations == 0
 
 
 def test_ssd_miss_with_one_eviction_stays_within_frame_budget():

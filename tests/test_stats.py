@@ -75,12 +75,6 @@ class TestBufferStats:
         assert stats.upward_migrations == 6
         assert stats.downward_migrations == 15
 
-    def test_record(self):
-        stats = BufferStats()
-        stats.record("reads")
-        stats.record("reads", 2)
-        assert stats.reads == 3
-
     def test_snapshot_is_copy(self):
         stats = BufferStats(reads=1)
         snap = stats.snapshot()
