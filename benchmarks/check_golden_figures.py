@@ -30,12 +30,12 @@ each is that plane's core contract:
     per-tenant admission and metrics machinery — tenant plumbing at
     the default tenant is free.
 ``--with-telemetry``
-    ``telemetry`` + ``collect_metrics`` + all three tracers
-    (``trace_decisions=0.05``, ``trace_pages=0.05``, ``trace_events``):
-    a streaming worker-progress channel (manager-queue backed, drained
-    by a background aggregator), every measurement-window observer the
-    harness can attach — hub, decision recorder, page-lifecycle tracer,
-    event-trace recorder — on every cell, and a live Prometheus
+    ``telemetry`` + ``collect_metrics`` + both tracers
+    (``trace_decisions=0.05``, ``trace_pages=0.05``): a streaming
+    worker-progress channel (manager-queue backed, drained by a
+    background aggregator), every measurement-window observer the
+    harness can attach — hub, decision recorder, page-lifecycle
+    tracer — on every cell, and a live Prometheus
     endpoint (:class:`~repro.obs.server.MetricsServer`) scraped by a
     background thread *while the figures regenerate* — watching a run
     live changes nothing about its results.
@@ -44,7 +44,7 @@ The flags compose, and a composed run cannot pass vacuously: whenever
 metrics are collected, every plane that is switched on must have left
 its trace on the results **as computed where the cells ran** (the
 metrics sink) — a non-empty sink, fault-wrapper series, a tenant-0
-breakdown, a decision, page and event trace, at least one vectorised
+breakdown, a decision and page trace, at least one vectorised
 batch run — and the telemetry plane must have delivered progress
 events and at least one successful mid-run scrape.
 
@@ -176,8 +176,6 @@ def _planes(options: RunOptions, results: list, watch) -> tuple[str, list[str]]:
         dead.append("decision tracing: a cell carries no decision trace")
     if options.trace_pages and not all(r.page_traces for r in results):
         dead.append("page tracing: a cell carries no lifecycle trace")
-    if options.trace_events and not all(r.event_trace for r in results):
-        dead.append("event tracing: a cell carries no event trace")
     if watch is not None:
         aggregator, scrapes = watch
         events = aggregator.summary()["events_seen"]
@@ -277,7 +275,7 @@ def main(argv: list[str] | None = None) -> int:
                              "TenancyConfig, every op tagged tenant 0)")
     parser.add_argument("--with-telemetry", action="store_true",
                         help="attach the live telemetry plane (streaming "
-                             "progress channel, decision/page/event "
+                             "progress channel, decision/page "
                              "tracing, HTTP scrape endpoint polled mid-run; "
                              "implies --with-metrics); progress events must "
                              "arrive and >= 1 scrape must succeed")
@@ -301,11 +299,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.with_telemetry:
         # The live scrape endpoint serves the merged metrics sink, so
         # the telemetry plane needs per-cell collection on; with the
-        # three tracers every measurement-window observer is attached.
+        # two tracers every measurement-window observer is attached.
         options = replace(options, collect_metrics=True,
                           trace_decisions=TELEMETRY_TRACE_FRACTION,
-                          trace_pages=TELEMETRY_TRACE_FRACTION,
-                          trace_events=True)
+                          trace_pages=TELEMETRY_TRACE_FRACTION)
     failures = [e for e in args.experiments
                 if not check(e, args.jobs, options, live=args.with_telemetry)]
     return 1 if failures else 0

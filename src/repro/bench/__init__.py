@@ -1,6 +1,5 @@
 """Benchmark harness and per-figure experiment reproductions."""
 
-from .event_trace import EventTraceRecorder
 from .executor import (
     RunSession,
     current_options,
@@ -14,7 +13,6 @@ from .harness import RunConfig, RunOptions, RunResult, WorkloadRunner
 from .reporting import ExperimentResult, Series
 
 __all__ = [
-    "EventTraceRecorder",
     "ExperimentResult",
     "RunConfig",
     "RunOptions",

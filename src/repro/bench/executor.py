@@ -117,7 +117,7 @@ class Cell:
     All fields are plain values or frozen dataclasses, so cells pickle
     cleanly into worker processes.  A cell says *what* is measured;
     what the run attaches to it (metrics, batching, faults, tenant
-    tagging, telemetry, event/page/decision tracing) is the ambient
+    tagging, telemetry, page/decision tracing) is the ambient
     :class:`~repro.bench.harness.RunOptions`, never a cell field.
     """
 

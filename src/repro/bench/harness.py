@@ -26,7 +26,6 @@ from ..hardware.specs import Tier
 from ..obs.decisions import DecisionRecorder
 from ..obs.hub import DEFAULT_EPOCH_NS, MetricsHub
 from ..obs.tracer import PageLifecycleTracer
-from .event_trace import EventTraceRecorder
 from ..wal.checkpoint import Checkpointer
 from ..wal.log_manager import LogManager
 from ..wal.records import LogRecordType
@@ -86,9 +85,6 @@ class RunOptions:
     #: :class:`~repro.obs.decisions.DecisionRecorder` records as full
     #: spans (0 = off; decision *counters* are complete whenever on).
     trace_decisions: float = 0.0
-    #: Record a per-edge event trace over the measurement window
-    #: (:class:`~repro.bench.event_trace.EventTraceRecorder`).
-    trace_events: bool = False
     #: Fraction of pages whose lifecycle a
     #: :class:`~repro.obs.tracer.PageLifecycleTracer` records (0 = off).
     trace_pages: float = 0.0
@@ -98,6 +94,8 @@ class RunOptions:
             raise ValueError("batch_size must be >= 1")
         if not 0.0 <= self.trace_decisions <= 1.0:
             raise ValueError("trace_decisions must be in [0, 1]")
+        if not 0.0 <= self.trace_pages <= 1.0:
+            raise ValueError("trace_pages must be in [0, 1]")
 
 
 @dataclass
@@ -120,7 +118,7 @@ class RunConfig:
     #: Sim-time between the hub's occupancy/dirty-ratio gauge samples.
     metrics_epoch_ns: float = DEFAULT_EPOCH_NS
     #: What the run attaches: metrics hub, batch path, tenant tagging,
-    #: event, page and decision tracing (``fault_plan`` and
+    #: page and decision tracing (``fault_plan`` and
     #: ``telemetry`` are consumed by the executor, which owns device
     #: construction and cell labels).
     options: RunOptions = RunOptions()
@@ -150,8 +148,6 @@ class RunResult:
     makespan_ns: float
     #: Throughput recomputed for other worker counts from the same run.
     throughput_by_workers: dict[int, float] = field(default_factory=dict)
-    #: Per-edge event counts (only when ``RunOptions.trace_events``).
-    event_trace: dict[str, int] | None = None
     #: MetricsHub snapshot — registry state plus epoch gauge series
     #: (only when ``RunOptions.collect_metrics``).
     metrics: dict | None = None
@@ -539,8 +535,6 @@ class WorkloadRunner:
         options = self.config.options
         observers: dict[str, object] = {}
         hub = None
-        if options.trace_events:
-            observers["event_trace"] = EventTraceRecorder()
         if options.collect_metrics or options.track_tenants:
             hub = observers["metrics"] = MetricsHub(
                 epoch_ns=self.config.metrics_epoch_ns,
@@ -634,7 +628,6 @@ class WorkloadRunner:
                              config.measure_ops)
             if self.bm.inclusivity.num_samples == 0:
                 self.bm.sample_inclusivity()
-        trace = observers.get("event_trace")
         hub = observers.get("metrics")
         tracer = observers.get("page_traces")
         decisions = observers.get("decision_trace")
@@ -655,7 +648,6 @@ class WorkloadRunner:
             nvm_write_gb=self.bm.nvm_write_volume_gb(),
             makespan_ns=makespan,
             throughput_by_workers=by_workers,
-            event_trace=trace.report() if trace is not None else None,
             metrics=metrics_snapshot if options.collect_metrics else None,
             page_traces=tracer.snapshot() if tracer is not None else None,
             resource_usage={

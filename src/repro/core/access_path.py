@@ -137,11 +137,9 @@ class AccessPath:
                 if descriptor is None:
                     continue
                 node.pool.replacer.record_access(descriptor.frame_index)
-                # The paper's hit columns name DRAM and NVM only; a CXL
-                # hit is an observer's (``hit@CXL``) to count.
                 if tier is Tier.DRAM:
                     stats.dram_hits += 1
-                elif tier is Tier.NVM:
+                else:
                     stats.nvm_hits += 1
                 emit(EventType.HIT, page_id, tier)
                 if node is self._volatile_top \
@@ -285,7 +283,7 @@ class AccessPath:
         stats = self.chain.stats
         if tier is Tier.DRAM:
             stats.ssd_to_dram += 1
-        elif tier is Tier.NVM:
+        else:
             stats.ssd_to_nvm += 1
         self._emit(EventType.INSTALL, content.page_id, tier=tier, src=Tier.SSD)
         return descriptor
@@ -325,8 +323,7 @@ class AccessPath:
                 )
                 upper.write(shared.page_id, self.hierarchy.page_size,
                             sequential=True)
-            if upper.tier is Tier.DRAM and lower.tier is Tier.NVM:
-                self.chain.stats.nvm_to_dram += 1
+            self.chain.stats.nvm_to_dram += 1
             self._emit(EventType.MIGRATE_UP, shared.page_id, tier=upper.tier,
                        src=lower.tier)
             return descriptor

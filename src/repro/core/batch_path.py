@@ -168,7 +168,7 @@ class BatchAccessPath:
         stats.reads += m
         if top.tier is Tier.DRAM:
             stats.dram_hits += m
-        elif top.tier is Tier.NVM:
+        else:
             # A persistent top serves its hits in place.
             stats.nvm_hits += m
             stats.nvm_direct_reads += m

@@ -110,7 +110,7 @@ class BufferManager:
     ----------
     hierarchy:
         Devices and cost accounting for this configuration.  Every
-        buffer tier the hierarchy contains (DRAM, CXL, NVM) gets a chain
+        buffer tier the hierarchy contains (DRAM, NVM) gets a chain
         node; the SSD tier (required) holds the database.
     policy:
         The migration policy ``<D_r, D_w, N_r, N_w>``.  May be swapped at

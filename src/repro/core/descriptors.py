@@ -4,9 +4,9 @@ Every logical page known to the buffer manager has one *shared page
 descriptor* in the mapping table.  The shared descriptor carries one
 latch per storage tier plus pointers to the per-tier page descriptors
 for whichever buffer tiers currently hold a copy.  Copies and latches
-are indexed by the tier's rank in the canonical top-down ordering, so
-the descriptor supports an arbitrary-depth tier chain (DRAM, CXL, NVM,
-...) without naming tiers.
+are indexed by the tier's rank in the canonical top-down ordering
+(DRAM, NVM, SSD), so the descriptor serves every chain the paper builds
+without naming tiers.
 
 A migration from tier X to tier Y acquires exactly the X and Y latches,
 so e.g. an NVM→SSD write-back never blocks operations on the DRAM copy.

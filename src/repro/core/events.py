@@ -10,9 +10,6 @@ at all.  What attaches is an observer:
 
 * the :class:`~repro.obs.hub.MetricsHub` and the page-lifecycle and
   decision tracers of :mod:`repro.obs`,
-* the bench-side :class:`~repro.bench.event_trace.EventTraceRecorder`,
-  which aggregates per-edge traffic for any chain depth (a CXL hit is
-  visible there as ``hit@CXL``),
 * the :class:`~repro.tuning.controller.AdaptiveController`, which counts
   epoch operations by subscription,
 * the crash-point probes of :mod:`repro.faults.crashpoints`.

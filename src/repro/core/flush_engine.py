@@ -153,8 +153,7 @@ class FlushEngine:
                     persist_node.write(descriptor.page_id,
                                        self.hierarchy.page_size)
                     persist_node.device.persist_barrier()
-                    if top.tier is Tier.DRAM and persist_node.tier is Tier.NVM:
-                        self.chain.stats.dram_to_nvm += 1
+                    self.chain.stats.dram_to_nvm += 1
                     self._emit(EventType.MIGRATE_DOWN, descriptor.page_id,
                                tier=persist_node.tier, src=top.tier, dirty=True)
                 else:

@@ -5,19 +5,17 @@ module — :meth:`MigrationEngine.decide` — whenever a page might cross a
 tier edge: promote on a read/write hit, admit an SSD fetch, admit a
 DRAM eviction, or admit a checkpoint flush.  Centralising the draws
 keeps the paper's policy tuple ``<D_r, D_w, N_r, N_w>`` (and HyMem's
-admission queue) in one place and makes the knob-to-edge mapping for
-deeper chains explicit:
+admission queue) in one place and makes the knob-to-edge mapping
+explicit:
 
 * *promotions* into any node draw the DRAM knobs (``D_r``/``D_w``),
 * *admissions* into any non-top node draw the NVM knobs
   (``N_r`` on fetch, ``N_w`` on eviction/flush),
 * the admission queue, when configured, replaces the ``N_w`` draw for
-  the NVM-role node only (HyMem has no notion of other tiers).
+  the NVM-role node only.
 
-For the paper's three-tier chain this reduces exactly to §3's four
-probabilities; for a four-tier DRAM→CXL→NVM→SSD chain the CXL node
-reuses the DRAM knobs for promotion into it and the NVM knobs for
-admission into it, which is the documented default (Fig. 16 direction).
+For the paper's chains — DRAM-SSD, NVM-SSD and DRAM-NVM-SSD — this is
+exactly §3's four probabilities.
 """
 
 from __future__ import annotations

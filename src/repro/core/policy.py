@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 import random
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 class NvmAdmission(enum.Enum):
@@ -83,14 +83,6 @@ class MigrationPolicy:
         return _draw(rng, self.n_w)
 
     # ------------------------------------------------------------------
-    def with_lockstep_d(self, d: float) -> "MigrationPolicy":
-        """Set ``D_r`` and ``D_w`` together (the Fig. 6 sweep)."""
-        return replace(self, d_r=d, d_w=d, name=f"{self.name or 'policy'}(D={d})")
-
-    def with_lockstep_n(self, n: float) -> "MigrationPolicy":
-        """Set ``N_r`` and ``N_w`` together (the Fig. 7 sweep)."""
-        return replace(self, n_r=n, n_w=n, name=f"{self.name or 'policy'}(N={n})")
-
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.d_r, self.d_w, self.n_r, self.n_w)
 

@@ -266,7 +266,7 @@ class SpaceManager:
         stats = self.chain.stats
         if node.tier is Tier.DRAM:
             stats.dram_evictions += 1
-        elif node.tier is Tier.NVM:
+        else:
             stats.nvm_evictions += 1
         self._emit(EventType.EVICT, page_id, tier=node.tier,
                    dirty=descriptor.dirty)
@@ -324,7 +324,7 @@ class SpaceManager:
                     stats = self.chain.stats
                     if node.tier is Tier.DRAM:
                         stats.dram_to_ssd += 1
-                    elif node.tier is Tier.NVM:
+                    else:
                         stats.nvm_to_ssd += 1
                     self._emit(EventType.WRITE_BACK, page_id, tier=Tier.SSD,
                                src=node.tier, dirty=True)
@@ -389,7 +389,6 @@ class SpaceManager:
                     lower.device.persist_barrier()
                 if descriptor.dirty:
                     lower_desc.mark_dirty()
-            if node.tier is Tier.DRAM and lower.tier is Tier.NVM:
-                self.chain.stats.dram_to_nvm += 1
+            self.chain.stats.dram_to_nvm += 1
             self._emit(EventType.MIGRATE_DOWN, page_id, tier=lower.tier,
                        src=node.tier, dirty=descriptor.dirty)

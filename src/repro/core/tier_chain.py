@@ -6,9 +6,7 @@ facts (persistence, which migration knobs apply).  Nodes compose into a
 :class:`TierChain`, ordered fastest-first, and the buffer manager's
 fetch/promotion/eviction/flush paths walk the chain generically instead
 of naming DRAM and NVM.  The paper's three-tier configurations are the
-chains ``[DRAM]``, ``[NVM]``, and ``[DRAM, NVM]`` over an SSD store; a
-four-tier DRAM→CXL→NVM→SSD hierarchy is simply the chain
-``[DRAM, CXL, NVM]`` and needs no new buffer-manager code.
+chains ``[DRAM]``, ``[NVM]``, and ``[DRAM, NVM]`` over an SSD store.
 """
 
 from __future__ import annotations

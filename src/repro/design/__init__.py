@@ -1,7 +1,6 @@
 """Storage-system design: perf/price grid search over hierarchies (§6.6)."""
 
 from .grid_search import (
-    CXL_SIZES_GB,
     FIG14_DRAM_SIZES_GB,
     FIG14_NVM_SIZES_GB,
     FIG14_SSD_GB,
@@ -13,7 +12,6 @@ from .grid_search import (
 )
 
 __all__ = [
-    "CXL_SIZES_GB",
     "DesignPoint",
     "DesignResult",
     "FIG14_DRAM_SIZES_GB",

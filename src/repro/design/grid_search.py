@@ -27,10 +27,6 @@ from ..hardware.specs import SimulationScale
 FIG14_DRAM_SIZES_GB = (0.0, 4.0, 8.0, 16.0, 32.0)
 FIG14_NVM_SIZES_GB = (0.0, 40.0, 80.0, 160.0)
 FIG14_SSD_GB = 200.0
-#: Extension axis for four-tier (DRAM-CXL-NVM-SSD) candidates.  The
-#: paper's grid is CXL-free; a zero entry keeps three-tier points in
-#: any extended sweep.
-CXL_SIZES_GB = (0.0, 8.0, 16.0)
 
 
 @dataclass
@@ -64,27 +60,14 @@ class DesignResult:
         return max(candidates, key=lambda p: p.perf_per_price)
 
     def grid(self, metric: str = "perf_per_price") -> dict[tuple[float, float], float]:
-        """(dram_gb, nvm_gb) → metric value, for heat-map rendering.
+        """(dram_gb, nvm_gb) → metric value, for heat-map rendering."""
+        return {(p.shape.dram_gb, p.shape.nvm_gb): getattr(p, metric)
+                for p in self.points}
 
-        Four-tier sweeps collapse onto the same axes: when several
-        points share a (dram, nvm) cell (differing CXL sizes) the best
-        one wins the cell, mirroring how Fig. 14 reports per-cell
-        optima.
-        """
-        grid: dict[tuple[float, float], float] = {}
-        for p in self.points:
-            cell = (p.shape.dram_gb, p.shape.nvm_gb)
-            value = getattr(p, metric)
-            if cell not in grid or value > grid[cell]:
-                grid[cell] = value
-        return grid
-
-    def point(self, dram_gb: float, nvm_gb: float,
-              cxl_gb: float | None = None) -> DesignPoint:
+    def point(self, dram_gb: float, nvm_gb: float) -> DesignPoint:
         for p in self.points:
             if p.shape.dram_gb == dram_gb and p.shape.nvm_gb == nvm_gb:
-                if cxl_gb is None or p.shape.cxl_gb == cxl_gb:
-                    return p
+                return p
         raise KeyError(f"no grid point ({dram_gb}, {nvm_gb})")
 
     def render_heatmap(self, metric: str = "perf_per_price",
@@ -115,16 +98,9 @@ class DesignResult:
 
 
 def policy_for_shape(shape: HierarchyShape) -> MigrationPolicy:
-    """The paper's policy choice per hierarchy class (§6.6 setup).
-
-    A CXL tier behaves like extra volatile capacity between DRAM and
-    NVM; any hierarchy containing one uses the lazy Spitfire policy so
-    both probabilistic edges stay active.
-    """
+    """The paper's policy choice per hierarchy class (§6.6 setup)."""
     has_dram = shape.dram_gb > 0
     has_nvm = shape.nvm_gb > 0
-    if shape.cxl_gb > 0:
-        return SPITFIRE_LAZY
     if has_dram and has_nvm:
         return SPITFIRE_LAZY
     if has_nvm:
@@ -136,24 +112,14 @@ def enumerate_shapes(
     dram_sizes_gb: tuple[float, ...] = FIG14_DRAM_SIZES_GB,
     nvm_sizes_gb: tuple[float, ...] = FIG14_NVM_SIZES_GB,
     ssd_gb: float = FIG14_SSD_GB,
-    cxl_sizes_gb: tuple[float, ...] = (0.0,),
 ) -> list[HierarchyShape]:
-    """All grid hierarchies; buffer-less corners are skipped.
-
-    The default ``cxl_sizes_gb=(0.0,)`` reproduces the paper's
-    three-tier grid exactly; passing e.g. ``CXL_SIZES_GB`` extends the
-    sweep with four-tier DRAM-CXL-NVM-SSD candidates.
-    """
-    shapes = []
-    for dram_gb in dram_sizes_gb:
-        for nvm_gb in nvm_sizes_gb:
-            for cxl_gb in cxl_sizes_gb:
-                if dram_gb == 0 and nvm_gb == 0 and cxl_gb == 0:
-                    continue
-                shapes.append(
-                    HierarchyShape(dram_gb, nvm_gb, ssd_gb, cxl_gb=cxl_gb)
-                )
-    return shapes
+    """All grid hierarchies; the buffer-less corner is skipped."""
+    return [
+        HierarchyShape(dram_gb, nvm_gb, ssd_gb)
+        for dram_gb in dram_sizes_gb
+        for nvm_gb in nvm_sizes_gb
+        if dram_gb or nvm_gb
+    ]
 
 
 def grid_search(

@@ -15,14 +15,12 @@ from .pricing import (
     equi_cost_nvm_gb,
     hierarchy_cost,
     performance_per_price,
-    spec_for,
 )
 from .simclock import CostAccumulator, ResourceUsage, SimClock
 from .specs import (
     BUFFER_TIER_ORDER,
     CACHE_LINE_SIZE,
     CACHE_LINES_PER_PAGE,
-    CXL_SPEC,
     DEFAULT_SCALE,
     DEFAULT_SPECS,
     DRAM_SPEC,
@@ -45,7 +43,6 @@ __all__ = [
     "BUFFER_TIER_ORDER",
     "CACHE_LINES_PER_PAGE",
     "CACHE_LINE_SIZE",
-    "CXL_SPEC",
     "CostAccumulator",
     "CpuCosts",
     "DEFAULT_CPU_COSTS",
@@ -75,5 +72,4 @@ __all__ = [
     "equi_cost_nvm_gb",
     "hierarchy_cost",
     "performance_per_price",
-    "spec_for",
 ]

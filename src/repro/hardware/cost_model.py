@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 from .device import Device
 from .memory_mode import MemoryModeDevice
-from .pricing import HierarchyShape, hierarchy_cost, spec_for
+from .pricing import HierarchyShape, hierarchy_cost
 from .simclock import CostAccumulator, SimClock
 from .specs import (
+    BUFFER_TIER_ORDER,
     DEFAULT_SCALE,
     DEFAULT_SPECS,
     PAGE_SIZE,
@@ -120,17 +121,17 @@ class StorageHierarchy:
                 page_size=self.page_size,
             )
         else:
-            for tier in (Tier.DRAM, Tier.CXL, Tier.NVM):
+            for tier in BUFFER_TIER_ORDER:
                 capacity_gb = self.shape.capacity_gb(tier)
                 if capacity_gb > 0:
                     self.devices[tier] = Device(
-                        spec_for(tier, self.specs),
+                        self.specs[tier],
                         self._capacity_bytes(capacity_gb),
                         self.cost,
                     )
         if self.shape.ssd_gb > 0:
             self.devices[Tier.SSD] = Device(
-                spec_for(Tier.SSD, self.specs),
+                self.specs[Tier.SSD],
                 self._capacity_bytes(self.shape.ssd_gb),
                 self.cost,
             )

@@ -9,26 +9,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .specs import CXL_SPEC, DEFAULT_SPECS, TIER_ORDER, DeviceSpec, Tier
+from .specs import DEFAULT_SPECS, TIER_ORDER, DeviceSpec, Tier
 
 
 @dataclass(frozen=True)
 class HierarchyShape:
-    """Per-tier capacities, in (paper-scale) gigabytes.
-
-    ``cxl_gb`` adds an optional CXL memory-expander tier between DRAM and
-    NVM; the paper's three-tier configurations simply leave it at zero.
-    (It is deliberately the last field so positional construction stays
-    ``HierarchyShape(dram_gb, nvm_gb, ssd_gb)``.)
-    """
+    """Per-tier capacities, in (paper-scale) gigabytes."""
 
     dram_gb: float = 0.0
     nvm_gb: float = 0.0
     ssd_gb: float = 0.0
-    cxl_gb: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("dram_gb", "nvm_gb", "ssd_gb", "cxl_gb"):
+        for name in ("dram_gb", "nvm_gb", "ssd_gb"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
 
@@ -45,24 +38,9 @@ class HierarchyShape:
     def capacity_gb(self, tier: Tier) -> float:
         return {
             Tier.DRAM: self.dram_gb,
-            Tier.CXL: self.cxl_gb,
             Tier.NVM: self.nvm_gb,
             Tier.SSD: self.ssd_gb,
         }[tier]
-
-
-def spec_for(tier: Tier, specs: dict[Tier, DeviceSpec] | None = None) -> DeviceSpec:
-    """Resolve the spec for ``tier``; CXL falls back to :data:`CXL_SPEC`.
-
-    ``DEFAULT_SPECS`` intentionally stays the paper's three Table-1 rows,
-    so the optional CXL tier resolves through its own default spec.
-    """
-    table = specs or DEFAULT_SPECS
-    if tier in table:
-        return table[tier]
-    if tier is Tier.CXL:
-        return CXL_SPEC
-    raise KeyError(f"no device spec for tier {tier.name}")
 
 
 def hierarchy_cost(
@@ -70,10 +48,8 @@ def hierarchy_cost(
     specs: dict[Tier, DeviceSpec] | None = None,
 ) -> float:
     """Total device cost of ``shape`` in dollars."""
-    return sum(
-        shape.capacity_gb(tier) * spec_for(tier, specs).price_per_gb
-        for tier in TIER_ORDER
-    )
+    table = specs or DEFAULT_SPECS
+    return sum(shape.capacity_gb(tier) * table[tier].price_per_gb for tier in TIER_ORDER)
 
 
 def performance_per_price(throughput_ops: float, cost_dollars: float) -> float:

@@ -5,8 +5,7 @@ idle latencies, bandwidths, price, addressability, media access granularity,
 persistence, and endurance for DRAM, Optane DC PMMs (NVM), and an Optane DC
 P4800X SSD.  Every simulated device in :mod:`repro.hardware.device` is
 parameterised by a :class:`DeviceSpec`, so alternative hardware (e.g. a
-slower flash SSD, a faster CXL-attached memory) can be modelled by
-constructing a new spec.
+slower flash SSD) can be modelled by constructing a new spec.
 """
 
 from __future__ import annotations
@@ -36,16 +35,9 @@ NS_PER_S = 1_000_000_000
 
 
 class Tier(enum.Enum):
-    """The storage tiers a buffer manager may compose into a chain.
-
-    The paper's configurations use DRAM/NVM/SSD; :attr:`CXL` models a
-    CXL-attached memory expander slotted between DRAM and NVM, which the
-    N-tier chain supports as a fourth level (§5.3's "deeper hierarchies"
-    direction).
-    """
+    """The storage tiers a buffer manager may compose into a chain."""
 
     DRAM = "dram"
-    CXL = "cxl"
     NVM = "nvm"
     SSD = "ssd"
 
@@ -60,17 +52,17 @@ class Tier(enum.Enum):
 
     @property
     def is_persistent(self) -> bool:
-        return self not in (Tier.DRAM, Tier.CXL)
+        return self is not Tier.DRAM
 
 
 #: All tiers, fastest first.
-TIER_ORDER: tuple[Tier, ...] = (Tier.DRAM, Tier.CXL, Tier.NVM, Tier.SSD)
+TIER_ORDER: tuple[Tier, ...] = (Tier.DRAM, Tier.NVM, Tier.SSD)
 for _rank, _tier in enumerate(TIER_ORDER):
     _tier.rank = _rank
 del _rank, _tier
 
 #: Tiers that may carry a buffer pool (everything above the SSD store).
-BUFFER_TIER_ORDER: tuple[Tier, ...] = (Tier.DRAM, Tier.CXL, Tier.NVM)
+BUFFER_TIER_ORDER: tuple[Tier, ...] = (Tier.DRAM, Tier.NVM)
 
 
 class Addressability(enum.Enum):
@@ -178,28 +170,6 @@ NVM_SPEC = DeviceSpec(
     persistent=True,
     endurance_cycles=1e10,
     persist_barrier_ns=100.0,
-)
-
-#: A CXL-attached DRAM memory expander (e.g. a CXL 2.0 Type-3 device).
-#: Latency sits between local DRAM and Optane (one switch hop ≈ 170-250 ns
-#: loaded), bandwidth is link-bound (~x8 CXL lanes), and the module price
-#: undercuts local DRAM because it reuses commodity DDR behind the link.
-#: Volatile and byte-addressable, so it slots between DRAM and NVM in a
-#: four-tier chain.
-CXL_SPEC = DeviceSpec(
-    name="CXL DRAM Expander",
-    tier=Tier.CXL,
-    seq_read_latency_ns=180.0,
-    rand_read_latency_ns=250.0,
-    seq_read_bw=_gb_per_s(48.0),
-    rand_read_bw=_gb_per_s(48.0),
-    seq_write_bw=_gb_per_s(48.0),
-    rand_write_bw=_gb_per_s(48.0),
-    price_per_gb=7.0,
-    addressability=Addressability.BYTE,
-    media_granularity=CACHE_LINE_SIZE,
-    persistent=False,
-    endurance_cycles=1e10,
 )
 
 #: Intel Optane DC P4800X SSD.

@@ -279,13 +279,6 @@ class SpitfireServer:
             "slo": report,
         }
 
-    async def run(self) -> dict:
-        """start → serve until a shutdown signal → drain; the CLI path."""
-        await self.start()
-        self.install_signal_handlers()
-        await self.wait_shutdown()
-        return await self.shutdown()
-
     def describe(self) -> dict:
         """A JSON-able self-description (hello response / SLO config)."""
         return {
@@ -369,9 +362,7 @@ class SpitfireServer:
             nbytes = _int_field(message, "nbytes", default=64, minimum=1)
 
             def batch_op():
-                for page_id in page_ids:
-                    if not bm.page_exists(page_id):
-                        bm.allocate_page(page_id)
+                bm.allocate_pages(page_ids)
                 bm.read_batch(page_ids, offsets, nbytes, tenant_id)
                 return {"pages": len(page_ids)}
 

@@ -14,48 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from ..np_compat import np
 from .tpcc import PageAccess
-
-
-class AccessBatch:
-    """A struct-of-arrays batch of page accesses.
-
-    Columns are parallel numpy arrays when numpy is installed and plain
-    lists otherwise — the same convention as
-    :class:`~repro.workloads.ycsb.OpBatch`.
-    """
-
-    __slots__ = ("page_ids", "offsets", "sizes", "is_writes")
-
-    def __init__(self, page_ids, offsets, sizes, is_writes) -> None:
-        if np is not None:
-            self.page_ids = np.asarray(page_ids, dtype=np.int64)
-            self.offsets = np.asarray(offsets, dtype=np.int64)
-            self.sizes = np.asarray(sizes, dtype=np.int64)
-            self.is_writes = np.asarray(is_writes, dtype=bool)
-        else:
-            self.page_ids = page_ids
-            self.offsets = offsets
-            self.sizes = sizes
-            self.is_writes = is_writes
-
-    def __len__(self) -> int:
-        return len(self.page_ids)
-
-    @classmethod
-    def from_accesses(cls, accesses: Iterable[PageAccess]) -> "AccessBatch":
-        """Columnarise a row-oriented access sequence."""
-        page_ids: list[int] = []
-        offsets: list[int] = []
-        sizes: list[int] = []
-        is_writes: list[bool] = []
-        for access in accesses:
-            page_ids.append(access.page_id)
-            offsets.append(access.offset)
-            sizes.append(access.nbytes)
-            is_writes.append(access.is_write)
-        return cls(page_ids, offsets, sizes, is_writes)
 
 
 @dataclass
@@ -69,19 +28,6 @@ class Trace:
 
     def __iter__(self) -> Iterator[PageAccess]:
         return iter(self.accesses)
-
-    def batches(self, batch_size: int) -> Iterator[AccessBatch]:
-        """The trace as successive struct-of-arrays batches.
-
-        The final batch may be short; concatenating all batches yields
-        the original access order exactly.
-        """
-        if batch_size <= 0:
-            raise ValueError("batch_size must be positive")
-        for start in range(0, len(self.accesses), batch_size):
-            yield AccessBatch.from_accesses(
-                self.accesses[start:start + batch_size]
-            )
 
     @property
     def num_pages(self) -> int:

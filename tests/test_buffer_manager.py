@@ -148,7 +148,7 @@ class TestEviction:
         assert bm.stats.dram_to_ssd >= 2
 
     def test_dirty_dram_eviction_admitted_to_nvm(self):
-        bm = make_bm(dram_gb=1.0, nvm_gb=4.0, policy=DRAM_ONLY_FLOW.with_lockstep_n(0.0))
+        bm = make_bm(dram_gb=1.0, nvm_gb=4.0, policy=DRAM_ONLY_FLOW)
         # n_w = 0: dirty evictions must go to SSD, never NVM.
         pages = [bm.allocate_page() for _ in range(6)]
         for page in pages:

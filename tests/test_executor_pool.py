@@ -161,6 +161,7 @@ class TestRunOptionsScope:
     @pytest.mark.parametrize("bad", [
         dict(batch_size=0), dict(batch_size=-3),
         dict(trace_decisions=-0.1), dict(trace_decisions=1.5),
+        dict(trace_pages=-0.1), dict(trace_pages=1.5),
     ])
     def test_invalid_values_rejected_however_built(self, bad):
         with pytest.raises(ValueError):
@@ -242,10 +243,6 @@ FIELD_CASES = {
         lambda: 1.0,
         lambda result, baseline: result.decision_trace is not None
         and baseline.decision_trace is None),
-    "trace_events": (
-        lambda: True,
-        lambda result, baseline: bool(result.event_trace)
-        and baseline.event_trace is None),
     "trace_pages": (
         lambda: 1.0,
         lambda result, baseline: bool(result.page_traces["pages"])

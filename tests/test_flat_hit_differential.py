@@ -180,8 +180,8 @@ def simulated_state(bm: BufferManager) -> dict:
     cost = bm.hierarchy.cost
     stats = bm.stats
     # Per-tier hits and the up/down migration tallies, as a bus
-    # subscriber kept them at the parent commit: on these chains (no
-    # CXL) they are the paper's DRAM/NVM counters.
+    # subscriber kept them at the parent commit: they are the paper's
+    # DRAM/NVM counters.
     hits = {Tier.DRAM: stats.dram_hits, Tier.NVM: stats.nvm_hits}
     return {
         "stats": stats.as_dict(),

@@ -55,9 +55,11 @@ WAL_BUDGET = 30
 #: seen before: Python-level calls and bytes it keeps alive (13 calls
 #: and 2,020 B while each entry built four ``threading.RLock`` wrappers
 #: through a generator and a ``threading.Condition`` of its own; 2 calls
-#: and ~660 B with C-constructed latches and one shared condition).
+#: and ~660 B with four C-constructed latches, four copy slots and one
+#: shared condition; ~545 B with three of each, one per tier of
+#: DRAM-NVM-SSD).
 ENTRY_CALL_BUDGET = 2
-ENTRY_BYTE_BUDGET = 800
+ENTRY_BYTE_BUDGET = 600
 OPS = 1_000
 
 

@@ -99,8 +99,7 @@ class TestHarnessMetrics:
             assert {"busy_ns", "operations", "bytes_moved"} <= set(usage)
 
     def test_observers_detached_after_run(self):
-        runner = make_runner(collect_metrics=True, trace_events=True,
-                             trace_pages=1.0)
+        runner = make_runner(collect_metrics=True, trace_pages=1.0)
         bus = runner.bm.events
         baseline = bus.num_subscribers
         runner.measure_ycsb(small_workload())
@@ -108,8 +107,7 @@ class TestHarnessMetrics:
 
     def test_observers_detached_when_workload_raises(self):
         """Regression: _measure must not leak subscriptions on error."""
-        runner = make_runner(collect_metrics=True, trace_events=True,
-                             trace_pages=1.0)
+        runner = make_runner(collect_metrics=True, trace_pages=1.0)
         runner.config.warmup_ops = 5
         bus = runner.bm.events
         baseline = bus.num_subscribers
@@ -130,8 +128,8 @@ class TestHarnessMetrics:
         it unsubscribes; a raising merge used to leave the hub on the
         bus and strand every observer detached after it (for the
         decision recorder, its probe on the engine too)."""
-        runner = make_runner(collect_metrics=True, trace_events=True,
-                             trace_pages=1.0, trace_decisions=1.0)
+        runner = make_runner(collect_metrics=True, trace_pages=1.0,
+                             trace_decisions=1.0)
         bm = runner.bm
 
         class BrokenRegistry:
@@ -147,7 +145,7 @@ class TestHarnessMetrics:
         assert bm.engine.probe is probe
 
     def test_repeated_measurements_do_not_stack_subscribers(self):
-        runner = make_runner(collect_metrics=True, trace_events=True)
+        runner = make_runner(collect_metrics=True, trace_pages=1.0)
         bus = runner.bm.events
         baseline = bus.num_subscribers
         workload = small_workload()

@@ -55,18 +55,6 @@ class TestDraws:
         assert 0.005 < hits / 50_000 < 0.015
 
 
-class TestLockstep:
-    def test_with_lockstep_d(self):
-        swept = SPITFIRE_EAGER.with_lockstep_d(0.1)
-        assert swept.d_r == swept.d_w == 0.1
-        assert swept.n_r == 1.0
-
-    def test_with_lockstep_n(self):
-        swept = SPITFIRE_EAGER.with_lockstep_n(0.01)
-        assert swept.n_r == swept.n_w == 0.01
-        assert swept.d_r == 1.0
-
-
 class TestTable3Presets:
     def test_eager(self):
         assert SPITFIRE_EAGER.as_tuple() == (1.0, 1.0, 1.0, 1.0)

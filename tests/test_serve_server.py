@@ -24,7 +24,7 @@ from repro.serve.bench import (
     simulate_serving,
 )
 from repro.serve.loadgen import LoadSpec, build_schedule, drive_server
-from repro.serve.server import ServeConfig, SpitfireServer
+from repro.serve.server import ServeConfig, SpitfireServer, execute_op
 from repro.workloads.tenancy import TenantSpec
 
 
@@ -345,6 +345,42 @@ class TestLiveMatchesTwin:
         }
         assert ops_by_tenant == dict(
             Counter(a.tenant_id for a in schedule.arrivals))
+
+    def test_read_batch_allocates_like_execute_op(self):
+        """A ``read_batch`` naming unseen pages allocates them on first
+        touch, exactly as the twin's per-op reads of the same pages do."""
+        existing = range(8)
+        page_ids = [0, 40, 1, 5, 41, 40, 2, 6]
+        offsets = [0, 64, 128, 0, 0, 192, 64, 0]
+        twin = SpitfireServer(ServeConfig()).bm
+        twin.allocate_pages(existing)
+        for page_id in existing[:4]:
+            execute_op(twin, False, page_id, 0, 64, 0)
+        for page_id, offset in zip(page_ids, offsets):
+            execute_op(twin, False, page_id, offset, 64, 0)
+
+        async def scenario():
+            server = SpitfireServer(ServeConfig())
+            server.bm.allocate_pages(existing)
+            for page_id in existing[:4]:
+                execute_op(server.bm, False, page_id, 0, 64, 0)
+            await server.start()
+            try:
+                client = await Client.connect(server)
+                reply = await client.call("read_batch", page_ids=page_ids,
+                                          offsets=offsets, nbytes=64)
+                assert reply["pages"] == len(page_ids)
+                await client.close()
+                return server.bm.stats.snapshot(), \
+                    server.hierarchy.cost.total_fp
+            finally:
+                await server.shutdown()
+
+        live_stats, live_total_fp = run(scenario())
+        assert twin.page_exists(41)
+        assert live_stats.ssd_fetches > 0 and live_stats.dram_hits > 0
+        assert live_stats == twin.stats.snapshot()
+        assert live_total_fp == twin.hierarchy.cost.total_fp
 
 
 class TestDrain:

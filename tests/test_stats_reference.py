@@ -40,11 +40,7 @@ DRAM, NVM = Tier.DRAM, Tier.NVM
 
 
 def reference_projection(events) -> BufferStats:
-    """``BufferStats`` as the paper's counters project an event stream.
-
-    The counters name DRAM and NVM explicitly, so an event on any other
-    tier (CXL) counts toward no per-tier field.
-    """
+    """``BufferStats`` as the paper's counters project an event stream."""
     stats = BufferStats()
     for etype, _page_id, tier, src, _dirty in events:
         if etype is EventType.OP_READ:
@@ -112,8 +108,8 @@ class StreamRecorder(EventRecorder):
                     EventType.DIRECT_READ, page_id, tier, None, False))
 
 
-def _hierarchy(dram_gb, nvm_gb, cxl_gb=0.0, memory_mode=False):
-    return StorageHierarchy(HierarchyShape(dram_gb, nvm_gb, 100.0, cxl_gb),
+def _hierarchy(dram_gb, nvm_gb, memory_mode=False):
+    return StorageHierarchy(HierarchyShape(dram_gb, nvm_gb, 100.0),
                             SCALE, memory_mode=memory_mode)
 
 
@@ -148,7 +144,7 @@ def run_resident_batches(bm: BufferManager, tier: Tier) -> None:
 
 
 #: Fields every seeded stream produces, and those of a two-tier
-#: DRAM+NVM chain (with or without CXL between them).
+#: DRAM+NVM chain.
 _STREAM = {"reads", "writes", "ssd_fetches", "clean_drops"}
 _DRAM_NVM = _STREAM | {"dram_hits", "nvm_hits", "dram_to_nvm",
                        "dram_evictions", "dirty_page_flushes"}
@@ -191,13 +187,6 @@ SHAPES = {
         lambda: BufferManager(_hierarchy(1.0, 4.0, memory_mode=True),
                               DRAM_SSD_POLICY),
         run_stream, _DRAM_SSD),
-    # CXL hits and CXL edges count toward no paper field.
-    "four_tier_cxl": (
-        lambda: BufferManager(_hierarchy(1.0, 4.0, cxl_gb=2.0),
-                              SPITFIRE_LAZY),
-        run_stream,
-        _DRAM_NVM | _DIRECT | {"ssd_to_dram", "ssd_to_nvm", "nvm_to_ssd",
-                               "nvm_evictions"}),
     "dram_resident_batch": (
         lambda: BufferManager(_hierarchy(2.0, 8.0), SPITFIRE_LAZY),
         lambda bm: run_resident_batches(bm, DRAM), {"reads", "dram_hits"}),

@@ -1,11 +1,9 @@
-"""TierChain decomposition: chain structure, lookups, events, 4 tiers.
+"""TierChain decomposition: chain structure, lookups, events.
 
 The buffer manager is a facade over an ordered :class:`TierChain`; these
 tests pin down the chain's shape and neighbour relations, the
-chain-based tier lookups that replaced the old DRAM/NVM ternaries, the
-event bus that feeds every observer, and the headline capability the
-refactor buys: a four-tier DRAM-CXL-NVM-SSD hierarchy built purely
-through the public API and driven end-to-end by YCSB.
+chain-based tier lookups that replaced the old DRAM/NVM ternaries, and
+the event bus that feeds every observer.
 """
 
 from __future__ import annotations
@@ -13,27 +11,10 @@ from __future__ import annotations
 import pytest
 from conftest import EventRecorder, make_bm
 
-from repro.bench.event_trace import EventTraceRecorder
-from repro.bench.harness import RunConfig, RunOptions, WorkloadRunner
-from repro.core.buffer_manager import BufferManager
 from repro.core.events import EventBus, EventType
-from repro.core.policy import DRAM_SSD_POLICY, SPITFIRE_EAGER, SPITFIRE_LAZY
+from repro.core.policy import DRAM_SSD_POLICY, SPITFIRE_EAGER
 from repro.core.tier_chain import TierChain
-from repro.hardware.cost_model import StorageHierarchy
-from repro.hardware.pricing import HierarchyShape
-from repro.hardware.specs import SimulationScale, Tier
-from repro.workloads.ycsb import YCSB_BA, YcsbWorkload
-
-TINY_SCALE = SimulationScale(pages_per_gb=4)
-
-
-def make_four_tier_bm(policy=SPITFIRE_LAZY) -> BufferManager:
-    """1 GB DRAM + 2 GB CXL + 4 GB NVM + 100 GB SSD, tiny page pools."""
-    hierarchy = StorageHierarchy(
-        HierarchyShape(dram_gb=1.0, nvm_gb=4.0, ssd_gb=100.0, cxl_gb=2.0),
-        TINY_SCALE,
-    )
-    return BufferManager(hierarchy, policy)
+from repro.hardware.specs import Tier
 
 
 class TestChainStructure:
@@ -261,104 +242,16 @@ class TestEventBus:
         assert not errors
 
     def test_trace_matches_stats(self, eager_bm):
-        trace = EventTraceRecorder().attach(eager_bm)
+        seen = eager_bm.events.subscribe(EventRecorder()).events
         for page in range(4):
             eager_bm.allocate_page(page)
             eager_bm.read(page)
             eager_bm.read(page)
-        trace.detach()
         stats = eager_bm.stats
-        assert trace.total(EventType.MISS) == stats.ssd_fetches
-        assert trace.total(EventType.HIT) == stats.dram_hits + stats.nvm_hits
-        report = trace.report()
-        assert report["hit@DRAM"] == stats.dram_hits
+        kinds = [event.type for event in seen]
+        assert kinds.count(EventType.MISS) == stats.ssd_fetches == 4
+        assert kinds.count(EventType.HIT) == stats.dram_hits + stats.nvm_hits
+        assert stats.dram_hits == sum(
+            1 for event in seen
+            if event.type is EventType.HIT and event.tier is Tier.DRAM)
 
-
-class TestFourTier:
-    def test_chain_has_four_tiers(self):
-        bm = make_four_tier_bm()
-        assert bm.chain.tiers == (Tier.DRAM, Tier.CXL, Tier.NVM)
-        assert bm.hierarchy.has_tier(Tier.SSD)
-        cxl = bm.chain.node(Tier.CXL)
-        assert not cxl.persistent
-        assert bm.chain.upper_of(cxl).tier is Tier.DRAM
-        assert bm.chain.lower_of(cxl).tier is Tier.NVM
-        assert bm.chain.first_persistent_below(bm.chain.top).tier is Tier.NVM
-
-    def test_pages_can_live_on_cxl(self):
-        bm = make_four_tier_bm(policy=SPITFIRE_EAGER)
-        page = bm.allocate_page()
-        bm.read(page)
-        # Eager admission + promotion walks the page up every tier.
-        assert page in bm.resident_pages(Tier.NVM)
-        assert page in bm.resident_pages(Tier.CXL)
-        assert page in bm.resident_pages(Tier.DRAM)
-
-    def test_cxl_hits_are_counted(self):
-        bm = make_four_tier_bm(policy=SPITFIRE_EAGER)
-        page = bm.allocate_page()
-        bm.read(page)
-        # Drop the DRAM copy so the next access hits CXL.
-        dram = bm.chain.node(Tier.DRAM)
-        shared = bm.table.get(page)
-        dram.pool.remove(shared, shared.copy_on(Tier.DRAM))
-        # No paper counter names CXL: the tier-generic trace counts it.
-        trace = EventTraceRecorder().attach(bm)
-        result = bm.read(page)
-        trace.detach()
-        assert result.hit
-        assert trace.report()["hit@CXL"] == 1
-
-    def test_ycsb_end_to_end(self):
-        bm = make_four_tier_bm()
-        runner = WorkloadRunner(bm, RunConfig(
-            warmup_ops=300, measure_ops=600,
-            options=RunOptions(trace_events=True),
-        ))
-        workload = YcsbWorkload(2_000, mix=YCSB_BA, seed=7)
-        result = runner.measure_ycsb(workload, label="4-tier YCSB-BA")
-        assert result.operations == 600
-        assert result.throughput > 0
-        assert result.stats.reads + result.stats.writes == 600
-        assert result.event_trace, "trace_events should produce a trace"
-        # The chain actually moved data during the run.
-        assert any(key.startswith(("install", "hit", "migrate"))
-                   for key in result.event_trace)
-
-    def test_crash_recovery_keeps_nvm_only(self):
-        bm = make_four_tier_bm(policy=SPITFIRE_EAGER)
-        for page in range(4):
-            bm.allocate_page(page)
-            bm.read(page)
-        nvm_resident = bm.resident_pages(Tier.NVM)
-        assert nvm_resident
-        bm.simulate_crash()
-        assert bm.resident_pages(Tier.DRAM) == set()
-        assert bm.resident_pages(Tier.CXL) == set()
-        recovered = bm.recover_mapping_table()
-        assert recovered == len(nvm_resident)
-        assert bm.resident_pages(Tier.NVM) == nvm_resident
-
-
-class TestFourTierDesign:
-    def test_enumerate_shapes_with_cxl(self):
-        from repro.design.grid_search import enumerate_shapes, policy_for_shape
-
-        shapes = enumerate_shapes(
-            dram_sizes_gb=(0.0, 2.0), nvm_sizes_gb=(0.0, 4.0),
-            ssd_gb=50.0, cxl_sizes_gb=(0.0, 1.0),
-        )
-        labels = {(s.dram_gb, s.nvm_gb, s.cxl_gb) for s in shapes}
-        assert (2.0, 4.0, 1.0) in labels
-        assert (0.0, 0.0, 1.0) in labels  # CXL-SSD two-tier point
-        assert (0.0, 0.0, 0.0) not in labels
-        four_tier = next(s for s in shapes
-                         if s.dram_gb and s.nvm_gb and s.cxl_gb)
-        assert policy_for_shape(four_tier) is SPITFIRE_LAZY
-
-    def test_default_shapes_unchanged(self):
-        from repro.design.grid_search import enumerate_shapes
-
-        shapes = enumerate_shapes()
-        assert all(s.cxl_gb == 0.0 for s in shapes)
-        assert len(shapes) == 5 * 4 - 1
