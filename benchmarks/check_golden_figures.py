@@ -46,7 +46,9 @@ its trace on the results **as computed where the cells ran** (the
 metrics sink) — a non-empty sink, fault-wrapper series, a tenant-0
 breakdown, a decision and page trace, at least one vectorised
 batch run — and the telemetry plane must have delivered progress
-events and at least one successful mid-run scrape.
+events and at least one successful mid-run scrape.  Every cell's
+latency histograms must also count exactly its ``BufferStats`` reads +
+writes (``op_latency_ns``, and ``tenant_op_latency_ns`` with tenancy).
 
 ``--prewarm-pool`` creates and warms the persistent worker pool
 *before* any option is set.  This is the adversarial ordering for
@@ -121,7 +123,7 @@ def check(experiment_id: str, jobs: int, options: RunOptions,
         result = REGISTRY[experiment_id](quick=True, jobs=jobs)
     attached, dead = _planes(options, [result for _, result in sink], watch)
     if dead:
-        print(f"FAIL {experiment_id}: the run would pass vacuously — "
+        print(f"FAIL {experiment_id}: a plane is dead or missed ops — "
               + "; ".join(dead))
         return False
     with tempfile.TemporaryDirectory() as tmp:
@@ -141,16 +143,27 @@ def check(experiment_id: str, jobs: int, options: RunOptions,
 
 def _planes(options: RunOptions, results: list, watch) -> tuple[str, list[str]]:
     """What ``options`` attached (for the OK line), and every plane of
-    it that left no trace of being live.
+    it that left no trace of being live or whose latency histograms
+    missed an op.
 
-    Liveness is read off ``results`` — the metrics sink, i.e. the
-    results as computed where the cells ran, pool workers included — so
-    a plane is only checkable while metrics are collected; without a
-    sink, byte-identity alone is gated.
+    Both are read off ``results`` — the metrics sink, i.e. the results
+    as computed where the cells ran, pool workers included — so a plane
+    is only checkable while metrics are collected; without a sink,
+    byte-identity alone is gated.  The hub is offered op and hit events
+    only, so every cell's ``op_latency_ns`` count (and, with tenancy,
+    its ``tenant_op_latency_ns`` count) must equal its ``BufferStats``
+    reads + writes: the proof that no op, batched or not, went unseen.
     """
     def has_series(result, name: str) -> bool:
         return any(entry["name"] == name
                    for entry in result.metrics["registry"].values())
+
+    def unreconciled(name: str) -> bool:
+        return any(
+            sum(sum(entry["state"]["counts"])
+                for entry in result.metrics["registry"].values()
+                if entry["name"] == name) != result.stats.operations
+            for result in results)
 
     attached, dead = [], []
     if options.collect_metrics:
@@ -158,6 +171,9 @@ def _planes(options: RunOptions, results: list, watch) -> tuple[str, list[str]]:
         if not results:
             dead.append("metrics: the sink is empty (no executor cell ran "
                         "under collection)")
+        if unreconciled("op_latency_ns"):
+            dead.append("metrics: a cell's op_latency_ns count differs "
+                        "from its stats reads+writes")
     if options.fault_plan is not None:
         attached.append("no-op fault wrappers installed")
         if not all(has_series(r, "faults_injected_total") for r in results):
@@ -172,6 +188,9 @@ def _planes(options: RunOptions, results: list, watch) -> tuple[str, list[str]]:
         attached.append("tenant tagging on")
         if not all(set(r.tenant_breakdown or ()) == {0} for r in results):
             dead.append("tenancy: a cell carries no tenant-0 breakdown")
+        if unreconciled("tenant_op_latency_ns"):
+            dead.append("tenancy: a cell's tenant_op_latency_ns count "
+                        "differs from its stats reads+writes")
     if options.trace_decisions and not all(r.decision_trace for r in results):
         dead.append("decision tracing: a cell carries no decision trace")
     if options.trace_pages and not all(r.page_traces for r in results):

@@ -29,7 +29,7 @@ from ..obs.tracer import PageLifecycleTracer
 from ..wal.checkpoint import Checkpointer
 from ..wal.log_manager import LogManager
 from ..wal.records import LogRecordType
-from ..obs.metrics import BUCKET_BOUNDS
+from ..obs.metrics import MetricsRegistry
 from ..workloads.tenancy import MultiTenantWorkload, TenantAccess
 from ..workloads.tpcc import PageAccess, TpccWorkload
 from ..workloads.ycsb import (
@@ -175,21 +175,6 @@ class RunResult:
         return self.throughput / 1e3
 
 
-def _quantile_from_counts(counts: list[int], q: float) -> float:
-    """The log2-bucket upper bound holding the ``q``-quantile, mirroring
-    :meth:`~repro.obs.metrics.Histogram.quantile` on snapshot state."""
-    total = sum(counts)
-    if total == 0:
-        return 0.0
-    target = q * total
-    seen = 0
-    for index, count in enumerate(counts):
-        seen += count
-        if seen >= target:
-            return BUCKET_BOUNDS[index]
-    return BUCKET_BOUNDS[-1]  # pragma: no cover - loop always lands
-
-
 def tenant_breakdown(metrics: dict | None) -> dict[int, dict] | None:
     """Per-tenant breakdown derived from a MetricsHub snapshot.
 
@@ -201,39 +186,35 @@ def tenant_breakdown(metrics: dict | None) -> dict[int, dict] | None:
     if not metrics:
         return None
     merged: dict[int, dict] = {}
-    for entry in metrics.get("registry", {}).values():
+    # One histogram per tenant: its read and write series merge into it.
+    latency = MetricsRegistry()
+    for key, entry in metrics.get("registry", {}).items():
         labels = entry.get("labels", {})
         if "tenant" not in labels:
             continue
         tenant = int(labels["tenant"])
-        record = merged.setdefault(tenant, {
-            "reads": 0,
-            "writes": 0,
-            "counts": [0] * len(BUCKET_BOUNDS),
-            "latency_sum_ns": 0.0,
-        })
-        state = entry.get("state")
+        record = merged.setdefault(tenant, {"reads": 0, "writes": 0})
         name = entry.get("name")
         if name == "tenant_ops_total":
             kind = labels.get("kind", "read")
-            record["writes" if kind == "write" else "reads"] += int(state)
+            record["writes" if kind == "write" else "reads"] += \
+                int(entry["state"])
         elif name == "tenant_op_latency_ns":
-            for index, count in enumerate(state["counts"]):
-                record["counts"][index] += count
-            record["latency_sum_ns"] += state["sum"]
+            latency.merge_snapshot(
+                {key: {**entry, "labels": {"tenant": str(tenant)}}})
     if not merged:
         return None
     breakdown: dict[int, dict] = {}
     for tenant in sorted(merged):
         record = merged[tenant]
-        counts = record.pop("counts")
-        observed = sum(counts)
+        hist = latency.histogram("tenant_op_latency_ns",
+                                 {"tenant": str(tenant)})
+        observed = hist.count
+        record["latency_sum_ns"] = hist.sum
         record["ops"] = record["reads"] + record["writes"]
-        record["p50_ns"] = _quantile_from_counts(counts, 0.50)
-        record["p99_ns"] = _quantile_from_counts(counts, 0.99)
-        record["mean_ns"] = (
-            record["latency_sum_ns"] / observed if observed else 0.0
-        )
+        record["p50_ns"] = hist.quantile(0.50)
+        record["p99_ns"] = hist.quantile(0.99)
+        record["mean_ns"] = hist.sum / observed if observed else 0.0
         breakdown[tenant] = record
     return breakdown
 

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import json
 import threading
-from pathlib import Path
 
 from ..core.events import EventType
 from ..core.migration import MigrationOp
@@ -249,42 +248,13 @@ class DecisionRecorder:
             spans = list(self.spans)
         return {"spans": spans, "summary": self.summary()}
 
-    # ------------------------------------------------------------------
-    # JSONL export
-    # ------------------------------------------------------------------
-    def jsonl_lines(self, label: str | None = None) -> list[str]:
-        """One JSON object per sampled span (+ one trailing digest)."""
-        lines = []
-        with self._lock:
-            spans = list(self.spans)
-        for span in spans:
-            record = {"record": "decision_span", **span}
-            if label is not None:
-                record["cell"] = label
-            lines.append(json.dumps(record, sort_keys=True,
-                                    separators=(",", ":")))
-        digest = {"record": "decision_summary", **self.summary()}
-        if label is not None:
-            digest["cell"] = label
-        lines.append(json.dumps(digest, sort_keys=True,
-                                separators=(",", ":")))
-        return lines
-
-    def write_jsonl(self, path: str | Path,
-                    label: str | None = None) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        lines = self.jsonl_lines(label)
-        path.write_text("\n".join(lines) + ("\n" if lines else ""))
-        return path
-
 
 def decision_trace_jsonl_lines(trace: dict,
                                label: str | None = None) -> list[str]:
-    """Flatten a ``RunResult.decision_trace`` payload into JSONL lines.
-
-    The file-side twin of :meth:`DecisionRecorder.jsonl_lines` for
-    traces that already crossed a process boundary as plain dicts.
+    """Flatten a :meth:`DecisionRecorder.report` payload (a
+    ``RunResult.decision_trace``) into JSONL lines: one per sampled span
+    plus one trailing digest, each tagged with ``label`` when given.
+    Write them with :func:`~repro.obs.export.write_jsonl`.
     """
     lines = []
     for span in trace.get("spans", ()):

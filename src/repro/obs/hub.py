@@ -1,30 +1,36 @@
 """The MetricsHub: an event-bus subscriber that derives live metrics.
 
 One hub attaches to one buffer manager for one measurement window and
-projects the event stream onto a :class:`~repro.obs.metrics.MetricsRegistry`:
+fills a :class:`~repro.obs.metrics.MetricsRegistry` with:
 
-* **traffic counters** — ops by kind, hits per tier, misses, installs,
-  evictions, write-backs, clean drops, flushes, and per-edge migrations,
 * **per-op simulated latency** — each logical op's cost is bracketed by
   reading the shared :class:`~repro.hardware.simclock.CostAccumulator`
   total at consecutive ``OP_READ``/``OP_WRITE`` events; the delta lands
   in a log2 histogram split by outcome (``dram_hit`` / ``nvm_hit`` /
-  ``ssd_fetch`` / any other tier's hit), so tail questions like "what
-  was the p99 during the policy transient?" are answerable after the
-  fact.  An op's latency includes the WAL/checkpoint work it triggered,
-  which is charged before the next op begins,
+  ``ssd_fetch``), so tail questions like "what was the p99 during the
+  policy transient?" are answerable after the fact.  An op's latency
+  includes the WAL/checkpoint work it triggered, which is charged
+  before the next op begins,
 * **epoch gauges** — whenever accumulated sim time crosses an epoch
   boundary the hub samples tier occupancy and dirty ratios, records the
   sample in an epoch series, and advances the hierarchy's
   :class:`~repro.hardware.simclock.SimClock` to the boundary, so the
-  clock tracks observable sim progress.
+  clock tracks observable sim progress,
+* **traffic counters** — ops by kind, hits per tier, misses, installs,
+  evictions, write-backs, clean drops, flushes and per-edge migrations.
+  These are not counted here: the core already counts every one of
+  them in :class:`~repro.core.stats.BufferStats`, so the window's
+  counters are the ``bm.stats`` delta since :meth:`MetricsHub.attach`,
+  written through :data:`TRAFFIC` and visible once
+  :meth:`~MetricsHub.finalize` (or :meth:`~MetricsHub.detach`) has run.
 
-The hub is an ordinary ``apply_event`` subscriber offered every event;
+The bus offers the hub only what the latency bracket needs —
+``OP_READ``, ``OP_WRITE`` and ``HIT`` (an op with no hit is a miss).
 :meth:`detach` restores the exact pre-attach subscriber set, even when
-finalizing raises.  Under
-concurrent ``threading`` workers the histogram *counts* stay exact (one
-observation per op event, by construction); outcome attribution of an
-individual latency sample may be approximate across interleaved ops.
+finalizing raises.  Under concurrent ``threading`` workers the
+histogram *counts* stay exact (one observation per op event, by
+construction); outcome attribution of an individual latency sample may
+be approximate across interleaved ops.
 """
 
 from __future__ import annotations
@@ -42,6 +48,35 @@ DEFAULT_EPOCH_NS = 10_000_000.0
 MISS_OUTCOME = "ssd_fetch"
 
 
+#: Series that exist in every window.
+ALWAYS = "always"
+#: Series that exist once the window crossed them (a migration edge).
+CROSSED = "crossed"
+
+#: Each exported traffic series as ``(BufferStats field, family, labels,
+#: when)``: ``when`` is :data:`ALWAYS`, :data:`CROSSED`, or the tier
+#: whose series it is (written whenever that tier is in the chain).
+TRAFFIC = (
+    ("reads", "buffer_ops_total", {"kind": "read"}, ALWAYS),
+    ("writes", "buffer_ops_total", {"kind": "write"}, ALWAYS),
+    ("ssd_fetches", "buffer_misses_total", {}, ALWAYS),
+    ("clean_drops", "clean_drops_total", {}, ALWAYS),
+    ("dirty_page_flushes", "dirty_page_flushes_total", {}, ALWAYS),
+    ("dram_hits", "tier_hits_total", {"tier": "DRAM"}, Tier.DRAM),
+    ("nvm_hits", "tier_hits_total", {"tier": "NVM"}, Tier.NVM),
+    ("ssd_to_dram", "tier_installs_total", {"tier": "DRAM"}, Tier.DRAM),
+    ("ssd_to_nvm", "tier_installs_total", {"tier": "NVM"}, Tier.NVM),
+    ("dram_evictions", "tier_evictions_total", {"tier": "DRAM"}, Tier.DRAM),
+    ("nvm_evictions", "tier_evictions_total", {"tier": "NVM"}, Tier.NVM),
+    ("dram_to_ssd", "tier_write_backs_total", {"src": "DRAM"}, Tier.DRAM),
+    ("nvm_to_ssd", "tier_write_backs_total", {"src": "NVM"}, Tier.NVM),
+    ("nvm_to_dram", "migrations_total",
+     {"direction": "up", "edge": "NVM->DRAM"}, CROSSED),
+    ("dram_to_nvm", "migrations_total",
+     {"direction": "down", "edge": "DRAM->NVM"}, CROSSED),
+)
+
+
 def outcome_label(tier: Tier) -> str:
     """The latency-histogram outcome label of a hit on ``tier``."""
     return f"{tier.name.lower()}_hit"
@@ -49,6 +84,10 @@ def outcome_label(tier: Tier) -> str:
 
 class MetricsHub:
     """Derives registry metrics from one buffer manager's event stream."""
+
+    #: The latency bracket's events; traffic comes from ``bm.stats``.
+    event_interest = frozenset({EventType.OP_READ, EventType.OP_WRITE,
+                                EventType.HIT})
 
     def __init__(self, registry: MetricsRegistry | None = None,
                  epoch_ns: float = DEFAULT_EPOCH_NS,
@@ -88,6 +127,8 @@ class MetricsHub:
         #: dirty ratio evolve before the checkpoint?".
         self.epochs: list[dict] = []
         self._bm = None
+        #: ``bm.stats`` as of attach (moved on at every finalize).
+        self._stats_base = None
         self._bus = None
         self._cost = None
         self._clock = None
@@ -104,18 +145,8 @@ class MetricsHub:
         self._finalized = False
         # Resolved-per-attach metric handles (no registry lookups on the
         # hot path).
-        self._reads: Counter | None = None
-        self._writes: Counter | None = None
-        self._miss_counter: Counter | None = None
         self._miss_hist: Histogram | None = None
-        self._hit_counters: dict[Tier, Counter] = {}
         self._hit_hists: dict[Tier, Histogram] = {}
-        self._evict_counters: dict[Tier, Counter] = {}
-        self._install_counters: dict[Tier, Counter] = {}
-        self._writeback_counters: dict[Tier, Counter] = {}
-        self._migrate_counters: dict[tuple, Counter] = {}
-        self._clean_drops: Counter | None = None
-        self._flushes: Counter | None = None
         self._occupancy_gauges: dict[Tier, object] = {}
         self._dirty_gauges: dict[Tier, object] = {}
 
@@ -128,34 +159,18 @@ class MetricsHub:
             raise RuntimeError("hub is already attached")
         registry = self.registry
         self._bm = bm
+        self._stats_base = bm.stats.snapshot()
         self._cost = bm.hierarchy.cost
         self._clock = bm.hierarchy.clock
         self._chain = bm.chain
-        self._reads = registry.counter("buffer_ops_total", {"kind": "read"})
-        self._writes = registry.counter("buffer_ops_total", {"kind": "write"})
-        self._miss_counter = registry.counter("buffer_misses_total")
         self._miss_hist = registry.histogram(
             "op_latency_ns", {"outcome": MISS_OUTCOME}
         )
-        self._clean_drops = registry.counter("clean_drops_total")
-        self._flushes = registry.counter("dirty_page_flushes_total")
         for node in bm.chain:
             tier = node.tier
             name = tier.name
-            self._hit_counters[tier] = registry.counter(
-                "tier_hits_total", {"tier": name}
-            )
             self._hit_hists[tier] = registry.histogram(
                 "op_latency_ns", {"outcome": outcome_label(tier)}
-            )
-            self._evict_counters[tier] = registry.counter(
-                "tier_evictions_total", {"tier": name}
-            )
-            self._install_counters[tier] = registry.counter(
-                "tier_installs_total", {"tier": name}
-            )
-            self._writeback_counters[tier] = registry.counter(
-                "tier_write_backs_total", {"src": name}
             )
             self._occupancy_gauges[tier] = registry.gauge(
                 "tier_occupancy_ratio", {"tier": name}
@@ -187,7 +202,8 @@ class MetricsHub:
             self._bus = None
 
     def finalize(self) -> None:
-        """Flush the in-flight op and take a closing gauge sample."""
+        """Flush the in-flight op, take a closing gauge sample and write
+        the window's traffic counters from ``bm.stats``."""
         if self._finalized or self._cost is None:
             return
         self._finalized = True
@@ -203,6 +219,7 @@ class MetricsHub:
             self._tenant_cur_hist = None
         if self._chain is not None:
             self._sample_epoch(now)
+        self._write_traffic()
         if self.track_tenants and self._bm is not None:
             # Cumulative-since-construction admission stats, published
             # once per window (same one-shot guard as the fault merge).
@@ -273,10 +290,6 @@ class MetricsHub:
         self._op_start = float(starts[-1])
         self._cur_hist = hit_hist
         self._finalized = False
-        self._reads.inc(count)
-        counter = self._hit_counters.get(summary.tier)
-        if counter is not None:
-            counter.inc(count)
         if float(starts[-1]) >= self._next_epoch:
             idx = int(np.searchsorted(starts, self._next_epoch, side="left"))
             while idx < count:
@@ -296,13 +309,8 @@ class MetricsHub:
             self._op_start = now
             self._cur_hist = None
             self._finalized = False
-            if etype is EventType.OP_READ:
-                self._reads.inc()
-                kind = "read"
-            else:
-                self._writes.inc()
-                kind = "write"
             if self.track_tenants:
+                kind = "read" if etype is EventType.OP_READ else "write"
                 if start is not None and self._tenant_cur_hist is not None:
                     self._tenant_cur_hist.observe(now - start)
                 hist, counter = self._tenant_handles(self._bus.tenant_id, kind)
@@ -310,41 +318,8 @@ class MetricsHub:
                 counter.inc()
             if now >= self._next_epoch:
                 self._sample_epoch(now)
-        elif etype is EventType.HIT:
+        else:  # HIT, the one other type the bus offers the hub
             self._cur_hist = self._hit_hists.get(tier, self._miss_hist)
-            counter = self._hit_counters.get(tier)
-            if counter is not None:
-                counter.inc()
-        elif etype is EventType.MISS:
-            self._cur_hist = self._miss_hist
-            self._miss_counter.inc()
-        elif etype is EventType.INSTALL:
-            counter = self._install_counters.get(tier)
-            if counter is not None:
-                counter.inc()
-        elif etype is EventType.MIGRATE_UP or etype is EventType.MIGRATE_DOWN:
-            key = (etype, src, tier)
-            counter = self._migrate_counters.get(key)
-            if counter is None:
-                direction = "up" if etype is EventType.MIGRATE_UP else "down"
-                edge = f"{src.name if src else '?'}->{tier.name if tier else '?'}"
-                counter = self.registry.counter(
-                    "migrations_total", {"direction": direction, "edge": edge}
-                )
-                self._migrate_counters[key] = counter
-            counter.inc()
-        elif etype is EventType.EVICT:
-            counter = self._evict_counters.get(tier)
-            if counter is not None:
-                counter.inc()
-        elif etype is EventType.WRITE_BACK:
-            counter = self._writeback_counters.get(src)
-            if counter is not None:
-                counter.inc()
-        elif etype is EventType.CLEAN_DROP:
-            self._clean_drops.inc()
-        elif etype is EventType.FLUSH:
-            self._flushes.inc()
 
     # ------------------------------------------------------------------
     # Tenant-labelled series
@@ -352,9 +327,8 @@ class MetricsHub:
     def _tenant_handles(self, tenant_id: int, kind: str):
         """Resolve (lazily) the histogram+counter pair of one tenant/kind.
 
-        Lazy like the migration counters: only tenants that actually run
-        ops appear in the registry, keeping single-tenant exports free
-        of phantom series.
+        Lazy: only tenants that actually run ops appear in the registry,
+        keeping single-tenant exports free of phantom series.
         """
         key = (tenant_id, kind)
         hist = self._tenant_hists.get(key)
@@ -367,19 +341,21 @@ class MetricsHub:
             )
         return hist, self._tenant_counters[key]
 
-    def tenant_latency_count(self) -> int:
-        """Total observations across tenant-labelled histograms.
-
-        Reconciles ±0 with :meth:`op_latency_count` after
-        :meth:`finalize` when tenant tracking is on: every global
-        bracket flush is mirrored by exactly one tenant flush.
-        """
-        total = 0
-        for series in self.registry.series():
-            if isinstance(series, Histogram) \
-                    and series.name == "tenant_op_latency_ns":
-                total += series.count
-        return total
+    # ------------------------------------------------------------------
+    # Traffic counters
+    # ------------------------------------------------------------------
+    def _write_traffic(self) -> None:
+        """Add the ``bm.stats`` delta since the last write to the
+        :data:`TRAFFIC` series (the attach snapshot, on a window's one
+        finalize)."""
+        stats = self._bm.stats
+        delta = stats.delta_since(self._stats_base)
+        self._stats_base = stats.snapshot()
+        tiers = {node.tier for node in self._chain}
+        for field, family, labels, when in TRAFFIC:
+            value = getattr(delta, field)
+            if when is ALWAYS or when in tiers or (when is CROSSED and value):
+                self.registry.counter(family, labels).inc(value)
 
     # ------------------------------------------------------------------
     # Epoch gauges

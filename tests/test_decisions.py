@@ -10,6 +10,7 @@ from conftest import make_bm
 from repro.core.buffer_manager import BufferManagerConfig
 from repro.core.policy import HYMEM_POLICY
 from repro.obs.decisions import DecisionRecorder, decision_trace_jsonl_lines
+from repro.obs.export import write_jsonl
 from repro.obs.hub import MetricsHub
 
 
@@ -142,16 +143,14 @@ class TestHubMerge:
 
 
 class TestJsonl:
-    def traced_recorder(self):
+    def test_jsonl_round_trip(self, tmp_path):
         bm = make_bm()
         rec = DecisionRecorder(fraction=1.0, max_spans=64).attach(bm)
         drive(bm, ops=200)
         rec.detach()
-        return rec
-
-    def test_jsonl_round_trip(self, tmp_path):
-        rec = self.traced_recorder()
-        path = rec.write_jsonl(tmp_path / "trace.jsonl", label="cell-a")
+        report = rec.report()
+        lines = decision_trace_jsonl_lines(report, "cell-a")
+        path = write_jsonl(tmp_path / "trace.jsonl", lines)
         records = [json.loads(line)
                    for line in path.read_text().splitlines()]
         assert all(record["cell"] == "cell-a" for record in records)
@@ -159,8 +158,5 @@ class TestJsonl:
         assert records[-1]["spans_recorded"] == len(records) - 1
         span_records = records[:-1]
         assert all(r["record"] == "decision_span" for r in span_records)
-
-    def test_trace_payload_lines_match_recorder_lines(self):
-        rec = self.traced_recorder()
-        assert decision_trace_jsonl_lines(rec.report(), "x") == \
-            rec.jsonl_lines("x")
+        assert [{k: v for k, v in r.items() if k not in ("record", "cell")}
+                for r in span_records] == report["spans"]

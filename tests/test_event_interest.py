@@ -1,8 +1,7 @@
 """Declared ``event_interest`` against the full stream.
 
-Four subscribers used to be offered every event and drop what was not
-theirs in the first line of ``apply_event``; they now declare that set
-as ``event_interest`` and the bus filters for them.  Each test runs a
+Five subscribers declare the event types they need as
+``event_interest`` and the bus filters for them.  Each test runs a
 mixed seeded workload with a record-everything subscriber beside the
 one under test and recomputes, from the full stream and the event types
 spelled out here, what the subscriber must have produced — so a type
@@ -25,6 +24,7 @@ from repro.faults.crashpoints import (
     run_reference_workload,
 )
 from repro.obs.decisions import DecisionRecorder
+from repro.obs.hub import MetricsHub
 from repro.obs.tracer import PageLifecycleTracer
 from repro.tuning.controller import AdaptiveController
 
@@ -88,6 +88,71 @@ def test_decision_recorder_counts_every_eviction():
                  if span["kind"] == "eviction"]
     assert [span["page"] for span in evictions] == [
         event.page_id for event in stream if event.type is EventType.EVICT]
+
+
+def test_hub_sees_every_op_and_its_outcome():
+    """The hub is offered ops and hits only, yet its latency split is
+    the one the full stream implies (an op's last HIT or MISS picks its
+    outcome) and its nine traffic families are the full stream's."""
+    hub, stream = mixed_run(lambda bm: MetricsHub().attach(bm))
+    hub.detach()
+    outcomes: Counter = Counter()
+    outcome = None
+    expected: Counter = Counter()
+    for chain_tier in ("DRAM", "NVM"):  # every tier has its series
+        for family in ("tier_hits_total", "tier_installs_total",
+                       "tier_evictions_total"):
+            expected[family, (("tier", chain_tier),)] = 0
+        expected["tier_write_backs_total", (("src", chain_tier),)] = 0
+    for family in ("buffer_misses_total", "clean_drops_total",
+                   "dirty_page_flushes_total"):
+        expected[family, ()] = 0
+    for kind in ("read", "write"):
+        expected["buffer_ops_total", (("kind", kind),)] = 0
+    for event in stream:
+        etype, tier = event.type, name(event.tier)
+        if etype in (EventType.OP_READ, EventType.OP_WRITE):
+            if outcome is not None:
+                outcomes[outcome] += 1
+            outcome = "ssd_fetch"
+            kind = "read" if etype is EventType.OP_READ else "write"
+            expected["buffer_ops_total", (("kind", kind),)] += 1
+        elif etype is EventType.HIT:
+            outcome = f"{tier.lower()}_hit"
+            expected["tier_hits_total", (("tier", tier),)] += 1
+        elif etype is EventType.MISS:
+            outcome = "ssd_fetch"
+            expected["buffer_misses_total", ()] += 1
+        elif etype is EventType.INSTALL:
+            expected["tier_installs_total", (("tier", tier),)] += 1
+        elif etype is EventType.EVICT:
+            expected["tier_evictions_total", (("tier", tier),)] += 1
+        elif etype is EventType.WRITE_BACK:
+            expected["tier_write_backs_total",
+                     (("src", name(event.src)),)] += 1
+        elif etype in (EventType.MIGRATE_UP, EventType.MIGRATE_DOWN):
+            direction = "up" if etype is EventType.MIGRATE_UP else "down"
+            edge = f"{name(event.src)}->{tier}"
+            expected["migrations_total",
+                     (("direction", direction), ("edge", edge))] += 1
+        elif etype is EventType.CLEAN_DROP:
+            expected["clean_drops_total", ()] += 1
+        elif etype is EventType.FLUSH:
+            expected["dirty_page_flushes_total", ()] += 1
+    outcomes[outcome] += 1
+    families = {family for family, _ in expected}
+    assert len(families) == 9
+    assert all(sum(v for (f, _), v in expected.items() if f == family)
+               for family in families)  # every family is exercised
+    assert len(outcomes) == 3
+    actual = {(series.name, tuple(sorted(series.labels.items()))):
+              series.value for series in hub.registry.series()
+              if series.name in families}
+    assert actual == dict(expected)
+    split = {series.labels["outcome"]: series.count
+             for series in hub.registry.series()
+             if series.name == "op_latency_ns" and series.count}
+    assert split == dict(outcomes)
 
 
 def test_controller_counts_every_operation():
