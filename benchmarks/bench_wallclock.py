@@ -27,20 +27,17 @@ The measurements, written to ``BENCH_repro.json`` next to this script
   win; the ratchet requires it to stay ≥ ``--min-batch-speedup``×.
 * **plane overheads** — the same cell under a baseline
   :class:`~repro.bench.harness.RunOptions` and with one plane attached,
-  one row per plane (:data:`OVERHEAD_ROWS`): *metrics* (bare vs a
-  :class:`~repro.obs.hub.MetricsHub`), *tenancy* (metrics vs metrics +
-  ``track_tenants`` — both legs collect, so the delta isolates the
-  ``TenancyConfig.single()`` plumbing) and *telemetry* (bare vs a live
+  one row per plane (:func:`time_plane_overheads`): *metrics* (bare vs
+  a :class:`~repro.obs.hub.MetricsHub`) and *telemetry* (bare vs a live
   :class:`~repro.bench.telemetry.TelemetryChannel` draining into a
   background aggregator plus decision tracing at a 5 % sample).  One
-  estimator for all three (:func:`time_cell_overhead`): interleaved
-  pairs, the guard reads the *minimum* attached/baseline ratio over
+  estimator for both (:func:`time_cell_overhead`): interleaved pairs,
+  the guard reads the *minimum* attached/baseline ratio over
   ``--repeats`` pairs against the one ``--overhead-budget``.  Each row
   also asserts — structurally, not by timing — that its plane was
   really attached: detaching the hub leaves the bus exactly as it was
-  (same subscriber count, the hub no longer subscribed); the
-  tagged result carries a tenant-0 breakdown; the telemetry result
-  carries a decision trace and progress events flowed.
+  (same subscriber count, the hub no longer subscribed); the telemetry
+  result carries a decision trace and progress events flowed.
 
 * **serving-plane replay** — a fixed-seed ``serve-bench`` run
   (:func:`repro.serve.bench.run_serve_bench`): schedule generation plus
@@ -83,7 +80,6 @@ import json
 import os
 import platform
 import time
-from dataclasses import replace
 from pathlib import Path
 
 from repro.bench.executor import (
@@ -123,7 +119,7 @@ INNER_LOOP_BATCH = 1024
 #: Max fractional wall-clock overhead of one attached plane over its
 #: baseline — one budget for every row.  The largest row (metrics)
 #: costs about 0.10 (0.086-0.114 in BENCH_history.jsonl; a median pair
-#: of +0.10 on the 2-vCPU sandbox, tenancy and telemetry +0.05-0.06)
+#: of +0.10 on a 2-vCPU x86 container, telemetry +0.05-0.06)
 #: and pair ratios scatter by about 0.10 around that (interquartile
 #: range over 10 pairs), so 0.20 clears it by the spread; the
 #: minimum-of-pairs estimator only ever reads low, so noise alone
@@ -248,13 +244,6 @@ def check_metrics(result) -> tuple[dict, list[str]]:
     return {"detach_restores_bus": not violations}, violations
 
 
-def check_tenancy(result) -> tuple[dict, list[str]]:
-    if set(result.tenant_breakdown or ()) == {0}:
-        return {}, []
-    return {}, ["tenant-tagged cell did not produce a tenant-0 breakdown — "
-                "tagging was not actually active"]
-
-
 def check_telemetry(result, aggregator) -> tuple[dict, list[str]]:
     violations = []
     if result.decision_trace is None:
@@ -291,14 +280,12 @@ def write_cell_metrics(metrics_out: str) -> None:
 def time_plane_overheads(overhead_budget: float,
                          repeats: int) -> tuple[dict, list[str]]:
     """Every plane's overhead row, keyed ``cell_with_<plane>``."""
-    metered = RunOptions(collect_metrics=True)
     report: dict = {}
     violations: list[str] = []
     with live_telemetry(stream=io.StringIO()) as (channel, aggregator):
         rows = (
-            ("metrics", RunOptions(), metered, check_metrics),
-            ("tenancy", metered, replace(metered, track_tenants=True),
-             check_tenancy),
+            ("metrics", RunOptions(), RunOptions(collect_metrics=True),
+             check_metrics),
             ("telemetry", RunOptions(),
              RunOptions(telemetry=channel, trace_decisions=0.05),
              lambda result: check_telemetry(result, aggregator)),
@@ -570,8 +557,6 @@ def history_entry(report: dict, check_passed: bool) -> dict:
             (report.get("cell_serve") or {}).get("ops_per_second"),
         "metrics_overhead_fraction":
             report["cell_with_metrics"]["overhead_fraction"],
-        "tenancy_overhead_fraction":
-            report["cell_with_tenancy"]["overhead_fraction"],
         "telemetry_overhead_fraction":
             report["cell_with_telemetry"]["overhead_fraction"],
         "check_passed": check_passed,
@@ -599,7 +584,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--overhead-budget", type=float,
                         default=OVERHEAD_BUDGET, metavar="FRAC",
                         help="max fractional wall-clock overhead of any one "
-                             "attached plane (metrics, tenancy, telemetry) "
+                             "attached plane (metrics, telemetry) "
                              f"over its baseline (default: {OVERHEAD_BUDGET})")
     parser.add_argument("--history", metavar="PATH",
                         default=str(Path(__file__).parent

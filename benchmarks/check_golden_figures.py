@@ -17,38 +17,27 @@ each is that plane's core contract:
 ``--with-metrics``
     ``collect_metrics``: a :class:`~repro.obs.hub.MetricsHub` on every
     executor cell — observability is side-effect-free.
-``--with-faults-disabled``
-    ``fault_plan=FaultPlan.none()``: every device wrapped in a
-    pure-delegation :class:`~repro.faults.injector.FaultyDevice` — the
-    injection layer costs nothing when disabled.
 ``--with-batching``
     ``batch_size=1024``: every cell through the columnar batch path —
     batching changes wall-clock time and nothing else.
-``--with-tenancy``
-    ``track_tenants``: every buffer manager built with
-    ``TenancyConfig.single()``, every op tagged tenant 0 through the
-    per-tenant admission and metrics machinery — tenant plumbing at
-    the default tenant is free.
 ``--with-telemetry``
-    ``telemetry`` + ``collect_metrics`` + both tracers
-    (``trace_decisions=0.05``, ``trace_pages=0.05``): a streaming
-    worker-progress channel (manager-queue backed, drained by a
-    background aggregator), every measurement-window observer the
-    harness can attach — hub, decision recorder, page-lifecycle
-    tracer — on every cell, and a live Prometheus
-    endpoint (:class:`~repro.obs.server.MetricsServer`) scraped by a
-    background thread *while the figures regenerate* — watching a run
-    live changes nothing about its results.
+    ``telemetry`` + ``collect_metrics`` + ``trace_decisions=0.05``: a
+    streaming worker-progress channel (manager-queue backed, drained by
+    a background aggregator), both measurement-window observers the
+    harness can attach — hub and decision recorder — on every cell,
+    and a live Prometheus endpoint
+    (:class:`~repro.obs.server.MetricsServer`) scraped by a background
+    thread *while the figures regenerate* — watching a run live changes
+    nothing about its results.
 
 The flags compose, and a composed run cannot pass vacuously: whenever
 metrics are collected, every plane that is switched on must have left
 its trace on the results **as computed where the cells ran** (the
-metrics sink) — a non-empty sink, fault-wrapper series, a tenant-0
-breakdown, a decision and page trace, at least one vectorised
-batch run — and the telemetry plane must have delivered progress
-events and at least one successful mid-run scrape.  Every cell's
-latency histograms must also count exactly its ``BufferStats`` reads +
-writes (``op_latency_ns``, and ``tenant_op_latency_ns`` with tenancy).
+metrics sink) — a non-empty sink, a decision trace, at least one
+vectorised batch run — and the telemetry plane must have delivered
+progress events and at least one successful mid-run scrape.  Every
+cell's ``op_latency_ns`` histograms must also count exactly its
+``BufferStats`` reads + writes.
 
 ``--prewarm-pool`` creates and warms the persistent worker pool
 *before* any option is set.  This is the adversarial ordering for
@@ -63,8 +52,7 @@ Usage::
     python benchmarks/check_golden_figures.py            # fig6 + fig7
     python benchmarks/check_golden_figures.py fig6 fig7 fig8 recovery --jobs 4
     python benchmarks/check_golden_figures.py --jobs 4 --prewarm-pool \
-        --with-metrics --with-faults-disabled --with-batching \
-        --with-tenancy --with-telemetry
+        --with-metrics --with-batching --with-telemetry
 """
 
 from __future__ import annotations
@@ -84,7 +72,6 @@ from repro.bench.experiments import REGISTRY
 from repro.bench.harness import RunOptions
 from repro.bench.telemetry import live_telemetry
 from repro.cli import options_from_args
-from repro.faults.plan import FaultPlan
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -97,8 +84,7 @@ DEFAULT_EXPERIMENTS = ("fig6", "fig7")
 #: measurement window spans only a handful of batches.
 BATCHING_BATCH_SIZE = 1024
 
-#: Page fraction ``--with-telemetry`` samples decision and lifecycle
-#: spans at.
+#: Page fraction ``--with-telemetry`` samples decision spans at.
 TELEMETRY_TRACE_FRACTION = 0.05
 
 
@@ -150,51 +136,30 @@ def _planes(options: RunOptions, results: list, watch) -> tuple[str, list[str]]:
     as computed where the cells ran, pool workers included — so a plane
     is only checkable while metrics are collected; without a sink,
     byte-identity alone is gated.  The hub is offered op and hit events
-    only, so every cell's ``op_latency_ns`` count (and, with tenancy,
-    its ``tenant_op_latency_ns`` count) must equal its ``BufferStats``
-    reads + writes: the proof that no op, batched or not, went unseen.
+    only, so every cell's ``op_latency_ns`` count must equal its
+    ``BufferStats`` reads + writes: the proof that no op, batched or
+    not, went unseen.
     """
-    def has_series(result, name: str) -> bool:
-        return any(entry["name"] == name
-                   for entry in result.metrics["registry"].values())
-
-    def unreconciled(name: str) -> bool:
-        return any(
-            sum(sum(entry["state"]["counts"])
-                for entry in result.metrics["registry"].values()
-                if entry["name"] == name) != result.stats.operations
-            for result in results)
-
     attached, dead = [], []
     if options.collect_metrics:
         attached.append(f"metrics attached to {len(results)} cells")
         if not results:
             dead.append("metrics: the sink is empty (no executor cell ran "
                         "under collection)")
-        if unreconciled("op_latency_ns"):
+        if any(sum(sum(entry["state"]["counts"])
+                   for entry in result.metrics["registry"].values()
+                   if entry["name"] == "op_latency_ns")
+               != result.stats.operations for result in results):
             dead.append("metrics: a cell's op_latency_ns count differs "
                         "from its stats reads+writes")
-    if options.fault_plan is not None:
-        attached.append("no-op fault wrappers installed")
-        if not all(has_series(r, "faults_injected_total") for r in results):
-            dead.append("faults: a cell ran on unwrapped devices")
     if options.batch_size > 1:
         runs = sum(r.batch_runs for r in results)
         attached.append(f"batched at {options.batch_size} "
                         f"({runs} vectorised runs)")
         if results and not runs:
             dead.append("batching: no run was vectorised")
-    if options.track_tenants:
-        attached.append("tenant tagging on")
-        if not all(set(r.tenant_breakdown or ()) == {0} for r in results):
-            dead.append("tenancy: a cell carries no tenant-0 breakdown")
-        if unreconciled("tenant_op_latency_ns"):
-            dead.append("tenancy: a cell's tenant_op_latency_ns count "
-                        "differs from its stats reads+writes")
     if options.trace_decisions and not all(r.decision_trace for r in results):
         dead.append("decision tracing: a cell carries no decision trace")
-    if options.trace_pages and not all(r.page_traces for r in results):
-        dead.append("page tracing: a cell carries no lifecycle trace")
     if watch is not None:
         aggregator, scrapes = watch
         events = aggregator.summary()["events_seen"]
@@ -279,22 +244,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--with-metrics", dest="collect_metrics",
                         action="store_true",
                         help="attach a MetricsHub to every cell")
-    parser.add_argument("--with-faults-disabled", dest="fault_plan",
-                        action="store_const", const=FaultPlan.none(),
-                        help="install a no-op FaultPlan (pure-delegation "
-                             "device wrappers) in every cell")
     parser.add_argument("--with-batching", dest="batch_size",
                         action="store_const", const=BATCHING_BATCH_SIZE,
                         default=1,
                         help="drive every cell through the columnar batch "
                              f"path at batch size {BATCHING_BATCH_SIZE}")
-    parser.add_argument("--with-tenancy", dest="track_tenants",
-                        action="store_true",
-                        help="enable tenant tagging (single-tenant "
-                             "TenancyConfig, every op tagged tenant 0)")
     parser.add_argument("--with-telemetry", action="store_true",
                         help="attach the live telemetry plane (streaming "
-                             "progress channel, decision/page "
+                             "progress channel, decision "
                              "tracing, HTTP scrape endpoint polled mid-run; "
                              "implies --with-metrics); progress events must "
                              "arrive and >= 1 scrape must succeed")
@@ -318,10 +275,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.with_telemetry:
         # The live scrape endpoint serves the merged metrics sink, so
         # the telemetry plane needs per-cell collection on; with the
-        # two tracers every measurement-window observer is attached.
+        # decision tracer every measurement-window observer is attached.
         options = replace(options, collect_metrics=True,
-                          trace_decisions=TELEMETRY_TRACE_FRACTION,
-                          trace_pages=TELEMETRY_TRACE_FRACTION)
+                          trace_decisions=TELEMETRY_TRACE_FRACTION)
     failures = [e for e in args.experiments
                 if not check(e, args.jobs, options, live=args.with_telemetry)]
     return 1 if failures else 0

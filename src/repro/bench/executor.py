@@ -20,8 +20,8 @@ Design rules:
 * work is submitted as **contiguous chunks** sized from each cell's
   :class:`Effort` (longest-expected-first), which amortises pickling
   and IPC over many small tasks while keeping load balanced;
-* what a run attaches to its cells — metrics hub, batch path, fault
-  plan, tenant tagging, telemetry channel, the three tracers — is one
+* what a run attaches to its cells — metrics hub, batch path,
+  telemetry channel, decision tracer — is one
   :class:`~repro.bench.harness.RunOptions` value: :func:`run_options`
   scopes an override, :func:`run_cell` reads :func:`current_options`
   once, and every submission carries the submitter's value into the
@@ -116,9 +116,10 @@ class Cell:
 
     All fields are plain values or frozen dataclasses, so cells pickle
     cleanly into worker processes.  A cell says *what* is measured;
-    what the run attaches to it (metrics, batching, faults, tenant
-    tagging, telemetry, page/decision tracing) is the ambient
-    :class:`~repro.bench.harness.RunOptions`, never a cell field.
+    what the run attaches to it (metrics, batching, telemetry, decision
+    tracing) is the ambient :class:`~repro.bench.harness.RunOptions`,
+    never a cell field.  ``bm_config=None`` builds the default
+    :class:`~repro.core.buffer_manager.BufferManagerConfig` (seed 42).
     """
 
     label: str
@@ -129,11 +130,8 @@ class Cell:
     scale: SimulationScale = DEFAULT_SCALE
     bm_config: BufferManagerConfig | None = None
     memory_mode: bool = False
-    #: BM RNG seed, used only when ``bm_config`` is None.
-    seed: int = 42
     workers: int = 1
     extra_worker_counts: tuple[int, ...] = (16,)
-    with_wal: bool = True
     #: Tenant population for a multi-tenant cell.  Non-empty routes the
     #: cell through :meth:`WorkloadRunner.measure_tenants` over an
     #: interleaved :class:`~repro.workloads.tenancy.MultiTenantWorkload`
@@ -217,7 +215,7 @@ class Cell:
             f"policy={self.policy.name or self.policy}, {workload}, "
             f"db={wl.db_gb:g}GB, effort={self.effort.warmup_ops}+"
             f"{self.effort.measure_ops}, workers={self.workers}, "
-            f"seed={self.seed}/{wl.seed})"
+            f"workload seed={wl.seed})"
         )
 
 
@@ -692,14 +690,7 @@ def run_cell(cell: Cell) -> RunResult:
     options = current_options()
     hierarchy = StorageHierarchy(cell.shape, cell.scale,
                                  memory_mode=cell.memory_mode)
-    if options.fault_plan is not None:
-        # Devices must be wrapped before the BM captures references.
-        from ..faults.injector import inject_faults
-
-        inject_faults(hierarchy, options.fault_plan)
-    config = cell.bm_config
-    if config is None:
-        config = BufferManagerConfig(seed=cell.seed)
+    config = cell.bm_config or BufferManagerConfig()
     spec = cell.workload
 
     multi = None
@@ -707,7 +698,6 @@ def run_cell(cell: Cell) -> RunResult:
         # The tenant page layout (stride with growth headroom) is owned
         # by the workload; the core's TenancyConfig is derived from it.
         multi = MultiTenantWorkload(cell.tenants, cell.scale, seed=spec.seed)
-        options = replace(options, track_tenants=True)
         if config.tenancy is None:
             config = replace(config, tenancy=TenancyConfig(
                 num_tenants=multi.num_tenants,
@@ -718,28 +708,24 @@ def run_cell(cell: Cell) -> RunResult:
                     t.policy_preset for t in cell.tenants
                 ),
             ))
-    elif options.track_tenants and config.tenancy is None:
-        config = replace(config, tenancy=TenancyConfig.single())
 
     bm = BufferManager(hierarchy, cell.policy, config)
     channel = options.telemetry
-    live = {}
+    progress = None
     if channel is not None:
         channel.emit(
             "cell_start", cell=cell.label,
             expected_ops=cell.effort.warmup_ops + cell.effort.measure_ops,
         )
-        live = dict(progress=channel.progress_callback(cell.label),
-                    progress_every_ops=channel.every_ops)
+        progress = channel.progress_callback(cell.label)
     runner = WorkloadRunner(
         bm,
         RunConfig(
             warmup_ops=cell.effort.warmup_ops,
             measure_ops=cell.effort.measure_ops,
             workers=cell.workers,
-            with_wal=cell.with_wal,
             options=options,
-            **live,
+            progress=progress,
         ),
     )
     try:

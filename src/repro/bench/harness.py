@@ -24,8 +24,7 @@ from ..core.stats import BufferStats
 from ..hardware.simclock import CostAccumulator, checked_fp
 from ..hardware.specs import Tier
 from ..obs.decisions import DecisionRecorder
-from ..obs.hub import DEFAULT_EPOCH_NS, MetricsHub
-from ..obs.tracer import PageLifecycleTracer
+from ..obs.hub import MetricsHub
 from ..wal.checkpoint import Checkpointer
 from ..wal.log_manager import LogManager
 from ..wal.records import LogRecordType
@@ -41,13 +40,19 @@ from ..workloads.ycsb import (
 )
 
 if TYPE_CHECKING:
-    from ..faults.plan import FaultPlan
     from .telemetry import TelemetryChannel
 
 #: Placeholder images used when charging log-record sizes; the content
 #: is irrelevant to the cost model, only the length matters.
 _UPDATE_BEFORE = bytes(COLUMN_SIZE)
 _UPDATE_AFTER = bytes(COLUMN_SIZE)
+
+#: Operations between inclusivity samples of the measurement window.
+INCLUSIVITY_SAMPLE_EVERY = 2_000
+#: Operations between ``RunConfig.progress`` calls on the per-op loop
+#: (the batched loop reports once per chunk) — coarse enough that a
+#: quick-effort cell emits about a dozen, fine enough for a live bar.
+PROGRESS_EVERY_OPS = 2_000
 
 
 @dataclass(frozen=True)
@@ -69,14 +74,6 @@ class RunOptions:
     #: :class:`~repro.core.batch_path.BatchAccessPath`, byte-identical
     #: to the per-op loop by construction; ``1`` runs that loop.
     batch_size: int = 1
-    #: A :class:`~repro.faults.plan.FaultPlan` whose device wrappers
-    #: :func:`~repro.bench.executor.run_cell` installs before building
-    #: the buffer manager (pure delegation for a no-op plan), or None.
-    fault_plan: FaultPlan | None = None
-    #: Build single-stream cells with ``TenancyConfig.single()`` and
-    #: project tenant-labelled series (a hub attaches even without
-    #: ``collect_metrics``); the result carries a per-tenant breakdown.
-    track_tenants: bool = False
     #: A :class:`~repro.bench.telemetry.TelemetryChannel` streaming cell
     #: and chaos-case progress out-of-band, or None.  Manager-backed
     #: channels pickle; the in-process fallback is a no-op in workers.
@@ -85,52 +82,39 @@ class RunOptions:
     #: :class:`~repro.obs.decisions.DecisionRecorder` records as full
     #: spans (0 = off; decision *counters* are complete whenever on).
     trace_decisions: float = 0.0
-    #: Fraction of pages whose lifecycle a
-    #: :class:`~repro.obs.tracer.PageLifecycleTracer` records (0 = off).
-    trace_pages: float = 0.0
 
     def __post_init__(self) -> None:
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if not 0.0 <= self.trace_decisions <= 1.0:
             raise ValueError("trace_decisions must be in [0, 1]")
-        if not 0.0 <= self.trace_pages <= 1.0:
-            raise ValueError("trace_pages must be in [0, 1]")
 
 
 @dataclass
 class RunConfig:
-    """Measurement protocol parameters."""
+    """Measurement protocol parameters.
+
+    The protocol itself has one setting each (§6.1): buffers are primed
+    with the workload's hottest pages, updates charge the WAL, and the
+    window samples inclusivity every :data:`INCLUSIVITY_SAMPLE_EVERY`
+    operations.
+    """
 
     warmup_ops: int = 20_000
     measure_ops: int = 30_000
     workers: int = 1
-    #: Warm-start the buffers with the workload's hottest pages before
-    #: the warm-up phase, approximating the paper's fill-until-full
-    #: warm-up without its multi-minute runtime.
-    prime_buffers: bool = True
-    #: Charge WAL traffic for updates (disable for pure-BM microbenches).
-    with_wal: bool = True
     #: Write operations between checkpoint flushes; None disables them.
     checkpoint_interval_ops: int | None = 2_000
-    #: Operations between inclusivity samples.
-    inclusivity_sample_every: int = 2_000
-    #: Sim-time between the hub's occupancy/dirty-ratio gauge samples.
-    metrics_epoch_ns: float = DEFAULT_EPOCH_NS
-    #: What the run attaches: metrics hub, batch path, tenant tagging,
-    #: page and decision tracing (``fault_plan`` and
-    #: ``telemetry`` are consumed by the executor, which owns device
-    #: construction and cell labels).
+    #: What the run attaches: metrics hub, batch path and decision
+    #: tracing (``telemetry`` is consumed by the executor, which owns
+    #: cell labels).
     options: RunOptions = RunOptions()
     #: Optional live-progress hook ``progress(phase, done, total)``,
-    #: called every ``progress_every_ops`` operations during warm-up and
-    #: measurement (phases ``"warmup"`` / ``"measure"``).  Strictly
+    #: called every :data:`PROGRESS_EVERY_OPS` operations during warm-up
+    #: and measurement (phases ``"warmup"`` / ``"measure"``).  Strictly
     #: out-of-band: the hook sees wall-clock progress only and must
     #: never touch the measured system.
     progress: object | None = None
-    #: Operations between progress calls (per-op loops; batched loops
-    #: report once per chunk, which is coarser).
-    progress_every_ops: int = 2_000
 
 
 @dataclass
@@ -151,15 +135,12 @@ class RunResult:
     #: MetricsHub snapshot — registry state plus epoch gauge series
     #: (only when ``RunOptions.collect_metrics``).
     metrics: dict | None = None
-    #: Page-lifecycle spans keyed by page id (only when
-    #: ``RunOptions.trace_pages`` > 0).
-    page_traces: dict | None = None
     #: Per-resource :class:`~repro.hardware.simclock.ResourceUsage` of
     #: the measurement window (busy_ns / operations / bytes_moved per
     #: device channel plus CPU) — the saturation model's inputs.
     resource_usage: dict[str, dict] | None = None
     #: Per-tenant op counts and latency quantiles, keyed by tenant id
-    #: (only when ``RunOptions.track_tenants``).
+    #: (only for :meth:`WorkloadRunner.measure_tenants`).
     tenant_breakdown: dict[int, dict] | None = None
     #: Sampled decision spans plus a per-policy digest (only when
     #: ``RunOptions.trace_decisions`` > 0).
@@ -228,15 +209,13 @@ class WorkloadRunner:
         self.hierarchy = bm.hierarchy
         #: The per-update logging CPU cost, quantised once.
         self._logging_fp = checked_fp(self.hierarchy.cpu_costs.logging_ns)
-        self.log: LogManager | None = None
+        self.log = LogManager(self.hierarchy)
         self.checkpointer: Checkpointer | None = None
-        if self.config.with_wal:
-            self.log = LogManager(self.hierarchy)
-            if self.config.checkpoint_interval_ops:
-                self.checkpointer = Checkpointer(
-                    self.bm, self.log, self.config.checkpoint_interval_ops,
-                    truncate_log=True,
-                )
+        if self.config.checkpoint_interval_ops:
+            self.checkpointer = Checkpointer(
+                self.bm, self.log, self.config.checkpoint_interval_ops,
+                truncate_log=True,
+            )
 
     # ------------------------------------------------------------------
     # Database setup
@@ -250,13 +229,11 @@ class WorkloadRunner:
     # ------------------------------------------------------------------
     def _charge_update_wal(self, page_id: int) -> None:
         log = self.log
-        if log is not None:
-            self.hierarchy.cost.charge_fp(CostAccumulator.CPU,
-                                          self._logging_fp)
-            # One UPDATE (txn 1, no slot, no prev LSN) and its COMMIT.
-            log.append(LogRecordType.UPDATE, 1, page_id, -1, -1,
-                       _UPDATE_BEFORE, _UPDATE_AFTER)
-            log.commit(1)
+        self.hierarchy.cost.charge_fp(CostAccumulator.CPU, self._logging_fp)
+        # One UPDATE (txn 1, no slot, no prev LSN) and its COMMIT.
+        log.append(LogRecordType.UPDATE, 1, page_id, -1, -1,
+                   _UPDATE_BEFORE, _UPDATE_AFTER)
+        log.commit(1)
         if self.checkpointer is not None:
             self.checkpointer.note_operation(True)
 
@@ -427,8 +404,7 @@ class WorkloadRunner:
     def measure_ycsb(self, workload: YcsbWorkload, label: str | None = None,
                      extra_worker_counts: tuple[int, ...] = ()) -> RunResult:
         self.allocate_database(workload.num_pages)
-        if self.config.prime_buffers:
-            self._prime(workload.page_popularity())
+        self._prime(workload.page_popularity())
         return self._measure(
             step=lambda: self.run_ycsb_op(workload),
             label=label or workload.mix.name,
@@ -439,8 +415,7 @@ class WorkloadRunner:
     def measure_tpcc(self, workload: TpccWorkload, label: str = "TPC-C",
                      extra_worker_counts: tuple[int, ...] = ()) -> RunResult:
         self.allocate_database(workload.num_pages)
-        if self.config.prime_buffers:
-            self._prime(workload.page_popularity())
+        self._prime(workload.page_popularity())
         stream = self._tpcc_stream(workload)
         return self._measure(
             step=lambda: self.run_access(next(stream)),
@@ -458,13 +433,11 @@ class WorkloadRunner:
 
         Same protocol as the single-stream entry points — allocate,
         prime (merged popularity ranking), warm up, measure — with each
-        op tagged by its tenant.  Combine with
-        ``RunOptions.track_tenants`` to get per-tenant breakdowns on the
-        result.
+        op tagged by its tenant, and tenant-labelled series projected so
+        the result carries a per-tenant breakdown.
         """
         self.bm.allocate_pages(workload.initial_page_ids())
-        if self.config.prime_buffers:
-            self._prime(workload.page_popularity())
+        self._prime(workload.page_popularity())
         think = tuple(spec.think_time_ns for spec in workload.specs)
 
         def step() -> bool:
@@ -478,6 +451,7 @@ class WorkloadRunner:
             batch_step=lambda count: self.run_tenant_batch(
                 [workload.next_access() for _ in range(count)], think
             ),
+            track_tenants=True,
         )
 
     def _prime(self, ranked_pages: list[int]) -> None:
@@ -509,19 +483,17 @@ class WorkloadRunner:
         while True:
             yield from workload.next_transaction()
 
-    def _window_observers(self) -> dict[str, object]:
+    def _window_observers(self, track_tenants: bool) -> dict[str, object]:
         """The measurement window's bus observers, built from
         ``RunOptions`` and keyed by the ``RunResult`` field each one
-        fills, in attach order."""
+        fills, in attach order.  A tenant stream needs the hub for its
+        breakdown, metrics collected or not."""
         options = self.config.options
         observers: dict[str, object] = {}
         hub = None
-        if options.collect_metrics or options.track_tenants:
+        if options.collect_metrics or track_tenants:
             hub = observers["metrics"] = MetricsHub(
-                epoch_ns=self.config.metrics_epoch_ns,
-                track_tenants=options.track_tenants)
-        if options.trace_pages > 0:
-            observers["page_traces"] = PageLifecycleTracer(options.trace_pages)
+                track_tenants=track_tenants)
         if options.trace_decisions > 0:
             decisions = observers["decision_trace"] = DecisionRecorder(
                 options.trace_decisions)
@@ -533,13 +505,12 @@ class WorkloadRunner:
 
     def _measure(self, step, label: str,
                  extra_worker_counts: tuple[int, ...],
-                 batch_step=None) -> RunResult:
+                 batch_step=None, track_tenants: bool = False) -> RunResult:
         config = self.config
-        options = config.options
-        batch_size = options.batch_size
+        batch_size = config.options.batch_size
         use_batch = batch_step is not None and batch_size > 1
         progress = config.progress
-        progress_every = max(1, config.progress_every_ops)
+        progress_every = PROGRESS_EVERY_OPS
         if use_batch:
             remaining = config.warmup_ops
             warmed = 0
@@ -563,7 +534,7 @@ class WorkloadRunner:
         self.hierarchy.reset_accounting()
         self.bm.reset_stats()
         fast_runs_before = self.bm.batch_path.fast_runs
-        observers = self._window_observers()
+        observers = self._window_observers(track_tenants)
         with contextlib.ExitStack() as stack:
             # Every observer is detached even when the workload, or an
             # earlier detach, raises: a leaked subscription would
@@ -577,7 +548,7 @@ class WorkloadRunner:
             for observer in observers.values():
                 observer.attach(self.bm)
 
-            sample_every = max(1, config.inclusivity_sample_every)
+            sample_every = INCLUSIVITY_SAMPLE_EVERY
             if use_batch:
                 # Chunks never straddle a sampling point, so inclusivity
                 # samples land after the same operation indexes as the
@@ -610,7 +581,6 @@ class WorkloadRunner:
             if self.bm.inclusivity.num_samples == 0:
                 self.bm.sample_inclusivity()
         hub = observers.get("metrics")
-        tracer = observers.get("page_traces")
         decisions = observers.get("decision_trace")
         operations = config.measure_ops
         makespan = self.hierarchy.cost.makespan_ns(config.workers)
@@ -629,15 +599,14 @@ class WorkloadRunner:
             nvm_write_gb=self.bm.nvm_write_volume_gb(),
             makespan_ns=makespan,
             throughput_by_workers=by_workers,
-            metrics=metrics_snapshot if options.collect_metrics else None,
-            page_traces=tracer.snapshot() if tracer is not None else None,
+            metrics=(metrics_snapshot if config.options.collect_metrics
+                     else None),
             resource_usage={
                 key: usage.as_dict()
                 for key, usage in self.hierarchy.cost.snapshot().items()
             },
             tenant_breakdown=(
-                tenant_breakdown(metrics_snapshot)
-                if options.track_tenants else None
+                tenant_breakdown(metrics_snapshot) if track_tenants else None
             ),
             decision_trace=(
                 decisions.report() if decisions is not None else None

@@ -35,10 +35,6 @@ import sys
 import threading
 import time
 
-#: Default operations between progress events — coarse enough that a
-#: quick-effort cell emits ~a dozen events, fine enough for a live bar.
-DEFAULT_EVERY_OPS = 2_000
-
 
 class TelemetryChannel:
     """A picklable, fire-and-forget event channel into the session.
@@ -48,13 +44,13 @@ class TelemetryChannel:
     <repro.bench.harness.RunOptions.telemetry>`.  ``emit``
     never raises and never blocks the measured workload: any transport
     failure (manager gone, queue full, interpreter shutdown) drops the
-    event silently — telemetry is advisory by design.
+    event silently — telemetry is advisory by design.  Progress events
+    come at the harness's cadence,
+    :data:`~repro.bench.harness.PROGRESS_EVERY_OPS`.
     """
 
-    def __init__(self, queue, every_ops: int = DEFAULT_EVERY_OPS,
-                 manager=None) -> None:
+    def __init__(self, queue, manager=None) -> None:
         self.queue = queue
-        self.every_ops = max(1, int(every_ops))
         # The manager handle stays session-side only (workers get the
         # picklable queue proxy); it keeps the server process alive.
         self._manager = manager
@@ -71,11 +67,10 @@ class TelemetryChannel:
                 queue = None
         except Exception:
             queue = None
-        return {"queue": queue, "every_ops": self.every_ops}
+        return {"queue": queue}
 
     def __setstate__(self, state):
         self.queue = state["queue"]
-        self.every_ops = state["every_ops"]
         self._manager = None
 
     # ------------------------------------------------------------------
@@ -107,7 +102,7 @@ class TelemetryChannel:
                 pass
 
 
-def open_channel(every_ops: int = DEFAULT_EVERY_OPS) -> TelemetryChannel:
+def open_channel() -> TelemetryChannel:
     """Create a channel whose queue crosses process boundaries.
 
     A ``multiprocessing.Manager`` queue proxy is used because proxies
@@ -127,7 +122,7 @@ def open_channel(every_ops: int = DEFAULT_EVERY_OPS) -> TelemetryChannel:
     except Exception:
         manager = None
         channel_queue = queue_mod.Queue()
-    return TelemetryChannel(channel_queue, every_ops, manager=manager)
+    return TelemetryChannel(channel_queue, manager=manager)
 
 
 class ProgressAggregator:

@@ -9,8 +9,8 @@ by partitioning it into *outcome classes* with mapping-table probes:
   single :class:`~repro.core.events.OpBatchSummary` published to the
   event bus,
 * everything else (writes, misses, lower-tier hits that may promote,
-  fine-grained layouts, memory-mode devices, fault-scheduled reads)
-  falls back to the existing :class:`~repro.core.access_path.AccessPath`
+  fine-grained layouts, devices without ``read_batch`` — memory mode and
+  fault wrappers) falls back to the existing :class:`~repro.core.access_path.AccessPath`
   walk per operation, so every policy decision stays single-sourced.
 
 The contract is *byte identity*: a batched run must leave the buffer
@@ -68,8 +68,7 @@ class BatchAccessPath:
         """The top tier node, when top-tier read hits can be vectorized.
 
         Re-resolved per batch: subscribers may attach or detach between
-        batches (metrics windows), and fault plans install device
-        wrappers after construction.
+        batches (metrics windows).
         """
         if np is None:
             return None
@@ -85,9 +84,7 @@ class BatchAccessPath:
         top = nodes[0]
         device = top.device
         if not hasattr(device, "read_batch"):
-            return None  # e.g. MemoryModeDevice
-        if not getattr(device, "supports_batch_reads", True):
-            return None  # fault schedule targets reads on this device
+            return None  # MemoryModeDevice, FaultyDevice
         return top
 
     # ------------------------------------------------------------------

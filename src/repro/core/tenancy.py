@@ -98,14 +98,6 @@ class TenancyConfig:
         if self.policy_presets and len(self.policy_presets) != self.num_tenants:
             raise ValueError("policy_presets must have one entry per tenant")
 
-    @classmethod
-    def single(cls) -> "TenancyConfig":
-        """The plumbing-active single-tenant config: every op is tenant
-        0, quotas are unenforced, and behaviour is byte-identical to a
-        buffer manager built with ``tenancy=None`` (the ``--with-tenancy``
-        golden-figure leg proves this)."""
-        return cls(num_tenants=1)
-
     def share_of(self, tenant_id: int) -> float:
         if self.shares:
             return self.shares[tenant_id]

@@ -1,9 +1,11 @@
 """The :class:`FaultyDevice` decorator and hierarchy installation.
 
 A :class:`FaultyDevice` wraps a :class:`~repro.hardware.device.Device`
-and conforms to its API (``read``/``write``/``persist_barrier``/counter
-accessors), so the tier chain, the SSD store, and the WAL all operate
-on it unchanged.  On each access it consults its
+and conforms to its per-op API (``read``/``write``/``persist_barrier``/
+counter accessors), so the tier chain, the SSD store, and the WAL all
+operate on it unchanged.  It has no ``read_batch``: a fault index is
+per op, so the columnar batch path reads a wrapped top tier one op at
+a time, as it does a memory-mode device.  On each access it consults its
 :class:`~repro.faults.plan.FaultSchedule`:
 
 * a scheduled transient error raises
@@ -24,8 +26,7 @@ exporter see them with no extra plumbing.
 :class:`~repro.hardware.cost_model.StorageHierarchy` **before** the
 buffer manager / engine is built (components capture device references
 at construction).  With a no-op plan the wrapper is pure delegation —
-the golden-figure gate proves figure JSON stays byte-identical with it
-installed.
+a wrapped cell charges exactly what the bare cell charges.
 """
 
 from __future__ import annotations
@@ -131,51 +132,6 @@ class FaultyDevice:
                     self.delegate.cost.charge(
                         CostAccumulator.CPU, schedule.spike_ns)
         return self.delegate.read(nbytes, sequential)
-
-    @property
-    def supports_batch_reads(self) -> bool:
-        """Whether a batched read preserves this wrapper's semantics.
-
-        With no schedule the wrapper is pure delegation.  With a
-        schedule that never faults reads, only the read index must
-        advance — :meth:`read_batch` handles that.  Scheduled read
-        errors/spikes depend on the exact per-op index and sim time, so
-        the batch path must fall back to per-op reads.
-        """
-        schedule = self.schedule
-        return schedule is None or (
-            not schedule.read_errors and not schedule.read_spikes
-        )
-
-    def read_batch(self, nbytes, count: int | None = None,
-                   sequential: bool = False):
-        """Batched read: advance the fault index in bulk, then delegate.
-
-        Only valid when :attr:`supports_batch_reads` is true (the batch
-        path checks); per-op index accounting then reduces to one bump.
-        """
-        n = int(count) if count is not None else len(nbytes)
-        schedule = self.schedule
-        if schedule is not None:
-            with self._lock:
-                self._read_index += n
-        return self.delegate.read_batch(nbytes, count=count,
-                                        sequential=sequential)
-
-    def write_batch(self, nbytes, count: int | None = None,
-                    sequential: bool = False):
-        """Batched write for schedules that never fault writes."""
-        schedule = self.schedule
-        if schedule is not None:
-            if schedule.write_errors or schedule.write_spikes:
-                raise RuntimeError(
-                    "write_batch is not valid with scheduled write faults"
-                )
-            n = int(count) if count is not None else len(nbytes)
-            with self._lock:
-                self._write_index += n
-        return self.delegate.write_batch(nbytes, count=count,
-                                         sequential=sequential)
 
     def write(self, nbytes: int, sequential: bool = False) -> float:
         schedule = self.schedule

@@ -23,9 +23,9 @@ actually fails:
   tail / last page write when it crashes the system.
 
 Plans are plain frozen dataclasses over tuples and ints, so they pickle
-cleanly into executor worker processes — as the ``fault_plan`` field of
-the :class:`~repro.bench.harness.RunOptions` value every submission
-carries (``run_options(fault_plan=plan)``).
+cleanly into worker processes;
+:func:`~repro.faults.injector.inject_faults` installs one on a
+hierarchy before its buffer manager is built.
 """
 
 from __future__ import annotations

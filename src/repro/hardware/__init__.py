@@ -16,7 +16,7 @@ from .pricing import (
     hierarchy_cost,
     performance_per_price,
 )
-from .simclock import CostAccumulator, ResourceUsage, SimClock
+from .simclock import CostAccumulator, ResourceUsage
 from .specs import (
     BUFFER_TIER_ORDER,
     CACHE_LINE_SIZE,
@@ -63,7 +63,6 @@ __all__ = [
     "PAGE_SIZE",
     "ResourceUsage",
     "SSD_SPEC",
-    "SimClock",
     "SimulationScale",
     "StorageHierarchy",
     "TIER_ORDER",

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .device import Device
 from .memory_mode import MemoryModeDevice
 from .pricing import HierarchyShape, hierarchy_cost
-from .simclock import CostAccumulator, SimClock
+from .simclock import CostAccumulator
 from .specs import (
     BUFFER_TIER_ORDER,
     DEFAULT_SCALE,
@@ -69,9 +69,9 @@ DEFAULT_CPU_COSTS = CpuCosts()
 class StorageHierarchy:
     """The set of simulated devices for one experiment configuration.
 
-    All devices share one :class:`CostAccumulator` and one
-    :class:`SimClock`, so the harness can convert a run's accumulated
-    demands into a simulated makespan/throughput.
+    All devices share one :class:`CostAccumulator`, so the harness can
+    convert a run's accumulated demands into a simulated
+    makespan/throughput.
 
     Parameters
     ----------
@@ -101,7 +101,6 @@ class StorageHierarchy:
         self.page_size = page_size
         self.memory_mode = memory_mode
         self.cost = CostAccumulator()
-        self.clock = SimClock()
         self.devices: dict[Tier, Device | MemoryModeDevice] = {}
         self._build_devices()
 
@@ -170,7 +169,6 @@ class StorageHierarchy:
     def reset_accounting(self) -> None:
         """Clear cost and traffic counters (e.g. after buffer warm-up)."""
         self.cost.reset()
-        self.clock.reset()
         for device in self.devices.values():
             device.reset_counters()
 

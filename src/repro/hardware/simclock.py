@@ -1,4 +1,4 @@
-"""Simulated clock and per-resource busy-time accounting.
+"""Simulated time as per-resource busy-time accounting.
 
 The reproduction replaces wall-clock measurement with a discrete cost
 model: every device access and every unit of CPU work charges simulated
@@ -64,52 +64,6 @@ def to_fp_array(service_ns_array):
     return np.rint(
         np.asarray(service_ns_array, dtype=np.float64) * FP_SCALE
     ).astype(np.int64)
-
-
-class SimClock:
-    """A monotonically advancing simulated clock in nanoseconds.
-
-    The clock is advanced explicitly (e.g. by the cost model or by the
-    adaptive controller's epoch logic).  It is thread-safe so that the
-    genuinely multi-threaded tests can share one clock.  Time is stored
-    in fixed-point units so repeated advances cannot drift.
-    """
-
-    def __init__(self, start_ns: int = 0) -> None:
-        self._now_fp = to_fp(start_ns)
-        self._lock = threading.Lock()
-
-    @property
-    def now_ns(self) -> float:
-        return self._now_fp / FP_SCALE
-
-    @property
-    def now_s(self) -> float:
-        return self._now_fp / FP_SCALE / 1e9
-
-    def advance(self, delta_ns: float) -> float:
-        """Advance the clock by ``delta_ns`` and return the new time."""
-        if delta_ns < 0:
-            raise ValueError("cannot advance the clock backwards")
-        with self._lock:
-            self._now_fp += to_fp(delta_ns)
-            return self._now_fp / FP_SCALE
-
-    def advance_to(self, target_ns: float) -> float:
-        """Advance the clock to ``target_ns`` if that is in the future.
-
-        Unlike :meth:`advance`, a target in the past is a no-op rather
-        than an error — epoch samplers race benignly for the same tick.
-        """
-        target_fp = to_fp(target_ns)
-        with self._lock:
-            if target_fp > self._now_fp:
-                self._now_fp = target_fp
-            return self._now_fp / FP_SCALE
-
-    def reset(self) -> None:
-        with self._lock:
-            self._now_fp = 0
 
 
 class ResourceUsage:

@@ -12,10 +12,8 @@ fills a :class:`~repro.obs.metrics.MetricsRegistry` with:
   includes the WAL/checkpoint work it triggered, which is charged
   before the next op begins,
 * **epoch gauges** — whenever accumulated sim time crosses an epoch
-  boundary the hub samples tier occupancy and dirty ratios, records the
-  sample in an epoch series, and advances the hierarchy's
-  :class:`~repro.hardware.simclock.SimClock` to the boundary, so the
-  clock tracks observable sim progress,
+  boundary the hub samples tier occupancy and dirty ratios and records
+  the sample in an epoch series,
 * **traffic counters** — ops by kind, hits per tier, misses, installs,
   evictions, write-backs, clean drops, flushes and per-edge migrations.
   These are not counted here: the core already counts every one of
@@ -131,7 +129,6 @@ class MetricsHub:
         self._stats_base = None
         self._bus = None
         self._cost = None
-        self._clock = None
         self._chain = None
         self._next_epoch = float("inf")
         # Per-op bracketing state.
@@ -161,7 +158,6 @@ class MetricsHub:
         self._bm = bm
         self._stats_base = bm.stats.snapshot()
         self._cost = bm.hierarchy.cost
-        self._clock = bm.hierarchy.clock
         self._chain = bm.chain
         self._miss_hist = registry.histogram(
             "op_latency_ns", {"outcome": MISS_OUTCOME}
@@ -361,7 +357,7 @@ class MetricsHub:
     # Epoch gauges
     # ------------------------------------------------------------------
     def _sample_epoch(self, now: float) -> None:
-        """Sample occupancy/dirty gauges and advance the sim clock."""
+        """Sample occupancy/dirty gauges into the epoch series."""
         tiers: dict[str, dict[str, float]] = {}
         for node in self._chain:
             pool = node.pool
@@ -377,8 +373,6 @@ class MetricsHub:
                 "dirty_ratio": dirty_ratio,
             }
         self.epochs.append({"sim_ns": now, "tiers": tiers})
-        if self._clock is not None:
-            self._clock.advance_to(now)
         # Next boundary strictly ahead of now, even after a long stall.
         epoch = self.epoch_ns
         self._next_epoch = now + epoch - (now % epoch if epoch else 0.0)

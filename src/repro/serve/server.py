@@ -341,11 +341,22 @@ class SpitfireServer:
     # Data-op closures (run inside the dispatcher, serially)
     # ------------------------------------------------------------------
     def _closure_for(self, op: str, message: dict, tenant_id: int):
+        """Validate one data op off the wire and build its closure.
+
+        An access starts inside its page and moves at most a page:
+        ``offset < page_size`` and ``1 <= nbytes <= page_size``.  A span
+        may run past the page end (the YCSB layout's last slot does), but
+        one request can no longer charge the shared timeline for a
+        terabyte.
+        """
         bm = self.bm
+        page_size = self.hierarchy.page_size
         if op in ("read", "write"):
             page_id = _int_field(message, "page_id")
-            offset = _int_field(message, "offset", default=0)
-            nbytes = _int_field(message, "nbytes", default=64, minimum=1)
+            offset = _int_field(message, "offset", default=0,
+                                maximum=page_size - 1)
+            nbytes = _int_field(message, "nbytes", default=64, minimum=1,
+                                maximum=page_size)
             is_write = op == "write"
 
             def data_op():
@@ -355,11 +366,13 @@ class SpitfireServer:
             return data_op
         if op == "read_batch":
             page_ids = _int_list(message, "page_ids", MAX_BATCH_PAGES)
-            offsets = _int_list(message, "offsets", MAX_BATCH_PAGES)
+            offsets = _int_list(message, "offsets", MAX_BATCH_PAGES,
+                                maximum=page_size - 1)
             if len(offsets) != len(page_ids):
                 raise protocol.ProtocolError(
                     "page_ids and offsets must have equal length")
-            nbytes = _int_field(message, "nbytes", default=64, minimum=1)
+            nbytes = _int_field(message, "nbytes", default=64, minimum=1,
+                                maximum=page_size)
 
             def batch_op():
                 bm.allocate_pages(page_ids)
@@ -382,8 +395,10 @@ class SpitfireServer:
                 steps.append((
                     sub["kind"] == "write",
                     _int_field(sub, "page_id"),
-                    _int_field(sub, "offset", default=0),
-                    _int_field(sub, "nbytes", default=64, minimum=1),
+                    _int_field(sub, "offset", default=0,
+                               maximum=page_size - 1),
+                    _int_field(sub, "nbytes", default=64, minimum=1,
+                               maximum=page_size),
                 ))
 
             def txn_op():
@@ -568,22 +583,27 @@ class SpitfireServer:
 # Field validation helpers
 # ----------------------------------------------------------------------
 def _int_field(message: dict, name: str, default: int | None = None,
-               minimum: int = 0) -> int:
+               minimum: int = 0, maximum: int | None = None) -> int:
     value = message.get(name, default)
     if not isinstance(value, int) or isinstance(value, bool) \
-            or value < minimum:
+            or value < minimum or (maximum is not None and value > maximum):
+        bounds = (f">= {minimum}" if maximum is None
+                  else f"in [{minimum}, {maximum}]")
         raise protocol.ProtocolError(
-            f"{name} must be an integer >= {minimum}, got {value!r}")
+            f"{name} must be an integer {bounds}, got {value!r}")
     return value
 
 
-def _int_list(message: dict, name: str, limit: int) -> list[int]:
+def _int_list(message: dict, name: str, limit: int,
+              maximum: int | None = None) -> list[int]:
     value = message.get(name)
     if not isinstance(value, list) or not value or len(value) > limit:
         raise protocol.ProtocolError(
             f"{name} must be a non-empty list of at most {limit} ints")
     for item in value:
-        if not isinstance(item, int) or isinstance(item, bool) or item < 0:
+        if not isinstance(item, int) or isinstance(item, bool) or item < 0 \
+                or (maximum is not None and item > maximum):
+            bound = "" if maximum is None else f" and <= {maximum}"
             raise protocol.ProtocolError(
-                f"{name} entries must be non-negative integers")
+                f"{name} entries must be integers >= 0{bound}")
     return value

@@ -9,7 +9,7 @@ consumption, metrics exports, and epoch series all match the per-op run
 exactly — batching changes wall-clock time and nothing else.
 
 These tests pin the contract across batch sizes, YCSB mixes, TPC-C,
-metrics attachment, and no-op fault wrappers, plus the unit-level
+metrics attachment, and hand-installed no-op fault wrappers, plus the unit-level
 properties it is built on (fixed-point cost accumulation, RNG-order
 preserving workload batches, batched device charging, batched
 histogram observation).
@@ -22,9 +22,17 @@ import functools
 
 import pytest
 
-from repro.bench.executor import Cell, Effort, run_cell, run_options
+from repro.bench.executor import (
+    TUPLES_PER_PAGE,
+    Cell,
+    Effort,
+    run_cell,
+    run_options,
+)
+from repro.bench.harness import RunConfig, RunOptions, WorkloadRunner
 from repro.core.buffer_manager import BufferManager, BufferManagerConfig
 from repro.core.policy import SPITFIRE_EAGER, SPITFIRE_LAZY
+from repro.faults.injector import inject_faults
 from repro.faults.plan import FaultPlan
 from repro.hardware.cost_model import StorageHierarchy
 from repro.hardware.pricing import HierarchyShape
@@ -106,11 +114,25 @@ class TestRunEquivalence:
         assert _measured(cell, batch_size=1024) == _measured(cell)
 
     def test_equivalence_with_noop_fault_wrappers(self):
-        """The contract holds with FaultyDevice wrappers installed."""
-        cell = _ycsb_cell("YCSB-BA")
-        plan = FaultPlan.none()
-        assert _measured(cell, fault_plan=plan, batch_size=64) == \
-            _measured(cell, fault_plan=plan)
+        """The contract holds with FaultyDevice wrappers installed by
+        hand: a wrapped top tier has no ``read_batch``, so every batched
+        read takes the per-op fallback."""
+        def wrapped_run(batch_size: int):
+            hierarchy = StorageHierarchy(SHAPE)
+            inject_faults(hierarchy, FaultPlan.none())
+            bm = BufferManager(hierarchy, SPITFIRE_LAZY)
+            runner = WorkloadRunner(bm, RunConfig(
+                warmup_ops=TINY.warmup_ops, measure_ops=TINY.measure_ops,
+                options=RunOptions(collect_metrics=True,
+                                   batch_size=batch_size)))
+            workload = YcsbWorkload(
+                hierarchy.scale.pages(10.0) * TUPLES_PER_PAGE,
+                MIXES["YCSB-BA"], seed=3)
+            return runner.measure_ycsb(workload)
+
+        batched = wrapped_run(64)
+        assert batched.batch_runs == 0
+        assert _fingerprint(batched) == _fingerprint(wrapped_run(1))
 
     def test_eager_policy_slow_path_fallback(self):
         """A migration-heavy policy exercises the slow-path fallback."""

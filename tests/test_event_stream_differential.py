@@ -50,8 +50,7 @@ def run_ycsb(bm: BufferManager) -> None:
 def run_tpcc_wal(bm: BufferManager) -> None:
     """2,000 seeded TPC-C page accesses with the WAL and checkpoints on."""
     runner = WorkloadRunner(bm, RunConfig(
-        warmup_ops=500, measure_ops=1_500, with_wal=True,
-        checkpoint_interval_ops=300))
+        warmup_ops=500, measure_ops=1_500, checkpoint_interval_ops=300))
     runner.measure_tpcc(TpccWorkload(5.0, SCALE, seed=1))
 
 

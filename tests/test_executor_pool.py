@@ -46,7 +46,6 @@ from repro.bench.executor import (
 from repro.bench.harness import RunOptions
 from repro.bench.telemetry import ProgressAggregator, open_channel
 from repro.core.policy import SPITFIRE_LAZY
-from repro.faults.plan import FaultPlan
 from repro.hardware.pricing import HierarchyShape
 from repro.obs.export import snapshot_jsonl_lines
 
@@ -132,36 +131,35 @@ class TestRunOptionsScope:
     def test_default_outside_any_scope(self):
         assert current_options() == RunOptions()
         assert RunOptions() == RunOptions(
-            collect_metrics=False, batch_size=1, fault_plan=None,
-            track_tenants=False, telemetry=None, trace_decisions=0.0)
+            collect_metrics=False, batch_size=1, telemetry=None,
+            trace_decisions=0.0)
 
     def test_scope_sets_and_restores_every_named_field(self):
-        plan = FaultPlan.seeded(7, read_error_rate=0.01)
         with run_options(collect_metrics=True, batch_size=64,
-                         fault_plan=plan) as options:
+                         trace_decisions=0.5) as options:
             assert current_options() is options
             assert options == RunOptions(collect_metrics=True,
-                                         batch_size=64, fault_plan=plan)
+                                         batch_size=64, trace_decisions=0.5)
         assert current_options() == RunOptions()
 
     def test_nested_scope_wins_for_the_fields_it_names(self):
-        with run_options(batch_size=64, track_tenants=True) as outer:
+        with run_options(batch_size=64, collect_metrics=True) as outer:
             with run_options(batch_size=7, trace_decisions=0.5):
                 assert current_options() == RunOptions(
-                    batch_size=7, track_tenants=True, trace_decisions=0.5)
+                    batch_size=7, collect_metrics=True, trace_decisions=0.5)
             assert current_options() is outer
         assert current_options() == RunOptions()
 
     def test_restored_after_an_exception(self):
         with pytest.raises(RuntimeError):
-            with run_options(track_tenants=True):
+            with run_options(collect_metrics=True):
                 raise RuntimeError("escape")
         assert current_options() == RunOptions()
 
     @pytest.mark.parametrize("bad", [
         dict(batch_size=0), dict(batch_size=-3),
         dict(trace_decisions=-0.1), dict(trace_decisions=1.5),
-        dict(trace_pages=-0.1), dict(trace_pages=1.5),
+        dict(trace_decisions=float("nan")),
     ])
     def test_invalid_values_rejected_however_built(self, bad):
         with pytest.raises(ValueError):
@@ -227,15 +225,6 @@ FIELD_CASES = {
         and baseline.batch_runs == 0
         and result.stats == baseline.stats
         and result.resource_usage == baseline.resource_usage),
-    "fault_plan": (
-        lambda: FaultPlan.seeded(7, device_keys=("dram", "nvm", "ssd"),
-                                 spike_rate=0.05),
-        lambda result, baseline: result.stats == baseline.stats
-        and result.makespan_ns > baseline.makespan_ns),
-    "track_tenants": (
-        lambda: True,
-        lambda result, baseline: set(result.tenant_breakdown) == {0}
-        and baseline.tenant_breakdown is None),
     "telemetry": (
         open_channel,
         lambda result, baseline: result.throughput == baseline.throughput),
@@ -243,10 +232,6 @@ FIELD_CASES = {
         lambda: 1.0,
         lambda result, baseline: result.decision_trace is not None
         and baseline.decision_trace is None),
-    "trace_pages": (
-        lambda: 1.0,
-        lambda result, baseline: bool(result.page_traces["pages"])
-        and baseline.page_traces is None),
 }
 
 
@@ -286,10 +271,10 @@ class TestContextAfterPool:
         """The worker-side entry installs exactly the value it is handed
         around its chunk, whatever the worker's own ambient state."""
         shipped = RunOptions(collect_metrics=True, batch_size=32)
-        with run_options(track_tenants=True):
+        with run_options(trace_decisions=0.5):
             outcomes = _exec_chunk(lambda _: current_options(), (0, 1),
                                    shipped)
-            assert current_options() == RunOptions(track_tenants=True)
+            assert current_options() == RunOptions(trace_decisions=0.5)
         assert outcomes == [(True, shipped), (True, shipped)]
 
     @pool_required
@@ -325,14 +310,13 @@ class TestContextAfterPool:
     @pool_required
     def test_scopes_entered_after_pool_reach_workers(self):
         """The same ordering with planes composed — metrics + batching
-        + no-op fault wrappers — down to the exported bytes."""
+        + decision tracing — down to the exported bytes."""
         assert warm_pool(4)
         cells = [tiny_cell(f"ctx{i}") for i in range(4)]
 
         def collect(jobs: int):
             with metrics_collection() as sink, \
-                    run_options(batch_size=1024,
-                                fault_plan=FaultPlan.none()):
+                    run_options(batch_size=1024, trace_decisions=0.5):
                 results = run_cells(cells, jobs=jobs)
             lines = [
                 line
@@ -350,7 +334,7 @@ class TestContextAfterPool:
         assert serial_labels == parallel_labels == \
                [c.label for c in cells]
         assert serial_lines == parallel_lines
-        assert all("faults_injected_total" in _series_names(r)
+        assert all("migration_decisions_total" in _series_names(r)
                    and r.batch_runs > 0 for r in parallel_res)
 
 

@@ -11,6 +11,8 @@ import threading
 
 import pytest
 
+from repro.bench.harness import RunConfig, WorkloadRunner
+from repro.core.buffer_manager import BufferManager
 from repro.core.devio import (
     BACKOFF_BASE_NS,
     MAX_ATTEMPTS,
@@ -24,8 +26,10 @@ from repro.faults.plan import (
     FaultSchedule,
 )
 from repro.hardware.cost_model import StorageHierarchy
+from repro.core.policy import SPITFIRE_LAZY
 from repro.hardware.pricing import HierarchyShape
 from repro.hardware.specs import SimulationScale, Tier
+from repro.workloads.ycsb import YCSB_BA, YcsbWorkload
 
 SCALE = SimulationScale(pages_per_gb=8)
 NBYTES = 4096
@@ -158,6 +162,26 @@ class TestNoopDelegation:
         assert device.capacity_pages(4096) == \
             device.delegate.capacity_pages(4096)
         device.persist_barrier()  # must not raise
+
+    def test_noop_wrapped_cell_charges_like_the_bare_cell(self):
+        """A seeded cell — misses, evictions, write-backs, WAL appends —
+        run on no-op wrappers charges exactly what it charges bare."""
+        def measure(wrapped: bool):
+            hierarchy = build_hierarchy()
+            if wrapped:
+                inject_faults(hierarchy, FaultPlan.none())
+            runner = WorkloadRunner(
+                BufferManager(hierarchy, SPITFIRE_LAZY),
+                RunConfig(warmup_ops=500, measure_ops=1_500))
+            return runner.measure_ycsb(
+                YcsbWorkload(2_000, mix=YCSB_BA, seed=3))
+
+        bare, wrapped = measure(False), measure(True)
+        assert bare.stats.ssd_fetches and bare.stats.writes
+        assert wrapped.stats == bare.stats
+        assert wrapped.resource_usage == bare.resource_usage
+        assert wrapped.throughput == bare.throughput
+        assert wrapped.makespan_ns == bare.makespan_ns
 
     def test_uninstall_restores_originals(self):
         hierarchy = build_hierarchy()

@@ -121,7 +121,7 @@ class TestReconciliation:
 
 
 class TestEpochs:
-    def test_epoch_gauges_sampled_and_clock_advanced(self):
+    def test_epoch_gauges_sampled(self):
         bm = make_bm(policy=SPITFIRE_EAGER, pages_per_gb=8)
         pages = [bm.allocate_page() for _ in range(20)]
         # A 1µs epoch forces many samples even over a short run.
@@ -137,8 +137,6 @@ class TestEpochs:
         assert 0.0 <= first["tiers"]["DRAM"]["dirty_ratio"] <= 1.0
         occupancy = hub.registry.get("tier_occupancy_ratio", {"tier": "DRAM"})
         assert occupancy is not None
-        # The sim clock tracked observable progress.
-        assert bm.hierarchy.clock.now_ns > 0
 
     def test_epoch_timestamps_increase(self):
         bm = make_bm(policy=SPITFIRE_EAGER, pages_per_gb=8)

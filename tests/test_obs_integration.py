@@ -27,6 +27,7 @@ from repro.obs.export import (
     prometheus_text,
     snapshot_jsonl_lines,
 )
+from repro.obs.tracer import PageLifecycleTracer
 from repro.workloads.ycsb import YcsbWorkload
 
 SCALE = SimulationScale(pages_per_gb=8)
@@ -40,6 +41,15 @@ def make_runner(**options) -> WorkloadRunner:
     config = RunConfig(warmup_ops=200, measure_ops=400,
                        options=RunOptions(**options))
     return WorkloadRunner(bm, config)
+
+
+def traced_runner(**options) -> WorkloadRunner:
+    """A runner whose manager carries a page tracer attached by hand, as
+    a script does: it stays on the bus across measurements, and the
+    window's own observers come and go around it."""
+    runner = make_runner(**options)
+    PageLifecycleTracer(1.0).attach(runner.bm)
+    return runner
 
 
 def small_workload() -> YcsbWorkload:
@@ -80,15 +90,16 @@ class TestHarnessMetrics:
         runner = make_runner()
         result = runner.measure_ycsb(small_workload())
         assert result.metrics is None
-        assert result.page_traces is None
 
     def test_page_traces_collected(self):
-        runner = make_runner(trace_pages=1.0)
-        result = runner.measure_ycsb(small_workload())
-        assert result.page_traces
-        assert result.page_traces["spans_dropped"] >= 0
-        assert result.page_traces["pages"]
-        first = next(iter(result.page_traces["pages"].values()))
+        runner = make_runner()
+        tracer = PageLifecycleTracer(1.0).attach(runner.bm)
+        runner.measure_ycsb(small_workload())
+        tracer.detach()
+        traces = tracer.snapshot()
+        assert traces["spans_dropped"] >= 0
+        assert traces["pages"]
+        first = next(iter(traces["pages"].values()))
         assert {"sim_ns", "event", "tier", "src", "dirty"} <= set(first[0])
 
     def test_resource_usage_always_present(self):
@@ -99,7 +110,7 @@ class TestHarnessMetrics:
             assert {"busy_ns", "operations", "bytes_moved"} <= set(usage)
 
     def test_observers_detached_after_run(self):
-        runner = make_runner(collect_metrics=True, trace_pages=1.0)
+        runner = traced_runner(collect_metrics=True)
         bus = runner.bm.events
         baseline = bus.num_subscribers
         runner.measure_ycsb(small_workload())
@@ -107,7 +118,7 @@ class TestHarnessMetrics:
 
     def test_observers_detached_when_workload_raises(self):
         """Regression: _measure must not leak subscriptions on error."""
-        runner = make_runner(collect_metrics=True, trace_pages=1.0)
+        runner = traced_runner(collect_metrics=True)
         runner.config.warmup_ops = 5
         bus = runner.bm.events
         baseline = bus.num_subscribers
@@ -128,8 +139,7 @@ class TestHarnessMetrics:
         it unsubscribes; a raising merge used to leave the hub on the
         bus and strand every observer detached after it (for the
         decision recorder, its probe on the engine too)."""
-        runner = make_runner(collect_metrics=True, trace_pages=1.0,
-                             trace_decisions=1.0)
+        runner = traced_runner(collect_metrics=True, trace_decisions=1.0)
         bm = runner.bm
 
         class BrokenRegistry:
@@ -145,7 +155,7 @@ class TestHarnessMetrics:
         assert bm.engine.probe is probe
 
     def test_repeated_measurements_do_not_stack_subscribers(self):
-        runner = make_runner(collect_metrics=True, trace_pages=1.0)
+        runner = traced_runner(collect_metrics=True)
         bus = runner.bm.events
         baseline = bus.num_subscribers
         workload = small_workload()
@@ -237,11 +247,3 @@ class TestCoreSupport:
         page = bm.allocate_page()
         bm.read(page)
         assert cost.total_ns > before
-
-    def test_sim_clock_advance_to_is_monotone(self):
-        bm = make_bm(policy=SPITFIRE_EAGER)
-        clock = bm.hierarchy.clock
-        clock.advance_to(500.0)
-        assert clock.now_ns == 500.0
-        clock.advance_to(100.0)  # past targets are a no-op
-        assert clock.now_ns == 500.0

@@ -169,6 +169,39 @@ class TestSessions:
 
         run(scenario())
 
+    def test_access_beyond_one_page_is_refused_uncharged(self):
+        """An access starts inside its page and moves at most a page; a
+        bigger one is a bad request that never reaches the dispatcher,
+        so it charges the shared timeline nothing."""
+        async def scenario():
+            server = await start_server()
+            try:
+                client = await Client.connect(server)
+                page = server.hierarchy.page_size
+                before = server.hierarchy.cost.total_fp
+                for op, fields in (
+                    ("read", dict(page_id=1, nbytes=2**40)),
+                    ("write", dict(page_id=1, offset=page)),
+                    ("read_batch", dict(page_ids=[1], offsets=[page])),
+                    ("read_batch", dict(page_ids=[1], offsets=[0],
+                                        nbytes=page + 1)),
+                    ("txn", dict(ops=[{"kind": "read", "page_id": 1,
+                                       "nbytes": 2**40}])),
+                ):
+                    response = await client.call(op, **fields)
+                    assert response["error"]["kind"] \
+                        == protocol.ERR_BAD_REQUEST, (op, response)
+                assert server.hierarchy.cost.total_fp == before
+                # YCSB's last tuple slot runs past the page end: served.
+                last_slot = await client.call(
+                    "read", page_id=1, offset=15 * 1024 + 4, nbytes=1024)
+                assert last_slot["ok"], last_slot
+                await client.close()
+            finally:
+                await server.shutdown()
+
+        run(scenario())
+
 
 class TestAdmissionLive:
     def test_rate_limited_session_sheds_with_overloaded(self):

@@ -1,43 +1,8 @@
-"""Simulated clock and cost accumulator (makespan/throughput analysis)."""
-
-import threading
+"""Cost accumulator: simulated time (makespan/throughput analysis)."""
 
 import pytest
 
-from repro.hardware.simclock import CostAccumulator, ResourceUsage, SimClock
-
-
-class TestSimClock:
-    def test_starts_at_zero(self):
-        assert SimClock().now_ns == 0.0
-
-    def test_advance(self):
-        clock = SimClock()
-        assert clock.advance(100.0) == 100.0
-        assert clock.now_ns == 100.0
-        assert clock.now_s == pytest.approx(1e-7)
-
-    def test_cannot_go_backwards(self):
-        with pytest.raises(ValueError):
-            SimClock().advance(-1.0)
-
-    def test_reset(self):
-        clock = SimClock(5)
-        clock.advance(10)
-        clock.reset()
-        assert clock.now_ns == 0.0
-
-    def test_concurrent_advances_sum(self):
-        clock = SimClock()
-        threads = [
-            threading.Thread(target=lambda: [clock.advance(1.0) for _ in range(1000)])
-            for _ in range(4)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert clock.now_ns == pytest.approx(4000.0)
+from repro.hardware.simclock import CostAccumulator, ResourceUsage
 
 
 class TestResourceUsage:

@@ -6,7 +6,6 @@ import queue
 import time
 
 from repro.bench.telemetry import (
-    DEFAULT_EVERY_OPS,
     ProgressAggregator,
     TelemetryChannel,
     open_channel,
@@ -15,7 +14,7 @@ from repro.bench.telemetry import (
 
 class TestTelemetryChannel:
     def make_local(self) -> TelemetryChannel:
-        return TelemetryChannel(queue.Queue(), every_ops=100)
+        return TelemetryChannel(queue.Queue())
 
     def test_emit_enqueues_event(self):
         channel = self.make_local()
@@ -38,10 +37,6 @@ class TestTelemetryChannel:
         channel = TelemetryChannel(BrokenQueue())
         channel.emit("progress", done=1)  # must not raise
 
-    def test_every_ops_floored_at_one(self):
-        assert TelemetryChannel(queue.Queue(), every_ops=0).every_ops == 1
-        assert TelemetryChannel(queue.Queue()).every_ops == DEFAULT_EVERY_OPS
-
     def test_progress_callback_carries_label(self):
         channel = self.make_local()
         progress = channel.progress_callback("fig6/cell")
@@ -58,11 +53,10 @@ class TestTelemetryChannel:
         # instead of failing the chunk submission.
         clone = pickle.loads(pickle.dumps(self.make_local()))
         assert clone.queue is None
-        assert clone.every_ops == 100
         clone.emit("progress", done=1)  # no-op, no raise
 
     def test_open_channel_pickles_with_live_queue(self):
-        channel = open_channel(every_ops=50)
+        channel = open_channel()
         try:
             if channel.queue.__class__.__module__.startswith("queue"):
                 # Manager unavailable in this sandbox: the fallback
@@ -83,7 +77,7 @@ class TestTelemetryChannel:
 
 
 def make_aggregator() -> ProgressAggregator:
-    channel = TelemetryChannel(queue.Queue(), every_ops=10)
+    channel = TelemetryChannel(queue.Queue())
     return ProgressAggregator(channel, stream=io.StringIO(),
                               render_interval=0.01)
 
@@ -142,7 +136,7 @@ class TestProgressAggregatorState:
 class TestProgressAggregatorThread:
     def test_drains_queue_and_stops(self):
         stream = io.StringIO()
-        channel = TelemetryChannel(queue.Queue(), every_ops=10)
+        channel = TelemetryChannel(queue.Queue())
         agg = ProgressAggregator(channel, stream=stream,
                                  render_interval=0.01).start()
         channel.emit("cell_start", cell="c", expected_ops=10)
@@ -168,7 +162,7 @@ class TestStatusLineCleanup:
         import threading
 
         stream = io.StringIO()
-        channel = TelemetryChannel(queue.Queue(), every_ops=10)
+        channel = TelemetryChannel(queue.Queue())
         agg = ProgressAggregator(channel, stream=stream,
                                  render_interval=0.0).start()
         channel.emit("cell_start", cell="c", expected_ops=10)
@@ -188,7 +182,7 @@ class TestStatusLineCleanup:
 
     def test_stop_clears_line_before_summary(self):
         stream = io.StringIO()
-        channel = TelemetryChannel(queue.Queue(), every_ops=10)
+        channel = TelemetryChannel(queue.Queue())
         agg = ProgressAggregator(channel, stream=stream,
                                  render_interval=0.0).start()
         channel.emit("cell_start", cell="c", expected_ops=10)

@@ -27,6 +27,12 @@ from repro.workloads.ycsb import MIXES
 
 SMALL_SHAPE = HierarchyShape(dram_gb=1.0, nvm_gb=4.0, ssd_gb=64.0)
 SMALL_EFFORT = Effort(warmup_ops=500, measure_ops=1500)
+TWO_TENANTS = (
+    TenantSpec(name="oltp", mix="YCSB-BA", skew=0.9,
+               db_gigabytes=0.5, seed=7),
+    TenantSpec(name="scan", mix="YCSB-RO", skew=0.0,
+               db_gigabytes=4.0, weight=2.0, seed=11),
+)
 
 
 # ----------------------------------------------------------------------
@@ -34,7 +40,7 @@ SMALL_EFFORT = Effort(warmup_ops=500, measure_ops=1500)
 # ----------------------------------------------------------------------
 class TestTenancyConfig:
     def test_single_is_unenforced(self):
-        config = TenancyConfig.single()
+        config = TenancyConfig()
         assert config.num_tenants == 1
         assert config.quota_mode is QuotaMode.NONE
 
@@ -326,29 +332,37 @@ def measure_direct(tenancy):
 class TestSingleTenantIdentity:
     def test_core_costs_and_stats_identical(self):
         baseline = measure_direct(None)
-        tagged = measure_direct(TenancyConfig.single())
+        tagged = measure_direct(TenancyConfig())
         assert baseline == tagged
 
     def test_single_tenant_queue_is_the_managers(self):
         hierarchy = StorageHierarchy(SMALL_SHAPE, DEFAULT_SCALE)
         bm = BufferManager(
             hierarchy, SPITFIRE_LAZY,
-            BufferManagerConfig(seed=42, tenancy=TenancyConfig.single()),
+            BufferManagerConfig(seed=42, tenancy=TenancyConfig()),
         )
         if bm.tenancy.admission_queues:
             assert bm.tenancy.admission_queues[0] is bm.admission_queue
 
     def test_tagged_cell_matches_untagged(self):
-        cell = Cell.ycsb("identity", SMALL_SHAPE, SPITFIRE_LAZY,
-                         "YCSB-BA", 2.0, effort=SMALL_EFFORT,
-                         extra_worker_counts=())
-        baseline = run_cells([cell])[0]
-        with run_options(track_tenants=True):
-            tagged = run_cells([cell])[0]
-        assert baseline.throughput == tagged.throughput
-        assert baseline.stats == tagged.stats
-        assert set(tagged.tenant_breakdown) == {0}
-        assert baseline.tenant_breakdown is None
+        """A one-tenant population is the single-stream cell, tagged:
+        same stream, same simulated numbers, plus a tenant-0 breakdown,
+        per-op and batched."""
+        untagged = Cell.ycsb("identity", SMALL_SHAPE, SPITFIRE_LAZY,
+                             "YCSB-BA", 2.0, effort=SMALL_EFFORT,
+                             extra_worker_counts=(), workload_seed=5)
+        tagged = Cell.multi_tenant(
+            "identity", SMALL_SHAPE, SPITFIRE_LAZY,
+            (TenantSpec("only", mix="YCSB-BA", db_gigabytes=2.0, seed=5),),
+            effort=SMALL_EFFORT, extra_worker_counts=())
+        for batch_size in (1, 1024):
+            with run_options(batch_size=batch_size):
+                baseline, result = run_cells([untagged, tagged])
+            assert baseline.throughput == result.throughput
+            assert baseline.stats == result.stats
+            assert baseline.resource_usage == result.resource_usage
+            assert set(result.tenant_breakdown) == {0}
+            assert baseline.tenant_breakdown is None
 
 
 # ----------------------------------------------------------------------
@@ -389,35 +403,47 @@ def reconcile(result):
     )
 
 
+def one_tenant_cell(label: str, mix: str) -> Cell:
+    return Cell.multi_tenant(
+        label, SMALL_SHAPE, SPITFIRE_LAZY,
+        (TenantSpec("only", mix=mix, db_gigabytes=2.0, seed=3),),
+        effort=SMALL_EFFORT, extra_worker_counts=())
+
+
 class TestMetricsReconciliation:
     @pytest.mark.parametrize("mix", sorted(MIXES))
     @pytest.mark.parametrize("batch_size", [1, 1024])
     def test_tenant_sums_equal_global_totals(self, mix, batch_size):
-        cell = Cell.ycsb(
-            f"recon/{mix}/b{batch_size}", SMALL_SHAPE, SPITFIRE_LAZY,
-            mix, 2.0, effort=SMALL_EFFORT, extra_worker_counts=(),
-        )
-        with run_options(collect_metrics=True, track_tenants=True,
-                         batch_size=batch_size):
-            result = run_cells([cell])[0]
-        (global_buckets, global_sum), (tenant_buckets, tenant_sum) = \
-            reconcile(result)
-        assert tenant_buckets == global_buckets
-        assert tenant_sum == pytest.approx(global_sum, rel=1e-9)
-        assert sum(tenant_buckets) == SMALL_EFFORT.measure_ops
+        cells = [
+            one_tenant_cell(f"recon/{mix}/b{batch_size}", mix),
+            Cell.multi_tenant(
+                f"recon/{mix}+scan/b{batch_size}", SMALL_SHAPE,
+                SPITFIRE_LAZY,
+                (TenantSpec("lead", mix=mix, db_gigabytes=0.5, seed=7),
+                 TWO_TENANTS[1]),
+                effort=SMALL_EFFORT, extra_worker_counts=()),
+        ]
+        with run_options(collect_metrics=True, batch_size=batch_size):
+            results = run_cells(cells)
+        for result, tenants in zip(results, ({0}, {0, 1})):
+            (global_buckets, global_sum), (tenant_buckets, tenant_sum) = \
+                reconcile(result)
+            assert tenant_buckets == global_buckets
+            assert tenant_sum == pytest.approx(global_sum, rel=1e-9)
+            assert sum(tenant_buckets) == SMALL_EFFORT.measure_ops
+            assert set(result.tenant_breakdown) == tenants
 
     @pytest.mark.parametrize("batch_size", [1, 1024])
     def test_reconciles_identically_at_any_parallelism(self, batch_size):
         cells = [
-            Cell.ycsb(
-                f"recon-par/{mix}/b{batch_size}", SMALL_SHAPE,
-                SPITFIRE_LAZY, mix, 2.0, effort=SMALL_EFFORT,
-                extra_worker_counts=(),
-            )
+            one_tenant_cell(f"recon-par/{mix}/b{batch_size}", mix)
             for mix in sorted(MIXES)
+        ] + [
+            Cell.multi_tenant(
+                f"recon-par/two/b{batch_size}", SMALL_SHAPE, SPITFIRE_LAZY,
+                TWO_TENANTS, effort=SMALL_EFFORT, extra_worker_counts=()),
         ]
-        with run_options(collect_metrics=True, track_tenants=True,
-                         batch_size=batch_size):
+        with run_options(collect_metrics=True, batch_size=batch_size):
             serial = run_cells(cells, jobs=1)
             parallel = run_cells(cells, jobs=4)
         for left, right in zip(serial, parallel):
@@ -427,6 +453,7 @@ class TestMetricsReconciliation:
                 reconcile(right)
             assert tenant_hist == global_hist
             assert tenant_sum == pytest.approx(global_sum, rel=1e-9)
+        assert set(parallel[-1].tenant_breakdown) == {0, 1}
 
     def test_untracked_runs_have_no_tenant_series(self):
         cell = Cell.ycsb("no-tenants", SMALL_SHAPE, SPITFIRE_LAZY,
@@ -441,12 +468,6 @@ class TestMetricsReconciliation:
 # ----------------------------------------------------------------------
 # Executor surface
 # ----------------------------------------------------------------------
-TWO_TENANTS = (
-    TenantSpec(name="oltp", mix="YCSB-BA", skew=0.9,
-               db_gigabytes=0.5, seed=7),
-    TenantSpec(name="scan", mix="YCSB-RO", skew=0.0,
-               db_gigabytes=4.0, weight=2.0, seed=11),
-)
 
 
 class TestExecutorTenancy:
