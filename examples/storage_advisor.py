@@ -11,8 +11,7 @@ Run:  python examples/storage_advisor.py [budget_dollars]
 
 import sys
 
-from repro import YCSB_WH, YcsbWorkload
-from repro.bench.harness import RunConfig, WorkloadRunner
+from repro.bench.executor import Cell, Effort
 from repro.design.grid_search import enumerate_shapes, grid_search
 from repro.hardware.specs import SimulationScale
 
@@ -24,14 +23,10 @@ WORKERS = 8
 def main() -> None:
     budget = float(sys.argv[1]) if len(sys.argv) > 1 else 1_000.0
 
-    def evaluate(hierarchy, bm):
-        workload = YcsbWorkload(
-            num_tuples=SCALE.pages(DB_GB) * 16, mix=YCSB_WH, skew=0.5, seed=3,
-        )
-        runner = WorkloadRunner(
-            bm, RunConfig(warmup_ops=4_000, measure_ops=8_000, workers=WORKERS)
-        )
-        return runner.measure_ycsb(workload).throughput
+    def cell_factory(shape, policy):
+        return Cell.ycsb(f"YCSB-WH/{shape.label}", shape, policy, "YCSB-WH",
+                         DB_GB, skew=0.5, effort=Effort(4_000, 8_000),
+                         scale=SCALE, workers=WORKERS, extra_worker_counts=())
 
     shapes = enumerate_shapes(
         dram_sizes_gb=(0.0, 4.0, 8.0, 32.0),
@@ -40,7 +35,7 @@ def main() -> None:
     )
     print(f"Evaluating {len(shapes)} candidate hierarchies on YCSB-WH "
           f"({DB_GB:.0f} GB database, {WORKERS} workers)...\n")
-    result = grid_search("YCSB-WH", evaluate, shapes=shapes, scale=SCALE)
+    result = grid_search("YCSB-WH", cell_factory, shapes=shapes)
 
     header = (f"{'hierarchy':<14} {'DRAM':>6} {'NVM':>6} {'cost $':>8} "
               f"{'kOps/s':>9} {'ops/s/$':>9}")

@@ -14,10 +14,7 @@ Expected shape: (a) the cost grid is linear in the device prices;
 
 from __future__ import annotations
 
-from ...design.grid_search import (
-    enumerate_shapes,
-    grid_search,
-)
+from ...design.grid_search import enumerate_shapes, grid_search
 from ...hardware.pricing import hierarchy_cost
 from ..reporting import ExperimentResult
 from .common import COARSE_SCALE, Cell, effort
@@ -50,8 +47,8 @@ def run(quick: bool = True, jobs: int = 1) -> ExperimentResult:
                              scale=COARSE_SCALE, workers=WORKERS,
                              extra_worker_counts=())
 
-        search = grid_search(workload, shapes=shapes, scale=COARSE_SCALE,
-                             cell_factory=cell_factory, jobs=jobs)
+        search = grid_search(workload, cell_factory, shapes=shapes,
+                             jobs=jobs)
         series = result.new_series(f"{workload} (ops/s/$)")
         for point in search.points:
             series.add(

@@ -11,13 +11,21 @@ Usage::
     repro-experiments --all --live       # streaming worker progress
     repro-experiments fig6 --trace-decisions 0.05 \\
         --metrics-out m.prom --decision-trace-out decisions.jsonl
-    repro-experiments serve-metrics fig6 --metrics-out m.prom
+    repro-experiments fig6 fig7 --metrics-port 0 --metrics-out m.prom
     repro-experiments serve --metrics-port 0 --slo-out slo.json
     repro-experiments serve-bench --seed 11 --ops 4000 --out slo.json
     repro-experiments serve-bench --overload   # bounded-p99 demo
     repro-experiments report results/run_summary.json
     repro-experiments report --diff OLD.json NEW.json
     repro-experiments chaos --seeds 1 7 --jobs 4 --out chaos.json --live
+
+One parser with five subcommands — ``run``, ``chaos``, ``serve``,
+``serve-bench`` and ``report`` — and ``run`` is the default: a command
+line that does not start with a subcommand is ``run``'s, so
+``repro-experiments fig6`` is ``repro-experiments run fig6``.  A flag
+that means the same thing to several subcommands (``--jobs``,
+``--live``, ``--metrics-port``, and ``--policy`` plus the admission
+flags of ``serve`` and ``serve-bench``) is declared once and shared.
 
 Each experiment prints a paper-style text table and (with ``--out``)
 writes a JSON result file for archival/plotting.  ``--metrics-out``
@@ -44,8 +52,8 @@ report is byte-identical for any ``--jobs`` value.
 The live telemetry plane rides strictly out-of-band of all of this:
 ``--live`` streams worker progress (cells running, phase, percent,
 ops/s, ETA) to stderr; ``--trace-decisions FRAC`` records a sampled
-trace of the migration engine's admit/deny decisions; the
-``serve-metrics`` subcommand exposes the Prometheus exporter over HTTP
+trace of the migration engine's admit/deny decisions;
+``--metrics-port PORT`` serves the merged Prometheus registry over HTTP
 *while the run executes* and asserts the final scrape is byte-for-byte
 the file export; the ``report`` subcommand renders the
 ``run_summary.json`` a run leaves under ``--out`` and diffs two
@@ -62,47 +70,237 @@ import contextlib
 import contextvars
 import dataclasses
 import json
+import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
 
 from .bench.experiments import REGISTRY
+from .core.policy import POLICY_PRESETS
+
+#: The subcommands; a command line that starts with anything else is
+#: ``run``'s.
+COMMANDS = ("run", "chaos", "serve", "serve-bench", "report")
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    if argv and argv[0] == "chaos":
-        return chaos_main(argv[1:])
-    if argv and argv[0] == "serve-metrics":
-        return serve_metrics_main(argv[1:])
-    if argv and argv[0] == "serve":
-        return serve_main(argv[1:])
-    if argv and argv[0] == "serve-bench":
-        return serve_bench_main(argv[1:])
-    if argv and argv[0] == "report":
-        return report_main(argv[1:])
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if not argv or argv[0] not in (*COMMANDS, "-h", "--help"):
+        argv = ["run", *argv]
+    args = build_parser().parse_args(argv)
+    return args.handler(args)
+
+
+def _checked(convert, accept, expected: str):
+    """An argparse ``type=``: convert, then refuse what ``accept`` does not
+    take, so a bad value is a one-line usage error and not a traceback."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(
+                f"expected {expected}, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _checked(int, lambda value: value > 0, "a positive integer")
+_positive_float = _checked(float, lambda value: 0 < value < math.inf,
+                           "a positive number")
+_probability = _checked(float, lambda value: 0 <= value <= 1,
+                        "a probability in [0, 1]")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The ``repro-experiments`` parser; each subcommand's ``handler``
+    takes its own parser (for usage errors) and the parsed arguments."""
+    jobs = argparse.ArgumentParser(add_help=False)
+    jobs.add_argument("--jobs", "-j", type=_positive_int, default=1,
+                      metavar="N",
+                      help="worker processes (default: 1; the output is "
+                           "byte-identical at any count)")
+    live = argparse.ArgumentParser(add_help=False)
+    live.add_argument("--live", action="store_true",
+                      help="stream progress (cells, phase, ops/s, ETA) to "
+                           "stderr while the run executes (the output is "
+                           "unchanged)")
+    metrics_port = argparse.ArgumentParser(add_help=False)
+    metrics_port.add_argument("--metrics-port", type=int, default=None,
+                              metavar="PORT",
+                              help="serve /metrics, /healthz, /readyz on "
+                                   "PORT (0 = pick free; default: no "
+                                   "endpoint)")
+    serving = argparse.ArgumentParser(add_help=False)
+    serving.add_argument("--policy", choices=tuple(POLICY_PRESETS),
+                           default="Spitfire-Eager",
+                           help="Table 3 policy preset (default: "
+                                "Spitfire-Eager)")
+    serving.add_argument("--max-queue-depth", type=_positive_int,
+                           default=64, metavar="N",
+                           help="per-tenant admitted-but-unfinished cap; "
+                                "beyond it arrivals shed (default: 64)")
+    serving.add_argument("--rate-limit", type=_positive_float,
+                           default=None, metavar="OPS_PER_S",
+                           help="per-tenant token-bucket rate (default: off)")
+    serving.add_argument("--no-admission", action="store_true",
+                           help="disable shedding (unbounded queueing; for "
+                                "the overload comparison only)")
+
     parser = argparse.ArgumentParser(
         prog="repro-experiments",
         description="Reproduce the Spitfire (SIGMOD '21) evaluation.",
+        epilog="Without a command the arguments are run's: "
+               "`repro-experiments fig6 fig7` is `repro-experiments run "
+               "fig6 fig7`.",
     )
-    _add_suite_arguments(parser)
-    parser.add_argument("--list", action="store_true",
-                        help="list available experiment ids")
-    parser.add_argument("--out", metavar="DIR",
-                        help="directory for JSON result files (plus a "
-                             "run_summary.json digest for the report "
-                             "subcommand)")
-    parser.add_argument("--metrics-out", metavar="PATH",
-                        help="collect per-cell metrics and write Prometheus "
-                             "text exposition to PATH (and a JSONL snapshot "
-                             "stream to PATH with a .jsonl suffix)")
-    parser.add_argument("--decision-trace-out", metavar="PATH",
-                        help="write the sampled decision spans as JSONL to "
-                             "PATH (implies per-cell collection; needs "
-                             "--trace-decisions to record anything)")
-    args = parser.parse_args(argv)
+    commands = parser.add_subparsers(dest="command", required=True,
+                                     metavar="COMMAND")
 
+    run = commands.add_parser(
+        "run", parents=[jobs, live, metrics_port],
+        help="regenerate tables and figures (the default)",
+        description="Regenerate the paper's tables and figures.")
+    run.set_defaults(handler=partial(_run, run))
+    run.add_argument("experiments", nargs="*",
+                     help="experiment ids (e.g. fig6 table2)")
+    run.add_argument("--all", action="store_true",
+                     help="run every experiment in paper order")
+    run.add_argument("--list", action="store_true",
+                     help="list available experiment ids")
+    run.add_argument("--full", action="store_true",
+                     help="full effort (longer runs, more points)")
+    run.add_argument("--trace-decisions", type=float, default=0.0,
+                     metavar="FRAC",
+                     help="record migration/admission/eviction decision "
+                          "spans for a hash-sampled page fraction "
+                          "(0 <= FRAC <= 1, 0 = off; result JSON is "
+                          "unchanged)")
+    run.add_argument("--out", metavar="DIR",
+                     help="directory for JSON result files (plus a "
+                          "run_summary.json digest for the report "
+                          "subcommand)")
+    run.add_argument("--metrics-out", metavar="PATH",
+                     help="collect per-cell metrics and write Prometheus "
+                          "text exposition to PATH (and a JSONL snapshot "
+                          "stream to PATH with a .jsonl suffix)")
+    run.add_argument("--decision-trace-out", metavar="PATH",
+                     help="write the sampled decision spans as JSONL to "
+                          "PATH (implies per-cell collection; needs "
+                          "--trace-decisions to record anything)")
+    run.add_argument("--metrics-host", default="127.0.0.1", metavar="HOST",
+                     help="bind address of --metrics-port (default: "
+                          "127.0.0.1)")
+
+    chaos = commands.add_parser(
+        "chaos", parents=[jobs, live],
+        help="the crash-consistency matrix",
+        description="Replay a deterministic workload, crashing at every "
+                    "consistency-relevant boundary, and assert the ACID "
+                    "invariant catalogue after recovery.")
+    chaos.set_defaults(handler=partial(_chaos, chaos))
+    chaos.add_argument("--seeds", type=int, nargs="+", default=[1, 7, 23],
+                       metavar="N", help="workload seeds (default: 1 7 23)")
+    chaos.add_argument("--policies", nargs="+",
+                       default=["DRAM_SSD", "SPITFIRE_LAZY", "SPITFIRE_EAGER"],
+                       metavar="P", help="migration policies to cover")
+    chaos.add_argument("--no-tail-faults", action="store_true",
+                       help="clean crashes only (skip torn-write, "
+                            "dropped-persist, and torn-page hazards)")
+    chaos.add_argument("--read-error-rate", type=_probability, default=0.0,
+                       metavar="R", help="live transient read-fault rate "
+                                         "during the workload (default: 0)")
+    chaos.add_argument("--write-error-rate", type=_probability, default=0.0,
+                       metavar="R", help="live transient write-fault rate "
+                                         "during the workload (default: 0)")
+    chaos.add_argument("--out", metavar="PATH",
+                       help="write the JSON report to PATH")
+
+    serve = commands.add_parser(
+        "serve", parents=[serving, metrics_port],
+        help="the live serving plane",
+        description="Serve one shared three-tier buffer manager to "
+                    "concurrent client sessions until SIGTERM.")
+    serve.set_defaults(handler=partial(_serve, serve))
+    serve.add_argument("--host", default="127.0.0.1",
+                       help="bind address (default: 127.0.0.1)")
+    serve.add_argument("--port", type=int, default=0,
+                       help="port to serve on (default: 0 = pick free)")
+    serve.add_argument("--dram-gb", type=float, default=0.5)
+    serve.add_argument("--nvm-gb", type=float, default=2.0)
+    serve.add_argument("--ssd-gb", type=float, default=8.0)
+    serve.add_argument("--tenants", type=_positive_int, default=4,
+                       metavar="N",
+                       help="tenant count sessions may hello as "
+                            "(default: 4)")
+    serve.add_argument("--seed", type=int, default=42)
+    serve.add_argument("--slo-out", metavar="PATH",
+                       help="write the shutdown SLO report to PATH")
+    serve.add_argument("--fault-seed", type=int, default=None, metavar="N",
+                       help="inject seeded device faults under the live "
+                            "load (chaos mode)")
+    serve.add_argument("--fault-rate", type=_probability, default=0.01,
+                       metavar="R",
+                       help="transient read/write fault rate in chaos "
+                            "mode (default: 0.01)")
+
+    bench = commands.add_parser(
+        "serve-bench", parents=[jobs, serving],
+        help="deterministic serving SLOs in virtual time",
+        description="Measure serving SLOs (latency quantiles, shed "
+                    "rate, goodput) deterministically in virtual time.")
+    bench.set_defaults(handler=partial(_serve_bench, bench))
+    bench.add_argument("--seed", type=int, default=11)
+    bench.add_argument("--ops", type=_positive_int, default=4_000,
+                       metavar="N",
+                       help="total arrivals across the fleet "
+                            "(default: 4000)")
+    bench.add_argument("--rate", type=_positive_float, default=40_000.0,
+                       metavar="OPS_PER_S",
+                       help="aggregate arrival rate (default: 40000)")
+    bench.add_argument("--overload", action="store_true",
+                       help="run the overload comparison: admission on vs "
+                            "off, arrivals far past the service capacity")
+    bench.add_argument("--out", metavar="PATH",
+                       help="write the SLO report JSON to PATH")
+
+    report = commands.add_parser(
+        "report", help="render a run summary or diff two reports",
+        description="Render a run_summary.json digest, or --diff two "
+                    "BENCH_repro.json-style reports into a regression "
+                    "table (exit 1 on regressions).")
+    report.set_defaults(handler=partial(_report, report))
+    report.add_argument("summary", nargs="?",
+                        help="run_summary.json written by a --out run")
+    report.add_argument("--diff", nargs=2, metavar=("OLD", "NEW"),
+                        help="diff two BENCH_repro.json-style files")
+    report.add_argument("--tolerance", type=float, default=0.10,
+                        metavar="FRAC",
+                        help="relative move a direction-aware metric may "
+                             "make before --diff flags it (default: 0.10)")
+    report.add_argument("--show-unchanged", action="store_true",
+                        help="include rows within tolerance in the table")
+    return parser
+
+
+# ----------------------------------------------------------------------
+# run
+# ----------------------------------------------------------------------
+def _run(parser, args) -> int:
+    """``repro-experiments [run]``: regenerate tables and figures.
+
+    With ``--metrics-port`` the merged registry of every cell finished
+    so far is served over HTTP while the run executes.  The endpoint
+    renders the per-experiment sinks in paper order — the same list the
+    file export merges — so after the run the final scrape is asserted
+    byte-for-byte equal to the file export (``--metrics-out``) or to
+    the in-memory rendering, and a mismatch fails the command.
+    """
     if args.list:
         for experiment_id in REGISTRY:
             print(experiment_id)
@@ -113,13 +311,27 @@ def main(argv: list[str] | None = None) -> int:
 
     from .bench import executor
 
-    collect = bool(args.metrics_out or args.decision_trace_out)
+    endpoint = args.metrics_port is not None
+    collect = bool(args.metrics_out or args.decision_trace_out or endpoint)
+    # One metrics sink per experiment, filled in paper order.
+    sinks: list[list] = [[] for _ in chosen]
     aggregator = None
     with contextlib.ExitStack() as stack:
         stack.enter_context(executor.run_options(options))
         if args.live:
             aggregator = _attach_live(stack)
-        sink, records = _run_experiments(chosen, args, collect=collect)
+        if endpoint:
+            from .obs.server import MetricsServer
+
+            server = stack.enter_context(MetricsServer(
+                lambda: _prometheus_text(_concat(sinks)),
+                host=args.metrics_host, port=args.metrics_port))
+            print(f"   serving live metrics at {server.url}")
+        records = _run_experiments(chosen, args, sinks, collect)
+        if endpoint:
+            final_scrape = server.scrape()
+            served = server.requests_served
+    sink = _concat(sinks)
     if args.metrics_out:
         _export_metrics(args.metrics_out, sink)
     if args.decision_trace_out:
@@ -127,7 +339,15 @@ def main(argv: list[str] | None = None) -> int:
     if args.out:
         _write_run_summary(args.out, records, sink if collect else None,
                            aggregator)
-    return 0
+    if not endpoint:
+        return 0
+    expected = (Path(args.metrics_out).read_text() if args.metrics_out
+                else _prometheus_text(sink))
+    matches = final_scrape == expected
+    print(f"   served {served} scrape(s); final scrape "
+          f"{'==' if matches else '!='} "
+          f"{'file export' if args.metrics_out else 'merged registry'}")
+    return 0 if matches else 1
 
 
 def _resolve_chosen(parser, args) -> list[str]:
@@ -141,28 +361,6 @@ def _resolve_chosen(parser, args) -> list[str]:
             f"choose from {', '.join(REGISTRY)}"
         )
     return chosen
-
-
-def _add_suite_arguments(parser) -> None:
-    """What to run and what to attach: ``main`` and ``serve-metrics``."""
-    parser.add_argument("experiments", nargs="*",
-                        help="experiment ids (e.g. fig6 table2)")
-    parser.add_argument("--all", action="store_true",
-                        help="run every experiment in paper order")
-    parser.add_argument("--full", action="store_true",
-                        help="full effort (longer runs, more points)")
-    parser.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
-                        help="worker processes per experiment (default: 1; "
-                             "results are identical at any job count)")
-    parser.add_argument("--live", action="store_true",
-                        help="stream worker progress (cells, phase, ops/s, "
-                             "ETA) to stderr while the run executes")
-    parser.add_argument("--trace-decisions", type=float, default=0.0,
-                        metavar="FRAC",
-                        help="record migration/admission/eviction decision "
-                             "spans for a hash-sampled page fraction "
-                             "(0 <= FRAC <= 1, 0 = off; result JSON is "
-                             "unchanged)")
 
 
 def options_from_args(parser, args):
@@ -197,14 +395,27 @@ def _attach_live(stack: contextlib.ExitStack):
     return aggregator
 
 
-def _run_experiments(chosen: list[str], args,
-                     collect: bool) -> tuple[list, list]:
-    """Run the selected experiments.
+def _concat(sinks: list[list]) -> list:
+    """The per-experiment sinks as one ``(label, RunResult)`` list, in
+    paper order (each copied, so a sink may grow while it is read)."""
+    return [pair for sink in sinks for pair in list(sink)]
 
-    Returns ``(sink, records)``: the merged metrics sink (``(label,
-    RunResult)`` pairs in paper order) and one summary record per
-    experiment (id, title, wall time, series/point counts, decision
-    digest) for the run summary.
+
+def _prometheus_text(sink) -> str:
+    from .obs.export import merge_snapshots, prometheus_text
+
+    return prometheus_text(merge_snapshots(result.metrics
+                                           for _, result in sink))
+
+
+def _run_experiments(chosen: list[str], args, sinks: list[list],
+                     collect: bool) -> list:
+    """Run the selected experiments; returns one summary record each.
+
+    With ``collect``, experiment ``i`` gathers its cells' metrics into
+    ``sinks[i]`` (``(label, RunResult)`` pairs, filled as its batches
+    finish).  A record holds id, title, wall time, series/point counts
+    and decision digest, for the run summary.
 
     One experiment (or ``--jobs 1``) runs inline.  Several experiments
     with ``--jobs N`` open a suite-wide run session: the persistent
@@ -212,19 +423,18 @@ def _run_experiments(chosen: list[str], args,
     list concurrently so the shared pool schedules cells from multiple
     figures as one batch.  Each driver collects metrics into its own
     per-experiment sink; concatenating the sinks in paper order makes
-    the merged export byte-identical to a sequential run.  Passing
-    ``collect=False`` leaves any *ambient* metrics scope in charge
-    (``serve-metrics`` enters one around the whole suite so the live
-    endpoint sees cells as they finish).
+    the merged export byte-identical to a sequential run.
     """
     from .bench import executor
 
     quick = not args.full
 
-    def drive(experiment_id: str):
+    def drive(index: int, experiment_id: str):
         started = time.time()
-        with (executor.metrics_collection() if collect
-              else contextlib.nullcontext([])) as sink:
+        with contextlib.ExitStack() as scope:
+            if collect:
+                sinks[index] = scope.enter_context(
+                    executor.metrics_collection())
             result = REGISTRY[experiment_id](quick=quick, jobs=args.jobs)
         record = {
             "experiment_id": experiment_id,
@@ -233,10 +443,10 @@ def _run_experiments(chosen: list[str], args,
             "series": len(result.series),
             "points": sum(len(s.points) for s in result.series.values()),
         }
-        digest = _decision_digest(sink)
+        digest = _decision_digest(sinks[index])
         if digest is not None:
             record["decisions"] = digest
-        return result, sink, record
+        return result, record
 
     def emit(experiment_id: str, result, record: dict) -> None:
         print(result.render())
@@ -245,7 +455,6 @@ def _run_experiments(chosen: list[str], args,
             path = result.save_json(args.out)
             print(f"   saved {path}")
 
-    merged: list = []
     records: list = []
     if args.jobs > 1 and len(chosen) > 1:
         with executor.run_session(jobs=args.jobs) as session:
@@ -256,22 +465,20 @@ def _run_experiments(chosen: list[str], args,
             with ThreadPoolExecutor(max_workers=drivers) as threads:
                 futures = [
                     threads.submit(contextvars.copy_context().run, drive,
-                                   experiment_id)
-                    for experiment_id in chosen
+                                   index, experiment_id)
+                    for index, experiment_id in enumerate(chosen)
                 ]
                 for experiment_id, future in zip(chosen, futures):
-                    result, sink, record = future.result()
+                    result, record = future.result()
                     emit(experiment_id, result, record)
-                    merged.extend(sink)
                     records.append(record)
             print(f"   [{session.describe()}]")
     else:
-        for experiment_id in chosen:
-            result, sink, record = drive(experiment_id)
+        for index, experiment_id in enumerate(chosen):
+            result, record = drive(index, experiment_id)
             emit(experiment_id, result, record)
-            merged.extend(sink)
             records.append(record)
-    return merged, records
+    return records
 
 
 def _decision_digest(sink) -> dict | None:
@@ -295,91 +502,6 @@ def _decision_digest(sink) -> dict | None:
         "spans_dropped": dropped,
         "sample_fraction": fraction,
     }
-
-
-def chaos_main(argv: list[str]) -> int:
-    """``repro-experiments chaos``: the crash-consistency matrix."""
-    parser = argparse.ArgumentParser(
-        prog="repro-experiments chaos",
-        description="Replay a deterministic workload, crashing at every "
-                    "consistency-relevant boundary, and assert the ACID "
-                    "invariant catalogue after recovery.",
-    )
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 7, 23],
-                        metavar="N", help="workload seeds (default: 1 7 23)")
-    parser.add_argument("--seed", type=int, default=None, metavar="N",
-                        help="shorthand for a single-seed run")
-    parser.add_argument("--policies", nargs="+",
-                        default=["DRAM_SSD", "SPITFIRE_LAZY", "SPITFIRE_EAGER"],
-                        metavar="P", help="migration policies to cover")
-    parser.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
-                        help="worker processes (default: 1; the report is "
-                             "byte-identical at any job count)")
-    parser.add_argument("--no-tail-faults", action="store_true",
-                        help="clean crashes only (skip torn-write, "
-                             "dropped-persist, and torn-page hazards)")
-    parser.add_argument("--read-error-rate", type=float, default=0.0,
-                        metavar="R", help="live transient read-fault rate "
-                                          "during the workload (default: 0)")
-    parser.add_argument("--write-error-rate", type=float, default=0.0,
-                        metavar="R", help="live transient write-fault rate "
-                                          "during the workload (default: 0)")
-    parser.add_argument("--out", metavar="PATH",
-                        help="write the JSON report to PATH")
-    parser.add_argument("--live", action="store_true",
-                        help="stream per-case progress to stderr while the "
-                             "matrix runs (the report is unchanged)")
-    args = parser.parse_args(argv)
-
-    from .faults.crashpoints import (
-        POLICIES,
-        render_matrix_json,
-        run_crash_matrix,
-    )
-
-    unknown = [p for p in args.policies if p not in POLICIES]
-    if unknown:
-        parser.error(
-            f"unknown policy(ies): {', '.join(unknown)}; "
-            f"choose from {', '.join(POLICIES)}"
-        )
-    seeds = [args.seed] if args.seed is not None else args.seeds
-
-    from .bench import executor
-
-    started = time.time()
-    # The crash matrix shares the suite's persistent pool: a session
-    # warms it once up front, then every CrashCase flows through it as
-    # chunked tasks (the report stays byte-identical at any --jobs).
-    with contextlib.ExitStack() as stack:
-        if args.live:
-            _attach_live(stack)
-        stack.enter_context(executor.run_session(jobs=args.jobs))
-        report = run_crash_matrix(
-            policies=tuple(args.policies),
-            seeds=tuple(seeds),
-            jobs=args.jobs,
-            with_tail_faults=not args.no_tail_faults,
-            read_error_rate=args.read_error_rate,
-            write_error_rate=args.write_error_rate,
-        )
-    elapsed = time.time() - started
-
-    kinds = ", ".join(f"{kind}={count}"
-                      for kind, count in report["boundary_kinds"].items())
-    print(f"chaos: {report['total_cases']} crash case(s) over "
-          f"{len(report['policies'])} policy(ies) x "
-          f"{len(report['seeds'])} seed(s)  [{elapsed:.1f}s]")
-    print(f"   boundaries: {kinds}")
-    if report["ok"]:
-        print("   all invariants held: OK")
-    else:
-        for case_id in report["failures"]:
-            print(f"   FAILED {case_id}")
-    if args.out:
-        Path(args.out).write_text(render_matrix_json(report) + "\n")
-        print(f"   saved {args.out}")
-    return 0 if report["ok"] else 1
 
 
 def _export_metrics(out_path: str, sink) -> None:
@@ -449,73 +571,77 @@ def _write_run_summary(out_dir: str, records: list, sink,
     print(f"   saved {path}")
 
 
-def serve_metrics_main(argv: list[str]) -> int:
-    """``repro-experiments serve-metrics``: live Prometheus endpoint.
-
-    Runs the selected experiments with one suite-wide metrics scope and
-    serves the merged registry over HTTP *while they execute* — every
-    scrape sees all cells finished so far.  After the run, the final
-    scrape is asserted byte-for-byte equal to the file export (when
-    ``--metrics-out`` is given) or to the in-memory rendering, and a
-    mismatch fails the command — the contract CI smoke-tests.
-    """
-    parser = argparse.ArgumentParser(
-        prog="repro-experiments serve-metrics",
-        description="Run experiments while serving the Prometheus "
-                    "exporter over HTTP, scrapable live mid-run.",
+# ----------------------------------------------------------------------
+# chaos
+# ----------------------------------------------------------------------
+def _chaos(parser, args) -> int:
+    """``repro-experiments chaos``: the crash-consistency matrix."""
+    from .faults.crashpoints import (
+        POLICIES,
+        render_matrix_json,
+        run_crash_matrix,
     )
-    _add_suite_arguments(parser)
-    parser.add_argument("--host", default="127.0.0.1",
-                        help="bind address (default: 127.0.0.1)")
-    parser.add_argument("--port", type=int, default=0,
-                        help="port to serve on (default: 0 = pick free)")
-    parser.add_argument("--out", metavar="DIR",
-                        help="directory for JSON result files")
-    parser.add_argument("--metrics-out", metavar="PATH",
-                        help="also write the final export to PATH and "
-                             "assert the last scrape equals it exactly")
-    args = parser.parse_args(argv)
 
-    chosen = _resolve_chosen(parser, args)
-    options = options_from_args(parser, args)
+    unknown = [p for p in args.policies if p not in POLICIES]
+    if unknown:
+        parser.error(
+            f"unknown policy(ies): {', '.join(unknown)}; "
+            f"choose from {', '.join(POLICIES)}"
+        )
 
     from .bench import executor
-    from .obs.export import merge_snapshots, prometheus_text
-    from .obs.server import MetricsServer
 
+    started = time.time()
+    # The crash matrix shares the suite's persistent pool: a session
+    # warms it once up front, then every CrashCase flows through it as
+    # chunked tasks (the report stays byte-identical at any --jobs).
     with contextlib.ExitStack() as stack:
-        stack.enter_context(executor.run_options(options))
-        # One suite-wide metrics scope: the pool appends each finished
-        # cell to this sink, so the provider renders a growing registry.
-        sink = stack.enter_context(executor.metrics_collection())
-
-        def provider() -> str:
-            return prometheus_text(
-                merge_snapshots(result.metrics for _, result in list(sink)))
-
-        server = stack.enter_context(
-            MetricsServer(provider, host=args.host, port=args.port))
-        print(f"   serving live metrics at {server.url}")
         if args.live:
             _attach_live(stack)
-        _run_experiments(chosen, args, collect=False)
-        final_scrape = server.scrape()
-        served = server.requests_served
-    expected = provider()
-    if args.metrics_out:
-        _export_metrics(args.metrics_out, sink)
-        expected = Path(args.metrics_out).read_text()
-    matches = final_scrape == expected
-    print(f"   served {served} scrape(s); final scrape "
-          f"{'==' if matches else '!='} "
-          f"{'file export' if args.metrics_out else 'merged registry'}")
-    if not matches:
-        print("   SERVE-METRICS FAILED: final scrape diverged from the "
-              "export")
-    return 0 if matches else 1
+        stack.enter_context(executor.run_session(jobs=args.jobs))
+        report = run_crash_matrix(
+            policies=tuple(args.policies),
+            seeds=tuple(args.seeds),
+            jobs=args.jobs,
+            with_tail_faults=not args.no_tail_faults,
+            read_error_rate=args.read_error_rate,
+            write_error_rate=args.write_error_rate,
+        )
+    elapsed = time.time() - started
+
+    kinds = ", ".join(f"{kind}={count}"
+                      for kind, count in report["boundary_kinds"].items())
+    print(f"chaos: {report['total_cases']} crash case(s) over "
+          f"{len(report['policies'])} policy(ies) x "
+          f"{len(report['seeds'])} seed(s)  [{elapsed:.1f}s]")
+    print(f"   boundaries: {kinds}")
+    if report["ok"]:
+        print("   all invariants held: OK")
+    else:
+        for case_id in report["failures"]:
+            print(f"   FAILED {case_id}")
+    if args.out:
+        Path(args.out).write_text(render_matrix_json(report) + "\n")
+        print(f"   saved {args.out}")
+    return 0 if report["ok"] else 1
 
 
-def serve_main(argv: list[str]) -> int:
+# ----------------------------------------------------------------------
+# serve and serve-bench
+# ----------------------------------------------------------------------
+def _admission(args):
+    """The one :class:`AdmissionConfig` ``serve`` and ``serve-bench``
+    build from their shared flags."""
+    from .serve.admission import AdmissionConfig
+
+    return AdmissionConfig(
+        max_queue_depth=args.max_queue_depth,
+        rate_ops_per_s=args.rate_limit,
+        enabled=not args.no_admission,
+    )
+
+
+def _serve(parser, args) -> int:
     """``repro-experiments serve``: the live serving plane.
 
     Starts one shared buffer manager behind the asyncio stream server
@@ -524,54 +650,10 @@ def serve_main(argv: list[str]) -> int:
     admission flips to drain mode, in-flight dispatch finishes, dirty
     pages flush, and a final SLO report covers everything served.
     """
-    parser = argparse.ArgumentParser(
-        prog="repro-experiments serve",
-        description="Serve one shared three-tier buffer manager to "
-                    "concurrent client sessions until SIGTERM.",
-    )
-    parser.add_argument("--host", default="127.0.0.1",
-                        help="bind address (default: 127.0.0.1)")
-    parser.add_argument("--port", type=int, default=0,
-                        help="port to serve on (default: 0 = pick free)")
-    parser.add_argument("--policy", default="Spitfire-Eager",
-                        help="Table 3 policy preset (default: "
-                             "Spitfire-Eager)")
-    parser.add_argument("--dram-gb", type=float, default=0.5)
-    parser.add_argument("--nvm-gb", type=float, default=2.0)
-    parser.add_argument("--ssd-gb", type=float, default=8.0)
-    parser.add_argument("--tenants", type=int, default=4, metavar="N",
-                        help="tenant count sessions may hello as "
-                             "(default: 4)")
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--max-queue-depth", type=int, default=64,
-                        metavar="N",
-                        help="per-tenant admitted-but-unfinished cap; "
-                             "beyond it arrivals shed (default: 64)")
-    parser.add_argument("--rate-limit", type=float, default=None,
-                        metavar="OPS_PER_S",
-                        help="per-tenant token-bucket rate (default: off)")
-    parser.add_argument("--no-admission", action="store_true",
-                        help="disable shedding (unbounded queueing; for "
-                             "the overload comparison only)")
-    parser.add_argument("--metrics-port", type=int, default=None,
-                        metavar="PORT",
-                        help="serve /metrics, /healthz, /readyz on PORT "
-                             "(0 = pick free; default: no endpoint)")
-    parser.add_argument("--slo-out", metavar="PATH",
-                        help="write the shutdown SLO report to PATH")
-    parser.add_argument("--fault-seed", type=int, default=None, metavar="N",
-                        help="inject seeded device faults under the live "
-                             "load (chaos mode)")
-    parser.add_argument("--fault-rate", type=float, default=0.01,
-                        metavar="R",
-                        help="transient read/write fault rate in chaos "
-                             "mode (default: 0.01)")
-    args = parser.parse_args(argv)
-
     import asyncio
 
     from .faults.plan import FaultPlan
-    from .serve import AdmissionConfig, ServeConfig, SpitfireServer
+    from .serve import ServeConfig, SpitfireServer
     from .serve.slo import render_slo_report
 
     fault_plan = None
@@ -591,11 +673,7 @@ def serve_main(argv: list[str]) -> int:
         ssd_gb=args.ssd_gb,
         num_tenants=args.tenants,
         seed=args.seed,
-        admission=AdmissionConfig(
-            max_queue_depth=args.max_queue_depth,
-            rate_ops_per_s=args.rate_limit,
-            enabled=not args.no_admission,
-        ),
+        admission=_admission(args),
         fault_plan=fault_plan,
         metrics_port=args.metrics_port,
         slo_out=args.slo_out,
@@ -625,7 +703,7 @@ def serve_main(argv: list[str]) -> int:
     return 0
 
 
-def serve_bench_main(argv: list[str]) -> int:
+def _serve_bench(parser, args) -> int:
     """``repro-experiments serve-bench``: deterministic serving SLOs.
 
     The serving plane measured in virtual time: a seeded open-loop
@@ -640,50 +718,14 @@ def serve_bench_main(argv: list[str]) -> int:
         run_overload_experiment,
         run_serve_bench,
     )
-    from .serve.admission import AdmissionConfig
     from .serve.slo import render_slo_report, slo_report_json
-
-    parser = argparse.ArgumentParser(
-        prog="repro-experiments serve-bench",
-        description="Measure serving SLOs (latency quantiles, shed "
-                    "rate, goodput) deterministically in virtual time.",
-    )
-    parser.add_argument("--seed", type=int, default=11)
-    parser.add_argument("--ops", type=int, default=4_000, metavar="N",
-                        help="total arrivals across the fleet "
-                             "(default: 4000)")
-    parser.add_argument("--rate", type=float, default=40_000.0,
-                        metavar="OPS_PER_S",
-                        help="aggregate arrival rate (default: 40000)")
-    parser.add_argument("--policy", default="Spitfire-Eager")
-    parser.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
-                        help="schedule-generation workers (default: 1; "
-                             "the report is byte-identical at any count)")
-    parser.add_argument("--max-queue-depth", type=int, default=64,
-                        metavar="N")
-    parser.add_argument("--rate-limit", type=float, default=None,
-                        metavar="OPS_PER_S",
-                        help="per-tenant token-bucket rate (default: off)")
-    parser.add_argument("--no-admission", action="store_true",
-                        help="disable shedding (unbounded queueing)")
-    parser.add_argument("--overload", action="store_true",
-                        help="run the overload comparison (admission on "
-                             f"vs off at {OVERLOAD_FACTOR:g}x the arrival "
-                             "rate)")
-    parser.add_argument("--out", metavar="PATH",
-                        help="write the SLO report JSON to PATH")
-    args = parser.parse_args(argv)
 
     config = ServeBenchConfig(
         seed=args.seed,
         total_ops=args.ops,
         rate_ops_per_s=args.rate,
         policy=args.policy,
-        admission=AdmissionConfig(
-            max_queue_depth=args.max_queue_depth,
-            rate_ops_per_s=args.rate_limit,
-            enabled=not args.no_admission,
-        ),
+        admission=_admission(args),
     )
     started = time.time()
     if args.overload:
@@ -712,27 +754,12 @@ def serve_bench_main(argv: list[str]) -> int:
     return 0
 
 
-def report_main(argv: list[str]) -> int:
+# ----------------------------------------------------------------------
+# report
+# ----------------------------------------------------------------------
+def _report(parser, args) -> int:
     """``repro-experiments report``: render a run summary or diff two
     wall-clock reports."""
-    parser = argparse.ArgumentParser(
-        prog="repro-experiments report",
-        description="Render a run_summary.json digest, or --diff two "
-                    "BENCH_repro.json-style reports into a regression "
-                    "table (exit 1 on regressions).",
-    )
-    parser.add_argument("summary", nargs="?",
-                        help="run_summary.json written by a --out run")
-    parser.add_argument("--diff", nargs=2, metavar=("OLD", "NEW"),
-                        help="diff two BENCH_repro.json-style files")
-    parser.add_argument("--tolerance", type=float, default=0.10,
-                        metavar="FRAC",
-                        help="relative move a direction-aware metric may "
-                             "make before --diff flags it (default: 0.10)")
-    parser.add_argument("--show-unchanged", action="store_true",
-                        help="include rows within tolerance in the table")
-    args = parser.parse_args(argv)
-
     from .bench.reporting import (
         diff_bench_reports,
         render_bench_diff,

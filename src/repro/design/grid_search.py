@@ -12,16 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from ..core.buffer_manager import BufferManager, BufferManagerConfig
 from ..core.policy import (
     DRAM_SSD_POLICY,
     MigrationPolicy,
     NVM_SSD_POLICY,
     SPITFIRE_LAZY,
 )
-from ..hardware.cost_model import StorageHierarchy
 from ..hardware.pricing import HierarchyShape, hierarchy_cost, performance_per_price
-from ..hardware.specs import SimulationScale
 
 #: The paper's Fig. 14 grid axes.
 FIG14_DRAM_SIZES_GB = (0.0, 4.0, 8.0, 16.0, 32.0)
@@ -124,62 +121,32 @@ def enumerate_shapes(
 
 def grid_search(
     workload_name: str,
-    evaluate: Callable[[StorageHierarchy, BufferManager], float] | None = None,
+    cell_factory: Callable[[HierarchyShape, MigrationPolicy], "object"],
     shapes: list[HierarchyShape] | None = None,
-    scale: SimulationScale | None = None,
-    bm_config: BufferManagerConfig | None = None,
     policy_chooser: Callable[[HierarchyShape], MigrationPolicy] = policy_for_shape,
-    *,
-    cell_factory: Callable[[HierarchyShape, MigrationPolicy], "object"] | None = None,
     jobs: int = 1,
 ) -> DesignResult:
     """Evaluate every candidate hierarchy and rank by perf/price.
 
-    Two evaluation modes:
-
-    * ``evaluate`` (legacy, serial): receives a fresh hierarchy + buffer
-      manager and must return the measured throughput in ops/sec.
-    * ``cell_factory`` (parallel-capable): receives a shape and the
-      policy ``policy_chooser`` picks for it, and must return a
-      :class:`repro.bench.executor.Cell`.  All cells run through
-      :func:`repro.bench.executor.run_cells` with ``jobs`` workers.
+    ``cell_factory`` receives a shape and the policy ``policy_chooser``
+    picks for it, and returns the :class:`repro.bench.executor.Cell`
+    that measures it (workload, effort, scale, workers).  All cells run
+    through :func:`repro.bench.executor.run_cells` with ``jobs``
+    workers.
     """
-    if (evaluate is None) == (cell_factory is None):
-        raise TypeError("pass exactly one of evaluate= or cell_factory=")
-    result = DesignResult(workload_name)
-    shapes = list(shapes or enumerate_shapes())
-    if cell_factory is not None:
-        # Deferred import: the bench package imports this module.
-        from ..bench.executor import run_cells
+    # Deferred import: the bench package imports this module.
+    from ..bench.executor import run_cells
 
-        cells = [cell_factory(shape, policy_chooser(shape)) for shape in shapes]
-        runs = run_cells(cells, jobs=jobs)
-        for shape, res in zip(shapes, runs):
-            cost = hierarchy_cost(shape)
-            result.points.append(
-                DesignPoint(
-                    shape=shape,
-                    cost_dollars=cost,
-                    throughput=res.throughput,
-                    perf_per_price=performance_per_price(res.throughput, cost),
-                )
-            )
-        return result
-    for shape in shapes:
-        hierarchy = (
-            StorageHierarchy(shape, scale)
-            if scale is not None
-            else StorageHierarchy(shape)
-        )
-        bm = BufferManager(hierarchy, policy_chooser(shape), bm_config)
-        throughput = evaluate(hierarchy, bm)
-        cost = hierarchy_cost(shape, hierarchy.specs)
-        result.points.append(
-            DesignPoint(
-                shape=shape,
-                cost_dollars=cost,
-                throughput=throughput,
-                perf_per_price=performance_per_price(throughput, cost),
-            )
-        )
+    shapes = list(shapes or enumerate_shapes())
+    runs = run_cells([cell_factory(shape, policy_chooser(shape))
+                      for shape in shapes], jobs=jobs)
+    result = DesignResult(workload_name)
+    for shape, run in zip(shapes, runs):
+        cost = hierarchy_cost(shape)
+        result.points.append(DesignPoint(
+            shape=shape,
+            cost_dollars=cost,
+            throughput=run.throughput,
+            perf_per_price=performance_per_price(run.throughput, cost),
+        ))
     return result

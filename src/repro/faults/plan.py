@@ -168,8 +168,15 @@ class FaultPlan:
 
         Each (device, direction) stream draws its own op indices from a
         derived RNG, so adding a device to the plan never perturbs the
-        schedule of another device.
+        schedule of another device.  A rate is a per-op probability:
+        one outside [0, 1] raises ``ValueError``.
         """
+        rates = {"read_error_rate": read_error_rate,
+                 "write_error_rate": write_error_rate,
+                 "spike_rate": spike_rate}
+        for name, rate in rates.items():
+            if not 0.0 <= rate <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {rate!r}")
         schedules: dict[str, FaultSchedule] = {}
         for key in device_keys:
             streams: list[frozenset[int]] = []

@@ -5,10 +5,12 @@ The exporter already speaks the Prometheus text exposition format
 HTTP so a run can be scraped *while it executes*.  The server owns no
 metric state — it calls a ``provider`` callable on every request, so
 the caller decides what "current" means (typically: render the merged
-registry of every cell that has completed so far).  The contract the
-CLI's ``serve-metrics`` mode and CI smoke pin down: the **final** scrape
-after the run completes is byte-for-byte equal to the file export,
-because both render the same merged registry through the same function.
+registry of every cell that has completed so far).  The contract
+``repro-experiments run --metrics-port`` and CI smoke pin down: the
+**final** scrape after the run completes is byte-for-byte equal to the
+file export, because both render the same merged registry through the
+same function.  ``repro-experiments serve --metrics-port`` serves the
+serving plane's registry through the same class.
 
 Stdlib only (``http.server``), binds 127.0.0.1 by default, port 0 picks
 a free port.  Request handling runs on daemon threads and never touches

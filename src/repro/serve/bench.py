@@ -25,17 +25,13 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from ..core.buffer_manager import BufferManager, BufferManagerConfig
-from ..core.tenancy import TenancyConfig
-from ..faults.injector import inject_faults
+from ..core.buffer_manager import BufferManager
 from ..faults.plan import FaultPlan
-from ..hardware.cost_model import StorageHierarchy
 from ..hardware.pricing import HierarchyShape
-from ..hardware.specs import DEFAULT_SCALE
 from ..workloads.tenancy import TenantSpec
 from .admission import AdmissionConfig, AdmissionController, Overloaded
 from .loadgen import LoadSchedule, LoadSpec, build_schedule
-from .server import execute_op
+from .server import build_buffer_manager, execute_op
 from .slo import LatencySample, build_slo_report
 
 __all__ = [
@@ -116,29 +112,20 @@ class ServeBenchConfig:
         }
 
 
-def _build_bm(config: ServeBenchConfig,
-              schedule: LoadSchedule) -> BufferManager:
-    from ..core.policy import POLICY_PRESETS
-
-    hierarchy = StorageHierarchy(
+def _twin_bm(config: ServeBenchConfig,
+             schedule: LoadSchedule) -> BufferManager:
+    """The live server's buffer manager, over a loaded database with
+    clean accounting."""
+    bm = build_buffer_manager(
+        config.policy,
         HierarchyShape(config.dram_gb, config.nvm_gb, config.ssd_gb),
-        DEFAULT_SCALE,
-    )
-    if config.fault_plan is not None and not config.fault_plan.is_noop:
-        inject_faults(hierarchy, config.fault_plan)
-    bm = BufferManager(
-        hierarchy,
-        POLICY_PRESETS[config.policy],
-        BufferManagerConfig(
-            seed=config.seed,
-            tenancy=TenancyConfig(
-                num_tenants=len(config.resolved_tenants()),
-                page_stride=schedule.page_stride,
-            ),
-        ),
+        seed=config.seed,
+        num_tenants=len(config.resolved_tenants()),
+        page_stride=schedule.page_stride,
+        fault_plan=config.fault_plan,
     )
     bm.allocate_pages(schedule.initial_page_ids())
-    hierarchy.reset_accounting()
+    bm.hierarchy.reset_accounting()
     bm.reset_stats()
     return bm
 
@@ -210,7 +197,7 @@ def run_serve_bench(config: ServeBenchConfig | None = None,
         rate_ops_per_s=config.rate_ops_per_s,
         seed=config.seed,
     ), jobs=jobs)
-    bm = _build_bm(config, schedule)
+    bm = _twin_bm(config, schedule)
     admission = AdmissionController(config.admission)
     samples, sheds, makespan_s = simulate_serving(schedule, bm, admission)
     report = build_slo_report(
@@ -265,7 +252,7 @@ def run_overload_experiment(config: ServeBenchConfig | None = None,
             enabled=False,
         )),
     ):
-        bm = _build_bm(overloaded, schedule)
+        bm = _twin_bm(overloaded, schedule)
         admission = AdmissionController(admission_config)
         samples, sheds, makespan_s = simulate_serving(
             schedule, bm, admission)

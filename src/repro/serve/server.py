@@ -40,6 +40,7 @@ import signal
 from dataclasses import dataclass, field
 
 from ..core.buffer_manager import BufferManager, BufferManagerConfig
+from ..core.policy import POLICY_PRESETS
 from ..core.tenancy import TenancyConfig
 from ..faults.injector import inject_faults
 from ..faults.invariants import check_mapping_consistency
@@ -54,7 +55,8 @@ from . import protocol
 from .admission import AdmissionConfig, AdmissionController, Overloaded, OverloadReason
 from .slo import LatencySample, build_slo_report
 
-__all__ = ["ServeConfig", "SpitfireServer", "execute_op"]
+__all__ = ["ServeConfig", "SpitfireServer", "build_buffer_manager",
+           "execute_op"]
 
 #: Longest ``txn`` op list one dispatch slot may hold.
 MAX_TXN_OPS = 128
@@ -80,6 +82,36 @@ def execute_op(bm: BufferManager, is_write: bool, page_id: int, offset: int,
         bm.read(page_id, offset, nbytes, tenant_id)
     if think_ns:
         bm.hierarchy.charge_cpu(think_ns)
+
+
+def build_buffer_manager(policy: str, shape: HierarchyShape, *, seed: int,
+                         num_tenants: int, page_stride: int,
+                         fault_plan: FaultPlan | None = None,
+                         registry: MetricsRegistry | None = None
+                         ) -> BufferManager:
+    """The serving plane's buffer manager — the live server and the twin
+    (:mod:`repro.serve.bench`) both build theirs here.
+
+    A Table 3 preset over ``shape`` at the default scale, tenants laid
+    out ``page_stride`` pages apart.  A non-empty ``fault_plan`` wraps
+    the devices first (core components capture device refs at build
+    time), counting into ``registry``.
+    """
+    try:
+        preset = POLICY_PRESETS[policy]
+    except KeyError:
+        raise ValueError(
+            f"unknown policy preset {policy!r}; "
+            f"choose from {sorted(POLICY_PRESETS)}"
+        ) from None
+    hierarchy = StorageHierarchy(shape, DEFAULT_SCALE)
+    if fault_plan is not None and not fault_plan.is_noop:
+        inject_faults(hierarchy, fault_plan, registry)
+    return BufferManager(hierarchy, preset, BufferManagerConfig(
+        seed=seed,
+        tenancy=TenancyConfig(num_tenants=num_tenants,
+                              page_stride=page_stride),
+    ))
 
 
 @dataclass(frozen=True)
@@ -134,38 +166,16 @@ class SpitfireServer:
 
     def __init__(self, config: ServeConfig | None = None) -> None:
         self.config = config or ServeConfig()
-        from ..core.policy import POLICY_PRESETS
-
-        try:
-            policy = POLICY_PRESETS[self.config.policy]
-        except KeyError:
-            raise ValueError(
-                f"unknown policy preset {self.config.policy!r}; "
-                f"choose from {sorted(POLICY_PRESETS)}"
-            ) from None
         self.registry = MetricsRegistry()
-        self.hierarchy = StorageHierarchy(
-            self.config.shape(), DEFAULT_SCALE
+        self.bm = build_buffer_manager(
+            self.config.policy, self.config.shape(),
+            seed=self.config.seed,
+            num_tenants=self.config.num_tenants,
+            page_stride=self.config.page_stride,
+            fault_plan=self.config.fault_plan,
+            registry=self.registry,
         )
-        self.fault_handle = None
-        if self.config.fault_plan is not None \
-                and not self.config.fault_plan.is_noop:
-            # Devices must be wrapped before the buffer manager is
-            # built — core components capture device refs at build time.
-            self.fault_handle = inject_faults(
-                self.hierarchy, self.config.fault_plan, self.registry
-            )
-        self.bm = BufferManager(
-            self.hierarchy,
-            policy,
-            BufferManagerConfig(
-                seed=self.config.seed,
-                tenancy=TenancyConfig(
-                    num_tenants=self.config.num_tenants,
-                    page_stride=self.config.page_stride,
-                ),
-            ),
-        )
+        self.hierarchy = self.bm.hierarchy
         self.admission = AdmissionController(self.config.admission)
         self.metrics: MetricsServer | None = None
         if self.config.metrics_port is not None:

@@ -1,11 +1,39 @@
 """The repro-experiments command-line interface."""
 
 import json
+import re
 
 import pytest
 
+from repro.bench.executor import Cell, Effort, run_cells
 from repro.bench.experiments import REGISTRY
-from repro.cli import main
+from repro.bench.reporting import ExperimentResult
+from repro.cli import COMMANDS, main
+from repro.core.policy import SPITFIRE_LAZY
+from repro.hardware.pricing import HierarchyShape
+from repro.hardware.specs import SimulationScale
+
+
+def tiny_experiment(name: str, index: int):
+    """A registry entry running two small cells of its own."""
+
+    def run(quick=True, jobs=1):
+        cells = [
+            Cell.ycsb(f"{name}/{cell}", HierarchyShape(2.0, 8.0, 100.0),
+                      SPITFIRE_LAZY, "YCSB-BA", 25.0,
+                      effort=Effort(300, 600),
+                      scale=SimulationScale(pages_per_gb=8),
+                      extra_worker_counts=(),
+                      workload_seed=3 + 2 * index + cell)
+            for cell in range(2)
+        ]
+        result = ExperimentResult(name, f"Tiny CLI check {name}")
+        series = result.new_series("ops/s")
+        for run_result in run_cells(cells, jobs=jobs):
+            series.add(run_result.label, run_result.throughput)
+        return result
+
+    return run
 
 
 class TestListing:
@@ -70,21 +98,36 @@ class TestTelemetryPlane:
                      "--tolerance", "0.6"]) == 0
         assert "PASS" in capsys.readouterr().out
 
-    def test_serve_metrics_final_scrape_matches_export(self, tmp_path,
-                                                       capsys):
-        prom = tmp_path / "metrics.prom"
-        assert main(["serve-metrics", "table1",
-                     "--metrics-out", str(prom)]) == 0
+    def test_metrics_port_final_scrape_matches_export(self, tmp_path,
+                                                      capsys, monkeypatch):
+        # Two experiments on a suite session: the endpoint renders the
+        # per-experiment sinks in paper order, as the file export does.
+        for index, name in enumerate(("tiny_a", "tiny_b")):
+            monkeypatch.setitem(REGISTRY, name, tiny_experiment(name, index))
+        argv = ["tiny_a", "tiny_b", "--jobs", "2", "--metrics-out"]
+        live = tmp_path / "live" / "metrics.prom"
+        plain = tmp_path / "plain" / "metrics.prom"
+        assert main([*argv, str(live), "--metrics-port", "0"]) == 0
         out = capsys.readouterr().out
         assert "serving live metrics at http://127.0.0.1:" in out
         assert "final scrape == file export" in out
-        assert prom.exists()
+        assert main([*argv, str(plain)]) == 0
+        assert "op_latency_ns_count" in live.read_text()
+        assert live.read_bytes() == plain.read_bytes()
+        assert live.with_suffix(".jsonl").read_bytes() \
+            == plain.with_suffix(".jsonl").read_bytes()
+
+    def test_metrics_port_without_export_checks_merged_registry(
+            self, capsys, monkeypatch):
+        monkeypatch.setitem(REGISTRY, "tiny_a", tiny_experiment("tiny_a", 0))
+        assert main(["tiny_a", "--metrics-port", "0"]) == 0
+        assert "final scrape == merged registry" in capsys.readouterr().out
 
 
 class TestChaos:
     def test_chaos_runs_and_writes_report(self, tmp_path, capsys):
         out_path = tmp_path / "chaos.json"
-        assert main(["chaos", "--seed", "1", "--policies", "DRAM_SSD",
+        assert main(["chaos", "--seeds", "1", "--policies", "DRAM_SSD",
                      "--out", str(out_path)]) == 0
         text = capsys.readouterr().out
         assert "all invariants held: OK" in text
@@ -98,7 +141,7 @@ class TestChaos:
     def test_chaos_report_is_jobs_invariant(self, tmp_path, capsys):
         serial = tmp_path / "serial.json"
         parallel = tmp_path / "parallel.json"
-        args = ["chaos", "--seed", "1", "--policies", "DRAM_SSD",
+        args = ["chaos", "--seeds", "1", "--policies", "DRAM_SSD",
                 "--no-tail-faults"]
         assert main(args + ["--jobs", "1", "--out", str(serial)]) == 0
         assert main(args + ["--jobs", "2", "--out", str(parallel)]) == 0
@@ -107,7 +150,7 @@ class TestChaos:
     def test_chaos_live_does_not_change_report(self, tmp_path, capsys):
         plain = tmp_path / "plain.json"
         live = tmp_path / "live.json"
-        args = ["chaos", "--seed", "1", "--policies", "DRAM_SSD",
+        args = ["chaos", "--seeds", "1", "--policies", "DRAM_SSD",
                 "--no-tail-faults"]
         assert main(args + ["--out", str(plain)]) == 0
         assert main(args + ["--live", "--out", str(live)]) == 0
@@ -116,3 +159,59 @@ class TestChaos:
     def test_chaos_rejects_unknown_policy(self):
         with pytest.raises(SystemExit):
             main(["chaos", "--policies", "NO_SUCH_POLICY"])
+
+
+class TestSubcommands:
+    def test_run_is_the_default(self, tmp_path, capsys):
+        seen = []
+        for argv in (["run", "table1"], ["table1"]):
+            out_dir = tmp_path / str(len(seen))
+            assert main([*argv, "--out", str(out_dir)]) == 0
+            out = capsys.readouterr().out.replace(str(out_dir), "OUT")
+            seen.append((re.sub(r"took [0-9.]+s", "took Xs", out),
+                         (out_dir / "table1.json").read_bytes()))
+        assert seen[0] == seen[1]
+        assert main(["run", "--list"]) == 0
+        listed = capsys.readouterr().out
+        assert main(["--list"]) == 0
+        assert capsys.readouterr().out == listed
+
+    @pytest.mark.parametrize("command", [[], *([name] for name in COMMANDS)])
+    def test_help_exits_zero(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "-h"])
+        assert exc.value.code == 0
+        assert "usage: repro-experiments" in capsys.readouterr().out
+
+    def test_serve_bench_out_writes_the_report(self, tmp_path, capsys):
+        from repro.serve.bench import ServeBenchConfig, run_serve_bench
+        from repro.serve.slo import slo_report_json
+
+        path = tmp_path / "slo.json"
+        assert main(["serve-bench", "--ops", "200", "--out", str(path)]) == 0
+        assert path.read_text() == slo_report_json(
+            run_serve_bench(ServeBenchConfig(total_ops=200)))
+
+
+class TestBadInput:
+    """A bad value from the command line is a one-line usage error
+    (exit 2), never a traceback or a run that dies later."""
+
+    @pytest.mark.parametrize("argv", [
+        ["serve-bench", "--policy", "nope"],
+        ["serve", "--policy", "nope"],
+        ["serve", "--tenants", "0"],
+        ["serve", "--fault-rate", "1.5"],
+        ["serve-bench", "--max-queue-depth", "0"],
+        ["serve-bench", "--rate", "0"],
+        ["serve-bench", "--rate-limit", "-1"],
+        ["serve-bench", "--ops", "0"],
+        ["chaos", "--read-error-rate", "2"],
+        ["chaos", "--write-error-rate", "nan"],
+        ["fig6", "--jobs", "0"],
+    ], ids=" ".join)
+    def test_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "error: argument" in capsys.readouterr().err

@@ -4,12 +4,16 @@ import pytest
 
 from repro.core.policy import DRAM_SSD_POLICY, NVM_SSD_POLICY, SPITFIRE_LAZY
 from repro.design.grid_search import (
+    DesignPoint,
+    DesignResult,
     enumerate_shapes,
-    grid_search,
     policy_for_shape,
 )
-from repro.hardware.pricing import HierarchyShape
-from repro.hardware.specs import SimulationScale
+from repro.hardware.pricing import (
+    HierarchyShape,
+    hierarchy_cost,
+    performance_per_price,
+)
 
 
 class TestEnumerateShapes:
@@ -36,26 +40,27 @@ class TestPolicyChooser:
         assert policy_for_shape(HierarchyShape(0, 40, 100)) is NVM_SSD_POLICY
 
 
+def synthetic_result() -> DesignResult:
+    """A 3-point grid whose throughput rewards total buffer capacity:
+    perf/price then prefers NVM (cheaper per GB)."""
+    result = DesignResult("synthetic")
+    for shape in enumerate_shapes((0.0, 4.0), (0.0, 40.0), ssd_gb=100.0):
+        throughput = 1000.0 * (shape.dram_gb + shape.nvm_gb)
+        cost = hierarchy_cost(shape)
+        result.points.append(DesignPoint(
+            shape=shape, cost_dollars=cost, throughput=throughput,
+            perf_per_price=performance_per_price(throughput, cost)))
+    return result
+
+
 class TestGridSearch:
-    def run_search(self):
-        # A fake evaluator rewarding total buffer capacity: perf/price
-        # then prefers NVM (cheaper per GB).
-        def evaluate(hierarchy, bm):
-            return 1000.0 * (hierarchy.shape.dram_gb + hierarchy.shape.nvm_gb)
-
-        shapes = enumerate_shapes((0.0, 4.0), (0.0, 40.0), ssd_gb=100.0)
-        return grid_search(
-            "synthetic", evaluate, shapes=shapes,
-            scale=SimulationScale(pages_per_gb=4),
-        )
-
     def test_points_cover_grid(self):
-        result = self.run_search()
+        result = synthetic_result()
         assert len(result.points) == 3
         assert all(p.cost_dollars > 0 for p in result.points)
 
     def test_best_overall(self):
-        result = self.run_search()
+        result = synthetic_result()
         best = result.best()
         # perf/price: (4, 40) → 44000/500 = 88 beats (0, 40) → 40000/460
         # = 86.96 and (4, 0) → 4000/320 = 12.5.
@@ -63,28 +68,28 @@ class TestGridSearch:
         assert best.shape.dram_gb == 4.0
 
     def test_best_under_budget(self):
-        result = self.run_search()
+        result = synthetic_result()
         cheap = result.best(budget_dollars=330.0)
         assert cheap.cost_dollars <= 330.0
 
     def test_budget_too_small(self):
-        result = self.run_search()
+        result = synthetic_result()
         with pytest.raises(ValueError):
             result.best(budget_dollars=1.0)
 
     def test_grid_accessor(self):
-        result = self.run_search()
+        result = synthetic_result()
         grid = result.grid()
         assert (0.0, 40.0) in grid
         assert grid[(0.0, 40.0)] == result.point(0.0, 40.0).perf_per_price
 
     def test_point_lookup_missing(self):
-        result = self.run_search()
+        result = synthetic_result()
         with pytest.raises(KeyError):
             result.point(99.0, 99.0)
 
     def test_labels(self):
-        result = self.run_search()
+        result = synthetic_result()
         labels = {p.label for p in result.points}
         assert "NVM-SSD" in labels
         assert "DRAM-SSD" in labels
@@ -93,13 +98,7 @@ class TestGridSearch:
 
 class TestHeatmap:
     def test_render_marks_best_cell(self):
-        def evaluate(hierarchy, bm):
-            return 1000.0 * (hierarchy.shape.dram_gb + hierarchy.shape.nvm_gb)
-
-        shapes = enumerate_shapes((0.0, 4.0), (0.0, 40.0), ssd_gb=100.0)
-        result = grid_search("synthetic", evaluate, shapes=shapes,
-                             scale=SimulationScale(pages_per_gb=4))
-        text = result.render_heatmap()
+        text = synthetic_result().render_heatmap()
         assert "synthetic" in text
         assert "DRAM\\NVM" in text
         assert text.count("*") == 1

@@ -2,6 +2,8 @@
 
 import pickle
 
+import pytest
+
 from repro.faults.plan import (
     DeviceGaveUpError,
     DeviceIOError,
@@ -53,6 +55,18 @@ class TestSeededDeterminism:
         sparse = FaultPlan.seeded(7, read_error_rate=0.001)
         dense = FaultPlan.seeded(7, read_error_rate=0.1)
         assert dense.total_events() > sparse.total_events()
+
+    @pytest.mark.parametrize("rate", [
+        {"read_error_rate": 2.0},
+        {"write_error_rate": -0.1},
+        {"spike_rate": float("nan")},
+    ], ids=["read-above-1", "write-negative", "spike-nan"])
+    def test_rates_must_be_probabilities(self, rate):
+        with pytest.raises(ValueError, match=next(iter(rate))):
+            FaultPlan.seeded(7, **rate)
+        # The bounds themselves are rates.
+        FaultPlan.seeded(7, horizon_ops=10, **dict.fromkeys(rate, 1.0))
+        FaultPlan.seeded(7, **dict.fromkeys(rate, 0.0))
 
 
 class TestPickling:

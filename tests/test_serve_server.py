@@ -17,14 +17,19 @@ from repro.faults.plan import FaultPlan
 from repro.obs.hub import MetricsHub
 from repro.serve import protocol
 from repro.serve.admission import AdmissionConfig, AdmissionController
+from repro.hardware.pricing import HierarchyShape
 from repro.serve.bench import (
     ServeBenchConfig,
-    _build_bm,
     default_tenants,
     simulate_serving,
 )
 from repro.serve.loadgen import LoadSpec, build_schedule, drive_server
-from repro.serve.server import ServeConfig, SpitfireServer, execute_op
+from repro.serve.server import (
+    ServeConfig,
+    SpitfireServer,
+    build_buffer_manager,
+    execute_op,
+)
 from repro.workloads.tenancy import TenantSpec
 
 
@@ -327,7 +332,20 @@ class TestLiveMatchesTwin:
         # Not vacuous: some op is the first touch of an unallocated page.
         loaded = set(schedule.initial_page_ids())
         assert any(a.page_id not in loaded for a in schedule.arrivals)
-        twin_bm = _build_bm(bench, schedule)
+
+        def load(bm):
+            # The twin starts from a loaded database and clean
+            # accounting; so must the live plane.
+            bm.allocate_pages(schedule.initial_page_ids())
+            bm.hierarchy.reset_accounting()
+            bm.reset_stats()
+            return bm
+
+        twin_bm = load(build_buffer_manager(
+            bench.policy, HierarchyShape(bench.dram_gb, bench.nvm_gb,
+                                         bench.ssd_gb),
+            seed=bench.seed, num_tenants=len(self.TENANTS),
+            page_stride=schedule.page_stride))
         twin_hub = MetricsHub(track_tenants=True).attach(twin_bm)
         samples, sheds, _ = simulate_serving(
             schedule, twin_bm, AdmissionController(bench.admission))
@@ -341,11 +359,7 @@ class TestLiveMatchesTwin:
                 num_tenants=len(self.TENANTS),
                 page_stride=schedule.page_stride, seed=bench.seed,
                 admission=bench.admission))
-            # The twin starts from a loaded database and clean
-            # accounting; so must the live plane.
-            server.bm.allocate_pages(schedule.initial_page_ids())
-            server.hierarchy.reset_accounting()
-            server.bm.reset_stats()
+            load(server.bm)
             hub = MetricsHub(track_tenants=True).attach(server.bm)
             await server.start()
             try:
