@@ -90,7 +90,7 @@ from repro.bench.executor import (
     run_cell,
     run_cells,
     run_options,
-    run_session,
+    warm_pool,
 )
 from repro.bench.harness import RunOptions
 from repro.bench.telemetry import live_telemetry
@@ -154,7 +154,7 @@ def usable_cpus() -> int:
 def bench_cell() -> Cell:
     """The fixed-seed fig6-style unit of work."""
     return Cell.tpcc("bench/fig6-style", SHAPE, SPITFIRE_LAZY, DB_GB,
-                     effort=QUICK, extra_worker_counts=())
+                     effort=QUICK)
 
 
 def time_cell_serial() -> dict:
@@ -329,26 +329,28 @@ def time_cell_serve(repeats: int) -> dict:
 def matrix_cell(index: int) -> Cell:
     """One cell of the figure-matrix-style parallel batch."""
     return Cell.tpcc(f"bench/matrix-{index}", SHAPE, SPITFIRE_LAZY, DB_GB,
-                     effort=PARALLEL_MATRIX_EFFORT, extra_worker_counts=())
+                     effort=PARALLEL_MATRIX_EFFORT)
 
 
 def time_cells_parallel(jobs: int, cells: int = PARALLEL_MATRIX_CELLS) -> dict:
     """Serial vs pooled wall time for a figure-matrix-style batch.
 
-    The session pool is warmed *before* the parallel timing, the way a
-    suite run pays that cost once, so the measurement is of steady-state
-    scheduling: chunk planning, context install, result demux — not
-    interpreter fork/import time.
+    The persistent pool is warmed *before* the parallel timing, the way
+    a suite run pays that cost once, so the measurement is of
+    steady-state scheduling: chunk planning, context install, result
+    demux — not interpreter fork/import time.
     """
     batch = [matrix_cell(i) for i in range(cells)]
     t0 = time.perf_counter()
     serial_results = run_cells(batch, jobs=1)
     serial = time.perf_counter() - t0
-    with run_session(jobs=jobs):
-        info = pool_info()
-        t0 = time.perf_counter()
-        parallel_results = run_cells(batch, jobs=jobs)
-        parallel = time.perf_counter() - t0
+    # Not a run session: the cells differ only by label, and a session
+    # would simulate them once.
+    warm_pool(jobs)
+    info = pool_info()
+    t0 = time.perf_counter()
+    parallel_results = run_cells(batch, jobs=jobs)
+    parallel = time.perf_counter() - t0
     identical = (
         [r.throughput for r in serial_results]
         == [r.throughput for r in parallel_results]

@@ -39,6 +39,12 @@ progress events and at least one successful mid-run scrape.  Every
 cell's ``op_latency_ns`` histograms must also count exactly its
 ``BufferStats`` reads + writes.
 
+All the named experiments run inside one
+:func:`~repro.bench.executor.run_session`, as ``repro-experiments``
+runs several: a cell an earlier experiment already ran (Table 2's grid
+is Figs. 6-8's) is not simulated again, and its reuse must leave every
+figure byte-identical too.
+
 ``--prewarm-pool`` creates and warms the persistent worker pool
 *before* any option is set.  This is the adversarial ordering for
 option transport: the workers are forked first, so nothing can reach
@@ -50,7 +56,7 @@ pool neither leaks nor drops run options.
 Usage::
 
     python benchmarks/check_golden_figures.py            # fig6 + fig7
-    python benchmarks/check_golden_figures.py fig6 fig7 fig8 recovery --jobs 4
+    python benchmarks/check_golden_figures.py table2 fig6 fig7 fig8 --jobs 4
     python benchmarks/check_golden_figures.py --jobs 4 --prewarm-pool \
         --with-metrics --with-batching --with-telemetry
 """
@@ -67,7 +73,7 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-from repro.bench.executor import metrics_collection, run_options
+from repro.bench.executor import metrics_collection, run_options, run_session
 from repro.bench.experiments import REGISTRY
 from repro.bench.harness import RunOptions
 from repro.bench.telemetry import live_telemetry
@@ -278,8 +284,11 @@ def main(argv: list[str] | None = None) -> int:
         # decision tracer every measurement-window observer is attached.
         options = replace(options, collect_metrics=True,
                           trace_decisions=TELEMETRY_TRACE_FRACTION)
-    failures = [e for e in args.experiments
-                if not check(e, args.jobs, options, live=args.with_telemetry)]
+    with run_session(args.jobs) as session:
+        failures = [e for e in args.experiments
+                    if not check(e, args.jobs, options,
+                                 live=args.with_telemetry)]
+    print(session.describe())
     return 1 if failures else 0
 
 

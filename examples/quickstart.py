@@ -30,12 +30,12 @@ def run_policy(policy, label):
     workload = YcsbWorkload(num_tuples=100 * 64 * 16, mix=YCSB_BA,
                             skew=0.3, seed=7)
     runner = WorkloadRunner(bm, RunConfig(warmup_ops=10_000, measure_ops=20_000))
-    result = runner.measure_ycsb(workload, extra_worker_counts=(16,))
+    result = runner.measure_ycsb(workload)
 
     print(f"=== {label} ===")
     print(f"  policy                 {policy.label()}")
     print(f"  throughput (1 worker)  {result.throughput / 1e3:10.1f} kOps/s")
-    print(f"  throughput (16 workers){result.throughput_by_workers[16] / 1e3:10.1f} kOps/s")
+    print(f"  throughput (16 workers){result.throughput_at(16) / 1e3:10.1f} kOps/s")
     print(f"  DRAM hit ratio         {result.stats.dram_hit_ratio:10.3f}")
     print(f"  SSD fetches            {result.stats.ssd_fetches:10d}")
     print(f"  NVM→DRAM migrations    {result.stats.nvm_to_dram:10d}")

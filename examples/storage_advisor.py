@@ -26,7 +26,7 @@ def main() -> None:
     def cell_factory(shape, policy):
         return Cell.ycsb(f"YCSB-WH/{shape.label}", shape, policy, "YCSB-WH",
                          DB_GB, skew=0.5, effort=Effort(4_000, 8_000),
-                         scale=SCALE, workers=WORKERS, extra_worker_counts=())
+                         scale=SCALE, workers=WORKERS)
 
     shapes = enumerate_shapes(
         dram_sizes_gb=(0.0, 4.0, 8.0, 32.0),

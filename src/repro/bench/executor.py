@@ -17,6 +17,10 @@ Design rules:
   parallel run draws exactly the same RNG streams as a serial run and
   the per-figure JSON output is byte-identical for any ``jobs`` value;
 * results come back in submission order regardless of completion order;
+* a cell is its simulation: two cells that compare equal (the label is
+  display-only) are one run, so inside a :func:`run_session` each
+  distinct cell runs once, under the options in force, and every figure
+  that declares it gets the stored :class:`RunResult`;
 * work is submitted as **contiguous chunks** sized from each cell's
   :class:`Effort` (longest-expected-first), which amortises pickling
   and IPC over many small tasks while keeping load balanced;
@@ -43,12 +47,13 @@ figure module).
 from __future__ import annotations
 
 import atexit
+import collections
 import contextlib
 import contextvars
 import multiprocessing
 import pickle
 import threading
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 
@@ -115,14 +120,17 @@ class Cell:
     """One grid point: everything needed to reproduce one measurement.
 
     All fields are plain values or frozen dataclasses, so cells pickle
-    cleanly into worker processes.  A cell says *what* is measured;
-    what the run attaches to it (metrics, batching, telemetry, decision
-    tracing) is the ambient :class:`~repro.bench.harness.RunOptions`,
-    never a cell field.  ``bm_config=None`` builds the default
+    cleanly into worker processes and hash.  A cell says *what* is
+    simulated and nothing else: ``label`` is display-only and outside
+    equality, so two cells that compare equal are the same simulation
+    (a :func:`run_session` runs it once).  What the run attaches to it
+    (metrics, batching, telemetry, decision tracing) is the ambient
+    :class:`~repro.bench.harness.RunOptions`, never a cell field.
+    ``bm_config=None`` builds the default
     :class:`~repro.core.buffer_manager.BufferManagerConfig` (seed 42).
     """
 
-    label: str
+    label: str = field(compare=False)
     shape: HierarchyShape
     policy: MigrationPolicy
     workload: WorkloadSpec
@@ -131,7 +139,6 @@ class Cell:
     bm_config: BufferManagerConfig | None = None
     memory_mode: bool = False
     workers: int = 1
-    extra_worker_counts: tuple[int, ...] = (16,)
     #: Tenant population for a multi-tenant cell.  Non-empty routes the
     #: cell through :meth:`WorkloadRunner.measure_tenants` over an
     #: interleaved :class:`~repro.workloads.tenancy.MultiTenantWorkload`
@@ -244,6 +251,8 @@ _options_var: contextvars.ContextVar[RunOptions] = contextvars.ContextVar(
     "repro_run_options", default=RunOptions())
 _metrics_sink_var: contextvars.ContextVar[list | None] = contextvars.ContextVar(
     "repro_metrics_sink", default=None)
+_tally_var: contextvars.ContextVar[collections.Counter | None] = contextvars.ContextVar(
+    "repro_cell_tally", default=None)
 
 
 def current_options() -> RunOptions:
@@ -277,9 +286,10 @@ def metrics_collection():
     ``run_options(collect_metrics=True)`` plus the one piece of state a
     scope owns on the submitting side: yields the sink list, which
     after the scope holds one ``(cell label, RunResult)`` pair per
-    executed cell in submission order regardless of the ``jobs`` value,
-    so merging the snapshots in list order gives byte-identical exports
-    at any parallelism.
+    declared cell — a reused result under each declarer's label — in
+    submission order regardless of the ``jobs`` value, so merging the
+    snapshots in list order gives byte-identical exports at any
+    parallelism, inside a run session or not.
     """
     sink: list[tuple[str, RunResult]] = []
     token = _metrics_sink_var.set(sink)
@@ -290,14 +300,20 @@ def metrics_collection():
         _metrics_sink_var.reset(token)
 
 
-def _record_results(cells, results) -> None:
-    """Append a finished batch to the metrics sink, in submission order."""
-    sink = _metrics_sink_var.get()
-    if sink is None:
-        return
-    for cell, result in zip(cells, results):
-        if result.metrics is not None:
-            sink.append((cell.label, result))
+@contextlib.contextmanager
+def cell_tally():
+    """Count the cells declared in this scope, and how many of them got
+    a result the run session already held.
+
+    Yields a ``Counter`` with keys ``cells`` and ``reused``: what says
+    why a figure took no time.
+    """
+    tally = collections.Counter(cells=0, reused=0)
+    token = _tally_var.set(tally)
+    try:
+        yield tally
+    finally:
+        _tally_var.reset(token)
 
 
 # ----------------------------------------------------------------------
@@ -617,15 +633,21 @@ def _execute(items: list, runner, jobs: int, weigh) -> list:
 # ----------------------------------------------------------------------
 # The suite-wide run session
 # ----------------------------------------------------------------------
+class _Unclaimed(Exception):
+    """Internal: the batch that claimed a cell failed before finishing it."""
+
+
 @dataclass
 class RunSession:
-    """One warmed pool shared by everything run inside the scope.
+    """One warmed pool, and one run per distinct cell, for a whole scope.
 
-    ``repro-experiments --all --jobs N`` (and the chaos matrix CLI)
-    open one session for the whole suite: the pool starts and warms
-    once, then every figure's cells and every crash case flow through
-    it as chunked submissions.  The session also keeps simple counters
-    so the CLI can report what the pool actually did.
+    ``repro-experiments`` with several experiments (and the chaos matrix
+    CLI) opens one session for the whole suite: at ``--jobs N`` the pool
+    starts and warms once, then every figure's cells and every crash
+    case flow through it as chunked submissions.  Every cell run inside
+    the session is remembered with the options it ran under, so a cell
+    another figure already declared is not simulated again.  Counters
+    report what the pool did and how many cells were reused.
     """
 
     jobs: int
@@ -635,8 +657,14 @@ class RunSession:
     chunks: int = 0
     serial: int = 0
     fallbacks: int = 0
+    #: Cells run through :func:`run_cells` here: simulated, and answered
+    #: from an earlier simulation of an equal cell.
+    simulated: int = 0
+    reused: int = 0
     _lock: threading.Lock = field(default_factory=threading.Lock,
                                   repr=False, compare=False)
+    #: ``(cell, RunOptions)`` -> the Future of its one simulation.
+    _runs: dict = field(default_factory=dict, repr=False, compare=False)
 
     def _note(self, items: int = 0, batches: int = 0, chunks: int = 0,
               serial: int = 0, fallbacks: int = 0) -> None:
@@ -653,7 +681,54 @@ class RunSession:
                 if info else "no pool (serial)")
         return (f"session: {pool}, {self.items} cells/tasks in "
                 f"{self.batches} pooled batches ({self.chunks} chunks, "
-                f"{self.serial} serial batches, {self.fallbacks} fallbacks)")
+                f"{self.serial} serial batches, {self.fallbacks} fallbacks); "
+                f"{self.simulated} cells simulated, {self.reused} reused")
+
+    def _run_cells(self, cells: list[Cell],
+                   jobs: int) -> tuple[list[RunResult], int]:
+        """Simulate the cells no batch of this session claimed yet, wait
+        for the rest; returns the results and how many were reused.
+
+        The first batch to declare a ``(cell, options)`` key claims it;
+        a later requester, in any driver thread, waits on the claimer's
+        future.  A batch runs every key it claimed before it waits on
+        one another batch claimed, so no two batches wait on each other.
+        When a batch fails, its failing key keeps the failure (every
+        requester raises it, naming its own cell); a requester of a key
+        the failed batch did not finish simulates that cell itself.
+        """
+        options = current_options()
+        keys = [(cell, options) for cell in cells]
+        with self._lock:
+            claimed = {key: Future() for key in dict.fromkeys(keys)
+                       if key not in self._runs}
+            self._runs.update(claimed)
+            futures = [self._runs[key] for key in keys]
+            self.simulated += len(claimed)
+            self.reused += len(keys) - len(claimed)
+        try:
+            done = _execute([cell for cell, _ in claimed], run_cell, jobs,
+                            _cell_weight) if claimed else []
+        except _ItemFailure as failure:
+            for index, future in enumerate(claimed.values()):
+                future.set_exception(failure.cause if index == failure.index
+                                     else _Unclaimed())
+            cell = cells[keys.index(list(claimed)[failure.index])]
+            raise CellExecutionError(cell, failure.cause) from failure.cause
+        for future, result in zip(claimed.values(), done):
+            future.set_result(result)
+        results = []
+        for cell, future in zip(cells, futures):
+            try:
+                result = future.result()
+            except _Unclaimed:
+                (result,) = _simulate([cell], jobs)
+            except Exception as exc:
+                raise CellExecutionError(cell, exc) from exc
+            # A tenant run carries its cell's label.
+            results.append(replace(result, label=cell.label)
+                           if cell.tenants else result)
+        return results, len(keys) - len(claimed)
 
 
 _session: RunSession | None = None
@@ -661,11 +736,12 @@ _session: RunSession | None = None
 
 @contextlib.contextmanager
 def run_session(jobs: int):
-    """Open a suite-wide session: warm the shared pool once, up front.
+    """Open a suite-wide session: warm the shared pool once, up front
+    (at ``jobs > 1``), and run each distinct cell once.
 
-    Purely an optimisation scope — execution semantics (ordering,
-    determinism, fallback) are identical inside and outside a session,
-    and the pool it warms persists after the scope exits.
+    Purely an optimisation scope — results, their order, determinism
+    and fallback are identical inside and outside a session, and the
+    pool it warms persists after the scope exits.
     """
     global _session
     session = RunSession(jobs=jobs)
@@ -730,24 +806,17 @@ def run_cell(cell: Cell) -> RunResult:
     )
     try:
         if multi is not None:
-            result = runner.measure_tenants(
-                multi, label=cell.label,
-                extra_worker_counts=cell.extra_worker_counts,
-            )
+            result = runner.measure_tenants(multi, label=cell.label)
         elif spec.kind == "ycsb":
             num_tuples = cell.scale.pages(spec.db_gb) * TUPLES_PER_PAGE
             workload = YcsbWorkload(num_tuples=num_tuples,
                                     mix=MIXES[spec.mix],
                                     skew=spec.skew, seed=spec.seed)
-            result = runner.measure_ycsb(
-                workload, extra_worker_counts=cell.extra_worker_counts
-            )
+            result = runner.measure_ycsb(workload)
         else:
             workload = TpccWorkload(db_gigabytes=spec.db_gb,
                                     scale=cell.scale, seed=spec.seed)
-            result = runner.measure_tpcc(
-                workload, extra_worker_counts=cell.extra_worker_counts
-            )
+            result = runner.measure_tpcc(workload)
     except Exception as exc:
         if channel is not None:
             channel.emit("cell_error", cell=cell.label,
@@ -771,18 +840,35 @@ def run_cells(cells, jobs: int = 1) -> list[RunResult]:
     all.  ``jobs>1`` fans contiguous chunks of cells over the
     persistent pool; if the platform cannot spawn workers the batch
     degrades to serial, which produces identical results because every
-    cell is self-contained.  While :func:`metrics_collection` is
-    active, the whole batch's ``(label, result)`` pairs are appended to
-    the sink — in submission order — once the batch succeeds.
+    cell is self-contained.  Inside a :func:`run_session`, a cell the
+    session already ran (under the same options) is not run again: its
+    stored result is returned.  While :func:`metrics_collection` is
+    active, the whole batch's ``(label, result)`` pairs — one per
+    declared cell — are appended to the sink, in submission order, once
+    the batch succeeds.
     """
     cells = list(cells)
+    session = _session
+    if session is None:
+        results, reused = _simulate(cells, jobs), 0
+    else:
+        results, reused = session._run_cells(cells, jobs)
+    tally, sink = _tally_var.get(), _metrics_sink_var.get()
+    if tally is not None:
+        tally.update(cells=len(cells), reused=reused)
+    if sink is not None:
+        sink.extend((cell.label, result) for cell, result
+                    in zip(cells, results) if result.metrics is not None)
+    return results
+
+
+def _simulate(cells: list[Cell], jobs: int) -> list[RunResult]:
+    """Run every cell, sharing nothing; a failure names its cell."""
     try:
-        results = _execute(cells, run_cell, jobs, _cell_weight)
+        return _execute(cells, run_cell, jobs, _cell_weight)
     except _ItemFailure as failure:
         raise CellExecutionError(
             cells[failure.index], failure.cause) from failure.cause
-    _record_results(cells, results)
-    return results
 
 
 def run_tasks(fn, items, jobs: int = 1, weigh=None) -> list:
@@ -815,30 +901,19 @@ def _uniform_weight(_item) -> float:
 class CellBatch:
     """Declare-then-run helper for figure modules.
 
-    Figures accumulate ``(key, cell)`` pairs while walking their grids,
-    call :meth:`run`, and read results back by key — keeping the
-    declaration order (which fixes the output order) separate from the
-    execution order (which the pool is free to shuffle).
+    Figures add ``key -> cell`` while walking their grids, call
+    :meth:`run`, and read results back by key — keeping the declaration
+    order (which fixes the output order) separate from the execution
+    order (which the pool is free to shuffle).
     """
 
-    cells: list[Cell] = field(default_factory=list)
-    keys: list[object] = field(default_factory=list)
-    #: Companion set for O(1) duplicate detection (hashable keys only;
-    #: unhashable keys fall back to a linear scan).
-    _seen: set = field(default_factory=set, repr=False, compare=False)
+    cells: dict[object, Cell] = field(default_factory=dict)
 
     def add(self, key: object, cell: Cell) -> None:
-        try:
-            duplicate = key in self._seen
-        except TypeError:  # unhashable key
-            duplicate = key in self.keys
-        else:
-            self._seen.add(key)
-        if duplicate:
+        if key in self.cells:
             raise ValueError(f"duplicate cell key {key!r}")
-        self.keys.append(key)
-        self.cells.append(cell)
+        self.cells[key] = cell
 
     def run(self, jobs: int = 1) -> dict[object, RunResult]:
-        results = run_cells(self.cells, jobs=jobs)
-        return dict(zip(self.keys, results))
+        results = run_cells(self.cells.values(), jobs=jobs)
+        return dict(zip(self.cells, results))

@@ -13,6 +13,7 @@ from ...core.policy import MigrationPolicy
 from ...hardware.cost_model import StorageHierarchy
 from ...hardware.pricing import HierarchyShape
 from ...hardware.specs import DEFAULT_SCALE, SimulationScale
+from ..harness import RunResult
 from ..executor import (  # noqa: F401  (re-exported for callers/tests)
     FULL,
     QUICK,
@@ -57,3 +58,36 @@ HYMEM_DB_GB = 20.0
 
 #: §6.3's database: 100 GB YCSB / TPC-C.
 POLICY_DB_GB = 100.0
+
+
+def sweep_cell(axis: str, workload: str, p: float, eff: Effort) -> Cell:
+    """One point of §6.3's policy grid, the one Figs. 6-8 and Table 2 read.
+
+    Axis ``"D"`` sets ``D_r = D_w = p`` with N = 1, axis ``"N"`` sets
+    ``N_r = N_w = p`` with D = 1, on the §6.3 hierarchy and database.
+    The cell is labelled ``"{workload}/{axis}={p}"`` and its policy
+    named ``"{axis}={p}"``, so a point is the same cell in every figure
+    and a run session simulates it once.
+    """
+    d, n = (p, 1.0) if axis == "D" else (1.0, p)
+    policy = MigrationPolicy(d_r=d, d_w=d, n_r=n, n_w=n, name=f"{axis}={p}")
+    label = f"{workload}/{axis}={p}"
+    if workload == "TPC-C":
+        return Cell.tpcc(label, POLICY_SHAPE, policy, POLICY_DB_GB,
+                         effort=eff)
+    return Cell.ycsb(label, POLICY_SHAPE, policy, workload, POLICY_DB_GB,
+                     effort=eff)
+
+
+def policy_sweep(axes: str, workloads, eff: Effort,
+                 jobs: int = 1) -> dict[tuple, RunResult]:
+    """Run §6.3's grid over :data:`SWEEP_PROBS` for every axis in
+    ``axes`` (``"D"``, ``"N"`` or ``"DN"``): ``{(axis, workload, p):
+    RunResult}``, declared axis by axis, workload by workload."""
+    batch = CellBatch()
+    for axis in axes:
+        for workload in workloads:
+            for p in SWEEP_PROBS:
+                batch.add((axis, workload, p),
+                          sweep_cell(axis, workload, p, eff))
+    return batch.run(jobs)

@@ -41,7 +41,7 @@ def run(quick: bool = True, jobs: int = 1) -> ExperimentResult:
             granularity,
             Cell.ycsb(f"HyMem/{granularity}B", HYMEM_SHAPE, HYMEM_POLICY,
                       "YCSB-RO", HYMEM_DB_GB, effort=eff, bm_config=config,
-                      workers=WORKERS, extra_worker_counts=()),
+                      workers=WORKERS),
         )
     runs = batch.run(jobs)
     series = result.new_series("HyMem")

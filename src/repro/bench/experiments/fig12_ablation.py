@@ -43,7 +43,7 @@ def run(quick: bool = True, jobs: int = 1) -> ExperimentResult:
             for variant in VARIANTS:
                 label = f"{workload}/{policy_name}/{variant}"
                 common = dict(
-                    effort=eff, workers=WORKERS, extra_worker_counts=(),
+                    effort=eff, workers=WORKERS,
                     bm_config=BufferManagerConfig(
                         fine_grained=variant != "none",
                         mini_pages=variant == "+mini-page",

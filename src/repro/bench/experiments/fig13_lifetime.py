@@ -40,13 +40,13 @@ def run(quick: bool = True, jobs: int = 1) -> ExperimentResult:
             ("lazy", workload),
             Cell.ycsb(f"Spitfire-Lazy/{workload}", HYMEM_SHAPE, SPITFIRE_LAZY,
                       workload, HYMEM_DB_GB, effort=eff,
-                      bm_config=lazy_config, extra_worker_counts=()),
+                      bm_config=lazy_config),
         )
         batch.add(
             ("hymem", workload),
             Cell.ycsb(f"HyMem/{workload}", HYMEM_SHAPE, HYMEM_POLICY,
                       workload, HYMEM_DB_GB, effort=eff,
-                      bm_config=hymem_config, extra_worker_counts=()),
+                      bm_config=hymem_config),
         )
     runs = batch.run(jobs)
     lazy_series = result.new_series("Spitfire-Lazy")

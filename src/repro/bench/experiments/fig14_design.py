@@ -44,8 +44,7 @@ def run(quick: bool = True, jobs: int = 1) -> ExperimentResult:
         def cell_factory(shape, policy, _workload=workload):
             return Cell.ycsb(f"{_workload}/{shape.label}", shape, policy,
                              _workload, DB_GB, skew=SKEW, effort=eff,
-                             scale=COARSE_SCALE, workers=WORKERS,
-                             extra_worker_counts=())
+                             scale=COARSE_SCALE, workers=WORKERS)
 
         search = grid_search(workload, cell_factory, shapes=shapes,
                              jobs=jobs)

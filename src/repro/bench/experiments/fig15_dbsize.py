@@ -61,7 +61,7 @@ def _cell(config: str, workload: str, db_gb: float, eff) -> Cell:
         bm_config = _FINE_CONFIG
     label = f"{workload}/{config}/{db_gb:g}GB"
     kwargs = dict(effort=eff, scale=COARSE_SCALE, bm_config=bm_config,
-                  workers=WORKERS, extra_worker_counts=())
+                  workers=WORKERS)
     if workload == "TPC-C":
         return Cell.tpcc(label, shape, policy, db_gb, **kwargs)
     return Cell.ycsb(label, shape, policy, workload, db_gb, **kwargs)

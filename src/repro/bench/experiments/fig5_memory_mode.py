@@ -38,7 +38,7 @@ def _cell(workload_name: str, db_gb: float, memory_mode: bool, eff) -> Cell:
     policy = DRAM_SSD_POLICY if memory_mode else NVM_SSD_POLICY
     mode = "mem" if memory_mode else "appdirect"
     kwargs = dict(effort=eff, scale=COARSE_SCALE, memory_mode=memory_mode,
-                  workers=WORKERS, extra_worker_counts=())
+                  workers=WORKERS)
     if workload_name == "TPC-C":
         return Cell.tpcc(f"{workload_name}/{mode}/{db_gb:g}GB", shape, policy,
                          db_gb, **kwargs)

@@ -11,15 +11,13 @@ peak; the eager D = 1 is the worst of the non-zero settings.
 
 from __future__ import annotations
 
-from ...core.policy import MigrationPolicy
 from ..reporting import ExperimentResult
 from .common import (
     POLICY_DB_GB,
     POLICY_SHAPE,
     SWEEP_PROBS,
-    Cell,
-    CellBatch,
     effort,
+    policy_sweep,
 )
 
 WORKLOADS = ("YCSB-RO", "YCSB-BA", "YCSB-WH", "TPC-C")
@@ -34,26 +32,14 @@ def run(quick: bool = True, jobs: int = 1) -> ExperimentResult:
         dram_gb=POLICY_SHAPE.dram_gb, nvm_gb=POLICY_SHAPE.nvm_gb,
         db_gb=POLICY_DB_GB,
     )
-    batch = CellBatch()
-    for workload in WORKLOADS:
-        for d in SWEEP_PROBS:
-            policy = MigrationPolicy(d_r=d, d_w=d, n_r=1.0, n_w=1.0,
-                                     name=f"D={d}")
-            if workload == "TPC-C":
-                cell = Cell.tpcc(f"{workload}/D={d}", POLICY_SHAPE, policy,
-                                 POLICY_DB_GB, effort=eff)
-            else:
-                cell = Cell.ycsb(f"{workload}/D={d}", POLICY_SHAPE, policy,
-                                 workload, POLICY_DB_GB, effort=eff)
-            batch.add((workload, d), cell)
-    runs = batch.run(jobs)
+    runs = policy_sweep("D", WORKLOADS, eff, jobs)
     for workload in WORKLOADS:
         one = result.new_series(f"{workload}/1w")
         sixteen = result.new_series(f"{workload}/16w")
         for d in SWEEP_PROBS:
-            res = runs[(workload, d)]
+            res = runs[("D", workload, d)]
             one.add(d, res.throughput)
-            sixteen.add(d, res.throughput_by_workers[16])
+            sixteen.add(d, res.throughput_at(16))
     for workload in WORKLOADS:
         series = result.series[f"{workload}/1w"]
         peak = max(series.ys)

@@ -12,15 +12,13 @@ capacity entirely, and the collapse is much deeper with 16 workers
 
 from __future__ import annotations
 
-from ...core.policy import MigrationPolicy
 from ..reporting import ExperimentResult
 from .common import (
     POLICY_DB_GB,
     POLICY_SHAPE,
     SWEEP_PROBS,
-    Cell,
-    CellBatch,
     effort,
+    policy_sweep,
 )
 
 WORKLOADS = ("YCSB-RO", "YCSB-BA", "YCSB-WH", "TPC-C")
@@ -35,26 +33,14 @@ def run(quick: bool = True, jobs: int = 1) -> ExperimentResult:
         dram_gb=POLICY_SHAPE.dram_gb, nvm_gb=POLICY_SHAPE.nvm_gb,
         db_gb=POLICY_DB_GB,
     )
-    batch = CellBatch()
-    for workload in WORKLOADS:
-        for n in SWEEP_PROBS:
-            policy = MigrationPolicy(d_r=1.0, d_w=1.0, n_r=n, n_w=n,
-                                     name=f"N={n}")
-            if workload == "TPC-C":
-                cell = Cell.tpcc(f"{workload}/N={n}", POLICY_SHAPE, policy,
-                                 POLICY_DB_GB, effort=eff)
-            else:
-                cell = Cell.ycsb(f"{workload}/N={n}", POLICY_SHAPE, policy,
-                                 workload, POLICY_DB_GB, effort=eff)
-            batch.add((workload, n), cell)
-    runs = batch.run(jobs)
+    runs = policy_sweep("N", WORKLOADS, eff, jobs)
     for workload in WORKLOADS:
         one = result.new_series(f"{workload}/1w")
         sixteen = result.new_series(f"{workload}/16w")
         for n in SWEEP_PROBS:
-            res = runs[(workload, n)]
+            res = runs[("N", workload, n)]
             one.add(n, res.throughput)
-            sixteen.add(n, res.throughput_by_workers[16])
+            sixteen.add(n, res.throughput_at(16))
     for workload in WORKLOADS:
         one = result.series[f"{workload}/1w"]
         sixteen = result.series[f"{workload}/16w"]

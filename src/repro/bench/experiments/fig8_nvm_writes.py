@@ -12,15 +12,13 @@ regardless).
 
 from __future__ import annotations
 
-from ...core.policy import MigrationPolicy
 from ..reporting import ExperimentResult
 from .common import (
     POLICY_DB_GB,
     POLICY_SHAPE,
     SWEEP_PROBS,
-    Cell,
-    CellBatch,
     effort,
+    policy_sweep,
 )
 
 WORKLOADS = ("YCSB-RO", "YCSB-BA", "YCSB-WH")
@@ -35,21 +33,11 @@ def run(quick: bool = True, jobs: int = 1) -> ExperimentResult:
         dram_gb=POLICY_SHAPE.dram_gb, nvm_gb=POLICY_SHAPE.nvm_gb,
         db_gb=POLICY_DB_GB, measure_ops=eff.measure_ops,
     )
-    batch = CellBatch()
-    for workload in WORKLOADS:
-        for n in SWEEP_PROBS:
-            policy = MigrationPolicy(d_r=1.0, d_w=1.0, n_r=n, n_w=n)
-            batch.add(
-                (workload, n),
-                Cell.ycsb(f"{workload}/N={n}", POLICY_SHAPE, policy,
-                          workload, POLICY_DB_GB, effort=eff,
-                          extra_worker_counts=()),
-            )
-    runs = batch.run(jobs)
+    runs = policy_sweep("N", WORKLOADS, eff, jobs)
     for workload in WORKLOADS:
         series = result.new_series(workload)
         for n in SWEEP_PROBS:
-            series.add(n, runs[(workload, n)].nvm_write_gb)
+            series.add(n, runs[("N", workload, n)].nvm_write_gb)
     for workload in WORKLOADS:
         series = result.series[workload]
         lazy = max(series.y_at(0.1), 1e-9)

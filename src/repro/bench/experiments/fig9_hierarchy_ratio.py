@@ -35,8 +35,7 @@ def run(quick: bool = True, jobs: int = 1) -> ExperimentResult:
             batch.add(
                 (dram_gb, d),
                 Cell.ycsb(f"dram={dram_gb:g}/D={d}", shape, policy,
-                          "YCSB-RO", DB_GB, effort=eff,
-                          extra_worker_counts=()),
+                          "YCSB-RO", DB_GB, effort=eff),
             )
     runs = batch.run(jobs)
     for dram_gb in DRAM_SIZES:

@@ -51,11 +51,11 @@ def run(quick: bool = True, jobs: int = 1) -> ExperimentResult:
             if workload == "TPC-C":
                 cell = Cell.tpcc(label, HYMEM_SHAPE, HYMEM_POLICY,
                                  HYMEM_DB_GB, effort=eff, bm_config=config,
-                                 workers=WORKERS, extra_worker_counts=())
+                                 workers=WORKERS)
             else:
                 cell = Cell.ycsb(label, HYMEM_SHAPE, HYMEM_POLICY, "YCSB-RO",
                                  HYMEM_DB_GB, effort=eff, bm_config=config,
-                                 workers=WORKERS, extra_worker_counts=())
+                                 workers=WORKERS)
             batch.add((workload, fraction), cell)
     runs = batch.run(jobs)
     for workload in ("YCSB-RO", "TPC-C"):

@@ -38,8 +38,7 @@ def run(quick: bool = True, jobs: int = 1) -> ExperimentResult:
                 Cell.ycsb(f"{mix.name}/{replacement}", SHAPE, SPITFIRE_LAZY,
                           mix.name, DB_GB, skew=0.6, effort=eff,
                           bm_config=BufferManagerConfig(
-                              replacement=replacement),
-                          extra_worker_counts=()),
+                              replacement=replacement)),
             )
     runs = batch.run(jobs)
     for mix in (YCSB_RO, YCSB_BA):

@@ -11,27 +11,16 @@ ratio, ~0.25 for the 12.5/50 GB hierarchy).
 
 from __future__ import annotations
 
-from ...core.policy import MigrationPolicy
 from ..reporting import ExperimentResult
 from .common import (
     POLICY_DB_GB,
     POLICY_SHAPE,
     SWEEP_PROBS,
-    Cell,
-    CellBatch,
     effort,
+    policy_sweep,
 )
 
 WORKLOADS = ("YCSB-RO", "YCSB-BA", "YCSB-WH", "TPC-C")
-
-
-def _cell(workload: str, policy: MigrationPolicy, eff) -> Cell:
-    label = f"{workload}/{policy.name or 'policy'}"
-    if workload == "TPC-C":
-        return Cell.tpcc(label, POLICY_SHAPE, policy, POLICY_DB_GB,
-                         effort=eff, extra_worker_counts=())
-    return Cell.ycsb(label, POLICY_SHAPE, policy, workload, POLICY_DB_GB,
-                     effort=eff, extra_worker_counts=())
 
 
 def run(quick: bool = True, jobs: int = 1) -> ExperimentResult:
@@ -43,18 +32,7 @@ def run(quick: bool = True, jobs: int = 1) -> ExperimentResult:
         dram_gb=POLICY_SHAPE.dram_gb, nvm_gb=POLICY_SHAPE.nvm_gb,
         db_gb=POLICY_DB_GB,
     )
-    batch = CellBatch()
-    for workload in WORKLOADS:
-        for d in SWEEP_PROBS:
-            policy = MigrationPolicy(d_r=d, d_w=d, n_r=1.0, n_w=1.0,
-                                     name=f"D={d}")
-            batch.add(("D", workload, d), _cell(workload, policy, eff))
-    for workload in WORKLOADS:
-        for n in SWEEP_PROBS:
-            policy = MigrationPolicy(d_r=1.0, d_w=1.0, n_r=n, n_w=n,
-                                     name=f"N={n}")
-            batch.add(("N", workload, n), _cell(workload, policy, eff))
-    runs = batch.run(jobs)
+    runs = policy_sweep("DN", WORKLOADS, eff, jobs)
     for workload in WORKLOADS:
         series = result.new_series(f"Bypassing DRAM (D)/{workload}")
         for d in SWEEP_PROBS:

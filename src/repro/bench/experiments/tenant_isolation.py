@@ -71,7 +71,6 @@ def run(quick: bool = True, jobs: int = 1) -> ExperimentResult:
         batch.add(name, Cell.multi_tenant(
             name, SHAPE, SPITFIRE_LAZY, tenants,
             quota_mode=quota_mode, shares=shares, effort=eff,
-            extra_worker_counts=(),
         ))
     runs = batch.run(jobs)
 

@@ -10,17 +10,18 @@ checkpoint traffic for update operations.
 Throughput is *simulated* operations per second: the cost accumulator's
 makespan analysis converts accumulated device/CPU demands into time for
 a configured worker count (1 and 16 in most of the paper's plots — both
-can be derived from the same run).
+are read off the same run, :meth:`RunResult.throughput_at`).
 """
 
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..core.buffer_manager import BufferManager
 from ..core.stats import BufferStats
+from ..hardware import simclock
 from ..hardware.simclock import CostAccumulator, checked_fp
 from ..hardware.specs import Tier
 from ..obs.decisions import DecisionRecorder
@@ -130,8 +131,6 @@ class RunResult:
     inclusivity: float
     nvm_write_gb: float
     makespan_ns: float
-    #: Throughput recomputed for other worker counts from the same run.
-    throughput_by_workers: dict[int, float] = field(default_factory=dict)
     #: MetricsHub snapshot — registry state plus epoch gauge series
     #: (only when ``RunOptions.collect_metrics``).
     metrics: dict | None = None
@@ -154,6 +153,21 @@ class RunResult:
     @property
     def throughput_kops(self) -> float:
         return self.throughput / 1e3
+
+    def throughput_at(self, workers: int) -> float:
+        """Throughput of this window's work spread over ``workers``.
+
+        The same run at another worker count: the one makespan rule,
+        :func:`~repro.hardware.simclock.makespan_from_fp`, over the
+        window's usage in the fixed-point units it was charged in (each
+        ``busy_ns`` views them exactly below 2**53 units, ≈ 8.6
+        simulated seconds per resource), so it equals
+        ``hierarchy.throughput(operations, workers)`` at the window's end.
+        """
+        busy_fp = {key: simclock.to_fp(usage["busy_ns"])
+                   for key, usage in (self.resource_usage or {}).items()}
+        return simclock.ops_per_sim_second(
+            self.operations, simclock.makespan_from_fp(busy_fp, workers))
 
 
 def tenant_breakdown(metrics: dict | None) -> dict[int, dict] | None:
@@ -401,34 +415,31 @@ class WorkloadRunner:
     # ------------------------------------------------------------------
     # Full measurement protocol
     # ------------------------------------------------------------------
-    def measure_ycsb(self, workload: YcsbWorkload, label: str | None = None,
-                     extra_worker_counts: tuple[int, ...] = ()) -> RunResult:
+    def measure_ycsb(self, workload: YcsbWorkload,
+                     label: str | None = None) -> RunResult:
         self.allocate_database(workload.num_pages)
         self._prime(workload.page_popularity())
         return self._measure(
             step=lambda: self.run_ycsb_op(workload),
             label=label or workload.mix.name,
-            extra_worker_counts=extra_worker_counts,
             batch_step=lambda count: self.run_ycsb_batch(workload, count),
         )
 
-    def measure_tpcc(self, workload: TpccWorkload, label: str = "TPC-C",
-                     extra_worker_counts: tuple[int, ...] = ()) -> RunResult:
+    def measure_tpcc(self, workload: TpccWorkload,
+                     label: str = "TPC-C") -> RunResult:
         self.allocate_database(workload.num_pages)
         self._prime(workload.page_popularity())
         stream = self._tpcc_stream(workload)
         return self._measure(
             step=lambda: self.run_access(next(stream)),
             label=label,
-            extra_worker_counts=extra_worker_counts,
             batch_step=lambda count: self.run_access_batch(
                 [next(stream) for _ in range(count)]
             ),
         )
 
     def measure_tenants(self, workload: MultiTenantWorkload,
-                        label: str = "tenants",
-                        extra_worker_counts: tuple[int, ...] = ()) -> RunResult:
+                        label: str = "tenants") -> RunResult:
         """Measure the interleaved multi-tenant stream.
 
         Same protocol as the single-stream entry points — allocate,
@@ -447,7 +458,6 @@ class WorkloadRunner:
         return self._measure(
             step=step,
             label=label,
-            extra_worker_counts=extra_worker_counts,
             batch_step=lambda count: self.run_tenant_batch(
                 [workload.next_access() for _ in range(count)], think
             ),
@@ -503,9 +513,8 @@ class WorkloadRunner:
                 hub.decision_source = decisions
         return observers
 
-    def _measure(self, step, label: str,
-                 extra_worker_counts: tuple[int, ...],
-                 batch_step=None, track_tenants: bool = False) -> RunResult:
+    def _measure(self, step, label: str, batch_step=None,
+                 track_tenants: bool = False) -> RunResult:
         config = self.config
         batch_size = config.options.batch_size
         use_batch = batch_step is not None and batch_size > 1
@@ -585,9 +594,6 @@ class WorkloadRunner:
         operations = config.measure_ops
         makespan = self.hierarchy.cost.makespan_ns(config.workers)
         throughput = self.hierarchy.throughput(operations, config.workers)
-        by_workers = {config.workers: throughput}
-        for workers in extra_worker_counts:
-            by_workers[workers] = self.hierarchy.throughput(operations, workers)
         metrics_snapshot = hub.snapshot() if hub is not None else None
         return RunResult(
             label=label,
@@ -598,7 +604,6 @@ class WorkloadRunner:
             inclusivity=self.bm.inclusivity.mean_ratio(),
             nvm_write_gb=self.bm.nvm_write_volume_gb(),
             makespan_ns=makespan,
-            throughput_by_workers=by_workers,
             metrics=(metrics_snapshot if config.options.collect_metrics
                      else None),
             resource_usage={

@@ -193,8 +193,10 @@ def build_run_summary(experiments: list[dict], registry=None,
     """One JSON-able digest of a whole ``repro-experiments`` run.
 
     ``experiments`` carries one entry per figure —
-    ``{"experiment_id", "title", "elapsed_s", "series", "points"}``
-    plus an optional ``"decisions"`` digest (a
+    ``{"experiment_id", "title", "elapsed_s", "series", "points",
+    "cells", "reused"}`` (cells declared, and how many of them took a
+    result the run session already held) plus an optional
+    ``"decisions"`` digest (a
     :meth:`~repro.obs.decisions.DecisionRecorder.summary`-shaped dict).
     ``registry`` is the merged :class:`~repro.obs.metrics.MetricsRegistry`
     when the run collected metrics; fault counters, tenant breakdowns,
@@ -228,13 +230,15 @@ def render_run_summary(summary: dict) -> str:
     if experiments:
         width = max(len(e["experiment_id"]) for e in experiments) + 2
         lines.append(f"{'figure':<{width}}{'wall':>9}  {'series':>6}  "
-                     f"{'points':>6}  title")
+                     f"{'points':>6}  {'cells':>5}  {'reused':>6}  title")
         for entry in experiments:
             lines.append(
                 f"{entry['experiment_id']:<{width}}"
                 f"{entry.get('elapsed_s', 0.0):>8.1f}s"
                 f"  {entry.get('series', 0):>6}"
                 f"  {entry.get('points', 0):>6}"
+                f"  {entry.get('cells', 0):>5}"
+                f"  {entry.get('reused', 0):>6}"
                 f"  {entry.get('title', '')}"
             )
         lines.append(f"{'total':<{width}}"

@@ -34,14 +34,16 @@ and writes the merged metrics as Prometheus text exposition (plus a
 ``.jsonl`` snapshot stream next to it); the figure JSON itself is
 byte-identical with or without metrics attached.
 
-With ``--jobs N`` and more than one experiment selected, the whole run
-becomes a **suite session**: one persistent worker pool is created and
+With more than one experiment selected, the whole run becomes a
+**suite session**: a cell that several figures declare (Table 2's
+grid is Figs. 6-8's) is simulated once and its result handed to each.
+With ``--jobs N`` one persistent worker pool is also created and
 warmed up front, and every experiment's cells flow through it —
 several experiment drivers run concurrently, so the pool queue holds
 cells from multiple figures at once and one figure's straggler tail
 overlaps the next figure's start.  Output (tables, JSON files, metrics
 exports) is printed and written in paper order and stays byte-identical
-to a sequential ``--jobs 1`` run.
+to running each experiment alone.
 
 The ``chaos`` subcommand runs the crash-consistency matrix instead of
 an experiment: every consistency-relevant boundary of a deterministic
@@ -414,24 +416,26 @@ def _run_experiments(chosen: list[str], args, sinks: list[list],
 
     With ``collect``, experiment ``i`` gathers its cells' metrics into
     ``sinks[i]`` (``(label, RunResult)`` pairs, filled as its batches
-    finish).  A record holds id, title, wall time, series/point counts
-    and decision digest, for the run summary.
+    finish).  A record holds id, title, wall time, series/point counts,
+    cells declared and reused, and decision digest, for the run summary.
 
-    One experiment (or ``--jobs 1``) runs inline.  Several experiments
-    with ``--jobs N`` open a suite-wide run session: the persistent
-    pool is warmed once, then a few driver threads walk the experiment
-    list concurrently so the shared pool schedules cells from multiple
-    figures as one batch.  Each driver collects metrics into its own
-    per-experiment sink; concatenating the sinks in paper order makes
-    the merged export byte-identical to a sequential run.
+    One experiment runs inline.  Several open a suite-wide run session,
+    which simulates each distinct cell once; with ``--jobs N`` its
+    persistent pool is warmed once, then a few driver threads walk the
+    experiment list concurrently so the shared pool schedules cells
+    from multiple figures as one batch.  Each driver collects metrics
+    into its own per-experiment sink; concatenating the sinks in paper
+    order makes the merged export byte-identical to a sequential run.
     """
     from .bench import executor
 
     quick = not args.full
+    records: list = []
 
     def drive(index: int, experiment_id: str):
         started = time.time()
         with contextlib.ExitStack() as scope:
+            tally = scope.enter_context(executor.cell_tally())
             if collect:
                 sinks[index] = scope.enter_context(
                     executor.metrics_collection())
@@ -442,6 +446,7 @@ def _run_experiments(chosen: list[str], args, sinks: list[list],
             "elapsed_s": round(time.time() - started, 3),
             "series": len(result.series),
             "points": sum(len(s.points) for s in result.series.values()),
+            **tally,
         }
         digest = _decision_digest(sinks[index])
         if digest is not None:
@@ -449,15 +454,18 @@ def _run_experiments(chosen: list[str], args, sinks: list[list],
         return result, record
 
     def emit(experiment_id: str, result, record: dict) -> None:
+        records.append(record)
         print(result.render())
         print(f"   [{experiment_id} took {record['elapsed_s']:.1f}s]\n")
         if args.out:
             path = result.save_json(args.out)
             print(f"   saved {path}")
 
-    records: list = []
-    if args.jobs > 1 and len(chosen) > 1:
-        with executor.run_session(jobs=args.jobs) as session:
+    if len(chosen) == 1:
+        emit(chosen[0], *drive(0, chosen[0]))
+        return records
+    with executor.run_session(jobs=args.jobs) as session:
+        if args.jobs > 1:
             # Each driver runs in a copy of this thread's context, so
             # per-driver metrics scopes stay isolated while inheriting
             # any ambient scopes entered before the session.
@@ -469,15 +477,11 @@ def _run_experiments(chosen: list[str], args, sinks: list[list],
                     for index, experiment_id in enumerate(chosen)
                 ]
                 for experiment_id, future in zip(chosen, futures):
-                    result, record = future.result()
-                    emit(experiment_id, result, record)
-                    records.append(record)
-            print(f"   [{session.describe()}]")
-    else:
-        for index, experiment_id in enumerate(chosen):
-            result, record = drive(index, experiment_id)
-            emit(experiment_id, result, record)
-            records.append(record)
+                    emit(experiment_id, *future.result())
+        else:
+            for index, experiment_id in enumerate(chosen):
+                emit(experiment_id, *drive(index, experiment_id))
+    print(f"   [{session.describe()}]")
     return records
 
 

@@ -66,6 +66,35 @@ def to_fp_array(service_ns_array):
     ).astype(np.int64)
 
 
+def makespan_from_fp(busy_fp: dict[str, int], workers: int = 1) -> float:
+    """Simulated completion time of per-resource fixed-point busy time.
+
+    The batch cannot finish faster than (a) the per-worker share of the
+    total serialised demand, nor (b) the busy time of the most loaded
+    shared device.  CPU demand divides across workers; device busy
+    times do not (bandwidth figures in the specs are already aggregate
+    device bandwidth).  The sum is taken over the integers, so the one
+    rounding is the final division's, however long the window ran.
+    """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    per_worker = sum(busy_fp.values()) / FP_SCALE / workers
+    device_bound_fp = max(
+        (fp for key, fp in busy_fp.items() if key != CostAccumulator.CPU),
+        default=0,
+    )
+    return max(per_worker, device_bound_fp / FP_SCALE)
+
+
+def ops_per_sim_second(operations: int, span_ns: float) -> float:
+    """Operations per simulated second over a makespan of ``span_ns``."""
+    if operations <= 0:
+        return 0.0
+    if span_ns <= 0:
+        return float("inf")
+    return operations / (span_ns / 1e9)
+
+
 class ResourceUsage:
     """Accumulated service demand for a single shared resource.
 
@@ -377,33 +406,15 @@ class CostAccumulator:
     # Makespan / throughput analysis
     # ------------------------------------------------------------------
     def makespan_ns(self, workers: int = 1) -> float:
-        """Simulated completion time of the accumulated work.
-
-        The batch cannot finish faster than (a) the per-worker share of the
-        total serialised demand, nor (b) the busy time of the most loaded
-        shared device.  CPU demand divides across workers; device busy
-        times do not (bandwidth figures in the specs are already aggregate
-        device bandwidth).
-        """
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        snapshot = self.snapshot()
-        total_fp = sum(u.busy_fp for u in snapshot.values())
-        per_worker = total_fp / FP_SCALE / workers
-        device_bound_fp = max(
-            (u.busy_fp for key, u in snapshot.items() if key != self.CPU),
-            default=0,
-        )
-        return max(per_worker, device_bound_fp / FP_SCALE)
+        """Simulated completion time of the accumulated work
+        (:func:`makespan_from_fp` over the current tallies)."""
+        with self._lock:
+            busy_fp = {key: u.busy_fp for key, u in self._usage.items()}
+        return makespan_from_fp(busy_fp, workers)
 
     def throughput(self, operations: int, workers: int = 1) -> float:
         """Operations per simulated second for the accumulated work."""
-        if operations <= 0:
-            return 0.0
-        span = self.makespan_ns(workers)
-        if span <= 0:
-            return float("inf")
-        return operations / (span / 1e9)
+        return ops_per_sim_second(operations, self.makespan_ns(workers))
 
     def delta_since(self, baseline: dict[str, ResourceUsage]) -> "CostAccumulator":
         """A new accumulator holding usage accrued since ``baseline``.

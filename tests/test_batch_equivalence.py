@@ -68,7 +68,7 @@ def _fingerprint(result) -> dict:
     return {
         "stats": result.stats.as_dict(),
         "throughput": result.throughput,
-        "throughput_by_workers": result.throughput_by_workers,
+        "throughput_at_16": result.throughput_at(16),
         "makespan_ns": result.makespan_ns,
         "inclusivity": result.inclusivity,
         "nvm_write_gb": result.nvm_write_gb,
@@ -85,7 +85,7 @@ def _measured(cell: Cell, **options) -> dict:
 
 def _ycsb_cell(mix: str, **kwargs) -> Cell:
     return Cell.ycsb(f"batch-eq/{mix}", SHAPE, SPITFIRE_LAZY, mix, 10.0,
-                     effort=TINY, extra_worker_counts=(), **kwargs)
+                     effort=TINY, **kwargs)
 
 
 @functools.lru_cache(maxsize=None)
@@ -103,14 +103,13 @@ class TestRunEquivalence:
 
     def test_tpcc_batched_equals_per_op(self):
         cell = Cell.tpcc("batch-eq/tpcc", SHAPE, SPITFIRE_LAZY, 10.0,
-                         effort=TINY, extra_worker_counts=())
+                         effort=TINY)
         assert _measured(cell, batch_size=1024) == _measured(cell)
 
     def test_sampling_boundaries_mid_batch(self):
         """Batches larger than the sampling interval split correctly."""
         cell = Cell.ycsb("batch-eq/crossing", SHAPE, SPITFIRE_LAZY,
-                         "YCSB-BA", 10.0, effort=CROSSING,
-                         extra_worker_counts=())
+                         "YCSB-BA", 10.0, effort=CROSSING)
         assert _measured(cell, batch_size=1024) == _measured(cell)
 
     def test_equivalence_with_noop_fault_wrappers(self):
@@ -137,7 +136,7 @@ class TestRunEquivalence:
     def test_eager_policy_slow_path_fallback(self):
         """A migration-heavy policy exercises the slow-path fallback."""
         cell = Cell.ycsb("batch-eq/eager", SHAPE, SPITFIRE_EAGER, "YCSB-BA",
-                         10.0, effort=TINY, extra_worker_counts=())
+                         10.0, effort=TINY)
         baseline = _measured(cell)
         assert baseline["stats"]["nvm_to_dram"] > 0
         assert _measured(cell, batch_size=64) == baseline

@@ -23,7 +23,6 @@ def tiny_experiment(name: str, index: int):
                       SPITFIRE_LAZY, "YCSB-BA", 25.0,
                       effort=Effort(300, 600),
                       scale=SimulationScale(pages_per_gb=8),
-                      extra_worker_counts=(),
                       workload_seed=3 + 2 * index + cell)
             for cell in range(2)
         ]
@@ -75,6 +74,20 @@ class TestTelemetryPlane:
         assert summary["schema"] == "repro-run-summary/1"
         assert summary["experiments"][0]["experiment_id"] == "table1"
         assert "generated_at" in summary
+
+    def test_serial_session_reuses_and_says_so(self, tmp_path, capsys,
+                                               monkeypatch):
+        # Two experiments declaring the same two simulations under
+        # their own labels: the second is answered from the first.
+        for name in ("tiny_a", "tiny_b"):
+            monkeypatch.setitem(REGISTRY, name, tiny_experiment(name, 0))
+        assert main(["tiny_a", "tiny_b", "--out", str(tmp_path)]) == 0
+        assert "2 cells simulated, 2 reused" in capsys.readouterr().out
+        summary = json.loads((tmp_path / "run_summary.json").read_text())
+        assert [(e["cells"], e["reused"]) for e in summary["experiments"]] \
+            == [(2, 0), (2, 2)]
+        assert (tmp_path / "tiny_a.json").read_text().replace("tiny_a", "X") \
+            == (tmp_path / "tiny_b.json").read_text().replace("tiny_b", "X")
 
     def test_report_renders_run_summary(self, tmp_path, capsys):
         assert main(["table1", "--out", str(tmp_path)]) == 0

@@ -37,7 +37,7 @@ TINY = Effort(warmup_ops=300, measure_ops=600)
 
 def tiny_cell(label: str = "tiny") -> Cell:
     return Cell.ycsb(label, SHAPE, SPITFIRE_LAZY, "YCSB-BA", 10.0,
-                     effort=TINY, extra_worker_counts=())
+                     effort=TINY)
 
 
 class TestCellSpec:

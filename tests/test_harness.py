@@ -11,7 +11,7 @@ from repro.core.buffer_manager import BufferManager
 from repro.core.policy import SPITFIRE_EAGER, NVM_SSD_POLICY
 from repro.hardware.cost_model import StorageHierarchy
 from repro.hardware.pricing import HierarchyShape
-from repro.hardware.specs import SimulationScale, Tier
+from repro.hardware.specs import DEFAULT_SPECS, SimulationScale, Tier
 from repro.workloads.tpcc import TpccWorkload
 from repro.workloads.ycsb import YCSB_BA, YCSB_RO, YcsbWorkload
 
@@ -43,12 +43,25 @@ class TestMeasurementProtocol:
         # Stats were reset after warm-up: only measured ops counted.
         assert result.stats.operations == 100
 
-    def test_extra_worker_counts(self):
-        runner = make_runner()
-        workload = YcsbWorkload(500, mix=YCSB_BA, seed=1)
-        result = runner.measure_ycsb(workload, extra_worker_counts=(16,))
-        assert set(result.throughput_by_workers) == {1, 16}
-        assert result.throughput_by_workers[16] >= result.throughput_by_workers[1]
+    def test_throughput_at_matches_the_hierarchy(self):
+        """One run, any worker count: ``throughput_at`` applies the
+        accumulator's own makespan rule, exactly, even past 2**33 ns of
+        total busy time, where a float sum of ``busy_ns`` starts to
+        round.  A slowed SSD makes a short window that long."""
+        ssd = DEFAULT_SPECS[Tier.SSD].scaled(
+            rand_read_latency_ns=3_000_000.3, rand_read_bw=5.5e6,
+            rand_write_bw=5.5e6)
+        hierarchy = StorageHierarchy(HierarchyShape(2, 8, 100), SCALE,
+                                     specs={**DEFAULT_SPECS, Tier.SSD: ssd})
+        runner = WorkloadRunner(BufferManager(hierarchy, SPITFIRE_EAGER),
+                                RunConfig(warmup_ops=200, measure_ops=2000))
+        result = runner.measure_ycsb(YcsbWorkload(20_000, mix=YCSB_BA, seed=1))
+        assert hierarchy.cost.total_ns > 2 ** 33
+        assert result.throughput_at(1) == result.throughput
+        for workers in (1, 4, 16):
+            assert result.throughput_at(workers) == \
+                hierarchy.throughput(result.operations, workers)
+        assert result.throughput_at(16) > result.throughput_at(1)
 
     def test_tpcc_run(self):
         runner = make_runner()

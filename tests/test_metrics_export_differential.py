@@ -59,7 +59,7 @@ TENANTS = (
 CELLS = {
     "ycsb_ro_lazy_100gb": (
         Cell.ycsb("ro-lazy", POLICY_SHAPE, SPITFIRE_LAZY, "YCSB-RO",
-                  POLICY_DB_GB, effort=SHORT, extra_worker_counts=()),
+                  POLICY_DB_GB, effort=SHORT),
         {},
         READ_MISS | {"migrations_total", "clean_drops_total"},
         "0e73b38a6cb6f1b1d7ef5910aec89dc9d74c494a14cc6508037265b9bb81a0ce",
@@ -68,7 +68,7 @@ CELLS = {
     # and NVM fills, so both tiers write back; checkpoints flush.
     "tpcc_wal_100gb": (
         Cell.tpcc("tpcc", HierarchyShape(2.0, 8.0, 200.0), HALF_N_W,
-                  POLICY_DB_GB, extra_worker_counts=(),
+                  POLICY_DB_GB,
                   effort=Effort(warmup_ops=1_000, measure_ops=6_000)),
         {},
         set(TRAFFIC) | {'tier_write_backs_total{src="DRAM"}',
@@ -77,7 +77,7 @@ CELLS = {
     ),
     "fig11_hymem_256b": (
         Cell.ycsb("HyMem/256B", HYMEM_SHAPE, HYMEM_POLICY, "YCSB-RO",
-                  HYMEM_DB_GB, effort=SHORT, extra_worker_counts=(),
+                  HYMEM_DB_GB, effort=SHORT,
                   bm_config=BufferManagerConfig(
                       fine_grained=True, mini_pages=False,
                       loading_unit=LoadingUnit(256))),
@@ -87,22 +87,21 @@ CELLS = {
     ),
     "two_tenants": (
         Cell.multi_tenant("mt", HierarchyShape(0.5, 1.0, 64.0),
-                          SPITFIRE_LAZY, TENANTS, effort=SHORT,
-                          extra_worker_counts=()),
+                          SPITFIRE_LAZY, TENANTS, effort=SHORT),
         {},
         READ_MISS | {"tier_write_backs_total", "tenant_ops_total"},
         "1ee81c3d80f6e7398fa0cf74be4be5cffac84a3562d3c949b0628a8659ce0a29",
     ),
     "ycsb_ro_8gb_batched": (
         Cell.ycsb("ro-8gb", POLICY_SHAPE, SPITFIRE_LAZY, "YCSB-RO", 8.0,
-                  effort=SHORT, extra_worker_counts=()),
+                  effort=SHORT),
         {"batch_size": 1024},
         {"buffer_ops_total", "tier_hits_total"},
         "7f50e8fa927341cc5e9bdf71a60ddd9ba2267101e0ed6301018b2e976d55c678",
     ),
     "ycsb_ba_decisions": (
         Cell.ycsb("ba-decisions", POLICY_SHAPE, SPITFIRE_LAZY, "YCSB-BA",
-                  POLICY_DB_GB, effort=SHORT, extra_worker_counts=()),
+                  POLICY_DB_GB, effort=SHORT),
         {"trace_decisions": 0.05},
         READ_MISS | {"migrations_total", "migration_decisions_total",
                      "eviction_victims_total"},

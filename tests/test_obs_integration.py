@@ -68,8 +68,7 @@ def latency_count(metrics: dict) -> int:
 def tiny_cells() -> list[Cell]:
     return [
         Cell.ycsb(f"tiny-{index}", SHAPE, SPITFIRE_LAZY, "YCSB-BA",
-                  db_gb=25.0, effort=TINY, scale=SCALE,
-                  extra_worker_counts=(), workload_seed=3 + index)
+                  db_gb=25.0, effort=TINY, scale=SCALE, workload_seed=3 + index)
         for index in range(2)
     ]
 
@@ -131,7 +130,7 @@ class TestHarnessMetrics:
             return False
 
         with pytest.raises(RuntimeError, match="boom"):
-            runner._measure(step, label="boom", extra_worker_counts=())
+            runner._measure(step, label="boom")
         assert bus.num_subscribers == baseline
 
     def test_observers_detached_when_a_detach_raises(self):

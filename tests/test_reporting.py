@@ -112,7 +112,7 @@ class TestAsciiChart:
 def sample_records() -> list[dict]:
     return [
         {"experiment_id": "fig6", "title": "Fig 6", "elapsed_s": 12.5,
-         "series": 4, "points": 16,
+         "series": 4, "points": 16, "cells": 16, "reused": 16,
          "decisions": {"cells": 16, "spans_recorded": 80,
                        "spans_dropped": 2, "sample_fraction": 0.05}},
         {"experiment_id": "fig7", "title": "Fig 7", "elapsed_s": 7.5,
@@ -165,6 +165,8 @@ class TestRunSummary:
         text = render_run_summary(summary)
         assert "== run report ==" in text
         assert "fig6" in text and "Fig 6" in text
+        assert "cells  reused" in text
+        assert "     16      16  Fig 6" in text
         assert "decisions[fig6]: 80 span(s) (+2 dropped)" in text
         assert "-- decision counters --" in text
         assert "eviction_victims_total{tier=DRAM,victim_class=dirty} = 3" \

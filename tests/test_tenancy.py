@@ -349,12 +349,11 @@ class TestSingleTenantIdentity:
         same stream, same simulated numbers, plus a tenant-0 breakdown,
         per-op and batched."""
         untagged = Cell.ycsb("identity", SMALL_SHAPE, SPITFIRE_LAZY,
-                             "YCSB-BA", 2.0, effort=SMALL_EFFORT,
-                             extra_worker_counts=(), workload_seed=5)
+                             "YCSB-BA", 2.0, effort=SMALL_EFFORT, workload_seed=5)
         tagged = Cell.multi_tenant(
             "identity", SMALL_SHAPE, SPITFIRE_LAZY,
             (TenantSpec("only", mix="YCSB-BA", db_gigabytes=2.0, seed=5),),
-            effort=SMALL_EFFORT, extra_worker_counts=())
+            effort=SMALL_EFFORT)
         for batch_size in (1, 1024):
             with run_options(batch_size=batch_size):
                 baseline, result = run_cells([untagged, tagged])
@@ -407,7 +406,7 @@ def one_tenant_cell(label: str, mix: str) -> Cell:
     return Cell.multi_tenant(
         label, SMALL_SHAPE, SPITFIRE_LAZY,
         (TenantSpec("only", mix=mix, db_gigabytes=2.0, seed=3),),
-        effort=SMALL_EFFORT, extra_worker_counts=())
+        effort=SMALL_EFFORT)
 
 
 class TestMetricsReconciliation:
@@ -421,7 +420,7 @@ class TestMetricsReconciliation:
                 SPITFIRE_LAZY,
                 (TenantSpec("lead", mix=mix, db_gigabytes=0.5, seed=7),
                  TWO_TENANTS[1]),
-                effort=SMALL_EFFORT, extra_worker_counts=()),
+                effort=SMALL_EFFORT),
         ]
         with run_options(collect_metrics=True, batch_size=batch_size):
             results = run_cells(cells)
@@ -441,7 +440,7 @@ class TestMetricsReconciliation:
         ] + [
             Cell.multi_tenant(
                 f"recon-par/two/b{batch_size}", SMALL_SHAPE, SPITFIRE_LAZY,
-                TWO_TENANTS, effort=SMALL_EFFORT, extra_worker_counts=()),
+                TWO_TENANTS, effort=SMALL_EFFORT),
         ]
         with run_options(collect_metrics=True, batch_size=batch_size):
             serial = run_cells(cells, jobs=1)
@@ -457,8 +456,7 @@ class TestMetricsReconciliation:
 
     def test_untracked_runs_have_no_tenant_series(self):
         cell = Cell.ycsb("no-tenants", SMALL_SHAPE, SPITFIRE_LAZY,
-                         "YCSB-BA", 2.0, effort=SMALL_EFFORT,
-                         extra_worker_counts=())
+                         "YCSB-BA", 2.0, effort=SMALL_EFFORT)
         with run_options(collect_metrics=True):
             result = run_cells([cell])[0]
         assert not series_by_name(result.metrics, "tenant_ops_total")
@@ -496,7 +494,6 @@ class TestExecutorTenancy:
         cell = Cell.multi_tenant(
             "mt", SMALL_SHAPE, SPITFIRE_LAZY, TWO_TENANTS,
             quota_mode="hard", shares=(0.5, 0.5), effort=SMALL_EFFORT,
-            extra_worker_counts=(),
         )
         serial = run_cells([cell], jobs=1)[0]
         parallel = run_cells([cell, cell], jobs=4)
@@ -528,14 +525,13 @@ class TestTenantIsolation:
         eff = Effort(warmup_ops=2000, measure_ops=4000)
         cells = [
             Cell.multi_tenant("alone", SHAPE, SPITFIRE_LAZY, (OLTP,),
-                              effort=eff, extra_worker_counts=()),
+                              effort=eff),
             Cell.multi_tenant("shared", SHAPE, SPITFIRE_LAZY,
                               (OLTP, SCAN), quota_mode="none",
-                              effort=eff, extra_worker_counts=()),
+                              effort=eff),
             Cell.multi_tenant("hard", SHAPE, SPITFIRE_LAZY,
                               (OLTP, SCAN), quota_mode="hard",
-                              shares=SHARES, effort=eff,
-                              extra_worker_counts=()),
+                              shares=SHARES, effort=eff),
         ]
         alone, shared, hard = [
             r.tenant_breakdown[0]["p99_ns"] for r in run_cells(cells)
