@@ -18,78 +18,27 @@ Quick start::
     bm.read(page, offset=0, nbytes=1024)
 """
 
-from .core import (
-    AccessResult,
-    BufferManager,
-    BufferManagerConfig,
-    BufferStats,
-    DRAM_SSD_POLICY,
-    EventBus,
-    EventType,
-    HYMEM_POLICY,
-    MigrationEngine,
-    MigrationPolicy,
-    NVM_SSD_POLICY,
-    POLICY_PRESETS,
-    SPITFIRE_EAGER,
-    SPITFIRE_LAZY,
-    NvmAdmission,
-    TierChain,
-    TierNode,
-    inclusivity_ratio,
-    make_hymem,
-)
-from .engine import EngineConfig, StorageEngine
-from .hardware import (
-    DEFAULT_SCALE,
-    HierarchyShape,
-    SimulationScale,
-    StorageHierarchy,
-    Tier,
-    hierarchy_cost,
-    performance_per_price,
-)
-from .tuning import AdaptiveController, AnnealingSchedule, PolicyAnnealer
-from .workloads import TpccWorkload, YCSB_BA, YCSB_RO, YCSB_WH, YcsbWorkload
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AccessResult",
-    "AdaptiveController",
-    "AnnealingSchedule",
-    "BufferManager",
-    "BufferManagerConfig",
-    "BufferStats",
-    "DEFAULT_SCALE",
-    "DRAM_SSD_POLICY",
-    "EngineConfig",
-    "EventBus",
-    "EventType",
-    "HierarchyShape",
-    "HYMEM_POLICY",
-    "MigrationEngine",
-    "MigrationPolicy",
-    "NVM_SSD_POLICY",
-    "NvmAdmission",
-    "POLICY_PRESETS",
-    "PolicyAnnealer",
-    "SimulationScale",
-    "SPITFIRE_EAGER",
-    "SPITFIRE_LAZY",
-    "StorageEngine",
-    "StorageHierarchy",
-    "Tier",
-    "TierChain",
-    "TierNode",
-    "TpccWorkload",
-    "YCSB_BA",
-    "YCSB_RO",
-    "YCSB_WH",
-    "YcsbWorkload",
-    "hierarchy_cost",
-    "inclusivity_ratio",
-    "make_hymem",
-    "performance_per_price",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "core": (
+        "AccessResult", "BufferManager", "BufferManagerConfig",
+        "BufferStats", "DRAM_SSD_POLICY", "EventBus", "EventType",
+        "HYMEM_POLICY", "MigrationEngine", "MigrationPolicy",
+        "NVM_SSD_POLICY", "POLICY_PRESETS", "SPITFIRE_EAGER",
+        "SPITFIRE_LAZY", "NvmAdmission", "TierChain", "TierNode",
+        "inclusivity_ratio", "make_hymem",
+    ),
+    "engine": ("EngineConfig", "StorageEngine"),
+    "hardware": (
+        "DEFAULT_SCALE", "HierarchyShape", "SimulationScale",
+        "StorageHierarchy", "Tier", "hierarchy_cost",
+        "performance_per_price",
+    ),
+    "tuning": ("AdaptiveController", "AnnealingSchedule", "PolicyAnnealer"),
+    "workloads": ("TpccWorkload", "YCSB_BA", "YCSB_RO", "YCSB_WH",
+                  "YcsbWorkload"),
+})
+__all__.append("__version__")

@@ -1,29 +1,10 @@
 """Benchmark harness and per-figure experiment reproductions."""
 
-from .executor import (
-    RunSession,
-    current_options,
-    metrics_collection,
-    run_options,
-    run_session,
-    shutdown_pool,
-    warm_pool,
-)
-from .harness import RunConfig, RunOptions, RunResult, WorkloadRunner
-from .reporting import ExperimentResult, Series
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ExperimentResult",
-    "RunConfig",
-    "RunOptions",
-    "RunResult",
-    "RunSession",
-    "Series",
-    "WorkloadRunner",
-    "current_options",
-    "metrics_collection",
-    "run_options",
-    "run_session",
-    "shutdown_pool",
-    "warm_pool",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "executor": ("RunSession", "current_options", "metrics_collection",
+                 "run_options", "run_session", "shutdown_pool", "warm_pool"),
+    "harness": ("RunConfig", "RunOptions", "RunResult", "WorkloadRunner"),
+    "reporting": ("ExperimentResult", "Series"),
+})

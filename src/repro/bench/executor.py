@@ -39,9 +39,10 @@ Design rules:
   transparently degrades to serial in-process execution with identical
   results.
 
-This module is imported by ``bench.experiments.common`` and must never
-import from ``bench.experiments`` (the package init pulls in every
-figure module).
+This module is imported by ``bench.experiments.common`` and imports
+nothing from ``bench.experiments``.  ``multiprocessing`` and
+``concurrent.futures`` load where a pool is first built (or a session
+first claims a cell), so a serial run never imports them.
 """
 
 from __future__ import annotations
@@ -50,12 +51,10 @@ import atexit
 import collections
 import contextlib
 import contextvars
-import multiprocessing
 import pickle
 import threading
-from concurrent.futures import Future, ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 from ..core.buffer_manager import BufferManager, BufferManagerConfig
 from ..core.policy import MigrationPolicy
@@ -67,6 +66,9 @@ from ..workloads.tenancy import MultiTenantWorkload, TenantSpec
 from ..workloads.tpcc import TpccWorkload
 from ..workloads.ycsb import MIXES, YcsbWorkload
 from .harness import RunConfig, RunOptions, RunResult, WorkloadRunner
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 #: 16 KB pages of 1 KB tuples — the YCSB layout every figure uses.
 TUPLES_PER_PAGE = 16
@@ -338,10 +340,11 @@ def _warm_worker() -> None:
 
     Under ``fork`` the parent's imports are inherited and this is free;
     under ``forkserver``/``spawn`` it front-loads the import cost into
-    pool startup instead of the first measured cell.
+    pool startup instead of the first measured cell.  It names modules,
+    not packages: a package root imports nothing.
     """
-    from .. import engine, faults  # noqa: F401
     from ..core import batch_path, buffer_manager  # noqa: F401
+    from ..engine import engine  # noqa: F401
     from ..faults import injector  # noqa: F401
     from . import harness  # noqa: F401
 
@@ -354,6 +357,8 @@ def _pool_context():
     parent threads at the cost of re-importing (which the initializer
     front-loads); the platform default is the last resort.
     """
+    import multiprocessing
+
     methods = multiprocessing.get_all_start_methods()
     for method in ("fork", "forkserver"):
         if method in methods:
@@ -377,6 +382,8 @@ def _ensure_pool(jobs: int) -> ProcessPoolExecutor | None:
                 return _pool
             _pool.shutdown(wait=True, cancel_futures=True)
             _pool = None
+        from concurrent.futures import ProcessPoolExecutor
+
         try:
             context = _pool_context()
             pool = ProcessPoolExecutor(
@@ -446,6 +453,8 @@ def warm_pool(jobs: int) -> bool:
     pool = _ensure_pool(jobs)
     if pool is None:
         return False
+    from concurrent.futures.process import BrokenProcessPool
+
     try:
         futures = [pool.submit(_ping) for _ in range(jobs)]
         for future in futures:
@@ -570,6 +579,8 @@ def _execute(items: list, runner, jobs: int, weigh) -> list:
     if pool is None:
         _note_session(items=n, fallbacks=1)
         return _execute_serial(items, runner)
+    from concurrent.futures.process import BrokenProcessPool
+
     options = current_options()
     spans = _plan_chunks([weigh(item) for item in items], jobs)
 
@@ -697,6 +708,8 @@ class RunSession:
         requester raises it, naming its own cell); a requester of a key
         the failed batch did not finish simulates that cell itself.
         """
+        from concurrent.futures import Future
+
         options = current_options()
         keys = [(cell, options) for cell in cells]
         with self._lock:

@@ -75,7 +75,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from pathlib import Path
 
@@ -304,6 +303,8 @@ def _run(parser, args) -> int:
     the in-memory rendering, and a mismatch fails the command.
     """
     if args.list:
+        if args.experiments or args.all:
+            parser.error("--list takes no experiment ids and no --all")
         for experiment_id in REGISTRY:
             print(experiment_id)
         return 0
@@ -466,6 +467,8 @@ def _run_experiments(chosen: list[str], args, sinks: list[list],
         return records
     with executor.run_session(jobs=args.jobs) as session:
         if args.jobs > 1:
+            from concurrent.futures import ThreadPoolExecutor
+
             # Each driver runs in a copy of this thread's context, so
             # per-driver metrics scopes stay isolated while inheriting
             # any ambient scopes entered before the session.

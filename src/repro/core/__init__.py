@@ -10,90 +10,35 @@ crash/recovery) — wired over the tier chain, migration engine, and
 event bus.
 """
 
-from .access_path import AccessPath
-from .admission import AdmissionQueue, recommended_queue_size
-from .analysis import (
-    accesses_for_confidence,
-    expected_accesses_to_promotion,
-    expected_dram_fraction,
-    promotion_half_life,
-    promotion_probability,
-)
-from .buffer_manager import (
-    AccessResult,
-    BufferFullError,
-    BufferManager,
-    BufferManagerConfig,
-    BufferPool,
-)
-from .descriptors import SharedPageDescriptor, TierPageDescriptor
-from .events import EventBus, EventType
-from .fine_grained import FineGrainedOps
-from .flush_engine import FlushEngine
-from .hymem import make_hymem
-from .mapping_table import MappingTable
-from .migration import Edge, MigrationEngine, MigrationOp
-from .policy import (
-    DRAM_SSD_POLICY,
-    HYMEM_POLICY,
-    NVM_SSD_POLICY,
-    POLICY_PRESETS,
-    SPITFIRE_EAGER,
-    SPITFIRE_LAZY,
-    MigrationPolicy,
-    NvmAdmission,
-    PolicySlot,
-)
-from .space_manager import SpaceManager
-from .ssd_store import SsdStore
-from .stats import BufferStats, InclusivitySample, InclusivityTracker, inclusivity_ratio
-from .tenancy import QuotaMode, TenancyConfig, TenancyControl, TenantRegistry
-from .tier_chain import TierChain, TierNode
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AccessPath",
-    "AccessResult",
-    "AdmissionQueue",
-    "accesses_for_confidence",
-    "expected_accesses_to_promotion",
-    "expected_dram_fraction",
-    "promotion_half_life",
-    "promotion_probability",
-    "BufferFullError",
-    "BufferManager",
-    "BufferManagerConfig",
-    "BufferPool",
-    "BufferStats",
-    "DRAM_SSD_POLICY",
-    "Edge",
-    "EventBus",
-    "EventType",
-    "FineGrainedOps",
-    "FlushEngine",
-    "HYMEM_POLICY",
-    "InclusivitySample",
-    "InclusivityTracker",
-    "MappingTable",
-    "MigrationEngine",
-    "MigrationOp",
-    "MigrationPolicy",
-    "NVM_SSD_POLICY",
-    "NvmAdmission",
-    "POLICY_PRESETS",
-    "PolicySlot",
-    "QuotaMode",
-    "SPITFIRE_EAGER",
-    "SPITFIRE_LAZY",
-    "SharedPageDescriptor",
-    "SpaceManager",
-    "SsdStore",
-    "TenancyConfig",
-    "TenancyControl",
-    "TenantRegistry",
-    "TierChain",
-    "TierNode",
-    "TierPageDescriptor",
-    "inclusivity_ratio",
-    "make_hymem",
-    "recommended_queue_size",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "access_path": ("AccessPath",),
+    "admission": ("AdmissionQueue", "recommended_queue_size"),
+    "analysis": (
+        "accesses_for_confidence", "expected_accesses_to_promotion",
+        "expected_dram_fraction", "promotion_half_life",
+        "promotion_probability",
+    ),
+    "buffer_manager": ("AccessResult", "BufferFullError", "BufferManager",
+                       "BufferManagerConfig", "BufferPool"),
+    "descriptors": ("SharedPageDescriptor", "TierPageDescriptor"),
+    "events": ("EventBus", "EventType"),
+    "fine_grained": ("FineGrainedOps",),
+    "flush_engine": ("FlushEngine",),
+    "hymem": ("make_hymem",),
+    "mapping_table": ("MappingTable",),
+    "migration": ("Edge", "MigrationEngine", "MigrationOp"),
+    "policy": (
+        "DRAM_SSD_POLICY", "HYMEM_POLICY", "NVM_SSD_POLICY",
+        "POLICY_PRESETS", "SPITFIRE_EAGER", "SPITFIRE_LAZY",
+        "MigrationPolicy", "NvmAdmission", "PolicySlot",
+    ),
+    "space_manager": ("SpaceManager",),
+    "ssd_store": ("SsdStore",),
+    "stats": ("BufferStats", "InclusivitySample", "InclusivityTracker",
+              "inclusivity_ratio"),
+    "tenancy": ("QuotaMode", "TenancyConfig", "TenancyControl",
+                "TenantRegistry"),
+    "tier_chain": ("TierChain", "TierNode"),
+})

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from ..hardware.simclock import CostAccumulator, to_fp
 from ..hardware.specs import Tier
-from ..np_compat import np
+from ..np_compat import is_ndarray, numpy
 from ..pages.page import Page
 from .access_path import AccessPath
 from .events import EventBus, OpBatchSummary
@@ -70,8 +70,6 @@ class BatchAccessPath:
         Re-resolved per batch: subscribers may attach or detach between
         batches (metrics windows).
         """
-        if np is None:
-            return None
         if not self.events.batch_path_active:
             return None
         if self.config.fine_grained:
@@ -85,6 +83,8 @@ class BatchAccessPath:
         device = top.device
         if not hasattr(device, "read_batch"):
             return None  # MemoryModeDevice, FaultyDevice
+        if numpy() is None:
+            return None
         return top
 
     # ------------------------------------------------------------------
@@ -100,9 +100,9 @@ class BatchAccessPath:
         per-op access path at its original position in the sequence.
         A batch never spans tenants: callers split on tenant change.
         """
-        if np is not None and isinstance(page_ids, np.ndarray):
+        if is_ndarray(page_ids):
             page_ids = page_ids.tolist()
-        if np is not None and isinstance(offsets, np.ndarray):
+        if is_ndarray(offsets):
             offsets = offsets.tolist()
         access = self.access_path.access
         top = self._fast_read_node()

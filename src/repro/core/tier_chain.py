@@ -19,7 +19,7 @@ from ..hardware.device import Device
 from ..hardware.memory_mode import MemoryModeDevice
 from ..hardware.specs import BUFFER_TIER_ORDER, Tier
 from ..pages.page import PageId
-from ..replacement import make_replacer
+from ..replacement.registry import make_replacer
 from .descriptors import SharedPageDescriptor, TierPageDescriptor
 from .devio import read_with_retry, write_with_retry
 from .migration import Edge

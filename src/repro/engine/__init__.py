@@ -1,6 +1,8 @@
 """The assembled storage engine: BM + B+Tree + MVTO + WAL."""
 
-from .engine import EngineConfig, StorageEngine
-from .table import RecordId, Table
+from .._lazy import lazy_exports
 
-__all__ = ["EngineConfig", "RecordId", "StorageEngine", "Table"]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "engine": ("EngineConfig", "StorageEngine"),
+    "table": ("RecordId", "Table"),
+})

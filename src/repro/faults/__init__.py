@@ -19,32 +19,14 @@ whole stack and proves the system survives them:
 * :mod:`repro.faults.invariants` — post-recovery ACID checks usable
   from tests and the CLI,
 * :mod:`repro.faults.crashpoints` — the exhaustive crash-point
-  enumerator and replay matrix (imported lazily: it pulls in the
+  enumerator and replay matrix (not re-exported here: it pulls in the
   engine and workload layers).
-
-``crashpoints`` is deliberately not imported here so that the light
-pieces (``plan``, ``crash``) can be imported from the core I/O path
-without dragging the engine stack along.
 """
 
-from .crash import CrashController, CrashReport, SimulatedCrash
-from .plan import (
-    DeviceGaveUpError,
-    DeviceIOError,
-    FaultKind,
-    FaultPlan,
-    FaultSchedule,
-    TailFault,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CrashController",
-    "CrashReport",
-    "DeviceGaveUpError",
-    "DeviceIOError",
-    "FaultKind",
-    "FaultPlan",
-    "FaultSchedule",
-    "SimulatedCrash",
-    "TailFault",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "crash": ("CrashController", "CrashReport", "SimulatedCrash"),
+    "plan": ("DeviceGaveUpError", "DeviceIOError", "FaultKind", "FaultPlan",
+             "FaultSchedule", "TailFault"),
+})

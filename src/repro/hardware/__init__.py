@@ -7,68 +7,20 @@ Table 1, and converts access traces into simulated throughput via a
 multi-worker saturation analysis.
 """
 
-from .cost_model import DEFAULT_CPU_COSTS, CpuCosts, StorageHierarchy
-from .device import Device, DeviceCounters, cpu_charge
-from .memory_mode import MemoryModeDevice, MemoryModeStats
-from .pricing import (
-    HierarchyShape,
-    equi_cost_nvm_gb,
-    hierarchy_cost,
-    performance_per_price,
-)
-from .simclock import CostAccumulator, ResourceUsage
-from .specs import (
-    BUFFER_TIER_ORDER,
-    CACHE_LINE_SIZE,
-    CACHE_LINES_PER_PAGE,
-    DEFAULT_SCALE,
-    DEFAULT_SPECS,
-    DRAM_SPEC,
-    GIB,
-    KIB,
-    MIB,
-    NVM_MEDIA_GRANULARITY,
-    NVM_SPEC,
-    PAGE_SIZE,
-    SSD_SPEC,
-    TIER_ORDER,
-    Addressability,
-    DeviceSpec,
-    SimulationScale,
-    Tier,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Addressability",
-    "BUFFER_TIER_ORDER",
-    "CACHE_LINES_PER_PAGE",
-    "CACHE_LINE_SIZE",
-    "CostAccumulator",
-    "CpuCosts",
-    "DEFAULT_CPU_COSTS",
-    "DEFAULT_SCALE",
-    "DEFAULT_SPECS",
-    "DRAM_SPEC",
-    "Device",
-    "DeviceCounters",
-    "DeviceSpec",
-    "GIB",
-    "HierarchyShape",
-    "KIB",
-    "MIB",
-    "MemoryModeDevice",
-    "MemoryModeStats",
-    "NVM_MEDIA_GRANULARITY",
-    "NVM_SPEC",
-    "PAGE_SIZE",
-    "ResourceUsage",
-    "SSD_SPEC",
-    "SimulationScale",
-    "StorageHierarchy",
-    "TIER_ORDER",
-    "Tier",
-    "cpu_charge",
-    "equi_cost_nvm_gb",
-    "hierarchy_cost",
-    "performance_per_price",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "cost_model": ("DEFAULT_CPU_COSTS", "CpuCosts", "StorageHierarchy"),
+    "device": ("Device", "DeviceCounters", "cpu_charge"),
+    "memory_mode": ("MemoryModeDevice", "MemoryModeStats"),
+    "pricing": ("HierarchyShape", "equi_cost_nvm_gb", "hierarchy_cost",
+                "performance_per_price"),
+    "simclock": ("CostAccumulator", "ResourceUsage"),
+    "specs": (
+        "BUFFER_TIER_ORDER", "CACHE_LINE_SIZE", "CACHE_LINES_PER_PAGE",
+        "DEFAULT_SCALE", "DEFAULT_SPECS", "DRAM_SPEC", "GIB", "KIB", "MIB",
+        "NVM_MEDIA_GRANULARITY", "NVM_SPEC", "PAGE_SIZE", "SSD_SPEC",
+        "TIER_ORDER", "Addressability", "DeviceSpec", "SimulationScale",
+        "Tier",
+    ),
+})

@@ -15,7 +15,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 
-from ..np_compat import np
+from ..np_compat import numpy
 from .simclock import FP_SCALE, CostAccumulator, checked_fp, to_fp
 from .specs import DeviceSpec, Tier
 
@@ -196,6 +196,7 @@ class Device:
         element-for-element identical to ``count`` calls of :meth:`read`
         — quantisation happens per element before the integer reduction.
         """
+        np = numpy()
         if np is None:
             raise RuntimeError("read_batch requires numpy")
         gran = self._gran
@@ -231,6 +232,7 @@ class Device:
 
     def write_batch(self, nbytes, count: int | None = None, sequential: bool = False):
         """Batched :meth:`write` — same contract as :meth:`read_batch`."""
+        np = numpy()
         if np is None:
             raise RuntimeError("write_batch requires numpy")
         gran = self._gran

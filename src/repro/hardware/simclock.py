@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import threading
 
-from ..np_compat import np
+from ..np_compat import is_ndarray, numpy
 
 #: Fixed-point resolution: charges are integer multiples of 2**-20 ns.
 FP_SHIFT = 20
@@ -61,6 +61,7 @@ def checked_fp(service_ns: float) -> int:
 
 def to_fp_array(service_ns_array):
     """Vectorised :func:`to_fp` over a numpy array (int64 result)."""
+    np = numpy()
     return np.rint(
         np.asarray(service_ns_array, dtype=np.float64) * FP_SCALE
     ).astype(np.int64)
@@ -314,9 +315,9 @@ class CostAccumulator:
         summed as integers — the result is identical to charging each
         element individually, in any order.
         """
-        if np is not None and isinstance(service_ns_array, np.ndarray):
+        if is_ndarray(service_ns_array):
             fp_array = to_fp_array(service_ns_array)
-            if np.any(fp_array < 0):
+            if (fp_array < 0).any():
                 raise ValueError("service time must be non-negative")
             total_fp = int(fp_array.sum())
             count = int(fp_array.size)
@@ -329,8 +330,7 @@ class CostAccumulator:
         nbytes = 0
         if nbytes_array is not None:
             nbytes = int(
-                nbytes_array.sum()
-                if np is not None and isinstance(nbytes_array, np.ndarray)
+                nbytes_array.sum() if is_ndarray(nbytes_array)
                 else sum(nbytes_array)
             )
         self._commit_fp(resource, total_fp, count, nbytes)

@@ -1,6 +1,8 @@
 """Concurrent indexing: B+Tree with optimistic lock coupling."""
 
-from .bptree import DEFAULT_FANOUT, BPlusTree
-from .olc import OlcRestart, OptimisticLatch
+from .._lazy import lazy_exports
 
-__all__ = ["BPlusTree", "DEFAULT_FANOUT", "OlcRestart", "OptimisticLatch"]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "bptree": ("BPlusTree", "DEFAULT_FANOUT"),
+    "olc": ("OlcRestart", "OptimisticLatch"),
+})

@@ -26,36 +26,15 @@ protocol, so attaching observability never knocks the bus off its
 allocation-free emission path.
 """
 
-from .decisions import DecisionRecorder
-from .export import (
-    METRIC_HELP,
-    escape_label_value,
-    merge_snapshots,
-    prometheus_text,
-    snapshot_jsonl_lines,
-    write_jsonl,
-    write_prometheus,
-)
-from .hub import MetricsHub
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
-from .server import MetricsServer
-from .tracer import PageLifecycleTracer, TraceSpan
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Counter",
-    "DecisionRecorder",
-    "Gauge",
-    "Histogram",
-    "METRIC_HELP",
-    "MetricsHub",
-    "MetricsRegistry",
-    "MetricsServer",
-    "PageLifecycleTracer",
-    "TraceSpan",
-    "escape_label_value",
-    "merge_snapshots",
-    "prometheus_text",
-    "snapshot_jsonl_lines",
-    "write_jsonl",
-    "write_prometheus",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "decisions": ("DecisionRecorder",),
+    "export": ("METRIC_HELP", "escape_label_value", "merge_snapshots",
+               "prometheus_text", "snapshot_jsonl_lines", "write_jsonl",
+               "write_prometheus"),
+    "hub": ("MetricsHub",),
+    "metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry"),
+    "server": ("MetricsServer",),
+    "tracer": ("PageLifecycleTracer", "TraceSpan"),
+})

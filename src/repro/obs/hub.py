@@ -36,7 +36,7 @@ from __future__ import annotations
 from ..core.events import EventType
 from ..hardware.simclock import FP_SCALE
 from ..hardware.specs import Tier
-from ..np_compat import np
+from ..np_compat import numpy
 from .metrics import Counter, Histogram, MetricsRegistry
 
 #: Default epoch length for gauge sampling: 10 simulated milliseconds.
@@ -257,6 +257,7 @@ class MetricsHub:
         per-op run would have sampled them (buffer state is unchanged by
         fast-path reads, so the gauge values match too).
         """
+        np = numpy()
         count = summary.count
         base_fp = summary.base_fp
         cum = np.cumsum(summary.latency_fp, dtype=np.int64)

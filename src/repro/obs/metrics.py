@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import threading
 
-from ..np_compat import np
+from ..np_compat import is_ndarray, numpy
 
 #: Histogram buckets are powers of two from 2**_MIN_EXP ns up to
 #: 2**_MAX_EXP ns, plus a +Inf overflow bucket.  16 ns .. ~17.6 sim
@@ -138,12 +138,13 @@ class Histogram:
         all observed sim-ns values are multiples of 2**-20 below 2**33,
         for which float addition is exact in any order.
         """
-        if np is None or not isinstance(values, np.ndarray):
+        if not is_ndarray(values):
             for value in values:
                 self.observe(value)
             return
         if values.size == 0:
             return
+        np = numpy()
         ints = np.maximum(values, 0.0).astype(np.int64)
         exponents = np.frexp(ints.astype(np.float64))[1]
         indexes = np.clip(exponents - _MIN_EXP, 0, NUM_BUCKETS - 1)

@@ -6,35 +6,13 @@ loading and the mini-page layout) and the loading-granularity model used
 in the Fig. 11 sweep.
 """
 
-from .cacheline_page import CACHE_LINE_PAGE_HEADER_BYTES, CacheLinePage
-from .granularity import (
-    FIG11_GRANULARITIES,
-    HYMEM_LOADING_UNIT,
-    OPTANE_LOADING_UNIT,
-    LoadingUnit,
-)
-from .mini_page import (
-    MINI_PAGE_BYTES,
-    MINI_PAGE_HEADER_BYTES,
-    MINI_PAGE_SLOTS,
-    MiniPage,
-    MiniPageOverflow,
-)
-from .page import INVALID_PAGE_ID, Page, PageId
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CACHE_LINE_PAGE_HEADER_BYTES",
-    "CacheLinePage",
-    "FIG11_GRANULARITIES",
-    "HYMEM_LOADING_UNIT",
-    "INVALID_PAGE_ID",
-    "LoadingUnit",
-    "MINI_PAGE_BYTES",
-    "MINI_PAGE_HEADER_BYTES",
-    "MINI_PAGE_SLOTS",
-    "MiniPage",
-    "MiniPageOverflow",
-    "OPTANE_LOADING_UNIT",
-    "Page",
-    "PageId",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "cacheline_page": ("CACHE_LINE_PAGE_HEADER_BYTES", "CacheLinePage"),
+    "granularity": ("FIG11_GRANULARITIES", "HYMEM_LOADING_UNIT",
+                    "OPTANE_LOADING_UNIT", "LoadingUnit"),
+    "mini_page": ("MINI_PAGE_BYTES", "MINI_PAGE_HEADER_BYTES",
+                  "MINI_PAGE_SLOTS", "MiniPage", "MiniPageOverflow"),
+    "page": ("INVALID_PAGE_ID", "Page", "PageId"),
+})

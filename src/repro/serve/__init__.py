@@ -21,52 +21,16 @@ clients, one dispatcher — exactly the shape a real single-writer
 storage engine serves traffic in.
 """
 
-from .admission import (
-    AdmissionConfig,
-    AdmissionController,
-    Overloaded,
-    OverloadReason,
-    TokenBucket,
-)
-from .bench import (
-    ServeBenchConfig,
-    run_overload_experiment,
-    run_serve_bench,
-)
-from .loadgen import LoadSchedule, LoadSpec, build_schedule, drive_server
-from .protocol import (
-    MAX_FRAME_BYTES,
-    ProtocolError,
-    decode_message,
-    encode_message,
-    read_frame,
-    write_frame,
-)
-from .server import ServeConfig, SpitfireServer
-from .slo import build_slo_report, exact_quantile, render_slo_report
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AdmissionConfig",
-    "AdmissionController",
-    "LoadSchedule",
-    "LoadSpec",
-    "MAX_FRAME_BYTES",
-    "Overloaded",
-    "OverloadReason",
-    "ProtocolError",
-    "ServeBenchConfig",
-    "ServeConfig",
-    "SpitfireServer",
-    "TokenBucket",
-    "build_schedule",
-    "build_slo_report",
-    "decode_message",
-    "drive_server",
-    "encode_message",
-    "exact_quantile",
-    "read_frame",
-    "render_slo_report",
-    "run_overload_experiment",
-    "run_serve_bench",
-    "write_frame",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "admission": ("AdmissionConfig", "AdmissionController", "Overloaded",
+                  "OverloadReason", "TokenBucket"),
+    "bench": ("ServeBenchConfig", "run_overload_experiment",
+              "run_serve_bench"),
+    "loadgen": ("LoadSchedule", "LoadSpec", "build_schedule", "drive_server"),
+    "protocol": ("MAX_FRAME_BYTES", "ProtocolError", "decode_message",
+                 "encode_message", "read_frame", "write_frame"),
+    "server": ("ServeConfig", "SpitfireServer"),
+    "slo": ("build_slo_report", "exact_quantile", "render_slo_report"),
+})

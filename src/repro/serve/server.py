@@ -50,7 +50,6 @@ from ..hardware.pricing import HierarchyShape
 from ..hardware.specs import DEFAULT_SCALE
 from ..obs.export import prometheus_text
 from ..obs.metrics import MetricsRegistry
-from ..obs.server import MetricsServer
 from . import protocol
 from .admission import AdmissionConfig, AdmissionController, Overloaded, OverloadReason
 from .slo import LatencySample, build_slo_report
@@ -177,8 +176,12 @@ class SpitfireServer:
         )
         self.hierarchy = self.bm.hierarchy
         self.admission = AdmissionController(self.config.admission)
-        self.metrics: MetricsServer | None = None
+        #: The live :class:`~repro.obs.server.MetricsServer`, when
+        #: ``metrics_port`` is set (http.server loads only then).
+        self.metrics = None
         if self.config.metrics_port is not None:
+            from ..obs.server import MetricsServer
+
             self.metrics = MetricsServer(
                 self._render_metrics,
                 host=self.config.metrics_host,

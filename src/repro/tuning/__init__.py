@@ -1,18 +1,9 @@
 """Adaptive data migration: simulated annealing over policies (§4)."""
 
-from .annealing import (
-    PROBABILITY_LEVELS,
-    AnnealingSchedule,
-    PolicyAnnealer,
-    throughput_cost,
-)
-from .controller import AdaptiveController, EpochRecord
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AdaptiveController",
-    "AnnealingSchedule",
-    "EpochRecord",
-    "PROBABILITY_LEVELS",
-    "PolicyAnnealer",
-    "throughput_cost",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "annealing": ("PROBABILITY_LEVELS", "AnnealingSchedule", "PolicyAnnealer",
+                  "throughput_cost"),
+    "controller": ("AdaptiveController", "EpochRecord"),
+})

@@ -1,21 +1,10 @@
 """Transactions: MVTO concurrency control and timestamp management."""
 
-from .mvto import INFINITY_TS, MvtoStore, Version, VersionChain, run_transaction
-from .transaction import (
-    TimestampOracle,
-    Transaction,
-    TransactionAborted,
-    TxnState,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "INFINITY_TS",
-    "MvtoStore",
-    "TimestampOracle",
-    "Transaction",
-    "TransactionAborted",
-    "TxnState",
-    "Version",
-    "VersionChain",
-    "run_transaction",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "mvto": ("INFINITY_TS", "MvtoStore", "Version", "VersionChain",
+             "run_transaction"),
+    "transaction": ("TimestampOracle", "Transaction", "TransactionAborted",
+                    "TxnState"),
+})

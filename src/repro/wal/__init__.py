@@ -1,18 +1,10 @@
 """NVM-aware write-ahead logging, checkpointing, and recovery (§5.2)."""
 
-from .checkpoint import Checkpointer, CheckpointRecordKeeper
-from .log_manager import LogManager, LogStats
-from .records import LOG_RECORD_HEADER_BYTES, LogRecord, LogRecordType
-from .recovery import RecoveryManager, RecoveryReport
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Checkpointer",
-    "CheckpointRecordKeeper",
-    "LOG_RECORD_HEADER_BYTES",
-    "LogManager",
-    "LogRecord",
-    "LogRecordType",
-    "LogStats",
-    "RecoveryManager",
-    "RecoveryReport",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "checkpoint": ("Checkpointer", "CheckpointRecordKeeper"),
+    "log_manager": ("LogManager", "LogStats"),
+    "records": ("LOG_RECORD_HEADER_BYTES", "LogRecord", "LogRecordType"),
+    "recovery": ("RecoveryManager", "RecoveryReport"),
+})

@@ -1,61 +1,16 @@
 """Workloads: YCSB, TPC-C, Zipfian generation, and trace replay."""
 
-from .tenancy import MultiTenantWorkload, TenantAccess, TenantSpec
-from .tpcc import GB_PER_WAREHOUSE, PageAccess, TpccWorkload
-from .tpcc_engine import TpccEngine, TpccStats
-from .ycsb_engine import YcsbEngine, YcsbEngineStats
-from .trace import Trace
-from .ycsb import (
-    COLUMN_SIZE,
-    MIXES,
-    NUM_COLUMNS,
-    TUPLE_SIZE,
-    TUPLES_PER_PAGE,
-    Operation,
-    OpKind,
-    YCSB_BA,
-    YCSB_RO,
-    YCSB_WH,
-    YcsbMix,
-    YcsbWorkload,
-)
-from .zipf import (
-    ScrambledZipfianGenerator,
-    UniformGenerator,
-    ZipfianGenerator,
-    nurand,
-    scramble,
-    zeta,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "COLUMN_SIZE",
-    "GB_PER_WAREHOUSE",
-    "MIXES",
-    "MultiTenantWorkload",
-    "NUM_COLUMNS",
-    "Operation",
-    "OpKind",
-    "PageAccess",
-    "ScrambledZipfianGenerator",
-    "TenantAccess",
-    "TenantSpec",
-    "Trace",
-    "TpccEngine",
-    "TpccStats",
-    "TpccWorkload",
-    "TUPLES_PER_PAGE",
-    "TUPLE_SIZE",
-    "UniformGenerator",
-    "YCSB_BA",
-    "YCSB_RO",
-    "YCSB_WH",
-    "YcsbEngine",
-    "YcsbEngineStats",
-    "YcsbMix",
-    "YcsbWorkload",
-    "ZipfianGenerator",
-    "nurand",
-    "scramble",
-    "zeta",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "tenancy": ("MultiTenantWorkload", "TenantAccess", "TenantSpec"),
+    "tpcc": ("GB_PER_WAREHOUSE", "PageAccess", "TpccWorkload"),
+    "tpcc_engine": ("TpccEngine", "TpccStats"),
+    "ycsb_engine": ("YcsbEngine", "YcsbEngineStats"),
+    "trace": ("Trace",),
+    "ycsb": ("COLUMN_SIZE", "MIXES", "NUM_COLUMNS", "TUPLE_SIZE",
+             "TUPLES_PER_PAGE", "Operation", "OpKind", "YCSB_BA", "YCSB_RO",
+             "YCSB_WH", "YcsbMix", "YcsbWorkload"),
+    "zipf": ("ScrambledZipfianGenerator", "UniformGenerator",
+             "ZipfianGenerator", "nurand", "scramble", "zeta"),
+})

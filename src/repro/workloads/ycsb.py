@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 from ..hardware.specs import PAGE_SIZE
-from ..np_compat import np
+from ..np_compat import is_ndarray, numpy
 from .zipf import ScrambledZipfianGenerator, UniformGenerator
 
 #: YCSB tuple layout from §6.1: 4 B key + 10 × 100 B columns ≈ 1 KB.
@@ -66,6 +66,7 @@ class OpBatch:
     __slots__ = ("keys", "is_writes", "columns")
 
     def __init__(self, keys, is_writes, columns) -> None:
+        np = numpy()
         if np is not None:
             self.keys = np.asarray(keys, dtype=np.int64)
             self.is_writes = np.asarray(is_writes, dtype=bool)
@@ -81,14 +82,14 @@ class OpBatch:
     @property
     def page_ids(self):
         """Physical page of each key (bulk ``page_of``)."""
-        if np is not None:
+        if is_ndarray(self.keys):
             return self.keys // TUPLES_PER_PAGE
         return [key // TUPLES_PER_PAGE for key in self.keys]
 
     @property
     def offsets(self):
         """Intra-page byte offset of each access (bulk ``offset_of``)."""
-        if np is not None:
+        if is_ndarray(self.keys):
             slots = self.keys % TUPLES_PER_PAGE
             return slots * TUPLE_SIZE + 4 + self.columns * COLUMN_SIZE
         return [
@@ -99,8 +100,8 @@ class OpBatch:
     @property
     def sizes(self):
         """Bytes touched per op: whole tuple on read, one column on update."""
-        if np is not None:
-            return np.where(self.is_writes, COLUMN_SIZE, TUPLE_SIZE)
+        if is_ndarray(self.is_writes):
+            return numpy().where(self.is_writes, COLUMN_SIZE, TUPLE_SIZE)
         return [
             COLUMN_SIZE if is_write else TUPLE_SIZE
             for is_write in self.is_writes

@@ -41,6 +41,17 @@ class TestListing:
         out = capsys.readouterr().out.split()
         assert out == list(REGISTRY)
 
+    @pytest.mark.parametrize("argv", [["--list", "fig6"], ["--list", "--all"],
+                                      ["run", "--list", "fig6", "fig7"]],
+                             ids=" ".join)
+    def test_list_refuses_a_selection(self, argv, capsys):
+        # Listing and running are exclusive: dropping the ids silently
+        # would report success for a run that never happened.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--list takes no experiment ids" in capsys.readouterr().err
+
     def test_no_selection_errors(self, capsys):
         with pytest.raises(SystemExit):
             main([])
