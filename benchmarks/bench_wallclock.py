@@ -21,8 +21,7 @@ The measurements, written to ``BENCH_repro.json`` next to this script
   with every cache effect warmed away; hot-path regressions show up
   here first.
 * **batched inner-loop ops/sec** — the same reads through
-  ``BufferManager.read_batch`` in struct-of-arrays chunks (skipped when
-  numpy is unavailable).  The batch path is byte-identical to the
+  ``BufferManager.read_batch`` in struct-of-arrays chunks.  The batch path is byte-identical to the
   per-op loop, so the only thing this measures is the vectorization
   win; the ratchet requires it to stay ≥ ``--min-batch-speedup``×.
 * **plane overheads** — the same cell under a baseline
@@ -94,7 +93,6 @@ from repro.bench.executor import (
 )
 from repro.bench.harness import RunOptions
 from repro.bench.telemetry import live_telemetry
-from repro.np_compat import HAVE_NUMPY, np
 from repro.core.buffer_manager import BufferManager, BufferManagerConfig
 from repro.core.policy import SPITFIRE_LAZY
 from repro.hardware.cost_model import StorageHierarchy
@@ -394,25 +392,21 @@ def time_inner_loop(repeats: int) -> dict:
 
 
 def time_inner_loop_batched(repeats: int, per_op_ops_per_second: float,
-                            profile_out: str | None = None) -> dict | None:
+                            profile_out: str | None = None) -> dict:
     """The same access stream as :func:`time_inner_loop`, batched.
 
     Chunks of ``INNER_LOOP_BATCH`` precomputed (page id, offset) columns
     go through ``BufferManager.read_batch``; the resulting stats and
     costs match the per-op loop exactly, so the ops/s ratio is a pure
-    measurement of the batch path's vectorization win.  Returns None
-    when numpy is unavailable (the batch path degrades to per-op).
+    measurement of the batch path's vectorization win.
     """
-    if not HAVE_NUMPY:
-        return None
     bm = _inner_loop_bm()
     read_batch = bm.read_batch
     chunks = []
     for start in range(0, INNER_LOOP_OPS, INNER_LOOP_BATCH):
         n = min(INNER_LOOP_BATCH, INNER_LOOP_OPS - start)
-        page_ids = (np.arange(start, start + n, dtype=np.int64)
-                    % INNER_LOOP_PAGES)
-        chunks.append((page_ids, np.zeros(n, dtype=np.int64)))
+        page_ids = [i % INNER_LOOP_PAGES for i in range(start, start + n)]
+        chunks.append((page_ids, [0] * n))
     best = None
     for _ in range(repeats):
         t0 = time.perf_counter()
@@ -627,20 +621,17 @@ def main(argv: list[str] | None = None) -> int:
     if args.metrics_out:
         write_cell_metrics(args.metrics_out)
     inner = time_inner_loop(args.repeats)
-    inner_batched = time_inner_loop_batched(
-        args.repeats, inner["ops_per_second"], args.profile_out
-    )
     report = {
         "benchmark": "bench_wallclock",
         "python": platform.python_version(),
         "machine": platform.machine(),
         "inner_loop": inner,
+        "inner_loop_batched": time_inner_loop_batched(
+            args.repeats, inner["ops_per_second"], args.profile_out),
         "cell": time_cell_serial(),
         "cell_serve": time_cell_serve(args.repeats),
         **overheads,
     }
-    if inner_batched is not None:
-        report["inner_loop_batched"] = inner_batched
     if args.jobs > 1:
         report["parallel"] = time_cells_parallel(args.jobs)
 

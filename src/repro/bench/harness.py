@@ -73,7 +73,8 @@ class RunOptions:
     collect_metrics: bool = False
     #: Operations per batch through the columnar
     #: :class:`~repro.core.batch_path.BatchAccessPath`, byte-identical
-    #: to the per-op loop by construction; ``1`` runs that loop.
+    #: to the per-op loop by construction; ``1`` runs that loop.  Only
+    #: YCSB cells batch: TPC-C and tenant cells run per op at any size.
     batch_size: int = 1
     #: A :class:`~repro.bench.telemetry.TelemetryChannel` streaming cell
     #: and chaos-case progress out-of-band, or None.  Manager-backed
@@ -320,10 +321,6 @@ class WorkloadRunner:
         page_ids = batch.page_ids
         offsets = batch.offsets
         is_writes = batch.is_writes
-        if hasattr(page_ids, "tolist"):
-            page_ids = page_ids.tolist()
-            offsets = offsets.tolist()
-            is_writes = is_writes.tolist()
         read_batch = self.bm.batch_path.read_batch
         writes = 0
         i = 0
@@ -337,78 +334,6 @@ class WorkloadRunner:
             while j < count and not is_writes[j]:
                 j += 1
             read_batch(page_ids[i:j], offsets[i:j], TUPLE_SIZE)
-            i = j
-        return writes
-
-    def run_access_batch(self, accesses) -> int:
-        """Execute a row-ordered sequence of page accesses batched.
-
-        Contiguous reads of one size over existing pages form columnar
-        runs; writes and first-touch allocations run per-op in place.
-        Returns the number of writes executed.
-        """
-        read_batch = self.bm.batch_path.read_batch
-        page_exists = self.bm.page_exists
-        writes = 0
-        n = len(accesses)
-        i = 0
-        while i < n:
-            access = accesses[i]
-            if access.is_write or not page_exists(access.page_id):
-                if self.run_access(access):
-                    writes += 1
-                i += 1
-                continue
-            size = access.nbytes
-            j = i + 1
-            while (
-                j < n
-                and not accesses[j].is_write
-                and accesses[j].nbytes == size
-                and page_exists(accesses[j].page_id)
-            ):
-                j += 1
-            run = accesses[i:j]
-            read_batch([a.page_id for a in run], [a.offset for a in run], size)
-            i = j
-        return writes
-
-    def run_tenant_batch(self, accesses, think_ns: tuple) -> int:
-        """Execute a slice of the interleaved tenant stream batched.
-
-        Like :meth:`run_access_batch`, but columnar runs additionally
-        break on tenant change (a batch summary never spans tenants) and
-        ops of tenants with think time stay on the per-op path — their
-        per-op CPU charge must interleave with the accesses exactly as
-        the unbatched loop charges it.  Returns the number of writes.
-        """
-        read_batch = self.bm.batch_path.read_batch
-        page_exists = self.bm.page_exists
-        writes = 0
-        n = len(accesses)
-        i = 0
-        while i < n:
-            access = accesses[i]
-            tenant = access.tenant_id
-            if access.is_write or think_ns[tenant] \
-                    or not page_exists(access.page_id):
-                if self.run_tenant_access(access, think_ns[tenant]):
-                    writes += 1
-                i += 1
-                continue
-            size = access.nbytes
-            j = i + 1
-            while (
-                j < n
-                and not accesses[j].is_write
-                and accesses[j].nbytes == size
-                and accesses[j].tenant_id == tenant
-                and page_exists(accesses[j].page_id)
-            ):
-                j += 1
-            run = accesses[i:j]
-            read_batch([a.page_id for a in run], [a.offset for a in run],
-                       size, tenant)
             i = j
         return writes
 
@@ -433,9 +358,6 @@ class WorkloadRunner:
         return self._measure(
             step=lambda: self.run_access(next(stream)),
             label=label,
-            batch_step=lambda count: self.run_access_batch(
-                [next(stream) for _ in range(count)]
-            ),
         )
 
     def measure_tenants(self, workload: MultiTenantWorkload,
@@ -455,14 +377,7 @@ class WorkloadRunner:
             access = workload.next_access()
             return self.run_tenant_access(access, think[access.tenant_id])
 
-        return self._measure(
-            step=step,
-            label=label,
-            batch_step=lambda count: self.run_tenant_batch(
-                [workload.next_access() for _ in range(count)], think
-            ),
-            track_tenants=True,
-        )
+        return self._measure(step=step, label=label, track_tenants=True)
 
     def _prime(self, ranked_pages: list[int]) -> None:
         """Warm-start: hottest pages into DRAM, the next tier of heat

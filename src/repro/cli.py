@@ -116,6 +116,8 @@ _positive_float = _checked(float, lambda value: 0 < value < math.inf,
                            "a positive number")
 _probability = _checked(float, lambda value: 0 <= value <= 1,
                         "a probability in [0, 1]")
+_port = _checked(int, lambda value: 0 <= value <= 65535,
+                 "a port in 0..65535")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -132,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "stderr while the run executes (the output is "
                            "unchanged)")
     metrics_port = argparse.ArgumentParser(add_help=False)
-    metrics_port.add_argument("--metrics-port", type=int, default=None,
+    metrics_port.add_argument("--metrics-port", type=_port, default=None,
                               metavar="PORT",
                               help="serve /metrics, /healthz, /readyz on "
                                    "PORT (0 = pick free; default: no "
@@ -230,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.set_defaults(handler=partial(_serve, serve))
     serve.add_argument("--host", default="127.0.0.1",
                        help="bind address (default: 127.0.0.1)")
-    serve.add_argument("--port", type=int, default=0,
+    serve.add_argument("--port", type=_port, default=0,
                        help="port to serve on (default: 0 = pick free)")
     serve.add_argument("--dram-gb", type=float, default=0.5)
     serve.add_argument("--nvm-gb", type=float, default=2.0)

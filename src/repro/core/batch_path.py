@@ -4,10 +4,11 @@
 by partitioning it into *outcome classes* with mapping-table probes:
 
 * the **fast class** — reads that hit the top tier on a plain full
-  page — is executed as vectorized array operations: one replacement
-  touch pass, one batched device charge, one batched CPU charge, and a
-  single :class:`~repro.core.events.OpBatchSummary` published to the
-  event bus,
+  page — is executed as one run: one replacement touch pass, one
+  batched device charge, one batched CPU charge, and a single
+  :class:`~repro.core.events.OpBatchSummary` published to the event
+  bus.  Under the Table 1 cost model every hit of one size costs the
+  same, so a run of ``m`` hits is one per-op charge times ``m``,
 * everything else (writes, misses, lower-tier hits that may promote,
   fine-grained layouts, devices without ``read_batch`` — memory mode and
   fault wrappers) falls back to the existing :class:`~repro.core.access_path.AccessPath`
@@ -23,21 +24,20 @@ would have produced.  The fast class is chosen to make that provable:
   operations see identical state regardless of how the fast ops around
   them were executed,
 * all accounting is fixed-point (:mod:`repro.hardware.simclock`), so
-  one integer reduction equals the per-op charge sequence exactly,
+  one integer product equals the per-op charge sequence exactly,
 * runs preserve op order: a batch is scanned left to right and a
   vectorized run never crosses a slow op, so event order and charge
   interleaving match the sequential schedule.
 
-When numpy is unavailable, a subscriber cannot consume batch summaries,
-or the top tier cannot be vectorized, every operation falls back — the
-batch entry points are then simply loops over the per-op path.
+When a subscriber cannot consume batch summaries or the top tier
+cannot be vectorized, every operation falls back — the batch entry
+points are then simply loops over the per-op path.
 """
 
 from __future__ import annotations
 
 from ..hardware.simclock import CostAccumulator, to_fp
 from ..hardware.specs import Tier
-from ..np_compat import is_ndarray, numpy
 from ..pages.page import Page
 from .access_path import AccessPath
 from .events import EventBus, OpBatchSummary
@@ -83,8 +83,6 @@ class BatchAccessPath:
         device = top.device
         if not hasattr(device, "read_batch"):
             return None  # MemoryModeDevice, FaultyDevice
-        if numpy() is None:
-            return None
         return top
 
     # ------------------------------------------------------------------
@@ -94,19 +92,19 @@ class BatchAccessPath:
                    tenant_id: int = 0) -> None:
         """Execute a batch of uniform-size reads in op order.
 
-        ``page_ids``/``offsets`` are parallel sequences (numpy arrays or
-        lists); ``nbytes`` is the per-op access size.  Contiguous runs
+        ``page_ids``/``offsets`` are parallel sequences of equal length
+        (a mismatch raises :class:`ValueError` before anything is
+        charged); ``nbytes`` is the per-op access size.  Contiguous runs
         of top-tier hits execute vectorized; every other op takes the
         per-op access path at its original position in the sequence.
         A batch never spans tenants: callers split on tenant change.
         """
-        if is_ndarray(page_ids):
-            page_ids = page_ids.tolist()
-        if is_ndarray(offsets):
-            offsets = offsets.tolist()
+        n = len(page_ids)
+        if len(offsets) != n:
+            raise ValueError(f"read_batch got {n} page_ids but "
+                             f"{len(offsets)} offsets")
         access = self.access_path.access
         top = self._fast_read_node()
-        n = len(page_ids)
         if top is None:
             for i in range(n):
                 access(page_ids[i], offsets[i], nbytes, False, tenant_id)
@@ -146,7 +144,8 @@ class BatchAccessPath:
         (which reserves the cpu accumulator slot first), replacement
         touch, device read (media transfer + access latency), and the
         OP_READ/HIT[/DIRECT_READ] event sequence — collapsed into one
-        replacement pass, two batched charges, and one bus summary.
+        replacement pass, two batched charges, and one bus summary
+        carrying the one per-op charge every hit of the run pays.
         """
         m = len(ids)
         self.fast_runs += 1

@@ -94,9 +94,10 @@ class OpBatchSummary:
     (``OP_READ`` → ``HIT`` [→ ``DIRECT_READ``]) would have.
 
     ``base_fp`` is the accumulator's fixed-point total just before the
-    run's first charge and ``latency_fp`` the per-op charge vector, so
-    latency observers can reconstruct the exact per-op cost brackets a
-    sequential run would have measured.
+    run's first charge and ``latency_fp`` the fixed-point charge of each
+    op (a run's hits all cost the same), so the ``i``-th op starts at
+    ``base_fp + i * latency_fp`` — latency observers reconstruct the
+    exact per-op cost brackets a sequential run would have measured.
     """
 
     __slots__ = ("count", "tier", "direct", "page_ids", "base_fp", "latency_fp",
@@ -109,7 +110,7 @@ class OpBatchSummary:
         direct: bool,
         page_ids,
         base_fp: int,
-        latency_fp,
+        latency_fp: int,
         tenant_id: int = 0,
     ) -> None:
         self.count = count

@@ -15,8 +15,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 
-from ..np_compat import numpy
-from .simclock import FP_SCALE, CostAccumulator, checked_fp, to_fp
+from .simclock import CostAccumulator, checked_fp
 from .specs import DeviceSpec, Tier
 
 
@@ -185,89 +184,46 @@ class Device:
     # ------------------------------------------------------------------
     # Columnar (batched) access costing
     # ------------------------------------------------------------------
-    def read_batch(self, nbytes, count: int | None = None, sequential: bool = False):
-        """Charge a batch of reads with one locked reduction.
+    def read_batch(self, nbytes: int, count: int, sequential: bool = False):
+        """Charge ``count`` reads of ``nbytes`` with one locked reduction.
 
-        ``nbytes`` is either a scalar (uniform reads — pass ``count``) or
-        an int array of per-op sizes.  Returns ``(transfer_fp, latency_fp)``
-        where ``transfer_fp`` is an int64 array of per-op media transfer
-        times in fixed-point units and ``latency_fp`` the (uniform)
-        access latency per op.  Counter bumps and cost charges are
-        element-for-element identical to ``count`` calls of :meth:`read`
-        — quantisation happens per element before the integer reduction.
+        Returns the per-op ``(transfer_fp, latency_fp)``: a uniform batch
+        is ``count`` copies of one :meth:`read` plan, so the counter bumps
+        and cost charges equal ``count`` calls of :meth:`read` exactly.
         """
-        np = numpy()
-        if np is None:
-            raise RuntimeError("read_batch requires numpy")
-        gran = self._gran
-        latency = self._seq_read_lat if sequential else self._rand_read_lat
-        npb = self._seq_read_ns_per_byte if sequential else self._rand_read_ns_per_byte
-        latency_fp = to_fp(latency)
-        if count is not None:
-            n = int(count)
-            media = ((nbytes + gran - 1) // gran) * gran if nbytes > 0 else 0
-            # Same two float steps as read(): media * npb, then quantise.
-            fp = round((media * npb) * FP_SCALE)
-            transfer_fp = np.full(n, fp, dtype=np.int64)
-            total_fp = fp * n
-            logical_bytes = nbytes * n
-            media_bytes = media * n
-        else:
-            sizes = np.asarray(nbytes, dtype=np.int64)
-            n = int(sizes.size)
-            media_arr = np.where(sizes > 0, ((sizes + gran - 1) // gran) * gran, 0)
-            transfer = media_arr.astype(np.float64) * npb
-            transfer_fp = np.rint(transfer * FP_SCALE).astype(np.int64)
-            total_fp = int(transfer_fp.sum())
-            logical_bytes = int(sizes.sum())
-            media_bytes = int(media_arr.sum())
+        plan = self._read_plans.get((nbytes, sequential))
+        if plan is None:
+            plan = self._plan(nbytes, sequential, False)
+        media = plan[0]
         counters = self.counters
         with self._lock:
-            counters.read_ops += n
-            counters.read_bytes += logical_bytes
-            counters.media_read_bytes += media_bytes
-        self.cost.charge_batch_fp(self._key, total_fp, n, media_bytes)
-        self.cost.charge_batch_fp(CostAccumulator.CPU, latency_fp * n, n)
-        return transfer_fp, latency_fp
+            counters.read_ops += count
+            counters.read_bytes += nbytes * count
+            counters.media_read_bytes += media * count
+        return self._charge_batch(plan, count)
 
-    def write_batch(self, nbytes, count: int | None = None, sequential: bool = False):
+    def write_batch(self, nbytes: int, count: int, sequential: bool = False):
         """Batched :meth:`write` — same contract as :meth:`read_batch`."""
-        np = numpy()
-        if np is None:
-            raise RuntimeError("write_batch requires numpy")
-        gran = self._gran
-        npb = self._seq_write_ns_per_byte if sequential else self._rand_write_ns_per_byte
-        latency = 0.0
-        if self._is_ssd:
-            latency = self._seq_read_lat if sequential else self._rand_read_lat
-        latency_fp = to_fp(latency)
-        if count is not None:
-            n = int(count)
-            media = ((nbytes + gran - 1) // gran) * gran if nbytes > 0 else 0
-            fp = round((media * npb) * FP_SCALE)
-            transfer_fp = np.full(n, fp, dtype=np.int64)
-            total_fp = fp * n
-            logical_bytes = nbytes * n
-            media_bytes = media * n
-        else:
-            sizes = np.asarray(nbytes, dtype=np.int64)
-            n = int(sizes.size)
-            media_arr = np.where(sizes > 0, ((sizes + gran - 1) // gran) * gran, 0)
-            transfer = media_arr.astype(np.float64) * npb
-            transfer_fp = np.rint(transfer * FP_SCALE).astype(np.int64)
-            total_fp = int(transfer_fp.sum())
-            logical_bytes = int(sizes.sum())
-            media_bytes = int(media_arr.sum())
+        plan = self._write_plans.get((nbytes, sequential))
+        if plan is None:
+            plan = self._plan(nbytes, sequential, True)
+        media = plan[0]
         counters = self.counters
         with self._lock:
-            counters.write_ops += n
-            counters.write_bytes += logical_bytes
-            counters.media_write_bytes += media_bytes
-        self.cost.charge_batch_fp(self._key, total_fp, n, media_bytes)
-        if latency:
-            # write() only charges CPU when the latency is non-zero, so the
-            # batched op count must match that behaviour exactly.
-            self.cost.charge_batch_fp(CostAccumulator.CPU, latency_fp * n, n)
+            counters.write_ops += count
+            counters.write_bytes += nbytes * count
+            counters.media_write_bytes += media * count
+        return self._charge_batch(plan, count)
+
+    def _charge_batch(self, plan: tuple, count: int) -> tuple[int, int]:
+        media, transfer_fp, latency_fp, _ = plan
+        self.cost.charge_batch_fp(self._key, transfer_fp * count, count,
+                                  media * count)
+        if latency_fp is None:
+            # write() charges no worker stall here, so neither may a batch.
+            return transfer_fp, 0
+        self.cost.charge_batch_fp(CostAccumulator.CPU, latency_fp * count,
+                                  count)
         return transfer_fp, latency_fp
 
     def persist_barrier(self) -> float:

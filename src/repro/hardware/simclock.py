@@ -28,20 +28,13 @@ from __future__ import annotations
 
 import threading
 
-from ..np_compat import is_ndarray, numpy
-
 #: Fixed-point resolution: charges are integer multiples of 2**-20 ns.
 FP_SHIFT = 20
 FP_SCALE = 1 << FP_SHIFT
 
 
 def to_fp(service_ns: float) -> int:
-    """Quantise nanoseconds to fixed-point units (round half to even).
-
-    ``round()`` on a float and :func:`numpy.rint` both round half to
-    even, so scalar and vectorised quantisation agree element for
-    element — another identity the batch path depends on.
-    """
+    """Quantise nanoseconds to fixed-point units (round half to even)."""
     return round(service_ns * FP_SCALE)
 
 
@@ -57,14 +50,6 @@ def checked_fp(service_ns: float) -> int:
         raise ValueError("service time must be non-negative")
     # to_fp() spelled out: this sits under every float charge.
     return round(service_ns * FP_SCALE)
-
-
-def to_fp_array(service_ns_array):
-    """Vectorised :func:`to_fp` over a numpy array (int64 result)."""
-    np = numpy()
-    return np.rint(
-        np.asarray(service_ns_array, dtype=np.float64) * FP_SCALE
-    ).astype(np.int64)
 
 
 def makespan_from_fp(busy_fp: dict[str, int], workers: int = 1) -> float:
@@ -307,33 +292,20 @@ class CostAccumulator:
             with self._lock:
                 self._usage.setdefault(resource, ResourceUsage())
 
-    def charge_batch(self, resource: str, service_ns_array, nbytes_array=None) -> None:
-        """Columnar charge: one locked reduction over per-op cost arrays.
+    def charge_batch(self, resource: str, service_ns_array) -> None:
+        """Columnar charge: one locked reduction over per-op costs.
 
-        ``service_ns_array`` is quantised element-wise exactly as the
+        Each element of ``service_ns_array`` is quantised exactly as the
         equivalent sequence of :meth:`charge` calls would have been, then
         summed as integers — the result is identical to charging each
         element individually, in any order.
         """
-        if is_ndarray(service_ns_array):
-            fp_array = to_fp_array(service_ns_array)
-            if (fp_array < 0).any():
-                raise ValueError("service time must be non-negative")
-            total_fp = int(fp_array.sum())
-            count = int(fp_array.size)
-        else:
-            total_fp = 0
-            count = 0
-            for service_ns in service_ns_array:
-                total_fp += checked_fp(service_ns)
-                count += 1
-        nbytes = 0
-        if nbytes_array is not None:
-            nbytes = int(
-                nbytes_array.sum() if is_ndarray(nbytes_array)
-                else sum(nbytes_array)
-            )
-        self._commit_fp(resource, total_fp, count, nbytes)
+        total_fp = 0
+        count = 0
+        for service_ns in service_ns_array:
+            total_fp += checked_fp(service_ns)
+            count += 1
+        self._commit_fp(resource, total_fp, count, 0)
 
     def charge_batch_fp(
         self, resource: str, total_fp: int, operations: int, nbytes: int = 0

@@ -33,10 +33,11 @@ be approximate across interleaved ops.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 from ..core.events import EventType
 from ..hardware.simclock import FP_SCALE
 from ..hardware.specs import Tier
-from ..np_compat import numpy
 from .metrics import Counter, Histogram, MetricsRegistry
 
 #: Default epoch length for gauge sampling: 10 simulated milliseconds.
@@ -73,6 +74,29 @@ TRAFFIC = (
     ("dram_to_nvm", "migrations_total",
      {"direction": "down", "edge": "DRAM->NVM"}, CROSSED),
 )
+
+
+#: Op starts below this many fixed-point units are exact floats.
+_EXACT_FP = 1 << 53
+
+
+def _observe_brackets(hist: Histogram, start_of, count: int) -> None:
+    """Observe the ``count - 1`` brackets between a run's op starts.
+
+    While the starts are exact floats every bracket is one and the same
+    value, observed once with a count; past 2**53 units they are
+    rounded, so each bracket is taken as the per-op run would take it.
+    """
+    if count < 2:
+        return
+    if start_of(count - 1) * FP_SCALE < _EXACT_FP:
+        hist.observe_batch(start_of(1) - start_of(0), count - 1)
+        return
+    previous = start_of(0)
+    for i in range(1, count):
+        now = start_of(i)
+        hist.observe(now - previous)
+        previous = now
 
 
 def outcome_label(tier: Tier) -> str:
@@ -249,49 +273,49 @@ class MetricsHub:
         """Batched projection of a run of top-tier read hits.
 
         Reconstructs, exactly, the per-op latency brackets a sequential
-        run would have measured: the accumulator total at the ``i``-th
-        op's OP_READ event is ``(base_fp + cumsum(latency_fp)[:i]) /
-        FP_SCALE``, and the bracket diffs are float subtractions of
-        those same values.  Epoch boundaries are found on the
-        reconstructed timeline and sampled at the same op positions a
-        per-op run would have sampled them (buffer state is unchanged by
-        fast-path reads, so the gauge values match too).
+        run would have measured: every op of the run charges
+        ``latency_fp``, so the accumulator total at the ``i``-th op's
+        OP_READ event is ``(base_fp + i * latency_fp) / FP_SCALE`` — the
+        float ``cost.total_ns`` would have read there — and the brackets
+        are float subtractions of those same values.  Epoch boundaries
+        are found on that timeline by bisection and sampled at the same
+        op positions a per-op run would have sampled them (buffer state
+        is unchanged by fast-path reads, so the gauge values match too).
         """
-        np = numpy()
         count = summary.count
         base_fp = summary.base_fp
-        cum = np.cumsum(summary.latency_fp, dtype=np.int64)
-        # starts[i] == cost.total_ns as read at the i-th OP_READ event.
-        starts = np.empty(count, dtype=np.float64)
-        starts[0] = base_fp / FP_SCALE
-        if count > 1:
-            starts[1:] = (base_fp + cum[:-1]).astype(np.float64) / FP_SCALE
+        step_fp = summary.latency_fp
+
+        def start_of(i: int) -> float:
+            return (base_fp + i * step_fp) / FP_SCALE
+
+        first = base_fp / FP_SCALE
+        last = start_of(count - 1)
         start = self._op_start
         if start is not None:
             # The op in flight before this run closes at the run's first
             # OP_READ, exactly as apply_event would have closed it.
-            (self._cur_hist or self._miss_hist).observe(float(starts[0]) - start)
+            (self._cur_hist or self._miss_hist).observe(first - start)
         hit_hist = self._hit_hists.get(summary.tier, self._miss_hist)
-        if count > 1:
-            hit_hist.observe_batch(starts[1:] - starts[:-1])
+        _observe_brackets(hit_hist, start_of, count)
         if self.track_tenants:
             if start is not None and self._tenant_cur_hist is not None:
-                self._tenant_cur_hist.observe(float(starts[0]) - start)
+                self._tenant_cur_hist.observe(first - start)
             tenant_hist, tenant_counter = self._tenant_handles(
                 summary.tenant_id, "read"
             )
-            if count > 1:
-                tenant_hist.observe_batch(starts[1:] - starts[:-1])
+            _observe_brackets(tenant_hist, start_of, count)
             self._tenant_cur_hist = tenant_hist
             tenant_counter.inc(count)
-        self._op_start = float(starts[-1])
+        self._op_start = last
         self._cur_hist = hit_hist
         self._finalized = False
-        if float(starts[-1]) >= self._next_epoch:
-            idx = int(np.searchsorted(starts, self._next_epoch, side="left"))
+        if last >= self._next_epoch:
+            ops = range(count)
+            idx = bisect_left(ops, self._next_epoch, key=start_of)
             while idx < count:
-                self._sample_epoch(float(starts[idx]))
-                nxt = int(np.searchsorted(starts, self._next_epoch, side="left"))
+                self._sample_epoch(start_of(idx))
+                nxt = bisect_left(ops, self._next_epoch, key=start_of)
                 idx = nxt if nxt > idx else idx + 1
 
     def apply_event(self, etype, page_id, tier, src, dirty) -> None:

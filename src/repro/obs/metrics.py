@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import threading
 
-from ..np_compat import is_ndarray, numpy
 
 #: Histogram buckets are powers of two from 2**_MIN_EXP ns up to
 #: 2**_MAX_EXP ns, plus a +Inf overflow bucket.  16 ns .. ~17.6 sim
@@ -128,34 +127,17 @@ class Histogram:
             self._counts[index] += 1
             self._sum += value
 
-    def observe_batch(self, values) -> None:
-        """Observe an array of values with one locked bulk update.
+    def observe_batch(self, value: float, count: int) -> None:
+        """Observe ``value`` ``count`` times with one locked update.
 
-        Bucket indexes are computed vectorised: ``frexp`` exponents of
-        the truncated values equal ``int(value).bit_length()`` for every
-        value below 2**53, so the binning matches :meth:`observe`
-        element for element.  The running sum is added as one reduction;
-        all observed sim-ns values are multiples of 2**-20 below 2**33,
-        for which float addition is exact in any order.
+        Equal to ``count`` calls of :meth:`observe` while the running
+        sum stays exact: the hub's sim-ns values are multiples of 2**-20
+        below 2**33, for which float addition and multiplication are.
         """
-        if not is_ndarray(values):
-            for value in values:
-                self.observe(value)
-            return
-        if values.size == 0:
-            return
-        np = numpy()
-        ints = np.maximum(values, 0.0).astype(np.int64)
-        exponents = np.frexp(ints.astype(np.float64))[1]
-        indexes = np.clip(exponents - _MIN_EXP, 0, NUM_BUCKETS - 1)
-        binned = np.bincount(indexes, minlength=NUM_BUCKETS)
-        total = float(values.sum())
+        index = bucket_index(value)
         with self._lock:
-            counts = self._counts
-            for index, count in enumerate(binned):
-                if count:
-                    counts[index] += int(count)
-            self._sum += total
+            self._counts[index] += count
+            self._sum += value * count
 
     @property
     def count(self) -> int:

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 from ..hardware.specs import PAGE_SIZE
-from ..np_compat import is_ndarray, numpy
 from .zipf import ScrambledZipfianGenerator, UniformGenerator
 
 #: YCSB tuple layout from §6.1: 4 B key + 10 × 100 B columns ≈ 1 KB.
@@ -56,65 +55,34 @@ class Operation(NamedTuple):
 class OpBatch:
     """A struct-of-arrays batch of YCSB operations.
 
-    Columns are numpy int64/bool arrays when numpy is installed (the
-    batch access path consumes them directly) and plain lists otherwise;
-    either way they are positionally parallel and derived physical
-    columns (page id, intra-page offset, access size) are computed in
-    bulk rather than per op.
+    The columns are positionally parallel lists; the derived physical
+    columns (page id, intra-page offset) are computed in bulk rather
+    than per op.
     """
 
     __slots__ = ("keys", "is_writes", "columns")
 
-    def __init__(self, keys, is_writes, columns) -> None:
-        np = numpy()
-        if np is not None:
-            self.keys = np.asarray(keys, dtype=np.int64)
-            self.is_writes = np.asarray(is_writes, dtype=bool)
-            self.columns = np.asarray(columns, dtype=np.int64)
-        else:
-            self.keys = keys
-            self.is_writes = is_writes
-            self.columns = columns
+    def __init__(self, keys: list[int], is_writes: list[bool],
+                 columns: list[int]) -> None:
+        self.keys = keys
+        self.is_writes = is_writes
+        self.columns = columns
 
     def __len__(self) -> int:
         return len(self.keys)
 
     @property
-    def page_ids(self):
+    def page_ids(self) -> list[int]:
         """Physical page of each key (bulk ``page_of``)."""
-        if is_ndarray(self.keys):
-            return self.keys // TUPLES_PER_PAGE
         return [key // TUPLES_PER_PAGE for key in self.keys]
 
     @property
-    def offsets(self):
+    def offsets(self) -> list[int]:
         """Intra-page byte offset of each access (bulk ``offset_of``)."""
-        if is_ndarray(self.keys):
-            slots = self.keys % TUPLES_PER_PAGE
-            return slots * TUPLE_SIZE + 4 + self.columns * COLUMN_SIZE
         return [
             (key % TUPLES_PER_PAGE) * TUPLE_SIZE + 4 + column * COLUMN_SIZE
             for key, column in zip(self.keys, self.columns)
         ]
-
-    @property
-    def sizes(self):
-        """Bytes touched per op: whole tuple on read, one column on update."""
-        if is_ndarray(self.is_writes):
-            return numpy().where(self.is_writes, COLUMN_SIZE, TUPLE_SIZE)
-        return [
-            COLUMN_SIZE if is_write else TUPLE_SIZE
-            for is_write in self.is_writes
-        ]
-
-    def operations(self) -> Iterator[Operation]:
-        """Row view for per-op consumers (tests, fallback paths)."""
-        for index in range(len(self.keys)):
-            if self.is_writes[index]:
-                yield Operation(OpKind.UPDATE, int(self.keys[index]),
-                                column=int(self.columns[index]))
-            else:
-                yield Operation(OpKind.READ, int(self.keys[index]))
 
 
 @dataclass(frozen=True)

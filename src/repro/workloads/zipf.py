@@ -70,13 +70,6 @@ class ZipfianGenerator:
             return 1
         return int(self.n * (self._eta * u - self._eta + 1.0) ** self._alpha) % self.n
 
-    def next_many(self, count: int) -> list[int]:
-        """``count`` draws, consuming the RNG stream exactly like
-        ``count`` calls of :meth:`next` (batching must not change which
-        keys a seeded run produces)."""
-        next_one = self.next
-        return [next_one() for _ in range(count)]
-
     def __iter__(self):
         while True:
             yield self.next()
@@ -102,12 +95,6 @@ class ScrambledZipfianGenerator:
     def next(self) -> int:
         return scramble(self._inner.next(), self.n)
 
-    def next_many(self, count: int) -> list[int]:
-        """RNG-order-preserving batch draw (see
-        :meth:`ZipfianGenerator.next_many`)."""
-        n = self.n
-        return [scramble(rank, n) for rank in self._inner.next_many(count)]
-
     def __iter__(self):
         while True:
             yield self.next()
@@ -124,13 +111,6 @@ class UniformGenerator:
 
     def next(self) -> int:
         return self.rng.randrange(self.n)
-
-    def next_many(self, count: int) -> list[int]:
-        """RNG-order-preserving batch draw (see
-        :meth:`ZipfianGenerator.next_many`)."""
-        randrange = self.rng.randrange
-        n = self.n
-        return [randrange(n) for _ in range(count)]
 
     def __iter__(self):
         while True:

@@ -17,7 +17,6 @@ histogram observation).
 
 from __future__ import annotations
 
-import copy
 import functools
 
 import pytest
@@ -43,10 +42,9 @@ from repro.hardware.simclock import (
     to_fp,
 )
 from repro.hardware.specs import Tier
-from repro.np_compat import HAVE_NUMPY, np
+from repro.obs.hub import MetricsHub
 from repro.obs.metrics import Histogram
 from repro.workloads.ycsb import MIXES, YcsbWorkload
-from repro.workloads.zipf import ScrambledZipfianGenerator, UniformGenerator
 
 SHAPE = HierarchyShape(dram_gb=2.0, nvm_gb=4.0, ssd_gb=100.0)
 
@@ -180,25 +178,8 @@ class TestFixedPointAccounting:
             "busy_ns": usage.busy_ns, "operations": 1, "bytes_moved": 100,
         }
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
-    def test_array_quantization_matches_scalar(self):
-        """np.rint's half-to-even matches Python round() elementwise."""
-        values = [0.5 / FP_SCALE * k for k in range(1, 2000, 7)]
-        scalar = [to_fp(v) for v in values]
-        array = np.rint(np.asarray(values) * FP_SCALE).astype(np.int64)
-        assert scalar == array.tolist()
-
 
 class TestWorkloadBatches:
-    @pytest.mark.parametrize("make_generator", [
-        lambda: ScrambledZipfianGenerator(1000, 0.5, seed=9),
-        lambda: UniformGenerator(1000, seed=9),
-    ])
-    def test_next_many_preserves_rng_order(self, make_generator):
-        generator = make_generator()
-        clone = copy.deepcopy(generator)
-        assert generator.next_many(500) == [clone.next() for _ in range(500)]
-
     @pytest.mark.parametrize("mix", sorted(MIXES))
     def test_next_ops_matches_next_op(self, mix):
         per_op = YcsbWorkload(10_000, MIXES[mix], seed=5)
@@ -207,18 +188,14 @@ class TestWorkloadBatches:
         batch = batched.next_ops(600)
         assert len(batch) == 600
         for index, op in enumerate(ops):
-            assert int(batch.keys[index]) == op.key
-            assert bool(batch.is_writes[index]) == op.is_write
-            assert int(batch.page_ids[index]) == per_op.page_of(op.key)
-            assert int(batch.offsets[index]) == per_op.offset_of(
-                op.key, op.column
-            )
-            assert int(batch.sizes[index]) == per_op.access_bytes(op)
+            assert batch.keys[index] == op.key
+            assert batch.is_writes[index] == op.is_write
+            assert batch.page_ids[index] == per_op.page_of(op.key)
+            assert batch.offsets[index] == per_op.offset_of(op.key, op.column)
         # Both streams must resume in lockstep after the batch.
         assert batched.next_op() == per_op.next_op()
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
 class TestDeviceBatch:
     def test_read_batch_matches_per_op_charges(self):
         scalar = StorageHierarchy(SHAPE).device(Tier.DRAM)
@@ -233,17 +210,6 @@ class TestDeviceBatch:
         assert scalar.counters.read_bytes == batched.counters.read_bytes
         assert (scalar.counters.media_read_bytes
                 == batched.counters.media_read_bytes)
-
-    def test_read_batch_array_sizes_match_per_op(self):
-        scalar = StorageHierarchy(SHAPE).device(Tier.NVM)
-        batched = StorageHierarchy(SHAPE).device(Tier.NVM)
-        sizes = [64, 256, 1024, 100, 0, 4096, 64]
-        for nbytes in sizes:
-            scalar.read(nbytes)
-        batched.read_batch(np.asarray(sizes, dtype=np.int64))
-        assert scalar.cost.total_fp == batched.cost.total_fp
-        assert scalar.cost.snapshot() == batched.cost.snapshot()
-        assert scalar.counters.read_bytes == batched.counters.read_bytes
 
     def test_write_batch_matches_per_op_charges(self):
         scalar = StorageHierarchy(SHAPE).device(Tier.NVM)
@@ -261,40 +227,40 @@ class TestDeviceBatch:
         transfer_fp, latency_fp = hierarchy.device(Tier.NVM).read_batch(
             256, count=8
         )
-        assert len(transfer_fp) == 8
-        assert all(transfer_fp == transfer_fp[0])
+        assert hierarchy.cost.total_fp == 8 * (transfer_fp + latency_fp)
         reference = StorageHierarchy(SHAPE)
         reference.device(Tier.NVM).read(256)
-        assert int(transfer_fp[0]) + latency_fp == reference.cost.total_fp
+        assert transfer_fp + latency_fp == reference.cost.total_fp
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
 class TestHistogramBatch:
     def test_observe_batch_matches_per_op(self):
         one_by_one = Histogram("h")
         batched = Histogram("h")
         # Multiples of 2**-20 (the latency quantum): the running sum is
         # then exact under any addition order, like the hub's latencies.
-        values = np.rint(np.abs(np.sin(np.arange(500))) * 1e5 * FP_SCALE)
-        values /= FP_SCALE
-        for value in values:
-            one_by_one.observe(float(value))
-        batched.observe_batch(values)
+        for value in (to_fp(x) / FP_SCALE for x in (0.0, 3.3, 17.9, 1e5)):
+            for _ in range(500):
+                one_by_one.observe(value)
+            batched.observe_batch(value, 500)
         assert one_by_one.bucket_counts() == batched.bucket_counts()
         assert one_by_one.count == batched.count
         assert one_by_one.sum == batched.sum
 
 
+def _primed_manager(pages: int, resident: int) -> BufferManager:
+    """A seeded manager over ``pages`` pages, the first ``resident`` on DRAM."""
+    bm = BufferManager(StorageHierarchy(SHAPE), SPITFIRE_LAZY,
+                       BufferManagerConfig(seed=3))
+    bm.allocate_pages(range(pages))
+    for page_id in range(resident):
+        bm.prime_page(Tier.DRAM, page_id)
+    return bm
+
+
 class TestHarnessBatching:
     def test_buffer_manager_read_batch_facade(self):
-        bm = BufferManager(StorageHierarchy(SHAPE), SPITFIRE_LAZY,
-                           BufferManagerConfig(seed=3))
-        reference = BufferManager(StorageHierarchy(SHAPE), SPITFIRE_LAZY,
-                                  BufferManagerConfig(seed=3))
-        for manager in (bm, reference):
-            manager.allocate_pages(range(8))
-            for page_id in range(8):
-                manager.prime_page(Tier.DRAM, page_id)
+        bm, reference = _primed_manager(8, 8), _primed_manager(8, 8)
         ids = [0, 1, 2, 1, 0, 5, 7, 5]
         bm.read_batch(ids, [0] * len(ids))
         for page_id in ids:
@@ -303,3 +269,38 @@ class TestHarnessBatching:
         assert bm.hierarchy.cost.total_fp == reference.hierarchy.cost.total_fp
         assert (bm.hierarchy.cost.snapshot()
                 == reference.hierarchy.cost.snapshot())
+
+    @pytest.mark.parametrize("resident", [3, 1], ids=["all", "first"])
+    def test_read_batch_rejects_unequal_lengths(self, resident):
+        """Unequal ``page_ids``/``offsets`` raise before any charge."""
+        bm = _primed_manager(3, resident)
+        cost, stats = bm.hierarchy.cost.snapshot(), bm.stats.as_dict()
+        with pytest.raises(ValueError):
+            bm.read_batch([0, 1, 2], [0], 64)
+        assert bm.hierarchy.cost.snapshot() == cost
+        assert bm.stats.as_dict() == stats
+
+    @pytest.mark.parametrize("head_start_fp", [0, (1 << 60) + 12_345],
+                             ids=["exact starts", "rounded starts"])
+    def test_tenant_hub_sees_a_batch_as_per_op_reads(self, head_start_fp):
+        """A tenant-tracking hub sees a tenant's batched reads (serve's
+        ``read_batch``), epochs included, as the same reads per op — also
+        past 2**53 units, where op starts are rounded floats."""
+        ids = [0, 1, 2, 1, 9, 0, 5, 7, 5, 12, 3, 3, 6, 4, 2, 0]
+
+        def hub_snapshot(batched: bool):
+            bm = _primed_manager(16, 8)
+            bm.hierarchy.cost.charge_fp(CostAccumulator.CPU, head_start_fp)
+            hub = MetricsHub(epoch_ns=50.0, track_tenants=True).attach(bm)
+            if batched:
+                bm.read_batch(ids, [0] * len(ids), 1024, tenant_id=1)
+            else:
+                for page_id in ids:
+                    bm.read(page_id, 0, 1024, tenant_id=1)
+            hub.detach()
+            return bm.batch_path.fast_runs, hub.snapshot()
+
+        fast_runs, batched = hub_snapshot(True)
+        assert fast_runs > 0
+        assert len(batched["epochs"]) > fast_runs
+        assert hub_snapshot(False) == (0, batched)

@@ -233,6 +233,9 @@ class TestBadInput:
         ["chaos", "--read-error-rate", "2"],
         ["chaos", "--write-error-rate", "nan"],
         ["fig6", "--jobs", "0"],
+        ["run", "--metrics-port", "70000", "table1"],
+        ["serve", "--port", "70000"],
+        ["serve", "--metrics-port", "-1"],
     ], ids=" ".join)
     def test_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

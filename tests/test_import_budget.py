@@ -1,10 +1,10 @@
 """Start-up pays only for what a command runs.
 
 A package root imports nothing (its names resolve on first read), the
-figure registry imports a figure module on first call, and numpy and
-the heavy stdlib modules load where they are first used.  Each budget
-case runs in a fresh interpreter, so what it loads is what the command
-loads, whatever this test process imported before.
+figure registry imports a figure module on first call, the heavy
+stdlib modules load where they are first used, and nothing loads
+numpy.  Each budget case runs in a fresh interpreter, so what it loads
+is what the command loads, whatever this test process imported before.
 """
 
 from __future__ import annotations
@@ -27,6 +27,19 @@ SRC = Path(repro.__file__).resolve().parent.parent
 #: Loaded by none of the light entry points.
 HEAVY = ("numpy", "http.server", "multiprocessing", "concurrent.futures",
          "repro.engine", "repro.serve", "repro.bench.executor")
+
+
+#: Builds ``bm``: a bare buffer manager, pages 0-3 primed on DRAM.
+MANAGER = (
+    "from repro.core.buffer_manager import BufferManager\n"
+    "from repro.hardware.cost_model import StorageHierarchy\n"
+    "from repro.hardware.pricing import HierarchyShape\n"
+    "from repro.hardware.specs import Tier\n"
+    "from repro.core.policy import SPITFIRE_LAZY\n"
+    "bm = BufferManager(StorageHierarchy(HierarchyShape(1, 2, 10)),"
+    " SPITFIRE_LAZY)\n"
+    "bm.allocate_pages(range(4))\n"
+    "for page in range(4): bm.prime_page(Tier.DRAM, page)\n")
 
 
 def modules_after(code: str) -> set[str]:
@@ -59,17 +72,20 @@ class TestModuleBudget:
 
     def test_one_read_and_write_loads_no_numpy_or_servers(self):
         modules = modules_after(
-            "from repro.core.buffer_manager import BufferManager\n"
-            "from repro.hardware.cost_model import StorageHierarchy\n"
-            "from repro.hardware.pricing import HierarchyShape\n"
-            "from repro.core.policy import SPITFIRE_LAZY\n"
-            "bm = BufferManager(StorageHierarchy(HierarchyShape(1, 2, 10)),"
-            " SPITFIRE_LAZY)\n"
-            "page = bm.allocate_page()\n"
+            MANAGER + "page = bm.allocate_page()\n"
             "bm.write(page, offset=0, nbytes=100)\n"
             "bm.read(page, offset=0, nbytes=1024)")
         assert loaded(modules, ("numpy", "http.server",
                                 "multiprocessing")) == []
+
+    def test_batched_read_with_a_hub_loads_no_numpy(self):
+        modules = modules_after(
+            MANAGER + "from repro.obs.hub import MetricsHub\n"
+            "hub = MetricsHub().attach(bm)\n"
+            "bm.read_batch([0, 1, 2, 3], [0, 0, 0, 0], 1024)\n"
+            "hub.detach()\n"
+            "assert bm.batch_path.fast_runs == 1")
+        assert loaded(modules, ("numpy",)) == []
 
     def test_pool_warm_up_imports_what_a_cell_runs(self):
         modules = modules_after(

@@ -347,7 +347,7 @@ class TestSingleTenantIdentity:
     def test_tagged_cell_matches_untagged(self):
         """A one-tenant population is the single-stream cell, tagged:
         same stream, same simulated numbers, plus a tenant-0 breakdown,
-        per-op and batched."""
+        at batch size 1 and 1024 (the tenant cell runs per op at both)."""
         untagged = Cell.ycsb("identity", SMALL_SHAPE, SPITFIRE_LAZY,
                              "YCSB-BA", 2.0, effort=SMALL_EFFORT, workload_seed=5)
         tagged = Cell.multi_tenant(
