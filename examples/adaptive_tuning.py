@@ -33,7 +33,7 @@ def main() -> None:
                             skew=0.3, seed=11)
     runner = WorkloadRunner(bm, RunConfig(warmup_ops=0, measure_ops=0))
     runner.allocate_database(workload.num_pages)
-    controller = AdaptiveController(bm, workers=1, seed=5)
+    controller = AdaptiveController(bm, seed=5)
 
     print("Adaptive data migration (simulated annealing, §4 / Fig. 10)")
     print(f"start policy: {SPITFIRE_EAGER.label()}\n")

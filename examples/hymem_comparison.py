@@ -52,7 +52,7 @@ def run(bm: BufferManager, trace: Trace, label: str) -> None:
     bm.reset_stats()
     for _ in range(OPS):  # measured half
         runner.run_access(next(iterator))
-    throughput = bm.hierarchy.throughput(OPS, workers=16)
+    throughput = bm.hierarchy.cost.throughput(OPS, workers=16)
     print(f"=== {label} ===")
     print(f"  throughput (16 workers) {throughput / 1e3:10.1f} kOps/s")
     print(f"  DRAM hits               {bm.stats.dram_hits:10d}")

@@ -12,12 +12,11 @@ Run:  python examples/storage_advisor.py [budget_dollars]
 import sys
 
 from repro.bench.executor import Cell, Effort
-from repro.design.grid_search import enumerate_shapes, grid_search
+from repro.design.grid_search import FIG14_WORKERS, enumerate_shapes, grid_search
 from repro.hardware.specs import SimulationScale
 
 DB_GB = 100.0
 SCALE = SimulationScale(pages_per_gb=16)
-WORKERS = 8
 
 
 def main() -> None:
@@ -26,7 +25,7 @@ def main() -> None:
     def cell_factory(shape, policy):
         return Cell.ycsb(f"YCSB-WH/{shape.label}", shape, policy, "YCSB-WH",
                          DB_GB, skew=0.5, effort=Effort(4_000, 8_000),
-                         scale=SCALE, workers=WORKERS)
+                         scale=SCALE)
 
     shapes = enumerate_shapes(
         dram_sizes_gb=(0.0, 4.0, 8.0, 32.0),
@@ -34,7 +33,7 @@ def main() -> None:
         ssd_gb=200.0,
     )
     print(f"Evaluating {len(shapes)} candidate hierarchies on YCSB-WH "
-          f"({DB_GB:.0f} GB database, {WORKERS} workers)...\n")
+          f"({DB_GB:.0f} GB database, {FIG14_WORKERS} workers)...\n")
     result = grid_search("YCSB-WH", cell_factory, shapes=shapes)
 
     header = (f"{'hierarchy':<14} {'DRAM':>6} {'NVM':>6} {'cost $':>8} "

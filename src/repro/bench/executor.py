@@ -127,9 +127,9 @@ class Cell:
     equality, so two cells that compare equal are the same simulation
     (a :func:`run_session` runs it once).  What the run attaches to it
     (metrics, batching, telemetry, decision tracing) is the ambient
-    :class:`~repro.bench.harness.RunOptions`, never a cell field.
-    ``bm_config=None`` builds the default
-    :class:`~repro.core.buffer_manager.BufferManagerConfig` (seed 42).
+    :class:`~repro.bench.harness.RunOptions`, never a cell field.  A
+    cell carries no worker count either: a reader picks one with
+    :meth:`~repro.bench.harness.RunResult.throughput_at`.
     """
 
     label: str = field(compare=False)
@@ -138,9 +138,8 @@ class Cell:
     workload: WorkloadSpec
     effort: Effort = QUICK
     scale: SimulationScale = DEFAULT_SCALE
-    bm_config: BufferManagerConfig | None = None
+    bm_config: BufferManagerConfig = BufferManagerConfig()
     memory_mode: bool = False
-    workers: int = 1
     #: Tenant population for a multi-tenant cell.  Non-empty routes the
     #: cell through :meth:`WorkloadRunner.measure_tenants` over an
     #: interleaved :class:`~repro.workloads.tenancy.MultiTenantWorkload`
@@ -223,7 +222,7 @@ class Cell:
             f"Cell({self.label!r}: shape={self.shape.label}, "
             f"policy={self.policy.name or self.policy}, {workload}, "
             f"db={wl.db_gb:g}GB, effort={self.effort.warmup_ops}+"
-            f"{self.effort.measure_ops}, workers={self.workers}, "
+            f"{self.effort.measure_ops}, "
             f"workload seed={wl.seed})"
         )
 
@@ -779,7 +778,7 @@ def run_cell(cell: Cell) -> RunResult:
     options = current_options()
     hierarchy = StorageHierarchy(cell.shape, cell.scale,
                                  memory_mode=cell.memory_mode)
-    config = cell.bm_config or BufferManagerConfig()
+    config = cell.bm_config
     spec = cell.workload
 
     multi = None
@@ -812,7 +811,6 @@ def run_cell(cell: Cell) -> RunResult:
         RunConfig(
             warmup_ops=cell.effort.warmup_ops,
             measure_ops=cell.effort.measure_ops,
-            workers=cell.workers,
             options=options,
             progress=progress,
         ),

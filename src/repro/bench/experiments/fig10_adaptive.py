@@ -51,7 +51,7 @@ def run(quick: bool = True, jobs: int = 1) -> ExperimentResult:
         runner.allocate_database(workload.num_pages)
         # Deliberately *no* buffer priming: Fig. 10 shows the journey from
         # a cold eager start to the tuned steady state.
-        controller = AdaptiveController(bm, workers=1, seed=11)
+        controller = AdaptiveController(bm, seed=11)
         controller.run(
             workload_step=lambda: runner.run_ycsb_op(workload),
             epochs=epochs,

@@ -40,13 +40,12 @@ def run(quick: bool = True, jobs: int = 1) -> ExperimentResult:
         batch.add(
             granularity,
             Cell.ycsb(f"HyMem/{granularity}B", HYMEM_SHAPE, HYMEM_POLICY,
-                      "YCSB-RO", HYMEM_DB_GB, effort=eff, bm_config=config,
-                      workers=WORKERS),
+                      "YCSB-RO", HYMEM_DB_GB, effort=eff, bm_config=config),
         )
     runs = batch.run(jobs)
     series = result.new_series("HyMem")
     for granularity in FIG11_GRANULARITIES:
-        series.add(granularity, runs[granularity].throughput)
+        series.add(granularity, runs[granularity].throughput_at(WORKERS))
     result.note(
         f"throughput peaks at {series.peak_x} B "
         f"(the Optane media access granularity is 256 B)"

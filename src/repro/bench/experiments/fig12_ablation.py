@@ -43,7 +43,7 @@ def run(quick: bool = True, jobs: int = 1) -> ExperimentResult:
             for variant in VARIANTS:
                 label = f"{workload}/{policy_name}/{variant}"
                 common = dict(
-                    effort=eff, workers=WORKERS,
+                    effort=eff,
                     bm_config=BufferManagerConfig(
                         fine_grained=variant != "none",
                         mini_pages=variant == "+mini-page",
@@ -62,8 +62,8 @@ def run(quick: bool = True, jobs: int = 1) -> ExperimentResult:
         for policy_name in POLICIES:
             series = result.new_series(f"{workload}/{policy_name}")
             for variant in VARIANTS:
-                series.add(variant,
-                           runs[(workload, policy_name, variant)].throughput)
+                series.add(variant, runs[(workload, policy_name, variant)]
+                           .throughput_at(WORKERS))
     for workload in WORKLOADS:
         lazy_base = result.series[f"{workload}/Spf-Lazy"].y_at("none")
         best_other = max(

@@ -14,14 +14,13 @@ Expected shape: (a) the cost grid is linear in the device prices;
 
 from __future__ import annotations
 
-from ...design.grid_search import enumerate_shapes, grid_search
+from ...design.grid_search import FIG14_WORKERS, enumerate_shapes, grid_search
 from ...hardware.pricing import hierarchy_cost
 from ..reporting import ExperimentResult
 from .common import COARSE_SCALE, Cell, effort
 
 DB_GB = 100.0
 SKEW = 0.5
-WORKERS = 8
 WORKLOADS = ("YCSB-RO", "YCSB-BA", "YCSB-WH")
 
 
@@ -30,7 +29,7 @@ def run(quick: bool = True, jobs: int = 1) -> ExperimentResult:
     result = ExperimentResult(
         "fig14", "Storage System Design (perf/price grid search)"
     )
-    result.metadata.update(db_gb=DB_GB, skew=SKEW, workers=WORKERS)
+    result.metadata.update(db_gb=DB_GB, skew=SKEW, workers=FIG14_WORKERS)
     shapes = enumerate_shapes()
 
     # (a) the cost grid, straight from Table 1 prices.
@@ -44,7 +43,7 @@ def run(quick: bool = True, jobs: int = 1) -> ExperimentResult:
         def cell_factory(shape, policy, _workload=workload):
             return Cell.ycsb(f"{_workload}/{shape.label}", shape, policy,
                              _workload, DB_GB, skew=SKEW, effort=eff,
-                             scale=COARSE_SCALE, workers=WORKERS)
+                             scale=COARSE_SCALE)
 
         search = grid_search(workload, cell_factory, shapes=shapes,
                              jobs=jobs)

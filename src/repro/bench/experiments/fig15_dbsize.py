@@ -46,22 +46,20 @@ WORKERS = 8
 #: three-tier configurations (Spitfire and HyMem) in this experiment.
 _FINE_CONFIG = BufferManagerConfig(fine_grained=True, mini_pages=True,
                                    loading_unit=OPTANE_LOADING_UNIT)
+_THREE_TIER_POLICIES = {"Spf-Lazy": SPITFIRE_LAZY, "Spf-Eager": SPITFIRE_EAGER,
+                        "HyMem": HYMEM_POLICY}
 
 
 def _cell(config: str, workload: str, db_gb: float, eff) -> Cell:
-    if config == "HyMem":
-        shape, policy, bm_config = THREE_TIER, HYMEM_POLICY, _FINE_CONFIG
-    elif config == "DRAM-SSD":
-        shape, policy, bm_config = DRAM_SSD, DRAM_SSD_POLICY, None
+    kwargs = dict(effort=eff, scale=COARSE_SCALE)
+    if config == "DRAM-SSD":
+        shape, policy = DRAM_SSD, DRAM_SSD_POLICY
     elif config == "NVM-SSD":
-        shape, policy, bm_config = NVM_SSD, NVM_SSD_POLICY, None
+        shape, policy = NVM_SSD, NVM_SSD_POLICY
     else:
-        shape = THREE_TIER
-        policy = SPITFIRE_LAZY if config == "Spf-Lazy" else SPITFIRE_EAGER
-        bm_config = _FINE_CONFIG
+        shape, policy = THREE_TIER, _THREE_TIER_POLICIES[config]
+        kwargs["bm_config"] = _FINE_CONFIG
     label = f"{workload}/{config}/{db_gb:g}GB"
-    kwargs = dict(effort=eff, scale=COARSE_SCALE, bm_config=bm_config,
-                  workers=WORKERS)
     if workload == "TPC-C":
         return Cell.tpcc(label, shape, policy, db_gb, **kwargs)
     return Cell.ycsb(label, shape, policy, workload, db_gb, **kwargs)
@@ -88,7 +86,8 @@ def run(quick: bool = True, jobs: int = 1) -> ExperimentResult:
         for config in CONFIGS:
             series = result.new_series(f"{workload}/{config}")
             for db_gb in sizes:
-                series.add(db_gb, runs[(workload, config, db_gb)].throughput)
+                series.add(db_gb, runs[(workload, config, db_gb)]
+                           .throughput_at(WORKERS))
     small, large = sizes[0], sizes[-1]
     for workload in WORKLOADS:
         dram = result.series[f"{workload}/DRAM-SSD"]

@@ -37,8 +37,7 @@ def _cell(workload_name: str, db_gb: float, memory_mode: bool, eff) -> Cell:
     shape = MEMORY_MODE_SHAPE if memory_mode else NVM_SSD_SHAPE
     policy = DRAM_SSD_POLICY if memory_mode else NVM_SSD_POLICY
     mode = "mem" if memory_mode else "appdirect"
-    kwargs = dict(effort=eff, scale=COARSE_SCALE, memory_mode=memory_mode,
-                  workers=WORKERS)
+    kwargs = dict(effort=eff, scale=COARSE_SCALE, memory_mode=memory_mode)
     if workload_name == "TPC-C":
         return Cell.tpcc(f"{workload_name}/{mode}/{db_gb:g}GB", shape, policy,
                          db_gb, **kwargs)
@@ -69,8 +68,8 @@ def run(quick: bool = True, jobs: int = 1) -> ExperimentResult:
             label = f"{workload}/{'DRAM-SSD(mem)' if memory_mode else 'NVM-SSD'}"
             series = result.new_series(label)
             for db_gb in sizes:
-                series.add(db_gb,
-                           runs[(workload, memory_mode, db_gb)].throughput)
+                series.add(db_gb, runs[(workload, memory_mode, db_gb)]
+                           .throughput_at(WORKERS))
     # Headline comparison the paper calls out.
     for workload in ("YCSB-RO", "YCSB-BA", "TPC-C"):
         nvm = result.series[f"{workload}/NVM-SSD"]

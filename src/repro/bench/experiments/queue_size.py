@@ -50,18 +50,17 @@ def run(quick: bool = True, jobs: int = 1) -> ExperimentResult:
             label = f"{workload}/q={fraction:g}"
             if workload == "TPC-C":
                 cell = Cell.tpcc(label, HYMEM_SHAPE, HYMEM_POLICY,
-                                 HYMEM_DB_GB, effort=eff, bm_config=config,
-                                 workers=WORKERS)
+                                 HYMEM_DB_GB, effort=eff, bm_config=config)
             else:
                 cell = Cell.ycsb(label, HYMEM_SHAPE, HYMEM_POLICY, "YCSB-RO",
-                                 HYMEM_DB_GB, effort=eff, bm_config=config,
-                                 workers=WORKERS)
+                                 HYMEM_DB_GB, effort=eff, bm_config=config)
             batch.add((workload, fraction), cell)
     runs = batch.run(jobs)
     for workload in ("YCSB-RO", "TPC-C"):
         series = result.new_series(workload)
         for fraction in QUEUE_FRACTIONS:
-            series.add(fraction, runs[(workload, fraction)].throughput)
+            series.add(fraction,
+                       runs[(workload, fraction)].throughput_at(WORKERS))
     for workload in ("YCSB-RO", "TPC-C"):
         series = result.series[workload]
         half = series.y_at(0.5)

@@ -104,7 +104,6 @@ class RunConfig:
 
     warmup_ops: int = 20_000
     measure_ops: int = 30_000
-    workers: int = 1
     #: Write operations between checkpoint flushes; None disables them.
     checkpoint_interval_ops: int | None = 2_000
     #: What the run attaches: metrics hub, batch path and decision
@@ -125,9 +124,9 @@ class RunResult:
 
     label: str
     operations: int
-    #: ops per simulated second at the configured worker count.
+    #: ops per simulated second at one worker; another worker count is
+    #: :meth:`throughput_at`.
     throughput: float
-    workers: int
     stats: BufferStats
     inclusivity: float
     nvm_write_gb: float
@@ -151,10 +150,6 @@ class RunResult:
     #: field batching may change.
     batch_runs: int = 0
 
-    @property
-    def throughput_kops(self) -> float:
-        return self.throughput / 1e3
-
     def throughput_at(self, workers: int) -> float:
         """Throughput of this window's work spread over ``workers``.
 
@@ -163,7 +158,8 @@ class RunResult:
         window's usage in the fixed-point units it was charged in (each
         ``busy_ns`` views them exactly below 2**53 units, ≈ 8.6
         simulated seconds per resource), so it equals
-        ``hierarchy.throughput(operations, workers)`` at the window's end.
+        ``hierarchy.cost.throughput(operations, workers)`` at the window's
+        end.
         """
         busy_fp = {key: simclock.to_fp(usage["busy_ns"])
                    for key, usage in (self.resource_usage or {}).items()}
@@ -507,14 +503,12 @@ class WorkloadRunner:
         hub = observers.get("metrics")
         decisions = observers.get("decision_trace")
         operations = config.measure_ops
-        makespan = self.hierarchy.cost.makespan_ns(config.workers)
-        throughput = self.hierarchy.throughput(operations, config.workers)
+        makespan = self.hierarchy.cost.makespan_ns()
         metrics_snapshot = hub.snapshot() if hub is not None else None
         return RunResult(
             label=label,
             operations=operations,
-            throughput=throughput,
-            workers=config.workers,
+            throughput=simclock.ops_per_sim_second(operations, makespan),
             stats=self.bm.stats.snapshot(),
             inclusivity=self.bm.inclusivity.mean_ratio(),
             nvm_write_gb=self.bm.nvm_write_volume_gb(),

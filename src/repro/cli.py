@@ -114,6 +114,8 @@ def _checked(convert, accept, expected: str):
 _positive_int = _checked(int, lambda value: value > 0, "a positive integer")
 _positive_float = _checked(float, lambda value: 0 < value < math.inf,
                            "a positive number")
+_non_negative_float = _checked(float, lambda value: 0 <= value < math.inf,
+                               "a non-negative number")
 _probability = _checked(float, lambda value: 0 <= value <= 1,
                         "a probability in [0, 1]")
 _port = _checked(int, lambda value: 0 <= value <= 65535,
@@ -234,9 +236,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bind address (default: 127.0.0.1)")
     serve.add_argument("--port", type=_port, default=0,
                        help="port to serve on (default: 0 = pick free)")
-    serve.add_argument("--dram-gb", type=float, default=0.5)
-    serve.add_argument("--nvm-gb", type=float, default=2.0)
-    serve.add_argument("--ssd-gb", type=float, default=8.0)
+    serve.add_argument("--dram-gb", type=_non_negative_float, default=0.5)
+    serve.add_argument("--nvm-gb", type=_non_negative_float, default=2.0)
+    serve.add_argument("--ssd-gb", type=_non_negative_float, default=8.0)
     serve.add_argument("--tenants", type=_positive_int, default=4,
                        metavar="N",
                        help="tenant count sessions may hello as "
@@ -282,8 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run_summary.json written by a --out run")
     report.add_argument("--diff", nargs=2, metavar=("OLD", "NEW"),
                         help="diff two BENCH_repro.json-style files")
-    report.add_argument("--tolerance", type=float, default=0.10,
-                        metavar="FRAC",
+    report.add_argument("--tolerance", type=_non_negative_float,
+                        default=0.10, metavar="FRAC",
                         help="relative move a direction-aware metric may "
                              "make before --diff flags it (default: 0.10)")
     report.add_argument("--show-unchanged", action="store_true",
@@ -775,16 +777,20 @@ def _report(parser, args) -> int:
         render_run_summary,
     )
 
+    def load(path: str):
+        try:
+            return json.loads(Path(path).read_text())
+        except (OSError, ValueError) as exc:
+            parser.error(f"cannot read {path}: {exc}")
+
     if args.diff:
-        old = json.loads(Path(args.diff[0]).read_text())
-        new = json.loads(Path(args.diff[1]).read_text())
+        old, new = map(load, args.diff)
         diff = diff_bench_reports(old, new, tolerance=args.tolerance)
         print(render_bench_diff(diff, show_unchanged=args.show_unchanged))
         return 0 if diff["ok"] else 1
     if not args.summary:
         parser.error("provide a run_summary.json path or --diff OLD NEW")
-    summary = json.loads(Path(args.summary).read_text())
-    print(render_run_summary(summary))
+    print(render_run_summary(load(args.summary)))
     return 0
 
 

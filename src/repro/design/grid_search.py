@@ -24,6 +24,8 @@ from ..hardware.pricing import HierarchyShape, hierarchy_cost, performance_per_p
 FIG14_DRAM_SIZES_GB = (0.0, 4.0, 8.0, 16.0, 32.0)
 FIG14_NVM_SIZES_GB = (0.0, 40.0, 80.0, 160.0)
 FIG14_SSD_GB = 200.0
+#: Worker count every candidate's throughput is read at (§6.6).
+FIG14_WORKERS = 8
 
 
 @dataclass
@@ -130,9 +132,9 @@ def grid_search(
 
     ``cell_factory`` receives a shape and the policy ``policy_chooser``
     picks for it, and returns the :class:`repro.bench.executor.Cell`
-    that measures it (workload, effort, scale, workers).  All cells run
-    through :func:`repro.bench.executor.run_cells` with ``jobs``
-    workers.
+    that measures it (workload, effort, scale).  All cells run through
+    :func:`repro.bench.executor.run_cells` with ``jobs`` processes, and
+    each is read at :data:`FIG14_WORKERS` workers.
     """
     # Deferred import: the bench package imports this module.
     from ..bench.executor import run_cells
@@ -143,10 +145,11 @@ def grid_search(
     result = DesignResult(workload_name)
     for shape, run in zip(shapes, runs):
         cost = hierarchy_cost(shape)
+        throughput = run.throughput_at(FIG14_WORKERS)
         result.points.append(DesignPoint(
             shape=shape,
             cost_dollars=cost,
-            throughput=run.throughput,
-            perf_per_price=performance_per_price(run.throughput, cost),
+            throughput=throughput,
+            perf_per_price=performance_per_price(throughput, cost),
         ))
     return result

@@ -163,9 +163,6 @@ class StorageHierarchy:
     def dollar_cost(self) -> float:
         return hierarchy_cost(self.shape, self.specs)
 
-    def throughput(self, operations: int, workers: int = 1) -> float:
-        return self.cost.throughput(operations, workers)
-
     def reset_accounting(self) -> None:
         """Clear cost and traffic counters (e.g. after buffer warm-up)."""
         self.cost.reset()

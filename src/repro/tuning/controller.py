@@ -55,13 +55,11 @@ class AdaptiveController:
     def __init__(
         self,
         buffer_manager: BufferManager,
-        workers: int = 1,
         schedule: AnnealingSchedule | None = None,
         seed: int = 7,
         lockstep: bool = True,
     ) -> None:
         self.bm = buffer_manager
-        self.workers = workers
         self.annealer = PolicyAnnealer(
             buffer_manager.policy, schedule=schedule, seed=seed, lockstep=lockstep
         )
@@ -104,7 +102,7 @@ class AdaptiveController:
             raise RuntimeError("begin_epoch was not called")
         operations = self._ops_seen - self._ops_at_start
         delta = self.bm.hierarchy.cost.delta_since(self._baseline)
-        throughput = delta.throughput(operations, self.workers)
+        throughput = delta.throughput(operations)
         accepted = self.annealer.observe(self._candidate, throughput)
         record = EpochRecord(
             epoch=self._epoch,

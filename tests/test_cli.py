@@ -236,9 +236,27 @@ class TestBadInput:
         ["run", "--metrics-port", "70000", "table1"],
         ["serve", "--port", "70000"],
         ["serve", "--metrics-port", "-1"],
+        ["serve", "--dram-gb", "-1"],
+        ["serve", "--nvm-gb", "-1"],
+        ["serve", "--ssd-gb", "-0.5"],
+        ["report", "--tolerance", "-0.1", "--diff", "a", "b"],
     ], ids=" ".join)
     def test_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         assert "error: argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["missing.json", "not.json"])
+    @pytest.mark.parametrize("diff", [False, True], ids=["summary", "diff"])
+    def test_report_on_an_unreadable_file(self, tmp_path, capsys, bad, diff):
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps({"cell": {"ops_per_second": 1.0}}))
+        (tmp_path / "not.json").write_text("plain text\n")
+        path = str(tmp_path / bad)
+        argv = ["report", "--diff", str(good), path] if diff \
+            else ["report", path]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"error: cannot read {path}" in capsys.readouterr().err

@@ -74,7 +74,7 @@ class TestAccountingLifecycle:
     def test_throughput_delegates(self):
         hierarchy = StorageHierarchy(HierarchyShape(1, 2, 10), SCALE)
         hierarchy.charge_cpu(1e9)
-        assert hierarchy.throughput(100, workers=1) == pytest.approx(100.0)
+        assert hierarchy.cost.throughput(100, workers=1) == pytest.approx(100.0)
 
     def test_reset_accounting(self):
         hierarchy = StorageHierarchy(HierarchyShape(1, 2, 10), SCALE)

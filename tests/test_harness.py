@@ -1,7 +1,5 @@
 """Workload runner: measurement protocol, priming, WAL integration."""
 
-import pytest
-
 from repro.bench.harness import (
     INCLUSIVITY_SAMPLE_EVERY,
     RunConfig,
@@ -44,25 +42,46 @@ class TestMeasurementProtocol:
         assert result.stats.operations == 100
 
     def test_throughput_at_matches_the_hierarchy(self):
-        """One run, any worker count: ``throughput_at`` applies the
-        accumulator's own makespan rule, exactly, even past 2**33 ns of
-        total busy time, where a float sum of ``busy_ns`` starts to
-        round.  A slowed SSD makes a short window that long."""
-        ssd = DEFAULT_SPECS[Tier.SSD].scaled(
+        """One run, every worker count a figure reads: ``throughput_at``
+        applies the accumulator's own makespan rule, exactly.  The cells
+        span a slowed SSD (a short window past 2**33 ns of total busy
+        time, where a float sum of ``busy_ns`` starts to round), TPC-C
+        with its WAL appends and checkpoints, and YCSB-RO over a table
+        far larger than the buffers."""
+        slow_ssd = DEFAULT_SPECS[Tier.SSD].scaled(
             rand_read_latency_ns=3_000_000.3, rand_read_bw=5.5e6,
             rand_write_bw=5.5e6)
-        hierarchy = StorageHierarchy(HierarchyShape(2, 8, 100), SCALE,
-                                     specs={**DEFAULT_SPECS, Tier.SSD: ssd})
-        runner = WorkloadRunner(BufferManager(hierarchy, SPITFIRE_EAGER),
-                                RunConfig(warmup_ops=200, measure_ops=2000))
-        result = runner.measure_ycsb(YcsbWorkload(20_000, mix=YCSB_BA, seed=1))
-        assert hierarchy.cost.total_ns > 2 ** 33
-        assert result.throughput_at(1) == result.throughput
-        for workers in (1, 4, 16):
-            assert result.throughput_at(workers) == \
-                hierarchy.throughput(result.operations, workers)
-        assert result.throughput_at(16) > result.throughput_at(1)
-
+        cases = {
+            "slowed SSD": (HierarchyShape(2, 8, 100),
+                           {**DEFAULT_SPECS, Tier.SSD: slow_ssd},
+                           YcsbWorkload(20_000, mix=YCSB_BA, seed=1)),
+            "TPC-C, WAL on": (HierarchyShape(2, 8, 100), DEFAULT_SPECS,
+                              TpccWorkload(5.0, SCALE, seed=1)),
+            "SSD-heavy YCSB": (HierarchyShape(0.5, 1, 100), DEFAULT_SPECS,
+                               YcsbWorkload(40_000, mix=YCSB_RO, seed=2)),
+        }
+        runs = {}
+        for name, (shape, specs, workload) in cases.items():
+            hierarchy = StorageHierarchy(shape, SCALE, specs=specs)
+            runner = WorkloadRunner(
+                BufferManager(hierarchy, SPITFIRE_EAGER),
+                RunConfig(warmup_ops=200, measure_ops=2000,
+                          checkpoint_interval_ops=200))
+            if isinstance(workload, TpccWorkload):
+                result = runner.measure_tpcc(workload)
+                assert runner.log.stats.records_appended > 0, name
+                assert runner.checkpointer.checkpoints_taken > 0, name
+            else:
+                result = runner.measure_ycsb(workload)
+            assert result.throughput_at(1) == result.throughput, name
+            for workers in (1, 4, 8, 16):
+                assert result.throughput_at(workers) == \
+                    hierarchy.cost.throughput(result.operations, workers), name
+            assert result.throughput_at(16) > result.throughput_at(1), name
+            runs[name] = (hierarchy, result)
+        assert runs["slowed SSD"][0].cost.total_ns > 2 ** 33
+        heavy = runs["SSD-heavy YCSB"][1].stats
+        assert heavy.ssd_fetches > heavy.reads / 2
     def test_tpcc_run(self):
         runner = make_runner()
         workload = TpccWorkload(5.0, SCALE, seed=1)
@@ -76,12 +95,6 @@ class TestMeasurementProtocol:
         result = runner.measure_ycsb(workload)
         assert 0.0 <= result.inclusivity <= 1.0
         assert runner.bm.inclusivity.num_samples == 2
-
-    def test_throughput_kops(self):
-        runner = make_runner()
-        workload = YcsbWorkload(500, mix=YCSB_RO, seed=1)
-        result = runner.measure_ycsb(workload)
-        assert result.throughput_kops == pytest.approx(result.throughput / 1e3)
 
 
 class TestWalIntegration:

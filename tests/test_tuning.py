@@ -134,7 +134,7 @@ class TestController:
         workload = YcsbWorkload(600, mix=YCSB_RO, skew=0.5, seed=2)
         runner = WorkloadRunner(bm, RunConfig(warmup_ops=0, measure_ops=0))
         runner.allocate_database(workload.num_pages)
-        controller = AdaptiveController(bm, workers=1, seed=4)
+        controller = AdaptiveController(bm, seed=4)
         return controller, runner, workload
 
     def test_epoch_lifecycle(self):
