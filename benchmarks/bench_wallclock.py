@@ -21,9 +21,11 @@ The measurements, written to ``BENCH_repro.json`` next to this script
   with every cache effect warmed away; hot-path regressions show up
   here first.
 * **batched inner-loop ops/sec** — the same reads through
-  ``BufferManager.read_batch`` in struct-of-arrays chunks.  The batch path is byte-identical to the
-  per-op loop, so the only thing this measures is the vectorization
-  win; the ratchet requires it to stay ≥ ``--min-batch-speedup``×.
+  ``BufferManager.read_batch`` in struct-of-arrays chunks of
+  ``INNER_LOOP_BATCH``, the path every YCSB cell's reads take.  The
+  batch path is byte-identical to the per-op loop, so the only thing
+  this measures is the vectorization win; the ratchet requires it to
+  stay ≥ ``--min-batch-speedup``×.
 * **plane overheads** — the same cell under a baseline
   :class:`~repro.bench.harness.RunOptions` and with one plane attached,
   one row per plane (:func:`time_plane_overheads`): *metrics* (bare vs

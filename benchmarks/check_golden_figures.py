@@ -17,9 +17,6 @@ each is that plane's core contract:
 ``--with-metrics``
     ``collect_metrics``: a :class:`~repro.obs.hub.MetricsHub` on every
     executor cell — observability is side-effect-free.
-``--with-batching``
-    ``batch_size=1024``: every cell through the columnar batch path —
-    batching changes wall-clock time and nothing else.
 ``--with-telemetry``
     ``telemetry`` + ``collect_metrics`` + ``trace_decisions=0.05``: a
     streaming worker-progress channel (manager-queue backed, drained by
@@ -30,14 +27,21 @@ each is that plane's core contract:
     thread *while the figures regenerate* — watching a run live changes
     nothing about its results.
 
+Every YCSB cell runs through the columnar batch path, flag or not, so
+every regeneration gates the batch path's byte-identity too.
+
 The flags compose, and a composed run cannot pass vacuously: whenever
 metrics are collected, every plane that is switched on must have left
 its trace on the results **as computed where the cells ran** (the
-metrics sink) — a non-empty sink, a decision trace, at least one
-vectorised batch run — and the telemetry plane must have delivered
-progress events and at least one successful mid-run scrape.  Every
-cell's ``op_latency_ns`` histograms must also count exactly its
-``BufferStats`` reads + writes.
+metrics sink: non-empty, with a decision trace when tracing), the batch
+path must have vectorised at least one run, and the telemetry plane must
+have delivered progress events and at least one successful mid-run
+scrape.  Every cell's ``op_latency_ns`` histograms must also count
+exactly its ``BufferStats`` reads + writes.  So ``--with-metrics``
+fails an experiment with no executor cell (table1, fig10, recovery:
+the sink stays empty) and one whose cells all run per op (fig11,
+fig13, queue_size: fine-grained layouts vectorise nothing); gate those
+without it.
 
 All the named experiments run inside one
 :func:`~repro.bench.executor.run_session`, as ``repro-experiments``
@@ -58,7 +62,7 @@ Usage::
     python benchmarks/check_golden_figures.py            # fig6 + fig7
     python benchmarks/check_golden_figures.py table2 fig6 fig7 fig8 --jobs 4
     python benchmarks/check_golden_figures.py --jobs 4 --prewarm-pool \
-        --with-metrics --with-batching --with-telemetry
+        --with-metrics --with-telemetry
 """
 
 from __future__ import annotations
@@ -85,10 +89,6 @@ RESULTS_DIR = Path(__file__).parent / "results"
 #: exercising the full chain walk (hits, misses, promotions, evictions,
 #: write-backs) across four workloads and two worker counts each.
 DEFAULT_EXPERIMENTS = ("fig6", "fig7")
-
-#: Batch size ``--with-batching`` drives cells at; large enough that a
-#: measurement window spans only a handful of batches.
-BATCHING_BATCH_SIZE = 1024
 
 #: Page fraction ``--with-telemetry`` samples decision spans at.
 TELEMETRY_TRACE_FRACTION = 0.05
@@ -158,12 +158,11 @@ def _planes(options: RunOptions, results: list, watch) -> tuple[str, list[str]]:
                != result.stats.operations for result in results):
             dead.append("metrics: a cell's op_latency_ns count differs "
                         "from its stats reads+writes")
-    if options.batch_size > 1:
+    if results:
         runs = sum(r.batch_runs for r in results)
-        attached.append(f"batched at {options.batch_size} "
-                        f"({runs} vectorised runs)")
-        if results and not runs:
-            dead.append("batching: no run was vectorised")
+        attached.append(f"{runs} vectorised runs")
+        if not runs:
+            dead.append("batch path: no run was vectorised")
     if options.trace_decisions and not all(r.decision_trace for r in results):
         dead.append("decision tracing: a cell carries no decision trace")
     if watch is not None:
@@ -250,11 +249,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--with-metrics", dest="collect_metrics",
                         action="store_true",
                         help="attach a MetricsHub to every cell")
-    parser.add_argument("--with-batching", dest="batch_size",
-                        action="store_const", const=BATCHING_BATCH_SIZE,
-                        default=1,
-                        help="drive every cell through the columnar batch "
-                             f"path at batch size {BATCHING_BATCH_SIZE}")
     parser.add_argument("--with-telemetry", action="store_true",
                         help="attach the live telemetry plane (streaming "
                              "progress channel, decision "

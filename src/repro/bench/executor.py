@@ -24,8 +24,8 @@ Design rules:
 * work is submitted as **contiguous chunks** sized from each cell's
   :class:`Effort` (longest-expected-first), which amortises pickling
   and IPC over many small tasks while keeping load balanced;
-* what a run attaches to its cells — metrics hub, batch path,
-  telemetry channel, decision tracer — is one
+* what a run attaches to its cells — metrics hub, telemetry channel,
+  decision tracer — is one
   :class:`~repro.bench.harness.RunOptions` value: :func:`run_options`
   scopes an override, :func:`run_cell` reads :func:`current_options`
   once, and every submission carries the submitter's value into the
@@ -126,7 +126,7 @@ class Cell:
     simulated and nothing else: ``label`` is display-only and outside
     equality, so two cells that compare equal are the same simulation
     (a :func:`run_session` runs it once).  What the run attaches to it
-    (metrics, batching, telemetry, decision tracing) is the ambient
+    (metrics, telemetry, decision tracing) is the ambient
     :class:`~repro.bench.harness.RunOptions`, never a cell field.  A
     cell carries no worker count either: a reader picks one with
     :meth:`~repro.bench.harness.RunResult.throughput_at`.

@@ -16,6 +16,7 @@ are read off the same run, :meth:`RunResult.throughput_at`).
 from __future__ import annotations
 
 import contextlib
+import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -50,10 +51,13 @@ _UPDATE_AFTER = bytes(COLUMN_SIZE)
 
 #: Operations between inclusivity samples of the measurement window.
 INCLUSIVITY_SAMPLE_EVERY = 2_000
-#: Operations between ``RunConfig.progress`` calls on the per-op loop
-#: (the batched loop reports once per chunk) — coarse enough that a
-#: quick-effort cell emits about a dozen, fine enough for a live bar.
+#: Operations between ``RunConfig.progress`` calls — coarse enough that
+#: a quick-effort cell emits about a dozen, fine enough for a live bar.
 PROGRESS_EVERY_OPS = 2_000
+#: Most operations one ``run(count)`` call of a measurement executes:
+#: a YCSB chunk is one generated batch through the columnar batch path,
+#: so a window spans a few dozen chunks.
+CHUNK_OPS = 1024
 
 
 @dataclass(frozen=True)
@@ -71,11 +75,6 @@ class RunOptions:
     #: Attach a :class:`~repro.obs.hub.MetricsHub` over the measurement
     #: window; the run result then carries a metrics snapshot.
     collect_metrics: bool = False
-    #: Operations per batch through the columnar
-    #: :class:`~repro.core.batch_path.BatchAccessPath`, byte-identical
-    #: to the per-op loop by construction; ``1`` runs that loop.  Only
-    #: YCSB cells batch: TPC-C and tenant cells run per op at any size.
-    batch_size: int = 1
     #: A :class:`~repro.bench.telemetry.TelemetryChannel` streaming cell
     #: and chaos-case progress out-of-band, or None.  Manager-backed
     #: channels pickle; the in-process fallback is a no-op in workers.
@@ -86,8 +85,6 @@ class RunOptions:
     trace_decisions: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
         if not 0.0 <= self.trace_decisions <= 1.0:
             raise ValueError("trace_decisions must be in [0, 1]")
 
@@ -106,13 +103,14 @@ class RunConfig:
     measure_ops: int = 30_000
     #: Write operations between checkpoint flushes; None disables them.
     checkpoint_interval_ops: int | None = 2_000
-    #: What the run attaches: metrics hub, batch path and decision
-    #: tracing (``telemetry`` is consumed by the executor, which owns
-    #: cell labels).
+    #: What the run attaches: metrics hub and decision tracing
+    #: (``telemetry`` is consumed by the executor, which owns cell
+    #: labels).
     options: RunOptions = RunOptions()
     #: Optional live-progress hook ``progress(phase, done, total)``,
     #: called every :data:`PROGRESS_EVERY_OPS` operations during warm-up
-    #: and measurement (phases ``"warmup"`` / ``"measure"``).  Strictly
+    #: and measurement (phases ``"warmup"`` / ``"measure"``) and once at
+    #: a phase end that is not such a multiple.  Strictly
     #: out-of-band: the hook sees wall-clock progress only and must
     #: never touch the measured system.
     progress: object | None = None
@@ -145,9 +143,9 @@ class RunResult:
     #: ``RunOptions.trace_decisions`` > 0).
     decision_trace: dict | None = None
     #: Runs of top-tier read hits the batch path executed vectorised
-    #: over the measurement window (0 on the per-op loop, and whenever
-    #: an observer or device forces the per-op fallback) — the one
-    #: field batching may change.
+    #: over the measurement window (0 for TPC-C and tenant streams, and
+    #: whenever an observer or device forces the per-op fallback) — a
+    #: count of host work, not a simulated number.
     batch_runs: int = 0
 
     def throughput_at(self, workers: int) -> float:
@@ -266,7 +264,12 @@ class WorkloadRunner:
         return False
 
     def run_ycsb_op(self, workload: YcsbWorkload) -> bool:
-        """Execute one YCSB operation; returns True when it was a write."""
+        """Execute one YCSB operation; returns True when it was a write.
+
+        The per-op driver Fig. 10's adaptive controller steps; a
+        measurement runs :meth:`run_ycsb_batch`, which matches it op for
+        op.
+        """
         kind, key, column = workload.next_op()
         is_write = kind is OpKind.UPDATE
         # YcsbWorkload.page_of / offset_of / access_bytes, spelled out.
@@ -301,29 +304,23 @@ class WorkloadRunner:
             self.hierarchy.charge_cpu(think_time_ns)
         return self.run_access(access)
 
-    # ------------------------------------------------------------------
-    # Batched operation execution (RunOptions.batch_size > 1)
-    # ------------------------------------------------------------------
-    def run_ycsb_batch(self, workload: YcsbWorkload, count: int) -> int:
+    def run_ycsb_batch(self, workload: YcsbWorkload, count: int) -> None:
         """Execute ``count`` YCSB operations through the batch path.
 
         Reads between writes execute as columnar runs; each write (and
         its WAL/checkpoint tail) runs at its original position, so the
         operation schedule — and therefore every charge, event, and RNG
         draw — matches ``count`` calls of :meth:`run_ycsb_op` exactly.
-        Returns the number of writes executed.
         """
         batch = workload.next_ops(count)
         page_ids = batch.page_ids
         offsets = batch.offsets
         is_writes = batch.is_writes
-        read_batch = self.bm.batch_path.read_batch
-        writes = 0
+        read_batch = self.bm.read_batch
         i = 0
         while i < count:
             if is_writes[i]:
                 self._exec_op(page_ids[i], offsets[i], COLUMN_SIZE, True)
-                writes += 1
                 i += 1
                 continue
             j = i + 1
@@ -331,7 +328,6 @@ class WorkloadRunner:
                 j += 1
             read_batch(page_ids[i:j], offsets[i:j], TUPLE_SIZE)
             i = j
-        return writes
 
     # ------------------------------------------------------------------
     # Full measurement protocol
@@ -341,9 +337,8 @@ class WorkloadRunner:
         self.allocate_database(workload.num_pages)
         self._prime(workload.page_popularity())
         return self._measure(
-            step=lambda: self.run_ycsb_op(workload),
+            lambda count: self.run_ycsb_batch(workload, count),
             label=label or workload.mix.name,
-            batch_step=lambda count: self.run_ycsb_batch(workload, count),
         )
 
     def measure_tpcc(self, workload: TpccWorkload,
@@ -351,10 +346,12 @@ class WorkloadRunner:
         self.allocate_database(workload.num_pages)
         self._prime(workload.page_popularity())
         stream = self._tpcc_stream(workload)
-        return self._measure(
-            step=lambda: self.run_access(next(stream)),
-            label=label,
-        )
+
+        def run(count: int) -> None:
+            for access in itertools.islice(stream, count):
+                self.run_access(access)
+
+        return self._measure(run, label=label)
 
     def measure_tenants(self, workload: MultiTenantWorkload,
                         label: str = "tenants") -> RunResult:
@@ -369,11 +366,12 @@ class WorkloadRunner:
         self._prime(workload.page_popularity())
         think = tuple(spec.think_time_ns for spec in workload.specs)
 
-        def step() -> bool:
-            access = workload.next_access()
-            return self.run_tenant_access(access, think[access.tenant_id])
+        def run(count: int) -> None:
+            for _ in range(count):
+                access = workload.next_access()
+                self.run_tenant_access(access, think[access.tenant_id])
 
-        return self._measure(step=step, label=label, track_tenants=True)
+        return self._measure(run, label=label, track_tenants=True)
 
     def _prime(self, ranked_pages: list[int]) -> None:
         """Warm-start: hottest pages into DRAM, the next tier of heat
@@ -424,31 +422,37 @@ class WorkloadRunner:
                 hub.decision_source = decisions
         return observers
 
-    def _measure(self, step, label: str, batch_step=None,
+    def _run_phase(self, run, phase: str, total: int,
+                   sample: bool = False) -> None:
+        """Run ``total`` operations as ``run(count)`` chunks.
+
+        A chunk holds at most :data:`CHUNK_OPS` operations and never
+        straddles a multiple of :data:`PROGRESS_EVERY_OPS` or
+        :data:`INCLUSIVITY_SAMPLE_EVERY`, so progress calls and (with
+        ``sample``) inclusivity samples land after the same operation
+        indexes however the operations are chunked.
+        """
+        progress = self.config.progress
+        done = 0
+        while done < total:
+            chunk = min(CHUNK_OPS, total - done,
+                        PROGRESS_EVERY_OPS - done % PROGRESS_EVERY_OPS,
+                        INCLUSIVITY_SAMPLE_EVERY
+                        - done % INCLUSIVITY_SAMPLE_EVERY)
+            run(chunk)
+            done += chunk
+            if sample and done % INCLUSIVITY_SAMPLE_EVERY == 0:
+                self.bm.sample_inclusivity()
+            if progress is not None \
+                    and (done % PROGRESS_EVERY_OPS == 0 or done == total):
+                progress(phase, done, total)
+
+    def _measure(self, run, label: str,
                  track_tenants: bool = False) -> RunResult:
+        """Warm up, then measure, the workload ``run(count)`` executes
+        ``count`` operations of."""
         config = self.config
-        batch_size = config.options.batch_size
-        use_batch = batch_step is not None and batch_size > 1
-        progress = config.progress
-        progress_every = PROGRESS_EVERY_OPS
-        if use_batch:
-            remaining = config.warmup_ops
-            warmed = 0
-            while remaining > 0:
-                chunk = min(batch_size, remaining)
-                batch_step(chunk)
-                remaining -= chunk
-                warmed += chunk
-                if progress is not None:
-                    progress("warmup", warmed, config.warmup_ops)
-        else:
-            for index in range(config.warmup_ops):
-                step()
-                if progress is not None \
-                        and (index + 1) % progress_every == 0:
-                    progress("warmup", index + 1, config.warmup_ops)
-            if progress is not None and config.warmup_ops % progress_every:
-                progress("warmup", config.warmup_ops, config.warmup_ops)
+        self._run_phase(run, "warmup", config.warmup_ops)
         # Warm-up traffic does not count toward the measurement (§6.1:
         # "we warm up the system until the buffer pool is full").
         self.hierarchy.reset_accounting()
@@ -467,37 +471,7 @@ class WorkloadRunner:
                 stack.callback(observer.detach)
             for observer in observers.values():
                 observer.attach(self.bm)
-
-            sample_every = INCLUSIVITY_SAMPLE_EVERY
-            if use_batch:
-                # Chunks never straddle a sampling point, so inclusivity
-                # samples land after the same operation indexes as the
-                # per-op loop above.
-                done = 0
-                while done < config.measure_ops:
-                    chunk = min(
-                        batch_size,
-                        config.measure_ops - done,
-                        sample_every - (done % sample_every),
-                    )
-                    batch_step(chunk)
-                    done += chunk
-                    if done % sample_every == 0:
-                        self.bm.sample_inclusivity()
-                    if progress is not None:
-                        progress("measure", done, config.measure_ops)
-            else:
-                for index in range(config.measure_ops):
-                    step()
-                    if (index + 1) % sample_every == 0:
-                        self.bm.sample_inclusivity()
-                    if progress is not None \
-                            and (index + 1) % progress_every == 0:
-                        progress("measure", index + 1, config.measure_ops)
-                if progress is not None \
-                        and config.measure_ops % progress_every:
-                    progress("measure", config.measure_ops,
-                             config.measure_ops)
+            self._run_phase(run, "measure", config.measure_ops, sample=True)
             if self.bm.inclusivity.num_samples == 0:
                 self.bm.sample_inclusivity()
         hub = observers.get("metrics")

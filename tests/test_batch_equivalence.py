@@ -1,18 +1,23 @@
 """The columnar batch path's byte-identity contract.
 
-``RunOptions(batch_size=N)`` drives the exact operation stream of the
-per-op loop through :class:`~repro.core.batch_path.BatchAccessPath`,
-which vectorizes contiguous top-tier read hits and falls back to the
-per-op :class:`~repro.core.access_path.AccessPath` for everything else.
-The contract is *byte-identity*: stats, per-resource costs, RNG
-consumption, metrics exports, and epoch series all match the per-op run
-exactly — batching changes wall-clock time and nothing else.
+Every YCSB measurement runs through
+:meth:`~repro.bench.harness.WorkloadRunner.run_ycsb_batch`: chunks of
+at most ``harness.CHUNK_OPS`` generated operations, whose read runs go
+through :class:`~repro.core.batch_path.BatchAccessPath`.  It vectorises
+contiguous top-tier read hits and falls back to the per-op
+:class:`~repro.core.access_path.AccessPath` for everything else.  The
+reference here is a loop of :meth:`WorkloadRunner.run_ycsb_op` — Fig.
+10's driver — and the contract is *byte-identity*: stats, per-resource
+costs, the accumulator's fixed-point total, RNG consumption, metrics
+exports and epoch series all match the per-op run exactly, at any chunk
+size (7, 64 and 1024 here, by patching ``CHUNK_OPS``).
 
-These tests pin the contract across batch sizes, YCSB mixes, TPC-C,
-metrics attachment, and hand-installed no-op fault wrappers, plus the unit-level
-properties it is built on (fixed-point cost accumulation, RNG-order
-preserving workload batches, batched device charging, batched
-histogram observation).
+These tests pin the contract across YCSB mixes, every tier chain
+(DRAM-NVM-SSD, DRAM-SSD, NVM-SSD with its persistent top, a memory-mode
+top), TPC-C, hand-installed no-op fault wrappers and a bus subscriber
+that cannot take batch summaries, plus the unit-level properties it is
+built on (fixed-point cost accumulation, RNG-order preserving workload
+batches, batched device charging, batched histogram observation).
 """
 
 from __future__ import annotations
@@ -21,16 +26,16 @@ import functools
 
 import pytest
 
-from repro.bench.executor import (
-    TUPLES_PER_PAGE,
-    Cell,
-    Effort,
-    run_cell,
-    run_options,
-)
+from repro.bench import harness
+from repro.bench.executor import TUPLES_PER_PAGE, Effort
 from repro.bench.harness import RunConfig, RunOptions, WorkloadRunner
 from repro.core.buffer_manager import BufferManager, BufferManagerConfig
-from repro.core.policy import SPITFIRE_EAGER, SPITFIRE_LAZY
+from repro.core.policy import (
+    DRAM_SSD_POLICY,
+    NVM_SSD_POLICY,
+    SPITFIRE_EAGER,
+    SPITFIRE_LAZY,
+)
 from repro.faults.injector import inject_faults
 from repro.faults.plan import FaultPlan
 from repro.hardware.cost_model import StorageHierarchy
@@ -44,6 +49,7 @@ from repro.hardware.simclock import (
 from repro.hardware.specs import Tier
 from repro.obs.hub import MetricsHub
 from repro.obs.metrics import Histogram
+from repro.workloads.tpcc import TpccWorkload
 from repro.workloads.ycsb import MIXES, YcsbWorkload
 
 SHAPE = HierarchyShape(dram_gb=2.0, nvm_gb=4.0, ssd_gb=100.0)
@@ -54,14 +60,46 @@ SHAPE = HierarchyShape(dram_gb=2.0, nvm_gb=4.0, ssd_gb=100.0)
 TINY = Effort(warmup_ops=300, measure_ops=600)
 
 #: Crosses two inclusivity-sampling points (every 2000 ops) with a
-#: batch larger than the sampling interval, so sample alignment and
+#: chunk that would otherwise straddle them, so sample alignment and
 #: mid-window chunk splitting are both exercised.
 CROSSING = Effort(warmup_ops=400, measure_ops=4_500)
 
-BATCH_SIZES = (7, 64, 1024)
+CHUNK_SIZES = (7, 64, 1024)
+
+#: Every tier chain a YCSB cell can run on: the chain, its policy, and
+#: whether its top tier vectorises hits (a memory-mode top, one
+#: volatile device caching NVM, has no ``read_batch``).
+CHAINS = {
+    "dram-nvm-ssd": (SHAPE, SPITFIRE_LAZY, False, True),
+    "dram-ssd": (HierarchyShape(dram_gb=2.0, nvm_gb=0.0, ssd_gb=100.0),
+                 DRAM_SSD_POLICY, False, True),
+    "nvm-ssd": (HierarchyShape(dram_gb=0.0, nvm_gb=4.0, ssd_gb=100.0),
+                NVM_SSD_POLICY, False, True),
+    "memory-mode": (HierarchyShape(dram_gb=1.0, nvm_gb=4.0, ssd_gb=100.0),
+                    DRAM_SSD_POLICY, True, False),
+}
 
 
-def _fingerprint(result) -> dict:
+class PerOpRunner(WorkloadRunner):
+    """The reference: every YCSB operation through :meth:`run_ycsb_op`."""
+
+    def run_ycsb_batch(self, workload: YcsbWorkload, count: int) -> None:
+        for _ in range(count):
+            self.run_ycsb_op(workload)
+
+
+class EventCounter:
+    """A bus subscriber without ``apply_op_batch``: it sees every event,
+    so the batch path must run every op per op while it is attached."""
+
+    def __init__(self) -> None:
+        self.events = 0
+
+    def apply_event(self, etype, page_id, tier, src, dirty) -> None:
+        self.events += 1
+
+
+def _fingerprint(result, hierarchy) -> dict:
     """Everything a run produces that batching must not perturb."""
     return {
         "stats": result.stats.as_dict(),
@@ -71,85 +109,126 @@ def _fingerprint(result) -> dict:
         "inclusivity": result.inclusivity,
         "nvm_write_gb": result.nvm_write_gb,
         "resource_usage": result.resource_usage,
+        "total_fp": hierarchy.cost.total_fp,
         "metrics": result.metrics,
     }
 
 
-def _measured(cell: Cell, **options) -> dict:
-    """Fingerprint of ``cell`` run with metrics attached under ``options``."""
-    with run_options(collect_metrics=True, **options):
-        return _fingerprint(run_cell(cell))
-
-
-def _ycsb_cell(mix: str, **kwargs) -> Cell:
-    return Cell.ycsb(f"batch-eq/{mix}", SHAPE, SPITFIRE_LAZY, mix, 10.0,
-                     effort=TINY, **kwargs)
+def _run(mix: str = "YCSB-BA", *, per_op: bool = False, shape=SHAPE,
+         policy=SPITFIRE_LAZY, memory_mode: bool = False,
+         effort: Effort = TINY, faulty: bool = False,
+         observer=None) -> tuple[dict, int]:
+    """Fingerprint and vectorised-run count of one measured run with
+    metrics attached: a YCSB ``mix`` over 10 GB, or TPC-C for
+    ``mix="TPC-C"``; ``per_op`` drives it through the reference."""
+    hierarchy = StorageHierarchy(shape, memory_mode=memory_mode)
+    if faulty:
+        inject_faults(hierarchy, FaultPlan.none())
+    bm = BufferManager(hierarchy, policy)
+    if observer is not None:
+        bm.events.subscribe(observer)
+    runner = (PerOpRunner if per_op else WorkloadRunner)(bm, RunConfig(
+        warmup_ops=effort.warmup_ops, measure_ops=effort.measure_ops,
+        options=RunOptions(collect_metrics=True)))
+    if mix == "TPC-C":
+        result = runner.measure_tpcc(
+            TpccWorkload(10.0, hierarchy.scale, seed=3))
+    else:
+        result = runner.measure_ycsb(YcsbWorkload(
+            hierarchy.scale.pages(10.0) * TUPLES_PER_PAGE, MIXES[mix],
+            seed=3))
+    assert result.metrics["epochs"]
+    return _fingerprint(result, hierarchy), result.batch_runs
 
 
 @functools.lru_cache(maxsize=None)
 def _ycsb_baseline(mix: str) -> str:
     """Per-op fingerprint, rendered comparable and cached across params."""
-    return repr(_measured(_ycsb_cell(mix)))
+    return repr(_run(mix, per_op=True)[0])
+
+
+@pytest.fixture
+def chunk_ops(monkeypatch):
+    """Set the harness's chunk cap for one test."""
+    def set_chunk(size: int) -> None:
+        monkeypatch.setattr(harness, "CHUNK_OPS", size)
+    return set_chunk
 
 
 class TestRunEquivalence:
     @pytest.mark.parametrize("mix", sorted(MIXES))
-    @pytest.mark.parametrize("batch_size", BATCH_SIZES)
-    def test_ycsb_batched_equals_per_op(self, mix, batch_size):
-        batched = _measured(_ycsb_cell(mix), batch_size=batch_size)
+    @pytest.mark.parametrize("chunk", CHUNK_SIZES)
+    def test_ycsb_batched_equals_per_op(self, mix, chunk, chunk_ops):
+        chunk_ops(chunk)
+        batched, runs = _run(mix)
         assert repr(batched) == _ycsb_baseline(mix)
+        assert runs > 0
 
-    def test_tpcc_batched_equals_per_op(self):
-        cell = Cell.tpcc("batch-eq/tpcc", SHAPE, SPITFIRE_LAZY, 10.0,
-                         effort=TINY)
-        assert _measured(cell, batch_size=1024) == _measured(cell)
+    @pytest.mark.parametrize("chain", sorted(CHAINS))
+    @pytest.mark.parametrize("mix", ["YCSB-RO", "YCSB-BA"])
+    @pytest.mark.parametrize("chunk", CHUNK_SIZES)
+    def test_every_chain_batched_equals_per_op(self, chain, mix, chunk,
+                                               chunk_ops):
+        shape, policy, memory_mode, vectorises = CHAINS[chain]
+        chunk_ops(chunk)
+        kwargs = dict(shape=shape, policy=policy, memory_mode=memory_mode)
+        reference, reference_runs = _run(mix, per_op=True, **kwargs)
+        batched, runs = _run(mix, **kwargs)
+        assert batched == reference
+        assert reference_runs == 0
+        assert (runs > 0) is vectorises
+        if chain == "nvm-ssd":
+            # The persistent top serves its hits in place, batched too.
+            assert batched["stats"]["nvm_direct_reads"] > 0
 
-    def test_sampling_boundaries_mid_batch(self):
-        """Batches larger than the sampling interval split correctly."""
-        cell = Cell.ycsb("batch-eq/crossing", SHAPE, SPITFIRE_LAZY,
-                         "YCSB-BA", 10.0, effort=CROSSING)
-        assert _measured(cell, batch_size=1024) == _measured(cell)
+    def test_tpcc_batched_equals_per_op(self, chunk_ops):
+        """TPC-C runs per op through the same chunked loop: any chunk
+        size gives the same run, and nothing vectorises."""
+        chunk_ops(7)
+        small = _run("TPC-C")
+        chunk_ops(1024)
+        assert _run("TPC-C") == small
+        assert small[1] == 0
+
+    def test_sampling_boundaries_mid_batch(self, chunk_ops):
+        """Chunks that would straddle a sampling point split there."""
+        chunk_ops(1024)
+        batched, runs = _run(effort=CROSSING)
+        assert batched == _run(effort=CROSSING, per_op=True)[0]
+        assert runs > 0
 
     def test_equivalence_with_noop_fault_wrappers(self):
         """The contract holds with FaultyDevice wrappers installed by
         hand: a wrapped top tier has no ``read_batch``, so every batched
         read takes the per-op fallback."""
-        def wrapped_run(batch_size: int):
-            hierarchy = StorageHierarchy(SHAPE)
-            inject_faults(hierarchy, FaultPlan.none())
-            bm = BufferManager(hierarchy, SPITFIRE_LAZY)
-            runner = WorkloadRunner(bm, RunConfig(
-                warmup_ops=TINY.warmup_ops, measure_ops=TINY.measure_ops,
-                options=RunOptions(collect_metrics=True,
-                                   batch_size=batch_size)))
-            workload = YcsbWorkload(
-                hierarchy.scale.pages(10.0) * TUPLES_PER_PAGE,
-                MIXES["YCSB-BA"], seed=3)
-            return runner.measure_ycsb(workload)
+        batched, runs = _run(faulty=True)
+        assert runs == 0
+        assert batched == _run(faulty=True, per_op=True)[0]
 
-        batched = wrapped_run(64)
-        assert batched.batch_runs == 0
-        assert _fingerprint(batched) == _fingerprint(wrapped_run(1))
+    def test_subscriber_without_batch_summaries_forces_fallback(self):
+        """An observer without ``apply_op_batch`` sees every event of
+        the per-op run, and the run equals the reference."""
+        counter, reference_counter = EventCounter(), EventCounter()
+        batched, runs = _run("YCSB-RO", observer=counter)
+        reference, _ = _run("YCSB-RO", per_op=True,
+                            observer=reference_counter)
+        assert runs == 0
+        assert batched == reference
+        assert counter.events == reference_counter.events > 0
 
-    def test_eager_policy_slow_path_fallback(self):
+    def test_eager_policy_slow_path_fallback(self, chunk_ops):
         """A migration-heavy policy exercises the slow-path fallback."""
-        cell = Cell.ycsb("batch-eq/eager", SHAPE, SPITFIRE_EAGER, "YCSB-BA",
-                         10.0, effort=TINY)
-        baseline = _measured(cell)
+        chunk_ops(64)
+        baseline, _ = _run(policy=SPITFIRE_EAGER, per_op=True)
         assert baseline["stats"]["nvm_to_dram"] > 0
-        assert _measured(cell, batch_size=64) == baseline
+        assert _run(policy=SPITFIRE_EAGER)[0] == baseline
 
     def test_only_batch_runs_tells_a_batched_run_apart(self):
-        """The one result field batching may change: vectorised runs."""
-        cell = _ycsb_cell("YCSB-RO")
-        assert run_cell(cell).batch_runs == 0
-        with run_options(batch_size=64):
-            assert run_cell(cell).batch_runs > 0
-
-    def test_batch_size_must_be_positive(self):
-        with pytest.raises(ValueError):
-            with run_options(batch_size=0):
-                pass
+        """The one result field the batch path changes: vectorised runs."""
+        reference, reference_runs = _run("YCSB-RO", per_op=True)
+        batched, runs = _run("YCSB-RO")
+        assert batched == reference
+        assert reference_runs == 0 and runs > 0
 
 
 class TestFixedPointAccounting:

@@ -131,22 +131,21 @@ class TestRunOptionsScope:
     def test_default_outside_any_scope(self):
         assert current_options() == RunOptions()
         assert RunOptions() == RunOptions(
-            collect_metrics=False, batch_size=1, telemetry=None,
-            trace_decisions=0.0)
+            collect_metrics=False, telemetry=None, trace_decisions=0.0)
 
     def test_scope_sets_and_restores_every_named_field(self):
-        with run_options(collect_metrics=True, batch_size=64,
+        with run_options(collect_metrics=True,
                          trace_decisions=0.5) as options:
             assert current_options() is options
             assert options == RunOptions(collect_metrics=True,
-                                         batch_size=64, trace_decisions=0.5)
+                                         trace_decisions=0.5)
         assert current_options() == RunOptions()
 
     def test_nested_scope_wins_for_the_fields_it_names(self):
-        with run_options(batch_size=64, collect_metrics=True) as outer:
-            with run_options(batch_size=7, trace_decisions=0.5):
+        with run_options(trace_decisions=0.25, collect_metrics=True) as outer:
+            with run_options(trace_decisions=0.5):
                 assert current_options() == RunOptions(
-                    batch_size=7, collect_metrics=True, trace_decisions=0.5)
+                    collect_metrics=True, trace_decisions=0.5)
             assert current_options() is outer
         assert current_options() == RunOptions()
 
@@ -157,9 +156,9 @@ class TestRunOptionsScope:
         assert current_options() == RunOptions()
 
     @pytest.mark.parametrize("bad", [
-        dict(batch_size=0), dict(batch_size=-3),
         dict(trace_decisions=-0.1), dict(trace_decisions=1.5),
         dict(trace_decisions=float("nan")),
+        dict(trace_decisions=float("inf")), dict(trace_decisions=-1.0),
     ])
     def test_invalid_values_rejected_however_built(self, bad):
         with pytest.raises(ValueError):
@@ -219,12 +218,6 @@ FIELD_CASES = {
         lambda: True,
         lambda result, baseline: result.metrics is not None
         and baseline.metrics is None),
-    "batch_size": (
-        lambda: 64,
-        lambda result, baseline: result.batch_runs > 0
-        and baseline.batch_runs == 0
-        and result.stats == baseline.stats
-        and result.resource_usage == baseline.resource_usage),
     "telemetry": (
         open_channel,
         lambda result, baseline: result.throughput == baseline.throughput),
@@ -270,7 +263,7 @@ class TestContextAfterPool:
     def test_install_round_trips_into_ambient_state(self):
         """The worker-side entry installs exactly the value it is handed
         around its chunk, whatever the worker's own ambient state."""
-        shipped = RunOptions(collect_metrics=True, batch_size=32)
+        shipped = RunOptions(collect_metrics=True, trace_decisions=0.25)
         with run_options(trace_decisions=0.5):
             outcomes = _exec_chunk(lambda _: current_options(), (0, 1),
                                    shipped)
@@ -309,14 +302,15 @@ class TestContextAfterPool:
 
     @pool_required
     def test_scopes_entered_after_pool_reach_workers(self):
-        """The same ordering with planes composed — metrics + batching
-        + decision tracing — down to the exported bytes."""
+        """The same ordering with planes composed — metrics + decision
+        tracing, over the batch path every YCSB cell takes — down to the
+        exported bytes."""
         assert warm_pool(4)
         cells = [tiny_cell(f"ctx{i}") for i in range(4)]
 
         def collect(jobs: int):
             with metrics_collection() as sink, \
-                    run_options(batch_size=1024, trace_decisions=0.5):
+                    run_options(trace_decisions=0.5):
                 results = run_cells(cells, jobs=jobs)
             lines = [
                 line

@@ -1,5 +1,8 @@
 """Workload runner: measurement protocol, priming, WAL integration."""
 
+import pytest
+
+from repro.bench import harness
 from repro.bench.harness import (
     INCLUSIVITY_SAMPLE_EVERY,
     RunConfig,
@@ -95,6 +98,33 @@ class TestMeasurementProtocol:
         result = runner.measure_ycsb(workload)
         assert 0.0 <= result.inclusivity <= 1.0
         assert runner.bm.inclusivity.num_samples == 2
+
+
+class TestProgressCadence:
+    """``RunConfig.progress`` is called at every multiple of 2,000 ops
+    (``PROGRESS_EVERY_OPS``) of a phase, plus once at a phase end that
+    is not one — whatever the chunking, for a batched YCSB cell and a
+    per-op TPC-C cell alike."""
+
+    EXPECTED = [("warmup", 2000, 5000), ("warmup", 4000, 5000),
+                ("warmup", 5000, 5000), ("measure", 2000, 4500),
+                ("measure", 4000, 4500), ("measure", 4500, 4500)]
+
+    @pytest.mark.parametrize("chunk", [7, 64, 1024])
+    @pytest.mark.parametrize("kind", ["ycsb", "tpcc"])
+    def test_documented_phase_done_sequence(self, kind, chunk, monkeypatch):
+        monkeypatch.setattr(harness, "CHUNK_OPS", chunk)
+        calls = []
+        runner = make_runner(
+            warmup_ops=5000, measure_ops=4500,
+            progress=lambda *call: calls.append(call))
+        if kind == "ycsb":
+            result = runner.measure_ycsb(
+                YcsbWorkload(500, mix=YCSB_BA, seed=1))
+            assert result.batch_runs > 0
+        else:
+            runner.measure_tpcc(TpccWorkload(5.0, SCALE, seed=1))
+        assert calls == self.EXPECTED
 
 
 class TestWalIntegration:

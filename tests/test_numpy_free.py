@@ -2,9 +2,10 @@
 
 Nothing under ``src/`` imports numpy: a run of top-tier hits is one
 per-op charge times its length.  A seeded YCSB cell runs, with metrics
-attached, at ``batch_size`` 1 and 1024, in one interpreter where numpy
-cannot be imported and one where it can: the batched runs vectorise
-whether numpy is there or not, and every digest agrees.
+attached, through the default batch path and through Fig. 10's per-op
+``run_ycsb_op`` driver, in one interpreter where numpy cannot be
+imported and one where it can: the batched runs vectorise whether numpy
+is there or not, and every digest agrees.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ SRC = Path(repro.__file__).resolve().parent.parent
 CELL = """
 import hashlib, json, sys
 from repro.bench.executor import Cell, Effort, run_cell, run_options
+from repro.bench.harness import WorkloadRunner
 from repro.core.policy import SPITFIRE_LAZY
 from repro.hardware.pricing import HierarchyShape
 from repro.hardware.specs import SimulationScale
@@ -30,15 +32,24 @@ cell = Cell.ycsb("ycsb", HierarchyShape(dram_gb=2.0, nvm_gb=8.0, ssd_gb=100.0),
                  SPITFIRE_LAZY, "YCSB-BA", 1.0, workload_seed=5,
                  effort=Effort(500, 1500),
                  scale=SimulationScale(pages_per_gb=8))
+batched = WorkloadRunner.run_ycsb_batch
+
+
+def per_op(runner, workload, count):
+    for _ in range(count):
+        runner.run_ycsb_op(workload)
+
+
 out = {"digests": {}, "batch_runs": {}}
-for batch_size in (1, 1024):
-    with run_options(batch_size=batch_size, collect_metrics=True):
+for driver, run_ycsb_batch in (("per_op", per_op), ("batched", batched)):
+    WorkloadRunner.run_ycsb_batch = run_ycsb_batch
+    with run_options(collect_metrics=True):
         result = run_cell(cell)
     payload = json.dumps([repr(result.throughput), repr(result.makespan_ns),
                           result.stats.as_dict(), result.resource_usage,
                           result.metrics], sort_keys=True)
-    out["digests"][batch_size] = hashlib.sha256(payload.encode()).hexdigest()
-    out["batch_runs"][batch_size] = result.batch_runs
+    out["digests"][driver] = hashlib.sha256(payload.encode()).hexdigest()
+    out["batch_runs"][driver] = result.batch_runs
 out["numpy"] = sys.modules.get("numpy") is not None
 print(json.dumps(out))
 """
@@ -57,8 +68,9 @@ def test_numpy_free_cells_match_the_numpy_run():
     bare = run_cell(block_numpy=True)
     importable = run_cell(block_numpy=False)
     assert bare["digests"] == importable["digests"]
-    # Batch size is invisible in the results; the batched run vectorised.
-    assert bare["digests"]["1"] == bare["digests"]["1024"]
+    # The driver is invisible in the results; the batched run vectorised.
+    assert bare["digests"]["per_op"] == bare["digests"]["batched"]
     for out in (bare, importable):
-        assert out["batch_runs"]["1"] == 0 and out["batch_runs"]["1024"] > 0
+        assert out["batch_runs"]["per_op"] == 0
+        assert out["batch_runs"]["batched"] > 0
         assert not out["numpy"]

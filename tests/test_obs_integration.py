@@ -123,14 +123,13 @@ class TestHarnessMetrics:
         baseline = bus.num_subscribers
         calls = {"n": 0}
 
-        def step():
-            calls["n"] += 1
+        def run(count):
+            calls["n"] += count
             if calls["n"] > runner.config.warmup_ops:
                 raise RuntimeError("boom mid-measurement")
-            return False
 
         with pytest.raises(RuntimeError, match="boom"):
-            runner._measure(step, label="boom")
+            runner._measure(run, label="boom")
         assert bus.num_subscribers == baseline
 
     def test_observers_detached_when_a_detach_raises(self):

@@ -10,6 +10,7 @@ totals, and the executor/experiment surface.
 
 import pytest
 
+from repro.bench import harness
 from repro.bench.executor import Cell, Effort, run_cells, run_options
 from repro.core.buffer_manager import BufferManager, BufferManagerConfig
 from repro.core.policy import POLICY_PRESETS, SPITFIRE_EAGER, SPITFIRE_LAZY
@@ -344,19 +345,20 @@ class TestSingleTenantIdentity:
         if bm.tenancy.admission_queues:
             assert bm.tenancy.admission_queues[0] is bm.admission_queue
 
-    def test_tagged_cell_matches_untagged(self):
+    def test_tagged_cell_matches_untagged(self, monkeypatch):
         """A one-tenant population is the single-stream cell, tagged:
         same stream, same simulated numbers, plus a tenant-0 breakdown,
-        at batch size 1 and 1024 (the tenant cell runs per op at both)."""
+        at chunk sizes 1 and 1024 — the untagged YCSB cell runs through
+        the batch path, the tenant cell per op."""
         untagged = Cell.ycsb("identity", SMALL_SHAPE, SPITFIRE_LAZY,
                              "YCSB-BA", 2.0, effort=SMALL_EFFORT, workload_seed=5)
         tagged = Cell.multi_tenant(
             "identity", SMALL_SHAPE, SPITFIRE_LAZY,
             (TenantSpec("only", mix="YCSB-BA", db_gigabytes=2.0, seed=5),),
             effort=SMALL_EFFORT)
-        for batch_size in (1, 1024):
-            with run_options(batch_size=batch_size):
-                baseline, result = run_cells([untagged, tagged])
+        for chunk in (1, 1024):
+            monkeypatch.setattr(harness, "CHUNK_OPS", chunk)
+            baseline, result = run_cells([untagged, tagged])
             assert baseline.throughput == result.throughput
             assert baseline.stats == result.stats
             assert baseline.resource_usage == result.resource_usage
@@ -411,18 +413,19 @@ def one_tenant_cell(label: str, mix: str) -> Cell:
 
 class TestMetricsReconciliation:
     @pytest.mark.parametrize("mix", sorted(MIXES))
-    @pytest.mark.parametrize("batch_size", [1, 1024])
-    def test_tenant_sums_equal_global_totals(self, mix, batch_size):
+    @pytest.mark.parametrize("chunk", [1, 1024])
+    def test_tenant_sums_equal_global_totals(self, mix, chunk, monkeypatch):
+        monkeypatch.setattr(harness, "CHUNK_OPS", chunk)
         cells = [
-            one_tenant_cell(f"recon/{mix}/b{batch_size}", mix),
+            one_tenant_cell(f"recon/{mix}/c{chunk}", mix),
             Cell.multi_tenant(
-                f"recon/{mix}+scan/b{batch_size}", SMALL_SHAPE,
+                f"recon/{mix}+scan/c{chunk}", SMALL_SHAPE,
                 SPITFIRE_LAZY,
                 (TenantSpec("lead", mix=mix, db_gigabytes=0.5, seed=7),
                  TWO_TENANTS[1]),
                 effort=SMALL_EFFORT),
         ]
-        with run_options(collect_metrics=True, batch_size=batch_size):
+        with run_options(collect_metrics=True):
             results = run_cells(cells)
         for result, tenants in zip(results, ({0}, {0, 1})):
             (global_buckets, global_sum), (tenant_buckets, tenant_sum) = \
@@ -432,17 +435,21 @@ class TestMetricsReconciliation:
             assert sum(tenant_buckets) == SMALL_EFFORT.measure_ops
             assert set(result.tenant_breakdown) == tenants
 
-    @pytest.mark.parametrize("batch_size", [1, 1024])
-    def test_reconciles_identically_at_any_parallelism(self, batch_size):
+    @pytest.mark.parametrize("chunk", [1, 1024])
+    def test_reconciles_identically_at_any_parallelism(self, chunk,
+                                                        monkeypatch):
+        # The serial run chunks at ``chunk``; a pool forked before the
+        # patch chunks at the default, and the results must not tell.
+        monkeypatch.setattr(harness, "CHUNK_OPS", chunk)
         cells = [
-            one_tenant_cell(f"recon-par/{mix}/b{batch_size}", mix)
+            one_tenant_cell(f"recon-par/{mix}/c{chunk}", mix)
             for mix in sorted(MIXES)
         ] + [
             Cell.multi_tenant(
-                f"recon-par/two/b{batch_size}", SMALL_SHAPE, SPITFIRE_LAZY,
+                f"recon-par/two/c{chunk}", SMALL_SHAPE, SPITFIRE_LAZY,
                 TWO_TENANTS, effort=SMALL_EFFORT),
         ]
-        with run_options(collect_metrics=True, batch_size=batch_size):
+        with run_options(collect_metrics=True):
             serial = run_cells(cells, jobs=1)
             parallel = run_cells(cells, jobs=4)
         for left, right in zip(serial, parallel):
