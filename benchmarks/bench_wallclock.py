@@ -9,7 +9,7 @@ The measurements, written to ``BENCH_repro.json`` next to this script
   parallel executor fans out.
 * **parallel executor speedup** — a figure-matrix-style batch of those
   cells run serially and then at ``--jobs N`` through the persistent
-  session pool (warmed first, the way a suite run pays for it once).
+  pool (warmed first, so pool start-up is not timed).
   ``speedup`` is serial/parallel wall time; ``usable_cpus`` records the
   cores the ratchet scales its floor by — on a 4-core machine the floor
   is 3x, on a 1-core machine it degrades to parity-minus-overhead
@@ -335,8 +335,8 @@ def matrix_cell(index: int) -> Cell:
 def time_cells_parallel(jobs: int, cells: int = PARALLEL_MATRIX_CELLS) -> dict:
     """Serial vs pooled wall time for a figure-matrix-style batch.
 
-    The persistent pool is warmed *before* the parallel timing, the way
-    a suite run pays that cost once, so the measurement is of
+    The persistent pool is warmed *before* the parallel timing, so the
+    measurement is of
     steady-state scheduling: chunk planning, context install, result
     demux — not interpreter fork/import time.
     """
@@ -344,8 +344,8 @@ def time_cells_parallel(jobs: int, cells: int = PARALLEL_MATRIX_CELLS) -> dict:
     t0 = time.perf_counter()
     serial_results = run_cells(batch, jobs=1)
     serial = time.perf_counter() - t0
-    # Not a run session: the cells differ only by label, and a session
-    # would simulate them once.
+    # Plain run_cells, not a suite: the cells differ only by label, and
+    # a suite's union would simulate them once.
     warm_pool(jobs)
     info = pool_info()
     t0 = time.perf_counter()

@@ -43,11 +43,12 @@ the sink stays empty) and one whose cells all run per op (fig11,
 fig13, queue_size: fine-grained layouts vectorise nothing); gate those
 without it.
 
-All the named experiments run inside one
-:func:`~repro.bench.executor.run_session`, as ``repro-experiments``
-runs several: a cell an earlier experiment already ran (Table 2's grid
-is Figs. 6-8's) is not simulated again, and its reuse must leave every
-figure byte-identical too.
+All the named experiments run as one suite
+(:func:`~repro.bench.experiments.run_suite`), as ``repro-experiments``
+runs them: the union of their cells is one batch, so a cell several
+experiments declare (Table 2's grid is Figs. 6-8's) is simulated once,
+in any listed order, and its reuse must leave every figure
+byte-identical too.  An id named twice is a usage error.
 
 ``--prewarm-pool`` creates and warms the persistent worker pool
 *before* any option is set.  This is the adversarial ordering for
@@ -73,15 +74,14 @@ import io
 import sys
 import tempfile
 import threading
-import time
 from dataclasses import replace
 from pathlib import Path
 
-from repro.bench.executor import metrics_collection, run_options, run_session
-from repro.bench.experiments import REGISTRY
+from repro.bench.executor import run_options
+from repro.bench.experiments import REGISTRY, run_suite, selection_error
 from repro.bench.harness import RunOptions
 from repro.bench.telemetry import live_telemetry
-from repro.cli import options_from_args
+from repro.cli import _positive_int, options_from_args
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -94,13 +94,13 @@ DEFAULT_EXPERIMENTS = ("fig6", "fig7")
 TELEMETRY_TRACE_FRACTION = 0.05
 
 
-def check(experiment_id: str, jobs: int, options: RunOptions,
-          live: bool = False) -> bool:
-    golden = RESULTS_DIR / f"{experiment_id}.json"
-    if not golden.exists():
-        print(f"FAIL {experiment_id}: no archived result at {golden}")
-        return False
-    started = time.time()
+def regenerate(experiment_ids: list[str], jobs: int, options: RunOptions,
+               live: bool = False):
+    """Run ``experiment_ids`` as one suite under ``options``.
+
+    Returns the suite's figures, its batch wall time, and — with
+    ``live`` — the telemetry aggregator and mid-run scrape counts.
+    """
     watch = None
     with contextlib.ExitStack() as stack:
         if live:
@@ -108,27 +108,38 @@ def check(experiment_id: str, jobs: int, options: RunOptions,
                 live_telemetry(stream=io.StringIO()))
             options = replace(options, telemetry=channel)
         stack.enter_context(run_options(options))
-        sink = (stack.enter_context(metrics_collection())
-                if options.collect_metrics else [])
+        sink: list = []
         if live:
             watch = aggregator, _scrape_run(stack, sink)
-        result = REGISTRY[experiment_id](quick=True, jobs=jobs)
-    attached, dead = _planes(options, [result for _, result in sink], watch)
+        figures, simulate_s = run_suite(
+            [REGISTRY[e] for e in experiment_ids], quick=True, jobs=jobs)
+        for figure in figures:
+            sink.extend(figure.runs)
+    return figures, simulate_s, watch
+
+
+def check(experiment_id: str, figure, options: RunOptions, watch) -> bool:
+    golden = RESULTS_DIR / f"{experiment_id}.json"
+    if not golden.exists():
+        print(f"FAIL {experiment_id}: no archived result at {golden}")
+        return False
+    results = ([result for _, result in figure.runs]
+               if options.collect_metrics else [])
+    attached, dead = _planes(options, results, watch)
     if dead:
         print(f"FAIL {experiment_id}: a plane is dead or missed ops — "
               + "; ".join(dead))
         return False
     with tempfile.TemporaryDirectory() as tmp:
-        fresh = result.save_json(tmp)
+        fresh = figure.result.save_json(tmp)
         fresh_bytes = fresh.read_bytes()
     golden_bytes = golden.read_bytes()
-    elapsed = time.time() - started
     if fresh_bytes == golden_bytes:
         print(f"OK   {experiment_id}: byte-identical to {golden} "
-              f"({len(golden_bytes)} bytes, {elapsed:.1f}s{attached})")
+              f"({len(golden_bytes)} bytes, reduced in "
+              f"{figure.elapsed_s:.1f}s{attached})")
         return True
-    print(f"FAIL {experiment_id}: output differs from {golden} "
-          f"({elapsed:.1f}s)")
+    print(f"FAIL {experiment_id}: output differs from {golden}")
     _explain(golden_bytes, fresh_bytes)
     return False
 
@@ -138,11 +149,11 @@ def _planes(options: RunOptions, results: list, watch) -> tuple[str, list[str]]:
     it that left no trace of being live or whose latency histograms
     missed an op.
 
-    Both are read off ``results`` — the metrics sink, i.e. the results
-    as computed where the cells ran, pool workers included — so a plane
-    is only checkable while metrics are collected; without a sink,
-    byte-identity alone is gated.  The hub is offered op and hit events
-    only, so every cell's ``op_latency_ns`` count must equal its
+    Both are read off ``results`` — the figure's metrics sink, i.e. the
+    results as computed where the cells ran, pool workers included — so
+    a plane is only checkable while metrics are collected; without a
+    sink, byte-identity alone is gated.  The hub is offered op and hit
+    events only, so every cell's ``op_latency_ns`` count must equal its
     ``BufferStats`` reads + writes: the proof that no op, batched or
     not, went unseen.
     """
@@ -181,9 +192,9 @@ def _planes(options: RunOptions, results: list, watch) -> tuple[str, list[str]]:
 def _scrape_run(stack: contextlib.ExitStack, sink: list) -> dict:
     """Scrape a live endpoint while the run lasts.
 
-    A background thread polls a live Prometheus endpoint over the
-    growing ``sink``.  Everything tears down via ``stack``; returns the
-    scrape counts for the liveness checks.
+    A background thread polls a live Prometheus endpoint over ``sink``,
+    which fills once the batch ends.  Everything tears down via
+    ``stack``; returns the scrape counts for the liveness checks.
     """
     from repro.obs.export import merge_snapshots, prometheus_text
     from repro.obs.server import MetricsServer
@@ -240,9 +251,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("experiments", nargs="*",
                         default=list(DEFAULT_EXPERIMENTS),
                         help=f"experiment ids (default: {' '.join(DEFAULT_EXPERIMENTS)})")
-    parser.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
-                        help="worker processes per experiment (results are "
-                             "identical at any job count)")
+    parser.add_argument("--jobs", "-j", type=_positive_int, default=1,
+                        metavar="N",
+                        help="worker processes (results are identical at "
+                             "any job count)")
     # Each flag's ``dest`` names the RunOptions field it sets, which is
     # how ``options_from_args`` finds it.  Under every one of them the
     # JSON must stay byte-identical.
@@ -262,9 +274,9 @@ def main(argv: list[str] | None = None) -> int:
                              "(never by fork inheritance)")
     args = parser.parse_args(argv)
 
-    unknown = [e for e in args.experiments if e not in REGISTRY]
-    if unknown:
-        parser.error(f"unknown experiment(s): {', '.join(unknown)}")
+    error = selection_error(args.experiments)
+    if error:
+        parser.error(error)
     if args.prewarm_pool and args.jobs > 1:
         from repro.bench.executor import pool_info, warm_pool
 
@@ -278,11 +290,14 @@ def main(argv: list[str] | None = None) -> int:
         # decision tracer every measurement-window observer is attached.
         options = replace(options, collect_metrics=True,
                           trace_decisions=TELEMETRY_TRACE_FRACTION)
-    with run_session(args.jobs) as session:
-        failures = [e for e in args.experiments
-                    if not check(e, args.jobs, options,
-                                 live=args.with_telemetry)]
-    print(session.describe())
+    figures, simulate_s, watch = regenerate(
+        args.experiments, args.jobs, options, live=args.with_telemetry)
+    failures = [e for e, figure in zip(args.experiments, figures)
+                if not check(e, figure, options, watch)]
+    reused = sum(figure.reused for figure in figures)
+    simulated = sum(len(figure.runs) for figure in figures) - reused
+    print(f"suite: {simulated} cells simulated, {reused} reused; "
+          f"the batch took {simulate_s:.1f}s")
     return 1 if failures else 0
 
 

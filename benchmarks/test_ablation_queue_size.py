@@ -2,11 +2,11 @@
 
 from conftest import run_experiment
 
-from repro.bench.experiments import queue_size
+from repro.bench.experiments import REGISTRY, queue_size
 
 
 def test_queue_size(benchmark):
-    result = run_experiment(benchmark, queue_size.run)
+    result = run_experiment(benchmark, REGISTRY["queue_size"])
     for workload in ("YCSB-RO", "TPC-C"):
         series = result.series[workload]
         # A queue far smaller than the NVM buffer forgets pages before

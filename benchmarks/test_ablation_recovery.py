@@ -2,11 +2,11 @@
 
 from conftest import run_experiment
 
-from repro.bench.experiments import recovery_overhead
+from repro.bench.experiments import REGISTRY
 
 
 def test_recovery_overhead(benchmark):
-    result = run_experiment(benchmark, recovery_overhead.run)
+    result = run_experiment(benchmark, REGISTRY["recovery"])
     flush = result.series["flush_ssd_mb"]
     # The three-tier hierarchy persists checkpoint flushes into the NVM
     # buffer; the DRAM-SSD hierarchy pays full-page SSD writes for them.

@@ -2,11 +2,11 @@
 
 from conftest import run_experiment
 
-from repro.bench.experiments import replacement_ablation
+from repro.bench.experiments import REGISTRY
 
 
 def test_replacement_ablation(benchmark):
-    result = run_experiment(benchmark, replacement_ablation.run)
+    result = run_experiment(benchmark, REGISTRY["replacement"])
     for mix, series in result.series.items():
         # CLOCK approximates LRU within a few percent — the paper's
         # rationale for using the cheaper policy.

@@ -2,11 +2,11 @@
 
 from conftest import run_experiment
 
-from repro.bench.experiments import fig10_adaptive
+from repro.bench.experiments import REGISTRY
 
 
 def test_fig10_adaptive(benchmark):
-    result = run_experiment(benchmark, fig10_adaptive.run)
+    result = run_experiment(benchmark, REGISTRY["fig10"])
     for workload in ("YCSB-RO", "YCSB-BA"):
         series = result.series[workload]
         epochs = len(series.ys)

@@ -2,11 +2,11 @@
 
 from conftest import run_experiment
 
-from repro.bench.experiments import fig11_granularity
+from repro.bench.experiments import REGISTRY
 
 
 def test_fig11_granularity(benchmark):
-    result = run_experiment(benchmark, fig11_granularity.run)
+    result = run_experiment(benchmark, REGISTRY["fig11"])
     series = result.series["HyMem"]
     # Throughput peaks at the 256 B media granularity, not HyMem's
     # original 64 B cache-line unit.

@@ -2,11 +2,11 @@
 
 from conftest import run_experiment
 
-from repro.bench.experiments import fig12_ablation
+from repro.bench.experiments import REGISTRY
 
 
 def test_fig12_ablation(benchmark):
-    result = run_experiment(benchmark, fig12_ablation.run)
+    result = run_experiment(benchmark, REGISTRY["fig12"])
     # Fine-grained loading helps the eager policies on YCSB-RO
     # (paper: +18% for HyMem, +37% for Spitfire-Eager).
     for policy in ("HyMem", "Spf-Eager"):

@@ -2,11 +2,11 @@
 
 from conftest import run_experiment
 
-from repro.bench.experiments import fig13_lifetime
+from repro.bench.experiments import REGISTRY, fig13_lifetime
 
 
 def test_fig13_lifetime(benchmark):
-    result = run_experiment(benchmark, fig13_lifetime.run)
+    result = run_experiment(benchmark, REGISTRY["fig13"])
     lazy = result.series["Spitfire-Lazy"]
     hymem = result.series["HyMem"]
     for workload in fig13_lifetime.WORKLOADS:

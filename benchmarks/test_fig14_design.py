@@ -2,11 +2,11 @@
 
 from conftest import run_experiment
 
-from repro.bench.experiments import fig14_design
+from repro.bench.experiments import REGISTRY
 
 
 def test_fig14_design(benchmark):
-    result = run_experiment(benchmark, fig14_design.run)
+    result = run_experiment(benchmark, REGISTRY["fig14"])
     cost = result.series["cost ($)"]
     # (a) The cost grid follows Table 1 prices exactly.
     assert cost.y_at("D0/N40") == 40 * 4.5 + 200 * 2.8

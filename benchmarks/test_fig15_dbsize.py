@@ -2,11 +2,11 @@
 
 from conftest import run_experiment
 
-from repro.bench.experiments import fig15_dbsize
+from repro.bench.experiments import REGISTRY, fig15_dbsize
 
 
 def test_fig15_dbsize(benchmark):
-    result = run_experiment(benchmark, fig15_dbsize.run)
+    result = run_experiment(benchmark, REGISTRY["fig15"])
     sizes = fig15_dbsize.DB_SIZES_QUICK
     small, large = sizes[0], sizes[-1]
     for workload in fig15_dbsize.WORKLOADS:

@@ -2,11 +2,11 @@
 
 from conftest import run_experiment
 
-from repro.bench.experiments import fig5_memory_mode
+from repro.bench.experiments import REGISTRY, fig5_memory_mode
 
 
 def test_fig5_memory_mode(benchmark):
-    result = run_experiment(benchmark, fig5_memory_mode.run)
+    result = run_experiment(benchmark, REGISTRY["fig5"])
     sizes = fig5_memory_mode.DB_SIZES_QUICK
     small, large = sizes[0], sizes[-1]
     for workload in ("YCSB-RO", "YCSB-BA", "TPC-C"):

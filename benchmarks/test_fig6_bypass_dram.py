@@ -2,11 +2,11 @@
 
 from conftest import run_experiment
 
-from repro.bench.experiments import fig6_bypass_dram
+from repro.bench.experiments import REGISTRY, fig6_bypass_dram
 
 
 def test_fig6_bypass_dram(benchmark):
-    result = run_experiment(benchmark, fig6_bypass_dram.run)
+    result = run_experiment(benchmark, REGISTRY["fig6"])
     for workload in fig6_bypass_dram.WORKLOADS:
         for workers in ("1w", "16w"):
             series = result.series[f"{workload}/{workers}"]

@@ -2,11 +2,11 @@
 
 from conftest import run_experiment
 
-from repro.bench.experiments import fig7_bypass_nvm
+from repro.bench.experiments import REGISTRY
 
 
 def test_fig7_bypass_nvm(benchmark):
-    result = run_experiment(benchmark, fig7_bypass_nvm.run)
+    result = run_experiment(benchmark, REGISTRY["fig7"])
     for workload in ("YCSB-RO", "YCSB-BA", "YCSB-WH"):
         one = result.series[f"{workload}/1w"]
         sixteen = result.series[f"{workload}/16w"]

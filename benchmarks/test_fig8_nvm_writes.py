@@ -2,11 +2,11 @@
 
 from conftest import run_experiment
 
-from repro.bench.experiments import fig8_nvm_writes
+from repro.bench.experiments import REGISTRY, fig8_nvm_writes
 
 
 def test_fig8_nvm_writes(benchmark):
-    result = run_experiment(benchmark, fig8_nvm_writes.run)
+    result = run_experiment(benchmark, REGISTRY["fig8"])
     for workload in fig8_nvm_writes.WORKLOADS:
         series = result.series[workload]
         # Write volume grows with the migration probability.

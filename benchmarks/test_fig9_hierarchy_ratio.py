@@ -2,11 +2,11 @@
 
 from conftest import run_experiment
 
-from repro.bench.experiments import fig9_hierarchy_ratio
+from repro.bench.experiments import REGISTRY
 
 
 def test_fig9_hierarchy_ratio(benchmark):
-    result = run_experiment(benchmark, fig9_hierarchy_ratio.run)
+    result = run_experiment(benchmark, REGISTRY["fig9"])
     gains = {}
     for label, series in result.series.items():
         # Eager is never the optimum on any ratio.

@@ -2,11 +2,11 @@
 
 from conftest import run_experiment
 
-from repro.bench.experiments import table1_devices
+from repro.bench.experiments import REGISTRY
 
 
 def test_table1_devices(benchmark):
-    result = run_experiment(benchmark, table1_devices.run)
+    result = run_experiment(benchmark, REGISTRY["table1"])
     latency = result.series["rand read latency (ns)"]
     assert latency.y_at("DRAM") < latency.y_at("NVM") < latency.y_at("SSD")
     price = result.series["price ($/GB)"]

@@ -2,11 +2,11 @@
 
 from conftest import run_experiment
 
-from repro.bench.experiments import table2_inclusivity
+from repro.bench.experiments import REGISTRY
 
 
 def test_table2_inclusivity(benchmark):
-    result = run_experiment(benchmark, table2_inclusivity.run)
+    result = run_experiment(benchmark, REGISTRY["table2"])
     for label, series in result.series.items():
         # Probability 0 disables the relevant migrations entirely: no
         # duplication is possible.

@@ -17,7 +17,7 @@ import json
 
 from conftest import RESULTS_DIR
 
-from repro.bench.experiments import fig6_bypass_dram, fig7_bypass_nvm
+from repro.bench.experiments import REGISTRY
 
 
 def _assert_matches_archive(result, figure: str) -> None:
@@ -40,8 +40,8 @@ def _assert_matches_archive(result, figure: str) -> None:
 
 
 def test_fig6_bit_identical_to_archive():
-    _assert_matches_archive(fig6_bypass_dram.run(quick=True), "fig6")
+    _assert_matches_archive(REGISTRY["fig6"](quick=True), "fig6")
 
 
 def test_fig7_bit_identical_to_archive():
-    _assert_matches_archive(fig7_bypass_nvm.run(quick=True), "fig7")
+    _assert_matches_archive(REGISTRY["fig7"](quick=True), "fig7")

@@ -3,8 +3,8 @@
 from .._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(globals(), {
-    "executor": ("RunSession", "current_options", "metrics_collection",
-                 "run_options", "run_session", "shutdown_pool", "warm_pool"),
+    "executor": ("current_options", "run_options", "shutdown_pool",
+                 "warm_pool"),
     "harness": ("RunConfig", "RunOptions", "RunResult", "WorkloadRunner"),
     "reporting": ("ExperimentResult", "Series"),
 })

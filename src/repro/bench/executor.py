@@ -4,7 +4,7 @@ Every figure in the paper is a grid of independent measurements — one
 buffer manager, one workload, one policy/shape/knob combination per
 point.  This module turns each grid point into a picklable :class:`Cell`
 spec and runs batches of them with :func:`run_cells`, either in-process
-(``jobs=1``) or on a **session-scoped persistent worker pool**: one
+(``jobs=1``) or on a **persistent worker pool**: one
 :class:`concurrent.futures.ProcessPoolExecutor` created lazily per
 process and reused by every :func:`run_cells` / :func:`run_tasks` call,
 so pool startup and worker warm-up are paid once per process instead of
@@ -18,9 +18,9 @@ Design rules:
   the per-figure JSON output is byte-identical for any ``jobs`` value;
 * results come back in submission order regardless of completion order;
 * a cell is its simulation: two cells that compare equal (the label is
-  display-only) are one run, so inside a :func:`run_session` each
-  distinct cell runs once, under the options in force, and every figure
-  that declares it gets the stored :class:`RunResult`;
+  display-only) are one run, so a suite's union of declared cells
+  (:func:`repro.bench.experiments.run_suite`) runs each distinct cell
+  once and hands every figure that declares it the one result;
 * work is submitted as **contiguous chunks** sized from each cell's
   :class:`Effort` (longest-expected-first), which amortises pickling
   and IPC over many small tasks while keeping load balanced;
@@ -41,14 +41,13 @@ Design rules:
 
 This module is imported by ``bench.experiments.common`` and imports
 nothing from ``bench.experiments``.  ``multiprocessing`` and
-``concurrent.futures`` load where a pool is first built (or a session
-first claims a cell), so a serial run never imports them.
+``concurrent.futures`` load where a pool is first built, so a serial
+run never imports them.
 """
 
 from __future__ import annotations
 
 import atexit
-import collections
 import contextlib
 import contextvars
 import pickle
@@ -125,7 +124,7 @@ class Cell:
     cleanly into worker processes and hash.  A cell says *what* is
     simulated and nothing else: ``label`` is display-only and outside
     equality, so two cells that compare equal are the same simulation
-    (a :func:`run_session` runs it once).  What the run attaches to it
+    (a suite runs it once).  What the run attaches to it
     (metrics, telemetry, decision tracing) is the ambient
     :class:`~repro.bench.harness.RunOptions`, never a cell field.  A
     cell carries no worker count either: a reader picks one with
@@ -241,19 +240,15 @@ class CellExecutionError(RuntimeError):
 # ----------------------------------------------------------------------
 # Run options: one value, one scope, one transport
 # ----------------------------------------------------------------------
-# The current RunOptions lives in a context variable (so scopes are
-# thread-safe for the CLI's suite session, where several figure drivers
-# run concurrently).  A *persistent* pool forks once, so a scope entered
-# after the pool exists cannot reach workers by inheritance: every
-# submission carries the submitter's value and the worker installs it
-# around the chunk it executes.
+# The current RunOptions lives in a context variable (so a scope holds
+# for the thread that entered it, and for no other).  A *persistent*
+# pool forks once, so a scope entered after the pool exists cannot
+# reach workers by inheritance: every submission carries the
+# submitter's value and the worker installs it around the chunk it
+# executes.
 
 _options_var: contextvars.ContextVar[RunOptions] = contextvars.ContextVar(
     "repro_run_options", default=RunOptions())
-_metrics_sink_var: contextvars.ContextVar[list | None] = contextvars.ContextVar(
-    "repro_metrics_sink", default=None)
-_tally_var: contextvars.ContextVar[collections.Counter | None] = contextvars.ContextVar(
-    "repro_cell_tally", default=None)
 
 
 def current_options() -> RunOptions:
@@ -280,49 +275,14 @@ def run_options(base: RunOptions | None = None, **overrides):
         _options_var.reset(token)
 
 
-@contextlib.contextmanager
-def metrics_collection():
-    """Collect a MetricsHub snapshot from every cell run in this scope.
-
-    ``run_options(collect_metrics=True)`` plus the one piece of state a
-    scope owns on the submitting side: yields the sink list, which
-    after the scope holds one ``(cell label, RunResult)`` pair per
-    declared cell — a reused result under each declarer's label — in
-    submission order regardless of the ``jobs`` value, so merging the
-    snapshots in list order gives byte-identical exports at any
-    parallelism, inside a run session or not.
-    """
-    sink: list[tuple[str, RunResult]] = []
-    token = _metrics_sink_var.set(sink)
-    try:
-        with run_options(collect_metrics=True):
-            yield sink
-    finally:
-        _metrics_sink_var.reset(token)
-
-
-@contextlib.contextmanager
-def cell_tally():
-    """Count the cells declared in this scope, and how many of them got
-    a result the run session already held.
-
-    Yields a ``Counter`` with keys ``cells`` and ``reused``: what says
-    why a figure took no time.
-    """
-    tally = collections.Counter(cells=0, reused=0)
-    token = _tally_var.set(tally)
-    try:
-        yield tally
-    finally:
-        _tally_var.reset(token)
-
-
 # ----------------------------------------------------------------------
 # The persistent worker pool
 # ----------------------------------------------------------------------
-#: Chunks submitted per worker per batch — enough granularity for load
-#: balancing without drowning the pool queue in single-item tasks.
-CHUNKS_PER_WORKER = 4
+#: Chunks submitted per worker per batch — fine enough that a suite's
+#: whole union of cells, one batch, ends with no worker idle for long
+#: (at two workers quick ``--all``'s 276 cells go out two or three to a
+#: chunk), while millisecond-sized chaos cases still share chunks.
+CHUNKS_PER_WORKER = 64
 
 _pool_lock = threading.Lock()
 _pool: ProcessPoolExecutor | None = None
@@ -552,12 +512,6 @@ def _execute_serial(items: list, runner) -> list:
     return results
 
 
-def _note_session(**counts) -> None:
-    session = _session
-    if session is not None:
-        session._note(**counts)
-
-
 def _execute(items: list, runner, jobs: int, weigh) -> list:
     """Run ``runner`` over ``items``; results in submission order.
 
@@ -572,11 +526,9 @@ def _execute(items: list, runner, jobs: int, weigh) -> list:
     """
     n = len(items)
     if jobs <= 1 or n <= 1:
-        _note_session(items=n, serial=1)
         return _execute_serial(items, runner)
     pool = _ensure_pool(jobs)
     if pool is None:
-        _note_session(items=n, fallbacks=1)
         return _execute_serial(items, runner)
     from concurrent.futures.process import BrokenProcessPool
 
@@ -598,7 +550,6 @@ def _execute(items: list, runner, jobs: int, weigh) -> list:
             for _, _, future in futures:
                 future.cancel()
             _discard_pool()
-            _note_session(items=n, fallbacks=1)
             return _execute_serial(items, runner)
 
         outcomes: list = [None] * n
@@ -616,7 +567,6 @@ def _execute(items: list, runner, jobs: int, weigh) -> list:
                 for _, _, other in futures:
                     other.cancel()
                 _discard_pool()
-                _note_session(items=n, fallbacks=1)
                 return _execute_serial(items, runner)
             except Exception as exc:
                 # A chunk-level failure outside item execution (e.g. an
@@ -633,137 +583,10 @@ def _execute(items: list, runner, jobs: int, weigh) -> list:
         with _pool_lock:
             _pool_busy -= 1
 
-    _note_session(items=n, batches=1, chunks=len(spans))
     if failed_at is not None:
         _, cause = outcomes[failed_at]
         raise _ItemFailure(failed_at, cause) from cause
     return [payload for _, payload in outcomes]
-
-
-# ----------------------------------------------------------------------
-# The suite-wide run session
-# ----------------------------------------------------------------------
-class _Unclaimed(Exception):
-    """Internal: the batch that claimed a cell failed before finishing it."""
-
-
-@dataclass
-class RunSession:
-    """One warmed pool, and one run per distinct cell, for a whole scope.
-
-    ``repro-experiments`` with several experiments (and the chaos matrix
-    CLI) opens one session for the whole suite: at ``--jobs N`` the pool
-    starts and warms once, then every figure's cells and every crash
-    case flow through it as chunked submissions.  Every cell run inside
-    the session is remembered with the options it ran under, so a cell
-    another figure already declared is not simulated again.  Counters
-    report what the pool did and how many cells were reused.
-    """
-
-    jobs: int
-    warmed: bool = False
-    items: int = 0
-    batches: int = 0
-    chunks: int = 0
-    serial: int = 0
-    fallbacks: int = 0
-    #: Cells run through :func:`run_cells` here: simulated, and answered
-    #: from an earlier simulation of an equal cell.
-    simulated: int = 0
-    reused: int = 0
-    _lock: threading.Lock = field(default_factory=threading.Lock,
-                                  repr=False, compare=False)
-    #: ``(cell, RunOptions)`` -> the Future of its one simulation.
-    _runs: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def _note(self, items: int = 0, batches: int = 0, chunks: int = 0,
-              serial: int = 0, fallbacks: int = 0) -> None:
-        with self._lock:
-            self.items += items
-            self.batches += batches
-            self.chunks += chunks
-            self.serial += serial
-            self.fallbacks += fallbacks
-
-    def describe(self) -> str:
-        info = pool_info()
-        pool = (f"{info['workers']} workers ({info['start_method']})"
-                if info else "no pool (serial)")
-        return (f"session: {pool}, {self.items} cells/tasks in "
-                f"{self.batches} pooled batches ({self.chunks} chunks, "
-                f"{self.serial} serial batches, {self.fallbacks} fallbacks); "
-                f"{self.simulated} cells simulated, {self.reused} reused")
-
-    def _run_cells(self, cells: list[Cell],
-                   jobs: int) -> tuple[list[RunResult], int]:
-        """Simulate the cells no batch of this session claimed yet, wait
-        for the rest; returns the results and how many were reused.
-
-        The first batch to declare a ``(cell, options)`` key claims it;
-        a later requester, in any driver thread, waits on the claimer's
-        future.  A batch runs every key it claimed before it waits on
-        one another batch claimed, so no two batches wait on each other.
-        When a batch fails, its failing key keeps the failure (every
-        requester raises it, naming its own cell); a requester of a key
-        the failed batch did not finish simulates that cell itself.
-        """
-        from concurrent.futures import Future
-
-        options = current_options()
-        keys = [(cell, options) for cell in cells]
-        with self._lock:
-            claimed = {key: Future() for key in dict.fromkeys(keys)
-                       if key not in self._runs}
-            self._runs.update(claimed)
-            futures = [self._runs[key] for key in keys]
-            self.simulated += len(claimed)
-            self.reused += len(keys) - len(claimed)
-        try:
-            done = _execute([cell for cell, _ in claimed], run_cell, jobs,
-                            _cell_weight) if claimed else []
-        except _ItemFailure as failure:
-            for index, future in enumerate(claimed.values()):
-                future.set_exception(failure.cause if index == failure.index
-                                     else _Unclaimed())
-            cell = cells[keys.index(list(claimed)[failure.index])]
-            raise CellExecutionError(cell, failure.cause) from failure.cause
-        for future, result in zip(claimed.values(), done):
-            future.set_result(result)
-        results = []
-        for cell, future in zip(cells, futures):
-            try:
-                result = future.result()
-            except _Unclaimed:
-                (result,) = _simulate([cell], jobs)
-            except Exception as exc:
-                raise CellExecutionError(cell, exc) from exc
-            # A tenant run carries its cell's label.
-            results.append(replace(result, label=cell.label)
-                           if cell.tenants else result)
-        return results, len(keys) - len(claimed)
-
-
-_session: RunSession | None = None
-
-
-@contextlib.contextmanager
-def run_session(jobs: int):
-    """Open a suite-wide session: warm the shared pool once, up front
-    (at ``jobs > 1``), and run each distinct cell once.
-
-    Purely an optimisation scope — results, their order, determinism
-    and fallback are identical inside and outside a session, and the
-    pool it warms persists after the scope exits.
-    """
-    global _session
-    session = RunSession(jobs=jobs)
-    session.warmed = warm_pool(jobs)
-    previous = _session
-    _session = session
-    try:
-        yield session
-    finally:
-        _session = previous
 
 
 # ----------------------------------------------------------------------
@@ -851,30 +674,12 @@ def run_cells(cells, jobs: int = 1) -> list[RunResult]:
     all.  ``jobs>1`` fans contiguous chunks of cells over the
     persistent pool; if the platform cannot spawn workers the batch
     degrades to serial, which produces identical results because every
-    cell is self-contained.  Inside a :func:`run_session`, a cell the
-    session already ran (under the same options) is not run again: its
-    stored result is returned.  While :func:`metrics_collection` is
-    active, the whole batch's ``(label, result)`` pairs — one per
-    declared cell — are appended to the sink, in submission order, once
-    the batch succeeds.
+    cell is self-contained.  Every cell runs, equal or not: sharing
+    equal cells is the caller's union
+    (:func:`repro.bench.experiments.run_suite`).  The first failing cell
+    (in submission order) raises :class:`CellExecutionError`.
     """
     cells = list(cells)
-    session = _session
-    if session is None:
-        results, reused = _simulate(cells, jobs), 0
-    else:
-        results, reused = session._run_cells(cells, jobs)
-    tally, sink = _tally_var.get(), _metrics_sink_var.get()
-    if tally is not None:
-        tally.update(cells=len(cells), reused=reused)
-    if sink is not None:
-        sink.extend((cell.label, result) for cell, result
-                    in zip(cells, results) if result.metrics is not None)
-    return results
-
-
-def _simulate(cells: list[Cell], jobs: int) -> list[RunResult]:
-    """Run every cell, sharing nothing; a failure names its cell."""
     try:
         return _execute(cells, run_cell, jobs, _cell_weight)
     except _ItemFailure as failure:
@@ -906,25 +711,3 @@ def run_tasks(fn, items, jobs: int = 1, weigh=None) -> list:
 
 def _uniform_weight(_item) -> float:
     return 1.0
-
-
-@dataclass
-class CellBatch:
-    """Declare-then-run helper for figure modules.
-
-    Figures add ``key -> cell`` while walking their grids, call
-    :meth:`run`, and read results back by key — keeping the declaration
-    order (which fixes the output order) separate from the execution
-    order (which the pool is free to shuffle).
-    """
-
-    cells: dict[object, Cell] = field(default_factory=dict)
-
-    def add(self, key: object, cell: Cell) -> None:
-        if key in self.cells:
-            raise ValueError(f"duplicate cell key {key!r}")
-        self.cells[key] = cell
-
-    def run(self, jobs: int = 1) -> dict[object, RunResult]:
-        results = run_cells(self.cells.values(), jobs=jobs)
-        return dict(zip(self.cells, results))

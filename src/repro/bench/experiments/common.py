@@ -1,49 +1,21 @@
-"""Shared builders for the per-figure experiment modules.
+"""Shared constants and cell builders for the per-figure experiment modules.
 
-Each experiment constructs hierarchies/buffer managers through these
-helpers so that protocol choices (warm-up, priming, WAL, scaling) are
-consistent across figures, exactly as the paper uses one platform and
-measurement protocol for its whole evaluation section.
+Each experiment declares its cells through these so that protocol
+choices (hierarchies, database sizes, effort, scaling) are consistent
+across figures, exactly as the paper uses one platform and measurement
+protocol for its whole evaluation section.
 """
 
 from __future__ import annotations
 
-from ...core.buffer_manager import BufferManager, BufferManagerConfig
 from ...core.policy import MigrationPolicy
-from ...hardware.cost_model import StorageHierarchy
 from ...hardware.pricing import HierarchyShape
-from ...hardware.specs import DEFAULT_SCALE, SimulationScale
-from ..harness import RunResult
-from ..executor import (  # noqa: F401  (re-exported for callers/tests)
-    FULL,
-    QUICK,
-    Cell,
-    CellBatch,
-    Effort,
-    effort,
-    run_cells,
-    run_session,
-    run_tasks,
-)
+from ...hardware.specs import SimulationScale
+from ..executor import FULL, QUICK, Cell, Effort, effort  # noqa: F401  (FULL, QUICK re-exported)
 
 #: Coarser scale for the large-database experiments (Figs. 5, 14, 15)
 #: so that 300 GB-class configurations stay fast.
 COARSE_SCALE = SimulationScale(pages_per_gb=16)
-
-
-def build_bm(
-    shape: HierarchyShape,
-    policy: MigrationPolicy,
-    scale: SimulationScale = DEFAULT_SCALE,
-    bm_config: BufferManagerConfig | None = None,
-    memory_mode: bool = False,
-    seed: int = 42,
-) -> BufferManager:
-    """A fresh hierarchy + buffer manager for one run."""
-    hierarchy = StorageHierarchy(shape, scale, memory_mode=memory_mode)
-    if bm_config is None:
-        bm_config = BufferManagerConfig(seed=seed)
-    return BufferManager(hierarchy, policy, bm_config)
 
 
 #: The probability levels swept by the policy experiments (Figs. 6-9).
@@ -67,7 +39,7 @@ def sweep_cell(axis: str, workload: str, p: float, eff: Effort) -> Cell:
     ``N_r = N_w = p`` with D = 1, on the §6.3 hierarchy and database.
     The cell is labelled ``"{workload}/{axis}={p}"`` and its policy
     named ``"{axis}={p}"``, so a point is the same cell in every figure
-    and a run session simulates it once.
+    and a suite simulates it once.
     """
     d, n = (p, 1.0) if axis == "D" else (1.0, p)
     policy = MigrationPolicy(d_r=d, d_w=d, n_r=n, n_w=n, name=f"{axis}={p}")
@@ -79,15 +51,9 @@ def sweep_cell(axis: str, workload: str, p: float, eff: Effort) -> Cell:
                      effort=eff)
 
 
-def policy_sweep(axes: str, workloads, eff: Effort,
-                 jobs: int = 1) -> dict[tuple, RunResult]:
-    """Run §6.3's grid over :data:`SWEEP_PROBS` for every axis in
-    ``axes`` (``"D"``, ``"N"`` or ``"DN"``): ``{(axis, workload, p):
-    RunResult}``, declared axis by axis, workload by workload."""
-    batch = CellBatch()
-    for axis in axes:
-        for workload in workloads:
-            for p in SWEEP_PROBS:
-                batch.add((axis, workload, p),
-                          sweep_cell(axis, workload, p, eff))
-    return batch.run(jobs)
+def policy_sweep(axes: str, workloads, eff: Effort) -> dict[tuple, Cell]:
+    """§6.3's grid over :data:`SWEEP_PROBS` for every axis in ``axes``
+    (``"D"``, ``"N"`` or ``"DN"``): ``{(axis, workload, p): Cell}``,
+    declared axis by axis, workload by workload."""
+    return {(axis, workload, p): sweep_cell(axis, workload, p, eff)
+            for axis in axes for workload in workloads for p in SWEEP_PROBS}

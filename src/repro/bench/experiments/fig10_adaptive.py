@@ -11,13 +11,15 @@ discovered policy is lazy for DRAM (D < 1).
 
 from __future__ import annotations
 
+from ...core.buffer_manager import BufferManager
 from ...core.policy import SPITFIRE_EAGER
+from ...hardware.cost_model import StorageHierarchy
 from ...hardware.pricing import HierarchyShape
+from ...hardware.specs import DEFAULT_SCALE
 from ...tuning.controller import AdaptiveController
 from ...workloads.ycsb import MIXES, YcsbWorkload
 from ..harness import RunConfig, WorkloadRunner
 from ..reporting import ExperimentResult
-from .common import build_bm
 
 SHAPE = HierarchyShape(dram_gb=2.5, nvm_gb=10.0, ssd_gb=100.0)
 DB_GB = 40.0
@@ -28,8 +30,11 @@ OPS_PER_EPOCH_QUICK = 3_000
 OPS_PER_EPOCH_FULL = 8_000
 
 
-def run(quick: bool = True, jobs: int = 1) -> ExperimentResult:
-    del jobs  # the adaptive controller is one sequential simulation
+def cells(quick: bool) -> dict:
+    return {}  # the adaptive controller runs here, in reduce
+
+
+def reduce(quick: bool, runs: dict) -> ExperimentResult:
     epochs = EPOCHS_QUICK if quick else EPOCHS_FULL
     ops_per_epoch = OPS_PER_EPOCH_QUICK if quick else OPS_PER_EPOCH_FULL
     result = ExperimentResult(
@@ -39,10 +44,9 @@ def run(quick: bool = True, jobs: int = 1) -> ExperimentResult:
         dram_gb=SHAPE.dram_gb, nvm_gb=SHAPE.nvm_gb, db_gb=DB_GB,
         epochs=epochs, ops_per_epoch=ops_per_epoch, start_policy="eager",
     )
-    from ...hardware.specs import DEFAULT_SCALE
-
     for workload_name in ("YCSB-RO", "YCSB-BA"):
-        bm = build_bm(SHAPE, SPITFIRE_EAGER)
+        bm = BufferManager(StorageHierarchy(SHAPE, DEFAULT_SCALE),
+                           SPITFIRE_EAGER)
         workload = YcsbWorkload(
             num_tuples=DEFAULT_SCALE.pages(DB_GB) * 16,
             mix=MIXES[workload_name], skew=0.3, seed=3,

@@ -15,13 +15,26 @@ from ...core.buffer_manager import BufferManagerConfig
 from ...core.policy import HYMEM_POLICY
 from ...pages.granularity import FIG11_GRANULARITIES, LoadingUnit
 from ..reporting import ExperimentResult
-from .common import HYMEM_DB_GB, HYMEM_SHAPE, Cell, CellBatch, effort
+from .common import HYMEM_DB_GB, HYMEM_SHAPE, Cell, effort
 
 WORKERS = 16
 
 
-def run(quick: bool = True, jobs: int = 1) -> ExperimentResult:
-    eff = effort(quick)
+def cells(quick: bool) -> dict:
+    # The HyMem configuration of make_hymem, fine-grained without mini
+    # pages, with the loading unit under test.
+    return {
+        granularity: Cell.ycsb(
+            f"HyMem/{granularity}B", HYMEM_SHAPE, HYMEM_POLICY, "YCSB-RO",
+            HYMEM_DB_GB, effort=effort(quick),
+            bm_config=BufferManagerConfig(
+                fine_grained=True, mini_pages=False,
+                loading_unit=LoadingUnit(granularity)))
+        for granularity in FIG11_GRANULARITIES
+    }
+
+
+def reduce(quick: bool, runs: dict) -> ExperimentResult:
     result = ExperimentResult(
         "fig11", "Optimal Granularity for Loading Data on NVM (YCSB-RO)"
     )
@@ -29,20 +42,6 @@ def run(quick: bool = True, jobs: int = 1) -> ExperimentResult:
         dram_gb=HYMEM_SHAPE.dram_gb, nvm_gb=HYMEM_SHAPE.nvm_gb,
         db_gb=HYMEM_DB_GB, workers=WORKERS,
     )
-    batch = CellBatch()
-    for granularity in FIG11_GRANULARITIES:
-        # The HyMem configuration of make_hymem, fine-grained without
-        # mini pages, with the loading unit under test.
-        config = BufferManagerConfig(
-            fine_grained=True, mini_pages=False,
-            loading_unit=LoadingUnit(granularity),
-        )
-        batch.add(
-            granularity,
-            Cell.ycsb(f"HyMem/{granularity}B", HYMEM_SHAPE, HYMEM_POLICY,
-                      "YCSB-RO", HYMEM_DB_GB, effort=eff, bm_config=config),
-        )
-    runs = batch.run(jobs)
     series = result.new_series("HyMem")
     for granularity in FIG11_GRANULARITIES:
         series.add(granularity, runs[granularity].throughput_at(WORKERS))

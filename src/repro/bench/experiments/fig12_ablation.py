@@ -18,7 +18,7 @@ from ...core.buffer_manager import BufferManagerConfig
 from ...core.policy import HYMEM_POLICY, SPITFIRE_EAGER, SPITFIRE_LAZY
 from ...pages.granularity import OPTANE_LOADING_UNIT
 from ..reporting import ExperimentResult
-from .common import HYMEM_DB_GB, HYMEM_SHAPE, Cell, CellBatch, effort
+from .common import HYMEM_DB_GB, HYMEM_SHAPE, Cell, effort
 
 #: Table 3's rows; the HyMem row is what ``core.hymem.make_hymem`` builds.
 POLICIES = {"HyMem": HYMEM_POLICY, "Spf-Eager": SPITFIRE_EAGER,
@@ -28,8 +28,31 @@ WORKLOADS = ("YCSB-RO", "TPC-C")
 WORKERS = 16
 
 
-def run(quick: bool = True, jobs: int = 1) -> ExperimentResult:
-    eff = effort(quick)
+def _cell(workload: str, policy_name: str, variant: str, eff) -> Cell:
+    label = f"{workload}/{policy_name}/{variant}"
+    common = dict(
+        effort=eff,
+        bm_config=BufferManagerConfig(
+            fine_grained=variant != "none",
+            mini_pages=variant == "+mini-page",
+            loading_unit=OPTANE_LOADING_UNIT,
+        ),
+    )
+    policy = POLICIES[policy_name]
+    if workload == "TPC-C":
+        return Cell.tpcc(label, HYMEM_SHAPE, policy, HYMEM_DB_GB, **common)
+    return Cell.ycsb(label, HYMEM_SHAPE, policy, workload, HYMEM_DB_GB,
+                     **common)
+
+
+def cells(quick: bool) -> dict:
+    return {(workload, policy_name, variant):
+            _cell(workload, policy_name, variant, effort(quick))
+            for workload in WORKLOADS for policy_name in POLICIES
+            for variant in VARIANTS}
+
+
+def reduce(quick: bool, runs: dict) -> ExperimentResult:
     result = ExperimentResult(
         "fig12", "Ablation of HyMem's Optimizations Across Policies"
     )
@@ -37,27 +60,6 @@ def run(quick: bool = True, jobs: int = 1) -> ExperimentResult:
         dram_gb=HYMEM_SHAPE.dram_gb, nvm_gb=HYMEM_SHAPE.nvm_gb,
         db_gb=HYMEM_DB_GB, loading_unit=256, workers=WORKERS,
     )
-    batch = CellBatch()
-    for workload in WORKLOADS:
-        for policy_name, policy in POLICIES.items():
-            for variant in VARIANTS:
-                label = f"{workload}/{policy_name}/{variant}"
-                common = dict(
-                    effort=eff,
-                    bm_config=BufferManagerConfig(
-                        fine_grained=variant != "none",
-                        mini_pages=variant == "+mini-page",
-                        loading_unit=OPTANE_LOADING_UNIT,
-                    ),
-                )
-                if workload == "TPC-C":
-                    cell = Cell.tpcc(label, HYMEM_SHAPE, policy, HYMEM_DB_GB,
-                                     **common)
-                else:
-                    cell = Cell.ycsb(label, HYMEM_SHAPE, policy, workload,
-                                     HYMEM_DB_GB, **common)
-                batch.add((workload, policy_name, variant), cell)
-    runs = batch.run(jobs)
     for workload in WORKLOADS:
         for policy_name in POLICIES:
             series = result.new_series(f"{workload}/{policy_name}")

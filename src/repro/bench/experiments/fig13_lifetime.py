@@ -16,39 +16,40 @@ from ...core.buffer_manager import BufferManagerConfig
 from ...core.policy import HYMEM_POLICY, SPITFIRE_LAZY
 from ...pages.granularity import OPTANE_LOADING_UNIT
 from ..reporting import ExperimentResult
-from .common import HYMEM_DB_GB, HYMEM_SHAPE, Cell, CellBatch, effort
+from .common import HYMEM_DB_GB, HYMEM_SHAPE, Cell, effort
 
 WORKLOADS = ("YCSB-RO", "YCSB-BA", "YCSB-WH")
 
 
-def run(quick: bool = True, jobs: int = 1) -> ExperimentResult:
-    eff = effort(quick)
+#: Key name -> (label prefix, policy, buffer-manager config).
+CONFIGS = {
+    "lazy": ("Spitfire-Lazy", SPITFIRE_LAZY,
+             BufferManagerConfig(fine_grained=True,
+                                 loading_unit=OPTANE_LOADING_UNIT)),
+    "hymem": ("HyMem", HYMEM_POLICY,
+              BufferManagerConfig(fine_grained=True, mini_pages=False,
+                                  loading_unit=OPTANE_LOADING_UNIT)),
+}
+
+
+def cells(quick: bool) -> dict:
+    return {
+        (name, workload): Cell.ycsb(f"{label}/{workload}", HYMEM_SHAPE,
+                                    policy, workload, HYMEM_DB_GB,
+                                    effort=effort(quick), bm_config=config)
+        for workload in WORKLOADS
+        for name, (label, policy, config) in CONFIGS.items()
+    }
+
+
+def reduce(quick: bool, runs: dict) -> ExperimentResult:
     result = ExperimentResult(
         "fig13", "Impact of Migration Policies on NVM Lifetime (write volume)"
     )
     result.metadata.update(
         dram_gb=HYMEM_SHAPE.dram_gb, nvm_gb=HYMEM_SHAPE.nvm_gb,
-        db_gb=HYMEM_DB_GB, measure_ops=eff.measure_ops,
+        db_gb=HYMEM_DB_GB, measure_ops=effort(quick).measure_ops,
     )
-    lazy_config = BufferManagerConfig(fine_grained=True,
-                                      loading_unit=OPTANE_LOADING_UNIT)
-    hymem_config = BufferManagerConfig(fine_grained=True, mini_pages=False,
-                                       loading_unit=OPTANE_LOADING_UNIT)
-    batch = CellBatch()
-    for workload in WORKLOADS:
-        batch.add(
-            ("lazy", workload),
-            Cell.ycsb(f"Spitfire-Lazy/{workload}", HYMEM_SHAPE, SPITFIRE_LAZY,
-                      workload, HYMEM_DB_GB, effort=eff,
-                      bm_config=lazy_config),
-        )
-        batch.add(
-            ("hymem", workload),
-            Cell.ycsb(f"HyMem/{workload}", HYMEM_SHAPE, HYMEM_POLICY,
-                      workload, HYMEM_DB_GB, effort=eff,
-                      bm_config=hymem_config),
-        )
-    runs = batch.run(jobs)
     lazy_series = result.new_series("Spitfire-Lazy")
     hymem_series = result.new_series("HyMem")
     for workload in WORKLOADS:

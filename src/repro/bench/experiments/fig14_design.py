@@ -14,7 +14,12 @@ Expected shape: (a) the cost grid is linear in the device prices;
 
 from __future__ import annotations
 
-from ...design.grid_search import FIG14_WORKERS, enumerate_shapes, grid_search
+from ...design.grid_search import (
+    FIG14_WORKERS,
+    enumerate_shapes,
+    policy_for_shape,
+    rank_designs,
+)
 from ...hardware.pricing import hierarchy_cost
 from ..reporting import ExperimentResult
 from .common import COARSE_SCALE, Cell, effort
@@ -24,8 +29,17 @@ SKEW = 0.5
 WORKLOADS = ("YCSB-RO", "YCSB-BA", "YCSB-WH")
 
 
-def run(quick: bool = True, jobs: int = 1) -> ExperimentResult:
-    eff = effort(quick)
+def cells(quick: bool) -> dict:
+    return {
+        (workload, shape): Cell.ycsb(
+            f"{workload}/{shape.label}", shape, policy_for_shape(shape),
+            workload, DB_GB, skew=SKEW, effort=effort(quick),
+            scale=COARSE_SCALE)
+        for workload in WORKLOADS for shape in enumerate_shapes()
+    }
+
+
+def reduce(quick: bool, runs: dict) -> ExperimentResult:
     result = ExperimentResult(
         "fig14", "Storage System Design (perf/price grid search)"
     )
@@ -39,14 +53,8 @@ def run(quick: bool = True, jobs: int = 1) -> ExperimentResult:
                         hierarchy_cost(shape))
 
     for workload in WORKLOADS:
-
-        def cell_factory(shape, policy, _workload=workload):
-            return Cell.ycsb(f"{_workload}/{shape.label}", shape, policy,
-                             _workload, DB_GB, skew=SKEW, effort=eff,
-                             scale=COARSE_SCALE)
-
-        search = grid_search(workload, cell_factory, shapes=shapes,
-                             jobs=jobs)
+        search = rank_designs(workload, [(shape, runs[(workload, shape)])
+                                         for shape in shapes])
         series = result.new_series(f"{workload} (ops/s/$)")
         for point in search.points:
             series.add(

@@ -28,7 +28,7 @@ from ...core.policy import (
 from ...hardware.pricing import HierarchyShape
 from ...pages.granularity import OPTANE_LOADING_UNIT
 from ..reporting import ExperimentResult
-from .common import COARSE_SCALE, Cell, CellBatch, effort
+from .common import COARSE_SCALE, Cell, effort
 
 THREE_TIER = HierarchyShape(dram_gb=20.0, nvm_gb=60.0, ssd_gb=200.0)
 DRAM_SSD = HierarchyShape(dram_gb=46.0, nvm_gb=0.0, ssd_gb=200.0)
@@ -65,8 +65,15 @@ def _cell(config: str, workload: str, db_gb: float, eff) -> Cell:
     return Cell.ycsb(label, shape, policy, workload, db_gb, **kwargs)
 
 
-def run(quick: bool = True, jobs: int = 1) -> ExperimentResult:
+def cells(quick: bool) -> dict:
     eff = effort(quick)
+    sizes = DB_SIZES_QUICK if quick else DB_SIZES_FULL
+    return {(workload, config, db_gb): _cell(config, workload, db_gb, eff)
+            for workload in WORKLOADS for config in CONFIGS
+            for db_gb in sizes}
+
+
+def reduce(quick: bool, runs: dict) -> ExperimentResult:
     sizes = DB_SIZES_QUICK if quick else DB_SIZES_FULL
     result = ExperimentResult("fig15", "Impact of Database Size")
     result.metadata.update(
@@ -75,13 +82,6 @@ def run(quick: bool = True, jobs: int = 1) -> ExperimentResult:
         nvm_ssd=f"{NVM_SSD.nvm_gb:g} GB",
         workers=WORKERS,
     )
-    batch = CellBatch()
-    for workload in WORKLOADS:
-        for config in CONFIGS:
-            for db_gb in sizes:
-                batch.add((workload, config, db_gb),
-                          _cell(config, workload, db_gb, eff))
-    runs = batch.run(jobs)
     for workload in WORKLOADS:
         for config in CONFIGS:
             series = result.new_series(f"{workload}/{config}")

@@ -20,7 +20,7 @@ from __future__ import annotations
 from ...core.policy import DRAM_SSD_POLICY, NVM_SSD_POLICY
 from ...hardware.pricing import HierarchyShape
 from ..reporting import ExperimentResult
-from .common import COARSE_SCALE, Cell, CellBatch, effort
+from .common import COARSE_SCALE, Cell, effort
 
 #: Memory-mode server of §6.2: 96 GB DRAM cache, 140 GB buffer capacity.
 MEMORY_MODE_SHAPE = HierarchyShape(dram_gb=96.0, nvm_gb=140.0, ssd_gb=400.0)
@@ -29,6 +29,8 @@ NVM_SSD_SHAPE = HierarchyShape(dram_gb=0.0, nvm_gb=340.0, ssd_gb=400.0)
 
 DB_SIZES_FULL = (5.0, 25.0, 45.0, 85.0, 125.0, 165.0, 225.0, 265.0, 305.0)
 DB_SIZES_QUICK = (5.0, 45.0, 125.0, 225.0, 305.0)
+
+WORKLOADS = ("YCSB-RO", "YCSB-BA", "TPC-C")
 
 WORKERS = 16
 
@@ -45,8 +47,16 @@ def _cell(workload_name: str, db_gb: float, memory_mode: bool, eff) -> Cell:
                      workload_name, db_gb, **kwargs)
 
 
-def run(quick: bool = True, jobs: int = 1) -> ExperimentResult:
+def cells(quick: bool) -> dict:
     eff = effort(quick)
+    sizes = DB_SIZES_QUICK if quick else DB_SIZES_FULL
+    return {(workload, memory_mode, db_gb): _cell(workload, db_gb,
+                                                  memory_mode, eff)
+            for workload in WORKLOADS for memory_mode in (False, True)
+            for db_gb in sizes}
+
+
+def reduce(quick: bool, runs: dict) -> ExperimentResult:
     sizes = DB_SIZES_QUICK if quick else DB_SIZES_FULL
     result = ExperimentResult(
         "fig5", "Benefits of NVM and App-Direct Mode (throughput, 16 workers)"
@@ -56,14 +66,7 @@ def run(quick: bool = True, jobs: int = 1) -> ExperimentResult:
         nvm_ssd_buffer_gb=NVM_SSD_SHAPE.nvm_gb,
         workers=WORKERS,
     )
-    batch = CellBatch()
-    for workload in ("YCSB-RO", "YCSB-BA", "TPC-C"):
-        for memory_mode in (False, True):
-            for db_gb in sizes:
-                batch.add((workload, memory_mode, db_gb),
-                          _cell(workload, db_gb, memory_mode, eff))
-    runs = batch.run(jobs)
-    for workload in ("YCSB-RO", "YCSB-BA", "TPC-C"):
+    for workload in WORKLOADS:
         for memory_mode in (False, True):
             label = f"{workload}/{'DRAM-SSD(mem)' if memory_mode else 'NVM-SSD'}"
             series = result.new_series(label)
@@ -71,7 +74,7 @@ def run(quick: bool = True, jobs: int = 1) -> ExperimentResult:
                 series.add(db_gb, runs[(workload, memory_mode, db_gb)]
                            .throughput_at(WORKERS))
     # Headline comparison the paper calls out.
-    for workload in ("YCSB-RO", "YCSB-BA", "TPC-C"):
+    for workload in WORKLOADS:
         nvm = result.series[f"{workload}/NVM-SSD"]
         mem = result.series[f"{workload}/DRAM-SSD(mem)"]
         largest = sizes[-1]

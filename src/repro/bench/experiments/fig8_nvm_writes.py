@@ -24,16 +24,18 @@ from .common import (
 WORKLOADS = ("YCSB-RO", "YCSB-BA", "YCSB-WH")
 
 
-def run(quick: bool = True, jobs: int = 1) -> ExperimentResult:
-    eff = effort(quick)
+def cells(quick: bool) -> dict:
+    return policy_sweep("N", WORKLOADS, effort(quick))
+
+
+def reduce(quick: bool, runs: dict) -> ExperimentResult:
     result = ExperimentResult(
         "fig8", "Impact of Bypassing NVM on Writes to NVM (write volume, GB)"
     )
     result.metadata.update(
         dram_gb=POLICY_SHAPE.dram_gb, nvm_gb=POLICY_SHAPE.nvm_gb,
-        db_gb=POLICY_DB_GB, measure_ops=eff.measure_ops,
+        db_gb=POLICY_DB_GB, measure_ops=effort(quick).measure_ops,
     )
-    runs = policy_sweep("N", WORKLOADS, eff, jobs)
     for workload in WORKLOADS:
         series = result.new_series(workload)
         for n in SWEEP_PROBS:

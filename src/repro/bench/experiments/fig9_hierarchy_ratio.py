@@ -14,30 +14,29 @@ from __future__ import annotations
 from ...core.policy import MigrationPolicy
 from ...hardware.pricing import HierarchyShape
 from ..reporting import ExperimentResult
-from .common import SWEEP_PROBS, Cell, CellBatch, effort
+from .common import SWEEP_PROBS, Cell, effort
 
 NVM_GB = 10.0
 DRAM_SIZES = (1.25, 2.5, 5.0)
 DB_GB = 40.0
 
 
-def run(quick: bool = True, jobs: int = 1) -> ExperimentResult:
-    eff = effort(quick)
+def cells(quick: bool) -> dict:
+    return {
+        (dram_gb, d): Cell.ycsb(
+            f"dram={dram_gb:g}/D={d}",
+            HierarchyShape(dram_gb=dram_gb, nvm_gb=NVM_GB, ssd_gb=100.0),
+            MigrationPolicy(d_r=d, d_w=d, n_r=1.0, n_w=1.0),
+            "YCSB-RO", DB_GB, effort=effort(quick))
+        for dram_gb in DRAM_SIZES for d in SWEEP_PROBS
+    }
+
+
+def reduce(quick: bool, runs: dict) -> ExperimentResult:
     result = ExperimentResult(
         "fig9", "Impact of Storage Hierarchy (D sweep per DRAM:NVM ratio)"
     )
     result.metadata.update(nvm_gb=NVM_GB, db_gb=DB_GB, workload="YCSB-RO")
-    batch = CellBatch()
-    for dram_gb in DRAM_SIZES:
-        shape = HierarchyShape(dram_gb=dram_gb, nvm_gb=NVM_GB, ssd_gb=100.0)
-        for d in SWEEP_PROBS:
-            policy = MigrationPolicy(d_r=d, d_w=d, n_r=1.0, n_w=1.0)
-            batch.add(
-                (dram_gb, d),
-                Cell.ycsb(f"dram={dram_gb:g}/D={d}", shape, policy,
-                          "YCSB-RO", DB_GB, effort=eff),
-            )
-    runs = batch.run(jobs)
     for dram_gb in DRAM_SIZES:
         ratio = int(round(NVM_GB / dram_gb))
         series = result.new_series(f"1:{ratio}")

@@ -20,7 +20,7 @@ from ...core.policy import HYMEM_POLICY
 from ...hardware.specs import DEFAULT_SCALE
 from ...pages.granularity import OPTANE_LOADING_UNIT
 from ..reporting import ExperimentResult
-from .common import HYMEM_DB_GB, HYMEM_SHAPE, Cell, CellBatch, effort
+from .common import HYMEM_DB_GB, HYMEM_SHAPE, Cell, effort
 
 #: Queue size as a fraction of the NVM buffer's page count.
 QUEUE_FRACTIONS = (0.031, 0.125, 0.5, 1.0, 2.0)
@@ -28,8 +28,29 @@ QUEUE_FRACTIONS = (0.031, 0.125, 0.5, 1.0, 2.0)
 WORKERS = 16
 
 
-def run(quick: bool = True, jobs: int = 1) -> ExperimentResult:
-    eff = effort(quick)
+def _cell(workload: str, fraction: float, eff) -> Cell:
+    # The NVM buffer's page count, computable without building devices.
+    nvm_pages = DEFAULT_SCALE.pages(HYMEM_SHAPE.nvm_gb)
+    config = BufferManagerConfig(
+        fine_grained=True, mini_pages=False,
+        loading_unit=OPTANE_LOADING_UNIT,
+        admission_queue_size=max(1, int(nvm_pages * fraction)),
+    )
+    label = f"{workload}/q={fraction:g}"
+    if workload == "TPC-C":
+        return Cell.tpcc(label, HYMEM_SHAPE, HYMEM_POLICY, HYMEM_DB_GB,
+                         effort=eff, bm_config=config)
+    return Cell.ycsb(label, HYMEM_SHAPE, HYMEM_POLICY, "YCSB-RO",
+                     HYMEM_DB_GB, effort=eff, bm_config=config)
+
+
+def cells(quick: bool) -> dict:
+    return {(workload, fraction): _cell(workload, fraction, effort(quick))
+            for workload in ("YCSB-RO", "TPC-C")
+            for fraction in QUEUE_FRACTIONS}
+
+
+def reduce(quick: bool, runs: dict) -> ExperimentResult:
     result = ExperimentResult(
         "queue_size", "HyMem Admission Queue Size (§6.5 sizing experiment)"
     )
@@ -37,25 +58,6 @@ def run(quick: bool = True, jobs: int = 1) -> ExperimentResult:
         dram_gb=HYMEM_SHAPE.dram_gb, nvm_gb=HYMEM_SHAPE.nvm_gb,
         db_gb=HYMEM_DB_GB, workers=WORKERS,
     )
-    # The NVM buffer's page count, computable without building devices.
-    nvm_pages = DEFAULT_SCALE.pages(HYMEM_SHAPE.nvm_gb)
-    batch = CellBatch()
-    for workload in ("YCSB-RO", "TPC-C"):
-        for fraction in QUEUE_FRACTIONS:
-            config = BufferManagerConfig(
-                fine_grained=True, mini_pages=False,
-                loading_unit=OPTANE_LOADING_UNIT,
-                admission_queue_size=max(1, int(nvm_pages * fraction)),
-            )
-            label = f"{workload}/q={fraction:g}"
-            if workload == "TPC-C":
-                cell = Cell.tpcc(label, HYMEM_SHAPE, HYMEM_POLICY,
-                                 HYMEM_DB_GB, effort=eff, bm_config=config)
-            else:
-                cell = Cell.ycsb(label, HYMEM_SHAPE, HYMEM_POLICY, "YCSB-RO",
-                                 HYMEM_DB_GB, effort=eff, bm_config=config)
-            batch.add((workload, fraction), cell)
-    runs = batch.run(jobs)
     for workload in ("YCSB-RO", "TPC-C"):
         series = result.new_series(workload)
         for fraction in QUEUE_FRACTIONS:

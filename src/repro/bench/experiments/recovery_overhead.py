@@ -75,8 +75,11 @@ def _one_config(label: str, operations: int) -> dict[str, float]:
     }
 
 
-def run(quick: bool = True, jobs: int = 1) -> ExperimentResult:
-    del jobs  # crash/recover pairs mutate shared state; serial only
+def cells(quick: bool) -> dict:
+    return {}  # crash/recover pairs run here, in reduce
+
+
+def reduce(quick: bool, runs: dict) -> ExperimentResult:
     operations = OPS_QUICK if quick else OPS_FULL
     result = ExperimentResult(
         "recovery", "Recovery Overhead: DRAM-SSD vs DRAM-NVM-SSD (§6.2 claim)"

@@ -16,31 +16,29 @@ from ...core.policy import SPITFIRE_LAZY
 from ...hardware.pricing import HierarchyShape
 from ...workloads.ycsb import YCSB_BA, YCSB_RO
 from ..reporting import ExperimentResult
-from .common import Cell, CellBatch, effort
+from .common import Cell, effort
 
 SHAPE = HierarchyShape(dram_gb=4.0, nvm_gb=16.0, ssd_gb=100.0)
 DB_GB = 50.0
 POLICIES = ("clock", "lru", "fifo")
 
 
-def run(quick: bool = True, jobs: int = 1) -> ExperimentResult:
-    eff = effort(quick)
+def cells(quick: bool) -> dict:
+    return {
+        (mix.name, replacement): Cell.ycsb(
+            f"{mix.name}/{replacement}", SHAPE, SPITFIRE_LAZY, mix.name,
+            DB_GB, skew=0.6, effort=effort(quick),
+            bm_config=BufferManagerConfig(replacement=replacement))
+        for mix in (YCSB_RO, YCSB_BA) for replacement in POLICIES
+    }
+
+
+def reduce(quick: bool, runs: dict) -> ExperimentResult:
     result = ExperimentResult(
         "replacement", "Replacement-Policy Ablation (CLOCK vs LRU vs FIFO)"
     )
     result.metadata.update(dram_gb=SHAPE.dram_gb, nvm_gb=SHAPE.nvm_gb,
                            db_gb=DB_GB, skew=0.6)
-    batch = CellBatch()
-    for mix in (YCSB_RO, YCSB_BA):
-        for replacement in POLICIES:
-            batch.add(
-                (mix.name, replacement),
-                Cell.ycsb(f"{mix.name}/{replacement}", SHAPE, SPITFIRE_LAZY,
-                          mix.name, DB_GB, skew=0.6, effort=eff,
-                          bm_config=BufferManagerConfig(
-                              replacement=replacement)),
-            )
-    runs = batch.run(jobs)
     for mix in (YCSB_RO, YCSB_BA):
         series = result.new_series(mix.name)
         for replacement in POLICIES:

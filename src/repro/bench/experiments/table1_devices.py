@@ -11,8 +11,11 @@ from ...hardware.specs import DEFAULT_SPECS, Tier
 from ..reporting import ExperimentResult
 
 
-def run(quick: bool = True, jobs: int = 1) -> ExperimentResult:
-    del jobs  # a static table; nothing to parallelise
+def cells(quick: bool) -> dict:
+    return {}  # a static table
+
+
+def reduce(quick: bool, runs: dict) -> ExperimentResult:
     result = ExperimentResult("table1", "Device Characteristics (Table 1)")
     result.metadata["source"] = "transcribed from the paper"
     rows = {

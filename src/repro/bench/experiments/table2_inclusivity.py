@@ -23,8 +23,11 @@ from .common import (
 WORKLOADS = ("YCSB-RO", "YCSB-BA", "YCSB-WH", "TPC-C")
 
 
-def run(quick: bool = True, jobs: int = 1) -> ExperimentResult:
-    eff = effort(quick)
+def cells(quick: bool) -> dict:
+    return policy_sweep("DN", WORKLOADS, effort(quick))
+
+
+def reduce(quick: bool, runs: dict) -> ExperimentResult:
     result = ExperimentResult(
         "table2", "Inclusivity Ratio of DRAM & NVM Buffers"
     )
@@ -32,7 +35,6 @@ def run(quick: bool = True, jobs: int = 1) -> ExperimentResult:
         dram_gb=POLICY_SHAPE.dram_gb, nvm_gb=POLICY_SHAPE.nvm_gb,
         db_gb=POLICY_DB_GB,
     )
-    runs = policy_sweep("DN", WORKLOADS, eff, jobs)
     for workload in WORKLOADS:
         series = result.new_series(f"Bypassing DRAM (D)/{workload}")
         for d in SWEEP_PROBS:

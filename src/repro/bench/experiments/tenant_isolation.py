@@ -27,7 +27,7 @@ from ...core.policy import SPITFIRE_LAZY
 from ...hardware.pricing import HierarchyShape
 from ...workloads.tenancy import TenantSpec
 from ..reporting import ExperimentResult
-from .common import Cell, CellBatch, effort
+from .common import Cell, effort
 
 #: 2 GB DRAM / 8 GB NVM — small enough that the scan tenant's uniform
 #: working set cannot fit and must churn whatever tier it is allowed to.
@@ -55,8 +55,16 @@ SCENARIOS = (
 SHARES = (0.5, 0.5)
 
 
-def run(quick: bool = True, jobs: int = 1) -> ExperimentResult:
-    eff = effort(quick)
+def cells(quick: bool) -> dict:
+    return {
+        name: Cell.multi_tenant(
+            name, SHAPE, SPITFIRE_LAZY, tenants, quota_mode=quota_mode,
+            shares=SHARES if len(tenants) > 1 else (), effort=effort(quick))
+        for name, tenants, quota_mode in SCENARIOS
+    }
+
+
+def reduce(quick: bool, runs: dict) -> ExperimentResult:
     result = ExperimentResult(
         "tenants", "Multi-tenant isolation: noisy neighbor vs frame quotas"
     )
@@ -65,15 +73,6 @@ def run(quick: bool = True, jobs: int = 1) -> ExperimentResult:
         oltp_db_gb=OLTP.db_gigabytes, scan_db_gb=SCAN.db_gigabytes,
         scan_weight=SCAN.weight, shares=list(SHARES),
     )
-    batch = CellBatch()
-    for name, tenants, quota_mode in SCENARIOS:
-        shares = SHARES if len(tenants) > 1 else ()
-        batch.add(name, Cell.multi_tenant(
-            name, SHAPE, SPITFIRE_LAZY, tenants,
-            quota_mode=quota_mode, shares=shares, effort=eff,
-        ))
-    runs = batch.run(jobs)
-
     for metric in ("p50_ns", "p99_ns", "mean_ns"):
         for tenant_id, tenant in ((0, "oltp"), (1, "scan")):
             series = result.new_series(f"{tenant} {metric}")

@@ -187,27 +187,30 @@ def _counter_families(registry, names: tuple[str, ...]) -> dict:
             for name, values in out.items() if values}
 
 
-def build_run_summary(experiments: list[dict], registry=None,
-                      telemetry: dict | None = None,
+def build_run_summary(experiments: list[dict], simulate_s: float = 0.0,
+                      registry=None, telemetry: dict | None = None,
                       generated_at: float | None = None) -> dict:
     """One JSON-able digest of a whole ``repro-experiments`` run.
 
     ``experiments`` carries one entry per figure —
     ``{"experiment_id", "title", "elapsed_s", "series", "points",
-    "cells", "reused"}`` (cells declared, and how many of them took a
-    result the run session already held) plus an optional
-    ``"decisions"`` digest (a
+    "cells", "reused"}`` (its ``reduce`` time, cells declared, and how
+    many of them an earlier figure or key already declared) plus an
+    optional ``"decisions"`` digest (a
     :meth:`~repro.obs.decisions.DecisionRecorder.summary`-shaped dict).
     ``registry`` is the merged :class:`~repro.obs.metrics.MetricsRegistry`
     when the run collected metrics; fault counters, tenant breakdowns,
     and decision histograms are folded out of it.  ``telemetry`` is a
     :meth:`~repro.bench.telemetry.ProgressAggregator.summary` dict.
+    ``simulate_s`` is the wall time of the suite's one batch of cells,
+    so ``total_elapsed_s`` is it plus every figure's ``elapsed_s``.
     """
     summary: dict = {
         "schema": "repro-run-summary/1",
         "experiments": [dict(entry) for entry in experiments],
-        "total_elapsed_s": round(
-            sum(entry.get("elapsed_s", 0.0) for entry in experiments), 3),
+        "simulate_s": round(simulate_s, 3),
+        "total_elapsed_s": round(simulate_s + sum(
+            entry.get("elapsed_s", 0.0) for entry in experiments), 3),
     }
     if generated_at is not None:
         summary["generated_at"] = generated_at
@@ -228,7 +231,8 @@ def render_run_summary(summary: dict) -> str:
     lines = ["== run report =="]
     experiments = summary.get("experiments", [])
     if experiments:
-        width = max(len(e["experiment_id"]) for e in experiments) + 2
+        width = max(len("simulate"),
+                    *(len(e["experiment_id"]) for e in experiments)) + 2
         lines.append(f"{'figure':<{width}}{'wall':>9}  {'series':>6}  "
                      f"{'points':>6}  {'cells':>5}  {'reused':>6}  title")
         for entry in experiments:
@@ -241,6 +245,8 @@ def render_run_summary(summary: dict) -> str:
                 f"  {entry.get('reused', 0):>6}"
                 f"  {entry.get('title', '')}"
             )
+        lines.append(f"{'simulate':<{width}}"
+                     f"{summary.get('simulate_s', 0.0):>8.1f}s")
         lines.append(f"{'total':<{width}}"
                      f"{summary.get('total_elapsed_s', 0.0):>8.1f}s")
     for entry in experiments:

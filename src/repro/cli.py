@@ -34,16 +34,14 @@ and writes the merged metrics as Prometheus text exposition (plus a
 ``.jsonl`` snapshot stream next to it); the figure JSON itself is
 byte-identical with or without metrics attached.
 
-With more than one experiment selected, the whole run becomes a
-**suite session**: a cell that several figures declare (Table 2's
-grid is Figs. 6-8's) is simulated once and its result handed to each.
-With ``--jobs N`` one persistent worker pool is also created and
-warmed up front, and every experiment's cells flow through it —
-several experiment drivers run concurrently, so the pool queue holds
-cells from multiple figures at once and one figure's straggler tail
-overlaps the next figure's start.  Output (tables, JSON files, metrics
-exports) is printed and written in paper order and stays byte-identical
-to running each experiment alone.
+The chosen experiments run as **one suite**: the union of every
+figure's declared cells is one batch (``--jobs N`` fans it over one
+persistent worker pool), so a cell that several figures declare
+(Table 2's grid is Figs. 6-8's) is simulated once and its result handed
+to each.  Once the batch ends, each figure reduces its results, then
+prints and saves, in paper order; ``--live`` is how to watch the batch
+progress.  Output (tables, JSON files, metrics exports) stays
+byte-identical to running each experiment alone.
 
 The ``chaos`` subcommand runs the crash-consistency matrix instead of
 an experiment: every consistency-relevant boundary of a deterministic
@@ -56,8 +54,8 @@ The live telemetry plane rides strictly out-of-band of all of this:
 ops/s, ETA) to stderr; ``--trace-decisions FRAC`` records a sampled
 trace of the migration engine's admit/deny decisions;
 ``--metrics-port PORT`` serves the merged Prometheus registry over HTTP
-*while the run executes* and asserts the final scrape is byte-for-byte
-the file export; the ``report`` subcommand renders the
+(filled once the batch ends) and asserts the final scrape is
+byte-for-byte the file export; the ``report`` subcommand renders the
 ``run_summary.json`` a run leaves under ``--out`` and diffs two
 ``BENCH_repro.json``-style wall-clock reports into a regression table.
 None of it changes result bytes — ``check_golden_figures.py
@@ -69,7 +67,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import contextvars
 import dataclasses
 import json
 import math
@@ -78,7 +75,7 @@ import time
 from functools import partial
 from pathlib import Path
 
-from .bench.experiments import REGISTRY
+from .bench.experiments import REGISTRY, selection_error
 from .core.policy import POLICY_PRESETS
 
 #: The subcommands; a command line that starts with anything else is
@@ -299,12 +296,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _run(parser, args) -> int:
     """``repro-experiments [run]``: regenerate tables and figures.
 
-    With ``--metrics-port`` the merged registry of every cell finished
-    so far is served over HTTP while the run executes.  The endpoint
-    renders the per-experiment sinks in paper order — the same list the
-    file export merges — so after the run the final scrape is asserted
-    byte-for-byte equal to the file export (``--metrics-out``) or to
-    the in-memory rendering, and a mismatch fails the command.
+    With ``--metrics-port`` the merged registry of every figure reduced
+    so far is served over HTTP: it fills once the batch ends, in paper
+    order — the same list the file export merges — so after the run the
+    final scrape is asserted byte-for-byte equal to the file export
+    (``--metrics-out``) or to the in-memory rendering, and a mismatch
+    fails the command.
     """
     if args.list:
         if args.experiments or args.all:
@@ -313,39 +310,42 @@ def _run(parser, args) -> int:
             print(experiment_id)
         return 0
 
-    chosen = _resolve_chosen(parser, args)
+    chosen = list(REGISTRY) if args.all else args.experiments
+    if not chosen:
+        parser.error("no experiments selected (use ids, --all, or --list)")
+    error = selection_error(chosen)
+    if error:
+        parser.error(error)
     options = options_from_args(parser, args)
 
-    from .bench import executor
+    from .bench.executor import run_options
 
     endpoint = args.metrics_port is not None
     collect = bool(args.metrics_out or args.decision_trace_out or endpoint)
-    # One metrics sink per experiment, filled in paper order.
-    sinks: list[list] = [[] for _ in chosen]
+    sink: list = []
     aggregator = None
     with contextlib.ExitStack() as stack:
-        stack.enter_context(executor.run_options(options))
+        stack.enter_context(run_options(options, collect_metrics=collect))
         if args.live:
             aggregator = _attach_live(stack)
         if endpoint:
             from .obs.server import MetricsServer
 
             server = stack.enter_context(MetricsServer(
-                lambda: _prometheus_text(_concat(sinks)),
+                lambda: _prometheus_text(list(sink)),
                 host=args.metrics_host, port=args.metrics_port))
             print(f"   serving live metrics at {server.url}")
-        records = _run_experiments(chosen, args, sinks, collect)
+        records, simulate_s = _run_experiments(chosen, args, sink)
         if endpoint:
             final_scrape = server.scrape()
             served = server.requests_served
-    sink = _concat(sinks)
     if args.metrics_out:
         _export_metrics(args.metrics_out, sink)
     if args.decision_trace_out:
         _export_decision_traces(args.decision_trace_out, sink)
     if args.out:
-        _write_run_summary(args.out, records, sink if collect else None,
-                           aggregator)
+        _write_run_summary(args.out, records, simulate_s,
+                           sink if collect else None, aggregator)
     if not endpoint:
         return 0
     expected = (Path(args.metrics_out).read_text() if args.metrics_out
@@ -355,19 +355,6 @@ def _run(parser, args) -> int:
           f"{'==' if matches else '!='} "
           f"{'file export' if args.metrics_out else 'merged registry'}")
     return 0 if matches else 1
-
-
-def _resolve_chosen(parser, args) -> list[str]:
-    chosen = list(REGISTRY) if args.all else args.experiments
-    if not chosen:
-        parser.error("no experiments selected (use ids, --all, or --list)")
-    unknown = [e for e in chosen if e not in REGISTRY]
-    if unknown:
-        parser.error(
-            f"unknown experiment(s): {', '.join(unknown)}; "
-            f"choose from {', '.join(REGISTRY)}"
-        )
-    return chosen
 
 
 def options_from_args(parser, args):
@@ -402,12 +389,6 @@ def _attach_live(stack: contextlib.ExitStack):
     return aggregator
 
 
-def _concat(sinks: list[list]) -> list:
-    """The per-experiment sinks as one ``(label, RunResult)`` list, in
-    paper order (each copied, so a sink may grow while it is read)."""
-    return [pair for sink in sinks for pair in list(sink)]
-
-
 def _prometheus_text(sink) -> str:
     from .obs.export import merge_snapshots, prometheus_text
 
@@ -415,81 +396,51 @@ def _prometheus_text(sink) -> str:
                                            for _, result in sink))
 
 
-def _run_experiments(chosen: list[str], args, sinks: list[list],
-                     collect: bool) -> list:
-    """Run the selected experiments; returns one summary record each.
+def _run_experiments(chosen: list[str], args,
+                     sink: list) -> tuple[list, float]:
+    """Run the selected experiments as one suite; returns one summary
+    record each, and the batch's wall time.
 
-    With ``collect``, experiment ``i`` gathers its cells' metrics into
-    ``sinks[i]`` (``(label, RunResult)`` pairs, filled as its batches
-    finish).  A record holds id, title, wall time, series/point counts,
-    cells declared and reused, and decision digest, for the run summary.
-
-    One experiment runs inline.  Several open a suite-wide run session,
-    which simulates each distinct cell once; with ``--jobs N`` its
-    persistent pool is warmed once, then a few driver threads walk the
-    experiment list concurrently so the shared pool schedules cells
-    from multiple figures as one batch.  Each driver collects metrics
-    into its own per-experiment sink; concatenating the sinks in paper
-    order makes the merged export byte-identical to a sequential run.
+    The union of their cells is one batch (a cell several figures
+    declare is simulated once); then each figure, in paper order, is
+    reduced, printed and saved, and — when metrics are collected — its
+    ``(label, RunResult)`` pairs are appended to ``sink``.  A record
+    holds id, title, reduce time, series/point counts, cells declared
+    and reused, and decision digest, for the run summary.
     """
-    from .bench import executor
+    from .bench.experiments import run_suite
 
-    quick = not args.full
+    figures, simulate_s = run_suite([REGISTRY[e] for e in chosen],
+                                    quick=not args.full, jobs=args.jobs)
     records: list = []
-
-    def drive(index: int, experiment_id: str):
-        started = time.time()
-        with contextlib.ExitStack() as scope:
-            tally = scope.enter_context(executor.cell_tally())
-            if collect:
-                sinks[index] = scope.enter_context(
-                    executor.metrics_collection())
-            result = REGISTRY[experiment_id](quick=quick, jobs=args.jobs)
+    for experiment_id, figure in zip(chosen, figures):
+        result = figure.result
         record = {
             "experiment_id": experiment_id,
             "title": result.title,
-            "elapsed_s": round(time.time() - started, 3),
+            "elapsed_s": figure.elapsed_s,
             "series": len(result.series),
             "points": sum(len(s.points) for s in result.series.values()),
-            **tally,
+            "cells": len(figure.runs),
+            "reused": figure.reused,
         }
-        digest = _decision_digest(sinks[index])
+        collected = [pair for pair in figure.runs
+                     if pair[1].metrics is not None]
+        sink.extend(collected)
+        digest = _decision_digest(collected)
         if digest is not None:
             record["decisions"] = digest
-        return result, record
-
-    def emit(experiment_id: str, result, record: dict) -> None:
         records.append(record)
         print(result.render())
-        print(f"   [{experiment_id} took {record['elapsed_s']:.1f}s]\n")
+        print(f"   [{experiment_id} took {figure.elapsed_s:.1f}s]\n")
         if args.out:
             path = result.save_json(args.out)
             print(f"   saved {path}")
-
-    if len(chosen) == 1:
-        emit(chosen[0], *drive(0, chosen[0]))
-        return records
-    with executor.run_session(jobs=args.jobs) as session:
-        if args.jobs > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            # Each driver runs in a copy of this thread's context, so
-            # per-driver metrics scopes stay isolated while inheriting
-            # any ambient scopes entered before the session.
-            drivers = min(len(chosen), max(2, args.jobs))
-            with ThreadPoolExecutor(max_workers=drivers) as threads:
-                futures = [
-                    threads.submit(contextvars.copy_context().run, drive,
-                                   index, experiment_id)
-                    for index, experiment_id in enumerate(chosen)
-                ]
-                for experiment_id, future in zip(chosen, futures):
-                    emit(experiment_id, *future.result())
-        else:
-            for index, experiment_id in enumerate(chosen):
-                emit(experiment_id, *drive(index, experiment_id))
-    print(f"   [{session.describe()}]")
-    return records
+    reused = sum(record["reused"] for record in records)
+    simulated = sum(record["cells"] for record in records) - reused
+    print(f"   [{simulated} cells simulated, {reused} reused: "
+          f"the batch took {simulate_s:.1f}s]")
+    return records, simulate_s
 
 
 def _decision_digest(sink) -> dict | None:
@@ -562,8 +513,8 @@ def _export_decision_traces(out_path: str, sink) -> None:
           f"-> {path}")
 
 
-def _write_run_summary(out_dir: str, records: list, sink,
-                       aggregator) -> None:
+def _write_run_summary(out_dir: str, records: list, simulate_s: float,
+                       sink, aggregator) -> None:
     """Drop ``run_summary.json`` next to the per-figure JSON files."""
     from .bench.reporting import build_run_summary
     from .obs.export import merge_snapshots
@@ -572,7 +523,7 @@ def _write_run_summary(out_dir: str, records: list, sink,
     if sink is not None:
         registry = merge_snapshots(result.metrics for _, result in sink)
     summary = build_run_summary(
-        records, registry=registry,
+        records, simulate_s=simulate_s, registry=registry,
         telemetry=aggregator.summary() if aggregator is not None else None,
         generated_at=time.time(),
     )
@@ -600,16 +551,12 @@ def _chaos(parser, args) -> int:
             f"choose from {', '.join(POLICIES)}"
         )
 
-    from .bench import executor
-
     started = time.time()
-    # The crash matrix shares the suite's persistent pool: a session
-    # warms it once up front, then every CrashCase flows through it as
-    # chunked tasks (the report stays byte-identical at any --jobs).
+    # Every CrashCase is one chunked run_tasks batch over the persistent
+    # pool (the report stays byte-identical at any --jobs).
     with contextlib.ExitStack() as stack:
         if args.live:
             _attach_live(stack)
-        stack.enter_context(executor.run_session(jobs=args.jobs))
         report = run_crash_matrix(
             policies=tuple(args.policies),
             seeds=tuple(args.seeds),

@@ -121,6 +121,21 @@ def enumerate_shapes(
     ]
 
 
+def rank_designs(workload_name: str, runs) -> DesignResult:
+    """Rank measured candidates by perf/price.
+
+    ``runs`` holds ``(shape, RunResult)`` pairs; each result is read at
+    :data:`FIG14_WORKERS` workers and priced at Table 1's prices.
+    """
+    result = DesignResult(workload_name)
+    for shape, run in runs:
+        cost = hierarchy_cost(shape)
+        throughput = run.throughput_at(FIG14_WORKERS)
+        result.points.append(DesignPoint(
+            shape, cost, throughput, performance_per_price(throughput, cost)))
+    return result
+
+
 def grid_search(
     workload_name: str,
     cell_factory: Callable[[HierarchyShape, MigrationPolicy], "object"],
@@ -133,8 +148,8 @@ def grid_search(
     ``cell_factory`` receives a shape and the policy ``policy_chooser``
     picks for it, and returns the :class:`repro.bench.executor.Cell`
     that measures it (workload, effort, scale).  All cells run through
-    :func:`repro.bench.executor.run_cells` with ``jobs`` processes, and
-    each is read at :data:`FIG14_WORKERS` workers.
+    :func:`repro.bench.executor.run_cells` with ``jobs`` processes, then
+    :func:`rank_designs` ranks them.
     """
     # Deferred import: the bench package imports this module.
     from ..bench.executor import run_cells
@@ -142,14 +157,4 @@ def grid_search(
     shapes = list(shapes or enumerate_shapes())
     runs = run_cells([cell_factory(shape, policy_chooser(shape))
                       for shape in shapes], jobs=jobs)
-    result = DesignResult(workload_name)
-    for shape, run in zip(shapes, runs):
-        cost = hierarchy_cost(shape)
-        throughput = run.throughput_at(FIG14_WORKERS)
-        result.points.append(DesignPoint(
-            shape=shape,
-            cost_dollars=cost,
-            throughput=throughput,
-            perf_per_price=performance_per_price(throughput, cost),
-        ))
-    return result
+    return rank_designs(workload_name, zip(shapes, runs))

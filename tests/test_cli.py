@@ -2,10 +2,11 @@
 
 import json
 import re
+from types import SimpleNamespace
 
 import pytest
 
-from repro.bench.executor import Cell, Effort, run_cells
+from repro.bench.executor import Cell, Effort
 from repro.bench.experiments import REGISTRY
 from repro.bench.reporting import ExperimentResult
 from repro.cli import COMMANDS, main
@@ -15,24 +16,24 @@ from repro.hardware.specs import SimulationScale
 
 
 def tiny_experiment(name: str, index: int):
-    """A registry entry running two small cells of its own."""
+    """A registry entry declaring two small cells of its own."""
+    cells = {
+        cell: Cell.ycsb(f"{name}/{cell}", HierarchyShape(2.0, 8.0, 100.0),
+                        SPITFIRE_LAZY, "YCSB-BA", 25.0,
+                        effort=Effort(300, 600),
+                        scale=SimulationScale(pages_per_gb=8),
+                        workload_seed=3 + index + cell)
+        for cell in range(2)
+    }
 
-    def run(quick=True, jobs=1):
-        cells = [
-            Cell.ycsb(f"{name}/{cell}", HierarchyShape(2.0, 8.0, 100.0),
-                      SPITFIRE_LAZY, "YCSB-BA", 25.0,
-                      effort=Effort(300, 600),
-                      scale=SimulationScale(pages_per_gb=8),
-                      workload_seed=3 + 2 * index + cell)
-            for cell in range(2)
-        ]
+    def reduce(quick, runs):
         result = ExperimentResult(name, f"Tiny CLI check {name}")
         series = result.new_series("ops/s")
-        for run_result in run_cells(cells, jobs=jobs):
+        for run_result in runs.values():
             series.add(run_result.label, run_result.throughput)
         return result
 
-    return run
+    return SimpleNamespace(cells=lambda quick: cells, reduce=reduce)
 
 
 class TestListing:
@@ -99,6 +100,28 @@ class TestTelemetryPlane:
             == [(2, 0), (2, 2)]
         assert (tmp_path / "tiny_a.json").read_text().replace("tiny_a", "X") \
             == (tmp_path / "tiny_b.json").read_text().replace("tiny_b", "X")
+        assert summary["simulate_s"] >= 0
+        assert summary["total_elapsed_s"] == pytest.approx(
+            summary["simulate_s"] + sum(e["elapsed_s"]
+                                        for e in summary["experiments"]),
+            abs=1e-3)
+
+    def test_suite_output_is_jobs_invariant(self, tmp_path, capsys,
+                                            monkeypatch):
+        # Two experiments sharing one of their two cells each: the figure
+        # JSONs and both metrics exports are byte-identical at any --jobs.
+        monkeypatch.setitem(REGISTRY, "tiny_a", tiny_experiment("tiny_a", 0))
+        monkeypatch.setitem(REGISTRY, "tiny_b", tiny_experiment("tiny_b", 1))
+        for jobs in ("1", "2"):
+            out = tmp_path / jobs
+            assert main(["tiny_a", "tiny_b", "--jobs", jobs, "--out",
+                         str(out), "--metrics-out",
+                         str(out / "metrics.prom")]) == 0
+            assert "3 cells simulated, 1 reused" in capsys.readouterr().out
+        for name in ("tiny_a.json", "tiny_b.json", "metrics.prom",
+                     "metrics.jsonl"):
+            assert (tmp_path / "1" / name).read_bytes() \
+                == (tmp_path / "2" / name).read_bytes(), name
 
     def test_report_renders_run_summary(self, tmp_path, capsys):
         assert main(["table1", "--out", str(tmp_path)]) == 0
@@ -124,8 +147,8 @@ class TestTelemetryPlane:
 
     def test_metrics_port_final_scrape_matches_export(self, tmp_path,
                                                       capsys, monkeypatch):
-        # Two experiments on a suite session: the endpoint renders the
-        # per-experiment sinks in paper order, as the file export does.
+        # Two experiments in one suite: the endpoint renders the
+        # per-experiment results in paper order, as the file export does.
         for index, name in enumerate(("tiny_a", "tiny_b")):
             monkeypatch.setitem(REGISTRY, name, tiny_experiment(name, index))
         argv = ["tiny_a", "tiny_b", "--jobs", "2", "--metrics-out"]
@@ -233,6 +256,8 @@ class TestBadInput:
         ["chaos", "--read-error-rate", "2"],
         ["chaos", "--write-error-rate", "nan"],
         ["fig6", "--jobs", "0"],
+        ["table1", "table1"],
+        ["run", "table1", "recovery", "table1"],
         ["run", "--metrics-port", "70000", "table1"],
         ["serve", "--port", "70000"],
         ["serve", "--metrics-port", "-1"],

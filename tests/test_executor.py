@@ -11,20 +11,25 @@ from __future__ import annotations
 
 import json
 import pickle
+from types import SimpleNamespace
 
 import pytest
 
 from repro.bench.executor import (
     QUICK,
     Cell,
-    CellBatch,
     CellExecutionError,
     Effort,
     WorkloadSpec,
     run_cell,
     run_cells,
 )
-from repro.bench.experiments import fig6_bypass_dram
+from repro.bench.experiments import (
+    REGISTRY,
+    fig6_bypass_dram,
+    run_suite,
+    selection_error,
+)
 from repro.core.policy import SPITFIRE_LAZY
 from repro.hardware.pricing import HierarchyShape
 
@@ -74,8 +79,8 @@ class TestDeterminism:
         from the pickled cell spec, so the patch proves the spec alone
         determines the result."""
         monkeypatch.setattr(fig6_bypass_dram, "effort", lambda quick: TINY)
-        one = fig6_bypass_dram.run(quick=True, jobs=1)
-        four = fig6_bypass_dram.run(quick=True, jobs=4)
+        one = REGISTRY["fig6"](quick=True, jobs=1)
+        four = REGISTRY["fig6"](quick=True, jobs=4)
         assert json.dumps(one.to_dict(), sort_keys=True) == \
                json.dumps(four.to_dict(), sort_keys=True)
 
@@ -105,20 +110,23 @@ class TestErrors:
         assert "doomed" in str(excinfo.value)
 
     def test_duplicate_batch_key_rejected(self):
-        batch = CellBatch()
-        batch.add("k", tiny_cell())
-        with pytest.raises(ValueError):
-            batch.add("k", tiny_cell())
+        # A suite's batch is keyed by experiment id: one named twice is
+        # refused, while equal cells are one key of its union.
+        assert "fig6 named twice" in selection_error(["fig6", "table1",
+                                                      "fig6"])
+        assert selection_error(["fig6", "table1"]) is None
 
 
 class TestBatch:
     def test_batch_maps_keys_to_results(self):
-        batch = CellBatch()
-        batch.add("a", tiny_cell("a"))
-        batch.add("b", tiny_cell("b"))
-        runs = batch.run(jobs=1)
+        declared = {"a": tiny_cell("a"), "b": tiny_cell("b")}
+        experiment = SimpleNamespace(cells=lambda quick: declared,
+                                     reduce=lambda quick, runs: runs)
+        (figure,), _ = run_suite([experiment])
+        runs = figure.result
         assert set(runs) == {"a", "b"}
-        assert runs["a"].throughput == runs["b"].throughput
+        # Equal cells under two keys are one simulation.
+        assert runs["a"] is runs["b"] and figure.reused == 1
 
     def test_quick_effort_is_smaller(self):
         assert TINY.measure_ops < QUICK.measure_ops

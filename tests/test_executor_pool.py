@@ -1,6 +1,6 @@
 """The persistent worker pool: reuse, run-option transport, fallback.
 
-One session-scoped persistent pool serves every batch, and what a run
+One persistent pool serves every batch, and what a run
 attaches to its cells travels as one :class:`RunOptions` value inside
 each submission.  These tests pin the machinery down:
 
@@ -17,12 +17,10 @@ each submission.  These tests pin the machinery down:
 
 from __future__ import annotations
 
-import contextvars
 import dataclasses
 import functools
 import io
 import os
-import threading
 from multiprocessing.managers import BaseProxy
 
 import pytest
@@ -30,16 +28,13 @@ import pytest
 from repro.bench.executor import (
     CHUNKS_PER_WORKER,
     Cell,
-    CellBatch,
     Effort,
     _exec_chunk,
     _plan_chunks,
     current_options,
-    metrics_collection,
     pool_info,
     run_cells,
     run_options,
-    run_session,
     run_tasks,
     warm_pool,
 )
@@ -107,26 +102,6 @@ class TestPoolPersistence:
         run_tasks(_double, range(4), jobs=2)
         assert pool_info()["workers"] == grown["workers"]
 
-    @pool_required
-    def test_run_session_warms_and_counts(self):
-        with run_session(jobs=2) as session:
-            assert session.warmed
-            run_tasks(_double, range(6), jobs=2)
-            run_cells([tiny_cell("s0"), tiny_cell("s1", seed=4)], jobs=2)
-        assert session.items == 8
-        assert session.batches == 2
-        assert session.chunks >= 2
-        assert session.fallbacks == 0
-        assert "workers" in session.describe()
-
-    def test_session_serial_batches_counted(self):
-        with run_session(jobs=1) as session:
-            run_tasks(_double, range(3), jobs=1)
-        assert session.items == 3
-        assert session.serial == 1
-        assert session.batches == 0
-
-
 class TestRunOptionsScope:
     def test_default_outside_any_scope(self):
         assert current_options() == RunOptions()
@@ -174,36 +149,6 @@ class TestRunOptionsScope:
         with pytest.raises(TypeError):
             with run_options(batch=64):
                 pass
-
-    def test_driver_threads_keep_separate_sinks(self):
-        """The CLI's suite session: each driver thread runs in a copy of
-        the submitting context, so per-driver metrics sinks never mix
-        while options set before the session are inherited."""
-        sinks = {}
-
-        def drive(name: str) -> None:
-            with metrics_collection() as sink:
-                run_cells([tiny_cell(name)], jobs=1)
-            sinks[name] = (sink, current_options())
-
-        with run_options(trace_decisions=0.25):
-            threads = [
-                threading.Thread(
-                    target=contextvars.copy_context().run,
-                    args=(drive, name))
-                for name in ("left", "right")
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        assert not any(thread.is_alive() for thread in threads)
-        for name in ("left", "right"):
-            sink, after = sinks[name]
-            assert [label for label, _ in sink] == [name]
-            assert sink[0][1].decision_trace is not None
-            assert after == RunOptions(trace_decisions=0.25)
-
 
 def _series_names(result) -> set[str]:
     return {entry["name"] for entry in result.metrics["registry"].values()}
@@ -309,24 +254,21 @@ class TestContextAfterPool:
         cells = [tiny_cell(f"ctx{i}") for i in range(4)]
 
         def collect(jobs: int):
-            with metrics_collection() as sink, \
-                    run_options(trace_decisions=0.5):
+            with run_options(collect_metrics=True, trace_decisions=0.5):
                 results = run_cells(cells, jobs=jobs)
             lines = [
                 line
-                for label, result in sink
-                for line in snapshot_jsonl_lines(result.metrics, label)
+                for cell, result in zip(cells, results)
+                for line in snapshot_jsonl_lines(result.metrics, cell.label)
             ]
-            return results, [label for label, _ in sink], lines
+            return results, lines
 
-        serial_res, serial_labels, serial_lines = collect(1)
-        parallel_res, parallel_labels, parallel_lines = collect(4)
+        serial_res, serial_lines = collect(1)
+        parallel_res, parallel_lines = collect(4)
         assert [r.throughput for r in serial_res] == \
                [r.throughput for r in parallel_res]
         assert [r.stats for r in serial_res] == \
                [r.stats for r in parallel_res]
-        assert serial_labels == parallel_labels == \
-               [c.label for c in cells]
         assert serial_lines == parallel_lines
         assert all("migration_decisions_total" in _series_names(r)
                    and r.batch_runs > 0 for r in parallel_res)
@@ -359,7 +301,8 @@ class TestChunkPlanner:
         assert sorted(spans) == [(i, i + 1) for i in range(4)]
 
     def test_spans_cover_all_items_contiguously(self):
-        n = 100
+        # Enough items that the planner must cut spans, not singletons.
+        n = 5 * 2 * CHUNKS_PER_WORKER + 3
         spans = _plan_chunks([1.0] * n, jobs=2)
         assert len(spans) <= 2 * CHUNKS_PER_WORKER + 1
         covered = sorted(spans)
@@ -376,26 +319,10 @@ class TestChunkPlanner:
                max(sum(weights[s:e]) for s, e in spans)
 
     def test_weighted_spans_balance_work(self):
-        weights = [float(i % 7 + 1) for i in range(200)]
+        weights = [float(i % 7 + 1)
+                   for i in range(5 * 4 * CHUNKS_PER_WORKER)]
         spans = _plan_chunks(weights, jobs=4)
         loads = [sum(weights[s:e]) for s, e in spans]
         target = sum(weights) / (4 * CHUNKS_PER_WORKER)
         # Greedy cutting overshoots a span by at most one item's weight.
         assert max(loads) <= target + max(weights)
-
-
-class TestCellBatchDuplicates:
-    def test_duplicate_hashable_key_rejected_via_set(self):
-        batch = CellBatch()
-        batch.add(("fig", 1), tiny_cell("a"))
-        with pytest.raises(ValueError, match="duplicate"):
-            batch.add(("fig", 1), tiny_cell("b"))
-        assert batch.cells == {("fig", 1): tiny_cell("a")}
-        assert batch.cells[("fig", 1)].label == "a"
-
-    def test_many_adds_stay_fast(self):
-        batch = CellBatch()
-        cell = tiny_cell("shared")
-        for i in range(5_000):
-            batch.add(i, cell)
-        assert list(batch.cells) == list(range(5_000))

@@ -9,11 +9,12 @@ from repro.bench.experiments.common import (
     SWEEP_PROBS,
     Cell,
     Effort,
-    build_bm,
     effort,
 )
 from repro.bench.executor import run_cell
+from repro.core.buffer_manager import BufferManager
 from repro.core.policy import NVM_SSD_POLICY, SPITFIRE_LAZY
+from repro.hardware.cost_model import StorageHierarchy
 from repro.hardware.pricing import HierarchyShape
 from repro.hardware.specs import SimulationScale
 
@@ -47,14 +48,18 @@ class TestPaperConstants:
 
 
 class TestBuilders:
+    # A buffer manager outside a cell is built inline, as Fig. 10 does.
     def test_build_bm_three_tier(self):
-        bm = build_bm(HierarchyShape(1, 4, 100), SPITFIRE_LAZY, scale=TINY)
+        bm = BufferManager(StorageHierarchy(HierarchyShape(1, 4, 100), TINY),
+                           SPITFIRE_LAZY)
         assert bm.has_dram and bm.has_nvm
         assert bm.policy is SPITFIRE_LAZY
+        assert bm.config.seed == 42
 
     def test_build_bm_memory_mode(self):
-        bm = build_bm(HierarchyShape(1, 4, 100), NVM_SSD_POLICY, scale=TINY,
-                      memory_mode=True)
+        hierarchy = StorageHierarchy(HierarchyShape(1, 4, 100), TINY,
+                                     memory_mode=True)
+        bm = BufferManager(hierarchy, NVM_SSD_POLICY)
         assert bm.hierarchy.memory_mode
 
     def test_run_ycsb_end_to_end(self):

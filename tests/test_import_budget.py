@@ -141,7 +141,9 @@ class TestRegistry:
         assert list(REGISTRY) == list(PAPER_ORDER)
 
     def test_each_entry_resolves_to_its_modules_run(self):
+        # An entry runs its module's cells and reduce as a suite of one.
         for experiment_id, module in PAPER_ORDER.items():
             entry = REGISTRY[experiment_id]
             assert entry.module == f"repro.bench.experiments.{module}"
-            assert callable(importlib.import_module(entry.module).run)
+            figure = importlib.import_module(entry.module)
+            assert callable(figure.cells) and callable(figure.reduce)

@@ -11,8 +11,8 @@ from repro.bench.executor import (
     Cell,
     Effort,
     current_options,
-    metrics_collection,
     run_cells,
+    run_options,
 )
 from repro.bench.harness import RunConfig, RunOptions, WorkloadRunner
 from repro.bench.reporting import ExperimentResult
@@ -164,9 +164,10 @@ class TestHarnessMetrics:
 
 class TestExecutorDeterminism:
     def run_with_jobs(self, jobs: int):
-        with metrics_collection() as sink:
-            run_cells(tiny_cells(), jobs=jobs)
-        return sink
+        cells = tiny_cells()
+        with run_options(collect_metrics=True):
+            results = run_cells(cells, jobs=jobs)
+        return [(cell.label, result) for cell, result in zip(cells, results)]
 
     @staticmethod
     def export_bytes(sink) -> tuple[str, list[str]]:
@@ -188,7 +189,7 @@ class TestExecutorDeterminism:
 
     def test_collection_scope_restores_environment(self):
         assert not current_options().collect_metrics
-        with metrics_collection():
+        with run_options(collect_metrics=True):
             assert current_options().collect_metrics
         assert not current_options().collect_metrics
 
@@ -198,10 +199,10 @@ class TestCliMetricsOut:
                                                    monkeypatch):
         from repro import cli
 
-        def tiny_experiment(quick=True, jobs=1):
-            run_cells(tiny_cells()[:1], jobs=jobs)
-            return ExperimentResult("tinyobs", "Tiny observability check")
-
+        tiny_experiment = SimpleNamespace(
+            cells=lambda quick: {"only": tiny_cells()[0]},
+            reduce=lambda quick, runs: ExperimentResult(
+                "tinyobs", "Tiny observability check"))
         monkeypatch.setitem(cli.REGISTRY, "tinyobs", tiny_experiment)
         prom_path = tmp_path / "metrics.prom"
         assert cli.main(["tinyobs", "--metrics-out", str(prom_path)]) == 0

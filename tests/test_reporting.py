@@ -129,6 +129,15 @@ class TestRunSummary:
         assert "fault_counters" not in summary
         assert "generated_at" not in summary
 
+    def test_simulate_wall_counts_toward_the_total(self):
+        # The suite's one batch is timed apart from each figure's reduce.
+        summary = build_run_summary(sample_records(), simulate_s=30.25)
+        assert summary["simulate_s"] == 30.25
+        assert summary["total_elapsed_s"] == 50.25
+        text = render_run_summary(summary)
+        assert "simulate      30.2s" in text
+        assert "total         50.2s" in text
+
     def test_build_with_registry_and_telemetry(self):
         from repro.obs.metrics import MetricsRegistry
 

@@ -1,21 +1,23 @@
-"""A cell is its simulation: each distinct cell runs once per session.
+"""A cell is its simulation: a suite runs the union of declared cells.
 
 Two cells that compare equal (the label is display-only) are one
-simulation, so a run session hands every figure that declares a cell
-the one stored result.  These tests pin down:
+simulation, so a suite (:func:`~repro.bench.experiments.run_suite`)
+runs each distinct cell of the union of its experiments' cells once and
+hands every figure that declares it the one result.  These tests pin
+down:
 
 * the suite's count at quick effort — cells declared, distinct, and
-  ``run_cell`` calls inside one session;
-* reuse across batches at ``jobs`` 1 and 2: one run per key, results
-  and merged metrics exports equal to running every batch alone;
-* a failing shared cell fails every requester, naming its own cell.
+  ``run_cell`` calls;
+* reuse across experiments at ``jobs`` 1 and 2: one run per key,
+  results and merged metrics exports equal to running every experiment
+  alone;
+* a failing shared cell names its first declarer, before anything
+  reduces.
 """
 
 from __future__ import annotations
 
-import contextvars
-import sys
-import threading
+from types import SimpleNamespace
 
 import pytest
 
@@ -24,12 +26,9 @@ from repro.bench.executor import (
     Cell,
     CellExecutionError,
     Effort,
-    cell_tally,
-    metrics_collection,
-    run_cells,
-    run_session,
+    run_options,
 )
-from repro.bench.experiments import REGISTRY, fig10_adaptive
+from repro.bench.experiments import REGISTRY, fig10_adaptive, run_suite
 from repro.bench.experiments.common import sweep_cell
 from repro.bench.harness import RunResult
 from repro.core.policy import SPITFIRE_LAZY
@@ -71,6 +70,20 @@ def _stub_result(cell: Cell) -> RunResult:
     )
 
 
+def experiment(cells, reduced: list | None = None) -> SimpleNamespace:
+    """A registry-shaped experiment declaring ``cells`` under their
+    labels; it reduces to its runs (noting the call in ``reduced``)."""
+
+    def reduce(quick, runs):
+        if reduced is not None:
+            reduced.append(runs)
+        return runs
+
+    return SimpleNamespace(cells=lambda quick: {cell.label: cell
+                                                for cell in cells},
+                           reduce=reduce)
+
+
 class TestSuiteCount:
     def test_quick_suite_simulates_each_distinct_cell_once(self, monkeypatch):
         calls: list[Cell] = []
@@ -83,17 +96,13 @@ class TestSuiteCount:
         # Fig. 10 declares no cell; keep its adaptive loop short.
         monkeypatch.setattr(fig10_adaptive, "EPOCHS_QUICK", 2)
         monkeypatch.setattr(fig10_adaptive, "OPS_PER_EPOCH_QUICK", 50)
-        with run_session(jobs=1) as session, cell_tally() as tally:
-            for run in REGISTRY.values():
-                run(quick=True, jobs=1)
-        assert tally == {"cells": DECLARED_CELLS,
-                         "reused": DECLARED_CELLS - DISTINCT_CELLS}
+        figures, _ = run_suite(list(REGISTRY.values()), quick=True, jobs=1)
+        declared = sum(len(figure.runs) for figure in figures)
+        reused = sum(figure.reused for figure in figures)
+        assert (declared, reused) == \
+            (DECLARED_CELLS, DECLARED_CELLS - DISTINCT_CELLS)
         assert len(set(calls)) == DISTINCT_CELLS
         assert len(calls) == DISTINCT_CELLS
-        assert (session.simulated, session.reused) == \
-            (DISTINCT_CELLS, DECLARED_CELLS - DISTINCT_CELLS)
-        assert f"{DISTINCT_CELLS} cells simulated, " \
-            f"{DECLARED_CELLS - DISTINCT_CELLS} reused" in session.describe()
 
     def test_label_is_display_only(self):
         one = sweep_cell("D", "YCSB-RO", 0.1, TINY)
@@ -114,8 +123,8 @@ def _exports(sink) -> tuple[str, list[str]]:
     return text, lines
 
 
-#: Two batches that share two of their three simulations, in different
-#: orders and under different labels.
+#: Two experiments that share two of their three simulations, in
+#: different orders and under different labels.
 FIRST = [tiny_cell("a/x", seed=3), tiny_cell("a/y", seed=4),
          tiny_cell("a/z", seed=5)]
 SECOND = [tiny_cell("b/y", seed=4), tiny_cell("b/w", seed=6),
@@ -125,26 +134,18 @@ SECOND = [tiny_cell("b/y", seed=4), tiny_cell("b/w", seed=6),
 class TestReuseAcrossBatches:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_shared_keys_run_once_and_match_standalone(self, jobs):
-        standalone = []
-        for batch in (FIRST, SECOND):
-            with metrics_collection() as sink:
-                results = run_cells(batch, jobs=jobs)
-            standalone.append((results, sink))
-        sessioned = []
-        with run_session(jobs=jobs) as session:
-            for batch in (FIRST, SECOND):
-                with metrics_collection() as sink:
-                    results = run_cells(batch, jobs=jobs)
-                sessioned.append((results, sink))
+        with run_options(collect_metrics=True):
+            alone = [run_suite([experiment(cells)], jobs=jobs)[0][0]
+                     for cells in (FIRST, SECOND)]
+            shared, _ = run_suite([experiment(FIRST), experiment(SECOND)],
+                                  jobs=jobs)
         # Four distinct simulations among six declared cells.
-        assert (session.simulated, session.reused) == (4, 2)
-        assert session.items == 4
-        for (alone, alone_sink), (shared, shared_sink) in \
-                zip(standalone, sessioned):
-            assert shared == alone
-            assert [label for label, _ in shared_sink] == \
-                [label for label, _ in alone_sink]
-            assert _exports(shared_sink) == _exports(alone_sink)
+        assert [figure.reused for figure in shared] == [0, 2]
+        for one, suite in zip(alone, shared):
+            assert suite.result == one.result
+            assert [label for label, _ in suite.runs] == \
+                [label for label, _ in one.runs]
+            assert _exports(suite.runs) == _exports(one.runs)
 
     def test_each_key_reaches_run_cell_once(self, monkeypatch):
         calls: list[str] = []
@@ -155,19 +156,20 @@ class TestReuseAcrossBatches:
             return real(cell)
 
         monkeypatch.setattr(executor, "run_cell", counting)
-        with run_session(jobs=1):
-            first = run_cells(FIRST)
-            second = run_cells(SECOND)
+        (first, second), _ = run_suite([experiment(FIRST),
+                                        experiment(SECOND)])
         assert calls == ["a/x", "a/y", "a/z", "b/w"]
-        assert second[0] is first[1] and second[2] is first[0]
+        assert second.result["b/y"] is first.result["a/y"]
+        assert second.result["b/x"] is first.result["a/x"]
 
     def test_options_are_part_of_the_key(self):
-        with run_session(jobs=1) as session:
-            bare = run_cells(FIRST[:1])
-            with metrics_collection():
-                collected = run_cells(FIRST[:1])
-        assert session.simulated == 2
-        assert bare[0].metrics is None and collected[0].metrics is not None
+        # Nothing outlives a suite: the same cell under other options is
+        # simulated again, under them.
+        (bare,), _ = run_suite([experiment(FIRST[:1])])
+        with run_options(collect_metrics=True):
+            (collected,), _ = run_suite([experiment(FIRST[:1])])
+        assert bare.result["a/x"].metrics is None
+        assert collected.result["a/x"].metrics is not None
 
     def test_tenant_results_carry_the_requesters_label(self):
         from repro.workloads.tenancy import TenantSpec
@@ -176,112 +178,24 @@ class TestReuseAcrossBatches:
         cells = [Cell.multi_tenant(label, SHAPE, SPITFIRE_LAZY, tenants,
                                    effort=TINY)
                  for label in ("first", "second")]
-        with run_session(jobs=1) as session:
-            results = run_cells(cells)
-        assert session.simulated == 1
-        assert [r.label for r in results] == ["first", "second"]
-
-    def test_concurrent_drivers_wait_instead_of_rerunning(self):
-        """Two driver threads declaring the same keys in opposite
-        orders: every key runs once and neither driver hangs."""
-        results: dict[str, list] = {}
-
-        def drive(name: str, cells: list[Cell]) -> None:
-            results[name] = run_cells(cells, jobs=2)
-
-        with run_session(jobs=2) as session:
-            threads = [
-                threading.Thread(target=contextvars.copy_context().run,
-                                 args=(drive, name, cells))
-                for name, cells in (("fwd", FIRST), ("rev", FIRST[::-1]))
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
-        assert not any(thread.is_alive() for thread in threads)
-        assert session.simulated == 3 and session.reused == 3
-        assert results["rev"] == results["fwd"][::-1]
-
-
-class TestClaimStress:
-    def test_many_drivers_run_each_key_once(self, monkeypatch):
-        """Eight driver threads (more than cores) over overlapping,
-        reordered batches with a tiny switch interval: a lost claim
-        would run some key twice or hang a waiter."""
-        calls: list[Cell] = []
-        lock = threading.Lock()
-
-        def record(cell: Cell) -> RunResult:
-            with lock:
-                calls.append(cell)
-            return _stub_result(cell)
-
-        monkeypatch.setattr(executor, "run_cell", record)
-        cells = [tiny_cell(f"k{seed}", seed=seed) for seed in range(24)]
-        batches = [cells[offset:] + cells[:offset] for offset in range(8)]
-        results: dict[int, list] = {}
-
-        def drive(index: int) -> None:
-            results[index] = run_cells(batches[index])
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with run_session(jobs=1) as session:
-                threads = [
-                    threading.Thread(target=contextvars.copy_context().run,
-                                     args=(drive, index))
-                    for index in range(len(batches))
-                ]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert sorted(cell.label for cell in calls) == \
-            sorted(cell.label for cell in cells)
-        assert (session.simulated, session.reused) == (24, 7 * 24)
-        for index, batch in enumerate(batches):
-            assert [r.label for r in results[index]] == \
-                [cell.label for cell in batch]
+        (figure,), _ = run_suite([experiment(cells)])
+        assert figure.reused == 1
+        assert [result.label for result in figure.result.values()] == \
+            ["first", "second"]
+        assert [label for label, _ in figure.runs] == ["first", "second"]
 
 
 class TestSharedFailure:
-    def test_every_requester_raises_naming_its_own_cell(self):
-        doomed = [tiny_cell("first/doomed", db_gb=-5.0),
-                  tiny_cell("second/doomed", db_gb=-5.0)]
-        with run_session(jobs=1) as session:
-            for cell in doomed:
-                with pytest.raises(CellExecutionError) as excinfo:
-                    run_cells([tiny_cell("ok"), cell])
-                assert excinfo.value.cell is cell
-                assert cell.label in str(excinfo.value)
-        assert session.simulated == 2  # "ok" and the doomed simulation
-
-    def test_concurrent_requesters_all_fail(self):
-        errors: dict[str, BaseException] = {}
-        doomed = {name: tiny_cell(f"{name}/doomed", db_gb=-5.0)
-                  for name in ("left", "right")}
-
-        def drive(name: str) -> None:
-            try:
-                run_cells([tiny_cell(f"{name}/ok", seed=9), doomed[name]],
-                          jobs=2)
-            except CellExecutionError as exc:
-                errors[name] = exc
-
-        with run_session(jobs=2):
-            threads = [
-                threading.Thread(target=contextvars.copy_context().run,
-                                 args=(drive, name))
-                for name in doomed
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
-        assert not any(thread.is_alive() for thread in threads)
-        assert {name: errors[name].cell for name in errors} == doomed
+    def test_shared_failure_names_its_first_declarer(self):
+        doomed = tiny_cell("first/doomed", db_gb=-5.0)
+        reduced: list = []
+        experiments = [
+            experiment([tiny_cell("ok"), doomed], reduced),
+            experiment([tiny_cell("second/doomed", db_gb=-5.0)], reduced),
+        ]
+        for jobs in (1, 2):
+            with pytest.raises(CellExecutionError) as excinfo:
+                run_suite(experiments, jobs=jobs)
+            assert excinfo.value.cell is doomed
+            assert "first/doomed" in str(excinfo.value)
+        assert reduced == []
