@@ -18,11 +18,12 @@ each is that plane's core contract:
     ``collect_metrics``: a :class:`~repro.obs.hub.MetricsHub` on every
     executor cell — observability is side-effect-free.
 ``--with-telemetry``
-    ``telemetry`` + ``collect_metrics`` + ``trace_decisions=0.05``: a
-    streaming worker-progress channel (manager-queue backed, drained by
-    a background aggregator), both measurement-window observers the
-    harness can attach — hub and decision recorder — on every cell,
-    and a live Prometheus endpoint
+    ``collect_metrics`` + ``trace_decisions=0.05``: both
+    measurement-window observers the harness can attach — hub and
+    decision recorder — on every cell, plus the parent-side live plane:
+    the progress line the batch reports to
+    (:func:`~repro.bench.telemetry.live_progress`) and a live Prometheus
+    endpoint
     (:class:`~repro.obs.server.MetricsServer`) scraped by a background
     thread *while the figures regenerate* — watching a run live changes
     nothing about its results.
@@ -34,14 +35,14 @@ The flags compose, and a composed run cannot pass vacuously: whenever
 metrics are collected, every plane that is switched on must have left
 its trace on the results **as computed where the cells ran** (the
 metrics sink: non-empty, with a decision trace when tracing), the batch
-path must have vectorised at least one run, and the telemetry plane must
-have delivered progress events and at least one successful mid-run
-scrape.  Every cell's ``op_latency_ns`` histograms must also count
-exactly its ``BufferStats`` reads + writes.  So ``--with-metrics``
-fails an experiment with no executor cell (table1, fig10, recovery:
-the sink stays empty) and one whose cells all run per op (fig11,
-fig13, queue_size: fine-grained layouts vectorise nothing); gate those
-without it.
+path must have vectorised at least one run, and the live plane must
+have counted every cell of the batch finished and served at least one
+successful mid-run scrape.  Every cell's ``op_latency_ns`` histograms
+must also count exactly its ``BufferStats`` reads + writes.  So
+``--with-metrics`` fails an experiment with no executor cell (table1,
+fig10, recovery: the sink stays empty) and one whose cells all run per
+op (fig11, fig13, queue_size: fine-grained layouts vectorise nothing);
+gate those without it.
 
 All the named experiments run as one suite
 (:func:`~repro.bench.experiments.run_suite`), as ``repro-experiments``
@@ -80,7 +81,7 @@ from pathlib import Path
 from repro.bench.executor import run_options
 from repro.bench.experiments import REGISTRY, run_suite, selection_error
 from repro.bench.harness import RunOptions
-from repro.bench.telemetry import live_telemetry
+from repro.bench.telemetry import live_progress
 from repro.cli import _positive_int, options_from_args
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -99,22 +100,24 @@ def regenerate(experiment_ids: list[str], jobs: int, options: RunOptions,
     """Run ``experiment_ids`` as one suite under ``options``.
 
     Returns the suite's figures, its batch wall time, and — with
-    ``live`` — the telemetry aggregator and mid-run scrape counts.
+    ``live`` — the progress line's summary, the cells the batch
+    simulated, and the mid-run scrape counts.
     """
     watch = None
     with contextlib.ExitStack() as stack:
         if live:
-            channel, aggregator = stack.enter_context(
-                live_telemetry(stream=io.StringIO()))
-            options = replace(options, telemetry=channel)
+            line = stack.enter_context(live_progress(stream=io.StringIO()))
         stack.enter_context(run_options(options))
         sink: list = []
         if live:
-            watch = aggregator, _scrape_run(stack, sink)
+            scrapes = _scrape_run(stack, sink)
         figures, simulate_s = run_suite(
             [REGISTRY[e] for e in experiment_ids], quick=True, jobs=jobs)
         for figure in figures:
             sink.extend(figure.runs)
+    if live:
+        simulated = sum(len(f.runs) - f.reused for f in figures)
+        watch = line.summary(), simulated, scrapes
     return figures, simulate_s, watch
 
 
@@ -177,12 +180,14 @@ def _planes(options: RunOptions, results: list, watch) -> tuple[str, list[str]]:
     if options.trace_decisions and not all(r.decision_trace for r in results):
         dead.append("decision tracing: a cell carries no decision trace")
     if watch is not None:
-        aggregator, scrapes = watch
-        events = aggregator.summary()["events_seen"]
-        attached.append(f"live telemetry on, {events} event(s), "
+        progress, simulated, scrapes = watch
+        attached.append(f"live line {progress['finished']}/"
+                        f"{progress['items']} cells finished, "
                         f"{scrapes['ok']} mid-run scrape(s)")
-        if not events:
-            dead.append("telemetry: no progress event was delivered")
+        if not progress["finished"] == progress["items"] == simulated:
+            dead.append(f"telemetry: the live line counted "
+                        f"{progress['finished']} of {progress['items']} "
+                        f"cells finished, the batch simulated {simulated}")
         if not scrapes["ok"]:
             dead.append(f"telemetry: the live endpoint was never scraped "
                         f"successfully ({scrapes['fail']} failed attempts)")
@@ -262,11 +267,12 @@ def main(argv: list[str] | None = None) -> int:
                         action="store_true",
                         help="attach a MetricsHub to every cell")
     parser.add_argument("--with-telemetry", action="store_true",
-                        help="attach the live telemetry plane (streaming "
-                             "progress channel, decision "
+                        help="attach the live telemetry plane (progress "
+                             "line, decision "
                              "tracing, HTTP scrape endpoint polled mid-run; "
-                             "implies --with-metrics); progress events must "
-                             "arrive and >= 1 scrape must succeed")
+                             "implies --with-metrics); the line must count "
+                             "every cell finished and >= 1 scrape must "
+                             "succeed")
     parser.add_argument("--prewarm-pool", action="store_true",
                         help="fork and warm the persistent worker pool "
                              "BEFORE any run option is set, so options can "

@@ -24,14 +24,18 @@ Design rules:
 * work is submitted as **contiguous chunks** sized from each cell's
   :class:`Effort` (longest-expected-first), which amortises pickling
   and IPC over many small tasks while keeping load balanced;
-* what a run attaches to its cells — metrics hub, telemetry channel,
-  decision tracer — is one
+* what a run attaches to its cells — metrics hub, decision tracer —
+  is one
   :class:`~repro.bench.harness.RunOptions` value: :func:`run_options`
   scopes an override, :func:`run_cell` reads :func:`current_options`
   once, and every submission carries the submitter's value into the
   worker, which installs it around the chunk — a persistent pool
   outlives any scope, so nothing may rely on workers inheriting parent
   state;
+* live progress is counted in the parent, off the results it already
+  collects: :func:`progress_sink` scopes a sink that every batch tells
+  what it begins and what finishes, and nothing about it reaches a
+  worker;
 * a failing cell raises :class:`CellExecutionError` naming the cell's
   full spec, and never hangs the pool (remaining chunks are cancelled);
 * when worker processes cannot be spawned at all (restricted sandboxes,
@@ -53,6 +57,7 @@ import contextvars
 import pickle
 import threading
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import TYPE_CHECKING
 
 from ..core.buffer_manager import BufferManager, BufferManagerConfig
@@ -125,7 +130,7 @@ class Cell:
     simulated and nothing else: ``label`` is display-only and outside
     equality, so two cells that compare equal are the same simulation
     (a suite runs it once).  What the run attaches to it
-    (metrics, telemetry, decision tracing) is the ambient
+    (metrics, decision tracing) is the ambient
     :class:`~repro.bench.harness.RunOptions`, never a cell field.  A
     cell carries no worker count either: a reader picks one with
     :meth:`~repro.bench.harness.RunResult.throughput_at`.
@@ -273,6 +278,58 @@ def run_options(base: RunOptions | None = None, **overrides):
         yield options
     finally:
         _options_var.reset(token)
+
+
+# The progress sink is parent-side state: it lives beside the options,
+# never in them, so it is never pickled and no worker sees it.
+_progress_var: contextvars.ContextVar = contextvars.ContextVar(
+    "repro_progress", default=None)
+
+
+@contextlib.contextmanager
+def progress_sink(sink):
+    """Report every batch this thread executes in the scope to ``sink``.
+
+    Each batch calls ``sink.begin(items, weight)`` once, then
+    ``sink.advance(items, weight)`` as its results arrive: serially
+    after each item, on the pool as each chunk's future completes (from
+    the pool's result thread).  Failed and cancelled work counts
+    nothing, and an item counts once, a serial rerun after a broken
+    pool included.  ``weight`` is the batch's ``weigh`` values: a
+    cell's warm-up plus measure ops.
+    """
+    token = _progress_var.set(sink)
+    try:
+        yield sink
+    finally:
+        _progress_var.reset(token)
+
+
+class _Tally:
+    """One batch's progress on a sink: each item is counted once."""
+
+    def __init__(self, sink, weights: list[float]) -> None:
+        self.sink = sink
+        self.weights = weights
+        self.pending = set(range(len(weights)))
+        self.lock = threading.Lock()
+        sink.begin(len(weights), sum(weights))
+
+    def count(self, indexes) -> None:
+        with self.lock:
+            fresh = self.pending.intersection(indexes)
+            self.pending -= fresh
+        if fresh:
+            self.sink.advance(len(fresh),
+                              sum(self.weights[i] for i in fresh))
+
+    def chunk_done(self, start: int, future) -> None:
+        """``add_done_callback`` target: count the chunk's items that
+        ran (a chunk stops at its first failing item)."""
+        if future.cancelled() or future.exception() is not None:
+            return
+        self.count(start + offset
+                   for offset, (ok, _) in enumerate(future.result()) if ok)
 
 
 # ----------------------------------------------------------------------
@@ -502,13 +559,15 @@ def _plan_chunks(weights: list[float], jobs: int) -> list[tuple[int, int]]:
     return spans
 
 
-def _execute_serial(items: list, runner) -> list:
+def _execute_serial(items: list, runner, tally: _Tally | None) -> list:
     results = []
     for index, item in enumerate(items):
         try:
             results.append(runner(item))
         except Exception as exc:
             raise _ItemFailure(index, exc) from exc
+        if tally is not None:
+            tally.count((index,))
     return results
 
 
@@ -522,18 +581,22 @@ def _execute(items: list, runner, jobs: int, weigh) -> list:
     (cannot spawn, workers died wholesale) degrade to a serial rerun —
     identical output, because items are self-contained and
     deterministic.  The first failing item (in submission order) raises
-    :class:`_ItemFailure`; callers translate it.
+    :class:`_ItemFailure`; callers translate it.  The current
+    :func:`progress_sink`, if any, hears of the batch.
     """
     n = len(items)
+    weights = [weigh(item) for item in items]
+    sink = _progress_var.get()
+    tally = _Tally(sink, weights) if sink is not None else None
     if jobs <= 1 or n <= 1:
-        return _execute_serial(items, runner)
+        return _execute_serial(items, runner, tally)
     pool = _ensure_pool(jobs)
     if pool is None:
-        return _execute_serial(items, runner)
+        return _execute_serial(items, runner, tally)
     from concurrent.futures.process import BrokenProcessPool
 
     options = current_options()
-    spans = _plan_chunks([weigh(item) for item in items], jobs)
+    spans = _plan_chunks(weights, jobs)
 
     global _pool_busy
     with _pool_lock:
@@ -542,15 +605,18 @@ def _execute(items: list, runner, jobs: int, weigh) -> list:
     try:
         try:
             for start, stop in spans:
-                futures.append((start, stop, pool.submit(
-                    _exec_chunk, runner, tuple(items[start:stop]), options)))
+                future = pool.submit(_exec_chunk, runner,
+                                     tuple(items[start:stop]), options)
+                if tally is not None:
+                    future.add_done_callback(partial(tally.chunk_done, start))
+                futures.append((start, stop, future))
         except (BrokenProcessPool, RuntimeError):
             # RuntimeError: another thread observed the break first and
             # the executor refuses new futures mid-shutdown.
             for _, _, future in futures:
                 future.cancel()
             _discard_pool()
-            return _execute_serial(items, runner)
+            return _execute_serial(items, runner, tally)
 
         outcomes: list = [None] * n
         failed_at: int | None = None
@@ -567,7 +633,7 @@ def _execute(items: list, runner, jobs: int, weigh) -> list:
                 for _, _, other in futures:
                     other.cancel()
                 _discard_pool()
-                return _execute_serial(items, runner)
+                return _execute_serial(items, runner, tally)
             except Exception as exc:
                 # A chunk-level failure outside item execution (e.g. an
                 # unpicklable return): attribute it to the chunk's head.
@@ -586,6 +652,10 @@ def _execute(items: list, runner, jobs: int, weigh) -> list:
     if failed_at is not None:
         _, cause = outcomes[failed_at]
         raise _ItemFailure(failed_at, cause) from cause
+    if tally is not None:
+        # A future's result() can return before its done-callbacks run:
+        # settle the count before the batch is over.
+        tally.count(range(n))
     return [payload for _, payload in outcomes]
 
 
@@ -621,45 +691,23 @@ def run_cell(cell: Cell) -> RunResult:
             ))
 
     bm = BufferManager(hierarchy, cell.policy, config)
-    channel = options.telemetry
-    progress = None
-    if channel is not None:
-        channel.emit(
-            "cell_start", cell=cell.label,
-            expected_ops=cell.effort.warmup_ops + cell.effort.measure_ops,
-        )
-        progress = channel.progress_callback(cell.label)
     runner = WorkloadRunner(
         bm,
         RunConfig(
             warmup_ops=cell.effort.warmup_ops,
             measure_ops=cell.effort.measure_ops,
             options=options,
-            progress=progress,
         ),
     )
-    try:
-        if multi is not None:
-            result = runner.measure_tenants(multi, label=cell.label)
-        elif spec.kind == "ycsb":
-            num_tuples = cell.scale.pages(spec.db_gb) * TUPLES_PER_PAGE
-            workload = YcsbWorkload(num_tuples=num_tuples,
-                                    mix=MIXES[spec.mix],
-                                    skew=spec.skew, seed=spec.seed)
-            result = runner.measure_ycsb(workload)
-        else:
-            workload = TpccWorkload(db_gigabytes=spec.db_gb,
-                                    scale=cell.scale, seed=spec.seed)
-            result = runner.measure_tpcc(workload)
-    except Exception as exc:
-        if channel is not None:
-            channel.emit("cell_error", cell=cell.label,
-                         error=f"{type(exc).__name__}: {exc}")
-        raise
-    if channel is not None:
-        channel.emit("cell_end", cell=cell.label,
-                     operations=result.operations)
-    return result
+    if multi is not None:
+        return runner.measure_tenants(multi, label=cell.label)
+    if spec.kind == "ycsb":
+        num_tuples = cell.scale.pages(spec.db_gb) * TUPLES_PER_PAGE
+        return runner.measure_ycsb(YcsbWorkload(
+            num_tuples=num_tuples, mix=MIXES[spec.mix], skew=spec.skew,
+            seed=spec.seed))
+    return runner.measure_tpcc(TpccWorkload(
+        db_gigabytes=spec.db_gb, scale=cell.scale, seed=spec.seed))
 
 
 def _cell_weight(cell: Cell) -> float:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import contextlib
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from ..core.buffer_manager import BufferManager
 from ..core.stats import BufferStats
@@ -41,9 +40,6 @@ from ..workloads.ycsb import (
     YcsbWorkload,
 )
 
-if TYPE_CHECKING:
-    from .telemetry import TelemetryChannel
-
 #: Placeholder images used when charging log-record sizes; the content
 #: is irrelevant to the cost model, only the length matters.
 _UPDATE_BEFORE = bytes(COLUMN_SIZE)
@@ -51,9 +47,6 @@ _UPDATE_AFTER = bytes(COLUMN_SIZE)
 
 #: Operations between inclusivity samples of the measurement window.
 INCLUSIVITY_SAMPLE_EVERY = 2_000
-#: Operations between ``RunConfig.progress`` calls — coarse enough that
-#: a quick-effort cell emits about a dozen, fine enough for a live bar.
-PROGRESS_EVERY_OPS = 2_000
 #: Most operations one ``run(count)`` call of a measurement executes:
 #: a YCSB chunk is one generated batch through the columnar batch path,
 #: so a window spans a few dozen chunks.
@@ -75,10 +68,6 @@ class RunOptions:
     #: Attach a :class:`~repro.obs.hub.MetricsHub` over the measurement
     #: window; the run result then carries a metrics snapshot.
     collect_metrics: bool = False
-    #: A :class:`~repro.bench.telemetry.TelemetryChannel` streaming cell
-    #: and chaos-case progress out-of-band, or None.  Manager-backed
-    #: channels pickle; the in-process fallback is a no-op in workers.
-    telemetry: TelemetryChannel | None = None
     #: Fraction of pages whose migration/admission/eviction decisions a
     #: :class:`~repro.obs.decisions.DecisionRecorder` records as full
     #: spans (0 = off; decision *counters* are complete whenever on).
@@ -103,17 +92,8 @@ class RunConfig:
     measure_ops: int = 30_000
     #: Write operations between checkpoint flushes; None disables them.
     checkpoint_interval_ops: int | None = 2_000
-    #: What the run attaches: metrics hub and decision tracing
-    #: (``telemetry`` is consumed by the executor, which owns cell
-    #: labels).
+    #: What the run attaches: metrics hub and decision tracing.
     options: RunOptions = RunOptions()
-    #: Optional live-progress hook ``progress(phase, done, total)``,
-    #: called every :data:`PROGRESS_EVERY_OPS` operations during warm-up
-    #: and measurement (phases ``"warmup"`` / ``"measure"``) and once at
-    #: a phase end that is not such a multiple.  Strictly
-    #: out-of-band: the hook sees wall-clock progress only and must
-    #: never touch the measured system.
-    progress: object | None = None
 
 
 @dataclass
@@ -422,37 +402,30 @@ class WorkloadRunner:
                 hub.decision_source = decisions
         return observers
 
-    def _run_phase(self, run, phase: str, total: int,
-                   sample: bool = False) -> None:
+    def _run_phase(self, run, total: int, sample: bool = False) -> None:
         """Run ``total`` operations as ``run(count)`` chunks.
 
         A chunk holds at most :data:`CHUNK_OPS` operations and never
-        straddles a multiple of :data:`PROGRESS_EVERY_OPS` or
-        :data:`INCLUSIVITY_SAMPLE_EVERY`, so progress calls and (with
-        ``sample``) inclusivity samples land after the same operation
-        indexes however the operations are chunked.
+        straddles a multiple of :data:`INCLUSIVITY_SAMPLE_EVERY`, so
+        (with ``sample``) inclusivity samples land after the same
+        operation indexes however the operations are chunked.
         """
-        progress = self.config.progress
         done = 0
         while done < total:
             chunk = min(CHUNK_OPS, total - done,
-                        PROGRESS_EVERY_OPS - done % PROGRESS_EVERY_OPS,
                         INCLUSIVITY_SAMPLE_EVERY
                         - done % INCLUSIVITY_SAMPLE_EVERY)
             run(chunk)
             done += chunk
             if sample and done % INCLUSIVITY_SAMPLE_EVERY == 0:
                 self.bm.sample_inclusivity()
-            if progress is not None \
-                    and (done % PROGRESS_EVERY_OPS == 0 or done == total):
-                progress(phase, done, total)
 
     def _measure(self, run, label: str,
                  track_tenants: bool = False) -> RunResult:
         """Warm up, then measure, the workload ``run(count)`` executes
         ``count`` operations of."""
         config = self.config
-        self._run_phase(run, "warmup", config.warmup_ops)
+        self._run_phase(run, config.warmup_ops)
         # Warm-up traffic does not count toward the measurement (§6.1:
         # "we warm up the system until the buffer pool is full").
         self.hierarchy.reset_accounting()
@@ -471,7 +444,7 @@ class WorkloadRunner:
                 stack.callback(observer.detach)
             for observer in observers.values():
                 observer.attach(self.bm)
-            self._run_phase(run, "measure", config.measure_ops, sample=True)
+            self._run_phase(run, config.measure_ops, sample=True)
             if self.bm.inclusivity.num_samples == 0:
                 self.bm.sample_inclusivity()
         hub = observers.get("metrics")

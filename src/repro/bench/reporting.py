@@ -201,7 +201,7 @@ def build_run_summary(experiments: list[dict], simulate_s: float = 0.0,
     ``registry`` is the merged :class:`~repro.obs.metrics.MetricsRegistry`
     when the run collected metrics; fault counters, tenant breakdowns,
     and decision histograms are folded out of it.  ``telemetry`` is a
-    :meth:`~repro.bench.telemetry.ProgressAggregator.summary` dict.
+    :meth:`~repro.bench.telemetry.ProgressLine.summary` dict.
     ``simulate_s`` is the wall time of the suite's one batch of cells,
     so ``total_elapsed_s`` is it plus every figure's ``elapsed_s``.
     """
@@ -273,9 +273,9 @@ def render_run_summary(summary: dict) -> str:
     if telemetry:
         lines.append(
             f"-- telemetry --\n"
-            f"   {telemetry.get('cells_seen', 0)} cell(s) observed, "
-            f"{telemetry.get('ops_observed', 0):,} ops, "
-            f"{telemetry.get('events_seen', 0)} event(s)"
+            f"   {telemetry.get('finished', 0)}/{telemetry.get('items', 0)} "
+            f"finished, {telemetry.get('ops', 0):,} ops in "
+            f"{telemetry.get('batches', 0)} batch(es)"
         )
     return "\n".join(lines)
 

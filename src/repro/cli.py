@@ -8,7 +8,7 @@ Usage::
     repro-experiments --all --jobs 8     # fan cells out over 8 processes
     repro-experiments fig14 --out results/
     repro-experiments fig6 --metrics-out metrics.prom
-    repro-experiments --all --live       # streaming worker progress
+    repro-experiments --all --live       # the batch's progress on stderr
     repro-experiments fig6 --trace-decisions 0.05 \\
         --metrics-out m.prom --decision-trace-out decisions.jsonl
     repro-experiments fig6 fig7 --metrics-port 0 --metrics-out m.prom
@@ -50,8 +50,9 @@ torn-page hazards layered on top (see ``docs/FAULTS.md``).  The JSON
 report is byte-identical for any ``--jobs`` value.
 
 The live telemetry plane rides strictly out-of-band of all of this:
-``--live`` streams worker progress (cells running, phase, percent,
-ops/s, ETA) to stderr; ``--trace-decisions FRAC`` records a sampled
+``--live`` keeps one stderr line of the batch's progress (cells or
+cases finished of total, ops/s, ETA), counted in the parent as results
+come back; ``--trace-decisions FRAC`` records a sampled
 trace of the migration engine's admit/deny decisions;
 ``--metrics-port PORT`` serves the merged Prometheus registry over HTTP
 (filled once the batch ends) and asserts the final scrape is
@@ -129,9 +130,9 @@ def build_parser() -> argparse.ArgumentParser:
                            "byte-identical at any count)")
     live = argparse.ArgumentParser(add_help=False)
     live.add_argument("--live", action="store_true",
-                      help="stream progress (cells, phase, ops/s, ETA) to "
-                           "stderr while the run executes (the output is "
-                           "unchanged)")
+                      help="show the batch's progress (done of total, "
+                           "ops/s, ETA) on stderr while it runs (the "
+                           "output is unchanged)")
     metrics_port = argparse.ArgumentParser(add_help=False)
     metrics_port.add_argument("--metrics-port", type=_port, default=None,
                               metavar="PORT",
@@ -252,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "mode (default: 0.01)")
 
     bench = commands.add_parser(
-        "serve-bench", parents=[jobs, serving],
+        "serve-bench", parents=[serving],
         help="deterministic serving SLOs in virtual time",
         description="Measure serving SLOs (latency quantiles, shed "
                     "rate, goodput) deterministically in virtual time.")
@@ -323,11 +324,13 @@ def _run(parser, args) -> int:
     endpoint = args.metrics_port is not None
     collect = bool(args.metrics_out or args.decision_trace_out or endpoint)
     sink: list = []
-    aggregator = None
+    line = None
     with contextlib.ExitStack() as stack:
         stack.enter_context(run_options(options, collect_metrics=collect))
         if args.live:
-            aggregator = _attach_live(stack)
+            from .bench.telemetry import live_progress
+
+            line = stack.enter_context(live_progress())
         if endpoint:
             from .obs.server import MetricsServer
 
@@ -345,7 +348,7 @@ def _run(parser, args) -> int:
         _export_decision_traces(args.decision_trace_out, sink)
     if args.out:
         _write_run_summary(args.out, records, simulate_s,
-                           sink if collect else None, aggregator)
+                           sink if collect else None, line)
     if not endpoint:
         return 0
     expected = (Path(args.metrics_out).read_text() if args.metrics_out
@@ -363,8 +366,9 @@ def options_from_args(parser, args):
     Every parsed attribute named after a ``RunOptions`` field sets it
     (``check_golden_figures.py`` gives its ``--with-*`` flags such
     ``dest`` names and builds its value here too); a value
-    ``RunOptions`` rejects is a usage error.  ``--live`` names a
-    resource with a lifetime, not a value: see :func:`_attach_live`.
+    ``RunOptions`` rejects is a usage error.  ``--live`` is no run
+    option: the parent counts what finishes
+    (:func:`~repro.bench.telemetry.live_progress`).
     """
     from .bench.harness import RunOptions
 
@@ -377,16 +381,6 @@ def options_from_args(parser, args):
         return RunOptions(**chosen)
     except ValueError as exc:
         parser.error(str(exc))
-
-
-def _attach_live(stack: contextlib.ExitStack):
-    """Enter a live-telemetry scope on ``stack``; returns the aggregator."""
-    from .bench.executor import run_options
-    from .bench.telemetry import live_telemetry
-
-    channel, aggregator = stack.enter_context(live_telemetry())
-    stack.enter_context(run_options(telemetry=channel))
-    return aggregator
 
 
 def _prometheus_text(sink) -> str:
@@ -514,7 +508,7 @@ def _export_decision_traces(out_path: str, sink) -> None:
 
 
 def _write_run_summary(out_dir: str, records: list, simulate_s: float,
-                       sink, aggregator) -> None:
+                       sink, line) -> None:
     """Drop ``run_summary.json`` next to the per-figure JSON files."""
     from .bench.reporting import build_run_summary
     from .obs.export import merge_snapshots
@@ -524,7 +518,7 @@ def _write_run_summary(out_dir: str, records: list, simulate_s: float,
         registry = merge_snapshots(result.metrics for _, result in sink)
     summary = build_run_summary(
         records, simulate_s=simulate_s, registry=registry,
-        telemetry=aggregator.summary() if aggregator is not None else None,
+        telemetry=line.summary() if line is not None else None,
         generated_at=time.time(),
     )
     path = Path(out_dir) / "run_summary.json"
@@ -538,6 +532,7 @@ def _write_run_summary(out_dir: str, records: list, simulate_s: float,
 # ----------------------------------------------------------------------
 def _chaos(parser, args) -> int:
     """``repro-experiments chaos``: the crash-consistency matrix."""
+    from .bench.telemetry import live_progress
     from .faults.crashpoints import (
         POLICIES,
         render_matrix_json,
@@ -550,13 +545,18 @@ def _chaos(parser, args) -> int:
             f"unknown policy(ies): {', '.join(unknown)}; "
             f"choose from {', '.join(POLICIES)}"
         )
+    for flag, values in (("--seeds", args.seeds),
+                         ("--policies", args.policies)):
+        twice = sorted({v for v in values if values.count(v) > 1},
+                       key=values.index)
+        if twice:
+            parser.error(f"argument {flag}: "
+                         f"{', '.join(map(str, twice))} named twice")
 
     started = time.time()
     # Every CrashCase is one chunked run_tasks batch over the persistent
     # pool (the report stays byte-identical at any --jobs).
-    with contextlib.ExitStack() as stack:
-        if args.live:
-            _attach_live(stack)
+    with live_progress() if args.live else contextlib.nullcontext():
         report = run_crash_matrix(
             policies=tuple(args.policies),
             seeds=tuple(args.seeds),
@@ -667,7 +667,7 @@ def _serve_bench(parser, args) -> int:
     The serving plane measured in virtual time: a seeded open-loop
     client fleet against the same dispatcher/admission code the live
     server runs, producing a byte-deterministic SLO report (identical
-    across runs and ``--jobs`` values).  ``--overload`` runs the
+    across runs).  ``--overload`` runs the
     bounded-p99-versus-unbounded-queueing comparison instead.
     """
     from .serve.bench import (
@@ -687,7 +687,7 @@ def _serve_bench(parser, args) -> int:
     )
     started = time.time()
     if args.overload:
-        result = run_overload_experiment(config, jobs=args.jobs)
+        result = run_overload_experiment(config)
         summary = result["summary"]
         on = result["legs"]["admission_on"]["totals"]
         print(f"serve-bench overload: {on['arrivals']} arrivals at "
@@ -701,9 +701,9 @@ def _serve_bench(parser, args) -> int:
               f"with shedding")
         payload = result
     else:
-        report = run_serve_bench(config, jobs=args.jobs)
-        print(f"serve-bench: seed={args.seed} ops={args.ops} "
-              f"jobs={args.jobs}  [{time.time() - started:.1f}s]")
+        report = run_serve_bench(config)
+        print(f"serve-bench: seed={args.seed} ops={args.ops}  "
+              f"[{time.time() - started:.1f}s]")
         print(render_slo_report(report))
         payload = report
     if args.out:
@@ -724,20 +724,24 @@ def _report(parser, args) -> int:
         render_run_summary,
     )
 
-    def load(path: str):
+    def load(path: str, argument: str) -> dict:
         try:
-            return json.loads(Path(path).read_text())
+            data = json.loads(Path(path).read_text())
         except (OSError, ValueError) as exc:
             parser.error(f"cannot read {path}: {exc}")
+        if not isinstance(data, dict):
+            parser.error(f"argument {argument}: {path} holds no JSON "
+                         f"object")
+        return data
 
     if args.diff:
-        old, new = map(load, args.diff)
+        old, new = (load(path, "--diff") for path in args.diff)
         diff = diff_bench_reports(old, new, tolerance=args.tolerance)
         print(render_bench_diff(diff, show_unchanged=args.show_unchanged))
         return 0 if diff["ok"] else 1
     if not args.summary:
         parser.error("provide a run_summary.json path or --diff OLD NEW")
-    print(render_run_summary(load(args.summary)))
+    print(render_run_summary(load(args.summary, "summary")))
     return 0
 
 

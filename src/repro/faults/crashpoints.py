@@ -319,11 +319,6 @@ class CrashCase:
 
 def run_crash_case(case: CrashCase) -> dict:
     """Replay one case: crash, recover, check invariants.  Picklable."""
-    from ..bench.executor import current_options
-
-    channel = current_options().telemetry
-    if channel is not None:
-        channel.emit("case_start", case=case.case_id)
     engine, handle = build_case_engine(case.policy, case.config,
                                        plan=case.live_plan())
     controller = CrashController.for_engine(engine, handle=handle)
@@ -377,8 +372,6 @@ def run_crash_case(case: CrashCase) -> dict:
             "retries": handle.retries(),
             "torn_detected": handle.torn_writes_detected,
         }
-    if channel is not None:
-        channel.emit("case_end", case=case.case_id, ok=invariants.ok)
     return result
 
 

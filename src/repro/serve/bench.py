@@ -8,8 +8,8 @@ seeded :class:`~repro.serve.loadgen.LoadSchedule`; each op's service
 time is the simulated cost-model delta it actually charges; queue wait
 falls out of the single-server discipline (an op starts when both it
 has arrived and the dispatcher is free).  The result is an SLO report
-that is a pure function of the config — byte-identical across runs and
-across ``--jobs`` values — which is what lets CI pin serving-tail
+that is a pure function of the config — byte-identical across runs —
+which is what lets CI pin serving-tail
 behaviour the way it pins the golden figures.
 
 The module also hosts the **overload experiment**: one schedule pushed
@@ -62,12 +62,7 @@ def default_tenants(seed: int = 1) -> tuple[TenantSpec, ...]:
 
 @dataclass(frozen=True)
 class ServeBenchConfig:
-    """One serve-bench run, fully specified (picklable).
-
-    ``jobs`` is deliberately *not* part of the report's config digest:
-    it only parallelises schedule generation, and the report must be
-    byte-identical at any job count.
-    """
+    """One serve-bench run, fully specified (picklable)."""
 
     seed: int = 11
     total_ops: int = 4_000
@@ -187,8 +182,7 @@ def simulate_serving(
     return samples, sheds, last_finish_ns / 1e9
 
 
-def run_serve_bench(config: ServeBenchConfig | None = None,
-                    jobs: int = 1) -> dict:
+def run_serve_bench(config: ServeBenchConfig | None = None) -> dict:
     """One full serve-bench run: schedule → simulate → SLO report."""
     config = config or ServeBenchConfig()
     schedule = build_schedule(LoadSpec(
@@ -196,7 +190,7 @@ def run_serve_bench(config: ServeBenchConfig | None = None,
         total_ops=config.total_ops,
         rate_ops_per_s=config.rate_ops_per_s,
         seed=config.seed,
-    ), jobs=jobs)
+    ))
     bm = _twin_bm(config, schedule)
     admission = AdmissionController(config.admission)
     samples, sheds, makespan_s = simulate_serving(schedule, bm, admission)
@@ -212,8 +206,7 @@ def run_serve_bench(config: ServeBenchConfig | None = None,
 OVERLOAD_FACTOR = 30.0
 
 
-def run_overload_experiment(config: ServeBenchConfig | None = None,
-                            jobs: int = 1) -> dict:
+def run_overload_experiment(config: ServeBenchConfig | None = None) -> dict:
     """The bounded-tail-versus-unbounded-queueing demonstration.
 
     One schedule at ``OVERLOAD_FACTOR`` times the base arrival rate,
@@ -240,7 +233,7 @@ def run_overload_experiment(config: ServeBenchConfig | None = None,
         total_ops=overloaded.total_ops,
         rate_ops_per_s=overloaded.rate_ops_per_s,
         seed=overloaded.seed,
-    ), jobs=jobs)
+    ))
 
     legs = {}
     for name, admission_config in (

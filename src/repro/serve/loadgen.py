@@ -6,9 +6,8 @@ Generating it ahead of execution is what makes serving measurements
 reproducible — the schedule is a pure function of a
 :class:`LoadSpec` (tenant profiles reuse
 :class:`~repro.workloads.tenancy.TenantSpec`), so the ``serve-bench``
-SLO report is byte-identical across repeated runs *and* across
-``--jobs`` values: workers only parallelise per-tenant generation, and
-the merge order is a deterministic sort.
+SLO report is byte-identical across repeated runs: the merge order is
+a deterministic sort.
 
 Arrival model: each tenant is an independent Poisson process whose rate
 is its arrival-weight share of the aggregate ``rate_ops_per_s``
@@ -31,7 +30,7 @@ import random
 import time
 from dataclasses import dataclass
 
-from ..hardware.specs import DEFAULT_SCALE, SimulationScale
+from ..hardware.specs import DEFAULT_SCALE
 from ..workloads.tenancy import (
     TenantSpec,
     _stride_for,
@@ -99,98 +98,73 @@ class LoadSchedule:
             yield from range(base, base + pages)
 
 
-@dataclass(frozen=True)
-class _TenantTask:
-    """Picklable per-tenant generation task for the executor pool."""
-
-    spec: TenantSpec
-    tenant_id: int
-    count: int
-    rate_ops_per_s: float
-    seed: int
-    scale: SimulationScale
-
-
-def _tenant_stream(spec: TenantSpec, scale: SimulationScale):
+def _tenant_stream(spec: TenantSpec):
     if spec.kind == "tpcc":
-        return _TpccStream(spec, scale)
-    num_tuples = max(1, scale.pages(spec.db_gigabytes)) * TUPLES_PER_PAGE
-    return _YcsbStream(spec, num_tuples)
+        return _TpccStream(spec, DEFAULT_SCALE)
+    pages = max(1, DEFAULT_SCALE.pages(spec.db_gigabytes))
+    return _YcsbStream(spec, pages * TUPLES_PER_PAGE)
 
 
-def _generate_tenant(task: _TenantTask) -> dict:
-    """One tenant's arrival stream with tenant-local page ids.
+def _tenant_arrivals(tenant: TenantSpec, tenant_id: int, count: int,
+                     rate_ops_per_s: float, seed: int) -> tuple[int, list]:
+    """One tenant's page count and arrival stream (tenant-local pages).
 
-    Runs in pool workers under :func:`repro.bench.executor.run_tasks`;
-    everything it returns is plain picklable data.  The arrival RNG and
-    the op stream are seeded independently of every other tenant, so
-    the output depends only on this task — not on job count or sibling
-    tenants.
+    The arrival RNG and the op stream are seeded independently of every
+    other tenant, so the output depends on this tenant alone.
     """
-    rng = random.Random(f"{task.seed}:{task.tenant_id}:arrivals")
-    stream = _tenant_stream(task.spec, task.scale)
-    rate_per_ns = task.rate_ops_per_s / 1e9
+    rng = random.Random(f"{seed}:{tenant_id}:arrivals")
+    stream = _tenant_stream(tenant)
+    rate_per_ns = rate_ops_per_s / 1e9
     arrivals = []
     at_ns = 0.0
-    for _ in range(task.count):
+    for _ in range(count):
         at_ns += rng.expovariate(rate_per_ns)
         page, offset, nbytes, is_write = stream.next()
         arrivals.append((
             at_ns, "write" if is_write else "read", page, offset, nbytes,
         ))
-    return {"num_pages": stream.num_pages, "arrivals": arrivals}
+    return stream.num_pages, arrivals
 
 
-def build_schedule(spec: LoadSpec, jobs: int = 1) -> LoadSchedule:
-    """Materialise the fleet's schedule (``jobs`` only parallelises).
+def build_schedule(spec: LoadSpec) -> LoadSchedule:
+    """Materialise the fleet's schedule.
 
     Each tenant draws ``total_ops * weight_share`` arrivals at
     ``rate_ops_per_s * weight_share``; the merged order is the sort by
-    ``(arrival time, tenant, index)``.  ``jobs > 1`` fans the per-tenant
-    generation over the executor's persistent pool; results are
-    identical at any job count because each tenant's stream is
-    self-seeded.
+    ``(arrival time, tenant, index)``.
     """
-    from ..bench.executor import run_tasks
-
     total_weight = sum(tenant.weight for tenant in spec.tenants)
-    tasks = []
+    generated = []
     for tenant_id, tenant in enumerate(spec.tenants):
         share = tenant.weight / total_weight
-        count = max(1, round(spec.total_ops * share))
-        tasks.append(_TenantTask(
-            spec=tenant,
-            tenant_id=tenant_id,
-            count=count,
-            rate_ops_per_s=spec.rate_ops_per_s * share,
-            seed=spec.seed,
-            scale=DEFAULT_SCALE,
-        ))
-    generated = run_tasks(_generate_tenant, tasks, jobs=jobs,
-                          weigh=lambda task: float(task.count))
+        generated.append(_tenant_arrivals(
+            tenant, tenant_id, max(1, round(spec.total_ops * share)),
+            spec.rate_ops_per_s * share, spec.seed))
 
-    stride = _stride_for(max(g["num_pages"] for g in generated))
+    stride = _stride_for(max(pages for pages, _ in generated))
     merged: list[tuple[float, int, int, Arrival]] = []
-    for task, output in zip(tasks, generated):
-        base = task.tenant_id * stride
+    for tenant_id, (tenant, (_, arrivals)) in enumerate(
+        zip(spec.tenants, generated)
+    ):
+        base = tenant_id * stride
         for index, (at_ns, kind, page, offset, nbytes) in enumerate(
-            output["arrivals"]
+            arrivals
         ):
-            merged.append((at_ns, task.tenant_id, index, Arrival(
+            merged.append((at_ns, tenant_id, index, Arrival(
                 at_ns=at_ns,
-                tenant_id=task.tenant_id,
-                tenant=task.spec.name,
+                tenant_id=tenant_id,
+                tenant=tenant.name,
                 kind=kind,
                 page_id=base + page,
                 offset=offset,
                 nbytes=nbytes,
-                think_ns=task.spec.think_time_ns,
+                think_ns=tenant.think_time_ns,
             )))
     merged.sort(key=lambda entry: entry[:3])
     return LoadSchedule(
         arrivals=tuple(entry[3] for entry in merged),
         page_stride=stride,
-        tenant_pages=tuple(g["num_pages"] for g in generated),
+        tenant_pages=tuple(pages for pages, _ in generated),
     )
 
 

@@ -14,7 +14,7 @@ Determinism rules:
 * floats are rounded to 3 decimals at the edge of the report, ints stay
   ints, and every dict renders with sorted keys — so
   ``json.dumps(report, indent=2, sort_keys=True)`` is byte-stable
-  across runs, platforms, and ``--jobs`` values.
+  across runs and platforms.
 """
 
 from __future__ import annotations

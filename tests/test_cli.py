@@ -108,20 +108,48 @@ class TestTelemetryPlane:
 
     def test_suite_output_is_jobs_invariant(self, tmp_path, capsys,
                                             monkeypatch):
-        # Two experiments sharing one of their two cells each: the figure
-        # JSONs and both metrics exports are byte-identical at any --jobs.
+        # Two experiments sharing one of their two cells each: the stdout
+        # tables, figure JSONs and both metrics exports are byte-identical
+        # at any --jobs, with the live line on or off.
         monkeypatch.setitem(REGISTRY, "tiny_a", tiny_experiment("tiny_a", 0))
         monkeypatch.setitem(REGISTRY, "tiny_b", tiny_experiment("tiny_b", 1))
+        runs = {}
         for jobs in ("1", "2"):
-            out = tmp_path / jobs
-            assert main(["tiny_a", "tiny_b", "--jobs", jobs, "--out",
-                         str(out), "--metrics-out",
-                         str(out / "metrics.prom")]) == 0
-            assert "3 cells simulated, 1 reused" in capsys.readouterr().out
-        for name in ("tiny_a.json", "tiny_b.json", "metrics.prom",
-                     "metrics.jsonl"):
-            assert (tmp_path / "1" / name).read_bytes() \
-                == (tmp_path / "2" / name).read_bytes(), name
+            for live in ([], ["--live"]):
+                out = tmp_path / f"{jobs}{''.join(live)}"
+                assert main(["tiny_a", "tiny_b", "--jobs", jobs, *live,
+                             "--out", str(out), "--metrics-out",
+                             str(out / "metrics.prom")]) == 0
+                stdout = capsys.readouterr().out.replace(str(out), "OUT")
+                assert "3 cells simulated, 1 reused" in stdout
+                runs[out] = [re.sub(r"took [0-9.]+s", "took Xs", stdout)] + [
+                    (out / name).read_bytes()
+                    for name in ("tiny_a.json", "tiny_b.json",
+                                 "metrics.prom", "metrics.jsonl")]
+        first, *others = runs.values()
+        for out, run in runs.items():
+            assert run == first, out.name
+
+    def test_live_needs_no_manager_process(self, tmp_path, capsys,
+                                           monkeypatch):
+        # Progress is counted in the parent off the results it collects,
+        # so a platform without multiprocessing.Manager still sees every
+        # cell of the batch finish, pool workers included.
+        import multiprocessing
+
+        def no_manager(*args, **kwargs):
+            raise OSError("no Manager here")
+
+        monkeypatch.setattr(multiprocessing, "Manager", no_manager)
+        monkeypatch.setitem(REGISTRY, "tiny_a", tiny_experiment("tiny_a", 0))
+        monkeypatch.setitem(REGISTRY, "tiny_b", tiny_experiment("tiny_b", 1))
+        assert main(["tiny_a", "tiny_b", "--jobs", "2", "--live", "--out",
+                     str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "run_summary.json").read_text())
+        assert summary["telemetry"] == {"batches": 1, "items": 3,
+                                        "finished": 3, "ops": 3 * 900}
+        assert capsys.readouterr().err.splitlines()[-1].startswith(
+            "live: 3/3 finished, 2,700 ops in ")
 
     def test_report_renders_run_summary(self, tmp_path, capsys):
         assert main(["table1", "--out", str(tmp_path)]) == 0
@@ -265,8 +293,15 @@ class TestBadInput:
         ["serve", "--nvm-gb", "-1"],
         ["serve", "--ssd-gb", "-0.5"],
         ["report", "--tolerance", "-0.1", "--diff", "a", "b"],
+        ["chaos", "--seeds", "1", "1"],
+        ["chaos", "--policies", "DRAM_SSD", "DRAM_SSD"],
+        ["report", "list.json"],
+        ["report", "--diff", "list.json", "object.json"],
     ], ids=" ".join)
-    def test_usage_error(self, argv, capsys):
+    def test_usage_error(self, argv, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "list.json").write_text("[1, 2]\n")
+        (tmp_path / "object.json").write_text("{}\n")
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2

@@ -21,7 +21,8 @@ import dataclasses
 import functools
 import io
 import os
-from multiprocessing.managers import BaseProxy
+import sys
+import time
 
 import pytest
 
@@ -33,13 +34,14 @@ from repro.bench.executor import (
     _plan_chunks,
     current_options,
     pool_info,
+    progress_sink,
     run_cells,
     run_options,
     run_tasks,
     warm_pool,
 )
 from repro.bench.harness import RunOptions
-from repro.bench.telemetry import ProgressAggregator, open_channel
+from repro.bench.telemetry import ProgressLine
 from repro.core.policy import SPITFIRE_LAZY
 from repro.hardware.pricing import HierarchyShape
 from repro.obs.export import snapshot_jsonl_lines
@@ -67,6 +69,16 @@ def _exit_unless_pid(arg) -> int:
     """
     pid, value = arg
     if os.getpid() != pid:
+        os._exit(13)
+    return value * 2
+
+
+def _exit_last_unless_pid(arg) -> int:
+    """:func:`_exit_unless_pid` for the last item only, once its
+    siblings have had time to finish in other workers."""
+    pid, value, last = arg
+    if value == last and os.getpid() != pid:
+        time.sleep(0.5)
         os._exit(13)
     return value * 2
 
@@ -106,7 +118,7 @@ class TestRunOptionsScope:
     def test_default_outside_any_scope(self):
         assert current_options() == RunOptions()
         assert RunOptions() == RunOptions(
-            collect_metrics=False, telemetry=None, trace_decisions=0.0)
+            collect_metrics=False, trace_decisions=0.0)
 
     def test_scope_sets_and_restores_every_named_field(self):
         with run_options(collect_metrics=True,
@@ -163,9 +175,6 @@ FIELD_CASES = {
         lambda: True,
         lambda result, baseline: result.metrics is not None
         and baseline.metrics is None),
-    "telemetry": (
-        open_channel,
-        lambda result, baseline: result.throughput == baseline.throughput),
     "trace_decisions": (
         lambda: 1.0,
         lambda result, baseline: result.decision_trace is not None
@@ -181,23 +190,9 @@ def _default_run():
 
 
 def _run_batch(cells, jobs: int, name: str, value):
-    """Run ``cells`` with option ``name`` set to ``value``.
-
-    Returns the results and, for the telemetry option, the number of
-    events the channel delivered — ``stop()`` drains up to its own
-    sentinel, so the count is exact once it returns.
-    """
-    aggregator = None
-    if name == "telemetry":
-        aggregator = ProgressAggregator(value, stream=io.StringIO()).start()
-    try:
-        with run_options(**{name: value}):
-            results = run_cells(cells, jobs=jobs)
-    finally:
-        if aggregator is not None:
-            aggregator.stop(final_line=False)
-    events = aggregator.summary()["events_seen"] if aggregator else None
-    return results, events
+    """Run ``cells`` with option ``name`` set to ``value``."""
+    with run_options(**{name: value}):
+        return run_cells(cells, jobs=jobs)
 
 
 class TestContextAfterPool:
@@ -228,22 +223,13 @@ class TestContextAfterPool:
         make_value, took_effect = FIELD_CASES[name]
         cells, baseline = _default_run()
         value = make_value()
-        try:
-            if name == "telemetry" and not isinstance(value.queue, BaseProxy):
-                pytest.skip("no multiprocessing.Manager here: worker "
-                            "events cannot cross processes")
-            serial, serial_events = _run_batch(cells, 1, name, value)
-            pooled, pooled_events = _run_batch(cells, 2, name, value)
-        finally:
-            if name == "telemetry":
-                value.close()
+        serial = _run_batch(cells, 1, name, value)
+        pooled = _run_batch(cells, 2, name, value)
         for result, reference in zip(pooled, baseline):
             assert took_effect(result, reference)
         # RunResult compares field by field: every simulated number,
         # snapshot, breakdown and trace equals the serial run's.
         assert pooled == serial
-        assert pooled_events == serial_events
-        assert pooled_events is None or pooled_events >= 3 * len(cells)
 
     @pool_required
     def test_scopes_entered_after_pool_reach_workers(self):
@@ -283,6 +269,20 @@ class TestWorkerCrashFallback:
         assert results == [i * 2 for i in range(6)]
 
     @pool_required
+    def test_progress_stops_at_the_batch_across_the_serial_rerun(self):
+        # Five items finish in the pool and are counted before the last
+        # one breaks it; the serial rerun runs all six again, and each
+        # item still counts once.
+        assert warm_pool(2)
+        items = [(os.getpid(), i, 5) for i in range(6)]
+        line = ProgressLine(stream=io.StringIO())
+        with progress_sink(line):
+            results = run_tasks(_exit_last_unless_pid, items, jobs=2)
+        assert results == [i * 2 for i in range(6)]
+        assert line.summary() == {"batches": 1, "items": 6, "finished": 6,
+                                  "ops": 6}
+
+    @pool_required
     def test_pool_recreated_after_wholesale_death(self):
         assert warm_pool(2)
         items = [(os.getpid(), i) for i in range(4)]
@@ -293,6 +293,30 @@ class TestWorkerCrashFallback:
         info = pool_info()
         assert info is not None
         assert info["generation"] > generation
+
+
+class TestProgressFromThePool:
+    @pool_required
+    def test_each_item_counts_once_under_contention(self):
+        # More workers than cores, many chunks, and a short switch
+        # interval: the pool's result thread and the batch's final
+        # settle race on the tally, and a lost or doubled update would
+        # show in the counts.
+        assert warm_pool(4)
+        items = range(1500)
+        line = ProgressLine(stream=io.StringIO(), render_interval=0.0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with progress_sink(line):
+                results = run_tasks(_double, items, jobs=4,
+                                    weigh=lambda x: float(x % 3 + 1))
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [x * 2 for x in items]
+        assert line.summary() == {
+            "batches": 1, "items": 1500, "finished": 1500,
+            "ops": sum(x % 3 + 1 for x in items)}
 
 
 class TestChunkPlanner:

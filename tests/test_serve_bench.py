@@ -35,10 +35,6 @@ class TestSchedule:
         # alpha has weight 2 of 4: about half the arrivals.
         assert counts["alpha"] == 500
 
-    def test_schedule_identical_across_jobs(self):
-        spec = LoadSpec(tenants=default_tenants(9), total_ops=400, seed=9)
-        assert build_schedule(spec, jobs=1) == build_schedule(spec, jobs=4)
-
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             LoadSpec(tenants=())
@@ -52,10 +48,6 @@ class TestDeterminism:
     def test_report_byte_identical_across_runs(self):
         assert slo_report_json(run_serve_bench(QUICK)) \
             == slo_report_json(run_serve_bench(QUICK))
-
-    def test_report_byte_identical_across_jobs(self):
-        assert slo_report_json(run_serve_bench(QUICK, jobs=1)) \
-            == slo_report_json(run_serve_bench(QUICK, jobs=4))
 
     def test_different_seeds_differ(self):
         other = ServeBenchConfig(seed=8, total_ops=900)

@@ -1,210 +1,118 @@
-"""Streaming telemetry: channel pickling, emission, live aggregation."""
+"""Live progress: the parent-side line the executor reports a batch to."""
 
+import contextlib
 import io
-import pickle
-import queue
-import time
 
-from repro.bench.telemetry import (
-    ProgressAggregator,
-    TelemetryChannel,
-    open_channel,
+import pytest
+
+from repro.bench.executor import (
+    Cell,
+    Effort,
+    progress_sink,
+    run_cells,
+    run_tasks,
 )
+from repro.bench.telemetry import ProgressLine, live_progress
+from repro.core.policy import SPITFIRE_LAZY
+from repro.hardware.pricing import HierarchyShape
+
+SHAPE = HierarchyShape(dram_gb=2.0, nvm_gb=4.0, ssd_gb=100.0)
 
 
-class TestTelemetryChannel:
-    def make_local(self) -> TelemetryChannel:
-        return TelemetryChannel(queue.Queue())
-
-    def test_emit_enqueues_event(self):
-        channel = self.make_local()
-        channel.emit("cell_start", cell="c", expected_ops=10)
-        event = channel.queue.get_nowait()
-        assert event["kind"] == "cell_start"
-        assert event["cell"] == "c"
-        assert event["expected_ops"] == 10
-        assert event["ts"] > 0
-
-    def test_emit_on_none_queue_is_noop(self):
-        channel = TelemetryChannel(None)
-        channel.emit("progress", done=1)  # must not raise
-
-    def test_emit_swallows_transport_errors(self):
-        class BrokenQueue:
-            def put_nowait(self, event):
-                raise ConnectionResetError("manager gone")
-
-        channel = TelemetryChannel(BrokenQueue())
-        channel.emit("progress", done=1)  # must not raise
-
-    def test_progress_callback_carries_label(self):
-        channel = self.make_local()
-        progress = channel.progress_callback("fig6/cell")
-        progress("measure", 500, 1000)
-        event = channel.queue.get_nowait()
-        assert event == {
-            "kind": "progress", "ts": event["ts"], "cell": "fig6/cell",
-            "phase": "measure", "done": 500, "total": 1000,
-        }
-
-    def test_pickle_drops_in_process_queue(self):
-        # A plain queue.Queue cannot cross into pool workers; the clone
-        # must carry queue=None so worker emits degrade to no-ops
-        # instead of failing the chunk submission.
-        clone = pickle.loads(pickle.dumps(self.make_local()))
-        assert clone.queue is None
-        clone.emit("progress", done=1)  # no-op, no raise
-
-    def test_open_channel_pickles_with_live_queue(self):
-        channel = open_channel()
-        try:
-            if channel.queue.__class__.__module__.startswith("queue"):
-                # Manager unavailable in this sandbox: the fallback
-                # path is covered by test_pickle_drops_in_process_queue.
-                return
-            clone = pickle.loads(pickle.dumps(channel))
-            assert clone.queue is not None
-            clone.emit("ping", cell="c")
-            event = channel.queue.get(timeout=5)
-            assert event["kind"] == "ping"
-        finally:
-            channel.close()
-
-    def test_close_is_idempotent(self):
-        channel = open_channel()
-        channel.close()
-        channel.close()
+def make_line() -> ProgressLine:
+    return ProgressLine(stream=io.StringIO(), render_interval=0.01)
 
 
-def make_aggregator() -> ProgressAggregator:
-    channel = TelemetryChannel(queue.Queue())
-    return ProgressAggregator(channel, stream=io.StringIO(),
-                              render_interval=0.01)
+def _fail_on_two(x: int) -> int:
+    if x == 2:
+        raise ValueError("two")
+    return x
 
 
-class TestProgressAggregatorState:
-    """State transitions, driven synchronously through ``_apply``."""
+class TestProgressLine:
+    def test_eta_covers_the_whole_batch(self):
+        # 2 of 10 equal-weight items done in 10 s: the other 8 take 40 s,
+        # whether or not they have started.
+        line = make_line()
+        line.begin(10, 10_000.0)
+        line.started = 100.0
+        line.advance(2, 2_000.0)
+        assert line.render_line(now=110.0) == \
+            "live: 2/10 done  200 ops/s  ETA 40s"
 
-    def test_cell_lifecycle(self):
-        agg = make_aggregator()
-        agg._apply({"kind": "cell_start", "cell": "c", "expected_ops": 100})
-        agg._apply({"kind": "progress", "cell": "c", "phase": "warmup",
-                    "done": 30, "total": 30})
-        agg._apply({"kind": "progress", "cell": "c", "phase": "measure",
-                    "done": 20, "total": 70})
-        summary = agg.summary()
-        assert summary["cells_seen"] == 1
-        assert summary["cells_finished"] == 0
-        # Measure progress is offset by the observed warmup ops.
-        assert summary["ops_observed"] == 50
-        agg._apply({"kind": "cell_end", "cell": "c", "operations": 100})
-        summary = agg.summary()
-        assert summary["cells_finished"] == 1
-        assert summary["ops_observed"] == 100
+    def test_batches_accumulate(self):
+        line = make_line()
+        line.begin(3, 3.0)
+        line.advance(3, 3.0)
+        line.begin(2, 5.0)
+        assert line.summary() == {"batches": 2, "items": 5, "finished": 3,
+                                  "ops": 3}
 
-    def test_render_line_shows_active_cell_and_phase(self):
-        agg = make_aggregator()
-        agg._started = time.time()
-        agg._apply({"kind": "cell_start", "cell": "fig6/D=0.1",
-                    "expected_ops": 200})
-        agg._apply({"kind": "progress", "cell": "fig6/D=0.1",
-                    "phase": "measure", "done": 100, "total": 200})
-        line = agg.render_line()
-        assert "1 running" in line
-        assert "fig6/D=0.1 measure" in line
-        assert "ops/s" in line
-
-    def test_chaos_case_counters(self):
-        agg = make_aggregator()
-        agg._started = time.time()
-        for _ in range(3):
-            agg._apply({"kind": "case_start", "case": "x"})
-        agg._apply({"kind": "case_end", "case": "x", "ok": True})
-        assert "chaos 1/3 cases" in agg.render_line()
-        assert agg.summary() == {
-            "cells_seen": 0, "cells_finished": 0, "ops_observed": 0,
-            "events_seen": 4, "cases_done": 1, "cases_total": 3,
-        }
-
-    def test_progress_for_unknown_cell_creates_state(self):
-        agg = make_aggregator()
-        agg._apply({"kind": "progress", "cell": "late", "phase": "measure",
-                    "done": 5, "total": 10})
-        assert agg.summary()["cells_seen"] == 1
-
-
-class TestProgressAggregatorThread:
-    def test_drains_queue_and_stops(self):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_closing_line_counts_warmup_and_measure_ops(self, jobs):
+        efforts = [Effort(warmup_ops=300, measure_ops=600),
+                   Effort(warmup_ops=200, measure_ops=400)]
+        cells = [Cell.ycsb(f"c{i}", SHAPE, SPITFIRE_LAZY, "YCSB-BA", 10.0,
+                           effort=effort)
+                 for i, effort in enumerate(efforts)]
         stream = io.StringIO()
-        channel = TelemetryChannel(queue.Queue())
-        agg = ProgressAggregator(channel, stream=stream,
-                                 render_interval=0.01).start()
-        channel.emit("cell_start", cell="c", expected_ops=10)
-        channel.emit("cell_end", cell="c", operations=10)
-        deadline = time.time() + 5.0
-        while agg.summary()["events_seen"] < 2 and time.time() < deadline:
-            time.sleep(0.01)
-        agg.stop()
-        assert agg.summary()["events_seen"] == 2
-        assert "telemetry: 1 cell(s)" in stream.getvalue()
+        with live_progress(stream) as line:
+            run_cells(cells, jobs=jobs)
+        ops = sum(e.warmup_ops + e.measure_ops for e in efforts)
+        assert line.summary() == {"batches": 1, "items": 2, "finished": 2,
+                                  "ops": ops}
+        assert stream.getvalue().splitlines()[-1].startswith(
+            f"live: 2/2 finished, {ops:,} ops in ")
 
-    def test_stop_without_start_is_noop(self):
-        make_aggregator().stop()
+    def test_tasks_count_their_weights(self):
+        line = make_line()
+        with progress_sink(line):
+            run_tasks(abs, range(4), weigh=lambda x: x + 1.0)
+        assert (line.items, line.finished, line.weight_done) == (4, 4, 10.0)
+
+    def test_a_failed_item_counts_nothing(self):
+        line = make_line()
+        with progress_sink(line), pytest.raises(ValueError):
+            run_tasks(_fail_on_two, range(4))
+        assert (line.items, line.finished) == (4, 2)
+
+    def test_no_sink_outside_the_scope(self):
+        line = make_line()
+        with progress_sink(line):
+            pass
+        run_tasks(abs, range(3))
+        assert line.batches == 0
 
 
 class TestStatusLineCleanup:
     """The in-place stderr line must be wiped on any exit path."""
 
-    def test_drain_clears_line_when_apply_raises(self):
-        # A malformed event makes _apply blow up mid-drain; the finally
-        # must still blank the status line so the traceback that follows
-        # does not land on top of stale progress text.
-        import threading
-
-        stream = io.StringIO()
-        channel = TelemetryChannel(queue.Queue())
-        agg = ProgressAggregator(channel, stream=stream,
-                                 render_interval=0.0).start()
-        channel.emit("cell_start", cell="c", expected_ops=10)
-        deadline = time.time() + 5.0
-        while not agg._rendered and time.time() < deadline:
-            time.sleep(0.01)
-        assert agg._rendered
-        old_hook = threading.excepthook
-        threading.excepthook = lambda args: None  # expected death, no noise
-        try:
-            channel.queue.put_nowait({"kind": "progress"})  # no "cell" key
-            agg._thread.join(timeout=5.0)
-            assert not agg._thread.is_alive()
-        finally:
-            threading.excepthook = old_hook
-        assert stream.getvalue().endswith(f"\r{'':<100}\r")
-
     def test_stop_clears_line_before_summary(self):
-        stream = io.StringIO()
-        channel = TelemetryChannel(queue.Queue())
-        agg = ProgressAggregator(channel, stream=stream,
-                                 render_interval=0.0).start()
-        channel.emit("cell_start", cell="c", expected_ops=10)
-        deadline = time.time() + 5.0
-        while not agg._rendered and time.time() < deadline:
-            time.sleep(0.01)
-        agg.stop()
-        output = stream.getvalue()
-        # The blank-out precedes the summary line.
-        assert f"\r{'':<100}\r" in output
-        assert output.index(f"\r{'':<100}\r") \
-            < output.index("telemetry: 1 cell(s)")
+        # On a clean exit and on an exception alike, the blank-out
+        # precedes the closing line.
+        for fail in (False, True):
+            stream = io.StringIO()
+            with contextlib.suppress(RuntimeError):
+                with live_progress(stream) as line:
+                    run_tasks(abs, range(3))
+                    assert line._rendered
+                    if fail:
+                        raise RuntimeError("escape")
+            output = stream.getvalue()
+            blank = f"\r{'':<100}\r"
+            assert blank in output
+            assert output.index(blank) < output.index("live: 3/3 finished")
 
     def test_clear_line_without_render_writes_nothing(self):
-        agg = make_aggregator()
-        agg.clear_line()
-        assert agg.stream.getvalue() == ""
+        line = make_line()
+        line.clear_line()
+        assert line.stream.getvalue() == ""
 
     def test_clear_line_is_idempotent(self):
-        agg = make_aggregator()
-        agg._rendered = True
-        agg.clear_line()
-        first = agg.stream.getvalue()
-        agg.clear_line()
-        assert agg.stream.getvalue() == first
+        line = make_line()
+        line._rendered = True
+        line.clear_line()
+        first = line.stream.getvalue()
+        line.clear_line()
+        assert line.stream.getvalue() == first
+
