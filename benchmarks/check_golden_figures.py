@@ -20,13 +20,10 @@ each is that plane's core contract:
 ``--with-telemetry``
     ``collect_metrics`` + ``trace_decisions=0.05``: both
     measurement-window observers the harness can attach — hub and
-    decision recorder — on every cell, plus the parent-side live plane:
+    decision recorder — on every cell, plus the parent-side live plane,
     the progress line the batch reports to
-    (:func:`~repro.bench.telemetry.live_progress`) and a live Prometheus
-    endpoint
-    (:class:`~repro.obs.server.MetricsServer`) scraped by a background
-    thread *while the figures regenerate* — watching a run live changes
-    nothing about its results.
+    (:func:`~repro.bench.telemetry.live_progress`) — watching a run
+    live changes nothing about its results.
 
 Every YCSB cell runs through the columnar batch path, flag or not, so
 every regeneration gates the batch path's byte-identity too.
@@ -35,14 +32,15 @@ The flags compose, and a composed run cannot pass vacuously: whenever
 metrics are collected, every plane that is switched on must have left
 its trace on the results **as computed where the cells ran** (the
 metrics sink: non-empty, with a decision trace when tracing), the batch
-path must have vectorised at least one run, and the live plane must
-have counted every cell of the batch finished and served at least one
-successful mid-run scrape.  Every cell's ``op_latency_ns`` histograms
-must also count exactly its ``BufferStats`` reads + writes.  So
-``--with-metrics`` fails an experiment with no executor cell (table1,
-fig10, recovery: the sink stays empty) and one whose cells all run per
-op (fig11, fig13, queue_size: fine-grained layouts vectorise nothing);
-gate those without it.
+path must have vectorised at least one run, and the live line must
+have counted every item of the batch finished.  Every cell's
+``op_latency_ns`` histograms must also count exactly its
+``BufferStats`` reads + writes.  The sink holds the cells' results
+alone, so ``--with-metrics`` fails an experiment that declares no
+:class:`~repro.bench.executor.Cell` (table1; fig10 and recovery declare
+other batch items: the sink stays empty) and one whose cells all run
+per op (fig11, fig13, queue_size: fine-grained layouts vectorise
+nothing); gate those without it.
 
 All the named experiments run as one suite
 (:func:`~repro.bench.experiments.run_suite`), as ``repro-experiments``
@@ -74,7 +72,6 @@ import contextlib
 import io
 import sys
 import tempfile
-import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -100,24 +97,18 @@ def regenerate(experiment_ids: list[str], jobs: int, options: RunOptions,
     """Run ``experiment_ids`` as one suite under ``options``.
 
     Returns the suite's figures, its batch wall time, and — with
-    ``live`` — the progress line's summary, the cells the batch
-    simulated, and the mid-run scrape counts.
+    ``live`` — the progress line's summary and the items the batch
+    simulated.
     """
-    watch = None
-    with contextlib.ExitStack() as stack:
-        if live:
-            line = stack.enter_context(live_progress(stream=io.StringIO()))
-        stack.enter_context(run_options(options))
-        sink: list = []
-        if live:
-            scrapes = _scrape_run(stack, sink)
+    watching = (live_progress(stream=io.StringIO()) if live
+                else contextlib.nullcontext())
+    with watching as line, run_options(options):
         figures, simulate_s = run_suite(
             [REGISTRY[e] for e in experiment_ids], quick=True, jobs=jobs)
-        for figure in figures:
-            sink.extend(figure.runs)
+    watch = None
     if live:
         simulated = sum(len(f.runs) - f.reused for f in figures)
-        watch = line.summary(), simulated, scrapes
+        watch = line.summary(), simulated
     return figures, simulate_s, watch
 
 
@@ -126,7 +117,7 @@ def check(experiment_id: str, figure, options: RunOptions, watch) -> bool:
     if not golden.exists():
         print(f"FAIL {experiment_id}: no archived result at {golden}")
         return False
-    results = ([result for _, result in figure.runs]
+    results = ([result for _, result in figure.cell_runs]
                if options.collect_metrics else [])
     attached, dead = _planes(options, results, watch)
     if dead:
@@ -164,7 +155,7 @@ def _planes(options: RunOptions, results: list, watch) -> tuple[str, list[str]]:
     if options.collect_metrics:
         attached.append(f"metrics attached to {len(results)} cells")
         if not results:
-            dead.append("metrics: the sink is empty (no executor cell ran "
+            dead.append("metrics: the sink is empty (no Cell ran "
                         "under collection)")
         if any(sum(sum(entry["state"]["counts"])
                    for entry in result.metrics["registry"].values()
@@ -180,58 +171,14 @@ def _planes(options: RunOptions, results: list, watch) -> tuple[str, list[str]]:
     if options.trace_decisions and not all(r.decision_trace for r in results):
         dead.append("decision tracing: a cell carries no decision trace")
     if watch is not None:
-        progress, simulated, scrapes = watch
+        progress, simulated = watch
         attached.append(f"live line {progress['finished']}/"
-                        f"{progress['items']} cells finished, "
-                        f"{scrapes['ok']} mid-run scrape(s)")
+                        f"{progress['items']} items finished")
         if not progress["finished"] == progress["items"] == simulated:
             dead.append(f"telemetry: the live line counted "
                         f"{progress['finished']} of {progress['items']} "
-                        f"cells finished, the batch simulated {simulated}")
-        if not scrapes["ok"]:
-            dead.append(f"telemetry: the live endpoint was never scraped "
-                        f"successfully ({scrapes['fail']} failed attempts)")
+                        f"items finished, the batch simulated {simulated}")
     return "".join(f", {note}" for note in attached), dead
-
-
-def _scrape_run(stack: contextlib.ExitStack, sink: list) -> dict:
-    """Scrape a live endpoint while the run lasts.
-
-    A background thread polls a live Prometheus endpoint over ``sink``,
-    which fills once the batch ends.  Everything tears down via
-    ``stack``; returns the scrape counts for the liveness checks.
-    """
-    from repro.obs.export import merge_snapshots, prometheus_text
-    from repro.obs.server import MetricsServer
-
-    scrapes = {"ok": 0, "fail": 0}
-
-    def provider() -> str:
-        return prometheus_text(
-            merge_snapshots(result.metrics for _, result in list(sink)))
-
-    server = stack.enter_context(MetricsServer(provider))
-    stop = threading.Event()
-
-    def scraper() -> None:
-        while not stop.is_set():
-            try:
-                server.scrape(timeout=2.0)
-                scrapes["ok"] += 1
-            except Exception:
-                scrapes["fail"] += 1
-            stop.wait(0.2)
-
-    thread = threading.Thread(target=scraper, name="golden-scraper",
-                              daemon=True)
-    thread.start()
-
-    def join_scraper() -> None:
-        stop.set()
-        thread.join(timeout=5.0)
-
-    stack.callback(join_scraper)
-    return scrapes
 
 
 def _explain(golden_bytes: bytes, fresh_bytes: bytes) -> None:
@@ -268,11 +215,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="attach a MetricsHub to every cell")
     parser.add_argument("--with-telemetry", action="store_true",
                         help="attach the live telemetry plane (progress "
-                             "line, decision "
-                             "tracing, HTTP scrape endpoint polled mid-run; "
-                             "implies --with-metrics); the line must count "
-                             "every cell finished and >= 1 scrape must "
-                             "succeed")
+                             "line and decision tracing; implies "
+                             "--with-metrics); the line must count every "
+                             "item of the batch finished")
     parser.add_argument("--prewarm-pool", action="store_true",
                         help="fork and warm the persistent worker pool "
                              "BEFORE any run option is set, so options can "
@@ -291,9 +236,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"prewarmed pool: {info} (warmed={warmed})")
     options = options_from_args(parser, args)
     if args.with_telemetry:
-        # The live scrape endpoint serves the merged metrics sink, so
-        # the telemetry plane needs per-cell collection on; with the
-        # decision tracer every measurement-window observer is attached.
+        # With the hub and the decision tracer every measurement-window
+        # observer is attached.
         options = replace(options, collect_metrics=True,
                           trace_decisions=TELEMETRY_TRACE_FRACTION)
     figures, simulate_s, watch = regenerate(

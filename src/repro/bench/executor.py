@@ -1,19 +1,21 @@
-"""Parallel experiment executor: declarative cells over a persistent pool.
+"""Parallel experiment executor: declarative batch items over a persistent pool.
 
-Every figure in the paper is a grid of independent measurements — one
-buffer manager, one workload, one policy/shape/knob combination per
-point.  This module turns each grid point into a picklable :class:`Cell`
-spec and runs batches of them with :func:`run_cells`, either in-process
-(``jobs=1``) or on a **persistent worker pool**: one
+Every figure in the paper is a set of independent, self-contained runs:
+grid cells (one buffer manager, one workload, one policy/shape/knob
+combination per point), Fig. 10's adaptive runs, the recovery pairs, and
+the chaos matrix's crash cases.  Each is a **batch item**: a frozen,
+picklable value with a ``run()`` method and a ``weight`` (its expected
+relative cost).  :class:`Cell` is the grid point's item.
+:func:`run_cells` runs a batch of items, either in-process (``jobs=1``)
+or on a **persistent worker pool**: one
 :class:`concurrent.futures.ProcessPoolExecutor` created lazily per
-process and reused by every :func:`run_cells` / :func:`run_tasks` call,
-so pool startup and worker warm-up are paid once per process instead of
-once per figure.
+process and reused by every batch, so pool startup and worker warm-up
+are paid once per process instead of once per figure.
 
 Design rules:
 
-* a :class:`Cell` carries *specs*, never live objects: the worker builds
-  its own hierarchy, buffer manager, and workload from scratch, so a
+* an item carries *specs*, never live objects: the worker builds its
+  own hierarchy, buffer manager, and workload from scratch, so a
   parallel run draws exactly the same RNG streams as a serial run and
   the per-figure JSON output is byte-identical for any ``jobs`` value;
 * results come back in submission order regardless of completion order;
@@ -21,9 +23,9 @@ Design rules:
   display-only) are one run, so a suite's union of declared cells
   (:func:`repro.bench.experiments.run_suite`) runs each distinct cell
   once and hands every figure that declares it the one result;
-* work is submitted as **contiguous chunks** sized from each cell's
-  :class:`Effort` (longest-expected-first), which amortises pickling
-  and IPC over many small tasks while keeping load balanced;
+* work is submitted as **contiguous chunks** sized from each item's
+  ``weight`` (longest-expected-first), which amortises pickling and IPC
+  over many small tasks while keeping load balanced;
 * what a run attaches to its cells — metrics hub, decision tracer —
   is one
   :class:`~repro.bench.harness.RunOptions` value: :func:`run_options`
@@ -36,8 +38,9 @@ Design rules:
   collects: :func:`progress_sink` scopes a sink that every batch tells
   what it begins and what finishes, and nothing about it reaches a
   worker;
-* a failing cell raises :class:`CellExecutionError` naming the cell's
-  full spec, and never hangs the pool (remaining chunks are cancelled);
+* a failing item raises :class:`CellExecutionError` naming the item by
+  its dataclass ``repr``, and never hangs the pool (remaining chunks
+  are cancelled);
 * when worker processes cannot be spawned at all (restricted sandboxes,
   missing ``os.fork``) or die wholesale mid-batch, the batch
   transparently degrades to serial in-process execution with identical
@@ -212,34 +215,22 @@ class Cell:
                    tenants=tenants, quota_mode=quota_mode,
                    shares=tuple(shares), **kwargs)
 
-    def describe(self) -> str:
-        """One-line spec rendering for error messages and logs."""
-        wl = self.workload
-        if self.tenants:
-            names = "+".join(spec.name for spec in self.tenants)
-            workload = f"tenants[{names}] quota={self.quota_mode}"
-        elif wl.kind == "ycsb":
-            workload = f"{wl.mix} skew={wl.skew}"
-        else:
-            workload = "TPC-C"
-        return (
-            f"Cell({self.label!r}: shape={self.shape.label}, "
-            f"policy={self.policy.name or self.policy}, {workload}, "
-            f"db={wl.db_gb:g}GB, effort={self.effort.warmup_ops}+"
-            f"{self.effort.measure_ops}, "
-            f"workload seed={wl.seed})"
-        )
+    @property
+    def weight(self) -> float:
+        """Expected relative cost: the cell's warm-up plus measure ops."""
+        return float(self.effort.warmup_ops + self.effort.measure_ops)
+
+    def run(self) -> RunResult:
+        return run_cell(self)
 
 
 class CellExecutionError(RuntimeError):
-    """A cell's measurement raised; carries the failing cell's spec."""
+    """A batch item's ``run()`` raised; ``cell`` is the failing item."""
 
-    def __init__(self, cell: Cell, cause: BaseException) -> None:
+    def __init__(self, cell, cause: BaseException) -> None:
         self.cell = cell
         self.cause = cause
-        super().__init__(
-            f"experiment cell failed: {cause!r}\n  spec: {cell.describe()}"
-        )
+        super().__init__(f"batch item failed: {cause!r}\n  item: {cell!r}")
 
 
 # ----------------------------------------------------------------------
@@ -295,8 +286,7 @@ def progress_sink(sink):
     after each item, on the pool as each chunk's future completes (from
     the pool's result thread).  Failed and cancelled work counts
     nothing, and an item counts once, a serial rerun after a broken
-    pool included.  ``weight`` is the batch's ``weigh`` values: a
-    cell's warm-up plus measure ops.
+    pool included.  ``weight`` sums the items' ``weight``.
     """
     token = _progress_var.set(sink)
     try:
@@ -482,17 +472,8 @@ def warm_pool(jobs: int) -> bool:
 
 
 # ----------------------------------------------------------------------
-# The shared submission engine
+# The submission engine
 # ----------------------------------------------------------------------
-class _ItemFailure(Exception):
-    """Internal: item ``index`` raised ``cause`` (first in order)."""
-
-    def __init__(self, index: int, cause: BaseException) -> None:
-        self.index = index
-        self.cause = cause
-        super().__init__(f"item {index} failed: {cause!r}")
-
-
 class _ChunkSkipped(Exception):
     """Placeholder outcome for items after a failure in their chunk."""
 
@@ -506,7 +487,7 @@ def _as_picklable(exc: BaseException) -> BaseException:
         return RuntimeError(f"{type(exc).__name__}: {exc}")
 
 
-def _exec_chunk(runner, items: tuple, options: RunOptions) -> list:
+def _exec_chunk(items: tuple, options: RunOptions) -> list:
     """Worker-side entry: run one contiguous chunk under ``options``.
 
     Returns one ``(ok, payload)`` pair per item.  After the first
@@ -517,7 +498,7 @@ def _exec_chunk(runner, items: tuple, options: RunOptions) -> list:
     with run_options(options):
         for position, item in enumerate(items):
             try:
-                out.append((True, runner(item)))
+                out.append((True, item.run()))
             except Exception as exc:
                 out.append((False, _as_picklable(exc)))
                 out.extend(
@@ -559,104 +540,16 @@ def _plan_chunks(weights: list[float], jobs: int) -> list[tuple[int, int]]:
     return spans
 
 
-def _execute_serial(items: list, runner, tally: _Tally | None) -> list:
+def _execute_serial(items: list, tally: _Tally | None) -> list:
     results = []
     for index, item in enumerate(items):
         try:
-            results.append(runner(item))
+            results.append(item.run())
         except Exception as exc:
-            raise _ItemFailure(index, exc) from exc
+            raise CellExecutionError(item, exc) from exc
         if tally is not None:
             tally.count((index,))
     return results
-
-
-def _execute(items: list, runner, jobs: int, weigh) -> list:
-    """Run ``runner`` over ``items``; results in submission order.
-
-    The one submission engine behind :func:`run_cells` and
-    :func:`run_tasks`: serial in-process for ``jobs<=1`` (or a single
-    item), otherwise chunked over the persistent pool with the current
-    :class:`RunOptions` attached to every chunk.  Pool-level failures
-    (cannot spawn, workers died wholesale) degrade to a serial rerun —
-    identical output, because items are self-contained and
-    deterministic.  The first failing item (in submission order) raises
-    :class:`_ItemFailure`; callers translate it.  The current
-    :func:`progress_sink`, if any, hears of the batch.
-    """
-    n = len(items)
-    weights = [weigh(item) for item in items]
-    sink = _progress_var.get()
-    tally = _Tally(sink, weights) if sink is not None else None
-    if jobs <= 1 or n <= 1:
-        return _execute_serial(items, runner, tally)
-    pool = _ensure_pool(jobs)
-    if pool is None:
-        return _execute_serial(items, runner, tally)
-    from concurrent.futures.process import BrokenProcessPool
-
-    options = current_options()
-    spans = _plan_chunks(weights, jobs)
-
-    global _pool_busy
-    with _pool_lock:
-        _pool_busy += 1
-    futures: list[tuple[int, int, object]] = []
-    try:
-        try:
-            for start, stop in spans:
-                future = pool.submit(_exec_chunk, runner,
-                                     tuple(items[start:stop]), options)
-                if tally is not None:
-                    future.add_done_callback(partial(tally.chunk_done, start))
-                futures.append((start, stop, future))
-        except (BrokenProcessPool, RuntimeError):
-            # RuntimeError: another thread observed the break first and
-            # the executor refuses new futures mid-shutdown.
-            for _, _, future in futures:
-                future.cancel()
-            _discard_pool()
-            return _execute_serial(items, runner, tally)
-
-        outcomes: list = [None] * n
-        failed_at: int | None = None
-        # Collect in index order (submission order was only for the
-        # pool's scheduling): the first failing *index* must win
-        # deterministically, exactly as a serial run would fail.
-        for start, stop, future in sorted(futures, key=lambda f: f[0]):
-            if failed_at is not None:
-                future.cancel()
-                continue
-            try:
-                outcomes[start:stop] = future.result()
-            except BrokenProcessPool:
-                for _, _, other in futures:
-                    other.cancel()
-                _discard_pool()
-                return _execute_serial(items, runner, tally)
-            except Exception as exc:
-                # A chunk-level failure outside item execution (e.g. an
-                # unpicklable return): attribute it to the chunk's head.
-                outcomes[start] = (False, exc)
-                failed_at = start
-                continue
-            for index in range(start, stop):
-                ok, _ = outcomes[index]
-                if not ok:
-                    failed_at = index
-                    break
-    finally:
-        with _pool_lock:
-            _pool_busy -= 1
-
-    if failed_at is not None:
-        _, cause = outcomes[failed_at]
-        raise _ItemFailure(failed_at, cause) from cause
-    if tally is not None:
-        # A future's result() can return before its done-callbacks run:
-        # settle the count before the batch is over.
-        tally.count(range(n))
-    return [payload for _, payload in outcomes]
 
 
 # ----------------------------------------------------------------------
@@ -710,52 +603,93 @@ def run_cell(cell: Cell) -> RunResult:
         db_gigabytes=spec.db_gb, scale=cell.scale, seed=spec.seed))
 
 
-def _cell_weight(cell: Cell) -> float:
-    """Expected relative cost of one cell, from its Effort envelope."""
-    return float(cell.effort.warmup_ops + cell.effort.measure_ops)
+def run_cells(items, jobs: int = 1) -> list:
+    """Run a batch of items; results in submission order.
 
-
-def run_cells(cells, jobs: int = 1) -> list[RunResult]:
-    """Run a batch of cells and return results in submission order.
-
-    ``jobs=1`` (or a single cell) executes in-process with no pool at
-    all.  ``jobs>1`` fans contiguous chunks of cells over the
-    persistent pool; if the platform cannot spawn workers the batch
-    degrades to serial, which produces identical results because every
-    cell is self-contained.  Every cell runs, equal or not: sharing
-    equal cells is the caller's union
-    (:func:`repro.bench.experiments.run_suite`).  The first failing cell
-    (in submission order) raises :class:`CellExecutionError`.
-    """
-    cells = list(cells)
-    try:
-        return _execute(cells, run_cell, jobs, _cell_weight)
-    except _ItemFailure as failure:
-        raise CellExecutionError(
-            cells[failure.index], failure.cause) from failure.cause
-
-
-def run_tasks(fn, items, jobs: int = 1, weigh=None) -> list:
-    """Run ``fn`` over ``items`` with the executor's determinism rules.
-
-    The generic sibling of :func:`run_cells` for non-Cell work (the
-    chaos crash-point matrix fans out :class:`CrashCase` values this
-    way): results come back in submission order regardless of
-    completion order, ``jobs<=1`` runs in-process with no pool, and a
-    pool that cannot spawn (or breaks wholesale) degrades to a serial
-    rerun — identical output, because tasks are self-contained and
-    deterministic.  ``fn`` and every item must be picklable.  ``weigh``
-    optionally maps an item to its expected relative cost, steering the
-    chunk planner's longest-expected-first schedule (default: uniform).
+    Each item is a frozen, picklable value with ``run()`` and
+    ``weight`` (a :class:`Cell`, an adaptive run, a crash case).
+    ``jobs=1`` (or a single item) runs them in-process with no pool at
+    all.  ``jobs>1`` fans contiguous chunks over the persistent pool,
+    heaviest first, with the current :class:`RunOptions` attached to
+    every chunk; a pool that cannot spawn, or whose workers die
+    wholesale, degrades to a serial rerun — identical output, because
+    every item is self-contained and deterministic.  Every item runs,
+    equal or not: sharing equal items is the caller's union
+    (:func:`repro.bench.experiments.run_suite`).  The first failing item
+    (in submission order) raises :class:`CellExecutionError`.  The
+    current :func:`progress_sink`, if any, hears of the batch.
     """
     items = list(items)
-    if weigh is None:
-        weigh = _uniform_weight
+    n = len(items)
+    weights = [item.weight for item in items]
+    sink = _progress_var.get()
+    tally = _Tally(sink, weights) if sink is not None else None
+    if jobs <= 1 or n <= 1:
+        return _execute_serial(items, tally)
+    pool = _ensure_pool(jobs)
+    if pool is None:
+        return _execute_serial(items, tally)
+    from concurrent.futures.process import BrokenProcessPool
+
+    options = current_options()
+    spans = _plan_chunks(weights, jobs)
+
+    global _pool_busy
+    with _pool_lock:
+        _pool_busy += 1
+    futures: list[tuple[int, int, object]] = []
     try:
-        return _execute(items, fn, jobs, weigh)
-    except _ItemFailure as failure:
-        raise failure.cause
+        try:
+            for start, stop in spans:
+                future = pool.submit(_exec_chunk, tuple(items[start:stop]),
+                                     options)
+                if tally is not None:
+                    future.add_done_callback(partial(tally.chunk_done, start))
+                futures.append((start, stop, future))
+        except (BrokenProcessPool, RuntimeError):
+            # RuntimeError: another thread observed the break first and
+            # the executor refuses new futures mid-shutdown.
+            for _, _, future in futures:
+                future.cancel()
+            _discard_pool()
+            return _execute_serial(items, tally)
 
+        outcomes: list = [None] * n
+        failed_at: int | None = None
+        # Collect in index order (submission order was only for the
+        # pool's scheduling): the first failing *index* must win
+        # deterministically, exactly as a serial run would fail.
+        for start, stop, future in sorted(futures, key=lambda f: f[0]):
+            if failed_at is not None:
+                future.cancel()
+                continue
+            try:
+                outcomes[start:stop] = future.result()
+            except BrokenProcessPool:
+                for _, _, other in futures:
+                    other.cancel()
+                _discard_pool()
+                return _execute_serial(items, tally)
+            except Exception as exc:
+                # A chunk-level failure outside item execution (e.g. an
+                # unpicklable return): attribute it to the chunk's head.
+                outcomes[start] = (False, exc)
+                failed_at = start
+                continue
+            for index in range(start, stop):
+                ok, _ = outcomes[index]
+                if not ok:
+                    failed_at = index
+                    break
+    finally:
+        with _pool_lock:
+            _pool_busy -= 1
 
-def _uniform_weight(_item) -> float:
-    return 1.0
+    if failed_at is not None:
+        _, cause = outcomes[failed_at]
+        raise CellExecutionError(items[failed_at], cause) from cause
+    if tally is not None:
+        # A future's result() can return before its done-callbacks run:
+        # settle the count before the batch is over.
+        tally.count(range(n))
+    return [payload for _, payload in outcomes]

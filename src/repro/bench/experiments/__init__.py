@@ -1,13 +1,15 @@
 """One experiment module per table/figure of the paper's evaluation.
 
-Each module declares its grid and reduces it:
+Each module declares its work and reduces it:
 
-* ``cells(quick) -> {key: Cell}`` — every simulation the figure reads,
-  under keys of its own choosing (table1, fig10 and recovery declare
-  none);
+* ``cells(quick) -> {key: item}`` — every simulation the figure reads,
+  under keys of its own choosing: a batch item is a frozen, picklable
+  value with ``run()`` and ``weight`` — a
+  :class:`~repro.bench.executor.Cell` for a grid point, Fig. 10's
+  adaptive runs, the recovery ablation's crash/recover pairs (table1, a
+  static table, declares none);
 * ``reduce(quick, runs) -> ExperimentResult`` — the figure, from
-  ``runs = {key: RunResult}`` (table1, fig10 and recovery do their own
-  work here).
+  ``runs = {key: item.run()}``; it simulates nothing itself.
 
 :func:`run_suite` runs any selection of them as one batch.
 :data:`REGISTRY` maps experiment ids to :class:`Experiment` entries in
@@ -81,51 +83,61 @@ class Figure:
     """One experiment of a suite, reduced."""
 
     result: object
-    #: ``(cell label, RunResult)`` per declared cell, in declaration order.
+    #: ``(item label, result)`` per declared item, in declaration order.
     runs: list
-    #: Declared cells an earlier figure, or an earlier key of this one,
+    #: Declared items an earlier figure, or an earlier key of this one,
     #: already declared.
     reused: int
     #: Wall time of this figure's ``reduce``.
     elapsed_s: float
+
+    @property
+    def cell_runs(self) -> list:
+        """The ``(label, RunResult)`` pairs of the declared cells alone:
+        what a metrics sink takes."""
+        from ..harness import RunResult
+
+        return [(label, result) for label, result in self.runs
+                if isinstance(result, RunResult)]
 
 
 def run_suite(experiments, quick: bool = True,
               jobs: int = 1) -> tuple[list[Figure], float]:
     """Run ``experiments`` as one batch: ``(figures, simulate_s)``.
 
-    The union of every experiment's cells, in order — equal cells (the
-    label is display-only) are one key, so a simulation several figures
-    declare runs once — is one heaviest-first executor batch under the
-    ambient :class:`~repro.bench.harness.RunOptions`, timed as
-    ``simulate_s``.  A failing cell raises
+    The union of every experiment's items, in order — equal items (a
+    cell's label is display-only) are one key, so a simulation several
+    figures declare runs once — is one heaviest-first executor batch
+    under the ambient :class:`~repro.bench.harness.RunOptions`, timed as
+    ``simulate_s``.  A failing item raises
     :class:`~repro.bench.executor.CellExecutionError` naming its first
-    declarer's cell, before anything reduces.  Then each experiment
+    declarer's item, before anything reduces.  Then each experiment
     reduces its own results, in order; a tenant result carries the
     label its declarer gave it.
     """
-    from ..executor import run_cells
+    from ..executor import Cell, run_cells
 
     declared = [experiment.cells(quick) for experiment in experiments]
-    union = list(dict.fromkeys(cell for cells in declared
-                               for cell in cells.values()))
+    union = list(dict.fromkeys(item for items in declared
+                               for item in items.values()))
     started = time.perf_counter()
     simulated = dict(zip(union, run_cells(union, jobs)))
     simulate_s = time.perf_counter() - started
     seen: set = set()
     figures = []
-    for experiment, cells in zip(experiments, declared):
+    for experiment, items in zip(experiments, declared):
         distinct = len(seen)
-        seen.update(cells.values())
-        runs = {key: replace(simulated[cell], label=cell.label)
-                if cell.tenants else simulated[cell]
-                for key, cell in cells.items()}
+        seen.update(items.values())
+        runs = {key: replace(simulated[item], label=item.label)
+                if isinstance(item, Cell) and item.tenants
+                else simulated[item]
+                for key, item in items.items()}
         started = time.perf_counter()
         result = experiment.reduce(quick, runs)
         figures.append(Figure(
             result=result,
-            runs=[(cell.label, runs[key]) for key, cell in cells.items()],
-            reused=len(cells) - (len(seen) - distinct),
+            runs=[(item.label, runs[key]) for key, item in items.items()],
+            reused=len(items) - (len(seen) - distinct),
             elapsed_s=round(time.perf_counter() - started, 3),
         ))
     return figures, simulate_s

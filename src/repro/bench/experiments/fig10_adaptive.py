@@ -11,6 +11,8 @@ discovered policy is lazy for DRAM (D < 1).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from ...core.buffer_manager import BufferManager
 from ...core.policy import SPITFIRE_EAGER
 from ...hardware.cost_model import StorageHierarchy
@@ -23,6 +25,7 @@ from ..reporting import ExperimentResult
 
 SHAPE = HierarchyShape(dram_gb=2.5, nvm_gb=10.0, ssd_gb=100.0)
 DB_GB = 40.0
+WORKLOADS = ("YCSB-RO", "YCSB-BA")
 
 EPOCHS_QUICK = 40
 EPOCHS_FULL = 100
@@ -30,13 +33,52 @@ OPS_PER_EPOCH_QUICK = 3_000
 OPS_PER_EPOCH_FULL = 8_000
 
 
+@dataclass(frozen=True)
+class AdaptiveRun:
+    """One workload's controller run from a cold eager start: a batch
+    item, so the suite's batch schedules it with the grid cells."""
+
+    label: str
+    epochs: int
+    ops_per_epoch: int
+
+    @property
+    def weight(self) -> float:
+        return float(self.epochs * self.ops_per_epoch)
+
+    def run(self):
+        """``(per-epoch records, best policy)`` of the controller run."""
+        bm = BufferManager(StorageHierarchy(SHAPE, DEFAULT_SCALE),
+                           SPITFIRE_EAGER)
+        workload = YcsbWorkload(
+            num_tuples=DEFAULT_SCALE.pages(DB_GB) * 16,
+            mix=MIXES[self.label], skew=0.3, seed=3,
+        )
+        runner = WorkloadRunner(bm, RunConfig(warmup_ops=0, measure_ops=0))
+        runner.allocate_database(workload.num_pages)
+        # Deliberately *no* buffer priming: Fig. 10 shows the journey from
+        # a cold eager start to the tuned steady state.
+        controller = AdaptiveController(bm, seed=11)
+        records = controller.run(
+            workload_step=lambda: runner.run_ycsb_op(workload),
+            epochs=self.epochs,
+            ops_per_epoch=self.ops_per_epoch,
+        )
+        return records, controller.best_policy
+
+
+def _effort(quick: bool) -> tuple[int, int]:
+    if quick:
+        return EPOCHS_QUICK, OPS_PER_EPOCH_QUICK
+    return EPOCHS_FULL, OPS_PER_EPOCH_FULL
+
+
 def cells(quick: bool) -> dict:
-    return {}  # the adaptive controller runs here, in reduce
+    return {name: AdaptiveRun(name, *_effort(quick)) for name in WORKLOADS}
 
 
 def reduce(quick: bool, runs: dict) -> ExperimentResult:
-    epochs = EPOCHS_QUICK if quick else EPOCHS_FULL
-    ops_per_epoch = OPS_PER_EPOCH_QUICK if quick else OPS_PER_EPOCH_FULL
+    epochs, ops_per_epoch = _effort(quick)
     result = ExperimentResult(
         "fig10", "Adaptive Data Migration (per-epoch throughput)"
     )
@@ -44,29 +86,14 @@ def reduce(quick: bool, runs: dict) -> ExperimentResult:
         dram_gb=SHAPE.dram_gb, nvm_gb=SHAPE.nvm_gb, db_gb=DB_GB,
         epochs=epochs, ops_per_epoch=ops_per_epoch, start_policy="eager",
     )
-    for workload_name in ("YCSB-RO", "YCSB-BA"):
-        bm = BufferManager(StorageHierarchy(SHAPE, DEFAULT_SCALE),
-                           SPITFIRE_EAGER)
-        workload = YcsbWorkload(
-            num_tuples=DEFAULT_SCALE.pages(DB_GB) * 16,
-            mix=MIXES[workload_name], skew=0.3, seed=3,
-        )
-        runner = WorkloadRunner(bm, RunConfig(warmup_ops=0, measure_ops=0))
-        runner.allocate_database(workload.num_pages)
-        # Deliberately *no* buffer priming: Fig. 10 shows the journey from
-        # a cold eager start to the tuned steady state.
-        controller = AdaptiveController(bm, seed=11)
-        controller.run(
-            workload_step=lambda: runner.run_ycsb_op(workload),
-            epochs=epochs,
-            ops_per_epoch=ops_per_epoch,
-        )
+    for workload_name in WORKLOADS:
+        records, best = runs[workload_name]
         series = result.new_series(workload_name)
-        for record in controller.records:
+        for record in records:
             series.add(record.epoch, record.throughput)
-        best = controller.best_policy
-        first = controller.records[0].throughput
-        tail = controller.throughput_series()[-max(3, epochs // 10):]
+        first = records[0].throughput
+        tail = [record.throughput
+                for record in records[-max(3, epochs // 10):]]
         converged = sum(tail) / len(tail)
         result.note(
             f"{workload_name}: eager start {first / 1e3:.0f} kOps -> "

@@ -21,6 +21,8 @@ already durable in the NVM buffer.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from ...core.policy import DRAM_SSD_POLICY, SPITFIRE_LAZY
 from ...engine.engine import EngineConfig, StorageEngine
 from ...hardware.cost_model import StorageHierarchy
@@ -42,58 +44,72 @@ OPS_FULL = 6_000
 NUM_TUPLES = 1_500
 
 
-def _one_config(label: str, operations: int) -> dict[str, float]:
-    shape, policy = CONFIGS[label]
-    hierarchy = StorageHierarchy(shape, SCALE)
-    engine = StorageEngine(
-        hierarchy, policy,
-        config=EngineConfig(checkpoint_interval_ops=200),
-    )
-    engine.log.group_commit_size = 1
-    driver = YcsbEngine(engine, num_tuples=NUM_TUPLES, mix=YCSB_WH, seed=3)
-    driver.load()
-    hierarchy.reset_accounting()  # measure the run, not the load
-    ssd = hierarchy.device(Tier.SSD)
-    log_bytes_before = engine.log.stats.bytes_appended
-    driver.run(operations)
-    # Runtime recovery-protocol overhead: checkpoint flush traffic that
-    # reached the SSD beyond the WAL itself.
-    ssd_write_bytes = ssd.snapshot_counters().media_write_bytes
-    wal_bytes = engine.log.stats.bytes_appended - log_bytes_before
-    flush_bytes = max(0.0, ssd_write_bytes - wal_bytes)
-    pages_flushed = engine.checkpointer.pages_flushed
-    engine.simulate_crash()
-    hierarchy.reset_accounting()
-    report = RecoveryManager(engine.bm, engine.log).recover()
-    recovery_ns = hierarchy.cost.makespan_ns(workers=1)
-    return {
-        "pages_flushed": float(pages_flushed),
-        "flush_ssd_mb": flush_bytes / 1e6,
-        "redo_applied": float(report.redo_applied),
-        "recovery_ms": recovery_ns / 1e6,
-        "nvm_pages_recovered": float(report.recovered_nvm_pages),
-    }
+@dataclass(frozen=True)
+class CrashRecoveryRun:
+    """One hierarchy's run, crash and recovery: a batch item."""
+
+    label: str
+    operations: int
+
+    @property
+    def weight(self) -> float:
+        return float(self.operations)
+
+    def run(self) -> dict[str, float]:
+        shape, policy = CONFIGS[self.label]
+        hierarchy = StorageHierarchy(shape, SCALE)
+        engine = StorageEngine(
+            hierarchy, policy,
+            config=EngineConfig(checkpoint_interval_ops=200),
+        )
+        engine.log.group_commit_size = 1
+        driver = YcsbEngine(engine, num_tuples=NUM_TUPLES, mix=YCSB_WH, seed=3)
+        driver.load()
+        hierarchy.reset_accounting()  # measure the run, not the load
+        ssd = hierarchy.device(Tier.SSD)
+        log_bytes_before = engine.log.stats.bytes_appended
+        driver.run(self.operations)
+        # Runtime recovery-protocol overhead: checkpoint flush traffic that
+        # reached the SSD beyond the WAL itself.
+        ssd_write_bytes = ssd.snapshot_counters().media_write_bytes
+        wal_bytes = engine.log.stats.bytes_appended - log_bytes_before
+        flush_bytes = max(0.0, ssd_write_bytes - wal_bytes)
+        pages_flushed = engine.checkpointer.pages_flushed
+        engine.simulate_crash()
+        hierarchy.reset_accounting()
+        report = RecoveryManager(engine.bm, engine.log).recover()
+        recovery_ns = hierarchy.cost.makespan_ns(workers=1)
+        return {
+            "pages_flushed": float(pages_flushed),
+            "flush_ssd_mb": flush_bytes / 1e6,
+            "redo_applied": float(report.redo_applied),
+            "recovery_ms": recovery_ns / 1e6,
+            "nvm_pages_recovered": float(report.recovered_nvm_pages),
+        }
+
+
+def _operations(quick: bool) -> int:
+    return OPS_QUICK if quick else OPS_FULL
 
 
 def cells(quick: bool) -> dict:
-    return {}  # crash/recover pairs run here, in reduce
+    return {label: CrashRecoveryRun(label, _operations(quick))
+            for label in CONFIGS}
 
 
 def reduce(quick: bool, runs: dict) -> ExperimentResult:
-    operations = OPS_QUICK if quick else OPS_FULL
     result = ExperimentResult(
         "recovery", "Recovery Overhead: DRAM-SSD vs DRAM-NVM-SSD (§6.2 claim)"
     )
-    result.metadata.update(workload="YCSB-WH", operations=operations,
+    result.metadata.update(workload="YCSB-WH", operations=_operations(quick),
                            tuples=NUM_TUPLES)
-    metrics = {label: _one_config(label, operations) for label in CONFIGS}
     for metric in ("pages_flushed", "flush_ssd_mb", "redo_applied",
                    "recovery_ms", "nvm_pages_recovered"):
         series = result.new_series(metric)
         for label in CONFIGS:
-            series.add(label, metrics[label][metric])
-    two_tier = metrics["DRAM-SSD"]
-    three_tier = metrics["DRAM-NVM-SSD"]
+            series.add(label, runs[label][metric])
+    two_tier = runs["DRAM-SSD"]
+    three_tier = runs["DRAM-NVM-SSD"]
     result.note(
         f"checkpoint bytes to SSD: {two_tier['flush_ssd_mb']:.2f} MB "
         f"(DRAM-SSD) vs {three_tier['flush_ssd_mb']:.2f} MB (three-tier) — "

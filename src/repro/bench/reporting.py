@@ -274,8 +274,7 @@ def render_run_summary(summary: dict) -> str:
         lines.append(
             f"-- telemetry --\n"
             f"   {telemetry.get('finished', 0)}/{telemetry.get('items', 0)} "
-            f"finished, {telemetry.get('ops', 0):,} ops in "
-            f"{telemetry.get('batches', 0)} batch(es)"
+            f"finished in {telemetry.get('batches', 0)} batch(es)"
         )
     return "\n".join(lines)
 

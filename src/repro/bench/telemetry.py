@@ -10,11 +10,14 @@ completes on the pool.  It reports from counters it already holds
 (sysbench's ``report_intermediate`` idiom): nothing crosses a process
 boundary and nothing runs in a worker, so result bytes cannot move.
 
-A cell weighs its warm-up plus measure ops and a chaos case its
-expected cost, so the line's ops/s is finished weight per second and
-its ETA is the batch's unfinished weight at that rate.  It is written
-in place (``\\r``) to stderr, at most every ``render_interval``
-seconds; stdout stays reserved for tables and JSON.
+The line counts items — ``live: done/total done  ETA Ns`` — and
+closes ``live: N/M finished in Ys``.  Its ETA is the batch's unfinished
+weight at the rate finished weight has accrued: an item's ``weight`` is
+its expected relative cost (a cell's warm-up plus measure ops, an
+adaptive run's epochs times ops, a crash case's replay length), not a
+count of one unit, so the line names no ops.  It is written in place
+(``\\r``) to stderr, at most every ``render_interval`` seconds; stdout
+stays reserved for tables and JSON.
 """
 
 from __future__ import annotations
@@ -61,23 +64,21 @@ class ProgressLine:
             self._render(force=False)
 
     def render_line(self, now: float | None = None) -> str:
-        """Done of total, ops/s and the whole batch's ETA."""
-        elapsed = self._elapsed(now)
-        parts = [f"live: {self.finished}/{self.items} done"]
-        if self.weight_done:
-            rate = self.weight_done / elapsed
-            parts.append(f"{rate:,.0f} ops/s")
-            parts.append(f"ETA {(self.weight - self.weight_done) / rate:.0f}s")
-        return "  ".join(parts)
+        """Done of total, and the whole batch's ETA."""
+        line = f"live: {self.finished}/{self.items} done"
+        if not self.weight_done:
+            return line
+        rate = self.weight_done / self._elapsed(now)
+        return f"{line}  ETA {(self.weight - self.weight_done) / rate:.0f}s"
 
     def closing_line(self) -> str:
-        return (f"live: {self.finished}/{self.items} finished, "
-                f"{self.weight_done:,.0f} ops in {self._elapsed():.1f}s")
+        return (f"live: {self.finished}/{self.items} finished in "
+                f"{self._elapsed():.1f}s")
 
     def summary(self) -> dict:
         """The run summary's ``telemetry`` block."""
         return {"batches": self.batches, "items": self.items,
-                "finished": self.finished, "ops": round(self.weight_done)}
+                "finished": self.finished}
 
     def clear_line(self) -> None:
         """Blank the in-place status line (idempotent, never raises).

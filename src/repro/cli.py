@@ -11,7 +11,6 @@ Usage::
     repro-experiments --all --live       # the batch's progress on stderr
     repro-experiments fig6 --trace-decisions 0.05 \\
         --metrics-out m.prom --decision-trace-out decisions.jsonl
-    repro-experiments fig6 fig7 --metrics-port 0 --metrics-out m.prom
     repro-experiments serve --metrics-port 0 --slo-out slo.json
     repro-experiments serve-bench --seed 11 --ops 4000 --out slo.json
     repro-experiments serve-bench --overload   # bounded-p99 demo
@@ -24,8 +23,8 @@ One parser with five subcommands — ``run``, ``chaos``, ``serve``,
 line that does not start with a subcommand is ``run``'s, so
 ``repro-experiments fig6`` is ``repro-experiments run fig6``.  A flag
 that means the same thing to several subcommands (``--jobs``,
-``--live``, ``--metrics-port``, and ``--policy`` plus the admission
-flags of ``serve`` and ``serve-bench``) is declared once and shared.
+``--live``, and ``--policy`` plus the admission flags of ``serve`` and
+``serve-bench``) is declared once and shared.
 
 Each experiment prints a paper-style text table and (with ``--out``)
 writes a JSON result file for archival/plotting.  ``--metrics-out``
@@ -35,10 +34,11 @@ and writes the merged metrics as Prometheus text exposition (plus a
 byte-identical with or without metrics attached.
 
 The chosen experiments run as **one suite**: the union of every
-figure's declared cells is one batch (``--jobs N`` fans it over one
-persistent worker pool), so a cell that several figures declare
-(Table 2's grid is Figs. 6-8's) is simulated once and its result handed
-to each.  Once the batch ends, each figure reduces its results, then
+figure's declared items — grid cells, Fig. 10's adaptive runs, the
+recovery ablation's crash/recover pairs — is one batch (``--jobs N``
+fans it over one persistent worker pool), so a cell that several
+figures declare (Table 2's grid is Figs. 6-8's) is simulated once and
+its result handed to each.  Once the batch ends, each figure reduces its results, then
 prints and saves, in paper order; ``--live`` is how to watch the batch
 progress.  Output (tables, JSON files, metrics exports) stays
 byte-identical to running each experiment alone.
@@ -46,17 +46,15 @@ byte-identical to running each experiment alone.
 The ``chaos`` subcommand runs the crash-consistency matrix instead of
 an experiment: every consistency-relevant boundary of a deterministic
 reference workload gets a crash-and-recover replay, with WAL-tail and
-torn-page hazards layered on top (see ``docs/FAULTS.md``).  The JSON
-report is byte-identical for any ``--jobs`` value.
+torn-page hazards layered on top (see ``docs/FAULTS.md``), as one
+batch of crash cases.  The JSON report is byte-identical for any
+``--jobs`` value.
 
 The live telemetry plane rides strictly out-of-band of all of this:
-``--live`` keeps one stderr line of the batch's progress (cells or
-cases finished of total, ops/s, ETA), counted in the parent as results
-come back; ``--trace-decisions FRAC`` records a sampled
-trace of the migration engine's admit/deny decisions;
-``--metrics-port PORT`` serves the merged Prometheus registry over HTTP
-(filled once the batch ends) and asserts the final scrape is
-byte-for-byte the file export; the ``report`` subcommand renders the
+``--live`` keeps one stderr line of the batch's progress (items
+finished of total, ETA), counted in the parent as results come back;
+``--trace-decisions FRAC`` records a sampled trace of the migration
+engine's admit/deny decisions; the ``report`` subcommand renders the
 ``run_summary.json`` a run leaves under ``--out`` and diffs two
 ``BENCH_repro.json``-style wall-clock reports into a regression table.
 None of it changes result bytes — ``check_golden_figures.py
@@ -131,14 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
     live = argparse.ArgumentParser(add_help=False)
     live.add_argument("--live", action="store_true",
                       help="show the batch's progress (done of total, "
-                           "ops/s, ETA) on stderr while it runs (the "
-                           "output is unchanged)")
-    metrics_port = argparse.ArgumentParser(add_help=False)
-    metrics_port.add_argument("--metrics-port", type=_port, default=None,
-                              metavar="PORT",
-                              help="serve /metrics, /healthz, /readyz on "
-                                   "PORT (0 = pick free; default: no "
-                                   "endpoint)")
+                           "ETA) on stderr while it runs (the output is "
+                           "unchanged)")
     serving = argparse.ArgumentParser(add_help=False)
     serving.add_argument("--policy", choices=tuple(POLICY_PRESETS),
                            default="Spitfire-Eager",
@@ -166,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
                                      metavar="COMMAND")
 
     run = commands.add_parser(
-        "run", parents=[jobs, live, metrics_port],
+        "run", parents=[jobs, live],
         help="regenerate tables and figures (the default)",
         description="Regenerate the paper's tables and figures.")
     run.set_defaults(handler=partial(_run, run))
@@ -196,9 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="write the sampled decision spans as JSONL to "
                           "PATH (implies per-cell collection; needs "
                           "--trace-decisions to record anything)")
-    run.add_argument("--metrics-host", default="127.0.0.1", metavar="HOST",
-                     help="bind address of --metrics-port (default: "
-                          "127.0.0.1)")
 
     chaos = commands.add_parser(
         "chaos", parents=[jobs, live],
@@ -225,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the JSON report to PATH")
 
     serve = commands.add_parser(
-        "serve", parents=[serving, metrics_port],
+        "serve", parents=[serving],
         help="the live serving plane",
         description="Serve one shared three-tier buffer manager to "
                     "concurrent client sessions until SIGTERM.")
@@ -234,6 +223,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bind address (default: 127.0.0.1)")
     serve.add_argument("--port", type=_port, default=0,
                        help="port to serve on (default: 0 = pick free)")
+    serve.add_argument("--metrics-port", type=_port, default=None,
+                       metavar="PORT",
+                       help="serve /metrics, /healthz, /readyz on PORT "
+                            "(0 = pick free; default: no endpoint)")
     serve.add_argument("--dram-gb", type=_non_negative_float, default=0.5)
     serve.add_argument("--nvm-gb", type=_non_negative_float, default=2.0)
     serve.add_argument("--ssd-gb", type=_non_negative_float, default=8.0)
@@ -295,15 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
 # run
 # ----------------------------------------------------------------------
 def _run(parser, args) -> int:
-    """``repro-experiments [run]``: regenerate tables and figures.
-
-    With ``--metrics-port`` the merged registry of every figure reduced
-    so far is served over HTTP: it fills once the batch ends, in paper
-    order — the same list the file export merges — so after the run the
-    final scrape is asserted byte-for-byte equal to the file export
-    (``--metrics-out``) or to the in-memory rendering, and a mismatch
-    fails the command.
-    """
+    """``repro-experiments [run]``: regenerate tables and figures."""
     if args.list:
         if args.experiments or args.all:
             parser.error("--list takes no experiment ids and no --all")
@@ -321,8 +306,7 @@ def _run(parser, args) -> int:
 
     from .bench.executor import run_options
 
-    endpoint = args.metrics_port is not None
-    collect = bool(args.metrics_out or args.decision_trace_out or endpoint)
+    collect = bool(args.metrics_out or args.decision_trace_out)
     sink: list = []
     line = None
     with contextlib.ExitStack() as stack:
@@ -331,17 +315,7 @@ def _run(parser, args) -> int:
             from .bench.telemetry import live_progress
 
             line = stack.enter_context(live_progress())
-        if endpoint:
-            from .obs.server import MetricsServer
-
-            server = stack.enter_context(MetricsServer(
-                lambda: _prometheus_text(list(sink)),
-                host=args.metrics_host, port=args.metrics_port))
-            print(f"   serving live metrics at {server.url}")
         records, simulate_s = _run_experiments(chosen, args, sink)
-        if endpoint:
-            final_scrape = server.scrape()
-            served = server.requests_served
     if args.metrics_out:
         _export_metrics(args.metrics_out, sink)
     if args.decision_trace_out:
@@ -349,15 +323,7 @@ def _run(parser, args) -> int:
     if args.out:
         _write_run_summary(args.out, records, simulate_s,
                            sink if collect else None, line)
-    if not endpoint:
-        return 0
-    expected = (Path(args.metrics_out).read_text() if args.metrics_out
-                else _prometheus_text(sink))
-    matches = final_scrape == expected
-    print(f"   served {served} scrape(s); final scrape "
-          f"{'==' if matches else '!='} "
-          f"{'file export' if args.metrics_out else 'merged registry'}")
-    return 0 if matches else 1
+    return 0
 
 
 def options_from_args(parser, args):
@@ -383,24 +349,17 @@ def options_from_args(parser, args):
         parser.error(str(exc))
 
 
-def _prometheus_text(sink) -> str:
-    from .obs.export import merge_snapshots, prometheus_text
-
-    return prometheus_text(merge_snapshots(result.metrics
-                                           for _, result in sink))
-
-
 def _run_experiments(chosen: list[str], args,
                      sink: list) -> tuple[list, float]:
     """Run the selected experiments as one suite; returns one summary
     record each, and the batch's wall time.
 
-    The union of their cells is one batch (a cell several figures
+    The union of their items is one batch (an item several figures
     declare is simulated once); then each figure, in paper order, is
     reduced, printed and saved, and — when metrics are collected — its
-    ``(label, RunResult)`` pairs are appended to ``sink``.  A record
-    holds id, title, reduce time, series/point counts, cells declared
-    and reused, and decision digest, for the run summary.
+    cells' ``(label, RunResult)`` pairs are appended to ``sink``.  A
+    record holds id, title, reduce time, series/point counts, items
+    declared and reused, and decision digest, for the run summary.
     """
     from .bench.experiments import run_suite
 
@@ -418,7 +377,7 @@ def _run_experiments(chosen: list[str], args,
             "cells": len(figure.runs),
             "reused": figure.reused,
         }
-        collected = [pair for pair in figure.runs
+        collected = [pair for pair in figure.cell_runs
                      if pair[1].metrics is not None]
         sink.extend(collected)
         digest = _decision_digest(collected)
@@ -554,8 +513,8 @@ def _chaos(parser, args) -> int:
                          f"{', '.join(map(str, twice))} named twice")
 
     started = time.time()
-    # Every CrashCase is one chunked run_tasks batch over the persistent
-    # pool (the report stays byte-identical at any --jobs).
+    # Every CrashCase is one item of one executor batch over the
+    # persistent pool (the report stays byte-identical at any --jobs).
     with live_progress() if args.live else contextlib.nullcontext():
         report = run_crash_matrix(
             policies=tuple(args.policies),

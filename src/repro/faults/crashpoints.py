@@ -316,6 +316,20 @@ class CrashCase:
             write_error_rate=self.write_error_rate,
         )
 
+    @property
+    def weight(self) -> float:
+        """Expected relative cost, for the executor's scheduler.
+
+        A case crashing at the ``k``-th occurrence of its boundary kind
+        replays more of the workload the larger ``k`` is (plus recovery
+        over a longer WAL), so late-ordinal cases are the stragglers —
+        the chunk planner schedules them first.
+        """
+        return 1.0 + self.boundary.ordinal
+
+    def run(self) -> dict:
+        return run_crash_case(self)
+
 
 def run_crash_case(case: CrashCase) -> dict:
     """Replay one case: crash, recover, check invariants.  Picklable."""
@@ -378,17 +392,6 @@ def run_crash_case(case: CrashCase) -> dict:
 # ----------------------------------------------------------------------
 # The matrix
 # ----------------------------------------------------------------------
-def _case_weight(case: CrashCase) -> float:
-    """Expected relative cost of one case, for the executor's scheduler.
-
-    A case crashing at the ``k``-th occurrence of its boundary kind
-    replays more of the workload the larger ``k`` is (plus recovery
-    over a longer WAL), so late-ordinal cases are the stragglers — the
-    chunk planner schedules them first.
-    """
-    return 1.0 + case.boundary.ordinal
-
-
 def build_cases(policies, seeds, config: MatrixConfig,
                 with_tail_faults: bool = True,
                 read_error_rate: float = 0.0,
@@ -443,18 +446,20 @@ def run_crash_matrix(policies=("DRAM_SSD", "SPITFIRE_LAZY",
                      write_error_rate: float = 0.0) -> dict:
     """Run the full crash-point matrix; returns a JSON-able report.
 
-    Results arrive in submission order from the executor's generic task
-    pool, so the report is byte-identical for any ``jobs`` value.
+    Every case is one item of one executor batch, and results arrive in
+    submission order, so the report is byte-identical for any ``jobs``
+    value.  A case that raises (rather than reporting a violated
+    invariant) surfaces as
+    :class:`~repro.bench.executor.CellExecutionError` naming it.
     """
-    from ..bench.executor import run_tasks
+    from ..bench.executor import run_cells
 
     config = config or MatrixConfig()
     cases = build_cases(policies, seeds, config,
                         with_tail_faults=with_tail_faults,
                         read_error_rate=read_error_rate,
                         write_error_rate=write_error_rate)
-    results = run_tasks(run_crash_case, cases, jobs=jobs,
-                        weigh=_case_weight)
+    results = run_cells(cases, jobs=jobs)
     failures = [r["case"] for r in results if not r["ok"]]
     boundary_kinds: dict[str, int] = {}
     for case in cases:

@@ -2,20 +2,16 @@
 
 The exporter already speaks the Prometheus text exposition format
 (:func:`~repro.obs.export.prometheus_text`); this module serves it over
-HTTP so a run can be scraped *while it executes*.  The server owns no
-metric state — it calls a ``provider`` callable on every request, so
-the caller decides what "current" means (typically: render the merged
-registry of every cell that has completed so far).  The contract
-``repro-experiments run --metrics-port`` and CI smoke pin down: the
-**final** scrape after the run completes is byte-for-byte equal to the
-file export, because both render the same merged registry through the
-same function.  ``repro-experiments serve --metrics-port`` serves the
-serving plane's registry through the same class.
+HTTP so a live process can be scraped *while it executes*.  The server
+owns no metric state — it calls a ``provider`` callable on every
+request, so the caller decides what "current" means.
+``repro-experiments serve --metrics-port`` serves the serving plane's
+registry, rendered afresh per request, through this class.
 
 Stdlib only (``http.server``), binds 127.0.0.1 by default, port 0 picks
 a free port.  Request handling runs on daemon threads and never touches
-the measured system — the provider reads completed snapshots, so a
-scrape cannot perturb an in-flight cell.
+the measured system — the provider reads snapshots, so a scrape cannot
+perturb in-flight work.
 """
 
 from __future__ import annotations
@@ -42,7 +38,6 @@ class MetricsServer:
         self.provider = provider
         self.host = host
         self.port = port
-        self.requests_served = 0
         self.ready = False
         self._httpd: ThreadingHTTPServer | None = None
         self._thread: threading.Thread | None = None
@@ -92,7 +87,6 @@ class MetricsServer:
                 self.send_header("Content-Length", str(len(body)))
                 self.end_headers()
                 self.wfile.write(body)
-                server.requests_served += 1
 
             def log_message(self, *args) -> None:
                 """Silence per-request stderr logging."""
@@ -121,13 +115,6 @@ class MetricsServer:
     @property
     def url(self) -> str:
         return f"http://{self.host}:{self.port}/metrics"
-
-    def scrape(self, timeout: float = 5.0) -> str:
-        """One real HTTP GET against the live endpoint."""
-        import urllib.request
-
-        with urllib.request.urlopen(self.url, timeout=timeout) as response:
-            return response.read().decode("utf-8")
 
     def probe(self, path: str, timeout: float = 5.0) -> tuple[int, str]:
         """GET an arbitrary path; returns ``(status, body)`` even on

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.bench.executor import Cell, Effort
-from repro.bench.experiments import REGISTRY
+from repro.bench.experiments import REGISTRY, fig10_adaptive
 from repro.bench.reporting import ExperimentResult
 from repro.cli import COMMANDS, main
 from repro.core.policy import SPITFIRE_LAZY
@@ -147,9 +147,23 @@ class TestTelemetryPlane:
                      str(tmp_path)]) == 0
         summary = json.loads((tmp_path / "run_summary.json").read_text())
         assert summary["telemetry"] == {"batches": 1, "items": 3,
-                                        "finished": 3, "ops": 3 * 900}
-        assert capsys.readouterr().err.splitlines()[-1].startswith(
-            "live: 3/3 finished, 2,700 ops in ")
+                                        "finished": 3}
+        assert re.fullmatch(r"live: 3/3 finished in [0-9.]+s",
+                            capsys.readouterr().err.splitlines()[-1])
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_fig10_live_counts_its_adaptive_runs(self, jobs, capsys,
+                                                 monkeypatch):
+        # Fig. 10's two controller runs are items of the batch, so the
+        # line sees them finish.  The epoch counts travel in the items,
+        # so the patch reaches pool workers too.
+        monkeypatch.setattr(fig10_adaptive, "EPOCHS_QUICK", 2)
+        monkeypatch.setattr(fig10_adaptive, "OPS_PER_EPOCH_QUICK", 50)
+        assert main(["fig10", "--live", "--jobs", jobs]) == 0
+        captured = capsys.readouterr()
+        assert re.fullmatch(r"live: 2/2 finished in [0-9.]+s",
+                            captured.err.splitlines()[-1])
+        assert "2 cells simulated, 0 reused" in captured.out
 
     def test_report_renders_run_summary(self, tmp_path, capsys):
         assert main(["table1", "--out", str(tmp_path)]) == 0
@@ -172,31 +186,6 @@ class TestTelemetryPlane:
         assert main(["report", "--diff", str(old), str(new),
                      "--tolerance", "0.6"]) == 0
         assert "PASS" in capsys.readouterr().out
-
-    def test_metrics_port_final_scrape_matches_export(self, tmp_path,
-                                                      capsys, monkeypatch):
-        # Two experiments in one suite: the endpoint renders the
-        # per-experiment results in paper order, as the file export does.
-        for index, name in enumerate(("tiny_a", "tiny_b")):
-            monkeypatch.setitem(REGISTRY, name, tiny_experiment(name, index))
-        argv = ["tiny_a", "tiny_b", "--jobs", "2", "--metrics-out"]
-        live = tmp_path / "live" / "metrics.prom"
-        plain = tmp_path / "plain" / "metrics.prom"
-        assert main([*argv, str(live), "--metrics-port", "0"]) == 0
-        out = capsys.readouterr().out
-        assert "serving live metrics at http://127.0.0.1:" in out
-        assert "final scrape == file export" in out
-        assert main([*argv, str(plain)]) == 0
-        assert "op_latency_ns_count" in live.read_text()
-        assert live.read_bytes() == plain.read_bytes()
-        assert live.with_suffix(".jsonl").read_bytes() \
-            == plain.with_suffix(".jsonl").read_bytes()
-
-    def test_metrics_port_without_export_checks_merged_registry(
-            self, capsys, monkeypatch):
-        monkeypatch.setitem(REGISTRY, "tiny_a", tiny_experiment("tiny_a", 0))
-        assert main(["tiny_a", "--metrics-port", "0"]) == 0
-        assert "final scrape == merged registry" in capsys.readouterr().out
 
 
 class TestChaos:
@@ -286,7 +275,7 @@ class TestBadInput:
         ["fig6", "--jobs", "0"],
         ["table1", "table1"],
         ["run", "table1", "recovery", "table1"],
-        ["run", "--metrics-port", "70000", "table1"],
+        ["serve", "--metrics-port", "70000"],
         ["serve", "--port", "70000"],
         ["serve", "--metrics-port", "-1"],
         ["serve", "--dram-gb", "-1"],

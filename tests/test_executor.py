@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import pickle
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import pytest
@@ -52,7 +53,11 @@ class TestCellSpec:
         assert clone == cell
 
     def test_describe_names_the_workload(self):
-        assert "YCSB-BA" in tiny_cell().describe()
+        # A failing item is described by its dataclass repr: every field,
+        # bm_config included.
+        message = str(CellExecutionError(tiny_cell(), ValueError("x")))
+        assert "mix='YCSB-BA'" in message
+        assert "bm_config=BufferManagerConfig(" in message
 
     def test_unknown_mix_rejected(self):
         with pytest.raises(ValueError):
@@ -90,7 +95,32 @@ class TestDeterminism:
                run_cells([cell], jobs=1)[0].throughput
 
 
+@dataclass(frozen=True)
+class Doomed:
+    """A batch item that is no Cell and raises unless ``ok``."""
+
+    name: str
+    ok: bool = False
+    weight = 1.0
+
+    def run(self) -> str:
+        if not self.ok:
+            raise ValueError(f"{self.name} is doomed")
+        return self.name
+
+
 class TestErrors:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failing_item_is_named_by_its_repr(self, jobs):
+        # One rule for every item kind, and the first failure in
+        # submission order wins, wherever the items ran.
+        items = [Doomed("fine", ok=True), Doomed("first"), Doomed("second")]
+        with pytest.raises(CellExecutionError) as excinfo:
+            run_cells(items, jobs=jobs)
+        assert excinfo.value.cell is items[1]
+        assert f"item: {items[1]!r}" in str(excinfo.value)
+        assert isinstance(excinfo.value.cause, ValueError)
+
     def test_bad_cell_reports_spec_serial(self):
         bad = Cell.ycsb("doomed", SHAPE, SPITFIRE_LAZY, "YCSB-RO", -5.0,
                         effort=TINY)

@@ -23,9 +23,11 @@ import io
 import os
 import sys
 import time
+from dataclasses import dataclass
 
 import pytest
 
+from repro.bench import executor
 from repro.bench.executor import (
     CHUNKS_PER_WORKER,
     Cell,
@@ -37,7 +39,6 @@ from repro.bench.executor import (
     progress_sink,
     run_cells,
     run_options,
-    run_tasks,
     warm_pool,
 )
 from repro.bench.harness import RunOptions
@@ -55,32 +56,41 @@ def tiny_cell(label: str = "tiny", seed: int = 3) -> Cell:
                      effort=TINY, workload_seed=seed)
 
 
-def _double(x: int) -> int:
-    return x * 2
+@dataclass(frozen=True)
+class Task:
+    """A batch item that doubles ``value``.
 
-
-def _exit_unless_pid(arg) -> int:
-    """Kill the hosting process unless it is the submitting one.
-
-    Items carry the submitter's PID, so this dies in any pool worker
-    but computes normally during the serial fallback rerun — pytest
-    itself may be a child process (xdist), so ``parent_process()`` is
-    not a usable guard.
+    With ``exit_unless_pid`` set it kills its host process, after
+    ``exit_after_s``, unless that is the submitting one: it dies in any
+    pool worker but computes normally during the serial fallback rerun
+    (pytest itself may be a child process under xdist, so
+    ``parent_process()`` is not a usable guard).
     """
-    pid, value = arg
-    if os.getpid() != pid:
-        os._exit(13)
-    return value * 2
+
+    value: int
+    weight: float = 1.0
+    exit_unless_pid: int | None = None
+    exit_after_s: float = 0.0
+
+    def run(self) -> int:
+        if self.exit_unless_pid not in (None, os.getpid()):
+            time.sleep(self.exit_after_s)
+            os._exit(13)
+        return self.value * 2
 
 
-def _exit_last_unless_pid(arg) -> int:
-    """:func:`_exit_unless_pid` for the last item only, once its
-    siblings have had time to finish in other workers."""
-    pid, value, last = arg
-    if value == last and os.getpid() != pid:
-        time.sleep(0.5)
-        os._exit(13)
-    return value * 2
+def tasks(count: int, **fields) -> list[Task]:
+    return [Task(value, **fields) for value in range(count)]
+
+
+@dataclass(frozen=True)
+class OptionsProbe:
+    """A batch item whose result is the options it ran under."""
+
+    weight = 1.0
+
+    def run(self) -> RunOptions:
+        return current_options()
 
 
 def _pool_available() -> bool:
@@ -98,8 +108,8 @@ class TestPoolPersistence:
     def test_pool_survives_across_batches(self):
         assert warm_pool(2)
         before = pool_info()
-        run_tasks(_double, range(8), jobs=2)
-        run_tasks(_double, range(8), jobs=2)
+        run_cells(tasks(8), jobs=2)
+        run_cells(tasks(8), jobs=2)
         after = pool_info()
         assert before is not None and after is not None
         assert after["generation"] == before["generation"]
@@ -108,10 +118,10 @@ class TestPoolPersistence:
     @pool_required
     def test_pool_grows_but_never_shrinks(self):
         assert warm_pool(2)
-        run_tasks(_double, range(4), jobs=3)
+        run_cells(tasks(4), jobs=3)
         grown = pool_info()
         assert grown["workers"] >= 3
-        run_tasks(_double, range(4), jobs=2)
+        run_cells(tasks(4), jobs=2)
         assert pool_info()["workers"] == grown["workers"]
 
 class TestRunOptionsScope:
@@ -205,7 +215,7 @@ class TestContextAfterPool:
         around its chunk, whatever the worker's own ambient state."""
         shipped = RunOptions(collect_metrics=True, trace_decisions=0.25)
         with run_options(trace_decisions=0.5):
-            outcomes = _exec_chunk(lambda _: current_options(), (0, 1),
+            outcomes = _exec_chunk((OptionsProbe(), OptionsProbe()),
                                    shipped)
             assert current_options() == RunOptions(trace_decisions=0.5)
         assert outcomes == [(True, shipped), (True, shipped)]
@@ -264,32 +274,32 @@ class TestWorkerCrashFallback:
     @pool_required
     def test_dead_workers_degrade_to_serial_with_identical_results(self):
         assert warm_pool(2)
-        items = [(os.getpid(), i) for i in range(6)]
-        results = run_tasks(_exit_unless_pid, items, jobs=2)
+        results = run_cells(tasks(6, exit_unless_pid=os.getpid()), jobs=2)
         assert results == [i * 2 for i in range(6)]
 
     @pool_required
     def test_progress_stops_at_the_batch_across_the_serial_rerun(self):
         # Five items finish in the pool and are counted before the last
-        # one breaks it; the serial rerun runs all six again, and each
+        # one breaks it, once its siblings have had time to finish in
+        # other workers; the serial rerun runs all six again, and each
         # item still counts once.
         assert warm_pool(2)
-        items = [(os.getpid(), i, 5) for i in range(6)]
+        items = [*tasks(5), Task(5, exit_unless_pid=os.getpid(),
+                                 exit_after_s=0.5)]
         line = ProgressLine(stream=io.StringIO())
         with progress_sink(line):
-            results = run_tasks(_exit_last_unless_pid, items, jobs=2)
+            results = run_cells(items, jobs=2)
         assert results == [i * 2 for i in range(6)]
-        assert line.summary() == {"batches": 1, "items": 6, "finished": 6,
-                                  "ops": 6}
+        assert line.summary() == {"batches": 1, "items": 6, "finished": 6}
+        assert line.weight_done == line.weight == 6.0
 
     @pool_required
     def test_pool_recreated_after_wholesale_death(self):
         assert warm_pool(2)
-        items = [(os.getpid(), i) for i in range(4)]
-        run_tasks(_exit_unless_pid, items, jobs=2)  # breaks the pool
+        # Breaks the pool.
+        run_cells(tasks(4, exit_unless_pid=os.getpid()), jobs=2)
         generation = (pool_info() or {}).get("generation", 0)
-        assert run_tasks(_double, range(6), jobs=2) == \
-               [i * 2 for i in range(6)]
+        assert run_cells(tasks(6), jobs=2) == [i * 2 for i in range(6)]
         info = pool_info()
         assert info is not None
         assert info["generation"] > generation
@@ -303,23 +313,36 @@ class TestProgressFromThePool:
         # settle race on the tally, and a lost or doubled update would
         # show in the counts.
         assert warm_pool(4)
-        items = range(1500)
+        items = [Task(x, weight=float(x % 3 + 1)) for x in range(1500)]
         line = ProgressLine(stream=io.StringIO(), render_interval=0.0)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with progress_sink(line):
-                results = run_tasks(_double, items, jobs=4,
-                                    weigh=lambda x: float(x % 3 + 1))
+                results = run_cells(items, jobs=4)
         finally:
             sys.setswitchinterval(interval)
-        assert results == [x * 2 for x in items]
-        assert line.summary() == {
-            "batches": 1, "items": 1500, "finished": 1500,
-            "ops": sum(x % 3 + 1 for x in items)}
+        assert results == [x * 2 for x in range(1500)]
+        assert line.summary() == {"batches": 1, "items": 1500,
+                                  "finished": 1500}
+        assert line.weight_done == line.weight == \
+            sum(x % 3 + 1 for x in range(1500))
 
 
 class TestChunkPlanner:
+    @pool_required
+    def test_item_weights_steer_the_plan(self, monkeypatch):
+        planned = []
+
+        def spy(weights, jobs):
+            planned.append(weights)
+            return _plan_chunks(weights, jobs)
+
+        monkeypatch.setattr(executor, "_plan_chunks", spy)
+        items = [Task(x, weight=float(x % 3 + 1)) for x in range(6)]
+        assert run_cells(items, jobs=2) == [x * 2 for x in range(6)]
+        assert planned == [[item.weight for item in items]]
+
     def test_few_items_stay_singletons(self):
         spans = _plan_chunks([1.0] * 4, jobs=2)
         assert sorted(spans) == [(i, i + 1) for i in range(4)]

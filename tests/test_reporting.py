@@ -146,8 +146,7 @@ class TestRunSummary:
                          {"op": "promote_read", "outcome": "admitted"}).inc(9)
         registry.counter("faults_injected_total", {"kind": "bitflip"}).inc(1)
         registry.counter("unrelated_total").inc(5)
-        telemetry = {"batches": 1, "items": 16, "finished": 16,
-                     "ops": 64000}
+        telemetry = {"batches": 1, "items": 16, "finished": 16}
         summary = build_run_summary(sample_records(), registry=registry,
                                     telemetry=telemetry, generated_at=123.0)
         assert summary["generated_at"] == 123.0
@@ -169,8 +168,7 @@ class TestRunSummary:
                          {"tier": "DRAM", "victim_class": "dirty"}).inc(3)
         summary = build_run_summary(
             sample_records(), registry=registry,
-            telemetry={"batches": 1, "items": 16, "finished": 16,
-                       "ops": 64000})
+            telemetry={"batches": 1, "items": 16, "finished": 16})
         text = render_run_summary(summary)
         assert "== run report ==" in text
         assert "fig6" in text and "Fig 6" in text
@@ -181,7 +179,7 @@ class TestRunSummary:
         assert "eviction_victims_total{tier=DRAM,victim_class=dirty} = 3" \
             in text
         assert "-- telemetry --" in text
-        assert "16/16 finished, 64,000 ops in 1 batch(es)" in text
+        assert "16/16 finished in 1 batch(es)" in text
 
     def test_render_empty_summary(self):
         assert "== run report ==" in render_run_summary({"experiments": []})

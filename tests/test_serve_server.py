@@ -473,7 +473,8 @@ class TestDrain:
                 assert server.metrics.probe("/readyz")[0] == 200
                 client = await Client.connect(server, tenant=2)
                 assert (await client.call("read", page_id=1))["ok"]
-                text = await asyncio.to_thread(server.metrics.scrape)
+                _, text = await asyncio.to_thread(server.metrics.probe,
+                                                  "/metrics")
                 assert 'serve_requests_total{op="read",tenant="tenant-2"} 1' \
                     in text
                 assert "serve_sessions_open 1" in text

@@ -2,15 +2,17 @@
 
 import contextlib
 import io
+import re
+from dataclasses import dataclass
 
 import pytest
 
 from repro.bench.executor import (
     Cell,
+    CellExecutionError,
     Effort,
     progress_sink,
     run_cells,
-    run_tasks,
 )
 from repro.bench.telemetry import ProgressLine, live_progress
 from repro.core.policy import SPITFIRE_LAZY
@@ -23,10 +25,22 @@ def make_line() -> ProgressLine:
     return ProgressLine(stream=io.StringIO(), render_interval=0.01)
 
 
-def _fail_on_two(x: int) -> int:
-    if x == 2:
-        raise ValueError("two")
-    return x
+@dataclass(frozen=True)
+class Task:
+    """A batch item returning ``value``; it raises when ``fail`` is set."""
+
+    value: int
+    weight: float = 1.0
+    fail: bool = False
+
+    def run(self) -> int:
+        if self.fail:
+            raise ValueError(self.value)
+        return self.value
+
+
+def tasks(count: int) -> list[Task]:
+    return [Task(value) for value in range(count)]
 
 
 class TestProgressLine:
@@ -37,16 +51,29 @@ class TestProgressLine:
         line.begin(10, 10_000.0)
         line.started = 100.0
         line.advance(2, 2_000.0)
-        assert line.render_line(now=110.0) == \
-            "live: 2/10 done  200 ops/s  ETA 40s"
+        assert line.render_line(now=110.0) == "live: 2/10 done  ETA 40s"
+
+    def test_eta_follows_weight_not_item_count(self):
+        # 2 of 4 items done in 10 s, but they carried a fifth of the
+        # weight: the other half of the items takes 40 s more.
+        line = make_line()
+        line.begin(4, 10.0)
+        line.started = 100.0
+        line.advance(2, 2.0)
+        assert line.render_line(now=110.0) == "live: 2/4 done  ETA 40s"
+
+    def test_no_eta_before_anything_finishes(self):
+        line = make_line()
+        line.begin(4, 10.0)
+        assert line.render_line() == "live: 0/4 done"
 
     def test_batches_accumulate(self):
         line = make_line()
         line.begin(3, 3.0)
         line.advance(3, 3.0)
         line.begin(2, 5.0)
-        assert line.summary() == {"batches": 2, "items": 5, "finished": 3,
-                                  "ops": 3}
+        assert line.summary() == {"batches": 2, "items": 5, "finished": 3}
+        assert (line.weight, line.weight_done) == (8.0, 3.0)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_closing_line_counts_warmup_and_measure_ops(self, jobs):
@@ -58,29 +85,31 @@ class TestProgressLine:
         stream = io.StringIO()
         with live_progress(stream) as line:
             run_cells(cells, jobs=jobs)
+        # A cell weighs its warm-up plus measure ops: the ETA's basis.
         ops = sum(e.warmup_ops + e.measure_ops for e in efforts)
-        assert line.summary() == {"batches": 1, "items": 2, "finished": 2,
-                                  "ops": ops}
-        assert stream.getvalue().splitlines()[-1].startswith(
-            f"live: 2/2 finished, {ops:,} ops in ")
+        assert line.summary() == {"batches": 1, "items": 2, "finished": 2}
+        assert line.weight == line.weight_done == ops
+        assert re.fullmatch(r"live: 2/2 finished in [0-9.]+s",
+                            stream.getvalue().splitlines()[-1])
 
     def test_tasks_count_their_weights(self):
         line = make_line()
         with progress_sink(line):
-            run_tasks(abs, range(4), weigh=lambda x: x + 1.0)
+            run_cells([Task(x, weight=x + 1.0) for x in range(4)])
         assert (line.items, line.finished, line.weight_done) == (4, 4, 10.0)
 
     def test_a_failed_item_counts_nothing(self):
         line = make_line()
-        with progress_sink(line), pytest.raises(ValueError):
-            run_tasks(_fail_on_two, range(4))
+        items = [*tasks(2), Task(2, fail=True), Task(3)]
+        with progress_sink(line), pytest.raises(CellExecutionError):
+            run_cells(items)
         assert (line.items, line.finished) == (4, 2)
 
     def test_no_sink_outside_the_scope(self):
         line = make_line()
         with progress_sink(line):
             pass
-        run_tasks(abs, range(3))
+        run_cells(tasks(3))
         assert line.batches == 0
 
 
@@ -94,7 +123,7 @@ class TestStatusLineCleanup:
             stream = io.StringIO()
             with contextlib.suppress(RuntimeError):
                 with live_progress(stream) as line:
-                    run_tasks(abs, range(3))
+                    run_cells(tasks(3))
                     assert line._rendered
                     if fail:
                         raise RuntimeError("escape")

@@ -11,7 +11,13 @@ totals, and the executor/experiment surface.
 import pytest
 
 from repro.bench import harness
-from repro.bench.executor import Cell, Effort, run_cells, run_options
+from repro.bench.executor import (
+    Cell,
+    CellExecutionError,
+    Effort,
+    run_cells,
+    run_options,
+)
 from repro.core.buffer_manager import BufferManager, BufferManagerConfig
 from repro.core.policy import POLICY_PRESETS, SPITFIRE_EAGER, SPITFIRE_LAZY
 from repro.core.tenancy import (
@@ -491,11 +497,14 @@ class TestExecutorTenancy:
             Cell.multi_tenant("bad", SMALL_SHAPE, SPITFIRE_LAZY, ())
 
     def test_describe_names_tenants(self):
+        # A failing cell is described by its repr, tenants and quota mode
+        # included.
         cell = Cell.multi_tenant("mt", SMALL_SHAPE, SPITFIRE_LAZY,
                                  TWO_TENANTS, quota_mode="hard",
                                  shares=(0.5, 0.5))
-        assert "oltp+scan" in cell.describe()
-        assert "quota=hard" in cell.describe()
+        message = str(CellExecutionError(cell, ValueError("x")))
+        assert "name='oltp'" in message and "name='scan'" in message
+        assert "quota_mode='hard'" in message
 
     def test_multi_tenant_cell_is_deterministic_across_jobs(self):
         cell = Cell.multi_tenant(
