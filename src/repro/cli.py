@@ -23,7 +23,7 @@ One parser with five subcommands — ``run``, ``chaos``, ``serve``,
 line that does not start with a subcommand is ``run``'s, so
 ``repro-experiments fig6`` is ``repro-experiments run fig6``.  A flag
 that means the same thing to several subcommands (``--jobs``,
-``--live``, and ``--policy`` plus the admission flags of ``serve`` and
+``--live``, and ``--policy`` and ``--rate-limit`` of ``serve`` and
 ``serve-bench``) is declared once and shared.
 
 Each experiment prints a paper-style text table and (with ``--out``)
@@ -69,6 +69,7 @@ import contextlib
 import dataclasses
 import json
 import math
+import os
 import sys
 import time
 from functools import partial
@@ -87,7 +88,25 @@ def main(argv: list[str] | None = None) -> int:
     if not argv or argv[0] not in (*COMMANDS, "-h", "--help"):
         argv = ["run", *argv]
     args = build_parser().parse_args(argv)
-    return args.handler(args)
+    status = args.handler(args)
+    _print(end="", flush=True)  # a reader gone by now costs no traceback
+    return status
+
+
+def _print(*values, **kwargs) -> None:
+    """``print`` to stdout that outlives its reader.
+
+    Once the reader has gone (``repro-experiments ... | head -1``),
+    stdout is pointed at the null device and the command carries on: a
+    closed pipe never costs an ``--out`` artefact and prints no
+    traceback.
+    """
+    try:
+        print(*values, **kwargs)
+    except BrokenPipeError:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
 
 
 def _checked(convert, accept, expected: str):
@@ -136,16 +155,9 @@ def build_parser() -> argparse.ArgumentParser:
                            default="Spitfire-Eager",
                            help="Table 3 policy preset (default: "
                                 "Spitfire-Eager)")
-    serving.add_argument("--max-queue-depth", type=_positive_int,
-                           default=64, metavar="N",
-                           help="per-tenant admitted-but-unfinished cap; "
-                                "beyond it arrivals shed (default: 64)")
     serving.add_argument("--rate-limit", type=_positive_float,
                            default=None, metavar="OPS_PER_S",
                            help="per-tenant token-bucket rate (default: off)")
-    serving.add_argument("--no-admission", action="store_true",
-                           help="disable shedding (unbounded queueing; for "
-                                "the overload comparison only)")
 
     parser = argparse.ArgumentParser(
         prog="repro-experiments",
@@ -259,6 +271,16 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--rate", type=_positive_float, default=40_000.0,
                        metavar="OPS_PER_S",
                        help="aggregate arrival rate (default: 40000)")
+    # Only the virtual-time twin queues arrivals, so only it has a queue
+    # depth to bound and a shedding A-B to run; live, an op runs the
+    # moment it is admitted.
+    bench.add_argument("--max-queue-depth", type=_positive_int,
+                       default=64, metavar="N",
+                       help="per-tenant admitted-but-unfinished cap; "
+                            "beyond it arrivals shed (default: 64)")
+    bench.add_argument("--no-admission", action="store_true",
+                       help="disable shedding (unbounded queueing; for "
+                            "the overload comparison only)")
     bench.add_argument("--overload", action="store_true",
                        help="run the overload comparison: admission on vs "
                             "off, arrivals far past the service capacity")
@@ -293,7 +315,7 @@ def _run(parser, args) -> int:
         if args.experiments or args.all:
             parser.error("--list takes no experiment ids and no --all")
         for experiment_id in REGISTRY:
-            print(experiment_id)
+            _print(experiment_id)
         return 0
 
     chosen = list(REGISTRY) if args.all else args.experiments
@@ -384,14 +406,14 @@ def _run_experiments(chosen: list[str], args,
         if digest is not None:
             record["decisions"] = digest
         records.append(record)
-        print(result.render())
-        print(f"   [{experiment_id} took {figure.elapsed_s:.1f}s]\n")
+        _print(result.render())
+        _print(f"   [{experiment_id} took {figure.elapsed_s:.1f}s]\n")
         if args.out:
             path = result.save_json(args.out)
-            print(f"   saved {path}")
+            _print(f"   saved {path}")
     reused = sum(record["reused"] for record in records)
     simulated = sum(record["cells"] for record in records) - reused
-    print(f"   [{simulated} cells simulated, {reused} reused: "
+    _print(f"   [{simulated} cells simulated, {reused} reused: "
           f"the batch took {simulate_s:.1f}s]")
     return records, simulate_s
 
@@ -442,10 +464,10 @@ def _export_metrics(out_path: str, sink) -> None:
         series.count for series in merged.series()
         if isinstance(series, Histogram) and series.name == "op_latency_ns"
     )
-    print(f"   metrics: {len(sink)} cell(s), "
+    _print(f"   metrics: {len(sink)} cell(s), "
           f"op_latency_ns count={latency_count}, "
           f"stats reads+writes={totals.reads + totals.writes}")
-    print(f"   wrote {path} and {jsonl_path}")
+    _print(f"   wrote {path} and {jsonl_path}")
 
 
 def _export_decision_traces(out_path: str, sink) -> None:
@@ -462,7 +484,7 @@ def _export_decision_traces(out_path: str, sink) -> None:
         cells += 1
         lines.extend(decision_trace_jsonl_lines(trace, label))
     path = write_jsonl(out_path, lines)
-    print(f"   decision trace: {cells} cell(s), {len(lines)} span(s) "
+    _print(f"   decision trace: {cells} cell(s), {len(lines)} span(s) "
           f"-> {path}")
 
 
@@ -483,7 +505,7 @@ def _write_run_summary(out_dir: str, records: list, simulate_s: float,
     path = Path(out_dir) / "run_summary.json"
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    print(f"   saved {path}")
+    _print(f"   saved {path}")
 
 
 # ----------------------------------------------------------------------
@@ -528,49 +550,38 @@ def _chaos(parser, args) -> int:
 
     kinds = ", ".join(f"{kind}={count}"
                       for kind, count in report["boundary_kinds"].items())
-    print(f"chaos: {report['total_cases']} crash case(s) over "
+    _print(f"chaos: {report['total_cases']} crash case(s) over "
           f"{len(report['policies'])} policy(ies) x "
           f"{len(report['seeds'])} seed(s)  [{elapsed:.1f}s]")
-    print(f"   boundaries: {kinds}")
+    _print(f"   boundaries: {kinds}")
     if report["ok"]:
-        print("   all invariants held: OK")
+        _print("   all invariants held: OK")
     else:
         for case_id in report["failures"]:
-            print(f"   FAILED {case_id}")
+            _print(f"   FAILED {case_id}")
     if args.out:
         Path(args.out).write_text(render_matrix_json(report) + "\n")
-        print(f"   saved {args.out}")
+        _print(f"   saved {args.out}")
     return 0 if report["ok"] else 1
 
 
 # ----------------------------------------------------------------------
 # serve and serve-bench
 # ----------------------------------------------------------------------
-def _admission(args):
-    """The one :class:`AdmissionConfig` ``serve`` and ``serve-bench``
-    build from their shared flags."""
-    from .serve.admission import AdmissionConfig
-
-    return AdmissionConfig(
-        max_queue_depth=args.max_queue_depth,
-        rate_ops_per_s=args.rate_limit,
-        enabled=not args.no_admission,
-    )
-
-
 def _serve(parser, args) -> int:
     """``repro-experiments serve``: the live serving plane.
 
     Starts one shared buffer manager behind the asyncio stream server
     (see ``docs/SERVING.md`` for the wire protocol), serves until
     SIGTERM/SIGINT, then drains gracefully: the listener closes,
-    admission flips to drain mode, in-flight dispatch finishes, dirty
-    pages flush, and a final SLO report covers everything served.
+    admission flips to drain mode, the sessions end, dirty pages flush,
+    and a final SLO report covers everything served.
     """
     import asyncio
 
     from .faults.plan import FaultPlan
     from .serve import ServeConfig, SpitfireServer
+    from .serve.admission import AdmissionConfig
     from .serve.slo import render_slo_report
 
     fault_plan = None
@@ -590,7 +601,7 @@ def _serve(parser, args) -> int:
         ssd_gb=args.ssd_gb,
         num_tenants=args.tenants,
         seed=args.seed,
-        admission=_admission(args),
+        admission=AdmissionConfig(rate_ops_per_s=args.rate_limit),
         fault_plan=fault_plan,
         metrics_port=args.metrics_port,
         slo_out=args.slo_out,
@@ -599,24 +610,24 @@ def _serve(parser, args) -> int:
     async def run() -> dict:
         server = SpitfireServer(config)
         await server.start()
-        print(f"   listening on {server.host}:{server.port}", flush=True)
+        _print(f"   listening on {server.host}:{server.port}", flush=True)
         if server.metrics is not None:
-            print(f"   metrics at {server.metrics.url}", flush=True)
+            _print(f"   metrics at {server.metrics.url}", flush=True)
         if fault_plan is not None:
-            print(f"   chaos: fault plan seed={args.fault_seed} "
+            _print(f"   chaos: fault plan seed={args.fault_seed} "
                   f"rate={args.fault_rate}", flush=True)
         server.install_signal_handlers()
         await server.wait_shutdown()
-        print("   draining...", flush=True)
+        _print("   draining...", flush=True)
         return await server.shutdown()
 
     summary = asyncio.run(run())
-    print(f"   drained: served={summary['served']} shed={summary['shed']} "
+    _print(f"   drained: served={summary['served']} shed={summary['shed']} "
           f"flushed_pages={summary['flushed_pages']} "
           f"crashes={summary['crashes']}")
-    print(render_slo_report(summary["slo"]))
+    _print(render_slo_report(summary["slo"]))
     if args.slo_out:
-        print(f"   saved {args.slo_out}")
+        _print(f"   saved {args.slo_out}")
     return 0
 
 
@@ -624,11 +635,12 @@ def _serve_bench(parser, args) -> int:
     """``repro-experiments serve-bench``: deterministic serving SLOs.
 
     The serving plane measured in virtual time: a seeded open-loop
-    client fleet against the same dispatcher/admission code the live
-    server runs, producing a byte-deterministic SLO report (identical
+    client fleet against the same op/admission code the live server
+    runs, producing a byte-deterministic SLO report (identical
     across runs).  ``--overload`` runs the
     bounded-p99-versus-unbounded-queueing comparison instead.
     """
+    from .serve.admission import AdmissionConfig
     from .serve.bench import (
         OVERLOAD_FACTOR,
         ServeBenchConfig,
@@ -642,32 +654,36 @@ def _serve_bench(parser, args) -> int:
         total_ops=args.ops,
         rate_ops_per_s=args.rate,
         policy=args.policy,
-        admission=_admission(args),
+        admission=AdmissionConfig(
+            max_queue_depth=args.max_queue_depth,
+            rate_ops_per_s=args.rate_limit,
+            enabled=not args.no_admission,
+        ),
     )
     started = time.time()
     if args.overload:
         result = run_overload_experiment(config)
         summary = result["summary"]
         on = result["legs"]["admission_on"]["totals"]
-        print(f"serve-bench overload: {on['arrivals']} arrivals at "
+        _print(f"serve-bench overload: {on['arrivals']} arrivals at "
               f"{config.rate_ops_per_s * OVERLOAD_FACTOR:,.0f} ops/s  "
               f"[{time.time() - started:.1f}s]")
-        print(f"   admission on : shed={summary['shed_rate_on']:.1%}  "
+        _print(f"   admission on : shed={summary['shed_rate_on']:.1%}  "
               f"p99={summary['p99_on_ns']:,.0f}ns")
-        print(f"   admission off: shed={summary['shed_rate_off']:.1%}  "
+        _print(f"   admission off: shed={summary['shed_rate_off']:.1%}  "
               f"p99={summary['p99_off_ns']:,.0f}ns")
-        print(f"   bounded tail is {summary['p99_ratio']:.1f}x lower "
+        _print(f"   bounded tail is {summary['p99_ratio']:.1f}x lower "
               f"with shedding")
         payload = result
     else:
         report = run_serve_bench(config)
-        print(f"serve-bench: seed={args.seed} ops={args.ops}  "
+        _print(f"serve-bench: seed={args.seed} ops={args.ops}  "
               f"[{time.time() - started:.1f}s]")
-        print(render_slo_report(report))
+        _print(render_slo_report(report))
         payload = report
     if args.out:
         Path(args.out).write_text(slo_report_json(payload))
-        print(f"   saved {args.out}")
+        _print(f"   saved {args.out}")
     return 0
 
 
@@ -696,11 +712,11 @@ def _report(parser, args) -> int:
     if args.diff:
         old, new = (load(path, "--diff") for path in args.diff)
         diff = diff_bench_reports(old, new, tolerance=args.tolerance)
-        print(render_bench_diff(diff, show_unchanged=args.show_unchanged))
+        _print(render_bench_diff(diff, show_unchanged=args.show_unchanged))
         return 0 if diff["ok"] else 1
     if not args.summary:
         parser.error("provide a run_summary.json path or --diff OLD NEW")
-    print(render_run_summary(load(args.summary, "summary")))
+    _print(render_run_summary(load(args.summary, "summary")))
     return 0
 
 

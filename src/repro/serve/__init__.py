@@ -13,11 +13,12 @@ byte-deterministic SLO reporting (:mod:`repro.serve.slo`), and the
 ``serve-bench`` virtual-time serving experiment
 (:mod:`repro.serve.bench`).
 
-The one discipline everything here obeys: **all buffer-manager work
-flows through a single dispatch loop**.  The simulated cost accounting
-(and the buffer manager itself) is deterministic only for a serial op
-order, so concurrency lives at the session/admission layer — many
-clients, one dispatcher — exactly the shape a real single-writer
+The one discipline everything here obeys: **buffer-manager work runs
+in a serial order**.  The simulated cost accounting (and the buffer
+manager itself) is deterministic only for a serial op order, so
+concurrency lives at the session/admission layer: many clients on one
+single-threaded event loop, each admitted op run inline with no
+``await`` until it is done — exactly the shape a real single-writer
 storage engine serves traffic in.
 """
 

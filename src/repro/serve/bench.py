@@ -3,11 +3,12 @@
 The live server cannot be byte-deterministic — it reads the wall clock.
 This module reproduces its *queueing behaviour* deterministically: the
 same admission controller, the same buffer-manager ops in the same
-serial dispatch order, but time is virtual.  Arrivals come from a
+serial order, but time is virtual.  Arrivals come from a
 seeded :class:`~repro.serve.loadgen.LoadSchedule`; each op's service
 time is the simulated cost-model delta it actually charges; queue wait
 falls out of the single-server discipline (an op starts when both it
-has arrived and the dispatcher is free).  The result is an SLO report
+has arrived and the server is free — live, that wait is spent outside
+the server, in the clients and the sockets).  The result is an SLO report
 that is a pure function of the config — byte-identical across runs —
 which is what lets CI pin serving-tail
 behaviour the way it pins the golden figures.
@@ -130,10 +131,10 @@ def simulate_serving(
     bm: BufferManager,
     admission: AdmissionController,
 ) -> tuple[list[LatencySample], list[tuple[str, str, str]], float]:
-    """Serve one schedule through the virtual-time single dispatcher.
+    """Serve one schedule through the virtual-time single server.
 
     Returns ``(samples, sheds, makespan_s)``.  The model is the live
-    server's: one serial dispatcher running the same
+    server's: one serial op order running the same
     :func:`~repro.serve.server.execute_op`, admission decided at
     arrival time, a request's queue slot held until it finishes.
     Completions are retired before each arrival's admission check —

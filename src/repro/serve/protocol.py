@@ -24,8 +24,8 @@ Operations
 ``write``   same shape; marks the page dirty
 ``read_batch`` ``{"page_ids": [...], "offsets": [...], "nbytes": N}``
 ``txn``     ``{"ops": [{"kind": "read"|"write", "page_id": ..}, ...]}``
-            executed back-to-back under the dispatch lock (no other
-            session's op interleaves)
+            executed back-to-back in one step of the event loop (no
+            other session's op interleaves)
 ``stats``   server counters snapshot
 ``crash``   chaos hook: drop volatile state, recover, check invariants
 ``goodbye`` close the session cleanly
@@ -86,7 +86,9 @@ def decode_message(body: bytes) -> dict:
     """Decode one frame body (the bytes after the length prefix)."""
     try:
         message = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # Beside bad UTF-8 and bad JSON: an integer past Python's digit
+        # limit (ValueError) and nesting past its recursion limit.
         raise ProtocolError(f"frame is not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(message, dict):
         raise ProtocolError(
@@ -149,6 +151,6 @@ def validate_request(message: dict) -> tuple[str, int]:
     if op not in DATA_OPS and op not in CONTROL_OPS:
         raise ProtocolError(f"unknown op {op!r}")
     seq = message.get("seq")
-    if not isinstance(seq, int) or seq < 0:
+    if not isinstance(seq, int) or isinstance(seq, bool) or seq < 0:
         raise ProtocolError(f"seq must be a non-negative integer, got {seq!r}")
     return op, seq

@@ -6,20 +6,22 @@
 :class:`~repro.hardware.cost_model.StorageHierarchy`, and serves every
 connected session from it concurrently.
 
-The load-bearing design rule is the **single dispatch discipline**: the
-buffer manager and its cost accounting are deterministic for a *serial*
-op order, so every data op — from any session — funnels through one
-``asyncio.Queue`` consumed by one dispatcher task.  Sessions overlap on
-the network; buffer-manager work never does.  A ``txn`` op executes its
-sub-ops back-to-back inside one dispatch slot, giving sessions a cheap
-atomicity unit without a lock manager.
+The load-bearing design rule is the **inline rule**: the buffer manager
+and its cost accounting are deterministic for a *serial* op order, and
+the event loop is single-threaded, so a session runs each admitted op
+itself, with no ``await`` between admission and release.  No other
+session's op can start until it has finished: sessions overlap on the
+network, buffer-manager work never does, and a ``txn`` op's sub-ops run
+back-to-back, a cheap atomicity unit without a lock manager.
 
 Around that serial core:
 
 * **admission control** (:mod:`~repro.serve.admission`): every data op
-  passes ``try_admit`` before it may enqueue; refusals become typed
-  ``overloaded`` / ``shutting_down`` protocol errors instead of
-  unbounded queue growth,
+  passes ``try_admit`` before it runs; refusals become typed
+  ``overloaded`` / ``shutting_down`` protocol errors.  Nothing queues
+  inside the server, so a tenant's depth is 0 at every admission and
+  only the rate limit and the drain can refuse live work
+  (``max_queue_depth`` binds in the virtual-time twin only),
 * **chaos**: an optional :class:`~repro.faults.plan.FaultPlan` wraps
   the devices (before the buffer manager is built, as the injector
   requires) so device faults fire under live load; the ``crash`` op
@@ -29,14 +31,16 @@ Around that serial core:
   ``/metrics`` (request/shed/session counters plus any fault-layer
   counters sharing the registry), ``/healthz``, and ``/readyz``,
 * **graceful drain**: SIGTERM/SIGINT stop the listener, flip admission
-  into drain mode, let in-flight dispatch finish, flush all dirty
-  pages, and emit a final SLO report of everything served.
+  into drain mode, end the sessions (no op is ever half-run at an
+  ``await``), flush all dirty pages, and emit a final SLO report of
+  everything served.
 """
 
 from __future__ import annotations
 
 import asyncio
 import signal
+import time
 from dataclasses import dataclass, field
 
 from ..core.buffer_manager import BufferManager, BufferManagerConfig
@@ -57,7 +61,7 @@ from .slo import LatencySample, build_slo_report
 __all__ = ["ServeConfig", "SpitfireServer", "build_buffer_manager",
            "execute_op"]
 
-#: Longest ``txn`` op list one dispatch slot may hold.
+#: Longest ``txn`` op list one request may carry.
 MAX_TXN_OPS = 128
 #: Longest ``read_batch`` a single request may carry.
 MAX_BATCH_PAGES = 4096
@@ -65,7 +69,7 @@ MAX_BATCH_PAGES = 4096
 
 def execute_op(bm: BufferManager, is_write: bool, page_id: int, offset: int,
                nbytes: int, tenant_id: int, think_ns: float = 0.0) -> None:
-    """Serve one read or write — the live dispatcher and the twin
+    """Serve one read or write — the live server and the twin
     (:func:`repro.serve.bench.simulate_serving`) both run exactly this.
 
     Pages are allocated on first touch (TPC-C insert regions grow, live
@@ -189,8 +193,6 @@ class SpitfireServer:
             )
 
         self._server: asyncio.Server | None = None
-        self._dispatcher: asyncio.Task | None = None
-        self._queue: asyncio.Queue = asyncio.Queue()
         self._sessions: dict[int, _Session] = {}
         self._session_tasks: set[asyncio.Task] = set()
         self._next_session_id = 0
@@ -221,9 +223,6 @@ class SpitfireServer:
         self._server = await asyncio.start_server(
             self._handle_client, self.config.host, self.config.port
         )
-        self._dispatcher = asyncio.create_task(
-            self._dispatch_loop(), name="serve-dispatch"
-        )
         self._started_at = loop.time()
         if self.metrics is not None:
             self.metrics.start()
@@ -247,25 +246,21 @@ class SpitfireServer:
     async def shutdown(self) -> dict:
         """Graceful drain; returns the drain summary.
 
-        Order matters: stop accepting, refuse new admissions, let the
-        dispatch queue run dry, then flush — so every admitted op's
-        effect is on stable storage before the summary claims success.
+        Order matters: stop accepting, refuse new admissions, end the
+        sessions, then flush.  An op runs whole between two awaits, so a
+        cancelled session never leaves one half-run: every admitted op
+        is counted and its effect is on stable storage before the
+        summary claims success.
         """
         loop = asyncio.get_running_loop()
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
         self.admission.begin_drain()
-        await self._queue.join()
-        if self._dispatcher is not None:
-            self._queue.put_nowait(None)
-            await self._dispatcher
-            self._dispatcher = None
         for task in list(self._session_tasks):
             task.cancel()
-        if self._session_tasks:
-            await asyncio.gather(*self._session_tasks,
-                                 return_exceptions=True)
+        await asyncio.gather(*self._session_tasks, return_exceptions=True)
+        if self._server is not None:
+            await self._server.wait_closed()
         flushed = self.bm.flush_all()
         makespan_s = (loop.time() - self._started_at
                       if self._started_at is not None else 0.0)
@@ -306,7 +301,6 @@ class SpitfireServer:
             "seed": self.config.seed,
             "admission": {
                 "enabled": self.config.admission.enabled,
-                "max_queue_depth": self.config.admission.max_queue_depth,
                 "rate_ops_per_s": self.config.admission.rate_ops_per_s,
             },
             "faults": (self.config.fault_plan is not None
@@ -314,44 +308,7 @@ class SpitfireServer:
         }
 
     # ------------------------------------------------------------------
-    # The single dispatcher
-    # ------------------------------------------------------------------
-    async def _dispatch_loop(self) -> None:
-        loop = asyncio.get_running_loop()
-        while True:
-            item = await self._queue.get()
-            if item is None:
-                self._queue.task_done()
-                return
-            closure, future, enqueued_at = item
-            started_at = loop.time()
-            sim_before = self.hierarchy.cost.total_ns
-            try:
-                payload = closure()
-            except Exception as exc:
-                if not future.cancelled():
-                    future.set_exception(exc)
-            else:
-                finished_at = loop.time()
-                if not future.cancelled():
-                    future.set_result((
-                        payload,
-                        (started_at - enqueued_at) * 1e9,
-                        (finished_at - enqueued_at) * 1e9,
-                        self.hierarchy.cost.total_ns - sim_before,
-                    ))
-            finally:
-                self._queue.task_done()
-
-    async def _dispatch(self, closure):
-        """Run one closure in the serial dispatch order."""
-        loop = asyncio.get_running_loop()
-        future = loop.create_future()
-        self._queue.put_nowait((closure, future, loop.time()))
-        return await future
-
-    # ------------------------------------------------------------------
-    # Data-op closures (run inside the dispatcher, serially)
+    # Data ops: validated off the wire, then run inline
     # ------------------------------------------------------------------
     def _closure_for(self, op: str, message: dict, tenant_id: int):
         """Validate one data op off the wire and build its closure.
@@ -415,8 +372,8 @@ class SpitfireServer:
                 ))
 
             def txn_op():
-                # All steps execute inside one dispatch slot: no other
-                # session's op interleaves with this transaction.
+                # No await between the steps: no other session's op
+                # interleaves with this transaction.
                 for is_write, page_id, offset, nbytes in steps:
                     execute_op(bm, is_write, page_id, offset, nbytes,
                                tenant_id)
@@ -425,21 +382,18 @@ class SpitfireServer:
             return txn_op
         raise protocol.ProtocolError(f"unhandled data op {op!r}")
 
-    def _crash_closure(self):
-        def crash_op():
-            self.bm.simulate_crash()
-            recovered = self.bm.recover_mapping_table()
-            report = check_mapping_consistency(self.bm)
-            self.crashes += 1
-            self.recovered_pages += recovered
-            self.registry.counter("serve_crashes_total").inc()
-            return {
-                "recovered_pages": recovered,
-                "invariants_ok": report.ok,
-                "violations": len(report.violations),
-            }
-
-        return crash_op
+    def _crash(self) -> dict:
+        self.bm.simulate_crash()
+        recovered = self.bm.recover_mapping_table()
+        report = check_mapping_consistency(self.bm)
+        self.crashes += 1
+        self.recovered_pages += recovered
+        self.registry.counter("serve_crashes_total").inc()
+        return {
+            "recovered_pages": recovered,
+            "invariants_ok": report.ok,
+            "violations": len(report.violations),
+        }
 
     # ------------------------------------------------------------------
     # Sessions
@@ -466,7 +420,6 @@ class SpitfireServer:
                 pass
 
     async def _session_loop(self, reader, writer, session: _Session) -> None:
-        loop = asyncio.get_running_loop()
         while True:
             try:
                 message = await protocol.read_frame(reader)
@@ -487,17 +440,18 @@ class SpitfireServer:
                     f"seq {seq} does not advance past {session.last_seq}"))
                 continue
             session.last_seq = seq
-            response = await self._serve_op(op, seq, message, session, loop)
+            response = self._serve_op(op, seq, message, session)
             await protocol.write_frame(writer, response)
             if op == "goodbye":
                 return
 
-    async def _serve_op(self, op: str, seq: int, message: dict,
-                        session: _Session, loop) -> dict:
-        tenant_name = f"tenant-{session.tenant_id}"
+    def _serve_op(self, op: str, seq: int, message: dict,
+                  session: _Session) -> dict:
+        """Answer one request.  Synchronous on purpose: nothing else runs
+        on the loop until it returns, which is the serial op order."""
         if op == "hello":
             tenant = message.get("tenant", 0)
-            if not isinstance(tenant, int) \
+            if not isinstance(tenant, int) or isinstance(tenant, bool) \
                     or not 0 <= tenant < self.config.num_tenants:
                 return protocol.error_response(
                     seq, protocol.ERR_BAD_REQUEST,
@@ -513,20 +467,20 @@ class SpitfireServer:
             return protocol.ok_response(seq, ops=session.ops)
         if op == "crash":
             try:
-                payload = (await self._dispatch(self._crash_closure()))[0]
+                return protocol.ok_response(seq, **self._crash())
             except Exception as exc:
                 return protocol.error_response(
                     seq, protocol.ERR_INTERNAL, f"crash failed: {exc}")
-            return protocol.ok_response(seq, **payload)
 
-        # Data ops: validate → admit → dispatch → account.
+        # Data ops: validate → admit → run → release → account.
         try:
-            closure = self._closure_for(op, message, session.tenant_id)
+            run = self._closure_for(op, message, session.tenant_id)
         except protocol.ProtocolError as exc:
             return protocol.error_response(
                 seq, protocol.ERR_BAD_REQUEST, str(exc))
+        tenant_name = f"tenant-{session.tenant_id}"
         try:
-            self.admission.try_admit(session.tenant_id, loop.time())
+            self.admission.try_admit(session.tenant_id, time.perf_counter())
         except Overloaded as exc:
             self.sheds.append((tenant_name, op, exc.reason.value))
             self.registry.counter("serve_shed_total", {
@@ -537,34 +491,29 @@ class SpitfireServer:
                     else protocol.ERR_OVERLOADED)
             return protocol.error_response(
                 seq, kind, str(exc), reason=exc.reason.value)
+        started = time.perf_counter()
+        sim_before = self.hierarchy.cost.total_ns
         try:
-            payload, wait_ns, latency_ns, sim_ns = \
-                await self._dispatch(closure)
+            payload = run()
         except DeviceGaveUpError as exc:
             return protocol.error_response(
                 seq, protocol.ERR_INTERNAL, f"device gave up: {exc}")
-        except protocol.ProtocolError as exc:
-            return protocol.error_response(
-                seq, protocol.ERR_BAD_REQUEST, str(exc))
         except Exception as exc:
             return protocol.error_response(
                 seq, protocol.ERR_INTERNAL, f"{type(exc).__name__}: {exc}")
         finally:
             self.admission.release(session.tenant_id)
+        latency_ns = (time.perf_counter() - started) * 1e9
         session.ops += 1
-        self.samples.append(LatencySample(
-            tenant=tenant_name,
-            kind=op,
-            latency_ns=latency_ns,
-            wait_ns=wait_ns,
-        ))
+        # Nothing waits inside the server: the live wait is 0.
+        self.samples.append(LatencySample(tenant_name, op, latency_ns))
         self.registry.counter("serve_requests_total", {
             "tenant": tenant_name, "op": op,
         }).inc()
         return protocol.ok_response(
             seq,
             latency_ns=round(latency_ns, 3),
-            sim_ns=round(sim_ns, 3),
+            sim_ns=round(self.hierarchy.cost.total_ns - sim_before, 3),
             **payload,
         )
 
@@ -576,7 +525,6 @@ class SpitfireServer:
             "served": len(self.samples),
             "shed": len(self.sheds),
             "sessions_open": len(self._sessions),
-            "in_flight": self.admission.in_flight,
             "crashes": self.crashes,
             "recovered_pages": self.recovered_pages,
             "sim_ns": round(self.hierarchy.cost.total_ns, 3),
@@ -586,8 +534,6 @@ class SpitfireServer:
     def _render_metrics(self) -> str:
         self.registry.gauge("serve_sessions_open").set(
             len(self._sessions))
-        self.registry.gauge("serve_inflight").set(
-            self.admission.in_flight)
         self.registry.gauge("serve_served").set(len(self.samples))
         return prometheus_text(self.registry)
 

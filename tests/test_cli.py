@@ -1,7 +1,11 @@
 """The repro-experiments command-line interface."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -9,7 +13,7 @@ import pytest
 from repro.bench.executor import Cell, Effort
 from repro.bench.experiments import REGISTRY, fig10_adaptive
 from repro.bench.reporting import ExperimentResult
-from repro.cli import COMMANDS, main
+from repro.cli import COMMANDS, build_parser, main
 from repro.core.policy import SPITFIRE_LAZY
 from repro.hardware.pricing import HierarchyShape
 from repro.hardware.specs import SimulationScale
@@ -225,6 +229,49 @@ class TestChaos:
             main(["chaos", "--policies", "NO_SUCH_POLICY"])
 
 
+class TestClosedStdout:
+    """A reader that leaves after the first line (``... | head -1``)
+    costs no artefact and prints no traceback: the artefacts are the
+    bytes an open stdout gets."""
+
+    @staticmethod
+    def run_then_close_stdout(argv: list[str]) -> tuple[int, bytes]:
+        """Run the CLI in a subprocess whose stdout reader closes after
+        the first line; returns its exit status and stderr."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        # Unbuffered, each line is a write of its own: the reader is
+        # gone while the child still has lines to print.
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": "1"}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        return proc.wait(timeout=120), stderr
+
+    def test_run_writes_its_out_dir(self, tmp_path, capsys):
+        closed, kept = tmp_path / "closed", tmp_path / "kept"
+        status, stderr = self.run_then_close_stdout(
+            ["table1", "--out", str(closed)])
+        assert (status, stderr) == (0, b"")
+        assert main(["table1", "--out", str(kept)]) == 0
+        assert (closed / "table1.json").read_bytes() \
+            == (kept / "table1.json").read_bytes()
+        assert json.loads((closed / "run_summary.json").read_text())
+
+    def test_chaos_writes_its_report(self, tmp_path, capsys):
+        closed, kept = tmp_path / "closed.json", tmp_path / "kept.json"
+        args = ["chaos", "--seeds", "1", "--policies", "DRAM_SSD",
+                "--no-tail-faults"]
+        status, stderr = self.run_then_close_stdout(
+            args + ["--out", str(closed)])
+        assert (status, stderr) == (0, b"")
+        assert main(args + ["--out", str(kept)]) == 0
+        assert closed.read_bytes() == kept.read_bytes()
+
+
 class TestSubcommands:
     def test_run_is_the_default(self, tmp_path, capsys):
         seen = []
@@ -295,6 +342,19 @@ class TestBadInput:
             main(argv)
         assert exc.value.code == 2
         assert "error: argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [["--max-queue-depth", "4"],
+                                      ["--no-admission"]], ids=" ".join)
+    def test_queue_flags_are_serve_bench_only(self, flag, capsys):
+        """Live, an op runs the moment it is admitted: no queue depth to
+        bound, no shedding A-B to run.  The virtual-time twin has both."""
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        args = build_parser().parse_args(["serve-bench", *flag])
+        assert (args.max_queue_depth, args.no_admission) \
+            == ((4, False) if len(flag) == 2 else (64, True))
 
     @pytest.mark.parametrize("bad", ["missing.json", "not.json"])
     @pytest.mark.parametrize("diff", [False, True], ids=["summary", "diff"])

@@ -10,9 +10,11 @@ twin op for op.
 """
 
 import asyncio
+import struct
 from collections import Counter
 
 from repro.bench.harness import tenant_breakdown
+from repro.core.events import EventType
 from repro.faults.plan import FaultPlan
 from repro.obs.hub import MetricsHub
 from repro.serve import protocol
@@ -23,6 +25,7 @@ from repro.serve.bench import (
     default_tenants,
     simulate_serving,
 )
+from repro.serve import server as server_module
 from repro.serve.loadgen import LoadSpec, build_schedule, drive_server
 from repro.serve.server import (
     ServeConfig,
@@ -111,6 +114,22 @@ class TestSessions:
 
         run(scenario())
 
+    def test_hello_rejects_a_boolean_tenant(self):
+        async def scenario():
+            server = await start_server()
+            try:
+                reader, writer = await asyncio.open_connection(
+                    server.host, server.port)
+                await protocol.write_frame(
+                    writer, {"op": "hello", "seq": 0, "tenant": True})
+                response = await protocol.read_frame(reader)
+                assert response["error"]["kind"] == protocol.ERR_BAD_REQUEST
+                writer.close()
+            finally:
+                await server.shutdown()
+
+        run(scenario())
+
     def test_reads_and_writes_serve_and_report_latency(self):
         async def scenario():
             server = await start_server()
@@ -176,8 +195,8 @@ class TestSessions:
 
     def test_access_beyond_one_page_is_refused_uncharged(self):
         """An access starts inside its page and moves at most a page; a
-        bigger one is a bad request that never reaches the dispatcher,
-        so it charges the shared timeline nothing."""
+        bigger one is a bad request refused before admission, so it
+        charges the shared timeline nothing."""
         async def scenario():
             server = await start_server()
             try:
@@ -481,5 +500,208 @@ class TestDrain:
                 await client.close()
             finally:
                 await server.shutdown()
+
+        run(scenario())
+
+
+class OpRecorder:
+    """A bus observer keeping the page id of every logical op, in order."""
+
+    event_interest = frozenset({EventType.OP_READ, EventType.OP_WRITE})
+
+    def __init__(self):
+        self.pages = []
+
+    def apply_event(self, etype, page_id, tier, src, dirty):
+        self.pages.append(page_id)
+
+
+class TestInlineRule:
+    """A session runs each admitted op itself, with no await between
+    admission and release: ops are serial, a ``txn`` is atomic, and a
+    drain never finds one half-run."""
+
+    def test_txn_sub_ops_stay_contiguous_beside_a_reader(self):
+        txns, width = 30, 4
+
+        async def scenario():
+            server = await start_server()
+            recorder = OpRecorder()
+            server.bm.events.subscribe(recorder)
+            try:
+                writer = await Client.connect(server, tenant=0)
+                reader = await Client.connect(server, tenant=1)
+
+                async def write_txns():
+                    for txn in range(txns):
+                        reply = await writer.call("txn", ops=[
+                            {"kind": "write" if step % 2 else "read",
+                             "page_id": 10_000 + txn * width + step}
+                            for step in range(width)])
+                        assert reply["ok"], reply
+
+                async def read_pages():
+                    for page in range(4 * txns):
+                        assert (await reader.call("read", page_id=page))["ok"]
+
+                await asyncio.gather(write_txns(), read_pages())
+                await writer.close()
+                await reader.close()
+            finally:
+                server.bm.events.unsubscribe(recorder)
+                await server.shutdown()
+            return recorder.pages
+
+        pages = run(scenario())
+        where = {page: index for index, page in enumerate(pages)}
+        for txn in range(txns):
+            first = 10_000 + txn * width
+            assert [where[first + step] for step in range(width)] \
+                == list(range(where[first], where[first] + width)), txn
+        # Not vacuous: the reader's ops did land between transactions.
+        last_txn_op = where[10_000 + txns * width - 1]
+        assert any(page < 10_000 for page in pages[:last_txn_op])
+
+    def test_drain_under_load_counts_every_served_op(self):
+        """``shutdown()`` starts from inside the 150th op, while three
+        clients keep sending; every op the buffer manager ran is
+        served, and every ok reply a client got is among them."""
+        async def scenario():
+            server = await start_server()
+            loop = asyncio.get_running_loop()
+            drains = []
+
+            class DrainAt150(OpRecorder):
+                def apply_event(self, *event):
+                    super().apply_event(*event)
+                    if len(self.pages) == 150:
+                        drains.append(loop.create_task(server.shutdown()))
+
+            recorder = DrainAt150()
+            server.bm.events.subscribe(recorder)
+            clients = [await Client.connect(server, tenant=tenant)
+                       for tenant in range(3)]
+            ok_replies = []
+
+            async def hammer(client, tenant):
+                for page in range(1, 1_000):
+                    try:
+                        reply = await client.call(
+                            "write" if page % 3 == 0 else "read",
+                            page_id=tenant * 1_000 + page % 200)
+                    except (ConnectionError, protocol.ProtocolError):
+                        return
+                    if reply is None:
+                        return
+                    if reply["ok"]:
+                        ok_replies.append(reply)
+                    else:
+                        assert reply["error"]["kind"] \
+                            == protocol.ERR_SHUTTING_DOWN, reply
+                raise AssertionError("the drain never ended the session")
+
+            await asyncio.gather(*(hammer(client, tenant)
+                                   for tenant, client in enumerate(clients)))
+            summary = await drains[0]
+            for client in clients:
+                await client.close()
+            return summary, len(recorder.pages), len(ok_replies), \
+                server.sheds
+
+        summary, executed, ok_seen, sheds = run(scenario())
+        assert summary["served"] == executed >= 150
+        assert summary["slo"]["totals"]["admitted"] == executed
+        assert summary["shed"] == len(sheds)
+        assert all(reason == "draining" for _, _, reason in sheds)
+        # A session cancelled after running its op but before replying
+        # loses at most that one reply: at most one each of three.
+        assert ok_seen <= summary["served"] <= ok_seen + 3
+
+
+class TestBrokenClients:
+    """A broken client or a raising op costs only itself."""
+
+    def test_raising_op_fails_only_its_request(self, monkeypatch):
+        real = server_module.execute_op
+
+        def execute_or_raise(bm, is_write, page_id, *args, **kwargs):
+            if page_id == 666:
+                raise RuntimeError("injected")
+            return real(bm, is_write, page_id, *args, **kwargs)
+
+        monkeypatch.setattr(server_module, "execute_op", execute_or_raise)
+
+        async def scenario():
+            server = await start_server()
+            try:
+                victim = await Client.connect(server, tenant=0)
+                bystander = await Client.connect(server, tenant=1)
+                failed = await victim.call("read", page_id=666)
+                assert failed["error"]["kind"] == protocol.ERR_INTERNAL
+                assert "injected" in failed["error"]["detail"]
+                assert server.admission.in_flight == 0
+                assert (await victim.call("read", page_id=1))["ok"]
+                assert (await bystander.call("write", page_id=2))["ok"]
+                assert (await victim.call("txn", ops=[
+                    {"kind": "read", "page_id": 3}]))["ok"]
+                assert server.stats()["served"] == 3
+                await victim.close()
+                await bystander.close()
+            finally:
+                await server.shutdown()
+
+        run(scenario())
+
+    @staticmethod
+    async def wait_for_sessions(server, count: int) -> None:
+        for _ in range(1_000):
+            if server.stats()["sessions_open"] == count:
+                return
+            await asyncio.sleep(0.001)
+        raise AssertionError(f"sessions_open stuck at "
+                             f"{server.stats()['sessions_open']}")
+
+    def test_disconnect_mid_frame_leaves_others_served(self):
+        async def scenario():
+            server = await start_server()
+            try:
+                witness = await Client.connect(server, tenant=1)
+                broken = await Client.connect(server, tenant=0)
+                body = protocol.encode_message(
+                    {"op": "read", "seq": 1, "page_id": 1})[4:]
+                broken.writer.write(struct.pack(">I", len(body)) + body[:5])
+                await broken.writer.drain()
+                await broken.close()
+                await self.wait_for_sessions(server, 1)
+                assert (await witness.call("read", page_id=1))["ok"]
+                assert server.stats()["served"] == 1
+                await witness.close()
+            finally:
+                await server.shutdown()
+
+        run(scenario())
+
+    def test_disconnect_right_after_a_txn_leaves_others_served(self):
+        pages = [500, 501, 502]
+
+        async def scenario():
+            server = await start_server()
+            try:
+                witness = await Client.connect(server, tenant=1)
+                gone = await Client.connect(server, tenant=0)
+                await protocol.write_frame(gone.writer, {
+                    "op": "txn", "seq": 1,
+                    "ops": [{"kind": "write", "page_id": page}
+                            for page in pages]})
+                await gone.close()
+                await self.wait_for_sessions(server, 1)
+                # The whole frame arrived, so the whole txn ran.
+                assert all(server.bm.page_exists(page) for page in pages)
+                assert (await witness.call("read", page_id=pages[0]))["ok"]
+                assert (await witness.call("ping"))["pong"]
+                await witness.close()
+            finally:
+                summary = await server.shutdown()
+            assert summary["served"] == 2
 
         run(scenario())
