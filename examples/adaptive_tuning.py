@@ -40,10 +40,10 @@ def main() -> None:
     print(f"{'epoch':>5} {'D_r':>5} {'D_w':>5} {'N_r':>5} {'N_w':>5} "
           f"{'kOps/s':>9}  {'temp':>9}  decision")
     for _ in range(EPOCHS):
-        candidate = controller.begin_epoch()
-        for _ in range(OPS_PER_EPOCH):
-            runner.run_ycsb_op(workload)
-        record = controller.end_epoch()
+        record = controller.run_epoch(
+            lambda count: runner.run_ycsb_batch(workload, count),
+            OPS_PER_EPOCH)
+        candidate = record.policy
         decision = "accept" if record.accepted else "reject"
         print(f"{record.epoch:>5} {candidate.d_r:>5} {candidate.d_w:>5} "
               f"{candidate.n_r:>5} {candidate.n_w:>5} "

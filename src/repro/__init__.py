@@ -37,7 +37,7 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
         "StorageHierarchy", "Tier", "hierarchy_cost",
         "performance_per_price",
     ),
-    "tuning": ("AdaptiveController", "AnnealingSchedule", "PolicyAnnealer"),
+    "tuning": ("AdaptiveController", "PolicyAnnealer"),
     "workloads": ("TpccWorkload", "YCSB_BA", "YCSB_RO", "YCSB_WH",
                   "YcsbWorkload"),
 })

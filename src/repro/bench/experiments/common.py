@@ -37,12 +37,12 @@ def sweep_cell(axis: str, workload: str, p: float, eff: Effort) -> Cell:
 
     Axis ``"D"`` sets ``D_r = D_w = p`` with N = 1, axis ``"N"`` sets
     ``N_r = N_w = p`` with D = 1, on the §6.3 hierarchy and database.
-    The cell is labelled ``"{workload}/{axis}={p}"`` and its policy
-    named ``"{axis}={p}"``, so a point is the same cell in every figure
-    and a suite simulates it once.
+    The cell is labelled ``"{workload}/{axis}={p}"``; its policy is
+    unnamed, so a point is the same cell in every figure, the all-eager
+    point is one cell on both axes, and a suite simulates each once.
     """
     d, n = (p, 1.0) if axis == "D" else (1.0, p)
-    policy = MigrationPolicy(d_r=d, d_w=d, n_r=n, n_w=n, name=f"{axis}={p}")
+    policy = MigrationPolicy(d_r=d, d_w=d, n_r=n, n_w=n)
     label = f"{workload}/{axis}={p}"
     if workload == "TPC-C":
         return Cell.tpcc(label, POLICY_SHAPE, policy, POLICY_DB_GB,

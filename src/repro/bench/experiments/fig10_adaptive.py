@@ -60,7 +60,7 @@ class AdaptiveRun:
         # a cold eager start to the tuned steady state.
         controller = AdaptiveController(bm, seed=11)
         records = controller.run(
-            workload_step=lambda: runner.run_ycsb_op(workload),
+            lambda count: runner.run_ycsb_batch(workload, count),
             epochs=self.epochs,
             ops_per_epoch=self.ops_per_epoch,
         )

@@ -246,9 +246,9 @@ class WorkloadRunner:
     def run_ycsb_op(self, workload: YcsbWorkload) -> bool:
         """Execute one YCSB operation; returns True when it was a write.
 
-        The per-op driver Fig. 10's adaptive controller steps; a
-        measurement runs :meth:`run_ycsb_batch`, which matches it op for
-        op.
+        The per-op reference: every production run (measurements and
+        Fig. 10's tuning epochs) goes through :meth:`run_ycsb_batch`,
+        which the tests hold to a loop of this op for op.
         """
         kind, key, column = workload.next_op()
         is_write = kind is OpKind.UPDATE

@@ -31,7 +31,10 @@ would have produced.  The fast class is chosen to make that provable:
 
 When a subscriber cannot consume batch summaries or the top tier
 cannot be vectorized, every operation falls back — the batch entry
-points are then simply loops over the per-op path.
+points are then simply loops over the per-op path.  The observers a
+measurement or a tuning epoch attaches (the metrics hub and the
+lifecycle and decision tracers) all consume summaries; the adaptive
+controller attaches nothing.
 """
 
 from __future__ import annotations

@@ -10,9 +10,10 @@ at all.  What attaches is an observer:
 
 * the :class:`~repro.obs.hub.MetricsHub` and the page-lifecycle and
   decision tracers of :mod:`repro.obs`,
-* the :class:`~repro.tuning.controller.AdaptiveController`, which counts
-  epoch operations by subscription,
 * the crash-point probes of :mod:`repro.faults.crashpoints`.
+
+The adaptive controller of :mod:`repro.tuning` is not among them: its
+caller says how many operations an epoch runs, so it counts nothing.
 
 An event is five positional fields — ``(type, page_id, tier, src,
 dirty)`` — and a subscriber is an object with

@@ -32,8 +32,9 @@ Around that serial core:
   counters sharing the registry), ``/healthz``, and ``/readyz``,
 * **graceful drain**: SIGTERM/SIGINT stop the listener, flip admission
   into drain mode, end the sessions (no op is ever half-run at an
-  ``await``), flush all dirty pages, and emit a final SLO report of
-  everything served.
+  ``await``; a client that reads none of its replies is dropped after
+  :data:`CLOSE_GRACE_S`), flush all dirty pages, and emit a final SLO
+  report of everything served.
 """
 
 from __future__ import annotations
@@ -65,6 +66,9 @@ __all__ = ["ServeConfig", "SpitfireServer", "build_buffer_manager",
 MAX_TXN_OPS = 128
 #: Longest ``read_batch`` a single request may carry.
 MAX_BATCH_PAGES = 4096
+#: Seconds a closing session may spend flushing its replies; a peer
+#: that reads none of them is dropped after this, not awaited.
+CLOSE_GRACE_S = 0.5
 
 
 def execute_op(bm: BufferManager, is_write: bool, page_id: int, offset: int,
@@ -415,9 +419,11 @@ class SpitfireServer:
             self._session_tasks.discard(task)
             writer.close()
             try:
-                await writer.wait_closed()
-            except Exception:
+                await asyncio.wait_for(writer.wait_closed(), CLOSE_GRACE_S)
+            except (Exception, asyncio.CancelledError):
                 pass
+            finally:
+                writer.transport.abort()  # a no-op once the close flushed
 
     async def _session_loop(self, reader, writer, session: _Session) -> None:
         while True:

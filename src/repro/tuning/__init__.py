@@ -3,7 +3,7 @@
 from .._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(globals(), {
-    "annealing": ("PROBABILITY_LEVELS", "AnnealingSchedule", "PolicyAnnealer",
+    "annealing": ("PROBABILITY_LEVELS", "PolicyAnnealer", "temperature",
                   "throughput_cost"),
     "controller": ("AdaptiveController", "EpochRecord"),
 })

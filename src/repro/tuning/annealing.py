@@ -6,17 +6,14 @@ while running ``P`` for one tuning epoch.  The search is classic
 simulated annealing (Kirkpatrick et al. [21]): a neighbouring policy is
 proposed each epoch; improvements are always accepted, regressions are
 accepted with probability ``exp(-Δcost/t)``; the temperature ``t`` cools
-geometrically.
-
-The paper sets the initial/final temperatures to 800 and 0.00008 and
-uses a cooling factor α = 0.9 (§6.4); those are the defaults here.
+geometrically from 800 to 0.00008 by a factor α = 0.9 per epoch (§6.4).
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from ..core.policy import MigrationPolicy
 
@@ -24,39 +21,22 @@ from ..core.policy import MigrationPolicy
 #: between adjacent levels, which matches the paper's policy grid.
 PROBABILITY_LEVELS = (0.0, 0.01, 0.1, 0.2, 0.5, 1.0)
 
+#: §6.4's cooling schedule: initial and final temperature, cooling factor.
+INITIAL_TEMPERATURE = 800.0
+FINAL_TEMPERATURE = 8e-5
+ALPHA = 0.9
+
+
+def temperature(step: int) -> float:
+    """Temperature at tuning step ``step`` (clamped at the floor)."""
+    return max(FINAL_TEMPERATURE, INITIAL_TEMPERATURE * ALPHA**step)
+
 
 def throughput_cost(throughput: float) -> float:
     """The paper's cost function ``cost_T(P) = 1/T``."""
     if throughput <= 0:
         return float("inf")
     return 1.0 / throughput
-
-
-@dataclass
-class AnnealingSchedule:
-    """Geometric cooling schedule."""
-
-    initial_temperature: float = 800.0
-    final_temperature: float = 8e-5
-    alpha: float = 0.9
-
-    def __post_init__(self) -> None:
-        if not 0 < self.alpha < 1:
-            raise ValueError("alpha must be in (0, 1)")
-        if self.final_temperature <= 0 or self.initial_temperature <= 0:
-            raise ValueError("temperatures must be positive")
-        if self.final_temperature >= self.initial_temperature:
-            raise ValueError("final temperature must be below the initial one")
-
-    def temperature(self, step: int) -> float:
-        """Temperature at tuning step ``step`` (clamped at the floor)."""
-        return max(self.final_temperature, self.initial_temperature * self.alpha**step)
-
-    @property
-    def steps_to_final(self) -> int:
-        """Number of steps until the floor temperature is reached."""
-        ratio = self.final_temperature / self.initial_temperature
-        return math.ceil(math.log(ratio) / math.log(self.alpha))
 
 
 class PolicyAnnealer:
@@ -68,82 +48,52 @@ class PolicyAnnealer:
         ...run one epoch under ``candidate``, measure throughput...
         annealer.observe(candidate, throughput)
 
+    Proposals move D_r/D_w together or N_r/N_w together, one level of
+    :data:`PROBABILITY_LEVELS`, mirroring the paper's lockstep sweeps.
     :attr:`best_policy` tracks the lowest-cost policy seen so far.
     """
 
-    def __init__(
-        self,
-        initial_policy: MigrationPolicy,
-        schedule: AnnealingSchedule | None = None,
-        seed: int = 7,
-        levels: tuple[float, ...] = PROBABILITY_LEVELS,
-        lockstep: bool = True,
-    ) -> None:
-        if not levels or sorted(levels) != list(levels):
-            raise ValueError("levels must be a sorted non-empty tuple")
-        self.schedule = schedule or AnnealingSchedule()
+    def __init__(self, initial_policy: MigrationPolicy, seed: int = 7) -> None:
         self.rng = random.Random(seed)
-        self.levels = levels
-        #: When True, D_r/D_w move together and N_r/N_w move together,
-        #: mirroring the paper's lockstep sweeps; when False all four
-        #: probabilities are tuned independently.
-        self.lockstep = lockstep
         self.step = 0
         self.current_policy = initial_policy
         self.current_cost = float("inf")
         self.best_policy = initial_policy
         self.best_cost = float("inf")
-        self.accepted_regressions = 0
-        self.rejections = 0
-        self.history: list[tuple[MigrationPolicy, float]] = []
 
     # ------------------------------------------------------------------
     @property
     def temperature(self) -> float:
-        return self.schedule.temperature(self.step)
-
-    def _nearest_level(self, value: float) -> int:
-        return min(
-            range(len(self.levels)), key=lambda i: abs(self.levels[i] - value)
-        )
+        return temperature(self.step)
 
     def _perturb(self, value: float) -> float:
         """Move one step up or down the level grid."""
-        index = self._nearest_level(value)
+        index = min(range(len(PROBABILITY_LEVELS)),
+                    key=lambda i: abs(PROBABILITY_LEVELS[i] - value))
         if index == 0:
             index += 1
-        elif index == len(self.levels) - 1:
+        elif index == len(PROBABILITY_LEVELS) - 1:
             index -= 1
         else:
             index += self.rng.choice((-1, 1))
-        return self.levels[index]
+        return PROBABILITY_LEVELS[index]
 
     def propose(self) -> MigrationPolicy:
         """A neighbouring candidate policy for the next epoch."""
         policy = self.current_policy
-        if self.lockstep:
-            which = self.rng.choice(("d", "n"))
-            if which == "d":
-                new_d = self._perturb(policy.d_r)
-                return replace(policy, d_r=new_d, d_w=new_d, name="")
-            new_n = self._perturb(policy.n_r)
-            return replace(policy, n_r=new_n, n_w=new_n, name="")
-        field = self.rng.choice(("d_r", "d_w", "n_r", "n_w"))
-        return replace(policy, **{field: self._perturb(getattr(policy, field)),
-                                  "name": ""})
+        if self.rng.choice(("d", "n")) == "d":
+            new_d = self._perturb(policy.d_r)
+            return replace(policy, d_r=new_d, d_w=new_d, name="")
+        new_n = self._perturb(policy.n_r)
+        return replace(policy, n_r=new_n, n_w=new_n, name="")
 
     def observe(self, candidate: MigrationPolicy, throughput: float) -> bool:
         """Record the epoch's measurement; return True when accepted."""
         cost = throughput_cost(throughput)
-        self.history.append((candidate, throughput))
         accepted = self._accept(cost)
         if accepted:
-            if cost > self.current_cost:
-                self.accepted_regressions += 1
             self.current_policy = candidate
             self.current_cost = cost
-        else:
-            self.rejections += 1
         if cost < self.best_cost:
             self.best_cost = cost
             self.best_policy = candidate
@@ -158,10 +108,6 @@ class PolicyAnnealer:
         # Costs are tiny (1/throughput); scale the delta into the
         # temperature's range so early steps genuinely explore.
         delta = (cost - self.current_cost) / max(self.current_cost, 1e-30)
-        temperature = self.temperature
         # Normalise temperature to [0, 1] of its initial value.
-        t_norm = temperature / self.schedule.initial_temperature
-        if t_norm <= 0:
-            return False
-        probability = math.exp(-delta / t_norm)
-        return self.rng.random() < probability
+        t_norm = self.temperature / INITIAL_TEMPERATURE
+        return self.rng.random() < math.exp(-delta / t_norm)

@@ -1,11 +1,12 @@
 """Declared ``event_interest`` against the full stream.
 
-Five subscribers declare the event types they need as
+Four subscribers declare the event types they need as
 ``event_interest`` and the bus filters for them.  Each test runs a
 mixed seeded workload with a record-everything subscriber beside the
 one under test and recomputes, from the full stream and the event types
 spelled out here, what the subscriber must have produced — so a type
-missing from (or added to) its declaration shows as a difference.
+missing from (or added to) its declaration shows as a difference.  The
+adaptive controller, once a fifth, subscribes nothing.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from collections import Counter
 
 from conftest import EventRecorder, make_bm
 
+from repro.bench.harness import RunConfig, WorkloadRunner
 from repro.core.events import EventType
 from repro.core.policy import SPITFIRE_EAGER
 from repro.faults.crashpoints import (
@@ -27,6 +29,7 @@ from repro.obs.decisions import DecisionRecorder
 from repro.obs.hub import MetricsHub
 from repro.obs.tracer import PageLifecycleTracer
 from repro.tuning.controller import AdaptiveController
+from repro.workloads.ycsb import YCSB_RO, YcsbWorkload
 
 OPS = 600
 
@@ -155,11 +158,20 @@ def test_hub_sees_every_op_and_its_outcome():
     assert split == dict(outcomes)
 
 
-def test_controller_counts_every_operation():
-    controller, stream = mixed_run(AdaptiveController)
-    ops = sum(event.type in (EventType.OP_READ, EventType.OP_WRITE)
-              for event in stream)
-    assert controller._ops_seen == ops == OPS
+def test_controller_leaves_the_bus_empty():
+    """The tuner's caller says how many ops an epoch runs, so the
+    controller subscribes nothing, and a batched epoch's top-tier hits
+    run vectorised."""
+    bm = make_bm(dram_gb=2.0, nvm_gb=4.0, policy=SPITFIRE_EAGER)
+    controller = AdaptiveController(bm, seed=3)
+    assert bm.events.num_subscribers == 0
+    workload = YcsbWorkload(16 * 16, mix=YCSB_RO, seed=5)
+    runner = WorkloadRunner(bm, RunConfig(warmup_ops=0, measure_ops=0))
+    runner.allocate_database(workload.num_pages)
+    controller.run(lambda count: runner.run_ycsb_batch(workload, count),
+                   epochs=3, ops_per_epoch=200)
+    assert bm.events.num_subscribers == 0
+    assert bm.batch_path.fast_runs > 0
 
 
 def test_boundary_probe_counts_every_boundary_event():

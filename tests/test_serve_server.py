@@ -705,3 +705,55 @@ class TestBrokenClients:
             assert summary["served"] == 2
 
         run(scenario())
+
+    def test_drain_ends_a_client_that_never_reads(self):
+        """A client pipelines far more replies than the socket buffers
+        hold and never reads one: the server's last reply cannot flush,
+        yet ``shutdown()`` returns within a bound."""
+        async def scenario():
+            server = await start_server()
+            reader, writer = await asyncio.open_connection(
+                server.host, server.port)
+            try:
+                writer.write(b"".join(
+                    protocol.encode_message({"op": "stats", "seq": seq})
+                    for seq in range(60_000)))
+                await self.wait_for_sessions(server, 1)
+                session, = server._sessions.values()
+                for _ in range(5_000):  # until a reply cannot flush
+                    if session.writer.transport.get_write_buffer_size():
+                        break
+                    await asyncio.sleep(0.001)
+                else:
+                    raise AssertionError("the replies never backed up")
+            finally:
+                summary = await asyncio.wait_for(server.shutdown(), 5.0)
+                writer.transport.abort()
+            assert summary["served"] == 0
+
+        run(scenario())
+
+    def test_half_closed_client_receives_every_reply(self):
+        """``write_eof()`` after k requests: the server still answers
+        all k before it ends the session."""
+        async def scenario():
+            server = await start_server()
+            try:
+                client = await Client.connect(server, tenant=0)
+                for page in range(1, 9):
+                    client.seq += 1
+                    client.writer.write(protocol.encode_message({
+                        "op": "write" if page % 2 else "read",
+                        "seq": client.seq, "page_id": page}))
+                client.writer.write_eof()
+                replies = [await protocol.read_frame(client.reader)
+                           for _ in range(8)]
+                assert await protocol.read_frame(client.reader) is None
+                await client.close()
+            finally:
+                summary = await server.shutdown()
+            assert [reply["seq"] for reply in replies] == list(range(1, 9))
+            assert all(reply["ok"] for reply in replies)
+            assert summary["served"] == 8
+
+        run(scenario())

@@ -42,11 +42,13 @@ from repro.obs.export import merge_snapshots, prometheus_text, \
 #: Fig. 12's HyMem +fine-grained YCSB-RO cell is Fig. 11's 256 B one; and
 #: Fig. 13's HyMem/YCSB-RO and Spitfire-Lazy/YCSB-RO cells are Fig. 11's
 #: 256 B and Fig. 12's YCSB-RO/Spf-Lazy/+fine-grained (a worker count is
-#: read off the result, so it does not split a simulation).  Fig. 10's
+#: read off the result, so it does not split a simulation).  §6.3's
+#: grid names no policy, so its all-eager point is one cell per workload
+#: on both axes (``D=1.0`` and ``N=1.0``).  Fig. 10's
 #: two adaptive runs and the recovery ablation's two crash/recover pairs
 #: are items too, and the rest are grid cells.
 DECLARED_ITEMS = 327
-DISTINCT_ITEMS = 280
+DISTINCT_ITEMS = 276
 DISTINCT_CELLS = DISTINCT_ITEMS - 4
 
 SHAPE = HierarchyShape(dram_gb=2.0, nvm_gb=4.0, ssd_gb=100.0)
@@ -113,10 +115,13 @@ class TestSuiteCount:
                                one.policy, "YCSB-RO", one.workload.db_gb,
                                effort=TINY)
         assert one == relabelled and hash(one) == hash(relabelled)
-        # The policy's name stays part of the cell: it reaches the
-        # decision trace's labels.
-        assert sweep_cell("D", "YCSB-RO", 1.0, TINY) != \
-            sweep_cell("N", "YCSB-RO", 1.0, TINY)
+        # The grid's policies are unnamed, so the all-eager point is one
+        # simulation on both axes; the axis lives in the label and the
+        # figure's keys (the decision trace labels it ``<1.0, ...>``).
+        eager_d = sweep_cell("D", "YCSB-RO", 1.0, TINY)
+        eager_n = sweep_cell("N", "YCSB-RO", 1.0, TINY)
+        assert eager_d == eager_n and hash(eager_d) == hash(eager_n)
+        assert eager_d.label != eager_n.label
 
 
 def _exports(sink) -> tuple[str, list[str]]:

@@ -8,14 +8,15 @@ from repro.core.policy import SPITFIRE_EAGER
 from repro.hardware.cost_model import StorageHierarchy
 from repro.hardware.pricing import HierarchyShape
 from repro.hardware.specs import SimulationScale
+from repro.tuning import annealing
 from repro.tuning.annealing import (
     PROBABILITY_LEVELS,
-    AnnealingSchedule,
     PolicyAnnealer,
+    temperature,
     throughput_cost,
 )
 from repro.tuning.controller import AdaptiveController
-from repro.workloads.ycsb import YCSB_RO, YcsbWorkload
+from repro.workloads.ycsb import YCSB_BA, YCSB_RO, YcsbWorkload
 
 
 class TestCostFunction:
@@ -28,32 +29,17 @@ class TestCostFunction:
 
 class TestSchedule:
     def test_paper_defaults(self):
-        schedule = AnnealingSchedule()
-        assert schedule.initial_temperature == 800.0
-        assert schedule.final_temperature == pytest.approx(8e-5)
-        assert schedule.alpha == 0.9
+        assert annealing.INITIAL_TEMPERATURE == 800.0
+        assert annealing.FINAL_TEMPERATURE == pytest.approx(8e-5)
+        assert annealing.ALPHA == 0.9
 
     def test_geometric_cooling(self):
-        schedule = AnnealingSchedule()
-        assert schedule.temperature(0) == 800.0
-        assert schedule.temperature(1) == pytest.approx(720.0)
-        assert schedule.temperature(10) == pytest.approx(800.0 * 0.9**10)
+        assert temperature(0) == 800.0
+        assert temperature(1) == pytest.approx(720.0)
+        assert temperature(10) == pytest.approx(800.0 * 0.9**10)
 
     def test_floor(self):
-        schedule = AnnealingSchedule()
-        assert schedule.temperature(10_000) == schedule.final_temperature
-
-    def test_steps_to_final(self):
-        schedule = AnnealingSchedule()
-        steps = schedule.steps_to_final
-        assert schedule.temperature(steps) == schedule.final_temperature
-        assert 800.0 * 0.9 ** (steps - 1) > schedule.final_temperature
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            AnnealingSchedule(alpha=1.0)
-        with pytest.raises(ValueError):
-            AnnealingSchedule(initial_temperature=1.0, final_temperature=2.0)
+        assert temperature(10_000) == annealing.FINAL_TEMPERATURE
 
 
 class TestAnnealer:
@@ -65,16 +51,11 @@ class TestAnnealer:
                 assert value in PROBABILITY_LEVELS
 
     def test_lockstep_proposals(self):
-        annealer = PolicyAnnealer(SPITFIRE_EAGER, seed=1, lockstep=True)
+        annealer = PolicyAnnealer(SPITFIRE_EAGER, seed=1)
         for _ in range(30):
             candidate = annealer.propose()
             assert candidate.d_r == candidate.d_w
             assert candidate.n_r == candidate.n_w
-
-    def test_independent_proposals_allowed(self):
-        annealer = PolicyAnnealer(SPITFIRE_EAGER, seed=3, lockstep=False)
-        candidates = [annealer.propose() for _ in range(100)]
-        assert any(c.d_r != c.d_w or c.n_r != c.n_w for c in candidates)
 
     def test_improvement_always_accepted(self):
         annealer = PolicyAnnealer(SPITFIRE_EAGER, seed=1)
@@ -93,9 +74,7 @@ class TestAnnealer:
         assert annealer.best_policy is good
 
     def test_cold_annealer_rejects_regressions(self):
-        schedule = AnnealingSchedule(initial_temperature=800.0,
-                                     final_temperature=8e-5, alpha=0.5)
-        annealer = PolicyAnnealer(SPITFIRE_EAGER, schedule=schedule, seed=1)
+        annealer = PolicyAnnealer(SPITFIRE_EAGER, seed=1)
         annealer.step = 200  # fully cooled
         annealer.observe(SPITFIRE_EAGER, 100.0)
         annealer.step = 200
@@ -120,53 +99,53 @@ class TestAnnealer:
             annealer.step = 0
         assert accepted_worse > 0
 
-    def test_level_validation(self):
-        with pytest.raises(ValueError):
-            PolicyAnnealer(SPITFIRE_EAGER, levels=(0.5, 0.1))
-
 
 class TestController:
-    def make_controller(self):
+    def make_controller(self, mix=YCSB_RO):
         hierarchy = StorageHierarchy(
             HierarchyShape(1, 4, 100), SimulationScale(pages_per_gb=8)
         )
         bm = BufferManager(hierarchy, SPITFIRE_EAGER)
-        workload = YcsbWorkload(600, mix=YCSB_RO, skew=0.5, seed=2)
+        workload = YcsbWorkload(600, mix=mix, skew=0.5, seed=2)
         runner = WorkloadRunner(bm, RunConfig(warmup_ops=0, measure_ops=0))
         runner.allocate_database(workload.num_pages)
         controller = AdaptiveController(bm, seed=4)
         return controller, runner, workload
 
+    @staticmethod
+    def batched(runner, workload):
+        return lambda count: runner.run_ycsb_batch(workload, count)
+
+    @staticmethod
+    def per_op(runner, workload):
+        def run(count):
+            for _ in range(count):
+                runner.run_ycsb_op(workload)
+        return run
+
     def test_epoch_lifecycle(self):
         controller, runner, workload = self.make_controller()
-        policy = controller.begin_epoch()
-        assert policy is controller.bm.policy
-        for _ in range(200):
-            runner.run_ycsb_op(workload)
-        record = controller.end_epoch()
+        ran = []
+
+        def run_ops(count):
+            ran.append((count, controller.bm.policy))
+            runner.run_ycsb_batch(workload, count)
+
+        record = controller.run_epoch(run_ops, 200)
+        assert ran == [(200, SPITFIRE_EAGER)]
         assert record.operations == 200
         assert record.throughput > 0
+        assert controller.records == [record]
 
     def test_first_epoch_measures_initial_policy(self):
         controller, runner, workload = self.make_controller()
-        policy = controller.begin_epoch()
-        assert policy is SPITFIRE_EAGER
-
-    def test_unbalanced_calls_rejected(self):
-        controller, _, _ = self.make_controller()
-        with pytest.raises(RuntimeError):
-            controller.end_epoch()
-        controller.begin_epoch()
-        with pytest.raises(RuntimeError):
-            controller.begin_epoch()
+        record = controller.run_epoch(self.batched(runner, workload), 100)
+        assert record.policy is SPITFIRE_EAGER
 
     def test_run_loop_adapts_policy(self):
         controller, runner, workload = self.make_controller()
-        controller.run(
-            workload_step=lambda: runner.run_ycsb_op(workload),
-            epochs=15,
-            ops_per_epoch=400,
-        )
+        controller.run(self.batched(runner, workload), epochs=15,
+                       ops_per_epoch=400)
         assert len(controller.records) == 15
         series = controller.throughput_series()
         assert len(series) == 15
@@ -176,7 +155,24 @@ class TestController:
 
     def test_records_carry_temperature(self):
         controller, runner, workload = self.make_controller()
-        controller.run(lambda: runner.run_ycsb_op(workload), epochs=3,
+        controller.run(self.batched(runner, workload), epochs=3,
                        ops_per_epoch=100)
         temps = [r.temperature for r in controller.records]
         assert temps[0] > temps[-1]
+
+    @pytest.mark.parametrize("mix", [YCSB_RO, YCSB_BA], ids=lambda m: m.name)
+    def test_batched_epochs_match_per_op(self, mix):
+        """A Fig. 10-style run: epochs that step ``run_ycsb_op`` and
+        epochs that call ``run_ycsb_batch`` give equal records, the
+        same best policy and the same simulated cost."""
+        outcomes = []
+        for drive in (self.per_op, self.batched):
+            controller, runner, workload = self.make_controller(mix)
+            records = controller.run(drive(runner, workload), epochs=12,
+                                     ops_per_epoch=300)
+            outcomes.append((records, controller.best_policy,
+                             controller.bm.hierarchy.cost.total_fp,
+                             controller.bm.stats.snapshot()))
+        (per_op, batched) = outcomes
+        assert len({record.policy.as_tuple() for record in per_op[0]}) > 1
+        assert batched == per_op
