@@ -287,27 +287,25 @@ class WorkloadRunner:
     def run_ycsb_batch(self, workload: YcsbWorkload, count: int) -> None:
         """Execute ``count`` YCSB operations through the batch path.
 
-        Reads between writes execute as columnar runs; each write (and
-        its WAL/checkpoint tail) runs at its original position, so the
+        The reads between two writes execute as one columnar run (a
+        read-only chunk is one ``read_batch``); each write (and its
+        WAL/checkpoint tail) runs at its original position, so the
         operation schedule — and therefore every charge, event, and RNG
         draw — matches ``count`` calls of :meth:`run_ycsb_op` exactly.
         """
         batch = workload.next_ops(count)
         page_ids = batch.page_ids
         offsets = batch.offsets
-        is_writes = batch.is_writes
         read_batch = self.bm.read_batch
-        i = 0
-        while i < count:
-            if is_writes[i]:
-                self._exec_op(page_ids[i], offsets[i], COLUMN_SIZE, True)
-                i += 1
-                continue
-            j = i + 1
-            while j < count and not is_writes[j]:
-                j += 1
-            read_batch(page_ids[i:j], offsets[i:j], TUPLE_SIZE)
-            i = j
+        start = 0
+        for write in batch.writes:
+            if write > start:
+                read_batch(page_ids[start:write], offsets[start:write],
+                           TUPLE_SIZE)
+            self._exec_op(page_ids[write], offsets[write], COLUMN_SIZE, True)
+            start = write + 1
+        if start < count:
+            read_batch(page_ids[start:], offsets[start:], TUPLE_SIZE)
 
     # ------------------------------------------------------------------
     # Full measurement protocol

@@ -28,7 +28,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator
 
-from .tpcc import TpccWorkload
+from .tpcc import PageAccess, TpccWorkload
 from .ycsb import (
     COLUMN_SIZE,
     MIXES,
@@ -84,6 +84,8 @@ class TenantSpec:
             raise ValueError(f"unknown tenant workload kind {self.kind!r}")
         if self.kind == "ycsb" and self.mix not in MIXES:
             raise ValueError(f"unknown YCSB mix {self.mix!r}")
+        if self.kind == "ycsb" and not 0.0 <= self.skew < 1.0:
+            raise ValueError(f"skew must be in [0, 1), got {self.skew!r}")
         if self.weight <= 0:
             raise ValueError("tenant weight must be positive")
         if self.db_gigabytes <= 0:
@@ -130,12 +132,13 @@ class _TpccStream:
     def __init__(self, spec: TenantSpec, scale) -> None:
         self.workload = TpccWorkload(spec.db_gigabytes, scale, seed=spec.seed)
         self.num_pages = self.workload.num_pages
-        self._pending: list = []
+        self._pending: Iterator[PageAccess] = iter(())
 
     def next(self) -> tuple[int, int, int, bool]:
-        while not self._pending:
-            self._pending = list(self.workload.next_transaction())
-        access = self._pending.pop(0)
+        access = next(self._pending, None)
+        while access is None:
+            self._pending = iter(self.workload.next_transaction())
+            access = next(self._pending, None)
         return access.page_id, access.offset, access.nbytes, access.is_write
 
     def page_popularity(self) -> list[int]:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import enum
 import functools
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -55,34 +56,24 @@ class Operation(NamedTuple):
 class OpBatch:
     """A struct-of-arrays batch of YCSB operations.
 
-    The columns are positionally parallel lists; the derived physical
-    columns (page id, intra-page offset) are computed in bulk rather
-    than per op.
+    ``keys``, ``page_ids`` (bulk ``page_of``) and ``offsets`` (bulk
+    ``offset_of``, the updated column included) are positionally
+    parallel lists, built when the batch is generated; ``writes`` lists
+    the positions of the updates in ascending order — empty for a
+    read-only chunk.
     """
 
-    __slots__ = ("keys", "is_writes", "columns")
+    __slots__ = ("keys", "page_ids", "offsets", "writes")
 
-    def __init__(self, keys: list[int], is_writes: list[bool],
-                 columns: list[int]) -> None:
+    def __init__(self, keys: list[int], page_ids: list[int],
+                 offsets: list[int], writes: list[int]) -> None:
         self.keys = keys
-        self.is_writes = is_writes
-        self.columns = columns
+        self.page_ids = page_ids
+        self.offsets = offsets
+        self.writes = writes
 
     def __len__(self) -> int:
         return len(self.keys)
-
-    @property
-    def page_ids(self) -> list[int]:
-        """Physical page of each key (bulk ``page_of``)."""
-        return [key // TUPLES_PER_PAGE for key in self.keys]
-
-    @property
-    def offsets(self) -> list[int]:
-        """Intra-page byte offset of each access (bulk ``offset_of``)."""
-        return [
-            (key % TUPLES_PER_PAGE) * TUPLE_SIZE + 4 + column * COLUMN_SIZE
-            for key, column in zip(self.keys, self.columns)
-        ]
 
 
 @dataclass(frozen=True)
@@ -116,9 +107,13 @@ class YcsbWorkload:
     ) -> None:
         if num_tuples <= 0:
             raise ValueError("num_tuples must be positive")
+        if not 0.0 <= skew < 1.0:
+            raise ValueError(f"skew must be in [0, 1), got {skew!r}")
         self.num_tuples = num_tuples
         self.mix = mix
         self.skew = skew
+        #: The mix stream (read or update, then the updated column); the
+        #: keys come from a generator of their own.
         self.rng = random.Random(seed)
         if skew > 0:
             self._keys = ScrambledZipfianGenerator(num_tuples, skew, seed + 1)
@@ -132,7 +127,10 @@ class YcsbWorkload:
 
     def next_op(self) -> Operation:
         key = self._keys.next()
-        if self.rng.random() < self.mix.read_fraction:
+        # A read-only mix draws nothing from the mix stream: ``random() <
+        # 1.0`` always holds, so the draw could not change an op.
+        read_fraction = self.mix.read_fraction
+        if read_fraction == 1.0 or self.rng.random() < read_fraction:
             return Operation(OpKind.READ, key)
         return Operation(OpKind.UPDATE, key, column=self.rng.randrange(NUM_COLUMNS))
 
@@ -143,26 +141,25 @@ class YcsbWorkload:
     def next_ops(self, count: int) -> OpBatch:
         """``count`` operations as a struct-of-arrays batch.
 
-        Replays :meth:`next_op`'s RNG draw order exactly (key draw, mix
-        draw, column draw on updates), so a seeded workload produces the
-        same operation stream whether consumed one op or one batch at a
-        time.
+        The key stream and the mix stream are separate RNGs, so drawing
+        the chunk's keys in one pass (``next_many``) and then its mix
+        draws (mix draw, column draw on updates) keeps each stream's
+        order: a seeded workload produces the same operation stream
+        whether consumed one op or one batch at a time.  A read-only mix
+        draws no mix at all, as in :meth:`next_op`.
         """
-        keys: list[int] = []
-        is_writes: list[bool] = []
-        columns: list[int] = []
-        next_key = self._keys.next
-        rng = self.rng
+        keys = self._keys.next_many(count)
+        page_ids = [key // TUPLES_PER_PAGE for key in keys]
+        offsets = [(key % TUPLES_PER_PAGE) * TUPLE_SIZE + 4 for key in keys]
+        writes: list[int] = []
         read_fraction = self.mix.read_fraction
-        for _ in range(count):
-            keys.append(next_key())
-            if rng.random() < read_fraction:
-                is_writes.append(False)
-                columns.append(0)
-            else:
-                is_writes.append(True)
-                columns.append(rng.randrange(NUM_COLUMNS))
-        return OpBatch(keys, is_writes, columns)
+        if read_fraction < 1.0:
+            random, randrange = self.rng.random, self.rng.randrange
+            for position in range(count):
+                if random() >= read_fraction:
+                    writes.append(position)
+                    offsets[position] += randrange(NUM_COLUMNS) * COLUMN_SIZE
+        return OpBatch(keys, page_ids, offsets, writes)
 
     def page_popularity(self, samples: int = 30_000) -> list[int]:
         """Pages ranked hottest-first, estimated by sampling the key
@@ -203,19 +200,11 @@ def _ranked_pages(num_tuples: int, skew: float, samples: int,
         sampler = ScrambledZipfianGenerator(num_tuples, skew, seed=987_654)
     else:
         sampler = UniformGenerator(num_tuples, seed=987_654)
-    counts: dict[int, int] = {}
-    for _ in range(samples):
-        page = sampler.next() // TUPLES_PER_PAGE
-        counts[page] = counts.get(page, 0) + 1
+    # Counted in first-seen order, so equal counts rank as they were seen.
+    counts = Counter([key // TUPLES_PER_PAGE
+                      for key in sampler.next_many(samples)])
     ranked = sorted(counts, key=counts.get, reverse=True)
     seen = set(ranked)
     # Unsampled pages follow in id order (they are all equally cold).
     ranked.extend(p for p in range(num_pages) if p not in seen)
     return tuple(ranked)
-
-
-def make_payload(rng: random.Random, size: int = COLUMN_SIZE) -> bytes:
-    """Random string-column payload for engine-level runs."""
-    return bytes(rng.getrandbits(8) for _ in range(min(size, 16))) * (
-        max(1, size // 16)
-    )

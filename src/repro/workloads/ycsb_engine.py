@@ -40,6 +40,8 @@ class YcsbEngine:
                  seed: int = 1) -> None:
         if num_tuples <= 0:
             raise ValueError("num_tuples must be positive")
+        if not 0.0 <= skew < 1.0:
+            raise ValueError(f"skew must be in [0, 1), got {skew!r}")
         self.engine = engine
         self.num_tuples = num_tuples
         self.mix = mix

@@ -266,13 +266,39 @@ class TestWorkloadBatches:
         ops = [per_op.next_op() for _ in range(600)]
         batch = batched.next_ops(600)
         assert len(batch) == 600
+        assert batch.writes == [index for index, op in enumerate(ops)
+                                if op.is_write]
         for index, op in enumerate(ops):
             assert batch.keys[index] == op.key
-            assert batch.is_writes[index] == op.is_write
             assert batch.page_ids[index] == per_op.page_of(op.key)
             assert batch.offsets[index] == per_op.offset_of(op.key, op.column)
-        # Both streams must resume in lockstep after the batch.
+        # Both streams must resume in lockstep after the batch: the mix
+        # stream too, which a read-only mix leaves untouched either way.
+        assert batched.rng.getstate() == per_op.rng.getstate()
         assert batched.next_op() == per_op.next_op()
+
+    @pytest.mark.parametrize("mix", sorted(MIXES))
+    def test_chunks_and_single_ops_interleave(self, mix):
+        """Chunks of any size, empty ones included, and single ops
+        drawn in any order are one stream."""
+        per_op = YcsbWorkload(10_000, MIXES[mix], seed=5)
+        mixed = YcsbWorkload(10_000, MIXES[mix], seed=5)
+
+        def row(workload, op):
+            return op.is_write, op.key, workload.offset_of(op.key, op.column)
+
+        expected = [row(per_op, per_op.next_op()) for _ in range(1_000)]
+        drawn = []
+        for count in (300, 0, None, 299, None, 399):
+            if count is None:
+                drawn.append(row(mixed, mixed.next_op()))
+                continue
+            batch = mixed.next_ops(count)
+            drawn += [(index in batch.writes, key, offset)
+                      for index, (key, offset)
+                      in enumerate(zip(batch.keys, batch.offsets))]
+        assert drawn == expected
+        assert mixed.next_op() == per_op.next_op()
 
 
 class TestDeviceBatch:

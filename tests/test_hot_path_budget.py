@@ -1,6 +1,7 @@
 """Frame budgets of what every workload is mostly made of: a DRAM hit,
-an SSD miss with its eviction, the log records of a write — and the
-mapping-table entry every page touched for the first time builds.
+an SSD miss with its eviction, the log records of a write, the
+mapping-table entry every page touched for the first time builds — and
+the generation of the ops themselves.
 
 Spitfire's premise (§3, §5.1) is that a buffered access is nearly free
 and only migrations cost; §5.2's, that with an NVM log buffer a commit
@@ -27,7 +28,13 @@ from repro.bench.harness import RunConfig, WorkloadRunner
 from repro.core.mapping_table import MappingTable
 from repro.core.policy import DRAM_SSD_POLICY, SPITFIRE_LAZY
 from repro.hardware.specs import Tier
-from repro.workloads.ycsb import COLUMN_SIZE, TUPLE_SIZE, YCSB_BA, YcsbWorkload
+from repro.workloads.ycsb import (
+    COLUMN_SIZE,
+    TUPLE_SIZE,
+    YCSB_BA,
+    YCSB_RO,
+    YcsbWorkload,
+)
 
 #: Python-level calls one DRAM hit makes, ``read``/``write`` included
 #: (40 / 39 before the hit was served where it is found; 19 while the
@@ -60,6 +67,15 @@ WAL_BUDGET = 30
 #: DRAM-NVM-SSD).
 ENTRY_CALL_BUDGET = 2
 ENTRY_BYTE_BUDGET = 600
+#: ... and generation: Python-level calls per op of one
+#: ``YcsbWorkload.next_ops(1000)`` chunk.  Read-only, the chunk is a
+#: fixed handful of calls — the key draws in one comprehension, no mix
+#: draw (3 per op while each key went through ``next`` → ``next`` →
+#: ``scramble`` and each op drew its mix; 0.008 now).  Read/update
+#: (YCSB-BA), each update's column is a ``randrange`` of two Python
+#: frames (4.06 per op before; 1.06 now).
+GEN_RO_BUDGET = 0.01
+GEN_BA_BUDGET = 1.1
 OPS = 1_000
 
 
@@ -113,6 +129,20 @@ def test_dram_hit_stays_within_frame_budget(primed, is_write):
     assert stats.dram_hits == OPS + 1 and stats.ssd_fetches == 0
     assert calls / OPS <= BUDGET, (
         f"{calls / OPS:.1f} Python-level calls per DRAM hit, budget {BUDGET}"
+    )
+
+
+@pytest.mark.parametrize("mix, budget", [(YCSB_RO, GEN_RO_BUDGET),
+                                         (YCSB_BA, GEN_BA_BUDGET)],
+                         ids=["ro", "ba"])
+def test_generation_stays_within_call_budget(mix, budget):
+    workload = YcsbWorkload(100_000, mix=mix, seed=3)
+    workload.next_ops(OPS)
+
+    calls = python_calls(lambda: workload.next_ops(OPS)) - 1  # the lambda
+    assert calls / OPS <= budget, (
+        f"{calls / OPS:.3f} Python-level calls per generated "
+        f"{mix.name} op, budget {budget}"
     )
 
 

@@ -30,7 +30,8 @@ from repro.hardware.cost_model import StorageHierarchy
 from repro.hardware.pricing import HierarchyShape
 from repro.hardware.specs import DEFAULT_SCALE, Tier
 from repro.workloads.tenancy import MultiTenantWorkload, TenantSpec
-from repro.workloads.ycsb import MIXES
+from repro.workloads.tpcc import TpccWorkload
+from repro.workloads.ycsb import COLUMN_SIZE, MIXES, TUPLE_SIZE, YcsbWorkload
 
 SMALL_SHAPE = HierarchyShape(dram_gb=1.0, nvm_gb=4.0, ssd_gb=64.0)
 SMALL_EFFORT = Effort(warmup_ops=500, measure_ops=1500)
@@ -138,6 +139,8 @@ class TestTenantSpec:
         dict(weight=0.0),
         dict(db_gigabytes=0.0),
         dict(think_time_ns=-1.0),
+        dict(skew=-0.5),
+        dict(skew=1.0),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -206,6 +209,36 @@ class TestMultiTenantWorkload:
             (merged.specs[0],), DEFAULT_SCALE, seed=5)
         solo_pages = [a.page_id for a in solo.accesses(len(sub))]
         assert sub == solo_pages
+
+    @pytest.mark.parametrize("spec", [
+        TenantSpec(name="oltp", kind="tpcc", db_gigabytes=2.0, seed=11),
+        TenantSpec(name="kv", mix="YCSB-RO", skew=0.5, seed=4),
+    ], ids=["tpcc", "ycsb-ro"])
+    def test_tenant_stream_is_its_generator_unrolled(self, spec):
+        """A lone tenant's stream is its generator's accesses in order:
+        a TPC-C tenant walks each transaction to its end before drawing
+        the next, none dropped or reordered; a YCSB tenant emits one
+        access per ``next_op``."""
+        solo = MultiTenantWorkload((spec,), DEFAULT_SCALE, seed=5)
+        if spec.kind == "tpcc":
+            reference = TpccWorkload(spec.db_gigabytes, DEFAULT_SCALE,
+                                     seed=spec.seed)
+            expected = []
+            while len(expected) < 3_000:
+                expected += [(a.page_id, a.offset, a.nbytes, a.is_write)
+                             for a in reference.next_transaction()]
+        else:
+            reference = YcsbWorkload(solo._streams[0].workload.num_tuples,
+                                     MIXES[spec.mix], spec.skew, spec.seed)
+            expected = []
+            for _ in range(3_000):
+                op = reference.next_op()
+                expected.append((reference.page_of(op.key),
+                                 reference.offset_of(op.key, op.column),
+                                 COLUMN_SIZE if op.is_write else TUPLE_SIZE,
+                                 op.is_write))
+        assert [(a.page_id, a.offset, a.nbytes, a.is_write)
+                for a in solo.accesses(3_000)] == expected[:3_000]
 
     def test_popularity_merge_is_deterministic(self):
         assert (two_tenant_workload().page_popularity()

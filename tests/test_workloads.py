@@ -148,6 +148,14 @@ class TestYcsb:
         with pytest.raises(ValueError):
             YcsbWorkload(0)
 
+    @pytest.mark.parametrize("skew", [-0.5, 1.0, 1.5, float("nan")])
+    def test_skew_outside_unit_interval(self, skew):
+        """A negative skew used to draw uniform keys silently, and 1.0
+        failed deep inside the Zipfian generator: both are rejected at
+        construction, by name."""
+        with pytest.raises(ValueError, match="skew"):
+            YcsbWorkload(1000, skew=skew)
+
 
 class TestTpcc:
     @pytest.fixture
@@ -341,7 +349,37 @@ class TestTrace:
         assert trace.write_fraction == 0.0
 
 
+def _generator(kind: str, n: int, theta: float, seed: int):
+    if kind == "uniform":
+        return UniformGenerator(n, seed)
+    if kind == "scrambled":
+        return ScrambledZipfianGenerator(n, theta, seed)
+    return ZipfianGenerator(n, theta, seed)
+
+
+def _rng_of(generator) -> random.Random:
+    return getattr(generator, "_inner", generator).rng
+
+
 class TestZipfProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(["zipfian", "scrambled", "uniform"]),
+           st.integers(1, 10**6),
+           st.one_of(st.just(0.0),
+                     st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+           st.integers(0, 2**64),
+           st.lists(st.integers(0, 300), max_size=6))
+    def test_next_many_is_next_repeated(self, kind, n, theta, seed, chunks):
+        """Any split of ``k`` draws into ``next_many`` chunks draws what
+        ``k`` calls of ``next`` draw, and leaves the RNG where they do."""
+        one = _generator(kind, n, theta, seed)
+        many = _generator(kind, n, theta, seed)
+        drawn = []
+        for count in chunks:
+            drawn += many.next_many(count)
+        assert drawn == [one.next() for _ in range(sum(chunks))]
+        assert _rng_of(many).getstate() == _rng_of(one).getstate()
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(2, 5000), st.floats(0.0, 0.99), st.integers(0, 2**30))
     def test_draws_always_in_range(self, n, theta, seed):

@@ -44,6 +44,15 @@ class TestLoad:
         with pytest.raises(ValueError):
             YcsbEngine(engine, num_tuples=0)
 
+    @pytest.mark.parametrize("skew", [-0.5, 1.0])
+    def test_skew_outside_unit_interval(self, skew):
+        hierarchy = StorageHierarchy(
+            HierarchyShape(2, 8, 100), SimulationScale(pages_per_gb=8)
+        )
+        engine = StorageEngine(hierarchy, SPITFIRE_LAZY)
+        with pytest.raises(ValueError, match="skew"):
+            YcsbEngine(engine, num_tuples=10, skew=skew)
+
 
 class TestMixes:
     def test_read_only(self):
