@@ -41,6 +41,18 @@ from .tier_chain import TierChain, TierNode
 
 __all__ = ["AccessPath", "AccessResult"]
 
+_CPU = CostAccumulator.CPU
+#: ``EventType.index`` of what an access publishes: a site calls the
+#: bus only when that type has a subscriber.
+_OP_READ = EventType.OP_READ.index
+_OP_WRITE = EventType.OP_WRITE.index
+_HIT = EventType.HIT.index
+_MISS = EventType.MISS.index
+_INSTALL = EventType.INSTALL.index
+_MIGRATE_UP = EventType.MIGRATE_UP.index
+_DIRECT_READ = EventType.DIRECT_READ.index
+_DIRECT_WRITE = EventType.DIRECT_WRITE.index
+
 
 class AccessResult(NamedTuple):
     """Outcome of one buffer-manager read or write."""
@@ -113,20 +125,25 @@ class AccessPath:
         :meth:`fetch_from_ssd`.
         """
         cost = self._cost
-        emit = self._emit
+        events = self.events
         cost.begin_cpu_batch()
         try:
-            cost.charge_fp(CostAccumulator.CPU, self._lookup_fp)
+            cost.charge_fp(_CPU, self._lookup_fp)
             # Set the bus tenant register before the OP event so every
             # subscriber sees the op attributed to the right tenant.
-            self.events.tenant_id = tenant_id
+            events.tenant_id = tenant_id
             stats = self.chain.stats
+            # Each publish is made only when its type has a subscriber;
+            # the check reads the bus's current tuples, so an observer
+            # attached between ops sees everything from the next op on.
             if is_write:
                 stats.writes += 1
-                emit(EventType.OP_WRITE, page_id)
+                if events._appliers[_OP_WRITE]:
+                    self._emit(EventType.OP_WRITE, page_id)
             else:
                 stats.reads += 1
-                emit(EventType.OP_READ, page_id)
+                if events._appliers[_OP_READ]:
+                    self._emit(EventType.OP_READ, page_id)
             shared = self.table.get_or_create(page_id)
             for node in self.chain.nodes:
                 tier = node.tier
@@ -141,7 +158,8 @@ class AccessPath:
                     stats.dram_hits += 1
                 else:
                     stats.nvm_hits += 1
-                emit(EventType.HIT, page_id, tier)
+                if events._appliers[_HIT]:
+                    self._emit(EventType.HIT, page_id, tier)
                 if node is self._volatile_top \
                         and isinstance(descriptor.content, Page):
                     if is_write:
@@ -209,12 +227,14 @@ class AccessPath:
             descriptor.mark_dirty()
             if nvm:
                 self.chain.stats.nvm_direct_writes += 1
-            self._emit(EventType.DIRECT_WRITE, page_id, tier=node.tier)
+            if self.events._appliers[_DIRECT_WRITE]:
+                self._emit(EventType.DIRECT_WRITE, page_id, tier=node.tier)
         else:
             node.read(page_id, nbytes)
             if nvm:
                 self.chain.stats.nvm_direct_reads += 1
-            self._emit(EventType.DIRECT_READ, page_id, tier=node.tier)
+            if self.events._appliers[_DIRECT_READ]:
+                self._emit(EventType.DIRECT_READ, page_id, tier=node.tier)
 
     # ------------------------------------------------------------------
     # SSD miss path
@@ -227,11 +247,13 @@ class AccessPath:
         Each non-top node draws its fetch-admission knob, slowest first;
         the first admit wins.  The top node is the unconditional fallback
         — a fetch must land somewhere.  After the install, promotion
-        draws may carry the page further up (§3.4's path ③+①).  Returns
-        the access's result, as :meth:`serve` built it.
+        draws may carry the page further up (§3.4's path ③+①).  A full
+        page landed on the volatile top is served there the way a top hit
+        is; anything else as :meth:`serve` serves it.
         """
         self.chain.stats.ssd_fetches += 1
-        self._emit(EventType.MISS, page_id, tier=Tier.SSD)
+        if self.events._appliers[_MISS]:
+            self._emit(EventType.MISS, page_id, tier=Tier.SSD)
         policy = self.policy_slot.current
         durable = self.store.read_page(page_id)  # charges the SSD read
 
@@ -251,12 +273,20 @@ class AccessPath:
             return _result(AccessResult, (page_id, Tier.SSD, False, False))
 
         descriptor = self.install(landed, shared, durable.clone())
-        promote_op = (
-            MigrationOp.PROMOTE_WRITE if is_write else MigrationOp.PROMOTE_READ
-        )
-        landed, descriptor = self.climb(
-            shared, landed, descriptor, promote_op, offset, nbytes, policy
-        )
+        if landed is self._volatile_top \
+                and isinstance(descriptor.content, Page):
+            if is_write:
+                descriptor.dirty = True
+                landed.write(page_id, nbytes)
+            else:
+                landed.read(page_id, nbytes)
+            return _result(AccessResult, (page_id, landed.tier, False, False))
+        if landed.index:
+            promote_op = (MigrationOp.PROMOTE_WRITE if is_write
+                          else MigrationOp.PROMOTE_READ)
+            landed, descriptor = self.climb(
+                shared, landed, descriptor, promote_op, offset, nbytes, policy
+            )
         return self.serve(landed, shared, descriptor, offset, nbytes,
                           is_write, hit=False)
 
@@ -264,18 +294,21 @@ class AccessPath:
                 content: Page) -> TierPageDescriptor:
         """Place a full page copy into a node's pool, evicting as needed."""
         tier = node.tier
-        with shared.latched(tier):
-            descriptor = shared.copy_on(tier)
+        rank = tier.rank
+        # ``shared.latched(tier)`` and ``copy_on(tier)``, spelled out.
+        with shared._latches[rank]:
+            descriptor = shared._copies[rank]
             installed = descriptor is None
             if installed:
                 descriptor = self.space.insert_with_space(
                     node, shared, content, self.hierarchy.page_size
                 )
         if installed:
-            # Page installs land at random frame locations: NVM pays its
-            # random-write bandwidth (6 GB/s on Optane), DRAM does not care.
+            # Page installs land at random frame locations: persistent
+            # memory pays its random-write bandwidth (6 GB/s on Optane);
+            # volatile tiers do not tell the two apart.
             node.write(content.page_id, self.hierarchy.page_size,
-                       sequential=node.install_sequential)
+                       sequential=not node.persistent)
             if node.persistent:
                 node.device.persist_barrier()
         # Either way the fetch counts as an install toward the tier — a
@@ -285,7 +318,9 @@ class AccessPath:
             stats.ssd_to_dram += 1
         else:
             stats.ssd_to_nvm += 1
-        self._emit(EventType.INSTALL, content.page_id, tier=tier, src=Tier.SSD)
+        if self.events._appliers[_INSTALL]:
+            self._emit(EventType.INSTALL, content.page_id, tier=tier,
+                       src=Tier.SSD)
         return descriptor
 
     # ------------------------------------------------------------------
@@ -307,7 +342,7 @@ class AccessPath:
             if existing is not None:
                 return existing
             cost = self._cost
-            cost.charge_fp(CostAccumulator.CPU, self._migration_fp)
+            cost.charge_fp(_CPU, self._migration_fp)
             lower_content = lower_desc.content
             if not isinstance(lower_content, Page):  # pragma: no cover - defensive
                 raise RuntimeError("lower-tier frames always hold full pages")
@@ -316,7 +351,7 @@ class AccessPath:
                                                             offset, nbytes)
             else:
                 lower.read(shared.page_id, self.hierarchy.page_size)
-                cost.charge_fp(CostAccumulator.CPU, self._page_copy_fp)
+                cost.charge_fp(_CPU, self._page_copy_fp)
                 descriptor = self.space.insert_with_space(
                     upper, shared, lower_content.clone(),
                     self.hierarchy.page_size,
@@ -324,6 +359,7 @@ class AccessPath:
                 upper.write(shared.page_id, self.hierarchy.page_size,
                             sequential=True)
             self.chain.stats.nvm_to_dram += 1
-            self._emit(EventType.MIGRATE_UP, shared.page_id, tier=upper.tier,
-                       src=lower.tier)
+            if self.events._appliers[_MIGRATE_UP]:
+                self._emit(EventType.MIGRATE_UP, shared.page_id,
+                           tier=upper.tier, src=lower.tier)
             return descriptor

@@ -18,7 +18,8 @@ These objects sit on the hottest path of the buffer manager, so they
 avoid dicts and contextlib in favour of slots, rank-indexed lists, and a
 hand-rolled context manager.  A shared descriptor is built for every
 page ever touched, so it holds only C-constructed latches; the unpin
-wait shares one condition across pages.
+wait shares one condition across pages, and pin counts share one lock
+(a frame descriptor, built on every install, builds none).
 """
 
 from __future__ import annotations
@@ -57,6 +58,11 @@ _PER_TIER = ((),) * len(TIER_ORDER)
 #: pinned access only) and a page needs no condition of its own.
 _UNPIN = threading.Condition()
 
+#: The one lock every pin and unpin takes: pins are engine-level pinned
+#: access only (``BufferManager.fetch_page``), never the hot path, so a
+#: frame descriptor needs no lock of its own.
+_PIN = threading.Lock()
+
 #: Longest single sleep of :meth:`SharedPageDescriptor.wait_for_unpinned`
 #: between re-checks, so a waiter never depends on being notified.
 _UNPIN_POLL_S = 0.05
@@ -78,7 +84,7 @@ class TierPageDescriptor:
     """
 
     __slots__ = ("tier", "frame_index", "content", "entry_bytes", "dirty",
-                 "pin_count", "claimed", "page_id", "_lock")
+                 "pin_count", "claimed", "page_id")
 
     def __init__(self, tier: Tier, frame_index: int, content: FrameContent,
                  entry_bytes: int) -> None:
@@ -94,14 +100,13 @@ class TierPageDescriptor:
         #: Set (under the pool lock) by the evictor that picked this
         #: descriptor as a victim, so two threads never evict one frame.
         self.claimed = False
-        self._lock = threading.Lock()
 
     def pin(self) -> None:
-        with self._lock:
+        with _PIN:
             self.pin_count += 1
 
     def unpin(self) -> None:
-        with self._lock:
+        with _PIN:
             if self.pin_count <= 0:
                 raise RuntimeError(
                     f"unpin of page {self.page_id} on {self.tier.name} "

@@ -15,9 +15,10 @@ and nothing else.
 Page transfers of the buffer tiers go through
 :meth:`TierNode.read <repro.core.tier_chain.TierNode.read>` /
 :meth:`~repro.core.tier_chain.TierNode.write`, which issue the first
-attempt themselves and hand a failed one to the loops here; the SSD
-store and the WAL call :func:`read_with_retry` /
-:func:`write_with_retry` directly.
+attempt themselves and hand a failed one to the loops here; so do the
+SSD store's page transfers and an eviction's victim reads.  The WAL and
+the flush engine call :func:`read_with_retry` / :func:`write_with_retry`
+directly.
 """
 
 from __future__ import annotations

@@ -29,7 +29,12 @@ path, so delivery is engineered around two invariants:
   its type — the decision recorder wants one of the fifteen,
 * :meth:`EventBus.publish` is one plain loop over the current tuple (no
   locking on the read side, no allocation; subscription changes swap
-  the tuples atomically under a mutation lock).
+  the tuples atomically under a mutation lock),
+* a publish site in the core tests its type's tuple
+  (``events._appliers[etype.index]``) before calling, reading the bus at
+  each call: an event nobody is offered costs no call, and a
+  subscriber attached between operations sees every event from the
+  next one on.
 """
 
 from __future__ import annotations
@@ -235,8 +240,9 @@ class EventBus:
                 dirty: bool = False) -> None:
         """Offer one event to every subscriber interested in its type.
 
-        This is the hot-path entry the tier chain uses: one positional
-        call per interested subscriber, nothing allocated.
+        One positional call per interested subscriber, nothing
+        allocated.  The core's sites call it only when the type's tuple
+        is non-empty, so a bare manager never calls it at all.
         """
         for apply in self._appliers[type.index]:
             apply(type, page_id, tier, src, dirty)

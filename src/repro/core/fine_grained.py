@@ -36,6 +36,11 @@ from .tier_chain import TierChain, TierNode
 
 __all__ = ["FineGrainedOps"]
 
+#: ``EventType.index`` of what a partial layout publishes: a site calls
+#: the bus only when that type has a subscriber.
+_FINE_GRAINED_LOAD = EventType.FINE_GRAINED_LOAD.index
+_MINI_PAGE_PROMOTION = EventType.MINI_PAGE_PROMOTION.index
+
 #: Load sizes whose charges are memoised; further ones are derived per
 #: load.  Loads are whole loading units, so a run sees a few dozen.
 _MAX_LOAD_PLANS = 256
@@ -49,6 +54,7 @@ class FineGrainedOps:
         self.chain = chain
         self.hierarchy = hierarchy
         self.config = config
+        self.events = events
         self._emit = events.publish
         self._cost = hierarchy.cost
         #: The fixed CPU costs of partial layouts, quantised once.
@@ -164,7 +170,8 @@ class FineGrainedOps:
         devices[Tier.DRAM].write(useful_bytes)
         cost.charge_fp(CostAccumulator.CPU, copy_fp)
         self.chain.stats.fine_grained_loads += 1
-        self._emit(EventType.FINE_GRAINED_LOAD, page_id, tier=Tier.NVM)
+        if self.events._appliers[_FINE_GRAINED_LOAD]:
+            self._emit(EventType.FINE_GRAINED_LOAD, page_id, tier=Tier.NVM)
 
     def _load_plan(self, useful_bytes: int) -> tuple:
         """Derive, validate and memoise the charges of one load size:
@@ -212,8 +219,9 @@ class FineGrainedOps:
         descriptor.content = promoted
         descriptor.dirty = was_dirty
         self.chain.stats.mini_page_promotions += 1
-        self._emit(EventType.MINI_PAGE_PROMOTION, descriptor.page_id,
-                   tier=Tier.DRAM)
+        if self.events._appliers[_MINI_PAGE_PROMOTION]:
+            self._emit(EventType.MINI_PAGE_PROMOTION, descriptor.page_id,
+                       tier=Tier.DRAM)
         self._cost.charge_fp(CostAccumulator.CPU, self._migration_fp)
         return descriptor
 

@@ -43,6 +43,11 @@ from .tier_chain import TierChain, TierNode
 
 __all__ = ["FlushEngine"]
 
+#: ``EventType.index`` of what a flush publishes: a site calls the bus
+#: only when that type has a subscriber.
+_MIGRATE_DOWN = EventType.MIGRATE_DOWN.index
+_FLUSH = EventType.FLUSH.index
+
 
 class FlushEngine:
     """Flush/write-back machinery plus crash and recovery hooks."""
@@ -55,6 +60,7 @@ class FlushEngine:
         self.hierarchy = hierarchy
         self.engine = engine
         self.store = store
+        self.events = events
         self._emit = events.publish
         #: Bound by :meth:`bind`; flushes that admit into NVM reserve
         #: their frame through the space manager.
@@ -154,8 +160,10 @@ class FlushEngine:
                                        self.hierarchy.page_size)
                     persist_node.device.persist_barrier()
                     self.chain.stats.dram_to_nvm += 1
-                    self._emit(EventType.MIGRATE_DOWN, descriptor.page_id,
-                               tier=persist_node.tier, src=top.tier, dirty=True)
+                    if self.events._appliers[_MIGRATE_DOWN]:
+                        self._emit(EventType.MIGRATE_DOWN, descriptor.page_id,
+                                   tier=persist_node.tier, src=top.tier,
+                                   dirty=True)
                 else:
                     top.read(descriptor.page_id, self.hierarchy.page_size,
                              sequential=True)
@@ -163,7 +171,9 @@ class FlushEngine:
                 descriptor.clear_dirty()
                 flushed += 1
                 self.chain.stats.dirty_page_flushes += 1
-                self._emit(EventType.FLUSH, descriptor.page_id, tier=top.tier)
+                if self.events._appliers[_FLUSH]:
+                    self._emit(EventType.FLUSH, descriptor.page_id,
+                               tier=top.tier)
         return flushed
 
     def flush_admits_to_nvm(self, page_id: PageId) -> bool:

@@ -21,6 +21,7 @@ import math
 import threading
 import zlib
 
+from ..faults.plan import DeviceIOError
 from ..hardware.device import Device
 from ..hardware.specs import PAGE_SIZE
 from ..pages.page import Page, PageId
@@ -102,7 +103,13 @@ class SsdStore:
                 page = self._pages[page_id]
             except KeyError:
                 raise KeyError(f"page {page_id} does not exist on SSD") from None
-        read_with_retry(self.device, self.page_size)
+        # The device is issued the read itself; only a transient fault
+        # enters the charged retry loop (as ``TierNode.read`` does).
+        device = self.device
+        try:
+            device.read(self.page_size)
+        except DeviceIOError as exc:
+            read_with_retry(device, self.page_size, failed=exc)
         return page
 
     def write_page(self, page: Page, sequential: bool = False) -> None:
@@ -117,7 +124,11 @@ class SsdStore:
                 self._checksums[page.page_id] = page_content_checksum(
                     page.records)
         durable.copy_from(page)
-        write_with_retry(self.device, self.page_size, sequential=sequential)
+        device = self.device
+        try:
+            device.write(self.page_size, sequential)
+        except DeviceIOError as exc:
+            write_with_retry(device, self.page_size, sequential, failed=exc)
 
     # ------------------------------------------------------------------
     # Torn-write detection (fault-injection runs)

@@ -132,24 +132,32 @@ class BufferPool:
         evictors never work on the same frame; the caller must either
         remove the descriptor or :meth:`unclaim` it.
         """
-        with self.lock:
-            tracked = len(self.replacer)
-        for _ in range(2 * tracked + 2):
-            frame = self.replacer.victim()
+        replacer = self.replacer
+        # At most ``2 * tracked + 2`` candidates, ``tracked`` read when
+        # the first one is refused: a first candidate that is taken —
+        # nearly every probe — never asks the replacer for its length.
+        probes = bound = 0
+        while True:
+            frame = replacer.victim()
             if frame is None:
                 return None
             with self.lock:
                 descriptor = self._frames.get(frame)
-                if descriptor is None:
-                    self.replacer.remove(frame)
-                    continue
                 # ``descriptor.pinned``, spelled out: every eviction
                 # probe lands here.
-                if descriptor.pin_count <= 0 and not descriptor.claimed:
+                if descriptor is not None and descriptor.pin_count <= 0 \
+                        and not descriptor.claimed:
                     descriptor.claimed = True
                     return descriptor
-            self.replacer.record_access(frame)
-        return None
+                if not bound:
+                    bound = 2 * len(replacer) + 2
+                if descriptor is None:
+                    replacer.remove(frame)
+            if descriptor is not None:
+                replacer.record_access(frame)
+            probes += 1
+            if probes >= bound:
+                return None
 
     def unclaim(self, descriptor: TierPageDescriptor) -> None:
         """Release an eviction claim without evicting."""
@@ -206,11 +214,13 @@ class TierNode:
              sequential: bool = False) -> None:
         """Charge a read of ``nbytes`` of ``page_id`` on this tier.
 
-        The one device dispatch every core component shares: a
+        The device dispatch the core's page transfers share: a
         memory-mode device is told which page is touched; a plain (or
         fault-injecting) device is issued the transfer, and a transient
         :class:`~repro.faults.plan.DeviceIOError` resumes the bounded,
-        charged backoff loop of :mod:`repro.core.devio`.
+        charged backoff loop of :mod:`repro.core.devio`.  An eviction's
+        victim reads issue the device call the same way but without
+        the page identity (EXPERIMENTS.md, known deviation 5).
         """
         device = self.device
         if self._page_tagged:
@@ -232,16 +242,6 @@ class TierNode:
             device.write(nbytes, sequential)
         except DeviceIOError as exc:
             write_with_retry(device, nbytes, sequential, failed=exc)
-
-    @property
-    def install_sequential(self) -> bool:
-        """Whether page installs on this node charge sequential bandwidth.
-
-        Installs land at arbitrary frame locations, so persistent memory
-        pays its (much lower) random-write bandwidth — 6 GB/s on Optane —
-        while volatile tiers do not distinguish the two.
-        """
-        return not self.persistent
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         kind = "persistent" if self.persistent else "volatile"

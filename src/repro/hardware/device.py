@@ -15,8 +15,10 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 
-from .simclock import CostAccumulator, checked_fp
+from .simclock import CostAccumulator, ResourceUsage, checked_fp
 from .specs import DeviceSpec, Tier
+
+_CPU = CostAccumulator.CPU
 
 
 #: Shapes one device memoises a charge plan for; further ones are
@@ -153,7 +155,11 @@ class Device:
         The idle access latency is time the *issuing worker* waits —
         concurrent workers overlap it — so it is charged to the divisible
         CPU/worker resource; only the media transfer occupies the device.
-        Both go through one :meth:`CostAccumulator.charge_transfer_fp`.
+        Counters and both charges commit in this one frame: the two
+        ``CostAccumulator.charge_fp`` calls — device slot first, then the
+        stall, which joins the open CPU batch — spelled out on the
+        accumulator's own state, so every total, operation count and
+        slot order is theirs to the unit.
         """
         plan = self._read_plans.get((nbytes, sequential))
         if plan is None:
@@ -164,11 +170,33 @@ class Device:
             counters.read_ops += 1
             counters.read_bytes += nbytes
             counters.media_read_bytes += media
-        self.cost.charge_transfer_fp(self._key, transfer_fp, media, latency_fp)
+        cost = self.cost
+        usage_of = cost._usage
+        with cost._lock:
+            usage = usage_of.get(self._key)
+            if usage is None:
+                usage = usage_of[self._key] = ResourceUsage()
+            usage.busy_fp += transfer_fp
+            usage.operations += 1
+            usage.bytes_moved += media
+            cost._total_fp += transfer_fp
+            # A read always stalls its worker.
+            usage = usage_of.get(_CPU)
+            if usage is None:
+                usage = usage_of[_CPU] = ResourceUsage()
+            batch = cost._cpu_batch
+            if not batch.depth:
+                usage.busy_fp += latency_fp
+                usage.operations += 1
+                cost._total_fp += latency_fp
+                return service_ns
+        batch.pending_fp += latency_fp
+        batch.pending_ops += 1
         return service_ns
 
     def write(self, nbytes: int, sequential: bool = False) -> float:
-        """Charge a write of ``nbytes`` and return its service time (ns)."""
+        """Charge a write of ``nbytes`` and return its service time (ns),
+        in one frame as :meth:`read` does."""
         plan = self._write_plans.get((nbytes, sequential))
         if plan is None:
             plan = self._plan(nbytes, sequential, True)
@@ -178,7 +206,30 @@ class Device:
             counters.write_ops += 1
             counters.write_bytes += nbytes
             counters.media_write_bytes += media
-        self.cost.charge_transfer_fp(self._key, transfer_fp, media, latency_fp)
+        cost = self.cost
+        usage_of = cost._usage
+        with cost._lock:
+            usage = usage_of.get(self._key)
+            if usage is None:
+                usage = usage_of[self._key] = ResourceUsage()
+            usage.busy_fp += transfer_fp
+            usage.operations += 1
+            usage.bytes_moved += media
+            cost._total_fp += transfer_fp
+            if latency_fp is None:
+                # A write to byte-addressable memory stalls no worker.
+                return service_ns
+            usage = usage_of.get(_CPU)
+            if usage is None:
+                usage = usage_of[_CPU] = ResourceUsage()
+            batch = cost._cpu_batch
+            if not batch.depth:
+                usage.busy_fp += latency_fp
+                usage.operations += 1
+                cost._total_fp += latency_fp
+                return service_ns
+        batch.pending_fp += latency_fp
+        batch.pending_ops += 1
         return service_ns
 
     # ------------------------------------------------------------------

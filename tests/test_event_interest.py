@@ -187,3 +187,58 @@ def test_boundary_probe_counts_every_boundary_event():
     counts = dict(probe.counts)
     assert counts.pop("wal_append") > 0
     assert counts == dict(expected)
+
+
+def test_late_subscriber_sees_every_event_from_its_first_op():
+    """Publish sites skip a type nobody is offered, reading the bus at
+    each op: a recorder attached after ``LATE`` ops on a bare manager
+    sees exactly what an always-attached recorder sees from op ``LATE``
+    on (a site that kept the bare bus's empty tuple would drop them),
+    and once it detaches the bus is bare again and top-tier hits run
+    vectorised."""
+    late_at = 250
+
+    def ops(bm, count, start=0):
+        rng = random.Random(29)
+        pages = list(range(32))
+        for index in range(start + count):
+            page = pages[rng.randrange(len(pages))]
+            is_write = rng.random() < 0.4
+            if index < start:
+                continue
+            if is_write:
+                bm.write(page, 0, 64)
+            else:
+                bm.read(page)
+
+    def build():
+        bm = make_bm(dram_gb=1.0, nvm_gb=2.0, policy=SPITFIRE_EAGER)
+        bm.allocate_pages(range(32))
+        return bm
+
+    always = build()
+    everything = always.events.subscribe(EventRecorder())
+    ops(always, OPS)
+    starts = [index for index, event in enumerate(everything.events)
+              if event.type in (EventType.OP_READ, EventType.OP_WRITE)]
+    assert len(starts) == OPS
+    expected = everything.events[starts[late_at]:]
+
+    bm = build()
+    ops(bm, late_at)
+    assert bm.events.num_subscribers == 0
+    late = bm.events.subscribe(EventRecorder())
+    ops(bm, OPS - late_at, start=late_at)
+    kinds = {event.type for event in late.events}
+    assert {EventType.MISS, EventType.EVICT, EventType.INSTALL,
+            EventType.MIGRATE_UP} <= kinds
+    assert late.events == expected
+
+    bm.events.unsubscribe(late)
+    assert bm.events.num_subscribers == 0
+    assert bm.events.batch_path_active
+    runs = bm.batch_path.fast_runs
+    resident = sorted(bm.resident_pages(bm.chain.top.tier))
+    bm.read_batch(resident, [0] * len(resident))
+    assert bm.batch_path.fast_runs == runs + 1
+    assert len(late.events) == len(expected)  # nothing after the detach

@@ -1,5 +1,6 @@
 """Frame budgets of what every workload is mostly made of: a DRAM hit,
-an SSD miss with its eviction, the log records of a write, the
+an SSD miss with its eviction (on DRAM-SSD, and on DRAM-NVM-SSD with
+the eviction cascading to the bottom), the log records of a write, the
 mapping-table entry every page touched for the first time builds — and
 the generation of the ops themselves.
 
@@ -26,7 +27,7 @@ from conftest import make_bm
 
 from repro.bench.harness import RunConfig, WorkloadRunner
 from repro.core.mapping_table import MappingTable
-from repro.core.policy import DRAM_SSD_POLICY, SPITFIRE_LAZY
+from repro.core.policy import DRAM_SSD_POLICY, SPITFIRE_LAZY, MigrationPolicy
 from repro.hardware.specs import Tier
 from repro.workloads.ycsb import (
     COLUMN_SIZE,
@@ -42,16 +43,27 @@ from repro.workloads.ycsb import (
 #: took a lock, a device charged transfer and stall in two calls and
 #: the result was built by the named tuple's ``__new__``; 14 while a bus
 #: subscriber projected the OP_READ and HIT events onto ``BufferStats``;
-#: 12 now).
-BUDGET = 13
+#: 12 while the OP_READ and HIT publishes looped over empty tuples and a
+#: device charged through ``CostAccumulator.charge_transfer_fp``; 9 now).
+BUDGET = 11
 #: ... and one SSD miss on a full DRAM-SSD chain: the fetch, one CLOCK
-#: sweep, the clean victim dropped, the install (49.1 measured — the
+#: sweep, the clean victim dropped, the install (29.1 measured — the
 #: sweep length varies by a frame — 88.6 with the per-pool page dicts;
 #: 83.6 with a locked bitmap, two charges per device access, reservations
 #: by tier, ``page_id`` a property and ``Page.clone`` through
 #: ``__init__`` + ``copy_from``; 54.1 while a bus subscriber projected
-#: the op's five events onto ``BufferStats``).
-MISS_BUDGET = 53
+#: the op's five events onto ``BufferStats``; 49.1 while the eviction was
+#: a five-frame recursion, five publishes looped over empty tuples, a
+#: top-tier miss was served through ``serve_resident_access``, and each
+#: level asked its pool for room again after evicting).
+MISS_BUDGET = 40
+#: ... and one SSD miss on a full DRAM+NVM chain whose eviction cascades:
+#: the fetch lands in DRAM, the clean DRAM victim is admitted to NVM, and
+#: NVM's clean victim is dropped (94.4 while each level of the cascade
+#: was ``insert_with_space`` → ``ensure_space`` → ``evict_from_node`` →
+#: ``admit_eviction_to_lower``, each with its own latch guard and
+#: device hop; 56.4 now).
+CASCADE_BUDGET = 66
 #: ... and the WAL bookkeeping of one write on a DRAM+NVM hierarchy —
 #: the logging CPU charge, an UPDATE and its COMMIT, each persisted by
 #: one NVM write and one barrier — ``_charge_update_wal`` included (50
@@ -183,6 +195,33 @@ def test_ssd_miss_with_one_eviction_stays_within_frame_budget():
     assert calls / OPS <= MISS_BUDGET, (
         f"{calls / OPS:.1f} Python-level calls per SSD miss, "
         f"budget {MISS_BUDGET}"
+    )
+
+
+def test_cascading_miss_stays_within_frame_budget():
+    # Fetches bypass NVM (N_r = 0) and evictions are always admitted
+    # (N_w = 1): NVM is DRAM's victim cache, and a page read after both
+    # pools filled is a miss whose eviction reaches the bottom.
+    policy = MigrationPolicy(1.0, 1.0, 0.0, 1.0, name="victim-cache")
+    bm = make_bm(dram_gb=2.0, nvm_gb=4.0, policy=policy, pages_per_gb=32)
+    buffered = bm.pools[Tier.DRAM].max_entries + bm.pools[Tier.NVM].max_entries
+    pages = list(range(4 * buffered))
+    bm.allocate_pages(pages)
+    for page in pages[:2 * buffered]:  # both pools full, past a sweep
+        bm.read(page, 4, TUPLE_SIZE)
+    bm.reset_stats()
+
+    def run():
+        for index in range(OPS):
+            bm.read(pages[(2 * buffered + index) % len(pages)], 4, TUPLE_SIZE)
+
+    calls = python_calls(run) - 1  # ``run`` itself
+    stats = bm.stats
+    assert stats.ssd_fetches == stats.dram_evictions == OPS
+    assert stats.dram_to_nvm == stats.nvm_evictions == stats.clean_drops == OPS
+    assert calls / OPS <= CASCADE_BUDGET, (
+        f"{calls / OPS:.1f} Python-level calls per cascading miss, "
+        f"budget {CASCADE_BUDGET}"
     )
 
 

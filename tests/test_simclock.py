@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.hardware.device import Device
 from repro.hardware.simclock import CostAccumulator, ResourceUsage
+from repro.hardware.specs import DRAM_SPEC, NVM_SPEC, SSD_SPEC
 
 
 class TestResourceUsage:
@@ -54,32 +56,37 @@ class TestCostAccumulator:
 
     @pytest.mark.parametrize("batched", [False, True], ids=["unbatched", "batched"])
     def test_transfer_charge_lands_like_its_two_charges(self, batched):
-        """One ``charge_transfer_fp`` is ``charge_fp`` on the device then
-        ``charge_fp`` on the CPU: same tallies, same slot order, the same
-        ``total_fp`` seen mid-op, the same pending CPU batch."""
-        accesses = [("ssd", 700, 4096, 90), ("dram", 5, 64, None),
-                    ("nvm", 40, 256, 0), ("ssd", 700, 4096, 90)]
+        """One device access — ``Device.read``/``write``, which charge the
+        accumulator in their own frame — is ``charge_fp`` on the device
+        then ``charge_fp`` on the CPU: same tallies, same slot order, the
+        same ``total_fp`` seen mid-op, the same pending CPU batch."""
+        accesses = [(SSD_SPEC, False, 4096, False), (DRAM_SPEC, True, 64, False),
+                    (NVM_SPEC, False, 256, True), (SSD_SPEC, True, 4096, False)]
 
         def states(charge):
             cost = CostAccumulator()
             seen = []
             if batched:
                 cost.begin_cpu_batch()
-            for access in accesses:
-                charge(cost, *access)
+            for spec, is_write, nbytes, sequential in accesses:
+                charge(cost, Device(spec, cost=cost), is_write, nbytes,
+                       sequential)
                 seen.append((list(cost.snapshot().items()), cost.total_fp))
             if batched:
                 cost.end_cpu_batch()
             seen.append((list(cost.snapshot().items()), cost.total_fp))
             return seen
 
-        def two_calls(cost, resource, transfer_fp, nbytes, latency_fp):
-            cost.charge_fp(resource, transfer_fp, nbytes)
+        def two_calls(cost, device, is_write, nbytes, sequential):
+            media, transfer_fp, latency_fp, _ = device._plan(
+                nbytes, sequential, is_write)
+            cost.charge_fp(device.resource_key, transfer_fp, media)
             if latency_fp is not None:
                 cost.charge_fp(CostAccumulator.CPU, latency_fp)
 
-        def one_call(cost, *access):
-            cost.charge_transfer_fp(*access)
+        def one_call(cost, device, is_write, nbytes, sequential):
+            access = device.write if is_write else device.read
+            access(nbytes, sequential)
 
         assert states(one_call) == states(two_calls)
 

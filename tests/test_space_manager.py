@@ -10,6 +10,7 @@ from under a partial DRAM layout.
 import random
 import sys
 import threading
+import time
 
 import pytest
 
@@ -145,6 +146,58 @@ class TestConcurrentReservation:
                 assert not any(thread.is_alive() for thread in threads)
                 assert not errors, f"worker raised: {errors[:3]}"
                 assert bm.stats.reads == 6 * 200
+                check_mapping_consistency(bm).raise_if_failed()
+                for node in bm.chain:
+                    assert len(node.pool.replacer) == len(node.pool), \
+                        f"{node.tier.name}: occupied frames left the replacer"
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_threaded_cascading_evictions_keep_every_frame_tracked(self):
+        # Three tiers with NVM as DRAM's victim cache (N_r = 0, N_w = 1):
+        # every miss lands in DRAM, its victim is admitted to NVM, and
+        # NVM's victim is dropped or written back — the cascade down the
+        # whole chain, from six threads switching every few bytecodes,
+        # a third of them writes.  Pools of 8 DRAM and 16 NVM frames are
+        # no smaller than the thread count: smaller ones are the latch
+        # protocol's known deadlock regime (DESIGN §10), not this test's.
+        policy = MigrationPolicy(1.0, 1.0, 0.0, 1.0, name="victim-cache")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for round_ in range(3):
+                bm = make_bm(dram_gb=2.0, nvm_gb=4.0, policy=policy,
+                             pages_per_gb=4)
+                pages = [bm.allocate_page() for _ in range(64)]
+                errors: list[BaseException] = []
+
+                def worker(index):
+                    rng = random.Random(1000 * round_ + index)
+                    try:
+                        for _ in range(150):
+                            page = pages[rng.randrange(len(pages))]
+                            if rng.random() < 0.3:
+                                bm.write(page, 0, 64)
+                            else:
+                                bm.read(page, 0, 256)
+                    except BaseException as exc:  # surfaced below
+                        errors.append(exc)
+
+                threads = [threading.Thread(target=worker, args=(i,),
+                                            daemon=True) for i in range(6)]
+                for thread in threads:
+                    thread.start()
+                # The watchdog: a hang fails here instead of stalling
+                # the run (the threads are daemons).
+                deadline = time.monotonic() + 60
+                for thread in threads:
+                    thread.join(timeout=max(0.0, deadline - time.monotonic()))
+                assert not any(thread.is_alive() for thread in threads), \
+                    "cascading evictions hung"
+                assert not errors, f"worker raised: {errors[:3]}"
+                stats = bm.stats
+                assert stats.reads + stats.writes == 6 * 150
+                assert stats.dram_to_nvm and stats.nvm_evictions
                 check_mapping_consistency(bm).raise_if_failed()
                 for node in bm.chain:
                     assert len(node.pool.replacer) == len(node.pool), \
