@@ -578,9 +578,6 @@ def run_cell(cell: Cell) -> RunResult:
                 page_stride=multi.page_stride,
                 quota_mode=QuotaMode(cell.quota_mode),
                 shares=cell.shares,
-                policy_presets=tuple(
-                    t.policy_preset for t in cell.tenants
-                ),
             ))
 
     bm = BufferManager(hierarchy, cell.policy, config)

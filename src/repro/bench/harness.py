@@ -30,7 +30,7 @@ from ..wal.checkpoint import Checkpointer
 from ..wal.log_manager import LogManager
 from ..wal.records import LogRecordType
 from ..obs.metrics import MetricsRegistry
-from ..workloads.tenancy import MultiTenantWorkload, TenantAccess
+from ..workloads.tenancy import MultiTenantWorkload
 from ..workloads.tpcc import PageAccess, TpccWorkload
 from ..workloads.ycsb import (
     COLUMN_SIZE,
@@ -227,20 +227,20 @@ class WorkloadRunner:
             self.checkpointer.note_operation(True)
 
     def _exec_op(self, page_id: int, offset: int, nbytes: int,
-                 is_write: bool, tenant_id: int = 0) -> bool:
+                 is_write: bool) -> bool:
         """The single accounting path every op variant funnels through.
 
         Reads serve ``nbytes``; writes additionally charge the WAL
         append/commit and tick the checkpointer.  The YCSB, TPC-C,
-        trace, and multi-tenant steps all route here, so tenant-tagged
-        runs cannot drift from the single-stream accounting.  Returns
-        True when the op was a write.
+        trace, and multi-tenant steps all route here, so tenant streams
+        cannot drift from the single-stream accounting.  Returns True
+        when the op was a write.
         """
         if is_write:
-            self.bm.write(page_id, offset, nbytes, tenant_id=tenant_id)
+            self.bm.write(page_id, offset, nbytes)
             self._charge_update_wal(page_id)
             return True
-        self.bm.read(page_id, offset, nbytes, tenant_id=tenant_id)
+        self.bm.read(page_id, offset, nbytes)
         return False
 
     def run_ycsb_op(self, workload: YcsbWorkload) -> bool:
@@ -258,31 +258,16 @@ class WorkloadRunner:
                              COLUMN_SIZE if is_write else TUPLE_SIZE, is_write)
 
     def run_access(self, access: PageAccess) -> bool:
-        """Execute one pre-generated page access (TPC-C / traces).
+        """Execute one pre-generated page access (TPC-C / traces /
+        tenant streams).
 
         TPC-C's insert regions grow during the run, so unseen pages are
-        allocated on first touch.  Tenant-tagged accesses
-        (:class:`~repro.workloads.tenancy.TenantAccess`) carry their
-        tenant through to the buffer manager; plain accesses run as
-        tenant 0.
+        allocated on first touch.
         """
         if not self.bm.page_exists(access.page_id):
             self.bm.allocate_page(access.page_id)
         return self._exec_op(access.page_id, access.offset, access.nbytes,
-                             access.is_write,
-                             tenant_id=getattr(access, "tenant_id", 0))
-
-    def run_tenant_access(self, access: TenantAccess,
-                          think_time_ns: float = 0.0) -> bool:
-        """Execute one access of the interleaved multi-tenant stream.
-
-        ``think_time_ns`` (from the tenant's spec) is charged as CPU
-        service ahead of the op — the simulation has no idle waiting, so
-        think time models a slower arrival rate, not a sleeping client.
-        """
-        if think_time_ns:
-            self.hierarchy.charge_cpu(think_time_ns)
-        return self.run_access(access)
+                             access.is_write)
 
     def run_ycsb_batch(self, workload: YcsbWorkload, count: int) -> None:
         """Execute ``count`` YCSB operations through the batch path.
@@ -336,20 +321,29 @@ class WorkloadRunner:
         """Measure the interleaved multi-tenant stream.
 
         Same protocol as the single-stream entry points — allocate,
-        prime (merged popularity ranking), warm up, measure — with each
-        op tagged by its tenant, and tenant-labelled series projected so
-        the result carries a per-tenant breakdown.
+        prime (merged popularity ranking), warm up, measure — with
+        tenant-labelled series projected (each op's tenant owns its
+        page) so the result carries a per-tenant breakdown.
+
+        A tenant's ``think_time_ns`` is charged as CPU service after each
+        of its ops, inside that op's latency bracket — the simulation has
+        no idle waiting, so think time models a slower arrival rate, not
+        a sleeping client.
         """
         self.bm.allocate_pages(workload.initial_page_ids())
         self._prime(workload.page_popularity())
         think = tuple(spec.think_time_ns for spec in workload.specs)
+        charge_cpu = self.hierarchy.charge_cpu
 
         def run(count: int) -> None:
             for _ in range(count):
                 access = workload.next_access()
-                self.run_tenant_access(access, think[access.tenant_id])
+                self.run_access(access)
+                think_ns = think[access.tenant_id]
+                if think_ns:
+                    charge_cpu(think_ns)
 
-        return self._measure(run, label=label, track_tenants=True)
+        return self._measure(run, label=label)
 
     def _prime(self, ranked_pages: list[int]) -> None:
         """Warm-start: hottest pages into DRAM, the next tier of heat
@@ -380,17 +374,16 @@ class WorkloadRunner:
         while True:
             yield from workload.next_transaction()
 
-    def _window_observers(self, track_tenants: bool) -> dict[str, object]:
+    def _window_observers(self) -> dict[str, object]:
         """The measurement window's bus observers, built from
         ``RunOptions`` and keyed by the ``RunResult`` field each one
-        fills, in attach order.  A tenant stream needs the hub for its
-        breakdown, metrics collected or not."""
+        fills, in attach order.  A manager with tenants needs the hub
+        for its breakdown, metrics collected or not."""
         options = self.config.options
         observers: dict[str, object] = {}
         hub = None
-        if options.collect_metrics or track_tenants:
-            hub = observers["metrics"] = MetricsHub(
-                track_tenants=track_tenants)
+        if options.collect_metrics or self.bm.tenancy is not None:
+            hub = observers["metrics"] = MetricsHub()
         if options.trace_decisions > 0:
             decisions = observers["decision_trace"] = DecisionRecorder(
                 options.trace_decisions)
@@ -418,8 +411,7 @@ class WorkloadRunner:
             if sample and done % INCLUSIVITY_SAMPLE_EVERY == 0:
                 self.bm.sample_inclusivity()
 
-    def _measure(self, run, label: str,
-                 track_tenants: bool = False) -> RunResult:
+    def _measure(self, run, label: str) -> RunResult:
         """Warm up, then measure, the workload ``run(count)`` executes
         ``count`` operations of."""
         config = self.config
@@ -429,7 +421,7 @@ class WorkloadRunner:
         self.hierarchy.reset_accounting()
         self.bm.reset_stats()
         fast_runs_before = self.bm.batch_path.fast_runs
-        observers = self._window_observers(track_tenants)
+        observers = self._window_observers()
         with contextlib.ExitStack() as stack:
             # Every observer is detached even when the workload, or an
             # earlier detach, raises: a leaked subscription would
@@ -465,7 +457,8 @@ class WorkloadRunner:
                 for key, usage in self.hierarchy.cost.snapshot().items()
             },
             tenant_breakdown=(
-                tenant_breakdown(metrics_snapshot) if track_tenants else None
+                tenant_breakdown(metrics_snapshot)
+                if self.bm.tenancy is not None else None
             ),
             decision_trace=(
                 decisions.report() if decisions is not None else None

@@ -38,7 +38,6 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     "ssd_store": ("SsdStore",),
     "stats": ("BufferStats", "InclusivitySample", "InclusivityTracker",
               "inclusivity_ratio"),
-    "tenancy": ("QuotaMode", "TenancyConfig", "TenancyControl",
-                "TenantRegistry"),
+    "tenancy": ("QuotaMode", "TenancyConfig", "TenancyControl"),
     "tier_chain": ("TierChain", "TierNode"),
 })

@@ -114,7 +114,7 @@ class AccessPath:
     # The generic chain walk
     # ------------------------------------------------------------------
     def access(self, page_id: PageId, offset: int, nbytes: int,
-               is_write: bool, tenant_id: int = 0) -> AccessResult:
+               is_write: bool) -> AccessResult:
         """The generic chain walk shared by ``read`` and ``write``.
 
         Top-down hit scan.  A hit on a volatile top node holding the
@@ -129,9 +129,6 @@ class AccessPath:
         cost.begin_cpu_batch()
         try:
             cost.charge_fp(_CPU, self._lookup_fp)
-            # Set the bus tenant register before the OP event so every
-            # subscriber sees the op attributed to the right tenant.
-            events.tenant_id = tenant_id
             stats = self.chain.stats
             # Each publish is made only when its type has a subscriber;
             # the check reads the bus's current tuples, so an observer

@@ -91,8 +91,7 @@ class BatchAccessPath:
     # ------------------------------------------------------------------
     # Batch entry points
     # ------------------------------------------------------------------
-    def read_batch(self, page_ids, offsets, nbytes: int,
-                   tenant_id: int = 0) -> None:
+    def read_batch(self, page_ids, offsets, nbytes: int) -> None:
         """Execute a batch of uniform-size reads in op order.
 
         ``page_ids``/``offsets`` are parallel sequences of equal length
@@ -100,7 +99,6 @@ class BatchAccessPath:
         charged); ``nbytes`` is the per-op access size.  Contiguous runs
         of top-tier hits execute vectorized; every other op takes the
         per-op access path at its original position in the sequence.
-        A batch never spans tenants: callers split on tenant change.
         """
         n = len(page_ids)
         if len(offsets) != n:
@@ -110,7 +108,7 @@ class BatchAccessPath:
         top = self._fast_read_node()
         if top is None:
             for i in range(n):
-                access(page_ids[i], offsets[i], nbytes, False, tenant_id)
+                access(page_ids[i], offsets[i], nbytes, False)
             return
         lookup = self.access_path.table.get
         tier = top.tier
@@ -129,18 +127,17 @@ class BatchAccessPath:
                 frames.append(descriptor.frame_index)
                 j += 1
             if frames:
-                self._run_fast_reads(top, page_ids[i:j], frames, nbytes,
-                                     tenant_id)
+                self._run_fast_reads(top, page_ids[i:j], frames, nbytes)
                 i = j
             else:
-                access(page_ids[i], offsets[i], nbytes, False, tenant_id)
+                access(page_ids[i], offsets[i], nbytes, False)
                 i += 1
 
     # ------------------------------------------------------------------
     # Vectorized execution of one fast run
     # ------------------------------------------------------------------
-    def _run_fast_reads(self, top: TierNode, ids, frames, nbytes: int,
-                        tenant_id: int = 0) -> None:
+    def _run_fast_reads(self, top: TierNode, ids, frames,
+                        nbytes: int) -> None:
         """Vectorized execution of ``len(ids)`` top-tier read hits.
 
         Mirrors, charge for charge, the per-op sequence: lookup CPU
@@ -171,9 +168,6 @@ class BatchAccessPath:
             # A persistent top serves its hits in place.
             stats.nvm_hits += m
             stats.nvm_direct_reads += m
-        # Keep the bus tenant register consistent with the summary, so a
-        # slow op following this run attributes trailing events correctly.
-        self.events.tenant_id = tenant_id
         self.events.publish_op_batch(
             OpBatchSummary(
                 count=m,
@@ -182,6 +176,5 @@ class BatchAccessPath:
                 page_ids=ids,
                 base_fp=base_fp,
                 latency_fp=per_op_fp,
-                tenant_id=tenant_id,
             )
         )

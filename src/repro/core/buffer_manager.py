@@ -274,29 +274,32 @@ class BufferManager:
     # Public access paths
     # ------------------------------------------------------------------
     def read(self, page_id: PageId, offset: int = 0,
-             nbytes: int = CACHE_LINE_SIZE,
-             tenant_id: int = 0) -> AccessResult:
+             nbytes: int = CACHE_LINE_SIZE) -> AccessResult:
         """Serve a read of ``nbytes`` at ``offset`` within the page."""
         return self.access_path.access(page_id, offset, nbytes,
-                                       is_write=False, tenant_id=tenant_id)
+                                       is_write=False)
 
     def write(self, page_id: PageId, offset: int = 0,
-              nbytes: int = CACHE_LINE_SIZE,
-              tenant_id: int = 0) -> AccessResult:
+              nbytes: int = CACHE_LINE_SIZE) -> AccessResult:
         """Serve an in-place update of ``nbytes`` at ``offset``."""
         return self.access_path.access(page_id, offset, nbytes,
-                                       is_write=True, tenant_id=tenant_id)
+                                       is_write=True)
 
-    def read_batch(self, page_ids, offsets, nbytes: int = CACHE_LINE_SIZE,
-                   tenant_id: int = 0) -> None:
+    def read_batch(self, page_ids, offsets,
+                   nbytes: int = CACHE_LINE_SIZE) -> None:
         """Serve a batch of uniform-size reads in op order.
 
         Contiguous top-tier hits execute vectorized; all other ops fall
         back to the per-op walk.  State, statistics, costs, and events
         are identical to issuing the same :meth:`read` calls one by one.
-        A batch must not span tenants; callers split on tenant change.
         """
-        self.batch_path.read_batch(page_ids, offsets, nbytes, tenant_id)
+        self.batch_path.read_batch(page_ids, offsets, nbytes)
+
+    def tenant_of(self, page_id: PageId) -> int:
+        """The tenant owning ``page_id`` — its stride range under
+        :attr:`tenancy`, 0 without tenancy."""
+        tenancy = self.tenancy
+        return 0 if tenancy is None else tenancy.tenant_of(page_id)
 
     # ------------------------------------------------------------------
     # Engine-facing pinned access

@@ -106,8 +106,7 @@ class OpBatchSummary:
     exact per-op cost brackets a sequential run would have measured.
     """
 
-    __slots__ = ("count", "tier", "direct", "page_ids", "base_fp", "latency_fp",
-                 "tenant_id")
+    __slots__ = ("count", "tier", "direct", "page_ids", "base_fp", "latency_fp")
 
     def __init__(
         self,
@@ -117,7 +116,6 @@ class OpBatchSummary:
         page_ids,
         base_fp: int,
         latency_fp: int,
-        tenant_id: int = 0,
     ) -> None:
         self.count = count
         self.tier = tier
@@ -127,9 +125,6 @@ class OpBatchSummary:
         self.page_ids = page_ids
         self.base_fp = base_fp
         self.latency_fp = latency_fp
-        #: Tenant that issued every op in the run (runs never span
-        #: tenants; 0 for the default single-tenant stream).
-        self.tenant_id = tenant_id
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
@@ -157,7 +152,7 @@ class EventBus:
     """
 
     __slots__ = ("_subscribers", "_appliers", "_batch_appliers",
-                 "_mutate_lock", "tenant_id")
+                 "_mutate_lock")
 
     def __init__(self) -> None:
         self._subscribers: tuple = ()
@@ -171,12 +166,6 @@ class EventBus:
         #: execution.
         self._batch_appliers: tuple[Callable, ...] | None = ()
         self._mutate_lock = threading.Lock()
-        #: The *tenant register*: the tenant id of the operation currently
-        #: being executed.  The access path sets it at each op's start;
-        #: tenant-aware subscribers (the metrics hub) read it instead of
-        #: widening the five-positional ``apply_event`` protocol, so every
-        #: existing subscriber keeps working unchanged.
-        self.tenant_id: int = 0
 
     def subscribe(self, subscriber):
         """Register ``subscriber`` and return it (for later unsubscribe).

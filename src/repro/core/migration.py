@@ -75,7 +75,7 @@ class MigrationEngine:
         self.rng = rng
         self.admission_queue = admission_queue
         #: Optional :class:`~repro.core.tenancy.TenancyControl`; when set,
-        #: admission queues and policy overrides resolve per tenant.
+        #: admission queues resolve per tenant.
         self.tenancy = None
         #: Optional decision probe (see
         #: :class:`~repro.obs.decisions.DecisionRecorder`).  Called once
@@ -98,10 +98,6 @@ class MigrationEngine:
         """
         if policy is None:
             policy = self._policy_slot.policy
-        if self.tenancy is not None:
-            override = self.tenancy.policy_for(page_id)
-            if override is not None:
-                policy = override
         queue = None
         if op is MigrationOp.PROMOTE_READ:
             admitted = policy.promote_to_dram_on_read(self.rng)

@@ -137,10 +137,6 @@ class SsdStore:
         """Start checksumming page writes (lazy: off for benchmarks)."""
         self._checksums_enabled = True
 
-    @property
-    def checksums_enabled(self) -> bool:
-        return self._checksums_enabled
-
     def verify(self, page_id: PageId) -> bool:
         """True when the durable content matches its recorded checksum.
 

@@ -6,15 +6,17 @@ is the core-side half of that story:
 
 * :class:`TenancyConfig` — a frozen, picklable description of the
   tenant population: how page ids map to tenants (fixed strides), each
-  tenant's buffer share, the quota mode, and optional per-tenant policy
-  presets (Table 3 names),
-* :class:`TenantRegistry` — O(1) ``page_id -> tenant`` resolution via
-  stride arithmetic (each tenant owns one contiguous page range),
+  tenant's buffer share and the quota mode,
 * :class:`TenancyControl` — the runtime object the buffer manager wires
   into the :class:`~repro.core.migration.MigrationEngine` and
-  :class:`~repro.core.space_manager.SpaceManager`: per-tenant
-  :class:`~repro.core.admission.AdmissionQueue` instances, per-tenant
-  policy overrides, and per-tier frame-quota arithmetic.
+  :class:`~repro.core.space_manager.SpaceManager`: the one page→tenant
+  rule (:meth:`TenancyControl.tenant_of`), per-tenant
+  :class:`~repro.core.admission.AdmissionQueue` instances, and per-tier
+  frame-quota arithmetic.
+
+A tenant is its page range: every tenant decision — in the core and in
+the observers that label series or spans by tenant — is made from the
+page id alone, so no caller passes a tenant down the access path.
 
 Quota modes:
 
@@ -45,7 +47,6 @@ __all__ = [
     "QuotaMode",
     "TenancyConfig",
     "TenancyControl",
-    "TenantRegistry",
 ]
 
 
@@ -78,10 +79,6 @@ class TenancyConfig:
     #: Per-tenant buffer-share fractions (one per tenant, summing to
     #: <= 1.0); empty means equal shares.
     shares: tuple[float, ...] = ()
-    #: Optional per-tenant policy preset names (Table 3 keys into
-    #: :data:`repro.core.policy.POLICY_PRESETS`); ``None`` entries (or
-    #: an empty tuple) inherit the buffer manager's policy.
-    policy_presets: tuple[str | None, ...] = ()
 
     def __post_init__(self) -> None:
         if self.num_tenants < 1:
@@ -95,8 +92,6 @@ class TenancyConfig:
                 raise ValueError("tenant shares must be positive")
             if sum(self.shares) > 1.0 + 1e-9:
                 raise ValueError("tenant shares must sum to <= 1.0")
-        if self.policy_presets and len(self.policy_presets) != self.num_tenants:
-            raise ValueError("policy_presets must have one entry per tenant")
 
     def share_of(self, tenant_id: int) -> float:
         if self.shares:
@@ -104,45 +99,18 @@ class TenancyConfig:
         return 1.0 / self.num_tenants
 
 
-class TenantRegistry:
-    """O(1) page-to-tenant resolution over fixed stride ranges."""
-
-    __slots__ = ("num_tenants", "page_stride")
-
-    def __init__(self, num_tenants: int, page_stride: int) -> None:
-        self.num_tenants = num_tenants
-        self.page_stride = page_stride
-
-    def tenant_of(self, page_id: PageId) -> int:
-        """The tenant owning ``page_id`` (clamped for safety: pages past
-        the last range belong to the last tenant)."""
-        tenant = page_id // self.page_stride
-        if tenant >= self.num_tenants:
-            return self.num_tenants - 1
-        return tenant
-
-    def base_page(self, tenant_id: int) -> PageId:
-        """First page id of a tenant's range."""
-        return tenant_id * self.page_stride
-
-
 @dataclass
 class TenancyControl:
     """Runtime tenant machinery wired into the core components.
 
     Built once per buffer manager from a :class:`TenancyConfig`; holds
-    live (unpicklable) state: per-tenant admission queues and resolved
-    per-tenant policy objects.
+    live (unpicklable) state: the per-tenant admission queues.
     """
 
     config: TenancyConfig
-    registry: TenantRegistry
     #: Per-tenant NVM admission queues (empty when the policy does not
     #: use an admission queue); indexed by tenant id.
     admission_queues: tuple[AdmissionQueue, ...] = ()
-    #: Per-tenant policy overrides resolved from the config's preset
-    #: names; ``None`` entries inherit the manager's policy.
-    policies: tuple = ()
     #: Per-tier, per-tenant frame quotas, resolved lazily from pool
     #: capacities on first use.
     _quota_cache: dict = field(default_factory=dict)
@@ -150,41 +118,31 @@ class TenancyControl:
     @classmethod
     def build(cls, config: TenancyConfig, *,
               admission_queue_size: int | None = None) -> "TenancyControl":
-        registry = TenantRegistry(config.num_tenants, config.page_stride)
         queues: tuple[AdmissionQueue, ...] = ()
         if admission_queue_size is not None:
             queues = tuple(
                 AdmissionQueue(admission_queue_size)
                 for _ in range(config.num_tenants)
             )
-        policies = ()
-        if config.policy_presets:
-            from .policy import POLICY_PRESETS
-
-            policies = tuple(
-                POLICY_PRESETS[name] if name is not None else None
-                for name in config.policy_presets
-            )
-        return cls(config=config, registry=registry,
-                   admission_queues=queues, policies=policies)
+        return cls(config=config, admission_queues=queues)
 
     # ------------------------------------------------------------------
     # Per-tenant resolution
     # ------------------------------------------------------------------
     def tenant_of(self, page_id: PageId) -> int:
-        return self.registry.tenant_of(page_id)
+        """The tenant owning ``page_id``: its stride range, clamped so
+        pages past the last range belong to the last tenant."""
+        config = self.config
+        tenant = page_id // config.page_stride
+        if tenant >= config.num_tenants:
+            return config.num_tenants - 1
+        return tenant
 
     def queue_for(self, page_id: PageId) -> AdmissionQueue | None:
         """The admission queue of the page's owning tenant (or None)."""
         if not self.admission_queues:
             return None
-        return self.admission_queues[self.registry.tenant_of(page_id)]
-
-    def policy_for(self, page_id: PageId):
-        """The page's per-tenant policy override, or None to inherit."""
-        if not self.policies:
-            return None
-        return self.policies[self.registry.tenant_of(page_id)]
+        return self.admission_queues[self.tenant_of(page_id)]
 
     # ------------------------------------------------------------------
     # Quota arithmetic
@@ -207,7 +165,7 @@ class TenancyControl:
 
     def usage_by_tenant(self, descriptors) -> dict[int, int]:
         """Frames held per tenant, from one pool's descriptor list."""
-        tenant_of = self.registry.tenant_of
+        tenant_of = self.tenant_of
         usage: dict[int, int] = {}
         for descriptor in descriptors:
             tenant = tenant_of(descriptor.page_id)

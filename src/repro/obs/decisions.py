@@ -17,8 +17,12 @@ A :class:`DecisionRecorder` taps two sources at once:
   cannot perturb the decision stream (the golden-figure gate proves
   this byte-for-byte);
 * the event bus, with ``EVICT`` as its whole ``event_interest`` —
-  capturing the victim class (dirty vs clean) and the tenant the bus
-  register names at that moment.
+  capturing the victim class (dirty vs clean).
+
+A span's ``tenant`` is the owner of its page
+(:meth:`~repro.core.buffer_manager.BufferManager.tenant_of`): an
+eviction span names the victim's tenant, not the tenant whose op was in
+flight.
 
 Every decision lands in the recorder's own
 :class:`~repro.obs.metrics.MetricsRegistry` (complete per-policy
@@ -93,6 +97,9 @@ class DecisionRecorder:
         self.spans_dropped = 0
         self._lock = threading.Lock()
         self._bus = None
+        #: The attached manager's page→tenant rule
+        #: (:meth:`~repro.core.buffer_manager.BufferManager.tenant_of`).
+        self._tenant_of = None
         self._engine = None
         self._prev_probe = None
         self._cost = None
@@ -112,6 +119,7 @@ class DecisionRecorder:
         self._prev_probe = bm.engine.probe
         bm.engine.probe = self
         self._cost = bm.hierarchy.cost
+        self._tenant_of = bm.tenant_of
         self._bus = bm.events
         self._bus.subscribe(self)
         return self
@@ -173,7 +181,7 @@ class DecisionRecorder:
             },
             "queue_depth": queue_depth,
             "queue_state": queue_state,
-            "tenant": self._bus.tenant_id if self._bus is not None else 0,
+            "tenant": self._tenant_of(page_id),
         }
         with self._lock:
             if len(self.spans) < self.max_spans:
@@ -207,7 +215,7 @@ class DecisionRecorder:
             "page": page_id,
             "tier": tier_label,
             "victim_class": victim_class,
-            "tenant": self._bus.tenant_id if self._bus is not None else 0,
+            "tenant": self._tenant_of(page_id),
         }
         with self._lock:
             if len(self.spans) < self.max_spans:

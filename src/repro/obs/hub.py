@@ -113,17 +113,9 @@ class MetricsHub:
 
     def __init__(self, registry: MetricsRegistry | None = None,
                  epoch_ns: float = DEFAULT_EPOCH_NS,
-                 fault_source=None, track_tenants: bool = False) -> None:
+                 fault_source=None) -> None:
         self.registry = registry or MetricsRegistry()
         self.epoch_ns = float(epoch_ns)
-        #: Project tenant-labelled series alongside the global ones:
-        #: ``tenant_ops_total{tenant,kind}`` counters and
-        #: ``tenant_op_latency_ns{tenant,kind}`` histograms.  Attribution
-        #: is exact by construction — the op's tenant is read from the
-        #: bus register at its OP event, and its latency bracket closes
-        #: into the histogram chosen there — so for any window the
-        #: tenant-labelled sums reconcile ±0 with the global totals.
-        self.track_tenants = bool(track_tenants)
         #: Optional fault-injection source (an object exposing a
         #: ``registry`` of ``faults_injected_total`` /
         #: ``device_retries_total`` / ``torn_writes_detected_total``
@@ -163,6 +155,15 @@ class MetricsHub:
         self._tenant_cur_hist: Histogram | None = None
         self._tenant_hists: dict[tuple[int, str], Histogram] = {}
         self._tenant_counters: dict[tuple[int, str], Counter] = {}
+        #: The attached manager's page→tenant rule when it has tenants,
+        #: else None.  With it the hub projects tenant-labelled series
+        #: alongside the global ones: ``tenant_ops_total{tenant,kind}``
+        #: counters and ``tenant_op_latency_ns{tenant,kind}`` histograms.
+        #: Attribution is exact by construction — an op's tenant owns its
+        #: page, and its latency bracket closes into the histogram chosen
+        #: at its OP event — so for any window the tenant-labelled sums
+        #: reconcile ±0 with the global totals.
+        self._tenant_of = None
         self._finalized = False
         # Resolved-per-attach metric handles (no registry lookups on the
         # hot path).
@@ -183,6 +184,9 @@ class MetricsHub:
         self._stats_base = bm.stats.snapshot()
         self._cost = bm.hierarchy.cost
         self._chain = bm.chain
+        self._tenant_of = (
+            bm.tenancy.tenant_of if bm.tenancy is not None else None
+        )
         self._miss_hist = registry.histogram(
             "op_latency_ns", {"outcome": MISS_OUTCOME}
         )
@@ -240,11 +244,11 @@ class MetricsHub:
         if self._chain is not None:
             self._sample_epoch(now)
         self._write_traffic()
-        if self.track_tenants and self._bm is not None:
+        if self._tenant_of is not None:
             # Cumulative-since-construction admission stats, published
             # once per window (same one-shot guard as the fault merge).
-            tenancy = getattr(self._bm, "tenancy", None)
-            if tenancy is not None and tenancy.admission_queues:
+            tenancy = self._bm.tenancy
+            if tenancy.admission_queues:
                 for tenant, (cons, adm, _rate) in enumerate(
                     tenancy.admission_stats()
                 ):
@@ -298,15 +302,21 @@ class MetricsHub:
             (self._cur_hist or self._miss_hist).observe(first - start)
         hit_hist = self._hit_hists.get(summary.tier, self._miss_hist)
         _observe_brackets(hit_hist, start_of, count)
-        if self.track_tenants:
-            if start is not None and self._tenant_cur_hist is not None:
-                self._tenant_cur_hist.observe(first - start)
-            tenant_hist, tenant_counter = self._tenant_handles(
-                summary.tenant_id, "read"
-            )
-            _observe_brackets(tenant_hist, start_of, count)
+        tenant_of = self._tenant_of
+        if tenant_of is not None:
+            # Each op closes the previous op's bracket into that op's
+            # tenant, then opens its own in its page's tenant.
+            tenant_hist = self._tenant_cur_hist
+            previous = start
+            for i, page_id in enumerate(summary.page_ids):
+                now = start_of(i)
+                if previous is not None and tenant_hist is not None:
+                    tenant_hist.observe(now - previous)
+                tenant_hist, counter = self._tenant_handles(
+                    tenant_of(page_id), "read")
+                counter.inc()
+                previous = now
             self._tenant_cur_hist = tenant_hist
-            tenant_counter.inc(count)
         self._op_start = last
         self._cur_hist = hit_hist
         self._finalized = False
@@ -330,11 +340,12 @@ class MetricsHub:
             self._op_start = now
             self._cur_hist = None
             self._finalized = False
-            if self.track_tenants:
+            tenant_of = self._tenant_of
+            if tenant_of is not None:
                 kind = "read" if etype is EventType.OP_READ else "write"
                 if start is not None and self._tenant_cur_hist is not None:
                     self._tenant_cur_hist.observe(now - start)
-                hist, counter = self._tenant_handles(self._bus.tenant_id, kind)
+                hist, counter = self._tenant_handles(tenant_of(page_id), kind)
                 self._tenant_cur_hist = hist
                 counter.inc()
             if now >= self._next_epoch:

@@ -57,10 +57,6 @@ class CacheLinePage:
         return self._num_lines
 
     @property
-    def resident_mask(self) -> int:
-        return self._resident
-
-    @property
     def dirty_mask(self) -> int:
         return self._dirty
 

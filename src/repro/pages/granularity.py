@@ -44,10 +44,6 @@ class LoadingUnit:
             return 0
         return (nbytes + self.nbytes - 1) // self.nbytes
 
-    def lines_for_bytes(self, nbytes: int) -> int:
-        """Cache lines made resident by loading ``nbytes`` worth of data."""
-        return self.units_for_bytes(nbytes) * self.lines_per_unit
-
     def transfer_bytes(self, nbytes: int) -> int:
         """Logical bytes issued to the device for an ``nbytes`` access."""
         return self.units_for_bytes(nbytes) * self.nbytes

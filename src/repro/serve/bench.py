@@ -163,8 +163,7 @@ def simulate_serving(
         start_ns = max(now_ns, server_free_ns)
         before_ns = hierarchy.cost.total_ns
         execute_op(bm, arrival.kind == "write", arrival.page_id,
-                   arrival.offset, arrival.nbytes, arrival.tenant_id,
-                   arrival.think_ns)
+                   arrival.offset, arrival.nbytes, arrival.think_ns)
         service_ns = hierarchy.cost.total_ns - before_ns
         finish_ns = start_ns + service_ns
         server_free_ns = finish_ns

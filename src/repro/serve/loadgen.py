@@ -12,8 +12,8 @@ a deterministic sort.
 Arrival model: each tenant is an independent Poisson process whose rate
 is its arrival-weight share of the aggregate ``rate_ops_per_s``
 (interarrivals drawn ``expovariate`` from a per-tenant seeded RNG); its
-op stream comes from the same YCSB/TPC-C adapters the multi-tenant
-workload interleaver uses.  Per-tenant streams merge by
+op stream is :func:`~repro.workloads.tenancy.tenant_stream`, the one
+the multi-tenant workload interleaver runs.  Per-tenant streams merge by
 ``(arrival time, tenant, index)`` — a total order no tie can disturb.
 
 The same schedule can also drive a **live** server over real sockets
@@ -31,13 +31,7 @@ import time
 from dataclasses import dataclass
 
 from ..hardware.specs import DEFAULT_SCALE
-from ..workloads.tenancy import (
-    TenantSpec,
-    _stride_for,
-    _TpccStream,
-    _YcsbStream,
-)
-from ..workloads.ycsb import TUPLES_PER_PAGE
+from ..workloads.tenancy import TenantSpec, _stride_for, tenant_stream
 from . import protocol
 from .slo import LatencySample, build_slo_report
 
@@ -98,13 +92,6 @@ class LoadSchedule:
             yield from range(base, base + pages)
 
 
-def _tenant_stream(spec: TenantSpec):
-    if spec.kind == "tpcc":
-        return _TpccStream(spec, DEFAULT_SCALE)
-    pages = max(1, DEFAULT_SCALE.pages(spec.db_gigabytes))
-    return _YcsbStream(spec, pages * TUPLES_PER_PAGE)
-
-
 def _tenant_arrivals(tenant: TenantSpec, tenant_id: int, count: int,
                      rate_ops_per_s: float, seed: int) -> tuple[int, list]:
     """One tenant's page count and arrival stream (tenant-local pages).
@@ -113,7 +100,7 @@ def _tenant_arrivals(tenant: TenantSpec, tenant_id: int, count: int,
     other tenant, so the output depends on this tenant alone.
     """
     rng = random.Random(f"{seed}:{tenant_id}:arrivals")
-    stream = _tenant_stream(tenant)
+    stream = tenant_stream(tenant, DEFAULT_SCALE)
     rate_per_ns = rate_ops_per_s / 1e9
     arrivals = []
     at_ns = 0.0
@@ -172,8 +159,8 @@ def build_schedule(spec: LoadSpec) -> LoadSchedule:
 # Live driving (smoke and chaos tests; wall-clock, not deterministic)
 # ----------------------------------------------------------------------
 async def _drive_tenant(host: str, port: int, tenant_id: int,
-                        arrivals: list[Arrival], samples: list,
-                        sheds: list, errors: list) -> None:
+                        arrivals: list[Arrival], page_stride: int,
+                        samples: list, sheds: list, errors: list) -> None:
     reader, writer = await asyncio.open_connection(host, port)
     try:
         seq = 0
@@ -184,12 +171,16 @@ async def _drive_tenant(host: str, port: int, tenant_id: int,
         if hello is None or not hello.get("ok"):
             errors.append((tenant_id, "hello", "handshake failed"))
             return
+        # The server owns a tenant's pages by its own stride (a tenant
+        # is its page range there): move the schedule's tenant-local
+        # pages from the schedule's range into the server's.
+        shift = tenant_id * (hello["server"]["page_stride"] - page_stride)
         for arrival in arrivals:
             seq += 1
             await protocol.write_frame(writer, {
                 "op": arrival.kind,
                 "seq": seq,
-                "page_id": arrival.page_id,
+                "page_id": arrival.page_id + shift,
                 "offset": arrival.offset,
                 "nbytes": arrival.nbytes,
             })
@@ -229,7 +220,8 @@ async def drive_server(host: str, port: int, schedule: LoadSchedule,
 
     Each client holds one session and issues its tenant's requests
     back-to-back (closed-loop per client; the aggregate fleet is still
-    concurrent).  Returns the client-side SLO report, with an
+    concurrent), each page moved into the tenant's range at the
+    server's ``page_stride``.  Returns the client-side SLO report, with an
     ``"errors"`` list appended for anything that was neither served nor
     cleanly shed.
     """
@@ -241,8 +233,8 @@ async def drive_server(host: str, port: int, schedule: LoadSchedule,
     errors: list = []
     started = time.monotonic()
     await asyncio.gather(*(
-        _drive_tenant(host, port, tenant_id, arrivals, samples, sheds,
-                      errors)
+        _drive_tenant(host, port, tenant_id, arrivals, schedule.page_stride,
+                      samples, sheds, errors)
         for tenant_id, arrivals in sorted(by_tenant.items())
     ))
     makespan_s = time.monotonic() - started

@@ -72,7 +72,7 @@ CLOSE_GRACE_S = 0.5
 
 
 def execute_op(bm: BufferManager, is_write: bool, page_id: int, offset: int,
-               nbytes: int, tenant_id: int, think_ns: float = 0.0) -> None:
+               nbytes: int, think_ns: float = 0.0) -> None:
     """Serve one read or write — the live server and the twin
     (:func:`repro.serve.bench.simulate_serving`) both run exactly this.
 
@@ -84,9 +84,9 @@ def execute_op(bm: BufferManager, is_write: bool, page_id: int, offset: int,
     if not bm.page_exists(page_id):
         bm.allocate_page(page_id)
     if is_write:
-        bm.write(page_id, offset, nbytes, tenant_id)
+        bm.write(page_id, offset, nbytes)
     else:
-        bm.read(page_id, offset, nbytes, tenant_id)
+        bm.read(page_id, offset, nbytes)
     if think_ns:
         bm.hierarchy.charge_cpu(think_ns)
 
@@ -321,12 +321,22 @@ class SpitfireServer:
         ``offset < page_size`` and ``1 <= nbytes <= page_size``.  A span
         may run past the page end (the YCSB layout's last slot does), but
         one request can no longer charge the shared timeline for a
-        terabyte.
+        terabyte.  Every page must lie in the session tenant's range
+        (``bm.tenant_of``): a tenant is its page range, so one session
+        can neither touch nor consult the admission queue of another
+        tenant's pages.
         """
         bm = self.bm
         page_size = self.hierarchy.page_size
+
+        def own_page(page_id: int) -> int:
+            if bm.tenant_of(page_id) != tenant_id:
+                raise protocol.ProtocolError(
+                    f"page {page_id} is outside tenant {tenant_id}'s range")
+            return page_id
+
         if op in ("read", "write"):
-            page_id = _int_field(message, "page_id")
+            page_id = own_page(_int_field(message, "page_id"))
             offset = _int_field(message, "offset", default=0,
                                 maximum=page_size - 1)
             nbytes = _int_field(message, "nbytes", default=64, minimum=1,
@@ -334,12 +344,14 @@ class SpitfireServer:
             is_write = op == "write"
 
             def data_op():
-                execute_op(bm, is_write, page_id, offset, nbytes, tenant_id)
+                execute_op(bm, is_write, page_id, offset, nbytes)
                 return {}
 
             return data_op
         if op == "read_batch":
             page_ids = _int_list(message, "page_ids", MAX_BATCH_PAGES)
+            for page_id in page_ids:
+                own_page(page_id)
             offsets = _int_list(message, "offsets", MAX_BATCH_PAGES,
                                 maximum=page_size - 1)
             if len(offsets) != len(page_ids):
@@ -350,7 +362,7 @@ class SpitfireServer:
 
             def batch_op():
                 bm.allocate_pages(page_ids)
-                bm.read_batch(page_ids, offsets, nbytes, tenant_id)
+                bm.read_batch(page_ids, offsets, nbytes)
                 return {"pages": len(page_ids)}
 
             return batch_op
@@ -368,7 +380,7 @@ class SpitfireServer:
                         "txn ops need kind read|write")
                 steps.append((
                     sub["kind"] == "write",
-                    _int_field(sub, "page_id"),
+                    own_page(_int_field(sub, "page_id")),
                     _int_field(sub, "offset", default=0,
                                maximum=page_size - 1),
                     _int_field(sub, "nbytes", default=64, minimum=1,
@@ -379,8 +391,7 @@ class SpitfireServer:
                 # No await between the steps: no other session's op
                 # interleaves with this transaction.
                 for is_write, page_id, offset, nbytes in steps:
-                    execute_op(bm, is_write, page_id, offset, nbytes,
-                               tenant_id)
+                    execute_op(bm, is_write, page_id, offset, nbytes)
                 return {"ops": len(steps)}
 
             return txn_op

@@ -3,8 +3,10 @@
 The workload-side half of the multi-tenant story (ROADMAP item 2):
 
 * :class:`TenantSpec` — one tenant's traffic profile: a YCSB mix or the
-  TPC-C generator, zipf skew, database size, arrival weight, optional
-  think time, and an optional per-tenant policy preset (Table 3 name),
+  TPC-C generator, zipf skew, database size, arrival weight and
+  optional think time,
+* :func:`tenant_stream` — one tenant's op stream, sized from its spec
+  (shared with the serving plane's load generator),
 * :class:`MultiTenantWorkload` — lays the tenants' databases out in
   disjoint page ranges (one uniform stride, sized with growth headroom
   so TPC-C's append-only regions never cross into a neighbour's range)
@@ -41,6 +43,7 @@ __all__ = [
     "MultiTenantWorkload",
     "TenantAccess",
     "TenantSpec",
+    "tenant_stream",
 ]
 
 
@@ -63,9 +66,8 @@ class TenantSpec:
     over a table sized by ``db_gigabytes``; ``"tpcc"`` runs the TPC-C
     generator at that database size (``mix``/``skew`` are ignored).
     ``weight`` is the tenant's arrival share in the interleaved stream;
-    ``think_time_ns`` is extra CPU service charged per op by the
-    harness; ``policy_preset`` optionally pins the tenant to a Table 3
-    policy via per-tenant overrides in the migration engine.
+    ``think_time_ns`` is extra CPU service charged after each op by the
+    harness.
     """
 
     name: str
@@ -77,7 +79,6 @@ class TenantSpec:
     weight: float = 1.0
     think_time_ns: float = 0.0
     seed: int = 1
-    policy_preset: str | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in ("ycsb", "tpcc"):
@@ -145,6 +146,19 @@ class _TpccStream:
         return self.workload.page_popularity()
 
 
+def tenant_stream(spec: TenantSpec, scale):
+    """One tenant's endless op stream over its tenant-local pages.
+
+    TPC-C runs its generator at the spec's database size; YCSB gets the
+    single-stream cells' sizing rule: one table filling the tenant's
+    database allotment.
+    """
+    if spec.kind == "tpcc":
+        return _TpccStream(spec, scale)
+    pages = max(1, scale.pages(spec.db_gigabytes))
+    return _YcsbStream(spec, pages * TUPLES_PER_PAGE)
+
+
 class MultiTenantWorkload:
     """N tenant streams merged into one deterministic total order.
 
@@ -165,16 +179,7 @@ class MultiTenantWorkload:
         self.scale = scale
         self.seed = seed
         self.rng = random.Random(seed)
-        self._streams = []
-        for spec in specs:
-            if spec.kind == "tpcc":
-                self._streams.append(_TpccStream(spec, scale))
-            else:
-                # Same sizing rule as the single-stream bench cells:
-                # one table filling the tenant's database allotment.
-                num_tuples = max(1, scale.pages(spec.db_gigabytes)) \
-                    * TUPLES_PER_PAGE
-                self._streams.append(_YcsbStream(spec, num_tuples))
+        self._streams = [tenant_stream(spec, scale) for spec in specs]
         self.page_stride = _stride_for(
             max(stream.num_pages for stream in self._streams)
         )

@@ -342,11 +342,6 @@ class TpccWorkload:
         for _ in range(num_transactions):
             yield from self.next_transaction()
 
-    @property
-    def write_fraction_estimate(self) -> float:
-        """Rough fraction of accesses that are writes (for sanity tests)."""
-        return 0.4
-
 
 @functools.lru_cache(maxsize=_POPULARITY_SHAPES)
 def _ranked_pages(db_gigabytes: float, scale: SimulationScale, samples: int,

@@ -62,10 +62,6 @@ class TpccStats:
     def total_committed(self) -> int:
         return sum(self.committed.values())
 
-    @property
-    def total_aborted(self) -> int:
-        return sum(self.aborted.values())
-
 
 class TpccEngine:
     """TPC-C schema, loader, and transaction implementations."""

@@ -30,6 +30,7 @@ from repro.bench import harness
 from repro.bench.executor import TUPLES_PER_PAGE, Effort
 from repro.bench.harness import RunConfig, RunOptions, WorkloadRunner
 from repro.core.buffer_manager import BufferManager, BufferManagerConfig
+from repro.core.tenancy import TenancyConfig
 from repro.core.policy import (
     DRAM_SSD_POLICY,
     NVM_SSD_POLICY,
@@ -388,20 +389,28 @@ class TestHarnessBatching:
     @pytest.mark.parametrize("head_start_fp", [0, (1 << 60) + 12_345],
                              ids=["exact starts", "rounded starts"])
     def test_tenant_hub_sees_a_batch_as_per_op_reads(self, head_start_fp):
-        """A tenant-tracking hub sees a tenant's batched reads (serve's
-        ``read_batch``), epochs included, as the same reads per op — also
-        past 2**53 units, where op starts are rounded floats."""
+        """A hub on a two-tenant manager sees a batch spanning both
+        tenants (serve's ``read_batch``), epochs included, as the same
+        reads per op: each op closes its bracket into its own page's
+        tenant — also past 2**53 units, where op starts are rounded
+        floats."""
         ids = [0, 1, 2, 1, 9, 0, 5, 7, 5, 12, 3, 3, 6, 4, 2, 0]
 
         def hub_snapshot(batched: bool):
-            bm = _primed_manager(16, 8)
+            bm = BufferManager(
+                StorageHierarchy(SHAPE), SPITFIRE_LAZY,
+                BufferManagerConfig(seed=3, tenancy=TenancyConfig(
+                    num_tenants=2, page_stride=4)))
+            bm.allocate_pages(range(16))
+            for page_id in range(8):
+                bm.prime_page(Tier.DRAM, page_id)
             bm.hierarchy.cost.charge_fp(CostAccumulator.CPU, head_start_fp)
-            hub = MetricsHub(epoch_ns=50.0, track_tenants=True).attach(bm)
+            hub = MetricsHub(epoch_ns=50.0).attach(bm)
             if batched:
-                bm.read_batch(ids, [0] * len(ids), 1024, tenant_id=1)
+                bm.read_batch(ids, [0] * len(ids), 1024)
             else:
                 for page_id in ids:
-                    bm.read(page_id, 0, 1024, tenant_id=1)
+                    bm.read(page_id, 0, 1024)
             hub.detach()
             return bm.batch_path.fast_runs, hub.snapshot()
 
@@ -409,3 +418,9 @@ class TestHarnessBatching:
         assert fast_runs > 0
         assert len(batched["epochs"]) > fast_runs
         assert hub_snapshot(False) == (0, batched)
+        tenants = {
+            series["labels"]["tenant"]
+            for series in batched["registry"].values()
+            if series["name"] == "tenant_ops_total"
+        }
+        assert tenants == {"0", "1"}

@@ -154,8 +154,8 @@ def hierarchy(dram_gb: float, nvm_gb: float, *,
 #: name -> (dram GB, NVM GB, policy, config, write fraction, options).
 #: Options: ``flush`` takes a checkpoint every FLUSH_EVERY ops, ``faults``
 #: injects transient read errors on every device, ``memory_mode`` puts a
-#: DRAM cache over NVM in the DRAM slot, ``tenants`` splits the pages
-#: between two tenants.
+#: DRAM cache over NVM in the DRAM slot.  The ``tenants_*`` configs
+#: split the pages between two tenants by page range.
 STREAMS = {
     "three_tier_lazy": (2.0, 4.0, SPITFIRE_LAZY, None, 0.5, {"flush"}),
     "three_tier_eager": (2.0, 4.0, SPITFIRE_EAGER, None, 0.5, set()),
@@ -167,12 +167,12 @@ STREAMS = {
         2.0, 4.0, HALF, BufferManagerConfig(tenancy=TenancyConfig(
             num_tenants=2, page_stride=PAGES // 2,
             quota_mode=QuotaMode.SOFT, shares=(0.75, 0.25))),
-        0.3, {"tenants"}),
+        0.3, set()),
     "tenants_hard": (
         2.0, 4.0, HALF, BufferManagerConfig(tenancy=TenancyConfig(
             num_tenants=2, page_stride=PAGES // 2,
             quota_mode=QuotaMode.HARD, shares=(0.75, 0.25))),
-        0.3, {"tenants"}),
+        0.3, set()),
     "cacheline": (
         2.0, 4.0, SPITFIRE_EAGER, BufferManagerConfig(fine_grained=True),
         0.3, {"flush"}),
@@ -261,11 +261,10 @@ def run_stream(name: str) -> tuple[str, frozenset[str]]:
         # Skewed toward low page ids, so hot pages climb and stay while
         # the tail keeps every pool evicting.
         page_id = int(PAGES * rng.random() ** 2)
-        tenant = page_id // (PAGES // 2) if "tenants" in options else 0
         offset = rng.randrange(0, page_size - 256, 64) if fine else 0
         nbytes = 64 if rng.random() < 0.5 else 256
         if rng.random() < write_fraction:
-            result = bm.write(page_id, offset, nbytes, tenant_id=tenant)
+            result = bm.write(page_id, offset, nbytes)
             # Stamp the write as the engine would, so a dirty victim
             # reaching durable media meets the WAL barrier.
             copy = bm.table.get(page_id).copy_on(result.served_tier) \
@@ -274,7 +273,7 @@ def run_stream(name: str) -> tuple[str, frozenset[str]]:
                 lsn += 1
                 copy.content.write_record(index % 7, b"%d" % index, lsn)
         else:
-            bm.read(page_id, offset, nbytes, tenant_id=tenant)
+            bm.read(page_id, offset, nbytes)
         if "flush" in options and (index + 1) % FLUSH_EVERY == 0:
             bm.flush_dirty_dram()
     bm.events.unsubscribe(probe)

@@ -13,6 +13,10 @@ import asyncio
 import struct
 from collections import Counter
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.bench.harness import tenant_breakdown
 from repro.core.events import EventType
 from repro.faults.plan import FaultPlan
@@ -34,6 +38,15 @@ from repro.serve.server import (
     execute_op,
 )
 from repro.workloads.tenancy import TenantSpec
+
+
+#: Pages per tenant range on a default-config server.
+STRIDE = ServeConfig().page_stride
+
+
+def own(tenant: int, page: int) -> int:
+    """Page ``page`` of ``tenant``'s range on a default-config server."""
+    return tenant * STRIDE + page
 
 
 def run(coro):
@@ -227,6 +240,64 @@ class TestSessions:
         run(scenario())
 
 
+class TestTenantRange:
+    """A tenant is its page range: a data op naming a page outside the
+    session tenant's range is a bad request, refused before admission,
+    so it runs, allocates and charges nothing."""
+
+    FOREIGN = (5, own(2, 5))
+
+    @pytest.mark.parametrize("op, fields", [
+        ("read", lambda page: dict(page_id=page)),
+        ("write", lambda page: dict(page_id=page, offset=64)),
+        ("read_batch", lambda page: dict(page_ids=[own(1, 0), page],
+                                         offsets=[0, 0])),
+        ("txn", lambda page: dict(ops=[{"kind": "write",
+                                        "page_id": own(1, 0)},
+                                       {"kind": "read", "page_id": page}])),
+    ])
+    def test_foreign_page_is_refused_uncharged(self, op, fields):
+        async def scenario():
+            server = await start_server()
+            try:
+                client = await Client.connect(server, tenant=1)
+                before = server.hierarchy.cost.total_fp
+                for page in self.FOREIGN:
+                    response = await client.call(op, **fields(page))
+                    assert response["error"]["kind"] \
+                        == protocol.ERR_BAD_REQUEST, (op, response)
+                    assert "outside tenant 1" in response["error"]["detail"]
+                assert server.hierarchy.cost.total_fp == before
+                assert server.stats()["served"] == 0
+                assert server.admission.in_flight == 0
+                assert not any(server.bm.page_exists(page)
+                               for page in (own(1, 0), *self.FOREIGN))
+                # The same op inside the range is served.
+                response = await client.call(op, **fields(own(1, 5)))
+                assert response["ok"], response
+                await client.close()
+            finally:
+                await server.shutdown()
+
+        run(scenario())
+
+    @settings(max_examples=200, deadline=None)
+    @given(tenant=st.integers(0, 2),
+           page_id=st.integers(0, 4 * STRIDE))
+    def test_refused_exactly_outside_the_range(self, tenant, page_id):
+        """The one rule: refused iff ``bm.tenant_of(page) != tenant`` —
+        the last tenant's range runs on past its stride."""
+        server = SpitfireServer(ServeConfig(num_tenants=3))
+        message = {"page_id": page_id}
+        inside = min(page_id // STRIDE, 2) == tenant
+        try:
+            server._closure_for("read", message, tenant)
+        except protocol.ProtocolError:
+            assert not inside
+        else:
+            assert inside
+
+
 class TestAdmissionLive:
     def test_rate_limited_session_sheds_with_overloaded(self):
         async def scenario():
@@ -327,8 +398,9 @@ class TestLiveMatchesTwin:
     On a think-free schedule (the wire protocol carries no think time)
     replayed strictly in schedule order the promise is exact: every
     reply's simulated cost is the twin's service time, the two buffer
-    managers end in the same state, and a tenant-tracking hub on each
-    saw the same ops from the same tenants."""
+    managers end in the same state, and a hub on each (tracking
+    tenants, as on any manager with tenants) saw the same ops from the
+    same tenants."""
 
     #: A skewed read/write tenant plus a TPC-C tenant, whose insert
     #: regions grow past the loaded database (allocate-on-first-touch),
@@ -365,7 +437,7 @@ class TestLiveMatchesTwin:
                                          bench.ssd_gb),
             seed=bench.seed, num_tenants=len(self.TENANTS),
             page_stride=schedule.page_stride))
-        twin_hub = MetricsHub(track_tenants=True).attach(twin_bm)
+        twin_hub = MetricsHub().attach(twin_bm)
         samples, sheds, _ = simulate_serving(
             schedule, twin_bm, AdmissionController(bench.admission))
         twin_hub.detach()
@@ -379,7 +451,7 @@ class TestLiveMatchesTwin:
                 page_stride=schedule.page_stride, seed=bench.seed,
                 admission=bench.admission))
             load(server.bm)
-            hub = MetricsHub(track_tenants=True).attach(server.bm)
+            hub = MetricsHub().attach(server.bm)
             await server.start()
             try:
                 sessions = [await Client.connect(server, tenant=tenant)
@@ -421,15 +493,15 @@ class TestLiveMatchesTwin:
         twin = SpitfireServer(ServeConfig()).bm
         twin.allocate_pages(existing)
         for page_id in existing[:4]:
-            execute_op(twin, False, page_id, 0, 64, 0)
+            execute_op(twin, False, page_id, 0, 64)
         for page_id, offset in zip(page_ids, offsets):
-            execute_op(twin, False, page_id, offset, 64, 0)
+            execute_op(twin, False, page_id, offset, 64)
 
         async def scenario():
             server = SpitfireServer(ServeConfig())
             server.bm.allocate_pages(existing)
             for page_id in existing[:4]:
-                execute_op(server.bm, False, page_id, 0, 64, 0)
+                execute_op(server.bm, False, page_id, 0, 64)
             await server.start()
             try:
                 client = await Client.connect(server)
@@ -491,7 +563,7 @@ class TestDrain:
                 # serve marks readiness explicitly once listening.
                 assert server.metrics.probe("/readyz")[0] == 200
                 client = await Client.connect(server, tenant=2)
-                assert (await client.call("read", page_id=1))["ok"]
+                assert (await client.call("read", page_id=own(2, 1)))["ok"]
                 _, text = await asyncio.to_thread(server.metrics.probe,
                                                   "/metrics")
                 assert 'serve_requests_total{op="read",tenant="tenant-2"} 1' \
@@ -542,7 +614,8 @@ class TestInlineRule:
 
                 async def read_pages():
                     for page in range(4 * txns):
-                        assert (await reader.call("read", page_id=page))["ok"]
+                        assert (await reader.call(
+                            "read", page_id=own(1, page)))["ok"]
 
                 await asyncio.gather(write_txns(), read_pages())
                 await writer.close()
@@ -560,7 +633,7 @@ class TestInlineRule:
                 == list(range(where[first], where[first] + width)), txn
         # Not vacuous: the reader's ops did land between transactions.
         last_txn_op = where[10_000 + txns * width - 1]
-        assert any(page < 10_000 for page in pages[:last_txn_op])
+        assert any(page >= STRIDE for page in pages[:last_txn_op])
 
     def test_drain_under_load_counts_every_served_op(self):
         """``shutdown()`` starts from inside the 150th op, while three
@@ -588,7 +661,7 @@ class TestInlineRule:
                     try:
                         reply = await client.call(
                             "write" if page % 3 == 0 else "read",
-                            page_id=tenant * 1_000 + page % 200)
+                            page_id=own(tenant, page % 200))
                     except (ConnectionError, protocol.ProtocolError):
                         return
                     if reply is None:
@@ -641,7 +714,8 @@ class TestBrokenClients:
                 assert "injected" in failed["error"]["detail"]
                 assert server.admission.in_flight == 0
                 assert (await victim.call("read", page_id=1))["ok"]
-                assert (await bystander.call("write", page_id=2))["ok"]
+                assert (await bystander.call(
+                    "write", page_id=own(1, 2)))["ok"]
                 assert (await victim.call("txn", ops=[
                     {"kind": "read", "page_id": 3}]))["ok"]
                 assert server.stats()["served"] == 3
@@ -673,7 +747,7 @@ class TestBrokenClients:
                 await broken.writer.drain()
                 await broken.close()
                 await self.wait_for_sessions(server, 1)
-                assert (await witness.call("read", page_id=1))["ok"]
+                assert (await witness.call("read", page_id=own(1, 1)))["ok"]
                 assert server.stats()["served"] == 1
                 await witness.close()
             finally:
@@ -697,7 +771,8 @@ class TestBrokenClients:
                 await self.wait_for_sessions(server, 1)
                 # The whole frame arrived, so the whole txn ran.
                 assert all(server.bm.page_exists(page) for page in pages)
-                assert (await witness.call("read", page_id=pages[0]))["ok"]
+                assert (await witness.call(
+                    "read", page_id=own(1, pages[0])))["ok"]
                 assert (await witness.call("ping"))["pong"]
                 await witness.close()
             finally:

@@ -1,7 +1,8 @@
 """Multi-tenant buffer partitioning, admission, and metrics.
 
-Covers the tenant identity thread end to end: the core-side config /
-registry / control objects, per-tenant frame quotas (hard and soft),
+Covers tenant identity end to end — a tenant is its page range: the
+core-side config / control objects and their one page→tenant rule,
+per-tenant frame quotas (hard and soft),
 the workload-side spec + deterministic interleaver, single-tenant
 byte-identity (tenant plumbing at the default tenant is free), exact
 per-tenant metrics reconciliation against the global MetricsHub
@@ -19,14 +20,10 @@ from repro.bench.executor import (
     run_options,
 )
 from repro.core.buffer_manager import BufferManager, BufferManagerConfig
-from repro.core.policy import POLICY_PRESETS, SPITFIRE_EAGER, SPITFIRE_LAZY
-from repro.core.tenancy import (
-    QuotaMode,
-    TenancyConfig,
-    TenancyControl,
-    TenantRegistry,
-)
+from repro.core.policy import SPITFIRE_EAGER, SPITFIRE_LAZY
+from repro.core.tenancy import QuotaMode, TenancyConfig, TenancyControl
 from repro.hardware.cost_model import StorageHierarchy
+from repro.obs.decisions import DecisionRecorder
 from repro.hardware.pricing import HierarchyShape
 from repro.hardware.specs import DEFAULT_SCALE, Tier
 from repro.workloads.tenancy import MultiTenantWorkload, TenantSpec
@@ -68,28 +65,37 @@ class TestTenancyConfig:
         dict(num_tenants=2, shares=(0.5,)),
         dict(num_tenants=2, shares=(0.8, 0.4)),
         dict(num_tenants=2, shares=(0.5, -0.1)),
-        dict(num_tenants=2, policy_presets=("Spitfire-Lazy",)),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             TenancyConfig(**kwargs)
 
 
-class TestTenantRegistry:
-    def test_stride_arithmetic(self):
-        registry = TenantRegistry(num_tenants=3, page_stride=100)
-        assert registry.tenant_of(0) == 0
-        assert registry.tenant_of(99) == 0
-        assert registry.tenant_of(100) == 1
-        assert registry.tenant_of(250) == 2
-        assert registry.base_page(2) == 200
-
-    def test_clamps_past_last_range(self):
-        registry = TenantRegistry(num_tenants=2, page_stride=10)
-        assert registry.tenant_of(10_000) == 1
-
-
 class TestTenancyControl:
+    def test_tenant_of_is_stride_arithmetic(self):
+        control = TenancyControl.build(
+            TenancyConfig(num_tenants=3, page_stride=100))
+        assert control.tenant_of(0) == 0
+        assert control.tenant_of(99) == 0
+        assert control.tenant_of(100) == 1
+        assert control.tenant_of(250) == 2
+
+    def test_tenant_of_clamps_past_last_range(self):
+        control = TenancyControl.build(
+            TenancyConfig(num_tenants=2, page_stride=10))
+        assert control.tenant_of(10_000) == 1
+
+    def test_manager_tenant_of(self):
+        hierarchy = StorageHierarchy(SMALL_SHAPE, DEFAULT_SCALE)
+        plain = BufferManager(hierarchy, SPITFIRE_LAZY)
+        assert plain.tenant_of(123_456) == 0
+        tenants = BufferManager(
+            StorageHierarchy(SMALL_SHAPE, DEFAULT_SCALE), SPITFIRE_LAZY,
+            BufferManagerConfig(tenancy=TenancyConfig(
+                num_tenants=2, page_stride=100)))
+        assert [tenants.tenant_of(p) for p in (0, 99, 100, 10_000)] \
+            == [0, 0, 1, 1]
+
     def test_builds_one_queue_per_tenant(self):
         control = TenancyControl.build(
             TenancyConfig(num_tenants=3, page_stride=100),
@@ -104,14 +110,6 @@ class TestTenancyControl:
             TenancyConfig(num_tenants=2, page_stride=100))
         assert control.admission_queues == ()
         assert control.queue_for(0) is None
-
-    def test_policy_presets_resolve(self):
-        control = TenancyControl.build(TenancyConfig(
-            num_tenants=2, page_stride=100,
-            policy_presets=("Spitfire-Lazy", None),
-        ))
-        assert control.policy_for(0) is POLICY_PRESETS["Spitfire-Lazy"]
-        assert control.policy_for(150) is None
 
     def test_enforcing_requires_mode_and_plurality(self):
         base = dict(page_stride=100)
@@ -282,7 +280,7 @@ class TestHardQuota:
         bm.allocate_pages(pages)
         for sweep in range(3):
             for page in pages:
-                bm.read(page, tenant_id=page // STRIDE)
+                bm.read(page)
         for tier in (Tier.DRAM, Tier.NVM):
             usage, max_entries = tier_usage(bm, tier)
             for tenant_id, held in usage.items():
@@ -294,12 +292,12 @@ class TestHardQuota:
         quiet = list(range(0, 20))
         bm.allocate_pages(quiet)
         for page in quiet:
-            bm.read(page, tenant_id=0)
+            bm.read(page)
         before, _ = tier_usage(bm, Tier.DRAM)
         flood = list(range(STRIDE, STRIDE + 400))
         bm.allocate_pages(flood)
         for page in flood:
-            bm.read(page, tenant_id=1)
+            bm.read(page)
         after, _ = tier_usage(bm, Tier.DRAM)
         # The quiet tenant's residency is untouched by the flood.
         assert after.get(0, 0) == before.get(0, 0) == len(quiet)
@@ -313,10 +311,30 @@ class TestHardQuota:
         flood = list(range(STRIDE, STRIDE + quota + 20))
         bm.allocate_pages(flood)
         for page in flood:
-            bm.read(page, tenant_id=1)
+            bm.read(page)
         usage, _ = tier_usage(bm, Tier.DRAM)
         assert usage[1] <= quota
         assert sum(usage.values()) < max_entries  # pool never filled
+
+
+    def test_decision_spans_name_their_pages_tenant(self):
+        """A span's tenant owns the span's page: an eviction names the
+        victim's tenant, not the tenant whose op was in flight."""
+        bm = quota_bm(QuotaMode.HARD)
+        pages = list(range(0, 300)) + list(range(STRIDE, STRIDE + 300))
+        bm.allocate_pages(pages)
+        recorder = DecisionRecorder(fraction=1.0).attach(bm)
+        try:
+            for sweep in range(2):
+                for page in pages:
+                    bm.read(page)
+        finally:
+            recorder.detach()
+        spans = recorder.spans
+        assert {span["kind"] for span in spans} == {"decision", "eviction"}
+        assert {span["tenant"] for span in spans} == {0, 1}
+        for span in spans:
+            assert span["tenant"] == bm.tenant_of(span["page"]), span
 
 
 class TestSoftQuota:
@@ -327,14 +345,14 @@ class TestSoftQuota:
         flood = list(range(STRIDE, STRIDE + 2 * max_entries))
         bm.allocate_pages(flood)
         for page in flood:
-            bm.read(page, tenant_id=1)
+            bm.read(page)
         # Tenant 0 then brings in its working set: victims must come
         # from the over-share tenant, so tenant 0 reaches its share.
         mine = list(range(0, max_entries // 2))
         bm.allocate_pages(mine)
         for sweep in range(2):
             for page in mine:
-                bm.read(page, tenant_id=0)
+                bm.read(page)
         usage, _ = tier_usage(bm, Tier.DRAM)
         assert usage.get(0, 0) == len(mine)
 
@@ -345,7 +363,7 @@ class TestSoftQuota:
         flood = list(range(STRIDE, STRIDE + max_entries))
         bm.allocate_pages(flood)
         for page in flood:
-            bm.read(page, tenant_id=1)
+            bm.read(page)
         usage, _ = tier_usage(bm, Tier.DRAM)
         quota = bm.tenancy.quota_frames(Tier.DRAM, max_entries, 1)
         assert usage[1] > quota
@@ -507,6 +525,30 @@ class TestMetricsReconciliation:
             result = run_cells([cell])[0]
         assert not series_by_name(result.metrics, "tenant_ops_total")
         assert not series_by_name(result.metrics, "tenant_op_latency_ns")
+
+
+class TestThinkTime:
+    def test_think_time_lands_in_its_own_tenants_bracket(self):
+        """A tenant's think time is charged after its op, so it lengthens
+        that tenant's brackets by exactly ops × T and no other tenant's."""
+        think_ns = 1024.0
+
+        def cell(think):
+            lead, scan = TWO_TENANTS
+            return Cell.multi_tenant(
+                f"think/{think}", SMALL_SHAPE, SPITFIRE_LAZY,
+                (lead, TenantSpec(scan.name, mix=scan.mix, skew=scan.skew,
+                                  db_gigabytes=scan.db_gigabytes,
+                                  weight=scan.weight, seed=scan.seed,
+                                  think_time_ns=think)),
+                effort=SMALL_EFFORT)
+
+        plain, thinking = (result.tenant_breakdown for result in
+                           run_cells([cell(0.0), cell(think_ns)]))
+        assert thinking[0] == plain[0]
+        assert thinking[1]["ops"] == plain[1]["ops"]
+        assert thinking[1]["latency_sum_ns"] \
+            == plain[1]["latency_sum_ns"] + plain[1]["ops"] * think_ns
 
 
 # ----------------------------------------------------------------------
