@@ -14,7 +14,10 @@ This component walks the tier chain for every logical access:
   tier is durable,
 * upward migrations copy a full page one edge up after waiting for
   readers of the lower copy (§5.2, :meth:`AccessPath.migrate_up`), or
-  build a cache-line/mini-page view when fine-grained loading is on.
+  build a cache-line/mini-page view when fine-grained loading is on,
+* a copy on the volatile top is served where the walk finds it: a full
+  page here, a partial layout by one
+  :class:`~repro.core.fine_grained.FineGrainedOps` call.
 
 Collaborators are explicit: chain, mapping table, migration engine,
 SSD store, event bus, hierarchy, and the shared
@@ -30,6 +33,7 @@ from typing import NamedTuple
 from ..hardware.cost_model import StorageHierarchy
 from ..hardware.simclock import CostAccumulator, checked_fp
 from ..hardware.specs import Tier
+from ..pages.cacheline_page import CacheLinePage
 from ..pages.page import Page, PageId
 from .descriptors import SharedPageDescriptor, TierPageDescriptor
 from .events import EventBus, EventType
@@ -117,9 +121,10 @@ class AccessPath:
                is_write: bool) -> AccessResult:
         """The generic chain walk shared by ``read`` and ``write``.
 
-        Top-down hit scan.  A hit on a volatile top node holding the
-        full page — what every workload is mostly made of — is served
-        where it is found: nothing can climb, no line can be missing.
+        Top-down hit scan.  A hit on a volatile top node — what every
+        workload is mostly made of — is served where it is found: a
+        full page in this frame, a partial layout by one fine-grained
+        call.
         On a non-top hit, one promotion draw per edge climbs the page
         toward the top (§3.1/§3.2).  A full miss goes to
         :meth:`fetch_from_ssd`.
@@ -157,13 +162,23 @@ class AccessPath:
                     stats.nvm_hits += 1
                 if events._appliers[_HIT]:
                     self._emit(EventType.HIT, page_id, tier)
-                if node is self._volatile_top \
-                        and isinstance(descriptor.content, Page):
-                    if is_write:
-                        descriptor.dirty = True
-                        node.write(page_id, nbytes)
+                if node is self._volatile_top:
+                    # Nothing can climb, and a full page misses no line.
+                    content = descriptor.content
+                    if isinstance(content, Page):
+                        if is_write:
+                            descriptor.dirty = True
+                            node.write(page_id, nbytes)
+                        else:
+                            node.read(page_id, nbytes)
+                    elif isinstance(content, CacheLinePage):
+                        self.fine.serve_cacheline_access(
+                            node, shared, descriptor, offset, nbytes,
+                            is_write)
                     else:
-                        node.read(page_id, nbytes)
+                        self.fine.serve_resident_access(
+                            node, shared, descriptor, offset, nbytes,
+                            is_write)
                     return _result(AccessResult, (page_id, tier, True, False))
                 # Atomic attribute read; ``set_policy`` replaces the
                 # whole object, so skipping the slot's lock is race-free.
@@ -188,8 +203,9 @@ class AccessPath:
               offset: int, nbytes: int,
               policy: MigrationPolicy) -> tuple[TierNode, TierPageDescriptor]:
         """Chained one-edge promotion draws from ``node`` toward the top."""
+        nodes = self.chain.nodes
         while node.index > 0:
-            upper = self.chain.upper_of(node)
+            upper = nodes[node.index - 1]
             if not self.engine.decide(node.promote_edge, promote_op,
                                       shared.page_id, policy):
                 break
@@ -201,10 +217,23 @@ class AccessPath:
     def serve(self, node: TierNode, shared: SharedPageDescriptor,
               descriptor: TierPageDescriptor, offset: int, nbytes: int,
               is_write: bool, hit: bool) -> AccessResult:
-        """Serve an access on whichever node the walk landed on."""
-        if node.index == 0 and not node.persistent:
-            self.fine.serve_resident_access(node, shared, descriptor, offset,
-                                            nbytes, is_write)
+        """Serve an access on whichever node the walk landed on: the
+        volatile top as :meth:`access` serves its hits, any other node in
+        place (:meth:`serve_direct`)."""
+        if node is self._volatile_top:
+            content = descriptor.content
+            if isinstance(content, Page):
+                if is_write:
+                    descriptor.dirty = True
+                    node.write(shared.page_id, nbytes)
+                else:
+                    node.read(shared.page_id, nbytes)
+            elif isinstance(content, CacheLinePage):
+                self.fine.serve_cacheline_access(node, shared, descriptor,
+                                                 offset, nbytes, is_write)
+            else:
+                self.fine.serve_resident_access(node, shared, descriptor,
+                                                offset, nbytes, is_write)
             return _result(AccessResult, (shared.page_id, node.tier, hit,
                                           False))
         self.serve_direct(node, descriptor, nbytes, is_write)
@@ -327,15 +356,24 @@ class AccessPath:
                    lower_desc: TierPageDescriptor, lower: TierNode,
                    upper: TierNode, offset: int,
                    nbytes: int) -> TierPageDescriptor:
-        existing = shared.copy_on(upper.tier)
+        # ``shared.copy_on`` and ``shared.latched(upper.tier,
+        # lower.tier)``, spelled out: the upper node's latch comes first
+        # in the canonical (top-down) order.
+        copies = shared._copies
+        upper_rank = upper.tier.rank
+        existing = copies[upper_rank]
         if existing is not None:
             upper.pool.replacer.record_access(existing.frame_index)
             return existing
-        with shared.latched(upper.tier, lower.tier):
+        lower_rank = lower.tier.rank
+        latches = shared._latches
+        with latches[upper_rank], latches[lower_rank]:
             # §5.2: wait for readers of the lower copy so the upper copy
             # cannot miss concurrent modifications.
-            shared.wait_for_unpinned(lower.tier)
-            existing = shared.copy_on(upper.tier)
+            pinned = copies[lower_rank]
+            if pinned is not None and pinned.pin_count > 0:
+                shared.wait_for_unpinned(lower.tier)
+            existing = copies[upper_rank]
             if existing is not None:
                 return existing
             cost = self._cost
@@ -343,7 +381,11 @@ class AccessPath:
             lower_content = lower_desc.content
             if not isinstance(lower_content, Page):  # pragma: no cover - defensive
                 raise RuntimeError("lower-tier frames always hold full pages")
-            if self.config.fine_grained:
+            if self.config.fine_grained and not lower_desc.claimed \
+                    and copies[lower_rank] is lower_desc:
+                # A partial copy needs its backing page to stay: a lower
+                # copy an eviction has claimed (or removed) is copied up
+                # whole instead — which only a concurrent eviction makes.
                 descriptor = self.fine.install_fine_grained(shared, lower_content,
                                                             offset, nbytes)
             else:

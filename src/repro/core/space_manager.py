@@ -73,6 +73,11 @@ _INSERT_ATTEMPTS = 64
 _CPU = CostAccumulator.CPU
 _DRAM_RANK = Tier.DRAM.rank
 _NVM_RANK = Tier.NVM.rank
+#: The latches a partial layout's settling takes: its DRAM copy's and
+#: its NVM backing page's.
+_PARTIAL_RANKS = (_DRAM_RANK, _NVM_RANK)
+#: The layouts that keep their page's data on an NVM backing page.
+_PARTIAL = (CacheLinePage, MiniPage)
 #: ``EventType.index`` of what an eviction publishes: a site calls the
 #: bus only when that type has a subscriber.
 _EVICT = EventType.EVICT.index
@@ -338,13 +343,13 @@ class SpaceManager:
                 if events._appliers[_EVICT]:
                     emit(EventType.EVICT, page_id, tier=tier,
                          dirty=victim.dirty)
-                content = victim.content
                 if self._partial:
-                    content = self._settle_partial(node, shared, victim,
-                                                   content)
+                    content = self._settle_partial(node, shared, victim)
                     if content is None:
                         victim = None
                         continue
+                else:
+                    content = victim.content
                 lower, lower_rank, admit, drop, back, stale_back = \
                     levels[node.index]
                 if victim.dirty:
@@ -453,40 +458,39 @@ class SpaceManager:
             raise
 
     def _settle_partial(self, node: TierNode, shared: SharedPageDescriptor,
-                        victim: TierPageDescriptor, content: FrameContent):
-        """The partial-layout steps of an eviction (fine-grained chains).
+                        victim: TierPageDescriptor):
+        """The partial-layout steps of an eviction (fine-grained chains),
+        under the page's DRAM and NVM latches — a layout changes only
+        with its DRAM latch held, so what is read here stays true.
 
         An NVM victim first makes a partial DRAM copy backed by it
         self-contained, before the backing disappears.  A partial victim
-        over a live NVM page writes its dirty lines back and is gone
-        (returns ``None``); one without writes itself out as a full page
-        through the fates of a full page (returns that page).
+        (always a DRAM copy) over a live NVM page writes its dirty lines
+        back, if it has any, and is gone (returns ``None``); one without
+        writes itself out as a full page through the fates of a full
+        page (returns that page).  Any other victim's content is
+        returned as it is.
         """
-        if node.tier is Tier.NVM:
-            above = shared._copies[_DRAM_RANK]
-            if above is not None and isinstance(
-                    above.content, (CacheLinePage, MiniPage)):
-                ranks = _ranks(Tier.DRAM, Tier.NVM)
-                latches = _latch_victim(shared, ranks)
-                try:
+        latches = _latch_victim(shared, _PARTIAL_RANKS)
+        try:
+            if node.tier is Tier.NVM:
+                above = shared._copies[_DRAM_RANK]
+                if above is not None and isinstance(above.content, _PARTIAL):
                     self.flush.writeback_lines_to_nvm(shared, above)
                     self.fine.promote_to_full_residency(above)
-                finally:
-                    for rank in reversed(ranks):
-                        latches[rank].release()
-        if not isinstance(content, (CacheLinePage, MiniPage)):
-            return content
-        if shared._copies[_NVM_RANK] is None:
-            return self.fine.promote_to_full_residency(victim)
-        ranks = _ranks(node.tier, Tier.NVM)
-        latches = _latch_victim(shared, ranks)
-        try:
-            self.flush.writeback_lines_to_nvm(shared, victim)
+                return victim.content
+            content = victim.content
+            if not isinstance(content, _PARTIAL):
+                return content
+            if shared._copies[_NVM_RANK] is None:
+                return self.fine.promote_to_full_residency(victim)
+            if content.dirty_mask:
+                self.flush.writeback_lines_to_nvm(shared, victim)
             node.pool.remove(shared, victim)
+            return None
         finally:
-            for rank in reversed(ranks):
-                latches[rank].release()
-        return None
+            latches[_NVM_RANK].release()
+            latches[_DRAM_RANK].release()
 
     # ------------------------------------------------------------------
     # Tenant-aware victim selection

@@ -164,6 +164,7 @@ class MetricsHub:
         #: at its OP event — so for any window the tenant-labelled sums
         #: reconcile ±0 with the global totals.
         self._tenant_of = None
+        self._admission_base: list[tuple[int, int]] = []
         self._finalized = False
         # Resolved-per-attach metric handles (no registry lookups on the
         # hot path).
@@ -186,6 +187,12 @@ class MetricsHub:
         self._chain = bm.chain
         self._tenant_of = (
             bm.tenancy.tenant_of if bm.tenancy is not None else None
+        )
+        #: Each tenant queue's ``(considerations, admissions)`` at
+        #: attach: the window's admission counters are the difference.
+        self._admission_base = (
+            [stats[:2] for stats in bm.tenancy.admission_stats()]
+            if bm.tenancy is not None else []
         )
         self._miss_hist = registry.histogram(
             "op_latency_ns", {"outcome": MISS_OUTCOME}
@@ -245,20 +252,21 @@ class MetricsHub:
             self._sample_epoch(now)
         self._write_traffic()
         if self._tenant_of is not None:
-            # Cumulative-since-construction admission stats, published
-            # once per window (same one-shot guard as the fault merge).
+            # The window's admission traffic — what each queue counted
+            # since attach — published once per window (same one-shot
+            # guard as the fault merge).
             tenancy = self._bm.tenancy
             if tenancy.admission_queues:
-                for tenant, (cons, adm, _rate) in enumerate(
-                    tenancy.admission_stats()
-                ):
+                for tenant, ((cons, adm, _rate), (cons0, adm0)) in \
+                        enumerate(zip(tenancy.admission_stats(),
+                                      self._admission_base)):
                     labels = {"tenant": str(tenant)}
                     self.registry.counter(
                         "tenant_admission_considerations_total", labels
-                    ).inc(cons)
+                    ).inc(cons - cons0)
                     self.registry.counter(
                         "tenant_admissions_total", labels
-                    ).inc(adm)
+                    ).inc(adm - adm0)
         source = self.fault_source
         if source is not None:
             # One-shot by construction: finalize runs once per window

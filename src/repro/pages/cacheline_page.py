@@ -22,23 +22,39 @@ from .page import Page, PageId
 #: Header size: resident mask + dirty mask + flags + NVM pointer = 2 lines.
 CACHE_LINE_PAGE_HEADER_BYTES = 2 * CACHE_LINE_SIZE
 
+#: The one lock every mask update of every partial layout takes — cache-
+#: line pages and mini pages alike.  A layout is built on every NVM→DRAM
+#: migration, so it builds no lock of its own; an update is a few
+#: integer operations, so sharing one across pages costs no parallelism
+#: (the descriptors' pin lock follows the same pattern).
+MASK_LOCK = threading.Lock()
+
+
+def _range_error(first_line: int, nlines: int, num_lines: int) -> ValueError:
+    return ValueError(
+        f"line range [{first_line}, {first_line + nlines}) outside "
+        f"page of {num_lines} lines"
+    )
+
 
 class CacheLinePage:
     """A partially loaded DRAM copy of an NVM-resident page.
 
     The bitmask operations use arbitrary-precision ints (one bit per cache
     line), mirroring the paper's layout where each mask covers the page's
-    256 cache lines.
+    256 cache lines.  Both masks are readable attributes — the serving
+    path tests a request against :attr:`resident_mask` without a call —
+    and change only under :data:`MASK_LOCK`, inside the methods below.
+    Each method checks its line range once.
     """
 
     __slots__ = (
         "page_id",
         "size",
         "nvm_page",
-        "_resident",
-        "_dirty",
+        "resident_mask",
+        "dirty_mask",
         "_num_lines",
-        "_lock",
     )
 
     def __init__(self, nvm_page: Page, size: int = PAGE_SIZE) -> None:
@@ -47,9 +63,11 @@ class CacheLinePage:
         #: Back pointer to the underlying NVM page for on-demand loads.
         self.nvm_page = nvm_page
         self._num_lines = size // CACHE_LINE_SIZE
-        self._resident = 0
-        self._dirty = 0
-        self._lock = threading.Lock()
+        #: One bit per loaded line.
+        self.resident_mask = 0
+        #: One bit per line to write back (always a subset of the
+        #: resident lines).
+        self.dirty_mask = 0
 
     # ------------------------------------------------------------------
     @property
@@ -57,16 +75,12 @@ class CacheLinePage:
         return self._num_lines
 
     @property
-    def dirty_mask(self) -> int:
-        return self._dirty
-
-    @property
     def resident_count(self) -> int:
-        return self._resident.bit_count()
+        return self.resident_mask.bit_count()
 
     @property
     def dirty_count(self) -> int:
-        return self._dirty.bit_count()
+        return self.dirty_mask.bit_count()
 
     @property
     def fully_resident(self) -> bool:
@@ -80,56 +94,42 @@ class CacheLinePage:
 
     @property
     def is_dirty(self) -> bool:
-        return self._dirty != 0
+        return self.dirty_mask != 0
 
     # ------------------------------------------------------------------
-    def _check_range(self, first_line: int, nlines: int) -> None:
-        if first_line < 0 or nlines <= 0 or first_line + nlines > self._num_lines:
-            raise ValueError(
-                f"line range [{first_line}, {first_line + nlines}) outside "
-                f"page of {self._num_lines} lines"
-            )
-
-    @staticmethod
-    def _range_mask(first_line: int, nlines: int) -> int:
-        return ((1 << nlines) - 1) << first_line
-
-    def missing_lines(self, first_line: int, nlines: int) -> int:
-        """Number of not-yet-resident lines in the requested range."""
-        self._check_range(first_line, nlines)
-        mask = self._range_mask(first_line, nlines)
-        with self._lock:
-            return (mask & ~self._resident & ((1 << self._num_lines) - 1)).bit_count()
-
     def load_lines(self, first_line: int, nlines: int) -> int:
         """Mark a line range resident; return how many were newly loaded.
 
         The caller charges the device cost for the newly loaded lines
         (possibly rounded up to the loading unit).
         """
-        self._check_range(first_line, nlines)
-        mask = self._range_mask(first_line, nlines)
-        with self._lock:
-            newly = mask & ~self._resident
-            self._resident |= mask
-            return newly.bit_count()
+        if first_line < 0 or nlines <= 0 \
+                or first_line + nlines > self._num_lines:
+            raise _range_error(first_line, nlines, self._num_lines)
+        mask = ((1 << nlines) - 1) << first_line
+        with MASK_LOCK:
+            newly = mask & ~self.resident_mask
+            self.resident_mask |= mask
+        return newly.bit_count()
 
     def load_all(self) -> int:
         """Load every line (promotion to a fully resident page)."""
         full = (1 << self._num_lines) - 1
-        with self._lock:
-            newly = full & ~self._resident
-            self._resident = full
-            return newly.bit_count()
+        with MASK_LOCK:
+            newly = full & ~self.resident_mask
+            self.resident_mask = full
+        return newly.bit_count()
 
     def mark_dirty(self, first_line: int, nlines: int) -> None:
         """Mark a line range dirty (it must already be resident)."""
-        self._check_range(first_line, nlines)
-        mask = self._range_mask(first_line, nlines)
-        with self._lock:
-            if mask & ~self._resident:
+        if first_line < 0 or nlines <= 0 \
+                or first_line + nlines > self._num_lines:
+            raise _range_error(first_line, nlines, self._num_lines)
+        mask = ((1 << nlines) - 1) << first_line
+        with MASK_LOCK:
+            if mask & ~self.resident_mask:
                 raise ValueError("cannot dirty lines that are not resident")
-            self._dirty |= mask
+            self.dirty_mask |= mask
 
     def writeback_lines(self) -> int:
         """Clear the dirty mask; return the number of lines to write back.
@@ -137,10 +137,10 @@ class CacheLinePage:
         Only dirty lines are written back to NVM on eviction (Fig. 2's
         ``dirty`` mask is exactly this set).
         """
-        with self._lock:
-            count = self._dirty.bit_count()
-            self._dirty = 0
-            return count
+        with MASK_LOCK:
+            dirty = self.dirty_mask
+            self.dirty_mask = 0
+        return dirty.bit_count()
 
     def dirty_bytes(self) -> int:
         return self.dirty_count * CACHE_LINE_SIZE

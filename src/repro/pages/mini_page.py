@@ -12,9 +12,8 @@ The header (count, slots, dirty mask, flags) fits in one cache line.
 
 from __future__ import annotations
 
-import threading
-
 from ..hardware.specs import CACHE_LINE_SIZE
+from .cacheline_page import MASK_LOCK
 from .page import Page, PageId
 
 #: Maximum number of cache lines a mini page can hold.
@@ -43,17 +42,21 @@ class MiniPageOverflow(Exception):
 
 
 class MiniPage:
-    """A sixteen-slot mini page caching lines of an NVM-resident page."""
+    """A sixteen-slot mini page caching lines of an NVM-resident page.
 
-    __slots__ = ("page_id", "nvm_page", "_slots", "_dirty", "_lock")
+    Slots and the dirty mask change only under the partial layouts'
+    shared :data:`~repro.pages.cacheline_page.MASK_LOCK`.
+    """
+
+    __slots__ = ("page_id", "nvm_page", "_slots", "dirty_mask")
 
     def __init__(self, nvm_page: Page) -> None:
         self.page_id: PageId = nvm_page.page_id
         self.nvm_page = nvm_page
         #: slot index -> logical cache-line number (insertion ordered).
         self._slots: list[int] = []
-        self._dirty = 0  # bit per slot
-        self._lock = threading.Lock()
+        #: One bit per slot to write back.
+        self.dirty_mask = 0
 
     # ------------------------------------------------------------------
     @property
@@ -66,20 +69,16 @@ class MiniPage:
 
     @property
     def slots(self) -> tuple[int, ...]:
-        with self._lock:
+        with MASK_LOCK:
             return tuple(self._slots)
 
     @property
-    def dirty_mask(self) -> int:
-        return self._dirty
-
-    @property
     def is_dirty(self) -> bool:
-        return self._dirty != 0
+        return self.dirty_mask != 0
 
     @property
     def dirty_count(self) -> int:
-        return self._dirty.bit_count()
+        return self.dirty_mask.bit_count()
 
     def resident_bytes(self) -> int:
         return MINI_PAGE_HEADER_BYTES + self.count * CACHE_LINE_SIZE
@@ -92,20 +91,21 @@ class MiniPage:
         §6.5 attributes the mini page's limited benefit on Optane to this
         per-access overhead.
         """
-        with self._lock:
+        with MASK_LOCK:
             try:
                 return self._slots.index(line)
             except ValueError:
                 return None
 
-    def ensure_lines(self, lines: list[int]) -> int:
-        """Make every line in ``lines`` resident; return newly loaded count.
+    def ensure_lines(self, lines) -> int:
+        """Make every line in ``lines`` (any iterable of line numbers)
+        resident; return newly loaded count.
 
         Raises :class:`MiniPageOverflow` when the lines would not fit, in
         which case no slot is consumed (all-or-nothing), matching the
         transparent-promotion behaviour in the paper.
         """
-        with self._lock:
+        with MASK_LOCK:
             missing = [ln for ln in dict.fromkeys(lines) if ln not in self._slots]
             if len(self._slots) + len(missing) > MINI_PAGE_SLOTS:
                 raise MiniPageOverflow(self.page_id, len(self._slots) + len(missing))
@@ -113,26 +113,27 @@ class MiniPage:
             return len(missing)
 
     def mark_dirty(self, line: int) -> None:
-        with self._lock:
+        with MASK_LOCK:
             try:
                 slot = self._slots.index(line)
             except ValueError:
                 raise ValueError(f"line {line} is not resident in mini page") from None
-            self._dirty |= 1 << slot
+            self.dirty_mask |= 1 << slot
 
     def writeback_lines(self) -> list[int]:
         """Dirty logical lines to flush to NVM; clears the dirty mask."""
-        with self._lock:
+        with MASK_LOCK:
+            mask = self.dirty_mask
             dirty = [
                 line
                 for slot, line in enumerate(self._slots)
-                if self._dirty & (1 << slot)
+                if mask & (1 << slot)
             ]
-            self._dirty = 0
+            self.dirty_mask = 0
             return dirty
 
     def resident_lines(self) -> list[int]:
-        with self._lock:
+        with MASK_LOCK:
             return list(self._slots)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -51,6 +51,7 @@ from repro.hardware.memory_mode import MemoryModeDevice
 from repro.hardware.pricing import HierarchyShape
 from repro.hardware.specs import SimulationScale, Tier
 from repro.pages.cacheline_page import CacheLinePage
+from repro.pages.granularity import LoadingUnit
 from repro.pages.mini_page import MiniPage
 from repro.pages.page import Page
 
@@ -180,6 +181,18 @@ STREAMS = {
         1.0, 4.0, SPITFIRE_EAGER,
         BufferManagerConfig(fine_grained=True, mini_pages=True),
         0.3, {"flush"}),
+    # Fig. 11's configuration: HyMem, cache-line pages without mini
+    # pages, at both ends of the loading-unit sweep.
+    "hymem_cacheline_64": (
+        2.0, 4.0, HYMEM_POLICY,
+        BufferManagerConfig(fine_grained=True, mini_pages=False,
+                            loading_unit=LoadingUnit(64)),
+        0.3, {"flush"}),
+    "hymem_cacheline_512": (
+        2.0, 4.0, HYMEM_POLICY,
+        BufferManagerConfig(fine_grained=True, mini_pages=False,
+                            loading_unit=LoadingUnit(512)),
+        0.3, {"flush"}),
     "faulty_devices": (2.0, 4.0, HALF, None, 0.4, {"faults"}),
     "memory_mode": (2.0, 4.0, DRAM_SSD_POLICY, None, 0.4, {"memory_mode"}),
 }
@@ -207,6 +220,13 @@ DIGESTS = {
         "3a8b396c98802375b3081ff65e072d6f374b9413f26915a588183a9c8f2e4986",
     "mini_pages":
         "2fa99a07d70fd15d424052fc0ec1730b29d6e6166375361ffbab06d712980049",
+    # Computed while a partial layout was served through the
+    # ``climb`` → ``serve`` → ``serve_resident_access`` tower and its
+    # masks took a lock built per install.
+    "hymem_cacheline_64":
+        "e5e36500ad34430b7e58f8cb38fca9830004294d118cc9d645c0fc0223fc4292",
+    "hymem_cacheline_512":
+        "06209fcb779692733922ccd05195a6be0eab10e8531d6fc0d405779bf2da7640",
     "faulty_devices":
         "5c6475a8442dec2b7359486f4187db85ea7b2fc4a65734bc215ef4d783e12095",
     "memory_mode":

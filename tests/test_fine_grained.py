@@ -24,13 +24,24 @@ class TestIndependentConstruction:
         core = make_fine_core()
         assert isinstance(core.fine, FineGrainedOps)
 
-    def test_lines_for_spans_and_clamps(self):
-        core = make_fine_core()
-        assert core.fine.lines_for(0, 64) == [0]
-        assert core.fine.lines_for(0, 129) == [0, 1, 2]
+    def test_line_span_covers_the_bytes_and_clamps(self):
+        # A mini page caches exactly the lines an access touches.
+        core = make_fine_core(mini_pages=True)
+        page = core.store.allocate().page_id
+        core.access.access(page, 0, 64, is_write=False)
+        mini = core.table.get(page).copy_on(Tier.DRAM).content
+        assert mini.resident_lines() == [0]
+        core.access.access(page, 0, 129, is_write=False)
+        assert mini.resident_lines() == [0, 1, 2]
         last = PAGE_SIZE // CACHE_LINE_SIZE - 1
         # Offsets past the page end clamp to the last line.
-        assert core.fine.lines_for(PAGE_SIZE + 512, 64) == [last]
+        core.access.access(page, PAGE_SIZE + 512, 64, is_write=False)
+        assert mini.resident_lines() == [0, 1, 2, last]
+        # So does an install at such an offset.
+        other = core.store.allocate().page_id
+        core.access.access(other, PAGE_SIZE + 512, 64, is_write=False)
+        assert core.table.get(other).copy_on(Tier.DRAM) \
+            .content.resident_lines() == [last]
 
 
 class TestCacheLineServing:

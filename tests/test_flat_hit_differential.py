@@ -133,7 +133,7 @@ CONFIGURATIONS = {
     "dram_only": (
         lambda: BufferManager(_hierarchy(2.0, 0.0), DRAM_SSD_POLICY),
         "30b6552ac33e4103dec0333f3ba07b35ff76e1b3919545987e6872ffd4885e2c"),
-    # Partial layouts on the top tier keep the serve_resident_access route.
+    # Partial layouts on the top tier are served by FineGrainedOps.
     "cacheline_top": (
         lambda: BufferManager(_hierarchy(2.0, 8.0), SPITFIRE_EAGER,
                               BufferManagerConfig(fine_grained=True)),

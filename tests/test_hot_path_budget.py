@@ -1,8 +1,10 @@
 """Frame budgets of what every workload is mostly made of: a DRAM hit,
 an SSD miss with its eviction (on DRAM-SSD, and on DRAM-NVM-SSD with
 the eviction cascading to the bottom), the log records of a write, the
-mapping-table entry every page touched for the first time builds — and
-the generation of the ops themselves.
+mapping-table entry every page touched for the first time builds, the
+generation of the ops themselves — and, for HyMem's cache-line pages
+(Fig. 11), an NVM hit installing a partial copy, a DRAM hit loading a
+unit, and the average op of a quick Fig. 11 cell.
 
 Spitfire's premise (§3, §5.1) is that a buffered access is nearly free
 and only migrations cost; §5.2's, that with an NVM log buffer a commit
@@ -25,9 +27,16 @@ import tracemalloc
 import pytest
 from conftest import make_bm
 
+from repro.bench.experiments import fig11_granularity
 from repro.bench.harness import RunConfig, WorkloadRunner
+from repro.core.buffer_manager import BufferManagerConfig
 from repro.core.mapping_table import MappingTable
-from repro.core.policy import DRAM_SSD_POLICY, SPITFIRE_LAZY, MigrationPolicy
+from repro.core.policy import (
+    DRAM_SSD_POLICY,
+    HYMEM_POLICY,
+    SPITFIRE_LAZY,
+    MigrationPolicy,
+)
 from repro.hardware.specs import Tier
 from repro.workloads.ycsb import (
     COLUMN_SIZE,
@@ -88,6 +97,23 @@ ENTRY_BYTE_BUDGET = 600
 #: frames (4.06 per op before; 1.06 now).
 GEN_RO_BUDGET = 0.01
 GEN_BA_BUDGET = 1.1
+#: ... and HyMem's cache-line pages (fine-grained, no mini pages): an
+#: NVM hit promoted to DRAM, installing a cache-line copy whose room is
+#: one clean partial victim's frame (77 while a partial hit went
+#: ``climb`` → ``serve`` → ``serve_resident_access`` →
+#: ``_finish_resident_access``, a migration took its latches through a
+#: guard object, a load charged through four device and accumulator
+#: calls and two ``Tier``-keyed dict lookups, page masks were read
+#: through range-checking methods, and a clean victim went through the
+#: write-back dispatch; 38 when this budget was set) ...
+FINE_INSTALL_BUDGET = 50
+#: ... a DRAM hit on a cache-line page that loads one loading unit (36
+#: before; 13 when this budget was set) ...
+FINE_LOAD_BUDGET = 22
+#: ... and the average op, warm-up and measurement, of the quick 256 B
+#: Fig. 11 cell (56.5 before; 26.7 when this budget was set: 56 % of its
+#: ops are NVM hits installing a copy, a third DRAM hits that load).
+FIG11_OP_BUDGET = 36
 OPS = 1_000
 
 
@@ -274,4 +300,86 @@ def test_new_mapping_entry_stays_within_call_and_byte_budget():
     assert retained / OPS <= ENTRY_BYTE_BUDGET, (
         f"{retained / OPS:.0f} B retained per new entry, "
         f"budget {ENTRY_BYTE_BUDGET}"
+    )
+
+
+def _cacheline_bm():
+    """HyMem with cache-line pages: 64 DRAM and 128 NVM frames."""
+    return make_bm(dram_gb=2.0, nvm_gb=4.0, policy=HYMEM_POLICY,
+                   config=BufferManagerConfig(fine_grained=True),
+                   pages_per_gb=32)
+
+
+def test_cacheline_install_stays_within_frame_budget():
+    # Every page is on NVM and twice as many as DRAM holds are read in a
+    # cycle: each read is an NVM hit that installs a cache-line copy in
+    # DRAM, evicting the clean copy installed longest ago.
+    bm = _cacheline_bm()
+    pages = list(range(bm.pools[Tier.NVM].max_entries))
+    bm.allocate_pages(pages)
+    for page in pages:
+        assert bm.prime_page(Tier.NVM, page)
+    for index in range(2 * len(pages)):
+        bm.read(pages[index % len(pages)], 0, 64)
+    bm.reset_stats()
+
+    def run():
+        for index in range(OPS):
+            bm.read(pages[index % len(pages)], 0, 64)
+
+    calls = python_calls(run) - 1  # ``run`` itself
+    stats = bm.stats
+    assert stats.nvm_hits == stats.nvm_to_dram == OPS
+    assert stats.dram_evictions == stats.fine_grained_loads == OPS
+    assert stats.clean_drops == stats.dram_to_nvm == 0
+    assert calls / OPS <= FINE_INSTALL_BUDGET, (
+        f"{calls / OPS:.1f} Python-level calls per cache-line install, "
+        f"budget {FINE_INSTALL_BUDGET}"
+    )
+
+
+def test_cacheline_load_stays_within_frame_budget():
+    # Each DRAM page holds one loading unit; every read asks for a line
+    # of the next unit, which is loaded.
+    bm = _cacheline_bm()
+    pages = list(range(bm.pools[Tier.DRAM].max_entries))
+    bm.allocate_pages(pages)
+    for page in pages:
+        assert bm.prime_page(Tier.NVM, page)
+        bm.read(page, 0, 64)
+    bm.reset_stats()
+    unit = bm.config.loading_unit.nbytes
+
+    def run():
+        for index in range(OPS):
+            bm.read(pages[index % len(pages)],
+                    unit * (1 + index // len(pages)), 64)
+
+    calls = python_calls(run) - 1  # ``run`` itself
+    stats = bm.stats
+    assert stats.dram_hits == stats.fine_grained_loads == OPS
+    assert stats.nvm_hits == 0
+    assert calls / OPS <= FINE_LOAD_BUDGET, (
+        f"{calls / OPS:.1f} Python-level calls per cache-line load, "
+        f"budget {FINE_LOAD_BUDGET}"
+    )
+
+
+def test_fig11_op_stays_within_frame_budget(monkeypatch):
+    cell = fig11_granularity.cells(quick=True)[256]
+    phases: list[tuple[int, int]] = []
+    run_phase = WorkloadRunner._run_phase
+
+    def counted(runner, run, total, sample=False):
+        phases.append((total, python_calls(
+            lambda: run_phase(runner, run, total, sample)) - 2))
+
+    monkeypatch.setattr(WorkloadRunner, "_run_phase", counted)
+    cell.run()
+    ops = sum(total for total, _ in phases)
+    calls = sum(counted for _, counted in phases)
+    assert ops == cell.effort.warmup_ops + cell.effort.measure_ops
+    assert calls / ops <= FIG11_OP_BUDGET, (
+        f"{calls / ops:.1f} Python-level calls per Fig. 11 op, "
+        f"budget {FIG11_OP_BUDGET}"
     )

@@ -5,7 +5,9 @@ import threading
 
 from conftest import make_bm
 
-from repro.core.policy import SPITFIRE_EAGER, MigrationPolicy
+from repro.core.buffer_manager import BufferManagerConfig
+from repro.core.policy import HYMEM_POLICY, SPITFIRE_EAGER, MigrationPolicy
+from repro.core.tenancy import TenancyConfig
 from repro.hardware.specs import Tier
 from repro.obs.hub import MISS_OUTCOME, MetricsHub, outcome_label
 
@@ -205,3 +207,66 @@ class TestLifecycle:
         assert set(snap) == {"registry", "epochs"}
         assert any(entry["name"] == "op_latency_ns"
                    for entry in snap["registry"].values())
+
+
+class TestTenantAdmissionWindow:
+    """A window's tenant admission counters are what each tenant's
+    queue counted while the hub was attached: not the warm-up before
+    it, nor an earlier window on the same manager."""
+
+    @staticmethod
+    def _bm():
+        config = BufferManagerConfig(tenancy=TenancyConfig(
+            num_tenants=2, page_stride=32))
+        bm = make_bm(dram_gb=2.0, nvm_gb=4.0, policy=HYMEM_POLICY,
+                     config=config)
+        bm.allocate_pages(range(64))
+        return bm
+
+    @staticmethod
+    def _drive(bm, rng, ops):
+        for _ in range(ops):
+            bm.read(rng.randrange(64), 0, 64)
+
+    @staticmethod
+    def _counted(hub, tenant):
+        labels = {"tenant": str(tenant)}
+        return (
+            hub.registry.get("tenant_admission_considerations_total",
+                             labels).value,
+            hub.registry.get("tenant_admissions_total", labels).value,
+        )
+
+    def test_counters_are_the_window_delta(self):
+        bm = self._bm()
+        rng = random.Random(5)
+        self._drive(bm, rng, 300)  # warm-up: queues already consulted
+        before = [stats[:2] for stats in bm.tenancy.admission_stats()]
+        assert all(cons for cons, _ in before)
+        hub = attached_hub(bm)
+        self._drive(bm, rng, 300)
+        hub.detach()
+        after = [stats[:2] for stats in bm.tenancy.admission_stats()]
+        for tenant, ((cons0, adm0), (cons1, adm1)) in enumerate(
+                zip(before, after)):
+            assert cons1 > cons0
+            assert self._counted(hub, tenant) == (cons1 - cons0,
+                                                  adm1 - adm0)
+
+    def test_second_window_does_not_recount_the_first(self):
+        bm = self._bm()
+        rng = random.Random(6)
+        first = attached_hub(bm)
+        self._drive(bm, rng, 300)
+        first.detach()
+        middle = [stats[:2] for stats in bm.tenancy.admission_stats()]
+        second = attached_hub(bm)
+        self._drive(bm, rng, 300)
+        second.detach()
+        after = [stats[:2] for stats in bm.tenancy.admission_stats()]
+        for tenant in range(2):
+            assert self._counted(first, tenant) == middle[tenant]
+            assert self._counted(second, tenant) == (
+                after[tenant][0] - middle[tenant][0],
+                after[tenant][1] - middle[tenant][1],
+            )

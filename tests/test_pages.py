@@ -76,11 +76,6 @@ class TestCacheLinePage:
         clp.load_lines(0, 4)
         assert clp.load_lines(2, 4) == 2
 
-    def test_missing_lines(self, clp: CacheLinePage):
-        clp.load_lines(0, 4)
-        assert clp.missing_lines(0, 8) == 4
-        assert clp.missing_lines(0, 4) == 0
-
     def test_load_all_sets_r_bit(self, clp: CacheLinePage):
         assert clp.load_all() == 256
         assert clp.fully_resident
