@@ -356,7 +356,7 @@ class WorkloadRunner:
         )
         nvm_reachable = self.bm.has_nvm and (
             policy.n_r > 0 or policy.n_w > 0
-            or self.bm.admission_queue is not None
+            or bool(self.bm.admission_queues)
         )
         if dram_reachable:
             while cursor < len(ranked_pages):

@@ -129,74 +129,71 @@ class AccessPath:
         toward the top (§3.1/§3.2).  A full miss goes to
         :meth:`fetch_from_ssd`.
         """
-        cost = self._cost
         events = self.events
-        cost.begin_cpu_batch()
-        try:
-            cost.charge_fp(_CPU, self._lookup_fp)
-            stats = self.chain.stats
-            # Each publish is made only when its type has a subscriber;
-            # the check reads the bus's current tuples, so an observer
-            # attached between ops sees everything from the next op on.
-            if is_write:
-                stats.writes += 1
-                if events._appliers[_OP_WRITE]:
-                    self._emit(EventType.OP_WRITE, page_id)
+        stats = self.chain.stats
+        # Each publish is made only when its type has a subscriber;
+        # the check reads the bus's current tuples, so an observer
+        # attached between ops sees everything from the next op on.
+        if is_write:
+            stats.writes += 1
+            if events._appliers[_OP_WRITE]:
+                self._emit(EventType.OP_WRITE, page_id)
+        else:
+            stats.reads += 1
+            if events._appliers[_OP_READ]:
+                self._emit(EventType.OP_READ, page_id)
+        # Charged after the op's publish, so an observer bracketing ops
+        # at OP_READ/OP_WRITE counts each lookup in its own op.
+        self._cost.charge_fp(_CPU, self._lookup_fp)
+        shared = self.table.get_or_create(page_id)
+        for node in self.chain.nodes:
+            tier = node.tier
+            # ``shared.copy_on(tier)``, spelled out: every access
+            # reads this pointer, lock-free (a hit that acts on more
+            # than the flat case below revalidates under the latch).
+            descriptor = shared._copies[tier.rank]
+            if descriptor is None:
+                continue
+            node.pool.replacer.record_access(descriptor.frame_index)
+            if tier is Tier.DRAM:
+                stats.dram_hits += 1
             else:
-                stats.reads += 1
-                if events._appliers[_OP_READ]:
-                    self._emit(EventType.OP_READ, page_id)
-            shared = self.table.get_or_create(page_id)
-            for node in self.chain.nodes:
-                tier = node.tier
-                # ``shared.copy_on(tier)``, spelled out: every access
-                # reads this pointer, lock-free (a hit that acts on more
-                # than the flat case below revalidates under the latch).
-                descriptor = shared._copies[tier.rank]
-                if descriptor is None:
-                    continue
-                node.pool.replacer.record_access(descriptor.frame_index)
-                if tier is Tier.DRAM:
-                    stats.dram_hits += 1
-                else:
-                    stats.nvm_hits += 1
-                if events._appliers[_HIT]:
-                    self._emit(EventType.HIT, page_id, tier)
-                if node is self._volatile_top:
-                    # Nothing can climb, and a full page misses no line.
-                    content = descriptor.content
-                    if isinstance(content, Page):
-                        if is_write:
-                            descriptor.dirty = True
-                            node.write(page_id, nbytes)
-                        else:
-                            node.read(page_id, nbytes)
-                    elif isinstance(content, CacheLinePage):
-                        self.fine.serve_cacheline_access(
-                            node, shared, descriptor, offset, nbytes,
-                            is_write)
+                stats.nvm_hits += 1
+            if events._appliers[_HIT]:
+                self._emit(EventType.HIT, page_id, tier)
+            if node is self._volatile_top:
+                # Nothing can climb, and a full page misses no line.
+                content = descriptor.content
+                if isinstance(content, Page):
+                    if is_write:
+                        descriptor.dirty = True
+                        node.write(page_id, nbytes)
                     else:
-                        self.fine.serve_resident_access(
-                            node, shared, descriptor, offset, nbytes,
-                            is_write)
-                    return _result(AccessResult, (page_id, tier, True, False))
-                # Atomic attribute read; ``set_policy`` replaces the
-                # whole object, so skipping the slot's lock is race-free.
-                policy = self.policy_slot.current
-                promote_op = (
-                    MigrationOp.PROMOTE_WRITE if is_write
-                    else MigrationOp.PROMOTE_READ
-                )
-                node, descriptor = self.climb(
-                    shared, node, descriptor, promote_op, offset, nbytes, policy
-                )
-                return self.serve(node, shared, descriptor, offset, nbytes,
-                                  is_write, hit=True)
+                        node.read(page_id, nbytes)
+                elif isinstance(content, CacheLinePage):
+                    self.fine.serve_cacheline_access(
+                        node, shared, descriptor, offset, nbytes,
+                        is_write)
+                else:
+                    self.fine.serve_resident_access(
+                        node, shared, descriptor, offset, nbytes,
+                        is_write)
+                return _result(AccessResult, (page_id, tier, True, False))
+            # Atomic attribute read; ``set_policy`` replaces the
+            # whole object, so skipping the slot's lock is race-free.
+            policy = self.policy_slot.current
+            promote_op = (
+                MigrationOp.PROMOTE_WRITE if is_write
+                else MigrationOp.PROMOTE_READ
+            )
+            node, descriptor = self.climb(
+                shared, node, descriptor, promote_op, offset, nbytes, policy
+            )
+            return self.serve(node, shared, descriptor, offset, nbytes,
+                              is_write, hit=True)
 
-            return self.fetch_from_ssd(shared, page_id, offset, nbytes,
-                                       is_write)
-        finally:
-            cost.end_cpu_batch()
+        return self.fetch_from_ssd(shared, page_id, offset, nbytes,
+                                   is_write)
 
     def climb(self, shared: SharedPageDescriptor, node: TierNode,
               descriptor: TierPageDescriptor, promote_op: MigrationOp,

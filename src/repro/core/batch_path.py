@@ -39,7 +39,7 @@ controller attaches nothing.
 
 from __future__ import annotations
 
-from ..hardware.simclock import CostAccumulator, to_fp
+from ..hardware.simclock import CostAccumulator
 from ..hardware.specs import Tier
 from ..pages.page import Page
 from .access_path import AccessPath
@@ -141,7 +141,7 @@ class BatchAccessPath:
         """Vectorized execution of ``len(ids)`` top-tier read hits.
 
         Mirrors, charge for charge, the per-op sequence: lookup CPU
-        (which reserves the cpu accumulator slot first), replacement
+        (which creates the cpu accumulator slot first), replacement
         touch, device read (media transfer + access latency), and the
         OP_READ/HIT[/DIRECT_READ] event sequence — collapsed into one
         replacement pass, two batched charges, and one bus summary
@@ -150,14 +150,13 @@ class BatchAccessPath:
         m = len(ids)
         self.fast_runs += 1
         cost: CostAccumulator = self.hierarchy.cost
-        lookup_fp = to_fp(self.hierarchy.cpu_costs.lookup_ns)
+        lookup_fp = self.access_path._lookup_fp
         base_fp = cost.total_fp
-        # A per-op run reserves the cpu slot at the lookup charge, before
-        # the device's first commit; reproduce that insertion order.
-        cost.reserve(CostAccumulator.CPU)
+        # The lookups first, as a per-op run charges them: the cpu slot
+        # is created before the device's.
+        cost.charge_batch_fp(CostAccumulator.CPU, lookup_fp * m, m)
         top.pool.replacer.record_access_batch(frames)
         transfer_fp, latency_fp = top.device.read_batch(nbytes, count=m)
-        cost.charge_batch_fp(CostAccumulator.CPU, lookup_fp * m, m)
         per_op_fp = transfer_fp + (lookup_fp + latency_fp)
         # What ``m`` per-op OP_READ → HIT [→ DIRECT_READ] sequences count.
         stats = self.chain.stats

@@ -153,8 +153,9 @@ class BufferManager:
                 "fine-grained loading needs both DRAM and NVM tiers "
                 "(it applies to the NVM→DRAM migration path)"
             )
-        self.admission_queue: AdmissionQueue | None = None
-        queue_size: int | None = None
+        #: NVM admission queues, one per tenant (one without tenancy),
+        #: indexed by tenant id; none when the policy draws ``N_w``.
+        self.admission_queues: tuple[AdmissionQueue, ...] = ()
         if (
             policy.nvm_admission is NvmAdmission.ADMISSION_QUEUE
             and Tier.NVM in self.pools
@@ -164,19 +165,16 @@ class BufferManager:
                 queue_size = recommended_queue_size(
                     self.pools[Tier.NVM].max_entries
                 )
-            self.admission_queue = AdmissionQueue(queue_size)
+            tenants = (1 if self.config.tenancy is None
+                       else self.config.tenancy.num_tenants)
+            self.admission_queues = tuple(
+                AdmissionQueue(queue_size) for _ in range(tenants)
+            )
         self.engine = MigrationEngine(self.policy_slot, self.rng,
-                                      self.admission_queue)
+                                      self.admission_queues)
         self.tenancy: TenancyControl | None = None
         if self.config.tenancy is not None:
-            self.tenancy = TenancyControl.build(
-                self.config.tenancy, admission_queue_size=queue_size
-            )
-            if self.tenancy.admission_queues \
-                    and self.config.tenancy.num_tenants == 1:
-                # The single tenant's queue IS the manager's queue, so
-                # legacy reads of ``bm.admission_queue`` stay truthful.
-                self.tenancy.admission_queues = (self.admission_queue,)
+            self.tenancy = TenancyControl(self.config.tenancy)
             self.engine.tenancy = self.tenancy
 
         # The four-component core.  Constructors take collaborators

@@ -229,7 +229,6 @@ class FineGrainedOps:
         media_bytes, units, transfer_fp, latency_fp, copy_fp, dram_plan = plan
         cost = self._cost
         usage_of = cost._usage
-        batch = cost._cpu_batch
         with cost._lock:
             usage = usage_of.get(self._nvm_key)
             if usage is None:
@@ -241,14 +240,9 @@ class FineGrainedOps:
             cpu = usage_of.get(_CPU)
             if cpu is None:
                 cpu = usage_of[_CPU] = ResourceUsage()
-            batched = batch.depth
-            if not batched:
-                cpu.busy_fp += latency_fp
-                cpu.operations += 1
-                cost._total_fp += latency_fp
-        if batched:
-            batch.pending_fp += latency_fp
-            batch.pending_ops += 1
+            cpu.busy_fp += latency_fp
+            cpu.operations += 1
+            cost._total_fp += latency_fp
         counters = self._nvm_counters
         if counters is not None:
             counters.read_ops += units
@@ -273,14 +267,10 @@ class FineGrainedOps:
                 usage.operations += 1
                 usage.bytes_moved += dram_media
                 cost._total_fp += dram_fp
-        if batched:
-            batch.pending_fp += copy_fp
-            batch.pending_ops += 1
-        else:
-            with cost._lock:
-                cpu.busy_fp += copy_fp
-                cpu.operations += 1
-                cost._total_fp += copy_fp
+        with cost._lock:
+            cpu.busy_fp += copy_fp
+            cpu.operations += 1
+            cost._total_fp += copy_fp
         self.chain.stats.fine_grained_loads += 1
         if self.events._appliers[_FINE_GRAINED_LOAD]:
             self._emit(EventType.FINE_GRAINED_LOAD, page_id, tier=Tier.NVM)

@@ -39,7 +39,7 @@ from .events import EventBus, EventType
 from .mapping_table import MappingTable
 from .migration import Edge, MigrationEngine, MigrationOp
 from .ssd_store import SsdStore
-from .tier_chain import TierChain, TierNode
+from .tier_chain import TierChain
 
 __all__ = ["FlushEngine"]
 
@@ -99,19 +99,6 @@ class FlushEngine:
             return 0
         persist_node = self.chain.first_persistent_below(top)
         latch_tiers = self.chain.tiers + (Tier.SSD,)
-        cost = self.hierarchy.cost
-        cost.begin_cpu_batch()
-        try:
-            return self._flush_dirty_dram_batch(
-                top, persist_node, latch_tiers, limit
-            )
-        finally:
-            cost.end_cpu_batch()
-
-    def _flush_dirty_dram_batch(self, top: TierNode,
-                                persist_node: TierNode | None,
-                                latch_tiers: tuple[Tier, ...],
-                                limit: int | None) -> int:
         flushed = 0
         for descriptor in top.pool.descriptors():
             if limit is not None and flushed >= limit:

@@ -57,7 +57,7 @@ class Edge:
 
 
 class MigrationEngine:
-    """Owns the RNG, the policy draws, and the admission queue.
+    """Owns the RNG, the policy draws, and the admission queues.
 
     The policy itself stays swappable at runtime (the adaptive tuner
     replaces it between epochs), so ``decide`` re-reads it from the
@@ -67,15 +67,17 @@ class MigrationEngine:
     operation sees one policy.
     """
 
-    __slots__ = ("_policy_slot", "rng", "admission_queue", "tenancy", "probe")
+    __slots__ = ("_policy_slot", "rng", "admission_queues", "tenancy", "probe")
 
     def __init__(self, policy_slot, rng: random.Random,
-                 admission_queue: AdmissionQueue | None = None) -> None:
+                 admission_queues: tuple[AdmissionQueue, ...] = ()) -> None:
         self._policy_slot = policy_slot
         self.rng = rng
-        self.admission_queue = admission_queue
-        #: Optional :class:`~repro.core.tenancy.TenancyControl`; when set,
-        #: admission queues resolve per tenant.
+        #: One NVM admission queue per tenant, indexed by tenant id (one
+        #: without tenancy); empty when eviction admission draws ``N_w``.
+        self.admission_queues = admission_queues
+        #: Optional :class:`~repro.core.tenancy.TenancyControl`: the
+        #: page→tenant rule that picks a page's queue.
         self.tenancy = None
         #: Optional decision probe (see
         #: :class:`~repro.obs.decisions.DecisionRecorder`).  Called once
@@ -120,11 +122,14 @@ class MigrationEngine:
         return admitted
 
     def _queue_for(self, page_id: PageId) -> AdmissionQueue | None:
-        """The admission queue deciding NVM entry for this page.
+        """The admission queue deciding NVM entry for this page: its
+        tenant's (tenant 0 without tenancy), or None without queues.
 
-        With tenancy wired in, each tenant consults its own queue so one
-        tenant's eviction churn cannot flush another tenant's recently
-        denied pages out of the shared FIFO."""
-        if self.tenancy is not None and self.tenancy.admission_queues:
-            return self.tenancy.queue_for(page_id)
-        return self.admission_queue
+        Each tenant consults its own queue so one tenant's eviction
+        churn cannot flush another tenant's recently denied pages out
+        of a shared FIFO."""
+        queues = self.admission_queues
+        if not queues:
+            return None
+        tenancy = self.tenancy
+        return queues[0 if tenancy is None else tenancy.tenant_of(page_id)]

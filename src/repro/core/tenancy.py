@@ -10,9 +10,9 @@ is the core-side half of that story:
 * :class:`TenancyControl` — the runtime object the buffer manager wires
   into the :class:`~repro.core.migration.MigrationEngine` and
   :class:`~repro.core.space_manager.SpaceManager`: the one page→tenant
-  rule (:meth:`TenancyControl.tenant_of`), per-tenant
-  :class:`~repro.core.admission.AdmissionQueue` instances, and per-tier
-  frame-quota arithmetic.
+  rule (:meth:`TenancyControl.tenant_of`) and per-tier frame-quota
+  arithmetic.  The per-tenant admission queues are the manager's own
+  (``BufferManager.admission_queues``, indexed by tenant).
 
 A tenant is its page range: every tenant decision — in the core and in
 the observers that label series or spans by tenant — is made from the
@@ -41,7 +41,6 @@ from dataclasses import dataclass, field
 
 from ..hardware.specs import Tier
 from ..pages.page import PageId
-from .admission import AdmissionQueue
 
 __all__ = [
     "QuotaMode",
@@ -101,30 +100,14 @@ class TenancyConfig:
 
 @dataclass
 class TenancyControl:
-    """Runtime tenant machinery wired into the core components.
-
-    Built once per buffer manager from a :class:`TenancyConfig`; holds
-    live (unpicklable) state: the per-tenant admission queues.
-    """
+    """Runtime tenant machinery wired into the core components: the
+    page→tenant layout and the quotas, built once per buffer manager
+    from a :class:`TenancyConfig`."""
 
     config: TenancyConfig
-    #: Per-tenant NVM admission queues (empty when the policy does not
-    #: use an admission queue); indexed by tenant id.
-    admission_queues: tuple[AdmissionQueue, ...] = ()
     #: Per-tier, per-tenant frame quotas, resolved lazily from pool
     #: capacities on first use.
     _quota_cache: dict = field(default_factory=dict)
-
-    @classmethod
-    def build(cls, config: TenancyConfig, *,
-              admission_queue_size: int | None = None) -> "TenancyControl":
-        queues: tuple[AdmissionQueue, ...] = ()
-        if admission_queue_size is not None:
-            queues = tuple(
-                AdmissionQueue(admission_queue_size)
-                for _ in range(config.num_tenants)
-            )
-        return cls(config=config, admission_queues=queues)
 
     # ------------------------------------------------------------------
     # Per-tenant resolution
@@ -137,12 +120,6 @@ class TenancyControl:
         if tenant >= config.num_tenants:
             return config.num_tenants - 1
         return tenant
-
-    def queue_for(self, page_id: PageId) -> AdmissionQueue | None:
-        """The admission queue of the page's owning tenant (or None)."""
-        if not self.admission_queues:
-            return None
-        return self.admission_queues[self.tenant_of(page_id)]
 
     # ------------------------------------------------------------------
     # Quota arithmetic
@@ -171,7 +148,3 @@ class TenancyControl:
             tenant = tenant_of(descriptor.page_id)
             usage[tenant] = usage.get(tenant, 0) + 1
         return usage
-
-    def admission_stats(self) -> list[tuple[int, int, float]]:
-        """Per-tenant ``(considerations, admissions, rate)`` snapshots."""
-        return [queue.snapshot() for queue in self.admission_queues]

@@ -157,7 +157,7 @@ class Device:
         CPU/worker resource; only the media transfer occupies the device.
         Counters and both charges commit in this one frame: the two
         ``CostAccumulator.charge_fp`` calls — device slot first, then the
-        stall, which joins the open CPU batch — spelled out on the
+        stall, under the same lock acquisition — spelled out on the
         accumulator's own state, so every total, operation count and
         slot order is theirs to the unit.
         """
@@ -184,14 +184,9 @@ class Device:
             usage = usage_of.get(_CPU)
             if usage is None:
                 usage = usage_of[_CPU] = ResourceUsage()
-            batch = cost._cpu_batch
-            if not batch.depth:
-                usage.busy_fp += latency_fp
-                usage.operations += 1
-                cost._total_fp += latency_fp
-                return service_ns
-        batch.pending_fp += latency_fp
-        batch.pending_ops += 1
+            usage.busy_fp += latency_fp
+            usage.operations += 1
+            cost._total_fp += latency_fp
         return service_ns
 
     def write(self, nbytes: int, sequential: bool = False) -> float:
@@ -222,14 +217,9 @@ class Device:
             usage = usage_of.get(_CPU)
             if usage is None:
                 usage = usage_of[_CPU] = ResourceUsage()
-            batch = cost._cpu_batch
-            if not batch.depth:
-                usage.busy_fp += latency_fp
-                usage.operations += 1
-                cost._total_fp += latency_fp
-                return service_ns
-        batch.pending_fp += latency_fp
-        batch.pending_ops += 1
+            usage.busy_fp += latency_fp
+            usage.operations += 1
+            cost._total_fp += latency_fp
         return service_ns
 
     # ------------------------------------------------------------------

@@ -22,6 +22,12 @@ the property the columnar batch path's byte-identity guarantee rests on.
 Floats only appear at the read-out edge (``busy_ns``, ``total_ns``), and
 those conversions are exact as long as a single accumulator stays below
 2**53 fixed-point units (≈ 8.6 simulated seconds at the default shift).
+
+Every charge commits, under the accumulator's lock, at the moment it is
+made: nothing is held back per thread or per operation, so an observer
+reading ``total_ns`` in the middle of an operation sees that
+operation's charges so far — Table 1's costs land on one timeline as
+each access happens.
 """
 
 from __future__ import annotations
@@ -155,21 +161,6 @@ class ResourceUsage:
         )
 
 
-class _CpuBatch(threading.local):
-    """Per-thread deferred CPU demand for one logical operation.
-
-    ``threading.local`` keeps concurrent workers' pending charges apart
-    without any locking; ``__init__`` runs once per thread.  Charges
-    arrive quantised and are summed as fixed-point integers, so the one
-    commit lands on the unbatched totals exactly.
-    """
-
-    def __init__(self) -> None:
-        self.depth = 0
-        self.pending_fp = 0
-        self.pending_ops = 0
-
-
 class CostAccumulator:
     """Collects per-resource service demands for a batch of operations.
 
@@ -178,14 +169,10 @@ class CostAccumulator:
     divisible across workers; device demand saturates at the device's
     aggregate bandwidth regardless of worker count.
 
-    One buffer-manager operation makes several small CPU charges (hash
-    lookup, device access latencies, migration bookkeeping).  The
-    :meth:`begin_cpu_batch` / :meth:`end_cpu_batch` pair lets the caller
-    coalesce them into a single locked charge per operation: while a
-    batch is open on the current thread, CPU charges accumulate in a
-    thread-local pending sum and commit when the outermost batch
-    closes.  All tallies are fixed-point integers, so batched and
-    per-op charge orders reduce to identical totals by construction.
+    Every charge commits under the accumulator's lock at the moment it
+    is made, so :attr:`total_ns` read mid-operation already holds the
+    operation's charges so far: there is one timeline, and every
+    observer reads it.
     """
 
     CPU = "cpu"
@@ -193,66 +180,31 @@ class CostAccumulator:
     def __init__(self) -> None:
         self._usage: dict[str, ResourceUsage] = {}
         self._lock = threading.Lock()
-        self._cpu_batch = _CpuBatch()
         #: Running sum of every committed charge.  Kept alongside the
         #: per-resource tallies so observability can read "simulated
         #: time so far" with a single attribute load on the hot path.
         self._total_fp = 0
 
-    def begin_cpu_batch(self) -> None:
-        """Open a per-operation CPU batch on the current thread."""
-        self._cpu_batch.depth += 1
-
-    def end_cpu_batch(self) -> None:
-        """Close the batch; the outermost close commits the pending charges."""
-        batch = self._cpu_batch
-        batch.depth -= 1
-        if batch.depth <= 0:
-            batch.depth = 0
-            operations = batch.pending_ops
-            if operations:
-                total_fp = batch.pending_fp
-                batch.pending_fp = 0
-                batch.pending_ops = 0
-                with self._lock:
-                    usage = self._usage.get(self.CPU)
-                    if usage is None:
-                        usage = ResourceUsage()
-                        self._usage[self.CPU] = usage
-                    usage.busy_fp += total_fp
-                    usage.operations += operations
-                    self._total_fp += total_fp
-
     def charge(self, resource: str, service_ns: float, nbytes: int = 0) -> None:
         """Charge ``service_ns`` of busy time against ``resource``."""
         self.charge_fp(resource, checked_fp(service_ns), nbytes)
 
-    def charge_fp(self, resource: str, service_fp: int, nbytes: int = 0) -> None:
-        """Charge one operation's already-quantised (:func:`checked_fp`)
-        service time — the entry every per-op charge goes through."""
-        if resource == self.CPU:
-            batch = self._cpu_batch
-            if batch.depth:
-                if resource not in self._usage:
-                    # Reserve the slot now: makespan_ns sums resources in
-                    # dict insertion order, so the cpu slot must appear
-                    # where an unbatched run would have created it.
-                    self.reserve(resource)
-                batch.pending_fp += service_fp
-                batch.pending_ops += 1
-                return
-        self._commit_fp(resource, service_fp, 1, nbytes)
-
-    def reserve(self, resource: str) -> None:
-        """Ensure ``resource`` has a slot without charging anything.
-
-        The batch path uses this to reproduce the dict insertion order a
-        per-op run would have produced (the CPU slot appears before the
-        first device slot because the lookup charge reserves it).
-        """
-        if resource not in self._usage:
-            with self._lock:
-                self._usage.setdefault(resource, ResourceUsage())
+    def charge_fp(self, resource: str, service_fp: int, nbytes: int = 0,
+                  operations: int = 1) -> None:
+        """Charge an already-quantised (:func:`checked_fp`) service time,
+        by default as one operation — the entry every charge goes
+        through, committed under the lock before it returns."""
+        with self._lock:
+            usage = self._usage.get(resource)
+            if usage is None:
+                usage = ResourceUsage()
+                self._usage[resource] = usage
+            # ResourceUsage.charge_fp spelled out: one frame fewer
+            # under every charge.
+            usage.busy_fp += service_fp
+            usage.operations += operations
+            usage.bytes_moved += nbytes
+            self._total_fp += service_fp
 
     def charge_batch(self, resource: str, service_ns_array) -> None:
         """Columnar charge: one locked reduction over per-op costs.
@@ -267,7 +219,7 @@ class CostAccumulator:
         for service_ns in service_ns_array:
             total_fp += checked_fp(service_ns)
             count += 1
-        self._commit_fp(resource, total_fp, count, 0)
+        self.charge_fp(resource, total_fp, 0, count)
 
     def charge_batch_fp(
         self, resource: str, total_fp: int, operations: int, nbytes: int = 0
@@ -275,22 +227,7 @@ class CostAccumulator:
         """Charge a pre-quantised, pre-reduced batch total."""
         if total_fp < 0:
             raise ValueError("service time must be non-negative")
-        self._commit_fp(resource, total_fp, operations, nbytes)
-
-    def _commit_fp(
-        self, resource: str, service_fp: int, operations: int, nbytes: int
-    ) -> None:
-        with self._lock:
-            usage = self._usage.get(resource)
-            if usage is None:
-                usage = ResourceUsage()
-                self._usage[resource] = usage
-            # ResourceUsage.charge_fp spelled out: one frame fewer
-            # under every charge.
-            usage.busy_fp += service_fp
-            usage.operations += operations
-            usage.bytes_moved += nbytes
-            self._total_fp += service_fp
+        self.charge_fp(resource, total_fp, nbytes, operations)
 
     @property
     def total_ns(self) -> float:
@@ -298,8 +235,7 @@ class CostAccumulator:
 
         A single attribute read (no lock, no dict walk): the
         :class:`~repro.obs.hub.MetricsHub` brackets every op's charge
-        with two of these reads, so it must stay O(1).  Charges still
-        pending in an open CPU batch are not yet visible.
+        with two of these reads, so it must stay O(1).
         """
         return self._total_fp / FP_SCALE
 
@@ -326,12 +262,6 @@ class CostAccumulator:
             return {key: u.copy() for key, u in self._usage.items()}
 
     def reset(self) -> None:
-        # Resets happen between operations, so no batch should be open;
-        # dropping the calling thread's pending charges keeps a stray
-        # mid-batch reset from leaking pre-reset demand past it.
-        batch = self._cpu_batch
-        batch.pending_fp = 0
-        batch.pending_ops = 0
         with self._lock:
             self._usage.clear()
             self._total_fp = 0

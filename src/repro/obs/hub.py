@@ -191,7 +191,7 @@ class MetricsHub:
         #: Each tenant queue's ``(considerations, admissions)`` at
         #: attach: the window's admission counters are the difference.
         self._admission_base = (
-            [stats[:2] for stats in bm.tenancy.admission_stats()]
+            [queue.snapshot()[:2] for queue in bm.admission_queues]
             if bm.tenancy is not None else []
         )
         self._miss_hist = registry.histogram(
@@ -255,18 +255,16 @@ class MetricsHub:
             # The window's admission traffic — what each queue counted
             # since attach — published once per window (same one-shot
             # guard as the fault merge).
-            tenancy = self._bm.tenancy
-            if tenancy.admission_queues:
-                for tenant, ((cons, adm, _rate), (cons0, adm0)) in \
-                        enumerate(zip(tenancy.admission_stats(),
-                                      self._admission_base)):
-                    labels = {"tenant": str(tenant)}
-                    self.registry.counter(
-                        "tenant_admission_considerations_total", labels
-                    ).inc(cons - cons0)
-                    self.registry.counter(
-                        "tenant_admissions_total", labels
-                    ).inc(adm - adm0)
+            for tenant, (queue, (cons0, adm0)) in enumerate(
+                    zip(self._bm.admission_queues, self._admission_base)):
+                cons, adm, _rate = queue.snapshot()
+                labels = {"tenant": str(tenant)}
+                self.registry.counter(
+                    "tenant_admission_considerations_total", labels
+                ).inc(cons - cons0)
+                self.registry.counter(
+                    "tenant_admissions_total", labels
+                ).inc(adm - adm0)
         source = self.fault_source
         if source is not None:
             # One-shot by construction: finalize runs once per window

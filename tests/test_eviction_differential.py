@@ -142,7 +142,7 @@ class BranchProbe:
         self.branches.add(fate)
         if self._retries(victim_tier) > retries:
             self.branches.add("victim_read_retried")
-        if self.bm.admission_queue is not None and victim_tier is Tier.DRAM:
+        if self.bm.admission_queues and victim_tier is Tier.DRAM:
             self.branches.add(f"admission_queue_{fate}")
 
 
@@ -245,8 +245,8 @@ def _state_lines(bm: BufferManager, events, guard_calls):
             yield f"memory_mode {astuple(device.stats)}"
     yield f"rng {bm.rng.getstate()}"
     yield f"wal_guard {guard_calls}"
-    if bm.admission_queue is not None:
-        yield f"admission {bm.admission_queue.snapshot()}"
+    for queue in bm.admission_queues:
+        yield f"admission {queue.snapshot()}"
     for page_id in range(PAGES):
         page = bm.store.peek(page_id)
         yield f"page {page_id} {page.lsn} {sorted(page.records.items())}"

@@ -22,6 +22,7 @@ from repro.core.devio import (
 from repro.faults.injector import FaultyDevice, inject_faults
 from repro.faults.plan import (
     DeviceGaveUpError,
+    DeviceIOError,
     FaultPlan,
     FaultSchedule,
 )
@@ -138,6 +139,41 @@ class TestActivityWindow:
         device = hierarchy.device(Tier.SSD)
         read_with_retry(device, NBYTES)  # schedule armed far in the future
         assert handle.faults_injected() == 0
+
+    def test_finite_window_opens_at_the_committed_total(self):
+        # Reads 2 and 5 are scheduled to fail; the window opens after
+        # three and a half reads' worth of simulated time.  Read 2 runs
+        # below it and succeeds; read 5 runs past it and fails.
+        per_read = clean_read_cost()
+        hierarchy = build_hierarchy()
+        handle = inject_faults(
+            hierarchy,
+            plan_for_ssd(read_errors=frozenset({2, 5}),
+                         active_after_ns=3.5 * per_read))
+        device = hierarchy.device(Tier.SSD)
+        for index in range(5):
+            device.read(NBYTES)
+            assert handle.faults_injected() == 0, f"read {index} faulted"
+        assert device.cost.total_ns > 3.5 * per_read
+        with pytest.raises(DeviceIOError):
+            device.read(NBYTES)
+        assert handle.faults_injected() == 1
+
+    def test_an_ops_own_charges_count_toward_the_window(self):
+        # The lookup an access charges before its device read commits at
+        # once, so a window opening inside the op is open for the read.
+        hierarchy = build_hierarchy()
+        lookup_ns = hierarchy.cpu_costs.lookup_ns
+        handle = inject_faults(hierarchy, FaultPlan(schedules={
+            "dram": FaultSchedule(read_errors=frozenset({0}),
+                                  active_after_ns=lookup_ns / 2)}))
+        bm = BufferManager(hierarchy, SPITFIRE_LAZY)
+        page = bm.allocate_page()
+        assert bm.prime_page(Tier.DRAM, page)
+        hierarchy.reset_accounting()
+        bm.read(page, 0, 64)
+        assert handle.faults_injected() == 1
+        assert handle.retries() == 1
 
 
 class TestNoopDelegation:

@@ -62,17 +62,13 @@ def accounting(hierarchy, handle):
 
 def old_route(hierarchy, is_write: bool, nbytes: int) -> None:
     """What a top-tier hit charged before: the lookup, then the retry
-    wrapper around the device call, inside the op's CPU batch."""
+    wrapper around the device call."""
     device = hierarchy.device(Tier.DRAM)
-    hierarchy.cost.begin_cpu_batch()
-    try:
-        hierarchy.charge_cpu(hierarchy.cpu_costs.lookup_ns)
-        if is_write:
-            write_with_retry(device, nbytes)
-        else:
-            read_with_retry(device, nbytes)
-    finally:
-        hierarchy.cost.end_cpu_batch()
+    hierarchy.charge_cpu(hierarchy.cpu_costs.lookup_ns)
+    if is_write:
+        write_with_retry(device, nbytes)
+    else:
+        read_with_retry(device, nbytes)
 
 
 def flat_route(hierarchy, is_write: bool, nbytes: int) -> None:

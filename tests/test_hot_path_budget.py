@@ -53,32 +53,36 @@ from repro.workloads.ycsb import (
 #: the result was built by the named tuple's ``__new__``; 14 while a bus
 #: subscriber projected the OP_READ and HIT events onto ``BufferStats``;
 #: 12 while the OP_READ and HIT publishes looped over empty tuples and a
-#: device charged through ``CostAccumulator.charge_transfer_fp``; 9 now).
-BUDGET = 11
+#: device charged through ``CostAccumulator.charge_transfer_fp``; 9 while
+#: each op opened and closed a per-thread CPU batch; 7 now).
+BUDGET = 9
 #: ... and one SSD miss on a full DRAM-SSD chain: the fetch, one CLOCK
-#: sweep, the clean victim dropped, the install (29.1 measured — the
-#: sweep length varies by a frame — 88.6 with the per-pool page dicts;
+#: sweep, the clean victim dropped, the install (a mean: the sweep
+#: length varies by a frame; 88.6 with the per-pool page dicts;
 #: 83.6 with a locked bitmap, two charges per device access, reservations
 #: by tier, ``page_id`` a property and ``Page.clone`` through
 #: ``__init__`` + ``copy_from``; 54.1 while a bus subscriber projected
 #: the op's five events onto ``BufferStats``; 49.1 while the eviction was
 #: a five-frame recursion, five publishes looped over empty tuples, a
 #: top-tier miss was served through ``serve_resident_access``, and each
-#: level asked its pool for room again after evicting).
-MISS_BUDGET = 40
+#: level asked its pool for room again after evicting; 29.1 while each
+#: op opened and closed a per-thread CPU batch; 27.1 now).
+MISS_BUDGET = 38
 #: ... and one SSD miss on a full DRAM+NVM chain whose eviction cascades:
 #: the fetch lands in DRAM, the clean DRAM victim is admitted to NVM, and
 #: NVM's clean victim is dropped (94.4 while each level of the cascade
 #: was ``insert_with_space`` → ``ensure_space`` → ``evict_from_node`` →
 #: ``admit_eviction_to_lower``, each with its own latch guard and
-#: device hop; 56.4 now).
-CASCADE_BUDGET = 66
+#: device hop; 56.4 while each op opened and closed a per-thread CPU
+#: batch; 54.4 now).
+CASCADE_BUDGET = 64
 #: ... and the WAL bookkeeping of one write on a DRAM+NVM hierarchy —
 #: the logging CPU charge, an UPDATE and its COMMIT, each persisted by
 #: one NVM write and one barrier — ``_charge_update_wal`` included (50
 #: before a log resolved its device, sized, checksummed and built a
-#: record once each; 24 when this budget was set).
-WAL_BUDGET = 30
+#: record once each; 24 when this budget was set; 20 while a charge
+#: committed through a second accumulator frame; 17 now).
+WAL_BUDGET = 27
 #: ... and one new mapping-table entry, ``get_or_create`` of a page not
 #: seen before: Python-level calls and bytes it keeps alive (13 calls
 #: and 2,020 B while each entry built four ``threading.RLock`` wrappers
@@ -105,15 +109,17 @@ GEN_BA_BUDGET = 1.1
 #: guard object, a load charged through four device and accumulator
 #: calls and two ``Tier``-keyed dict lookups, page masks were read
 #: through range-checking methods, and a clean victim went through the
-#: write-back dispatch; 38 when this budget was set) ...
-FINE_INSTALL_BUDGET = 50
+#: write-back dispatch; 38 while each op opened and closed a per-thread
+#: CPU batch; 36 now) ...
+FINE_INSTALL_BUDGET = 48
 #: ... a DRAM hit on a cache-line page that loads one loading unit (36
-#: before; 13 when this budget was set) ...
-FINE_LOAD_BUDGET = 22
+#: before; 13 with a per-thread CPU batch per op; 11 now) ...
+FINE_LOAD_BUDGET = 20
 #: ... and the average op, warm-up and measurement, of the quick 256 B
-#: Fig. 11 cell (56.5 before; 26.7 when this budget was set: 56 % of its
-#: ops are NVM hits installing a copy, a third DRAM hits that load).
-FIG11_OP_BUDGET = 36
+#: Fig. 11 cell (56.5 before; 26.7 with a per-thread CPU batch per op;
+#: 24.7 now: 56 % of its ops are NVM hits installing a copy, a third
+#: DRAM hits that load).
+FIG11_OP_BUDGET = 34
 OPS = 1_000
 
 

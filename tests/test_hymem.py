@@ -21,13 +21,13 @@ class TestConstruction:
 
     def test_admission_queue_created(self):
         bm = make_hymem(hierarchy())
-        assert bm.admission_queue is not None
+        (queue,) = bm.admission_queues
         # §6.5 recommendation: half the NVM page count (16 pages here).
-        assert bm.admission_queue.capacity == 8
+        assert queue.capacity == 8
 
     def test_explicit_queue_size(self):
         bm = make_hymem(hierarchy(), admission_queue_size=3)
-        assert bm.admission_queue.capacity == 3
+        assert [queue.capacity for queue in bm.admission_queues] == [3]
 
     def test_default_loading_unit_is_cache_line(self):
         bm = make_hymem(hierarchy())
@@ -66,7 +66,7 @@ class TestHymemDataFlow:
         for _ in range(2):
             for page in pages:
                 bm.read(page)
-        assert bm.admission_queue.considerations > 0
+        assert bm.admission_queues[0].considerations > 0
         assert bm.stats.dram_to_nvm >= 1
         assert len(bm.resident_pages(Tier.NVM)) >= 1
 
@@ -81,7 +81,7 @@ class TestHymemDataFlow:
         # Exactly one eviction so far: its page was denied and queued.
         assert bm.stats.dram_evictions == 1
         assert len(bm.resident_pages(Tier.NVM)) == 0
-        assert len(bm.admission_queue) == 1
+        assert len(bm.admission_queues[0]) == 1
 
     def test_hymem_policy_helper(self):
         assert hymem_policy() is HYMEM_POLICY

@@ -241,12 +241,12 @@ class TestTenantAdmissionWindow:
         bm = self._bm()
         rng = random.Random(5)
         self._drive(bm, rng, 300)  # warm-up: queues already consulted
-        before = [stats[:2] for stats in bm.tenancy.admission_stats()]
+        before = [queue.snapshot()[:2] for queue in bm.admission_queues]
         assert all(cons for cons, _ in before)
         hub = attached_hub(bm)
         self._drive(bm, rng, 300)
         hub.detach()
-        after = [stats[:2] for stats in bm.tenancy.admission_stats()]
+        after = [queue.snapshot()[:2] for queue in bm.admission_queues]
         for tenant, ((cons0, adm0), (cons1, adm1)) in enumerate(
                 zip(before, after)):
             assert cons1 > cons0
@@ -259,11 +259,11 @@ class TestTenantAdmissionWindow:
         first = attached_hub(bm)
         self._drive(bm, rng, 300)
         first.detach()
-        middle = [stats[:2] for stats in bm.tenancy.admission_stats()]
+        middle = [queue.snapshot()[:2] for queue in bm.admission_queues]
         second = attached_hub(bm)
         self._drive(bm, rng, 300)
         second.detach()
-        after = [stats[:2] for stats in bm.tenancy.admission_stats()]
+        after = [queue.snapshot()[:2] for queue in bm.admission_queues]
         for tenant in range(2):
             assert self._counted(first, tenant) == middle[tenant]
             assert self._counted(second, tenant) == (

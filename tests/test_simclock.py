@@ -1,5 +1,8 @@
 """Cost accumulator: simulated time (makespan/throughput analysis)."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.hardware.device import Device
@@ -54,27 +57,21 @@ class TestCostAccumulator:
         cost.reset()
         assert cost.usage("cpu").busy_ns == 0.0
 
-    @pytest.mark.parametrize("batched", [False, True], ids=["unbatched", "batched"])
-    def test_transfer_charge_lands_like_its_two_charges(self, batched):
+    def test_transfer_charge_lands_like_its_two_charges(self):
         """One device access — ``Device.read``/``write``, which charge the
         accumulator in their own frame — is ``charge_fp`` on the device
         then ``charge_fp`` on the CPU: same tallies, same slot order, the
-        same ``total_fp`` seen mid-op, the same pending CPU batch."""
+        same ``total_fp`` seen after each access."""
         accesses = [(SSD_SPEC, False, 4096, False), (DRAM_SPEC, True, 64, False),
                     (NVM_SPEC, False, 256, True), (SSD_SPEC, True, 4096, False)]
 
         def states(charge):
             cost = CostAccumulator()
             seen = []
-            if batched:
-                cost.begin_cpu_batch()
             for spec, is_write, nbytes, sequential in accesses:
                 charge(cost, Device(spec, cost=cost), is_write, nbytes,
                        sequential)
                 seen.append((list(cost.snapshot().items()), cost.total_fp))
-            if batched:
-                cost.end_cpu_batch()
-            seen.append((list(cost.snapshot().items()), cost.total_fp))
             return seen
 
         def two_calls(cost, device, is_write, nbytes, sequential):
@@ -89,6 +86,51 @@ class TestCostAccumulator:
             access(nbytes, sequential)
 
         assert states(one_call) == states(two_calls)
+
+    def test_concurrent_charges_equal_the_serial_sums(self):
+        """Threads charging one accumulator — device reads and writes,
+        which commit transfer and stall in their own frame, and CPU
+        ``charge_fp`` calls — lose no unit: every tally and the running
+        total equal those of the same charges made by one thread."""
+        specs = (DRAM_SPEC, NVM_SPEC, SSD_SPEC)
+        threads, rounds = 4, 300
+
+        def work(cost, devices, index):
+            for step in range(rounds):
+                device = devices[(index + step) % len(devices)]
+                if step % 3:
+                    device.read(64 << (step % 7), sequential=bool(step % 2))
+                else:
+                    device.write(256 << (step % 5))
+                cost.charge_fp(CostAccumulator.CPU, 1_000 + index * 7 + step)
+
+        def tallies(cost):
+            usage = {key: (u.busy_fp, u.operations, u.bytes_moved)
+                     for key, u in cost.snapshot().items()}
+            return usage, cost.total_fp
+
+        serial = CostAccumulator()
+        devices = [Device(spec, cost=serial) for spec in specs]
+        for index in range(threads):
+            work(serial, devices, index)
+
+        shared = CostAccumulator()
+        devices = [Device(spec, cost=shared) for spec in specs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [threading.Thread(target=work,
+                                        args=(shared, devices, index))
+                       for index in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert tallies(shared) == tallies(serial)
+        assert shared.total_fp == sum(u.busy_fp
+                                      for u in shared.snapshot().values())
 
 
 class TestMakespan:

@@ -159,8 +159,10 @@ class TestConcurrentReservation:
         # NVM's victim is dropped or written back — the cascade down the
         # whole chain, from six threads switching every few bytecodes,
         # a third of them writes.  Pools of 8 DRAM and 16 NVM frames are
-        # no smaller than the thread count: smaller ones are the latch
-        # protocol's known deadlock regime (DESIGN §10), not this test's.
+        # no smaller than the thread count, yet that does not keep the
+        # cascade clear of the latch protocol's known ABBA deadlock
+        # (DESIGN §10): this stress hangs in a few runs out of a hundred,
+        # and the watchdog turns such a hang into a failure.
         policy = MigrationPolicy(1.0, 1.0, 0.0, 1.0, name="victim-cache")
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)

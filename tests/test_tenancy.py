@@ -20,7 +20,7 @@ from repro.bench.executor import (
     run_options,
 )
 from repro.core.buffer_manager import BufferManager, BufferManagerConfig
-from repro.core.policy import SPITFIRE_EAGER, SPITFIRE_LAZY
+from repro.core.policy import HYMEM_POLICY, SPITFIRE_EAGER, SPITFIRE_LAZY
 from repro.core.tenancy import QuotaMode, TenancyConfig, TenancyControl
 from repro.hardware.cost_model import StorageHierarchy
 from repro.obs.decisions import DecisionRecorder
@@ -73,7 +73,7 @@ class TestTenancyConfig:
 
 class TestTenancyControl:
     def test_tenant_of_is_stride_arithmetic(self):
-        control = TenancyControl.build(
+        control = TenancyControl(
             TenancyConfig(num_tenants=3, page_stride=100))
         assert control.tenant_of(0) == 0
         assert control.tenant_of(99) == 0
@@ -81,7 +81,7 @@ class TestTenancyControl:
         assert control.tenant_of(250) == 2
 
     def test_tenant_of_clamps_past_last_range(self):
-        control = TenancyControl.build(
+        control = TenancyControl(
             TenancyConfig(num_tenants=2, page_stride=10))
         assert control.tenant_of(10_000) == 1
 
@@ -97,31 +97,35 @@ class TestTenancyControl:
             == [0, 0, 1, 1]
 
     def test_builds_one_queue_per_tenant(self):
-        control = TenancyControl.build(
-            TenancyConfig(num_tenants=3, page_stride=100),
-            admission_queue_size=8,
-        )
-        assert len(control.admission_queues) == 3
-        assert control.queue_for(0) is control.admission_queues[0]
-        assert control.queue_for(250) is control.admission_queues[2]
+        bm = BufferManager(
+            StorageHierarchy(SMALL_SHAPE, DEFAULT_SCALE), HYMEM_POLICY,
+            BufferManagerConfig(admission_queue_size=8, tenancy=TenancyConfig(
+                num_tenants=3, page_stride=100)))
+        queues = bm.admission_queues
+        assert [queue.capacity for queue in queues] == [8, 8, 8]
+        assert bm.engine._queue_for(0) is queues[0]
+        assert bm.engine._queue_for(250) is queues[2]
 
     def test_no_queues_without_size(self):
-        control = TenancyControl.build(
-            TenancyConfig(num_tenants=2, page_stride=100))
-        assert control.admission_queues == ()
-        assert control.queue_for(0) is None
+        # Without a queue policy no queue is built, tenants or not.
+        bm = BufferManager(
+            StorageHierarchy(SMALL_SHAPE, DEFAULT_SCALE), SPITFIRE_LAZY,
+            BufferManagerConfig(admission_queue_size=8, tenancy=TenancyConfig(
+                num_tenants=2, page_stride=100)))
+        assert bm.admission_queues == ()
+        assert bm.engine._queue_for(0) is None
 
     def test_enforcing_requires_mode_and_plurality(self):
         base = dict(page_stride=100)
-        assert not TenancyControl.build(TenancyConfig(
+        assert not TenancyControl(TenancyConfig(
             num_tenants=2, **base)).enforcing
-        assert not TenancyControl.build(TenancyConfig(
+        assert not TenancyControl(TenancyConfig(
             num_tenants=1, quota_mode=QuotaMode.HARD, **base)).enforcing
-        assert TenancyControl.build(TenancyConfig(
+        assert TenancyControl(TenancyConfig(
             num_tenants=2, quota_mode=QuotaMode.HARD, **base)).enforcing
 
     def test_quota_frames_floor_is_one(self):
-        control = TenancyControl.build(TenancyConfig(
+        control = TenancyControl(TenancyConfig(
             num_tenants=2, page_stride=100, shares=(0.001, 0.999)))
         assert control.quota_frames(Tier.DRAM, 64, 0) == 1
         assert control.quota_frames(Tier.DRAM, 64, 1) == 63
@@ -394,13 +398,15 @@ class TestSingleTenantIdentity:
         assert baseline == tagged
 
     def test_single_tenant_queue_is_the_managers(self):
-        hierarchy = StorageHierarchy(SMALL_SHAPE, DEFAULT_SCALE)
-        bm = BufferManager(
-            hierarchy, SPITFIRE_LAZY,
-            BufferManagerConfig(seed=42, tenancy=TenancyConfig()),
-        )
-        if bm.tenancy.admission_queues:
-            assert bm.tenancy.admission_queues[0] is bm.admission_queue
+        # One tenant, one queue: the one a manager without tenancy builds.
+        plain, tagged = (
+            BufferManager(StorageHierarchy(SMALL_SHAPE, DEFAULT_SCALE),
+                          HYMEM_POLICY, BufferManagerConfig(seed=42,
+                                                            tenancy=tenancy))
+            for tenancy in (None, TenancyConfig()))
+        (queue,) = tagged.admission_queues
+        assert [q.capacity for q in plain.admission_queues] == [queue.capacity]
+        assert tagged.engine._queue_for(123_456) is queue
 
     def test_tagged_cell_matches_untagged(self, monkeypatch):
         """A one-tenant population is the single-stream cell, tagged:
