@@ -202,9 +202,7 @@ class WorkloadRunner:
         self.checkpointer: Checkpointer | None = None
         if self.config.checkpoint_interval_ops:
             self.checkpointer = Checkpointer(
-                self.bm, self.log, self.config.checkpoint_interval_ops,
-                truncate_log=True,
-            )
+                self.bm, self.log, self.config.checkpoint_interval_ops)
 
     # ------------------------------------------------------------------
     # Database setup

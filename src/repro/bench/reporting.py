@@ -140,19 +140,6 @@ class ExperimentResult:
             json.dump(self.to_dict(), fh, indent=2, default=str)
         return path
 
-    @classmethod
-    def load_json(cls, path: str | Path) -> "ExperimentResult":
-        with open(path) as fh:
-            raw = json.load(fh)
-        result = cls(raw["experiment_id"], raw["title"])
-        for label, points in raw["series"].items():
-            series = result.new_series(label)
-            for x, y in points:
-                series.add(x, y)
-        result.notes = list(raw.get("notes", []))
-        result.metadata = dict(raw.get("metadata", {}))
-        return result
-
 
 # ----------------------------------------------------------------------
 # Run summaries (repro-experiments report / CI run-report artifact)

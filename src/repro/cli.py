@@ -716,7 +716,12 @@ def _report(parser, args) -> int:
         return 0 if diff["ok"] else 1
     if not args.summary:
         parser.error("provide a run_summary.json path or --diff OLD NEW")
-    _print(render_run_summary(load(args.summary, "summary")))
+    try:
+        report = render_run_summary(load(args.summary, "summary"))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        parser.error(f"argument summary: {args.summary} is not a run "
+                     f"summary ({type(exc).__name__}: {exc})")
+    _print(report)
     return 0
 
 

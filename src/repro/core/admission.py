@@ -54,11 +54,6 @@ class AdmissionQueue:
                 self._entries.popitem(last=False)
             return False
 
-    def forget(self, page_id: PageId) -> None:
-        """Drop a page from the queue (e.g. it was admitted another way)."""
-        with self._lock:
-            self._entries.pop(page_id, None)
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)

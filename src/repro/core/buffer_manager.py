@@ -12,11 +12,10 @@ four-component core plus the three layers PR 1 extracted:
 * an :class:`~repro.core.events.EventBus` publishing one typed event
   (an :class:`~repro.core.events.EventType` and four fields) for every
   hit, miss, install, migration, eviction, write-back, and flush — to
-  observers only (metrics hub, tracers, recorders, the adaptive
-  controller, crash probes); a bare manager has none, because the
-  components below count the paper's
-  :class:`~repro.core.stats.BufferStats` themselves, through the
-  chain's shared ``stats``,
+  observers only (metrics hub, decision recorder, crash probes); a
+  bare manager has none, because the components below count the
+  paper's :class:`~repro.core.stats.BufferStats` themselves, through
+  the chain's shared ``stats``,
 * the :class:`~repro.core.access_path.AccessPath` — the read/write
   chain walk (§3.1–§3.4): hit scan, promotion climbs, SSD fetches,
   installs, and upward migrations,

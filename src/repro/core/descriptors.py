@@ -221,10 +221,6 @@ class SharedPageDescriptor:
             tier for tier in TIER_ORDER if self._copies[tier.rank] is not None
         )
 
-    @property
-    def buffered(self) -> bool:
-        return any(copy is not None for copy in self._copies)
-
     # ------------------------------------------------------------------
     # Unpin waiting (the NVM→DRAM migration protocol, §5.2)
     # ------------------------------------------------------------------

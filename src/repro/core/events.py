@@ -8,8 +8,8 @@ observation port: the paper's own counters
 where each action happens, so a bare buffer manager has no subscriber
 at all.  What attaches is an observer:
 
-* the :class:`~repro.obs.hub.MetricsHub` and the page-lifecycle and
-  decision tracers of :mod:`repro.obs`,
+* the :class:`~repro.obs.hub.MetricsHub` and the
+  :class:`~repro.obs.decisions.DecisionRecorder` of :mod:`repro.obs`,
 * the crash-point probes of :mod:`repro.faults.crashpoints`.
 
 The adaptive controller of :mod:`repro.tuning` is not among them: its

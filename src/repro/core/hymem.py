@@ -19,7 +19,7 @@ from __future__ import annotations
 from ..hardware.cost_model import StorageHierarchy
 from ..pages.granularity import HYMEM_LOADING_UNIT, LoadingUnit
 from .buffer_manager import BufferManager, BufferManagerConfig
-from .policy import HYMEM_POLICY, MigrationPolicy
+from .policy import HYMEM_POLICY
 
 
 def make_hymem(
@@ -54,8 +54,3 @@ def make_hymem(
         seed=seed,
     )
     return BufferManager(hierarchy, HYMEM_POLICY, config)
-
-
-def hymem_policy() -> MigrationPolicy:
-    """The HyMem row of Table 3."""
-    return HYMEM_POLICY

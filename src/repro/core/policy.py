@@ -83,9 +83,6 @@ class MigrationPolicy:
         return _draw(rng, self.n_w)
 
     # ------------------------------------------------------------------
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.d_r, self.d_w, self.n_r, self.n_w)
-
     def label(self) -> str:
         if self.name:
             return self.name

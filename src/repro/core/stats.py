@@ -58,13 +58,6 @@ class BufferStats:
         return self.dram_hits / self.operations
 
     @property
-    def buffer_hit_ratio(self) -> float:
-        """Fraction of operations served without touching SSD."""
-        if not self.operations:
-            return 0.0
-        return 1.0 - self.ssd_fetches / self.operations
-
-    @property
     def upward_migrations(self) -> int:
         return self.ssd_to_dram + self.ssd_to_nvm + self.nvm_to_dram
 

@@ -335,10 +335,6 @@ class TierChain:
     def tiers(self) -> tuple[Tier, ...]:
         return tuple(node.tier for node in self.nodes)
 
-    def upper_of(self, node: TierNode) -> TierNode | None:
-        """The next-faster node, or ``None`` at the top."""
-        return self.nodes[node.index - 1] if node.index > 0 else None
-
     def lower_of(self, node: TierNode) -> TierNode | None:
         """The next-slower buffer node, or ``None`` at the bottom."""
         index = node.index + 1

@@ -30,13 +30,8 @@ from .table import RecordId, Table
 class EngineConfig:
     """Knobs of the storage engine."""
 
-    tuple_size: int = 1024
     #: Write operations between checkpoints (dirty DRAM page flushes).
     checkpoint_interval_ops: int = 2000
-    #: Disable WAL entirely (pure buffer-manager experiments).
-    enable_wal: bool = True
-    #: Disable checkpointing (recovery-bounded experiments toggle this).
-    enable_checkpoints: bool = True
 
 
 class StorageEngine:
@@ -58,19 +53,14 @@ class StorageEngine:
             )
         self.bm = BufferManager(hierarchy, policy, bm_config)
         self.mvto = MvtoStore()
-        self.log: LogManager | None = (
-            LogManager(hierarchy) if self.config.enable_wal else None
+        self.log = LogManager(hierarchy)
+        # WAL rule: checkpoint flushes and dirty evictions must not
+        # persist a page ahead of its log records (steal policy).
+        self.bm.wal_guard = self.log.ensure_durable
+        self.checkpointer = Checkpointer(
+            self.bm, self.log, self.config.checkpoint_interval_ops,
+            oldest_active_lsn=self._oldest_active_lsn,
         )
-        if self.log is not None:
-            # WAL rule: checkpoint flushes and dirty evictions must not
-            # persist a page ahead of its log records (steal policy).
-            self.bm.wal_guard = self.log.ensure_durable
-        self.checkpointer: Checkpointer | None = None
-        if self.config.enable_wal and self.config.enable_checkpoints:
-            self.checkpointer = Checkpointer(
-                self.bm, self.log, self.config.checkpoint_interval_ops,
-                oldest_active_lsn=self._oldest_active_lsn,
-            )
         self.tables: dict[str, Table] = {}
         #: Per-transaction undo chains (records newest-last).
         self._txn_records: dict[int, list[LogRecord]] = {}
@@ -79,11 +69,10 @@ class StorageEngine:
     # ------------------------------------------------------------------
     # Schema
     # ------------------------------------------------------------------
-    def create_table(self, name: str, tuple_size: int | None = None) -> Table:
+    def create_table(self, name: str, tuple_size: int) -> Table:
         if name in self.tables:
             raise ValueError(f"table {name!r} already exists")
-        table = Table(name, tuple_size or self.config.tuple_size,
-                      self.hierarchy.page_size)
+        table = Table(name, tuple_size, self.hierarchy.page_size)
         self.tables[name] = table
         return table
 
@@ -98,17 +87,14 @@ class StorageEngine:
     # ------------------------------------------------------------------
     def begin(self) -> Transaction:
         txn = self.mvto.begin()
-        if self.log is not None:
-            record = self.log.append(LogRecordType.BEGIN, txn.txn_id)
-            txn.last_lsn = record.lsn
+        txn.last_lsn = self.log.append(LogRecordType.BEGIN, txn.txn_id).lsn
         with self._txn_records_lock:
             self._txn_records[txn.txn_id] = []
         return txn
 
     def commit(self, txn: Transaction) -> None:
         self.mvto.commit(txn)
-        if self.log is not None:
-            self.log.commit(txn.txn_id, prev_lsn=txn.last_lsn)
+        self.log.commit(txn.txn_id, prev_lsn=txn.last_lsn)
         with self._txn_records_lock:
             self._txn_records.pop(txn.txn_id, None)
 
@@ -118,19 +104,17 @@ class StorageEngine:
             undo_chain = self._txn_records.pop(txn.txn_id, [])
         for record in reversed(undo_chain):
             self._apply_tuple_image(record.page_id, record.slot, record.before)
-            if self.log is not None:
-                self.log.append(
-                    LogRecordType.CLR,
-                    txn_id=txn.txn_id,
-                    page_id=record.page_id,
-                    slot=record.slot,
-                    after=record.before,
-                    undo_next_lsn=record.prev_lsn,
-                )
+            self.log.append(
+                LogRecordType.CLR,
+                txn_id=txn.txn_id,
+                page_id=record.page_id,
+                slot=record.slot,
+                after=record.before,
+                undo_next_lsn=record.prev_lsn,
+            )
         if txn.is_active:
             self.mvto.abort(txn, reason)
-        if self.log is not None:
-            self.log.append(LogRecordType.ABORT, txn.txn_id, prev_lsn=txn.last_lsn)
+        self.log.append(LogRecordType.ABORT, txn.txn_id, prev_lsn=txn.last_lsn)
 
     def execute(self, body: Callable[[Transaction], Any],
                 max_retries: int = 10) -> Any:
@@ -164,7 +148,7 @@ class StorageEngine:
         rid = table.allocate_rid(self.bm.allocate_page)
         self._log_and_apply(txn, LogRecordType.INSERT, rid, before=None, after=value)
         table.index.insert(key, rid)
-        self._note_write()
+        self.checkpointer.note_operation(is_write=True)
         return rid
 
     def read(self, txn: Transaction, table_name: str, key: Any) -> bytes | None:
@@ -190,7 +174,7 @@ class StorageEngine:
         before = self._peek_tuple(rid)
         self.mvto.write(txn, table.mvto_key(key), value)
         self._log_and_apply(txn, LogRecordType.UPDATE, rid, before=before, after=value)
-        self._note_write()
+        self.checkpointer.note_operation(is_write=True)
 
     def delete(self, txn: Transaction, table_name: str, key: Any) -> bool:
         table = self.table(table_name)
@@ -201,7 +185,7 @@ class StorageEngine:
         self.mvto.delete(txn, table.mvto_key(key))
         self._log_and_apply(txn, LogRecordType.DELETE, rid, before=before, after=None)
         table.index.delete(key)
-        self._note_write()
+        self.checkpointer.note_operation(is_write=True)
         return True
 
     def scan(self, txn: Transaction, table_name: str, low: Any,
@@ -228,25 +212,22 @@ class StorageEngine:
     def _log_and_apply(self, txn: Transaction, record_type: LogRecordType,
                        rid: RecordId, before: bytes | None,
                        after: bytes | None) -> None:
-        record: LogRecord | None = None
-        if self.log is not None:
-            self.hierarchy.charge_cpu(self.hierarchy.cpu_costs.logging_ns)
-            record = self.log.append(
-                record_type,
-                txn_id=txn.txn_id,
-                page_id=rid.page_id,
-                slot=rid.slot,
-                prev_lsn=txn.last_lsn,
-                before=before,
-                after=after,
-            )
-            txn.last_lsn = record.lsn
-            with self._txn_records_lock:
-                chain = self._txn_records.get(txn.txn_id)
-                if chain is not None:
-                    chain.append(record)
-        lsn = record.lsn if record is not None else None
-        self._apply_tuple_image(rid.page_id, rid.slot, after, lsn)
+        self.hierarchy.charge_cpu(self.hierarchy.cpu_costs.logging_ns)
+        record = self.log.append(
+            record_type,
+            txn_id=txn.txn_id,
+            page_id=rid.page_id,
+            slot=rid.slot,
+            prev_lsn=txn.last_lsn,
+            before=before,
+            after=after,
+        )
+        txn.last_lsn = record.lsn
+        with self._txn_records_lock:
+            chain = self._txn_records.get(txn.txn_id)
+            if chain is not None:
+                chain.append(record)
+        self._apply_tuple_image(rid.page_id, rid.slot, after, record.lsn)
 
     def _apply_tuple_image(self, page_id: int, slot: int,
                            image: bytes | None, lsn: int | None = None) -> None:
@@ -270,10 +251,6 @@ class StorageEngine:
         finally:
             self.bm.release_page(descriptor)
 
-    def _note_write(self) -> None:
-        if self.checkpointer is not None:
-            self.checkpointer.note_operation(is_write=True)
-
     def _oldest_active_lsn(self) -> int | None:
         """First logged LSN of the oldest in-flight transaction.
 
@@ -293,7 +270,7 @@ class StorageEngine:
     # ------------------------------------------------------------------
     def crash_controller(self, handle=None) -> CrashController:
         """The unified crash semantics for this engine."""
-        return CrashController.for_engine(self, handle=handle)
+        return CrashController(self, handle=handle)
 
     def simulate_crash(self) -> CrashReport:
         """Drop all volatile state (DRAM buffer, mapping table, MVTO).

@@ -27,6 +27,6 @@ from .._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     "crash": ("CrashController", "CrashReport", "SimulatedCrash"),
-    "plan": ("DeviceGaveUpError", "DeviceIOError", "FaultKind", "FaultPlan",
+    "plan": ("DeviceGaveUpError", "DeviceIOError", "FaultPlan",
              "FaultSchedule", "TailFault"),
 })

@@ -13,7 +13,7 @@ crash-point matrix share one crash, byte for byte.
 engine's ``execute`` retry loop catches ``Exception`` and rolls the
 transaction back with CLRs, which is precisely what must *not* happen
 when power fails mid-operation.  A ``BaseException`` unwinds through
-the engine (releasing latches and cost batches via ``finally`` blocks)
+the engine (releasing latches via ``finally`` blocks)
 without writing a single abort record.
 """
 
@@ -56,18 +56,15 @@ class CrashReport:
 
 
 class CrashController:
-    """Unified crash semantics over a buffer manager, WAL, and engine.
+    """Unified crash semantics over an engine's buffer manager and WAL.
 
     Parameters
     ----------
-    bm:
-        The buffer manager whose volatile state the crash drops.
-    log:
-        Optional :class:`~repro.wal.log_manager.LogManager`; crash-coupled
-        WAL-tail faults and the volatile group batch live here.
     engine:
-        Optional :class:`~repro.engine.engine.StorageEngine`; when given,
-        its volatile runtime (MVTO store, undo chains) is reset too.
+        The :class:`~repro.engine.engine.StorageEngine` whose volatile
+        state the crash drops: its buffer manager's pools and mapping
+        table, its log's group-commit batch, and its own runtime (MVTO
+        store, undo chains).
     handle:
         Optional :class:`~repro.faults.injector.InjectionHandle`; when
         given, torn-write *detections* (checksum failures found by the
@@ -76,21 +73,18 @@ class CrashController:
         crash-coupled hazards.
     """
 
-    def __init__(self, bm, log=None, engine=None, handle=None) -> None:
-        self.bm = bm
-        self.log = log
+    def __init__(self, engine, handle=None) -> None:
         self.engine = engine
+        self.bm = engine.bm
+        self.log = engine.log
         self.handle = handle
         if handle is not None:
             # Checksum-detected torn records/pages found during the
             # recovery scan are counted into the injection metrics, and
             # page-write tracking switches on so TORN_PAGE can act.
-            if log is not None:
-                log.on_torn = handle.note_torn_detected
-            store = getattr(bm, "store", None)
-            if store is not None:
-                store.on_torn = handle.note_torn_detected
-                store.enable_checksums()
+            self.log.on_torn = handle.note_torn_detected
+            self.bm.store.on_torn = handle.note_torn_detected
+            self.bm.store.enable_checksums()
 
     def track_page_writes(self) -> None:
         """Enable SSD page-write checksums/shadows (needed by TORN_PAGE).
@@ -100,10 +94,6 @@ class CrashController:
         ``TailFault.TORN_PAGE`` and no handle.
         """
         self.bm.store.enable_checksums()
-
-    @classmethod
-    def for_engine(cls, engine, handle=None) -> "CrashController":
-        return cls(engine.bm, engine.log, engine=engine, handle=handle)
 
     # ------------------------------------------------------------------
     def crash(self, tail_fault: TailFault | None = None,
@@ -129,22 +119,18 @@ class CrashController:
                 plan.torn_page_fraction if plan is not None else 0.5
             )
         report = CrashReport(tail_fault=tail_fault)
-        if self.log is not None:
-            if tail_fault is TailFault.TORN_WRITE:
-                torn = self.log.corrupt_tail()
-                report.tail_lsn = torn.lsn if torn is not None else -1
-            elif tail_fault is TailFault.DROPPED_PERSIST:
-                dropped = self.log.drop_tail()
-                report.tail_lsn = dropped.lsn if dropped is not None else -1
-        if tail_fault is TailFault.TORN_PAGE:
+        if tail_fault is TailFault.TORN_WRITE:
+            torn = self.log.corrupt_tail()
+            report.tail_lsn = torn.lsn if torn is not None else -1
+        elif tail_fault is TailFault.DROPPED_PERSIST:
+            dropped = self.log.drop_tail()
+            report.tail_lsn = dropped.lsn if dropped is not None else -1
+        elif tail_fault is TailFault.TORN_PAGE:
             report.torn_page_id = self.bm.store.tear_last_write(
                 torn_page_fraction
             )
         self.bm.simulate_crash()
-        if self.log is not None:
-            report.lost_volatile_records = self.log.simulate_crash()
-        if self.engine is not None:
-            self.engine.drop_volatile_runtime()
-        if self.log is not None:
-            report.durable_lsn = self.log.verified_durable_lsn()
+        report.lost_volatile_records = self.log.simulate_crash()
+        self.engine.drop_volatile_runtime()
+        report.durable_lsn = self.log.verified_durable_lsn()
         return report

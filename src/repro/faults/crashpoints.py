@@ -110,8 +110,7 @@ class BoundaryProbe:
     # -- installation ---------------------------------------------------
     def install(self, engine: StorageEngine) -> "BoundaryProbe":
         engine.bm.events.subscribe(self)
-        if engine.log is not None:
-            engine.log.on_append = self._note_append
+        engine.log.on_append = self._note_append
         self._engine = engine
         return self
 
@@ -119,8 +118,7 @@ class BoundaryProbe:
         if self._engine is None:
             return
         self._engine.bm.events.unsubscribe(self)
-        if self._engine.log is not None:
-            self._engine.log.on_append = None
+        self._engine.log.on_append = None
         self._engine = None
 
     # -- boundary accounting --------------------------------------------
@@ -335,7 +333,7 @@ def run_crash_case(case: CrashCase) -> dict:
     """Replay one case: crash, recover, check invariants.  Picklable."""
     engine, handle = build_case_engine(case.policy, case.config,
                                        plan=case.live_plan())
-    controller = CrashController.for_engine(engine, handle=handle)
+    controller = CrashController(engine, handle=handle)
     controller.track_page_writes()
     probe = BoundaryProbe(armed=case.boundary).install(engine)
     try:

@@ -35,15 +35,6 @@ import random
 from dataclasses import dataclass, field
 
 
-class FaultKind(enum.Enum):
-    """Live fault kinds a device schedule can carry."""
-
-    READ_ERROR = "read_error"
-    WRITE_ERROR = "write_error"
-    READ_LATENCY_SPIKE = "read_latency_spike"
-    WRITE_LATENCY_SPIKE = "write_latency_spike"
-
-
 class TailFault(enum.Enum):
     """Crash-coupled hazards applied to the durable tail at crash time."""
 

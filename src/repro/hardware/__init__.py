@@ -11,10 +11,9 @@ from .._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     "cost_model": ("DEFAULT_CPU_COSTS", "CpuCosts", "StorageHierarchy"),
-    "device": ("Device", "DeviceCounters", "cpu_charge"),
+    "device": ("Device", "DeviceCounters"),
     "memory_mode": ("MemoryModeDevice", "MemoryModeStats"),
-    "pricing": ("HierarchyShape", "equi_cost_nvm_gb", "hierarchy_cost",
-                "performance_per_price"),
+    "pricing": ("HierarchyShape", "hierarchy_cost", "performance_per_price"),
     "simclock": ("CostAccumulator", "ResourceUsage"),
     "specs": (
         "BUFFER_TIER_ORDER", "CACHE_LINE_SIZE", "CACHE_LINES_PER_PAGE",

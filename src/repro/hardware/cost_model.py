@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .device import Device
 from .memory_mode import MemoryModeDevice
-from .pricing import HierarchyShape, hierarchy_cost
+from .pricing import HierarchyShape
 from .simclock import CostAccumulator
 from .specs import (
     BUFFER_TIER_ORDER,
@@ -145,23 +145,12 @@ class StorageHierarchy:
     def has_tier(self, tier: Tier) -> bool:
         return tier in self.devices
 
-    def buffer_capacity_pages(self, tier: Tier) -> int:
-        """Number of pages the buffer on ``tier`` can hold."""
-        device = self.device(tier)
-        pages = device.capacity_pages(self.page_size)
-        if pages is None:
-            raise ValueError(f"{tier.name} device has unbounded capacity")
-        return pages
-
     def charge_cpu(self, service_ns: float) -> None:
         self.cost.charge(CostAccumulator.CPU, service_ns)
 
     def charge_cpu_batch(self, service_ns_array) -> None:
         """Columnar CPU charge: one reduction over per-op demands."""
         self.cost.charge_batch(CostAccumulator.CPU, service_ns_array)
-
-    def dollar_cost(self) -> float:
-        return hierarchy_cost(self.shape, self.specs)
 
     def reset_accounting(self) -> None:
         """Clear cost and traffic counters (e.g. after buffer warm-up)."""

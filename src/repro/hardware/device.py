@@ -308,8 +308,3 @@ class Device:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         cap = "inf" if self.capacity_bytes is None else str(self.capacity_bytes)
         return f"Device({self.spec.name!r}, capacity={cap})"
-
-
-def cpu_charge(cost: CostAccumulator, service_ns: float) -> None:
-    """Charge pure CPU work (index lookups, latching, copying logic)."""
-    cost.charge(CostAccumulator.CPU, service_ns)

@@ -36,12 +36,6 @@ class MemoryModeStats:
     def accesses(self) -> int:
         return self.hits + self.misses
 
-    @property
-    def hit_ratio(self) -> float:
-        if not self.accesses:
-            return 0.0
-        return self.hits / self.accesses
-
 
 class MemoryModeDevice:
     """A volatile memory device backed by NVM with a DRAM L4 cache.

@@ -57,14 +57,3 @@ def performance_per_price(throughput_ops: float, cost_dollars: float) -> float:
     if cost_dollars <= 0:
         raise ValueError("hierarchy cost must be positive")
     return throughput_ops / cost_dollars
-
-
-def equi_cost_nvm_gb(dram_gb: float, specs: dict[Tier, DeviceSpec] | None = None) -> float:
-    """NVM capacity purchasable for the price of ``dram_gb`` of DRAM.
-
-    Used by the Fig. 5 experiment to build equi-cost DRAM-SSD and NVM-SSD
-    hierarchies (the paper's 140 GB DRAM vs 340 GB NVM configurations have
-    roughly this ratio).
-    """
-    table = specs or DEFAULT_SPECS
-    return dram_gb * table[Tier.DRAM].price_per_gb / table[Tier.NVM].price_per_gb

@@ -252,10 +252,6 @@ class CostAccumulator:
                 return ResourceUsage()
             return found.copy()
 
-    def resources(self) -> list[str]:
-        with self._lock:
-            return sorted(self._usage)
-
     def snapshot(self) -> dict[str, ResourceUsage]:
         """A point-in-time copy of all resource usage."""
         with self._lock:

@@ -104,18 +104,6 @@ class DeviceSpec:
             if getattr(self, attr) <= 0:
                 raise ValueError(f"{attr} must be positive")
 
-    def read_latency_ns(self, sequential: bool = False) -> float:
-        """Idle read latency for one access."""
-        return self.seq_read_latency_ns if sequential else self.rand_read_latency_ns
-
-    def read_bandwidth(self, sequential: bool = False) -> float:
-        """Read bandwidth in bytes/second."""
-        return self.seq_read_bw if sequential else self.rand_read_bw
-
-    def write_bandwidth(self, sequential: bool = False) -> float:
-        """Write bandwidth in bytes/second."""
-        return self.seq_write_bw if sequential else self.rand_write_bw
-
     def media_bytes(self, nbytes: int) -> int:
         """Bytes actually touched on the media for an ``nbytes`` access.
 

@@ -8,7 +8,8 @@ release, invalidating concurrent readers, who then restart.
 The original uses a single atomic word (version + lock bit + obsolete
 bit); CPython has no CAS on plain ints, so the word is guarded by a tiny
 mutex.  The protocol — and in particular the restart semantics the
-B+Tree depends on — is identical.
+B+Tree depends on — is identical.  The tree never merges or replaces a
+node, so no node goes obsolete and the latch carries no obsolete bit.
 """
 
 from __future__ import annotations
@@ -23,12 +24,11 @@ class OlcRestart(Exception):
 class OptimisticLatch:
     """Versioned latch supporting optimistic reads and exclusive writes."""
 
-    __slots__ = ("_version", "_locked", "_obsolete", "_mutex")
+    __slots__ = ("_version", "_locked", "_mutex")
 
     def __init__(self) -> None:
         self._version = 0
         self._locked = False
-        self._obsolete = False
         self._mutex = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -37,8 +37,6 @@ class OptimisticLatch:
     def read_lock_or_restart(self) -> int:
         """Capture the current version; restart while a writer holds it."""
         with self._mutex:
-            if self._obsolete:
-                raise OlcRestart
             if self._locked:
                 raise OlcRestart
             return self._version
@@ -46,7 +44,7 @@ class OptimisticLatch:
     def check_or_restart(self, version: int) -> None:
         """Validate that no writer intervened since ``version``."""
         with self._mutex:
-            if self._obsolete or self._locked or self._version != version:
+            if self._locked or self._version != version:
                 raise OlcRestart
 
     # ------------------------------------------------------------------
@@ -55,7 +53,7 @@ class OptimisticLatch:
     def upgrade_to_write_lock_or_restart(self, version: int) -> None:
         """Atomically upgrade a validated read to an exclusive lock."""
         with self._mutex:
-            if self._obsolete or self._locked or self._version != version:
+            if self._locked or self._version != version:
                 raise OlcRestart
             self._locked = True
 
@@ -63,8 +61,6 @@ class OptimisticLatch:
         """Blocking exclusive acquire (pessimistic fallback path)."""
         while True:
             with self._mutex:
-                if self._obsolete:
-                    raise OlcRestart
                 if not self._locked:
                     self._locked = True
                     return
@@ -78,26 +74,6 @@ class OptimisticLatch:
                 raise RuntimeError("write_unlock without a write lock")
             self._version += 1
             self._locked = False
-
-    def write_unlock_obsolete(self) -> None:
-        """Release, marking the node dead (it was merged/replaced)."""
-        with self._mutex:
-            if not self._locked:
-                raise RuntimeError("write_unlock_obsolete without a write lock")
-            self._version += 1
-            self._locked = False
-            self._obsolete = True
-
-    # ------------------------------------------------------------------
-    @property
-    def is_locked(self) -> bool:
-        with self._mutex:
-            return self._locked
-
-    @property
-    def is_obsolete(self) -> bool:
-        with self._mutex:
-            return self._obsolete
 
     @property
     def version(self) -> int:

@@ -10,8 +10,6 @@ full telemetry surface:
   derives per-tier hit/miss/eviction rates, occupancy and dirty-ratio
   gauges (sampled on sim-clock epochs), and per-op simulated-latency
   histograms split by outcome (DRAM hit / NVM hit / SSD fetch),
-* :mod:`repro.obs.tracer` — a sampling page-lifecycle tracer recording
-  install → migrate → evict → write-back spans with sim timestamps,
 * :mod:`repro.obs.export` — Prometheus text exposition and JSONL
   snapshot streams, plus deterministic snapshot merging for per-worker
   results coming back from the process-pool executor,
@@ -36,5 +34,4 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     "hub": ("MetricsHub",),
     "metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry"),
     "server": ("MetricsServer",),
-    "tracer": ("PageLifecycleTracer", "TraceSpan"),
 })

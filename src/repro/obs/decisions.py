@@ -29,8 +29,7 @@ Every decision lands in the recorder's own
 decision histograms:
 ``migration_decisions_total{op,edge,outcome,policy}``,
 ``admission_queue_depth``, ``eviction_victims_total{tier,victim_class}``).
-A deterministic page-id hash — the same multiplicative hash the
-:class:`~repro.obs.tracer.PageLifecycleTracer` uses, no RNG state —
+A deterministic multiplicative page-id hash — no RNG state —
 additionally samples full decision *spans* (page, tier edge, policy
 knobs, queue depth and lazy-admission counter state, tenant), capped at
 ``max_spans`` with an explicit drop counter.  When a
@@ -48,7 +47,10 @@ import threading
 from ..core.events import EventType
 from ..core.migration import MigrationOp
 from .metrics import MetricsRegistry
-from .tracer import _HASH_MASK, _HASH_MULT
+
+#: Knuth's 32-bit multiplicative hash constant.
+_HASH_MULT = 2654435761
+_HASH_MASK = 0xFFFFFFFF
 
 #: The engine op values, frozen here so span payloads stay stable even
 #: if the enum gains members.
@@ -76,9 +78,9 @@ class DecisionRecorder:
     ``fraction`` controls *span* sampling only — the per-policy decision
     counters are always complete (they are cheap aggregate increments);
     spans carry the full policy-input payload and are the expensive
-    part, so they sample by page-id hash exactly like the lifecycle
-    tracer: the same pages are sampled on every run and in every worker
-    process, which keeps parallel runs byte-identical to serial ones.
+    part, so they sample by page-id hash: the same pages are sampled on
+    every run and in every worker process, which keeps parallel runs
+    byte-identical to serial ones.
     """
 
     #: The only event the bus needs to offer this subscriber.
@@ -226,10 +228,6 @@ class DecisionRecorder:
     # ------------------------------------------------------------------
     # Results
     # ------------------------------------------------------------------
-    def num_decisions(self) -> int:
-        """Total decisions counted (complete, not span-sampled)."""
-        return sum(c.value for c in self._decision_counters.values())
-
     def summary(self) -> dict:
         """Per-policy decision histogram digest, JSON-able and sorted."""
         decisions: dict[str, int] = {}

@@ -82,20 +82,6 @@ class CacheLinePage:
     def dirty_count(self) -> int:
         return self.dirty_mask.bit_count()
 
-    @property
-    def fully_resident(self) -> bool:
-        """The ``r`` bit: every line of the page is loaded."""
-        return self.resident_count == self._num_lines
-
-    @property
-    def fully_dirty(self) -> bool:
-        """The ``d`` bit: every line of the page is dirty."""
-        return self.dirty_count == self._num_lines
-
-    @property
-    def is_dirty(self) -> bool:
-        return self.dirty_mask != 0
-
     # ------------------------------------------------------------------
     def load_lines(self, first_line: int, nlines: int) -> int:
         """Mark a line range resident; return how many were newly loaded.
@@ -110,14 +96,6 @@ class CacheLinePage:
         with MASK_LOCK:
             newly = mask & ~self.resident_mask
             self.resident_mask |= mask
-        return newly.bit_count()
-
-    def load_all(self) -> int:
-        """Load every line (promotion to a fully resident page)."""
-        full = (1 << self._num_lines) - 1
-        with MASK_LOCK:
-            newly = full & ~self.resident_mask
-            self.resident_mask = full
         return newly.bit_count()
 
     def mark_dirty(self, first_line: int, nlines: int) -> None:
@@ -141,9 +119,6 @@ class CacheLinePage:
             dirty = self.dirty_mask
             self.dirty_mask = 0
         return dirty.bit_count()
-
-    def dirty_bytes(self) -> int:
-        return self.dirty_count * CACHE_LINE_SIZE
 
     def resident_bytes(self) -> int:
         return self.resident_count * CACHE_LINE_SIZE

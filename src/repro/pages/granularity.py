@@ -44,10 +44,6 @@ class LoadingUnit:
             return 0
         return (nbytes + self.nbytes - 1) // self.nbytes
 
-    def transfer_bytes(self, nbytes: int) -> int:
-        """Logical bytes issued to the device for an ``nbytes`` access."""
-        return self.units_for_bytes(nbytes) * self.nbytes
-
     def media_bytes(self, nbytes: int, media_granularity: int = NVM_MEDIA_GRANULARITY) -> int:
         """Bytes actually read from media, including amplification.
 

@@ -73,10 +73,6 @@ class MiniPage:
             return tuple(self._slots)
 
     @property
-    def is_dirty(self) -> bool:
-        return self.dirty_mask != 0
-
-    @property
     def dirty_count(self) -> int:
         return self.dirty_mask.bit_count()
 

@@ -10,7 +10,7 @@ tests rely on the content being faithfully copied during migrations.
 from __future__ import annotations
 
 import threading
-from ..hardware.specs import CACHE_LINE_SIZE, PAGE_SIZE
+from ..hardware.specs import PAGE_SIZE
 
 PageId = int
 
@@ -43,10 +43,6 @@ class Page:
         self.lsn = 0
         self.records: dict[int, bytes] = {}
         self._lock = threading.Lock()
-
-    @property
-    def num_cache_lines(self) -> int:
-        return self.size // CACHE_LINE_SIZE
 
     def read_record(self, slot: int) -> bytes | None:
         with self._lock:

@@ -177,25 +177,6 @@ class AdmissionController:
         """Refuse all new work; in-flight requests keep their slots."""
         self.draining = True
 
-    @property
-    def in_flight(self) -> int:
-        """Admitted-but-unreleased requests across all tenants."""
-        return sum(gate.depth for gate in self._gates.values())
-
-    def depth_of(self, tenant_id: int) -> int:
-        gate = self._gates.get(tenant_id)
-        return gate.depth if gate is not None else 0
-
-    def shed_total(self) -> int:
-        return sum(
-            count
-            for gate in self._gates.values()
-            for count in gate.shed.values()
-        )
-
-    def admitted_total(self) -> int:
-        return sum(gate.admitted for gate in self._gates.values())
-
     def snapshot(self) -> dict:
         """Deterministically ordered per-tenant admission accounting."""
         tenants = {}

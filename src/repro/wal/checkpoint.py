@@ -12,22 +12,9 @@ wall-clock timer, which keeps simulations deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from ..core.buffer_manager import BufferManager
 from .log_manager import LogManager
 from .records import LogRecordType
-
-
-@dataclass
-class CheckpointRecordKeeper:
-    """History of completed checkpoints (begin/end LSNs)."""
-
-    checkpoints: list[tuple[int, int]] = field(default_factory=list)
-
-    @property
-    def last_end_lsn(self) -> int:
-        return self.checkpoints[-1][1] if self.checkpoints else 0
 
 
 class Checkpointer:
@@ -36,9 +23,8 @@ class Checkpointer:
     def __init__(
         self,
         buffer_manager: BufferManager,
-        log_manager: LogManager | None = None,
+        log_manager: LogManager,
         interval_ops: int = 2000,
-        truncate_log: bool = True,
         oldest_active_lsn=None,
     ) -> None:
         if interval_ops <= 0:
@@ -46,7 +32,6 @@ class Checkpointer:
         self.bm = buffer_manager
         self.log = log_manager
         self.interval_ops = interval_ops
-        self.truncate_log = truncate_log
         #: Optional callable returning the first LSN of the oldest
         #: still-active transaction (or ``None`` when no transaction is
         #: in flight).  Truncation must not discard an active
@@ -54,7 +39,8 @@ class Checkpointer:
         #: sit on durable pages (steal), and undoing them after a crash
         #: needs the before-images.
         self.oldest_active_lsn = oldest_active_lsn
-        self.keeper = CheckpointRecordKeeper()
+        #: ``(begin_lsn, end_lsn)`` of every completed checkpoint.
+        self.checkpoints: list[tuple[int, int]] = []
         self._ops_since = 0
         self.pages_flushed = 0
         self.checkpoints_taken = 0
@@ -77,26 +63,21 @@ class Checkpointer:
 
     def checkpoint(self) -> int:
         """Flush dirty DRAM pages; NVM pages stay put (they are durable)."""
-        begin_lsn = 0
-        if self.log is not None:
-            begin_lsn = self.log.append(LogRecordType.CHECKPOINT_BEGIN, txn_id=0).lsn
+        begin_lsn = self.log.append(LogRecordType.CHECKPOINT_BEGIN, txn_id=0).lsn
         flushed = self.bm.flush_dirty_dram()
         self.pages_flushed += flushed
-        end_lsn = begin_lsn
-        if self.log is not None:
-            end_lsn = self.log.append(LogRecordType.CHECKPOINT_END, txn_id=0).lsn
-            self.log.flush()
-            if self.truncate_log:
-                # Records before the checkpoint begin are no longer needed
-                # for redo: every page they touched is durable.  Undo is
-                # the other constraint — keep everything from the oldest
-                # active transaction's first record.
-                cutoff = begin_lsn
-                if self.oldest_active_lsn is not None:
-                    oldest = self.oldest_active_lsn()
-                    if oldest is not None:
-                        cutoff = min(cutoff, oldest)
-                self.log.truncate_before(cutoff)
-        self.keeper.checkpoints.append((begin_lsn, end_lsn))
+        end_lsn = self.log.append(LogRecordType.CHECKPOINT_END, txn_id=0).lsn
+        self.log.flush()
+        # Records before the checkpoint begin are no longer needed for
+        # redo: every page they touched is durable.  Undo is the other
+        # constraint — keep everything from the oldest active
+        # transaction's first record.
+        cutoff = begin_lsn
+        if self.oldest_active_lsn is not None:
+            oldest = self.oldest_active_lsn()
+            if oldest is not None:
+                cutoff = min(cutoff, oldest)
+        self.log.truncate_before(cutoff)
+        self.checkpoints.append((begin_lsn, end_lsn))
         self.checkpoints_taken += 1
         return flushed

@@ -52,6 +52,22 @@ class EventRecorder:
         self.events.append(RecordedEvent(etype, page_id, tier, src, dirty))
 
 
+class LifecycleRecorder(EventRecorder):
+    """Records a page's lifecycle transitions only: the bus offers it
+    none of the ops and hits that are most of the stream, and a batched
+    run of top-tier hits (which carries no transition) keeps the batch
+    path on."""
+
+    event_interest = frozenset({
+        EventType.INSTALL, EventType.MIGRATE_UP, EventType.MIGRATE_DOWN,
+        EventType.EVICT, EventType.WRITE_BACK, EventType.CLEAN_DROP,
+        EventType.FLUSH, EventType.MINI_PAGE_PROMOTION,
+    })
+
+    def apply_op_batch(self, summary) -> None:
+        pass
+
+
 @pytest.fixture
 def small_hierarchy() -> StorageHierarchy:
     """2 GB DRAM (8 pages) + 4 GB NVM (16 pages) + 100 GB SSD."""

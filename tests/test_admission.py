@@ -31,12 +31,6 @@ class TestQueueSemantics:
         assert 1 not in queue
         assert not queue.should_admit(1)  # forgotten: denied again
 
-    def test_forget(self):
-        queue = AdmissionQueue(4)
-        queue.should_admit(1)
-        queue.forget(1)
-        assert 1 not in queue
-
     def test_len(self):
         queue = AdmissionQueue(4)
         queue.should_admit(1)

@@ -153,5 +153,6 @@ class TestNvmEvictionWithPartialDramCopies:
             # The DRAM copy must now be self-contained.
             content = descriptor.content
             assert isinstance(content, (CacheLinePage, MiniPage)) is False or (
-                isinstance(content, CacheLinePage) and content.fully_resident
+                isinstance(content, CacheLinePage)
+                and content.resident_count == content.num_lines
             )

@@ -64,7 +64,8 @@ class TestCheckpointEffects:
         types = [r.record_type for r in log.recovered_records()]
         assert LogRecordType.CHECKPOINT_BEGIN in types
         assert LogRecordType.CHECKPOINT_END in types
-        assert checkpointer.keeper.last_end_lsn > 0
+        begin_lsn, end_lsn = checkpointer.checkpoints[-1]
+        assert 0 < begin_lsn < end_lsn
 
     def test_truncates_log(self):
         bm, log, checkpointer = make_checkpointer()
@@ -78,23 +79,6 @@ class TestCheckpointEffects:
                               LogRecordType.CHECKPOINT_END)
             for r in remaining
         )
-
-    def test_truncation_can_be_disabled(self):
-        bm = make_bm(nvm_gb=0.0, policy=DRAM_SSD_POLICY)
-        log = LogManager(bm.hierarchy)
-        checkpointer = Checkpointer(bm, log, interval_ops=5, truncate_log=False)
-        log.append(LogRecordType.BEGIN, txn_id=1)
-        log.flush()
-        checkpointer.checkpoint()
-        types = [r.record_type for r in log.recovered_records()]
-        assert LogRecordType.BEGIN in types
-
-    def test_works_without_log_manager(self):
-        bm = make_bm(nvm_gb=0.0, policy=DRAM_SSD_POLICY)
-        checkpointer = Checkpointer(bm, log_manager=None, interval_ops=5)
-        page = bm.allocate_page()
-        bm.write(page, 0, 64)
-        assert checkpointer.checkpoint() == 1
 
     def test_nvm_dirty_pages_not_flushed(self):
         """§5.2: modified NVM pages are persistent; checkpoints skip them."""

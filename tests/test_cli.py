@@ -356,6 +356,27 @@ class TestBadInput:
         assert (args.max_queue_depth, args.no_admission) \
             == ((4, False) if len(flag) == 2 else (64, True))
 
+    @pytest.mark.parametrize("summary", [
+        {"experiments": 3},
+        {"experiments": [1]},
+        {"experiments": [{"title": "no id"}]},
+        {"experiments": [{"experiment_id": "x", "elapsed_s": "slow"}]},
+        {"experiments": [{"experiment_id": "x", "decisions": [1]}]},
+        {"fault_counters": {"faults_total": 3}},
+        {"telemetry": [1]},
+    ], ids=json.dumps)
+    def test_report_on_a_malformed_summary(self, tmp_path, capsys, summary):
+        """A JSON object whose fields have the wrong shape is a usage
+        error, as a JSON value that is no object is."""
+        path = tmp_path / "summary.json"
+        path.write_text(json.dumps(summary))
+        with pytest.raises(SystemExit) as exc:
+            main(["report", str(path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument summary: {path} is not a run summary" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("bad", ["missing.json", "not.json"])
     @pytest.mark.parametrize("diff", [False, True], ids=["summary", "diff"])
     def test_report_on_an_unreadable_file(self, tmp_path, capsys, bad, diff):

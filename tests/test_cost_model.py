@@ -30,8 +30,9 @@ class TestConstruction:
 
     def test_buffer_capacity_pages(self):
         hierarchy = StorageHierarchy(HierarchyShape(1, 2, 10), SCALE)
-        assert hierarchy.buffer_capacity_pages(Tier.DRAM) == 4
-        assert hierarchy.buffer_capacity_pages(Tier.NVM) == 8
+        page_size = hierarchy.page_size
+        assert hierarchy.device(Tier.DRAM).capacity_pages(page_size) == 4
+        assert hierarchy.device(Tier.NVM).capacity_pages(page_size) == 8
 
     def test_devices_share_cost_accumulator(self):
         hierarchy = StorageHierarchy(HierarchyShape(1, 2, 10), SCALE)
@@ -39,10 +40,6 @@ class TestConstruction:
         hierarchy.device(Tier.NVM).read(64)
         assert hierarchy.cost.usage("dram").operations == 1
         assert hierarchy.cost.usage("nvm").operations == 1
-
-    def test_dollar_cost(self):
-        hierarchy = StorageHierarchy(HierarchyShape(1, 2, 10), SCALE)
-        assert hierarchy.dollar_cost() == pytest.approx(1 * 10 + 2 * 4.5 + 10 * 2.8)
 
 
 class TestMemoryMode:
@@ -54,7 +51,7 @@ class TestMemoryMode:
         assert isinstance(device, MemoryModeDevice)
         assert not hierarchy.has_tier(Tier.NVM)
         # Buffer capacity equals the NVM capacity, not the DRAM cache.
-        assert hierarchy.buffer_capacity_pages(Tier.DRAM) == 8
+        assert device.capacity_pages(hierarchy.page_size) == 8
 
     def test_memory_mode_needs_both_tiers(self):
         with pytest.raises(ValueError):

@@ -65,7 +65,6 @@ class TestRecording:
         rec = DecisionRecorder(fraction=0.0).attach(bm)
         drive(bm)
         rec.detach()
-        assert rec.num_decisions() > 0
         summary = rec.summary()
         assert summary["spans_recorded"] == 0
         assert summary["decisions"]
@@ -132,7 +131,7 @@ class TestHubMerge:
         keys = list(hub.snapshot()["registry"])
         assert any("migration_decisions_total" in key for key in keys)
         assert any("admission_queue_depth" in key for key in keys)
-        total = rec.num_decisions()
+        total = sum(rec.summary()["decisions"].values())
         hub.finalize()  # idempotent: the merge must not double-count
         merged = sum(
             entry["state"]

@@ -51,7 +51,6 @@ class TestAttachDetach:
         shared.attach(dram)
         assert shared.copy_on(Tier.DRAM) is dram
         assert shared.copy_on(Tier.NVM) is None
-        assert shared.buffered
         assert shared.resident_tiers == (Tier.DRAM,)
 
     def test_double_attach_rejected(self):
@@ -65,7 +64,7 @@ class TestAttachDetach:
         nvm = tier_desc(Tier.NVM)
         shared.attach(nvm)
         assert shared.detach(Tier.NVM) is nvm
-        assert not shared.buffered
+        assert shared.resident_tiers == ()
 
     def test_detach_missing(self):
         with pytest.raises(RuntimeError):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.hardware.device import Device, cpu_charge
+from repro.hardware.device import Device
 from repro.hardware.simclock import CostAccumulator
 from repro.hardware.specs import DRAM_SPEC, NVM_SPEC, PAGE_SIZE, SSD_SPEC, Tier
 
@@ -101,10 +101,3 @@ class TestAccounting:
     def test_resource_key_matches_tier(self, nvm: Device):
         assert nvm.resource_key == "nvm"
         assert nvm.tier is Tier.NVM
-
-
-class TestCpuCharge:
-    def test_cpu_charge_helper(self):
-        cost = CostAccumulator()
-        cpu_charge(cost, 120.0)
-        assert cost.usage(CostAccumulator.CPU).busy_ns == pytest.approx(120.0)

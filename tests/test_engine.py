@@ -31,7 +31,7 @@ class TestSchema:
     def test_duplicate_table(self):
         engine = make_engine()
         with pytest.raises(ValueError):
-            engine.create_table("kv")
+            engine.create_table("kv", tuple_size=256)
 
     def test_missing_table(self):
         with pytest.raises(KeyError):
@@ -184,12 +184,6 @@ class TestDurability:
         report = RecoveryManager(engine.bm, engine.log).recover()
         assert txn.txn_id in report.losers
         assert engine.committed_value("kv", 1) == b"base"
-
-    def test_wal_disabled_engine_still_works(self):
-        engine = make_engine(config=EngineConfig(enable_wal=False))
-        engine.execute(lambda txn: engine.insert(txn, "kv", 1, b"x"))
-        assert engine.log is None
-        assert engine.execute(lambda t: engine.read(t, "kv", 1)) == b"x"
 
 
 class TestCostAccounting:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.buffer_manager import BufferManagerConfig
 from repro.core.policy import SPITFIRE_LAZY
-from repro.engine.engine import EngineConfig, StorageEngine
+from repro.engine.engine import StorageEngine
 from repro.hardware.cost_model import StorageHierarchy
 from repro.hardware.pricing import HierarchyShape
 from repro.hardware.specs import SimulationScale
@@ -28,26 +28,6 @@ class TestEngineConfig:
                                                              seed=9))
         assert engine.bm.config.replacement == "lru"
 
-    def test_wal_off_means_no_checkpointer(self):
-        engine = StorageEngine(hierarchy(), SPITFIRE_LAZY,
-                               config=EngineConfig(enable_wal=False))
-        assert engine.log is None
-        assert engine.checkpointer is None
-
-    def test_checkpoints_off_keeps_wal(self):
-        engine = StorageEngine(hierarchy(), SPITFIRE_LAZY,
-                               config=EngineConfig(enable_checkpoints=False))
-        assert engine.log is not None
-        assert engine.checkpointer is None
-
-    def test_default_tuple_size_flows_to_tables(self):
-        engine = StorageEngine(hierarchy(), SPITFIRE_LAZY,
-                               config=EngineConfig(tuple_size=512))
-        table = engine.create_table("t")
-        assert table.tuple_size == 512
-        explicit = engine.create_table("u", tuple_size=2048)
-        assert explicit.tuple_size == 2048
-
 
 class TestTransactionBookkeeping:
     def test_begin_logs_begin_record(self):
@@ -68,7 +48,7 @@ class TestTransactionBookkeeping:
 
     def test_double_abort_tolerated(self):
         engine = StorageEngine(hierarchy(), SPITFIRE_LAZY)
-        engine.create_table("t")
+        engine.create_table("t", tuple_size=1024)
         txn = engine.begin()
         engine.abort(txn)
         engine.abort(txn)  # second abort is a no-op at the MVTO layer

@@ -1,12 +1,13 @@
 """Declared ``event_interest`` against the full stream.
 
-Four subscribers declare the event types they need as
-``event_interest`` and the bus filters for them.  Each test runs a
-mixed seeded workload with a record-everything subscriber beside the
-one under test and recomputes, from the full stream and the event types
-spelled out here, what the subscriber must have produced — so a type
-missing from (or added to) its declaration shows as a difference.  The
-adaptive controller, once a fifth, subscribes nothing.
+Subscribers declare the event types they need as ``event_interest`` and
+the bus filters for them.  Each test runs a mixed seeded workload with a
+record-everything subscriber beside the one under test and recomputes,
+from the full stream and the event types spelled out here, what the
+subscriber must have produced — so a type missing from (or added to) a
+declaration shows as a difference: the three observers in ``src/``
+(decision recorder, metrics hub, boundary probe) and a page-lifecycle
+recorder declared here.  The adaptive controller subscribes nothing.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 
-from conftest import EventRecorder, make_bm
+from conftest import EventRecorder, LifecycleRecorder, make_bm
 
 from repro.bench.harness import RunConfig, WorkloadRunner
 from repro.core.events import EventType
@@ -27,7 +28,6 @@ from repro.faults.crashpoints import (
 )
 from repro.obs.decisions import DecisionRecorder
 from repro.obs.hub import MetricsHub
-from repro.obs.tracer import PageLifecycleTracer
 from repro.tuning.controller import AdaptiveController
 from repro.workloads.ycsb import YCSB_RO, YcsbWorkload
 
@@ -61,23 +61,15 @@ def name(tier) -> str | None:
     return tier.name if tier is not None else None
 
 
-def test_lifecycle_tracer_records_every_lifecycle_event():
-    tracer, stream = mixed_run(lambda bm: PageLifecycleTracer(
-        1.0, max_spans_per_page=10_000).attach(bm))
-    lifecycle = {"install", "migrate_up", "migrate_down", "evict",
-                 "write_back", "clean_drop", "flush", "mini_page_promotion"}
-    expected: dict[int, list] = {}
-    for event in stream:
-        if event.type.value in lifecycle:
-            expected.setdefault(event.page_id, []).append(
-                (event.type.value, name(event.tier), name(event.src),
-                 event.dirty))
-    assert len(expected) > 1
-    assert tracer.traced_pages() == sorted(expected)
-    for page_id, spans in expected.items():
-        assert [(s.event, s.tier, s.src, s.dirty)
-                for s in tracer.journey(page_id)] == spans
-    assert tracer.spans_dropped == 0
+def test_lifecycle_subscriber_sees_every_lifecycle_event():
+    """A subscriber declaring several types is offered exactly those,
+    in stream order, with every argument as published."""
+    recorder, stream = mixed_run(
+        lambda bm: bm.events.subscribe(LifecycleRecorder()))
+    expected = [event for event in stream
+                if event.type in LifecycleRecorder.event_interest]
+    assert len({event.type for event in expected}) >= 5
+    assert recorder.events == expected
 
 
 def test_decision_recorder_counts_every_eviction():

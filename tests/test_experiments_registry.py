@@ -5,6 +5,8 @@ registry covers every table/figure of the paper and that the cheapest
 experiment produces a well-formed result end to end.
 """
 
+import json
+
 from repro.bench.experiments import REGISTRY
 from repro.bench.reporting import ExperimentResult
 
@@ -41,5 +43,6 @@ class TestSmokeRun:
     def test_result_roundtrips_through_json(self, tmp_path):
         result = REGISTRY["table1"](quick=True)
         path = result.save_json(tmp_path)
-        loaded = ExperimentResult.load_json(path)
-        assert loaded.series.keys() == result.series.keys()
+        assert path.name == "table1.json"
+        assert json.loads(path.read_text())["series"].keys() \
+            == result.series.keys()

@@ -100,7 +100,7 @@ def test_random_crash_points_preserve_committed_state(seed, policy):
 @pytest.mark.parametrize("seed", [3, 17])
 def test_crash_mid_transaction_loses_only_the_loser(seed):
     engine = build_engine()
-    controller = CrashController.for_engine(engine)
+    controller = CrashController(engine)
     expected, _ = run_random_workload(engine, seed, 20, crash_after=10**9)
     # Start a transaction and crash before it commits.
     txn = engine.begin()

@@ -45,9 +45,6 @@ class TestArithmetic:
         assert LoadingUnit(64).lines_per_unit == 1
         assert LoadingUnit(512).lines_per_unit == 8
 
-    def test_transfer_bytes(self):
-        assert LoadingUnit(512).transfer_bytes(1000) == 1024
-
     def test_media_amplification_of_small_units(self):
         # A 64 B unit still reads a 256 B media block: 4x amplification.
         assert LoadingUnit(64).media_bytes(64) == 256
@@ -84,11 +81,6 @@ class TestProperties:
     def test_media_is_block_multiple(self, granularity, nbytes):
         unit = LoadingUnit(granularity)
         assert unit.media_bytes(nbytes) % NVM_MEDIA_GRANULARITY == 0
-
-    @given(st.sampled_from(FIG11_GRANULARITIES), st.integers(1, PAGE_SIZE))
-    def test_transfer_matches_units(self, granularity, nbytes):
-        unit = LoadingUnit(granularity)
-        assert unit.transfer_bytes(nbytes) == unit.units_for_bytes(nbytes) * granularity
 
     @given(st.integers(1, PAGE_SIZE))
     def test_256_never_beaten_on_amplification_by_64(self, nbytes):

@@ -1,6 +1,6 @@
 """The HyMem baseline configuration (§2.1, §6.5)."""
 
-from repro.core.hymem import hymem_policy, make_hymem
+from repro.core.hymem import make_hymem
 from repro.core.policy import HYMEM_POLICY, NvmAdmission
 from repro.hardware.cost_model import StorageHierarchy
 from repro.hardware.pricing import HierarchyShape
@@ -82,6 +82,3 @@ class TestHymemDataFlow:
         assert bm.stats.dram_evictions == 1
         assert len(bm.resident_pages(Tier.NVM)) == 0
         assert len(bm.admission_queues[0]) == 1
-
-    def test_hymem_policy_helper(self):
-        assert hymem_policy() is HYMEM_POLICY

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import make_bm
+from conftest import LifecycleRecorder, make_bm
 
 from repro.bench.executor import (
     Cell,
@@ -17,6 +17,7 @@ from repro.bench.executor import (
 from repro.bench.harness import RunConfig, RunOptions, WorkloadRunner
 from repro.bench.reporting import ExperimentResult
 from repro.core.buffer_manager import BufferManager
+from repro.core.events import EventType
 from repro.core.policy import SPITFIRE_EAGER, SPITFIRE_LAZY
 from repro.core.stats import BufferStats
 from repro.hardware.cost_model import StorageHierarchy
@@ -27,7 +28,6 @@ from repro.obs.export import (
     prometheus_text,
     snapshot_jsonl_lines,
 )
-from repro.obs.tracer import PageLifecycleTracer
 from repro.workloads.ycsb import YcsbWorkload
 
 SCALE = SimulationScale(pages_per_gb=8)
@@ -44,11 +44,11 @@ def make_runner(**options) -> WorkloadRunner:
 
 
 def traced_runner(**options) -> WorkloadRunner:
-    """A runner whose manager carries a page tracer attached by hand, as
-    a script does: it stays on the bus across measurements, and the
-    window's own observers come and go around it."""
+    """A runner whose manager carries a lifecycle recorder attached by
+    hand, as a script does: it stays on the bus across measurements, and
+    the window's own observers come and go around it."""
     runner = make_runner(**options)
-    PageLifecycleTracer(1.0).attach(runner.bm)
+    runner.bm.events.subscribe(LifecycleRecorder())
     return runner
 
 
@@ -91,15 +91,16 @@ class TestHarnessMetrics:
         assert result.metrics is None
 
     def test_page_traces_collected(self):
-        runner = make_runner()
-        tracer = PageLifecycleTracer(1.0).attach(runner.bm)
-        runner.measure_ycsb(small_workload())
-        tracer.detach()
-        traces = tracer.snapshot()
-        assert traces["spans_dropped"] >= 0
-        assert traces["pages"]
-        first = next(iter(traces["pages"].values()))
-        assert {"sim_ns", "event", "tier", "src", "dirty"} <= set(first[0])
+        """A page-lifecycle recorder attached by hand hears its types
+        through a measured window, beside the window's own hub."""
+        runner = make_runner(collect_metrics=True)
+        recorder = runner.bm.events.subscribe(LifecycleRecorder())
+        result = runner.measure_ycsb(small_workload())
+        runner.bm.events.unsubscribe(recorder)
+        assert result.batch_runs > 0  # it keeps the batch path on
+        kinds = {event.type for event in recorder.events}
+        assert {EventType.EVICT, EventType.MIGRATE_UP} <= kinds \
+            <= LifecycleRecorder.event_interest
 
     def test_resource_usage_always_present(self):
         runner = make_runner()

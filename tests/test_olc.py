@@ -34,9 +34,10 @@ class TestWriteProtocol:
         latch = OptimisticLatch()
         version = latch.read_lock_or_restart()
         latch.upgrade_to_write_lock_or_restart(version)
-        assert latch.is_locked
+        with pytest.raises(OlcRestart):  # readers see the writer
+            latch.read_lock_or_restart()
         latch.write_unlock()
-        assert not latch.is_locked
+        assert latch.read_lock_or_restart() == version + 1
 
     def test_upgrade_fails_after_intervening_write(self):
         latch = OptimisticLatch()
@@ -56,23 +57,6 @@ class TestWriteProtocol:
     def test_unlock_without_lock_is_error(self):
         with pytest.raises(RuntimeError):
             OptimisticLatch().write_unlock()
-
-
-class TestObsolete:
-    def test_obsolete_node_restarts_readers(self):
-        latch = OptimisticLatch()
-        latch.write_lock()
-        latch.write_unlock_obsolete()
-        assert latch.is_obsolete
-        with pytest.raises(OlcRestart):
-            latch.read_lock_or_restart()
-
-    def test_obsolete_node_rejects_writers(self):
-        latch = OptimisticLatch()
-        latch.write_lock()
-        latch.write_unlock_obsolete()
-        with pytest.raises(OlcRestart):
-            latch.write_lock()
 
 
 class TestConcurrency:

@@ -46,9 +46,6 @@ class TestPage:
         clone.write_record(1, b"y")
         assert src.read_record(1) == b"x"
 
-    def test_num_cache_lines(self):
-        assert Page(0).num_cache_lines == 256
-
     def test_invalid_ids_rejected(self):
         with pytest.raises(ValueError):
             Page(-1)
@@ -63,8 +60,7 @@ class TestCacheLinePage:
 
     def test_starts_empty(self, clp: CacheLinePage):
         assert clp.resident_count == 0
-        assert not clp.fully_resident
-        assert not clp.is_dirty
+        assert clp.dirty_mask == 0
 
     def test_load_lines(self, clp: CacheLinePage):
         assert clp.load_lines(0, 4) == 4
@@ -76,10 +72,6 @@ class TestCacheLinePage:
         clp.load_lines(0, 4)
         assert clp.load_lines(2, 4) == 2
 
-    def test_load_all_sets_r_bit(self, clp: CacheLinePage):
-        assert clp.load_all() == 256
-        assert clp.fully_resident
-
     def test_dirty_requires_residency(self, clp: CacheLinePage):
         with pytest.raises(ValueError):
             clp.mark_dirty(0, 1)
@@ -87,16 +79,11 @@ class TestCacheLinePage:
         clp.mark_dirty(0, 2)
         assert clp.dirty_count == 2
 
-    def test_fully_dirty_d_bit(self, clp: CacheLinePage):
-        clp.load_all()
-        clp.mark_dirty(0, 256)
-        assert clp.fully_dirty
-
     def test_writeback_clears_dirty(self, clp: CacheLinePage):
         clp.load_lines(0, 3)
         clp.mark_dirty(0, 3)
         assert clp.writeback_lines() == 3
-        assert not clp.is_dirty
+        assert clp.dirty_mask == 0
         # The lines remain resident after write-back.
         assert clp.resident_count == 3
 
@@ -104,7 +91,6 @@ class TestCacheLinePage:
         clp.load_lines(0, 2)
         clp.mark_dirty(0, 1)
         assert clp.resident_bytes() == 2 * CACHE_LINE_SIZE
-        assert clp.dirty_bytes() == CACHE_LINE_SIZE
 
     def test_range_validation(self, clp: CacheLinePage):
         with pytest.raises(ValueError):
@@ -129,7 +115,7 @@ class TestMiniPage:
     def test_starts_empty(self, mini: MiniPage):
         assert mini.count == 0
         assert not mini.full
-        assert not mini.is_dirty
+        assert mini.dirty_mask == 0
 
     def test_ensure_lines(self, mini: MiniPage):
         assert mini.ensure_lines([255, 7, 2]) == 3
@@ -167,7 +153,7 @@ class TestMiniPage:
         mini.mark_dirty(20)
         assert mini.dirty_count == 1
         assert mini.writeback_lines() == [20]
-        assert not mini.is_dirty
+        assert mini.dirty_mask == 0
 
     def test_dirty_requires_residency(self, mini: MiniPage):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Migration-policy taxonomy and Table 3 presets."""
 
 import random
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,6 +17,9 @@ from repro.core.policy import (
     NvmAdmission,
 )
 
+#: A policy's four probabilities, without its name.
+knobs = attrgetter("d_r", "d_w", "n_r", "n_w")
+
 
 class TestValidation:
     def test_probability_bounds(self):
@@ -23,10 +27,6 @@ class TestValidation:
             MigrationPolicy(d_r=1.5)
         with pytest.raises(ValueError):
             MigrationPolicy(n_w=-0.1)
-
-    def test_as_tuple(self):
-        policy = MigrationPolicy(0.1, 0.2, 0.3, 0.4)
-        assert policy.as_tuple() == (0.1, 0.2, 0.3, 0.4)
 
     def test_label(self):
         assert MigrationPolicy(name="X").label() == "X"
@@ -57,10 +57,10 @@ class TestDraws:
 
 class TestTable3Presets:
     def test_eager(self):
-        assert SPITFIRE_EAGER.as_tuple() == (1.0, 1.0, 1.0, 1.0)
+        assert knobs(SPITFIRE_EAGER) == (1.0, 1.0, 1.0, 1.0)
 
     def test_lazy(self):
-        assert SPITFIRE_LAZY.as_tuple() == (0.01, 0.01, 0.2, 1.0)
+        assert knobs(SPITFIRE_LAZY) == (0.01, 0.01, 0.2, 1.0)
 
     def test_hymem(self):
         assert HYMEM_POLICY.d_r == 1.0

@@ -4,7 +4,6 @@ import pytest
 
 from repro.hardware.pricing import (
     HierarchyShape,
-    equi_cost_nvm_gb,
     hierarchy_cost,
     performance_per_price,
 )
@@ -51,12 +50,3 @@ class TestPricing:
     def test_zero_cost_rejected(self):
         with pytest.raises(ValueError):
             performance_per_price(100.0, 0.0)
-
-    def test_equi_cost_conversion(self):
-        # $10/GB DRAM buys 10/4.5 GB of NVM.
-        assert equi_cost_nvm_gb(1.0) == pytest.approx(10.0 / 4.5)
-
-    def test_equi_cost_matches_paper_ratio(self):
-        # The paper's 140 GB memory-mode buffer vs 340 GB NVM-SSD is
-        # roughly this price ratio (140 GB mixed DRAM+NVM ≈ 340 GB NVM).
-        assert equi_cost_nvm_gb(140.0) > 140.0

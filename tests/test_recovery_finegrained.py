@@ -46,7 +46,7 @@ class TestPartialResidencySetup:
         dram = bm.table.get(0).copy_on(Tier.DRAM)
         nvm = bm.table.get(0).copy_on(Tier.NVM)
         assert isinstance(dram.content, CacheLinePage)
-        assert not dram.content.fully_resident
+        assert dram.content.resident_count < dram.content.num_lines
         assert isinstance(nvm.content, Page)
 
 
@@ -129,7 +129,7 @@ class TestRecovery:
         # recovered NVM page, exactly as on the pre-crash path.
         dram = bm.table.get(0).copy_on(Tier.DRAM)
         assert isinstance(dram.content, CacheLinePage)
-        assert not dram.content.fully_resident
+        assert dram.content.resident_count < dram.content.num_lines
 
     def test_mini_page_views_recover_the_same_way(self):
         bm = fine_bm(mini_pages=True)

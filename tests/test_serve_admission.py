@@ -11,6 +11,12 @@ from repro.serve.admission import (
 )
 
 
+def depths(controller: AdmissionController) -> dict[int, int]:
+    """Each tenant's admitted-but-unreleased requests, off the snapshot."""
+    return {int(tenant): gate["depth"]
+            for tenant, gate in controller.snapshot()["tenants"].items()}
+
+
 class TestTokenBucket:
     def test_burst_then_rate_refill(self):
         bucket = TokenBucket(rate=10.0, burst=2.0, now=0.0)
@@ -56,9 +62,7 @@ class TestQueueDepth:
         controller.try_admit(1, 0.0)  # other tenant unaffected
         with pytest.raises(Overloaded):
             controller.try_admit(0, 0.0)
-        assert controller.depth_of(0) == 1
-        assert controller.depth_of(1) == 1
-        assert controller.in_flight == 2
+        assert depths(controller) == {0: 1, 1: 1}
 
     def test_rate_limit_sheds_with_reason(self):
         controller = AdmissionController(AdmissionConfig(
@@ -74,9 +78,10 @@ class TestQueueDepth:
             max_queue_depth=1, rate_ops_per_s=0.001, enabled=False))
         for _ in range(50):
             controller.try_admit(0, 0.0)
-        assert controller.in_flight == 50
-        assert controller.shed_total() == 0
-        assert controller.admitted_total() == 50
+        gate = controller.snapshot()["tenants"]["0"]
+        assert gate["depth"] == 50
+        assert gate["admitted"] == 50
+        assert sum(gate["shed"].values()) == 0
 
 
 class TestDrain:
@@ -88,9 +93,9 @@ class TestDrain:
             controller.try_admit(0, 1.0)
         assert err.value.reason is OverloadReason.DRAINING
         # In-flight work keeps its slot and can still complete.
-        assert controller.in_flight == 1
+        assert depths(controller) == {0: 1}
         controller.release(0)
-        assert controller.in_flight == 0
+        assert depths(controller) == {0: 0}
 
     def test_drain_refuses_even_when_disabled(self):
         controller = AdmissionController(AdmissionConfig(enabled=False))

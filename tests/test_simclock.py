@@ -49,7 +49,7 @@ class TestCostAccumulator:
         cost = CostAccumulator()
         cost.charge("ssd", 1)
         cost.charge("cpu", 1)
-        assert cost.resources() == ["cpu", "ssd"]
+        assert sorted(cost.snapshot()) == ["cpu", "ssd"]
 
     def test_reset(self):
         cost = CostAccumulator()

@@ -90,14 +90,6 @@ class TestDeviceSpecBehaviour:
         assert NVM_SPEC.media_bytes(0) == 0
         assert NVM_SPEC.media_bytes(-5) == 0
 
-    def test_latency_selection(self):
-        assert NVM_SPEC.read_latency_ns(sequential=True) == 170.0
-        assert NVM_SPEC.read_latency_ns(sequential=False) == 320.0
-
-    def test_bandwidth_selection(self):
-        assert NVM_SPEC.read_bandwidth(True) == pytest.approx(91.2e9)
-        assert NVM_SPEC.write_bandwidth(False) == pytest.approx(6e9)
-
     def test_scaled_override(self):
         slower = NVM_SPEC.scaled(rand_read_latency_ns=640.0)
         assert slower.rand_read_latency_ns == 640.0

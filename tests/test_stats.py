@@ -63,11 +63,9 @@ class TestBufferStats:
     def test_hit_ratios(self):
         stats = BufferStats(reads=8, writes=2, dram_hits=5, ssd_fetches=2)
         assert stats.dram_hit_ratio == pytest.approx(0.5)
-        assert stats.buffer_hit_ratio == pytest.approx(0.8)
 
     def test_ratios_with_no_ops(self):
         assert BufferStats().dram_hit_ratio == 0.0
-        assert BufferStats().buffer_hit_ratio == 0.0
 
     def test_migration_aggregates(self):
         stats = BufferStats(ssd_to_dram=1, ssd_to_nvm=2, nvm_to_dram=3,

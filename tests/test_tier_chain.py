@@ -31,8 +31,6 @@ class TestChainStructure:
         dram = chain.node(Tier.DRAM)
         nvm = chain.node(Tier.NVM)
         assert chain.lower_of(dram) is nvm
-        assert chain.upper_of(nvm) is dram
-        assert chain.upper_of(dram) is None
         assert chain.lower_of(nvm) is None
 
     def test_persistence_split(self, eager_bm):

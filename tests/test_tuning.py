@@ -1,5 +1,7 @@
 """Simulated annealing and the adaptive controller (§4, §6.4)."""
 
+from operator import attrgetter
+
 import pytest
 
 from repro.bench.harness import RunConfig, WorkloadRunner
@@ -17,6 +19,9 @@ from repro.tuning.annealing import (
 )
 from repro.tuning.controller import AdaptiveController
 from repro.workloads.ycsb import YCSB_BA, YCSB_RO, YcsbWorkload
+
+#: A policy's four probabilities, without its name.
+knobs = attrgetter("d_r", "d_w", "n_r", "n_w")
 
 
 class TestCostFunction:
@@ -47,7 +52,7 @@ class TestAnnealer:
         annealer = PolicyAnnealer(SPITFIRE_EAGER, seed=1)
         for _ in range(50):
             candidate = annealer.propose()
-            for value in candidate.as_tuple():
+            for value in knobs(candidate):
                 assert value in PROBABILITY_LEVELS
 
     def test_lockstep_proposals(self):
@@ -151,7 +156,7 @@ class TestController:
         assert len(series) == 15
         # The eager start must not be the best policy found: the
         # annealer explores lazier settings on this hierarchy.
-        assert controller.best_policy.as_tuple() != SPITFIRE_EAGER.as_tuple()
+        assert knobs(controller.best_policy) != knobs(SPITFIRE_EAGER)
 
     def test_records_carry_temperature(self):
         controller, runner, workload = self.make_controller()
@@ -174,5 +179,5 @@ class TestController:
                              controller.bm.hierarchy.cost.total_fp,
                              controller.bm.stats.snapshot()))
         (per_op, batched) = outcomes
-        assert len({record.policy.as_tuple() for record in per_op[0]}) > 1
+        assert len({knobs(record.policy) for record in per_op[0]}) > 1
         assert batched == per_op

@@ -151,7 +151,7 @@ def run_scenario(name: str) -> dict:
         "next_lsn": log.next_lsn,
         "durable_lsn": durable_lsn,
         "recovered": [[r.lsn, r.checksum] for r in log.recovered_records()],
-        "checkpoints": checkpointer.keeper.checkpoints,
+        "checkpoints": checkpointer.checkpoints,
         "devices": {
             tier.name: dataclasses.astuple(device.snapshot_counters())
             for tier, device in hierarchy.devices.items()

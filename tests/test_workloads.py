@@ -330,23 +330,10 @@ class TestTrace:
         trace = Trace.record(workload.accesses(50), limit=300)
         assert len(trace) <= 300
         assert trace.num_pages > 0
-        assert 0.0 <= trace.write_fraction <= 1.0
-
-    def test_save_load_roundtrip(self, tmp_path):
-        accesses = [
-            PageAccess(1, 0, 64, False),
-            PageAccess(2, 128, 256, True),
-        ]
-        trace = Trace(accesses)
-        path = tmp_path / "trace.jsonl"
-        trace.save(path)
-        loaded = Trace.load(path)
-        assert [vars_of(a) for a in loaded] == [vars_of(a) for a in accesses]
 
     def test_empty_trace(self):
         trace = Trace([])
         assert trace.num_pages == 0
-        assert trace.write_fraction == 0.0
 
 
 def _generator(kind: str, n: int, theta: float, seed: int):
